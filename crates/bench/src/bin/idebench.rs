@@ -79,7 +79,9 @@ fn parse_list(prefix: &str, default: &[&str]) -> Vec<String> {
 fn parse_usize(prefix: &str, default: usize) -> usize {
     for arg in std::env::args().skip(1) {
         if let Some(v) = arg.strip_prefix(prefix) {
-            return v.parse().unwrap_or_else(|_| panic!("{prefix} takes an integer"));
+            return v
+                .parse()
+                .unwrap_or_else(|_| panic!("{prefix} takes an integer"));
         }
     }
     default

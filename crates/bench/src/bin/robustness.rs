@@ -92,7 +92,9 @@ fn policy_of(name: &str) -> CrackPolicy {
 fn parse_usize(prefix: &str, default: usize) -> usize {
     for arg in std::env::args().skip(1) {
         if let Some(v) = arg.strip_prefix(prefix) {
-            return v.parse().unwrap_or_else(|_| panic!("{prefix} takes an integer"));
+            return v
+                .parse()
+                .unwrap_or_else(|_| panic!("{prefix} takes an integer"));
         }
     }
     default
@@ -174,8 +176,7 @@ fn main() {
                     let mut total_rows = 0usize;
                     for _ in 0..args.queries {
                         let pred = gen.next_pattern(pattern);
-                        let q =
-                            SelectQuery::aggregate(vec![(0, pred)], vec![(0, AggFunc::Count)]);
+                        let q = SelectQuery::aggregate(vec![(0, pred)], vec![(0, AggFunc::Count)]);
                         let t0 = Instant::now();
                         let out = engine.select(&q);
                         per_query_ns.push(t0.elapsed().as_nanos() as u64);
@@ -259,9 +260,10 @@ fn main() {
                 .find(|(e, pat, pol, _)| e == engine_name && pat == pattern && pol == policy)
                 .map(|&(_, _, _, ns)| ns)
         };
-        if let (Some(std_ns), Some(sto_ns)) =
-            (total("sequential", "standard"), total("sequential", "stochastic"))
-        {
+        if let (Some(std_ns), Some(sto_ns)) = (
+            total("sequential", "standard"),
+            total("sequential", "stochastic"),
+        ) {
             let ratio = std_ns as f64 / sto_ns.max(1) as f64;
             println!(
                 "{engine_name}: sequential standard/stochastic = {ratio:.1}x \
@@ -283,10 +285,9 @@ fn main() {
                 })
                 .map(|&(_, _, _, ns)| ns)
                 .collect();
-            let (Some(ada_ns), Some(&best_ns)) = (
-                total(pattern_name, "adaptive"),
-                statics.iter().min(),
-            ) else {
+            let (Some(ada_ns), Some(&best_ns)) =
+                (total(pattern_name, "adaptive"), statics.iter().min())
+            else {
                 continue;
             };
             let ratio = ada_ns as f64 / best_ns.max(1) as f64;

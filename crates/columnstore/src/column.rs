@@ -22,6 +22,7 @@
 
 use crate::storage::{SegmentedColumn, StorageError};
 use crate::types::{RowId, Val};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Storage tier behind a [`Column`].
@@ -176,6 +177,21 @@ impl Column {
                     f(seg.len(), overlay);
                 }
                 Ok(())
+            }
+        }
+    }
+
+    /// The whole tail as one slice on either tier: borrowed from a
+    /// resident column, streamed segment-wise (bypassing the segment
+    /// cache) into an owned copy from a segmented one. For bulk
+    /// consumers that read every value once, such as map seeding.
+    pub fn try_contiguous(&self) -> Result<Cow<'_, [Val]>, StorageError> {
+        match &self.data {
+            ColumnData::Resident(v) => Ok(Cow::Borrowed(v)),
+            ColumnData::Segmented { .. } => {
+                let mut out = Vec::with_capacity(self.len());
+                self.try_for_each_segment(|_, vals| out.extend_from_slice(vals))?;
+                Ok(Cow::Owned(out))
             }
         }
     }
@@ -416,6 +432,10 @@ mod tests {
         .unwrap();
         assert_eq!(all.len(), 101);
         assert_eq!(all[100], 777);
+        // One slice on either tier: copied here, borrowed when resident.
+        assert_eq!(c.try_contiguous().unwrap(), all);
+        let r = Column::new(vec![4, 2]);
+        assert!(matches!(r.try_contiguous().unwrap(), Cow::Borrowed([4, 2])));
         std::fs::remove_file(&path).ok();
     }
 

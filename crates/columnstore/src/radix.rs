@@ -62,76 +62,172 @@ pub fn bits_for_cache(n: usize, cache_vals: usize) -> u32 {
     bits
 }
 
-/// Counting-partition `head[..]` (and `tail` alongside) into `buckets`
-/// equal-width value ranges over the closed value domain `[min, max]`,
-/// out of place through a scratch buffer, copying the clustered layout
-/// back. Returns the `buckets + 1` bucket offsets (offsets[0] = 0,
-/// offsets[buckets] = n).
+/// Exact equal-width bucketing of the closed value domain `[min, max]`:
+/// `bucket_of(v) = floor((v - min) * buckets / (max - min + 1))`, in
+/// integers. Membership is monotone in the value — `bucket_of(v) < b`
+/// iff `v < lower_bound(b)` — so every bucket offset of a
+/// clustered array is a *valid* `BoundKind::Lt` crack boundary.
 ///
-/// This is the value-domain twin of [`radix_cluster`] (which buckets by
-/// key bits) and the engine of the crack prepartition fast path: the
-/// first crack of a huge uncracked piece pays one cache-friendly
-/// counting pass here instead of many half-array crack-in-two passes,
-/// and every bucket offset becomes an advisory cracker boundary at the
-/// bucket's lower bound `min + ceil(b * range / buckets)`.
-///
-/// Bucket membership is monotone in the value — `bucket_of(v) < b` iff
-/// `v < bucket_lower_bound(b)` — so each offset is a *valid*
-/// `BoundKind::Lt` crack boundary. All range arithmetic runs in `i128`:
-/// `max - min + 1` overflows `i64` for full-domain columns.
-pub fn cluster_by_value<T: Copy>(
-    head: &mut [Val],
-    tail: &mut [T],
+/// `(v - min) * buckets` fits `u64` whenever `(max - min + 1) * buckets`
+/// does, i.e. on every column but a near-full-domain one: those (where
+/// `max - min + 1` alone overflows `i64`) take the same formula in
+/// `i128`. The width is chosen once per pass, not per tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueBuckets {
     buckets: usize,
     min: Val,
     max: Val,
-) -> Vec<usize> {
-    let n = head.len();
-    debug_assert_eq!(n, tail.len());
-    debug_assert!(min <= max);
-    let buckets = buckets.max(1);
-    let range = max as i128 - min as i128 + 1;
-    let bucket_of = |v: Val| -> usize {
-        debug_assert!(v >= min && v <= max);
-        (((v as i128 - min as i128) * buckets as i128) / range) as usize
-    };
+    /// `max - min + 1` when its product with `buckets` fits `u64`.
+    span: Option<u64>,
+}
 
-    let mut counts = vec![0usize; buckets];
-    for &v in head.iter() {
-        counts[bucket_of(v)] += 1;
+impl ValueBuckets {
+    /// `buckets` (at least one) equal-width buckets over `[min, max]`.
+    pub fn new(buckets: usize, min: Val, max: Val) -> Self {
+        debug_assert!(min <= max);
+        let buckets = buckets.max(1);
+        let range = max as i128 - min as i128 + 1;
+        let span = (range * buckets as i128 <= u64::MAX as i128).then_some(range as u64);
+        ValueBuckets {
+            buckets,
+            min,
+            max,
+            span,
+        }
     }
-    let mut offsets = vec![0usize; buckets + 1];
-    for b in 0..buckets {
-        offsets[b + 1] = offsets[b] + counts[b];
+
+    /// Number of buckets.
+    pub fn buckets(&self) -> usize {
+        self.buckets
     }
-    // Scatter through scratch: every slot is written exactly once (the
-    // cursors sweep each bucket's span), so seeding the tail scratch
-    // with a clone is only to satisfy initialization — no stale value
-    // survives the pass.
-    let mut cursors = offsets[..buckets].to_vec();
-    let mut h2 = vec![0 as Val; n];
-    let mut t2 = tail.to_vec();
-    for i in 0..n {
-        let b = bucket_of(head[i]);
-        h2[cursors[b]] = head[i];
-        t2[cursors[b]] = tail[i];
-        cursors[b] += 1;
+
+    /// The lower value bound of bucket `b`: the smallest `v` with
+    /// `bucket_of(v) >= b`. Bucket `b`'s span is exactly the values in
+    /// `[lower_bound(b), lower_bound(b + 1))`, so `(lower_bound(b), Lt)`
+    /// is the crack boundary at bucket offset `b`. (`i128`: a handful
+    /// of calls per clustering, and `b * range` overflows `u64` where
+    /// the per-tuple product does not.)
+    pub fn lower_bound(&self, b: usize) -> Val {
+        debug_assert!(b <= self.buckets);
+        let range = self.max as i128 - self.min as i128 + 1;
+        // ceil(b * range / buckets): first value whose product reaches b.
+        let offset = (b as i128 * range + self.buckets as i128 - 1) / self.buckets as i128;
+        (self.min as i128 + offset.min(range)) as Val
     }
-    head.copy_from_slice(&h2);
-    tail.copy_from_slice(&t2);
+
+    #[inline(always)]
+    fn narrow(&self, v: Val, span: u64) -> usize {
+        debug_assert!(v >= self.min && v <= self.max);
+        ((v.wrapping_sub(self.min) as u64 * self.buckets as u64) / span) as usize
+    }
+
+    /// The wide-domain fallback, and the oracle `narrow` is tested
+    /// against.
+    #[inline(always)]
+    fn wide(&self, v: Val) -> usize {
+        debug_assert!(v >= self.min && v <= self.max);
+        let range = self.max as i128 - self.min as i128 + 1;
+        (((v as i128 - self.min as i128) * self.buckets as i128) / range) as usize
+    }
+
+    /// The bucket of `v`, which must lie in `[min, max]`.
+    pub fn bucket_of(&self, v: Val) -> usize {
+        match self.span {
+            Some(span) => self.narrow(v, span),
+            None => self.wide(v),
+        }
+    }
+
+    /// Add `head`'s per-bucket tuple counts to `counts` (one slot per
+    /// bucket): the counting pass. Callers with a source in several
+    /// runs call it once per run.
+    pub fn count_into(&self, head: &[Val], counts: &mut [usize]) {
+        fn count(head: &[Val], counts: &mut [usize], bucket_of: impl Fn(Val) -> usize) {
+            for &v in head {
+                counts[bucket_of(v)] += 1;
+            }
+        }
+        match self.span {
+            Some(span) => count(head, counts, |v| self.narrow(v, span)),
+            None => count(head, counts, |v| self.wide(v)),
+        }
+    }
+}
+
+/// Exclusive prefix sums of per-bucket counts: the `buckets + 1` bucket
+/// offsets (`offsets[0] = 0`, `offsets[buckets]` = total).
+pub fn bucket_offsets(counts: &[usize]) -> Vec<usize> {
+    let mut offsets = vec![0; counts.len() + 1];
+    for (b, &c) in counts.iter().enumerate() {
+        offsets[b + 1] = offsets[b] + c;
+    }
     offsets
 }
 
-/// The lower value bound of bucket `b` under [`cluster_by_value`]'s
-/// bucketing: the smallest `v` with `bucket_of(v) >= b`. Bucket `b`'s
-/// span is exactly the values in `[bound(b), bound(b + 1))`, so
-/// `(bound(b), Lt)` is the crack boundary at `offsets[b]`.
-pub fn value_bucket_bound(b: usize, buckets: usize, min: Val, max: Val) -> Val {
-    debug_assert!(min <= max && buckets >= 1 && b <= buckets);
-    let range = max as i128 - min as i128 + 1;
-    // ceil(b * range / buckets): first value whose product reaches b.
-    let offset = (b as i128 * range + buckets as i128 - 1) / buckets as i128;
-    (min as i128 + offset.min(range)) as Val
+/// The scatter pass: append each `(src_head[i], src_tail[i])` to its
+/// bucket's span of `dst_head`/`dst_tail` at `cursors[bucket]`, in
+/// source order, advancing the cursor. With `cursors` started at the
+/// bucket offsets of the whole source (see [`ValueBuckets::count_into`])
+/// every destination slot is written exactly once, so the destination's
+/// prior contents never survive. A source in several runs is scattered
+/// run by run through the same cursors.
+pub fn cluster_into<T: Copy>(
+    src_head: &[Val],
+    src_tail: &[T],
+    dst_head: &mut [Val],
+    dst_tail: &mut [T],
+    by: &ValueBuckets,
+    cursors: &mut [usize],
+) {
+    fn scatter<T: Copy>(
+        src: (&[Val], &[T]),
+        dst: (&mut [Val], &mut [T]),
+        cursors: &mut [usize],
+        bucket_of: impl Fn(Val) -> usize,
+    ) {
+        for (&v, &t) in src.0.iter().zip(src.1) {
+            let c = &mut cursors[bucket_of(v)];
+            dst.0[*c] = v;
+            dst.1[*c] = t;
+            *c += 1;
+        }
+    }
+    debug_assert_eq!(src_head.len(), src_tail.len());
+    debug_assert_eq!(dst_head.len(), dst_tail.len());
+    let (src, dst) = ((src_head, src_tail), (dst_head, dst_tail));
+    match by.span {
+        Some(span) => scatter(src, dst, cursors, |v| by.narrow(v, span)),
+        None => scatter(src, dst, cursors, |v| by.wide(v)),
+    }
+}
+
+/// Counting-partition `head[..]` (and `tail` alongside) in place into
+/// the equal-width value ranges of `by`: one counting pass, then one
+/// [`cluster_into`] scatter from a copy of the input back into it.
+/// Returns the `buckets + 1` bucket offsets (offsets[0] = 0,
+/// offsets[buckets] = n).
+///
+/// This is the value-domain twin of [`radix_cluster`] (which buckets by
+/// key bits) and the engine of the crack prepartition: the first crack
+/// of a huge uncracked piece pays one cache-friendly counting partition
+/// instead of many half-array crack-in-two passes, and every bucket
+/// offset becomes an advisory cracker boundary at the bucket's lower
+/// bound ([`ValueBuckets::lower_bound`]). A structure that is being
+/// *seeded* skips the copy: it counts and scatters straight from the
+/// base columns into its own arrays (`CrackedArray::seeded`).
+pub fn cluster_by_value<T: Copy>(
+    head: &mut [Val],
+    tail: &mut [T],
+    by: &ValueBuckets,
+) -> Vec<usize> {
+    debug_assert_eq!(head.len(), tail.len());
+    let mut counts = vec![0usize; by.buckets()];
+    by.count_into(head, &mut counts);
+    let offsets = bucket_offsets(&counts);
+    let (src_head, src_tail) = (head.to_vec(), tail.to_vec());
+    let mut cursors = offsets[..by.buckets()].to_vec();
+    cluster_into(&src_head, &src_tail, head, tail, by, &mut cursors);
+    offsets
 }
 
 /// Reconstruct `col` at `keys` after radix-clustering them: the returned
@@ -199,18 +295,45 @@ mod tests {
         assert_eq!(radix_cluster(&keys, 16, 4), out);
     }
 
+    /// The pre-fusion `cluster_by_value` loop, verbatim in its
+    /// arithmetic (every bucket computed in `i128`): the oracle.
+    fn cluster_oracle<T: Copy>(head: &mut [Val], tail: &mut [T], by: &ValueBuckets) -> Vec<usize> {
+        let buckets = by.buckets();
+        let mut counts = vec![0usize; buckets];
+        for &v in head.iter() {
+            counts[by.wide(v)] += 1;
+        }
+        let offsets = bucket_offsets(&counts);
+        let mut cursors = offsets[..buckets].to_vec();
+        let (h2, t2) = (head.to_vec(), tail.to_vec());
+        for i in 0..h2.len() {
+            let b = by.wide(h2[i]);
+            head[cursors[b]] = h2[i];
+            tail[cursors[b]] = t2[i];
+            cursors[b] += 1;
+        }
+        offsets
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 11
+    }
+
     #[test]
     fn cluster_by_value_partitions_and_aligns() {
         let mut head: Vec<Val> = vec![12, 3, 5, 9, 15, 22, 7, 26, 4, 2, 24, 11, 16];
         let mut tail: Vec<RowId> = (0..head.len() as RowId).collect();
         let orig = head.clone();
-        let offsets = cluster_by_value(&mut head, &mut tail, 4, 1, 28);
+        let by = ValueBuckets::new(4, 1, 28);
+        let offsets = cluster_by_value(&mut head, &mut tail, &by);
         assert_eq!(offsets.len(), 5);
         assert_eq!(offsets[0], 0);
         assert_eq!(offsets[4], head.len());
         for b in 0..4 {
-            let lo = value_bucket_bound(b, 4, 1, 28);
-            let hi = value_bucket_bound(b + 1, 4, 1, 28);
+            let (lo, hi) = (by.lower_bound(b), by.lower_bound(b + 1));
             for &v in &head[offsets[b]..offsets[b + 1]] {
                 assert!(v >= lo && v < hi, "{v} outside bucket {b} [{lo}, {hi})");
             }
@@ -228,23 +351,112 @@ mod tests {
 
     #[test]
     fn cluster_by_value_extreme_domain_does_not_overflow() {
-        // Full i64 domain: range = 2^64 overflows i64 but not i128.
+        // Full i64 domain: range = 2^64 overflows i64 (and the u64
+        // product), so this takes the i128 fallback.
         let mut head: Vec<Val> = vec![Val::MIN, -1, 0, 1, Val::MAX];
         let mut tail = vec![(); head.len()];
-        let offsets = cluster_by_value(&mut head, &mut tail, 2, Val::MIN, Val::MAX);
-        let mid = value_bucket_bound(1, 2, Val::MIN, Val::MAX);
-        assert_eq!(mid, 0);
+        let by = ValueBuckets::new(2, Val::MIN, Val::MAX);
+        assert!(by.span.is_none());
+        let offsets = cluster_by_value(&mut head, &mut tail, &by);
+        assert_eq!(by.lower_bound(1), 0);
         assert_eq!(head[..offsets[1]], [Val::MIN, -1]);
         assert_eq!(head[offsets[1]..], [0, 1, Val::MAX]);
     }
 
     #[test]
     fn value_bucket_bounds_bracket_the_domain() {
-        assert_eq!(value_bucket_bound(0, 8, 10, 89), 10);
-        assert_eq!(value_bucket_bound(8, 8, 10, 89), 90);
+        let by = ValueBuckets::new(8, 10, 89);
+        assert_eq!(by.lower_bound(0), 10);
+        assert_eq!(by.lower_bound(8), 90);
         // Monotone, and every value lands in exactly one bucket.
         for b in 0..8 {
-            assert!(value_bucket_bound(b, 8, 10, 89) < value_bucket_bound(b + 1, 8, 10, 89));
+            assert!(by.lower_bound(b) < by.lower_bound(b + 1));
+        }
+    }
+
+    /// The `u64` bucket function against the `i128` oracle where an
+    /// off-by-one would show: at every bucket's lower bound and its two
+    /// neighbours, over domains that are tiny, negative, at either
+    /// end of `i64`, 2^55 wide (the product still fits `u64`) and
+    /// awkwardly divisible.
+    #[test]
+    fn narrow_bucket_function_matches_the_i128_oracle_at_every_bound() {
+        let domains: [(Val, Val); 8] = [
+            (0, 1),
+            (1, 28),
+            (-1_000_003, 999_983),
+            (Val::MIN, Val::MIN + 1_000),
+            (Val::MAX - 77, Val::MAX),
+            (-(1 << 54), 1 << 54),
+            (1, 3_000_000),
+            (-5, -5 + 255),
+        ];
+        for (min, max) in domains {
+            let range = max as i128 - min as i128 + 1;
+            for buckets in [1usize, 2, 3, 7, 45, 91, 255, 256] {
+                if buckets as i128 > range {
+                    continue;
+                }
+                let by = ValueBuckets::new(buckets, min, max);
+                assert!(by.span.is_some(), "[{min}, {max}] x {buckets} fits u64");
+                for b in 0..=buckets {
+                    let bound = by.lower_bound(b) as i128;
+                    for v in [bound - 1, bound, bound + 1] {
+                        if v < min as i128 || v > max as i128 {
+                            continue;
+                        }
+                        let v = v as Val;
+                        assert_eq!(
+                            by.bucket_of(v),
+                            by.wide(v),
+                            "v = {v}, [{min}, {max}] x {buckets}"
+                        );
+                        // Monotone membership: `bucket < b` iff `v < bound(b)`.
+                        assert_eq!(by.bucket_of(v) < b, (v as i128) < bound);
+                    }
+                }
+            }
+        }
+        // A product that does not fit u64 falls back, and says so.
+        assert!(ValueBuckets::new(256, Val::MIN, Val::MAX).span.is_none());
+        assert!(ValueBuckets::new(256, 0, 1 << 57).span.is_none());
+        assert!(ValueBuckets::new(255, 0, (1 << 56) - 1).span.is_some());
+    }
+
+    /// `cluster_by_value` (count + `cluster_into`) against the oracle
+    /// loop on seeded random columns, narrow and wide, both tail types.
+    #[test]
+    fn cluster_by_value_is_bit_identical_to_the_i128_loop() {
+        let mut state = 0x5EED_u64;
+        for case in 0..40 {
+            let n = [0usize, 1, 2, 63, 1000, 4097][case % 6];
+            let (min, max): (Val, Val) = match case % 5 {
+                0 => (0, 9),
+                1 => (-500, 499),
+                2 => (Val::MIN, Val::MAX),
+                3 => (7, 7),
+                _ => (1, 3_000_000),
+            };
+            let range = max as i128 - min as i128 + 1;
+            let buckets = (1 + lcg(&mut state) as usize % 64).min(range.min(64) as usize);
+            let head: Vec<Val> = (0..n)
+                .map(|_| (min as i128 + (lcg(&mut state) as i128 * 2048) % range) as Val)
+                .collect();
+            let by = ValueBuckets::new(buckets, min, max);
+
+            let keys: Vec<RowId> = (0..n as RowId).collect();
+            let (mut h1, mut t1) = (head.clone(), keys.clone());
+            let (mut h2, mut t2) = (head.clone(), keys);
+            let got = cluster_by_value(&mut h1, &mut t1, &by);
+            let want = cluster_oracle(&mut h2, &mut t2, &by);
+            assert_eq!((got, &h1, &t1), (want, &h2, &t2), "case {case} (keys)");
+
+            let vals: Vec<Val> = head.iter().map(|v| v.wrapping_mul(3)).collect();
+            let (mut h1, mut t1) = (head.clone(), vals.clone());
+            let (mut h2, mut t2) = (head, vals);
+            let got = cluster_by_value(&mut h1, &mut t1, &by);
+            let want = cluster_oracle(&mut h2, &mut t2, &by);
+            assert_eq!((got, &h1, &t1), (want, &h2, &t2), "case {case} (vals)");
         }
     }
 

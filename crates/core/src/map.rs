@@ -23,13 +23,13 @@ pub struct CrackerMap {
 }
 
 impl CrackerMap {
-    /// Seed a map from parallel head/tail value vectors with an empty
+    /// Seed a map from a freshly seeded array with an empty
     /// reorganization history (cursor at tape position 0 — the map must
     /// replay the whole tape to align with its siblings).
-    pub fn seed(tail_attr: usize, head: Vec<Val>, tail: Vec<Val>) -> Self {
+    pub fn seed(tail_attr: usize, arr: CrackedArray<Val>) -> Self {
         CrackerMap {
             tail_attr,
-            arr: CrackedArray::new(head, tail),
+            arr,
             cursor: 0,
             accesses: 0,
         }
@@ -88,10 +88,10 @@ pub struct KeyMap {
 }
 
 impl KeyMap {
-    /// Seed from parallel head/key vectors at tape position 0.
-    pub fn seed(head: Vec<Val>, keys: Vec<RowId>) -> Self {
+    /// Seed from a freshly seeded array at tape position 0.
+    pub fn seed(arr: CrackedArray<RowId>) -> Self {
         KeyMap {
-            arr: CrackedArray::new(head, keys),
+            arr,
             cursor: 0,
             accesses: 0,
         }
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn seed_and_crack() {
-        let mut m = CrackerMap::seed(1, vec![3, 1, 2], vec![30, 10, 20]);
+        let mut m = CrackerMap::seed(1, CrackedArray::new(vec![3, 1, 2], vec![30, 10, 20]));
         let r = m.arr.crack_range(&RangePred::closed(2, 3));
         let (h, t) = m.arr.view(r);
         let mut pairs: Vec<_> = h.iter().zip(t).collect();
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn key_map_tracks_keys() {
-        let mut km = KeyMap::seed(vec![3, 1, 2], vec![0, 1, 2]);
+        let mut km = KeyMap::seed(CrackedArray::new(vec![3, 1, 2], vec![0, 1, 2]));
         let r = km.arr.crack_range(&RangePred::point(1));
         let (_, keys) = km.arr.view(r);
         assert_eq!(keys, &[1]);

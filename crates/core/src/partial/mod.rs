@@ -54,7 +54,7 @@ use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
 use crackdb_cracking::{
-    retention_score, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor,
+    retention_score, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan,
 };
 use spill::SpillSlot;
 use std::collections::{HashMap, HashSet};
@@ -309,17 +309,31 @@ impl PartialSet {
     }
 
     /// Observe one logical query: feed the predicate to the advisor
-    /// (against the chunk map's shape) and re-decide the effective
+    /// (against the chunk map's shape — before the first query, the
+    /// shape it is about to be seeded with) and re-decide the effective
     /// policy. Called once from each public query entry point.
-    fn note_query(&mut self, pred: &RangePred) {
+    fn note_query(&mut self, base: &Table, pred: &RangePred) {
         if !self.advisor.configured().is_adaptive() {
             return;
         }
-        let (boundaries, len) = self
-            .chunk_map
-            .as_ref()
-            .map_or((0, 0), |cm| (cm.index().len(), cm.len()));
+        let (boundaries, len) = match &self.chunk_map {
+            Some(cm) => (cm.index().len(), cm.len()),
+            None => {
+                let rows = base.column(self.head_attr).len();
+                (0, rows - self.seed_exclusions(rows).len())
+            }
+        };
         self.advisor.observe(pred, boundaries, len);
+    }
+
+    /// Rows of a `rows`-tuple base the chunk map's seed leaves out:
+    /// those with a staged deletion, ascending and duplicate-free.
+    fn seed_exclusions(&self, rows: usize) -> Vec<RowId> {
+        let mut dead: Vec<RowId> = self.staged_deletes.iter().map(|&(_, k)| k).collect();
+        dead.retain(|&k| (k as usize) < rows);
+        dead.sort_unstable();
+        dead.dedup();
+        dead
     }
 
     /// Current chunk storage in tuples (the chunk map and the per-area
@@ -373,28 +387,33 @@ impl PartialSet {
         self.maps.get(&tail_attr)
     }
 
-    fn ensure_chunk_map(&mut self, base: &Table) -> Result<(), StorageError> {
+    /// Create the chunk map on first use. `first` is the predicate whose
+    /// cut points the caller is about to crack it at, if any: the chunk
+    /// map is then seeded already in the bucket order that crack's
+    /// opening prepartition would give it (see [`SeedPlan`]).
+    fn ensure_chunk_map(
+        &mut self,
+        base: &Table,
+        first: Option<&RangePred>,
+    ) -> Result<(), StorageError> {
         if self.chunk_map.is_none() {
             // The seed is the *current* live snapshot: inserted rows are
             // already part of the base; rows with a staged deletion are
             // excluded. Everything staged so far is therefore subsumed by
-            // the seed and cleared. The scan is segment-wise so a
-            // file-backed base column streams through without evicting
-            // its random-access cache.
-            let col = base.column(self.head_attr);
-            let dead: HashSet<RowId> = self.staged_deletes.iter().map(|&(_, k)| k).collect();
-            let mut head = Vec::with_capacity(col.len());
-            let mut keys = Vec::with_capacity(col.len());
-            col.try_for_each_segment(|start, vals| {
-                for (i, &v) in vals.iter().enumerate() {
-                    let key = (start + i) as RowId;
-                    if !dead.contains(&key) {
-                        head.push(v);
-                        keys.push(key);
-                    }
-                }
-            })?;
-            self.chunk_map = Some(CrackedArray::new(head, keys));
+            // the seed and cleared. A file-backed base column streams
+            // through segment-wise, without evicting its random-access
+            // cache.
+            let head = base.column(self.head_attr).try_contiguous()?;
+            let keys: Vec<RowId> = (0..head.len() as RowId).collect();
+            let dead = self.seed_exclusions(head.len());
+            let policy = self.advisor.effective();
+            let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred, &policy));
+            let cm = CrackedArray::seeded(&head, &keys, &dead, plan.as_ref());
+            // The cuts of a fused first touch belong to the crack that
+            // would have made them.
+            debug_assert!(self.areas.is_empty());
+            self.stats.chunk_map_cracks += cm.index().len() as u64;
+            self.chunk_map = Some(cm);
             self.staged_inserts.clear();
             self.staged_deletes.clear();
         }
@@ -669,11 +688,9 @@ impl PartialSet {
                 .maps
                 .iter()
                 .flat_map(|(&attr, m)| {
-                    m.chunks
-                        .iter()
-                        .map(move |(&aid, c)| {
-                            ((attr, aid), retention_score(c.accesses, c.last_access))
-                        })
+                    m.chunks.iter().map(move |(&aid, c)| {
+                        ((attr, aid), retention_score(c.accesses, c.last_access))
+                    })
                 })
                 .filter(|(key, _)| !pinned.contains(key))
                 .min_by_key(|&((attr, aid), score)| (score, attr, aid))
@@ -849,8 +866,8 @@ impl PartialSet {
         if head_pred.is_empty_range() || (tail_sels.is_empty() && projs.is_empty()) {
             return Ok(());
         }
-        self.ensure_chunk_map(base)?;
-        self.note_query(head_pred);
+        self.note_query(base, head_pred);
+        self.ensure_chunk_map(base, Some(head_pred))?;
         self.crack_chunk_map_for(head_pred);
         self.clock += 1;
 
@@ -890,13 +907,16 @@ impl PartialSet {
         if preds.is_empty() || projs.is_empty() {
             return Ok(());
         }
-        self.ensure_chunk_map(base)?;
         // Adaptation still happens on the set's own predicate: its cut
         // points refine the chunk map for later conjunctive queries.
-        if let Some((_, own)) = preds.iter().find(|(a, _)| *a == self.head_attr) {
-            let own = *own;
-            self.note_query(&own);
-            self.crack_chunk_map_for(&own);
+        let own = preds.iter().find(|(a, _)| *a == self.head_attr);
+        let own = own.map(|(_, pred)| *pred);
+        if let Some(own) = &own {
+            self.note_query(base, own);
+        }
+        self.ensure_chunk_map(base, own.as_ref())?;
+        if let Some(own) = &own {
+            self.crack_chunk_map_for(own);
         }
         self.clock += 1;
         let mut attrs: Vec<usize> = Vec::new();

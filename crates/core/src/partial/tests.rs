@@ -445,3 +445,51 @@ fn projection_equals_selection_attribute() {
     let got = collect(&mut s, &t, &head, &sels, &[1]);
     assert_same(got, naive(&t, 0, &head, &sels, &[1]));
 }
+
+/// The chunk map of a big table is seeded for the crack that is about
+/// to hit it. Whether or not that seed is already in bucket order (block
+/// kernel: yes), the chunk map ends up exactly where copying the live
+/// rows and cracking at the predicate's keys puts it, the cuts count as
+/// that crack's, and staged deletions are subsumed by the seed.
+#[test]
+fn chunk_map_first_touch_matches_copy_then_crack() {
+    use crackdb_cracking::policy::PREPARTITION_MIN_PIECE;
+    let n = PREPARTITION_MIN_PIECE + 77;
+    let t = table(2, n, 1_000_000, 0x5EED);
+    for policy in [CrackPolicy::Standard, CrackPolicy::coarse()] {
+        let mut s = PartialSet::with_policy(0, policy);
+        let dead = [5u32, 6, 6, n as u32 - 1];
+        for k in dead {
+            s.stage_delete(t.column(0).get(k), k);
+        }
+        let pred = RangePred::open(250_000, 260_000);
+        let got = collect(&mut s, &t, &pred, &[], &[1]);
+
+        let live = |k: &u32| !dead.contains(k);
+        let keys: Vec<u32> = (0..n as u32).filter(live).collect();
+        let head = keys.iter().map(|&k| t.column(0).get(k)).collect();
+        let mut want = CrackedArray::new(head, keys);
+        let (lo, hi) = pred_keys(&pred);
+        for key in [lo, hi].into_iter().flatten() {
+            want.crack_boundary(key, &policy);
+        }
+        let cm = s.chunk_map.as_ref().unwrap();
+        assert!(cm.head() == want.head() && cm.tail() == want.tail());
+        assert_eq!(
+            cm.index().boundaries_with_status(),
+            want.index().boundaries_with_status()
+        );
+        assert_eq!(cm.touched(), want.touched());
+        assert_eq!(s.stats.chunk_map_cracks, want.index().len() as u64);
+        assert_eq!(s.staged(), 0);
+
+        let (s0, e0) = (
+            want.index().position_of(lo.unwrap()),
+            want.index().position_of(hi.unwrap()),
+        );
+        let area = want.view((s0.unwrap(), e0.unwrap()));
+        let mut expect: Vec<Val> = area.1.iter().map(|&k| t.column(1).get(k)).collect();
+        expect.sort_unstable();
+        assert_same(got, vec![(1, expect)]);
+    }
+}

@@ -5,9 +5,10 @@
 use crate::bitvec::BitVec;
 use crate::map::{CrackerMap, KeyMap};
 use crate::tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};
-use crackdb_columnstore::column::Table;
+use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{CrackPolicy, PolicyAdvisor, Span};
+use crackdb_cracking::{CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan, Span};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Instrumentation counters for a map set.
@@ -37,7 +38,13 @@ pub struct MapSet {
     /// always seeded from exactly this snapshot and then replay the tape,
     /// which keeps late-created maps deterministically aligned.
     initial_len: usize,
-    initial_excluded: HashSet<RowId>,
+    /// Ascending.
+    initial_excluded: Vec<RowId>,
+    /// The first-touch clustering of the seed snapshot's head column,
+    /// computed by the first map whose first replayed entry is a
+    /// prepartitioning crack and shared by every sibling seeded after
+    /// it: the snapshot and tape entry 0 never change.
+    seed_plan: Option<SeedPlan>,
     /// Policy selection shared by every map of the set: the configured
     /// [`CrackPolicy`] plus (when adaptive) the workload statistics that
     /// re-decide the effective static policy per query. Replay safety
@@ -65,6 +72,11 @@ impl MapSet {
         excluded: HashSet<RowId>,
         policy: CrackPolicy,
     ) -> Self {
+        let mut initial_excluded: Vec<RowId> = excluded
+            .into_iter()
+            .filter(|&k| (k as usize) < initial_len)
+            .collect();
+        initial_excluded.sort_unstable();
         MapSet {
             head_attr,
             tape: Tape::new(),
@@ -73,7 +85,8 @@ impl MapSet {
             staged_inserts: Vec::new(),
             staged_deletes: Vec::new(),
             initial_len,
-            initial_excluded: excluded,
+            initial_excluded,
+            seed_plan: None,
             // Maps crack (head, tail) *pairs*: every tape entry moves
             // two physical columns and late-created maps re-align by
             // replaying the tape, so coarse-quantized sweep cracks bury
@@ -149,6 +162,45 @@ impl MapSet {
     /// Tail attributes of currently materialized maps.
     pub fn map_attrs(&self) -> Vec<usize> {
         self.maps.keys().copied().collect()
+    }
+
+    /// Instrumentation: are this set's structures seeded already in
+    /// prepartitioned bucket order (see [`SeedPlan`])? Decided by the
+    /// first seeding whose first replayed entry is a crack.
+    pub fn seed_is_clustered(&self) -> bool {
+        self.seed_plan.is_some()
+    }
+
+    /// The alignment invariant (§3.2): structures of the set whose
+    /// cursors point at the same tape entry are physically aligned —
+    /// identical head arrays, identical cracker indexes (positions and
+    /// advisory status). `Err` names the first pair that is not
+    /// (`None` is the key map).
+    pub fn check_aligned(&self) -> Result<(), String> {
+        let maps = self.maps.values();
+        let mut all: Vec<(usize, Option<usize>, &[Val], &CrackerIndex)> = maps
+            .map(|m| (m.cursor, Some(m.tail_attr), m.arr.head(), m.arr.index()))
+            .chain(
+                self.key_map
+                    .iter()
+                    .map(|k| (k.cursor, None, k.arr.head(), k.arr.index())),
+            )
+            .collect();
+        all.sort_by_key(|&(cursor, attr, ..)| (cursor, attr));
+        for pair in all.windows(2) {
+            let ((ca, na, ha, ia), (cb, nb, hb, ib)) = (pair[0], pair[1]);
+            if ca == cb && ha != hb {
+                return Err(format!(
+                    "maps {na:?} and {nb:?} differ in head order at cursor {ca}"
+                ));
+            }
+            if ca == cb && ia.boundaries_with_status() != ib.boundaries_with_status() {
+                return Err(format!(
+                    "maps {na:?} and {nb:?} differ in index at cursor {ca}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Drop the least-frequently-accessed map; returns the tuples freed.
@@ -232,44 +284,67 @@ impl MapSet {
 
     // ----- seeding & alignment ---------------------------------------
 
-    fn seed_map(&mut self, base: &Table, tail_attr: usize) -> CrackerMap {
-        let a = base.column(self.head_attr);
-        let b = base.column(tail_attr);
-        let mut head = Vec::with_capacity(self.initial_len);
-        let mut tail = Vec::with_capacity(self.initial_len);
-        for key in 0..self.initial_len as RowId {
-            if !self.initial_excluded.contains(&key) {
-                head.push(a.get(key));
-                tail.push(b.get(key));
-            }
-        }
-        self.stats.maps_created += 1;
-        CrackerMap::seed(tail_attr, head, tail)
+    /// One base column as a slice (the seed snapshot is its first
+    /// `initial_len` rows).
+    fn contiguous(col: &Column) -> Cow<'_, [Val]> {
+        col.try_contiguous()
+            // INVARIANT: the contract of the infallible `Column::get`
+            // this replaces — a failed segment read while seeding is
+            // unrecoverable corruption, not control flow.
+            .unwrap_or_else(|e| panic!("segmented column read failed: {e}"))
     }
 
-    fn seed_key_map(&mut self, base: &Table) -> KeyMap {
-        let a = base.column(self.head_attr);
-        let mut head = Vec::with_capacity(self.initial_len);
-        let mut keys = Vec::with_capacity(self.initial_len);
-        for key in 0..self.initial_len as RowId {
-            if !self.initial_excluded.contains(&key) {
-                head.push(a.get(key));
-                keys.push(key);
-            }
+    /// Seed one structure of the set from the snapshot (`head` and `tail`
+    /// are its rows of two base columns), already in bucket order when the first entry it replays — tape entry 0, or
+    /// the `query` it is seeded for, under the effective policy, while
+    /// the tape is empty — is a crack that opens with a prepartition
+    /// (see [`SeedPlan`]).
+    fn seed<T: Copy>(
+        &mut self,
+        head: &[Val],
+        tail: &[T],
+        query: Option<&RangePred>,
+    ) -> CrackedArray<T> {
+        if self.seed_plan.is_none() {
+            let first = if self.tape.is_empty() {
+                query.map(|pred| (*pred, self.advisor.effective()))
+            } else if let TapeEntry::Crack(pred, policy) = *self.tape.entry(0) {
+                Some((pred, policy))
+            } else {
+                None
+            };
+            self.seed_plan = first.and_then(|(pred, policy)| {
+                SeedPlan::new(head, &self.initial_excluded, &pred, &policy)
+            });
         }
-        KeyMap::seed(head, keys)
+        CrackedArray::seeded(head, tail, &self.initial_excluded, self.seed_plan.as_ref())
+    }
+
+    fn seed_map(&mut self, base: &Table, tail_attr: usize, query: &RangePred) -> CrackerMap {
+        let n = self.initial_len;
+        let head = Self::contiguous(base.column(self.head_attr));
+        let tail = Self::contiguous(base.column(tail_attr));
+        self.stats.maps_created += 1;
+        CrackerMap::seed(tail_attr, self.seed(&head[..n], &tail[..n], Some(query)))
+    }
+
+    fn seed_key_map(&mut self, base: &Table, query: Option<&RangePred>) -> KeyMap {
+        let head = Self::contiguous(base.column(self.head_attr));
+        let keys: Vec<RowId> = (0..self.initial_len as RowId).collect();
+        KeyMap::seed(self.seed(&head[..keys.len()], &keys, query))
     }
 
     /// Align the key map up to (excluding) tape position `target`,
-    /// resolving any unresolved delete batches it crosses.
-    fn align_key_map_to(&mut self, target: usize, base: &Table) {
+    /// resolving any unresolved delete batches it crosses. `query` is
+    /// the crack the caller is about to apply (see [`Self::seed`]).
+    fn align_key_map_to(&mut self, target: usize, base: &Table, query: Option<&RangePred>) {
         let mut km = match self.key_map.take() {
             Some(km) => km,
-            None => self.seed_key_map(base),
+            None => self.seed_key_map(base, query),
         };
         let head_col = base.column(self.head_attr);
         while km.cursor < target {
-            match self.tape.entry(km.cursor).clone() {
+            match *self.tape.entry(km.cursor) {
                 // Replay under the policy the crack originally ran with,
                 // not the set's current effective policy — the advisor
                 // may have switched since the entry was logged.
@@ -285,7 +360,7 @@ impl MapSet {
                     let batch = &mut self.tape.delete_batches[id as usize];
                     match &batch.resolved {
                         Some(positions) => {
-                            for &p in positions.clone().iter() {
+                            for &p in positions {
                                 km.arr.ripple_delete_at(p);
                             }
                         }
@@ -293,14 +368,13 @@ impl MapSet {
                             // The key map is the first to cross this
                             // entry: perform the deletions by key and
                             // record the physical positions for siblings.
-                            let items = batch.items.clone();
-                            let mut positions = Vec::with_capacity(items.len());
-                            for (v, key) in items {
+                            let mut positions = Vec::with_capacity(batch.items.len());
+                            for &(v, key) in &batch.items {
                                 if let Some(p) = km.arr.ripple_delete(v, |&t| t == key) {
                                     positions.push(p);
                                 }
                             }
-                            self.tape.delete_batches[id as usize].resolved = Some(positions);
+                            batch.resolved = Some(positions);
                         }
                     }
                 }
@@ -316,7 +390,7 @@ impl MapSet {
     fn align_map(&mut self, m: &mut CrackerMap, target: usize, base: &Table) {
         let head_col = base.column(self.head_attr);
         while m.cursor < target {
-            match self.tape.entry(m.cursor).clone() {
+            match *self.tape.entry(m.cursor) {
                 TapeEntry::Crack(pred, policy) => {
                     m.crack(&pred, &policy);
                 }
@@ -328,23 +402,35 @@ impl MapSet {
                 }
                 TapeEntry::Deletes(id) => {
                     if self.tape.delete_batches[id as usize].resolved.is_none() {
-                        self.align_key_map_to(m.cursor + 1, base);
+                        self.align_key_map_to(m.cursor + 1, base, None);
                     }
                     let positions = self.tape.delete_batches[id as usize]
                         .resolved
-                        .clone()
+                        .as_deref()
                         // INVARIANT: align_key_map_to above crossed this
                         // entry, and the key map resolves every delete
                         // batch it crosses, so `resolved` is always
                         // `Some` here.
                         .expect("key map resolved the batch");
-                    for p in positions {
+                    for &p in positions {
                         m.arr.ripple_delete_at(p);
                     }
                 }
             }
             m.cursor += 1;
             self.stats.entries_replayed += 1;
+        }
+    }
+
+    /// The boundary count a query's crack is measured against (a crack
+    /// that adds boundaries is logged). While the tape is empty nothing
+    /// has ever cracked, so the count is 0 — whatever a structure
+    /// seeded for this very crack already carries of it.
+    fn boundaries_before_crack(&self, aligned: usize) -> usize {
+        if self.tape.is_empty() {
+            0
+        } else {
+            aligned
         }
     }
 
@@ -371,14 +457,14 @@ impl MapSet {
     /// full [`Span`] (with exactness).
     fn sideways_select_span(&mut self, base: &Table, tail_attr: usize, pred: &RangePred) -> Span {
         self.flush_staged(pred, base);
-        let mut m = match self.maps.remove(&tail_attr) {
-            Some(m) => m,
-            None => self.seed_map(base, tail_attr),
+        let (mut m, late) = match self.maps.remove(&tail_attr) {
+            Some(m) => (m, false),
+            None => (self.seed_map(base, tail_attr, pred), true),
         };
         let target = self.tape.len();
         self.align_map(&mut m, target, base);
         let policy = self.advisor.effective();
-        let before = m.arr.index().len();
+        let before = self.boundaries_before_crack(m.arr.index().len());
         let span = m.crack(pred, &policy);
         if m.arr.index().len() > before {
             self.tape.log_crack(*pred, policy);
@@ -387,6 +473,9 @@ impl MapSet {
         m.cursor = self.tape.len();
         m.accesses += 1;
         self.maps.insert(tail_attr, m);
+        if late {
+            debug_assert_eq!(self.check_aligned(), Ok(()));
+        }
         span
     }
 
@@ -424,12 +513,13 @@ impl MapSet {
     /// coarse-granular span is filtered against head values.
     pub fn select_keys(&mut self, base: &Table, pred: &RangePred) -> Vec<RowId> {
         self.flush_staged(pred, base);
+        let late = self.key_map.is_none();
         let target = self.tape.len();
-        self.align_key_map_to(target, base);
+        self.align_key_map_to(target, base, Some(pred));
         // INVARIANT: align_key_map_to always leaves `key_map` populated.
         let mut km = self.key_map.take().expect("aligned above");
         let policy = self.advisor.effective();
-        let before = km.arr.index().len();
+        let before = self.boundaries_before_crack(km.arr.index().len());
         let span = km.crack(pred, &policy);
         if km.arr.index().len() > before {
             self.tape.log_crack(*pred, policy);
@@ -449,6 +539,9 @@ impl MapSet {
                 .collect()
         };
         self.key_map = Some(km);
+        if late {
+            debug_assert_eq!(self.check_aligned(), Ok(()));
+        }
         keys
     }
 
@@ -986,7 +1079,10 @@ mod tests {
     fn adaptive_switch_keeps_late_created_maps_aligned() {
         let n = 4000usize;
         let mut base = Table::new();
-        base.add_column("a", Column::new((0..n as Val).map(|v| (v * 37) % 4000).collect()));
+        base.add_column(
+            "a",
+            Column::new((0..n as Val).map(|v| (v * 37) % 4000).collect()),
+        );
         base.add_column("b", Column::new((0..n as Val).collect()));
         base.add_column("c", Column::new((0..n as Val).map(|v| v * 2).collect()));
         let mut s = MapSet::with_policy(0, n, HashSet::new(), CrackPolicy::Adaptive);
@@ -996,7 +1092,9 @@ mod tests {
         // adaptive set actually performs in production.)
         let mut x = 4242u64;
         for _ in 0..60 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let lo = ((x >> 33) % 3800) as Val;
             let pred = RangePred::open(lo, lo + 120);
             s.note_query(&pred);

@@ -189,7 +189,12 @@ impl SidewaysStore {
 
     /// Index into `preds` of the chosen set's predicate (`None` only for
     /// an empty slice).
-    fn choose_idx(&self, base: &Table, preds: &[(usize, RangePred)], largest: bool) -> Option<usize> {
+    fn choose_idx(
+        &self,
+        base: &Table,
+        preds: &[(usize, RangePred)],
+        largest: bool,
+    ) -> Option<usize> {
         let score =
             |&(attr, pred): &(usize, RangePred)| -> f64 { self.estimate(base, attr, &pred) };
         preds
@@ -657,7 +662,11 @@ impl PartialStore {
             .sum();
         let budget = self.budget.map(|b| b.saturating_sub(other));
         let hd = self.head_drop_threshold;
-        let policy = self.overrides.get(&head_attr).copied().unwrap_or(self.policy);
+        let policy = self
+            .overrides
+            .get(&head_attr)
+            .copied()
+            .unwrap_or(self.policy);
         let deleted = &self.deleted;
         let spill_dir = &self.spill_dir;
         let s = self.sets.entry(head_attr).or_insert_with(|| {

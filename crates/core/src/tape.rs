@@ -20,8 +20,9 @@
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::CrackPolicy;
 
-/// One logged reorganization.
-#[derive(Debug, Clone, PartialEq)]
+/// One logged reorganization (plain data: replay copies the entry out
+/// of the tape and reads the batch it names in place).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapeEntry {
     /// A selection predicate that cracked some map of the set, plus the
     /// effective static policy the crack ran under.

@@ -373,7 +373,9 @@ mod tests {
         assert_eq!(a.effective(), CrackPolicy::coarse());
         assert!(a.switches() >= 1);
         // A burst of scattered queries leaves sweep mode again.
-        let spots = [901_234, 17, 500_000, 44_000, 999_000, 3, 700_500, 123_456, 42];
+        let spots = [
+            901_234, 17, 500_000, 44_000, 999_000, 3, 700_500, 123_456, 42,
+        ];
         for (i, s) in spots.iter().enumerate() {
             a.observe(&open(*s, *s + 101), 10, 1 << 20);
             let _ = i;
@@ -403,7 +405,9 @@ mod tests {
         // must stay Standard — the skew counter vetoes the downgrade.
         let mut x = 12345u64;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         let domain = 1_000_000i64;
@@ -424,7 +428,9 @@ mod tests {
         let mut a = PolicyAdvisor::new(CrackPolicy::Adaptive);
         let mut x = 555u64;
         for i in 0..300usize {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let lo = ((x >> 33) % 4_000_000) as i64;
             // Index matures past the boundary threshold mid-run.
             let boundaries = 2 * i;
@@ -487,7 +493,9 @@ mod tests {
         let mut a = PolicyAdvisor::new(CrackPolicy::Adaptive);
         let mut x = 777u64;
         for _ in 0..300 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let lo = ((x >> 33) % 1_000_000) as i64;
             a.observe(&open(lo, lo + 500), 64, 1 << 22);
         }
@@ -501,7 +509,9 @@ mod tests {
         // 4096 boundaries over 2^20 tuples → avg piece 256 < 1024/2.
         let mut x = 99u64;
         for _ in 0..4 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let lo = ((x >> 33) % 1_000_000) as i64;
             a.observe(&open(lo, lo + 100), 1 << 12, 1 << 20);
         }

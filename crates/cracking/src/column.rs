@@ -36,12 +36,13 @@ impl CrackerColumn {
         Self::with_policy(col, CrackPolicy::Standard)
     }
 
-    /// Create the cracker column with an explicit [`CrackPolicy`].
+    /// Create the cracker column with an explicit [`CrackPolicy`]. The
+    /// column is copied before its first query is known, so this is the
+    /// plain bulk seed; the first crack prepartitions the copy.
     pub fn with_policy(col: &Column, policy: CrackPolicy) -> Self {
-        let head = col.values().to_vec();
-        let tail: Vec<RowId> = (0..col.len() as RowId).collect();
+        let keys: Vec<RowId> = (0..col.len() as RowId).collect();
         CrackerColumn {
-            arr: CrackedArray::new(head, tail),
+            arr: CrackedArray::seeded(col.values(), &keys, &[], None),
             pending_inserts: Vec::new(),
             pending_deletes: Vec::new(),
             advisor: PolicyAdvisor::new(policy),

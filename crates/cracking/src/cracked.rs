@@ -9,8 +9,137 @@ use crate::policy::{
     mix64, CrackPolicy, Span, DEFAULT_STOCHASTIC_MIN_PIECE, PREPARTITION_MIN_PIECE,
     PREPARTITION_TARGET_PIECE,
 };
-use crackdb_columnstore::radix::{cluster_by_value, value_bucket_bound};
-use crackdb_columnstore::types::{RangePred, Val};
+use crackdb_columnstore::radix::{bucket_offsets, cluster_by_value, cluster_into, ValueBuckets};
+use crackdb_columnstore::types::{RangePred, RowId, Val};
+use std::ops::Range;
+
+/// The maximal runs of source positions `0..n` that are not in the
+/// ascending, duplicate-free exclusion list.
+fn live_runs(n: usize, excluded: &[RowId]) -> impl Iterator<Item = Range<usize>> + '_ {
+    debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(excluded.last().is_none_or(|&x| (x as usize) < n));
+    let mut start = 0;
+    let ends = excluded.iter().map(|&x| x as usize).chain([n]);
+    ends.filter_map(move |end| {
+        let run = start..end;
+        start = end + 1;
+        (!run.is_empty()).then_some(run)
+    })
+}
+
+/// `(min, max)` widened to cover `vals`.
+fn widen((mut min, mut max): (Val, Val), vals: &[Val]) -> (Val, Val) {
+    for &v in vals {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    (min, max)
+}
+
+/// The equal-width buckets a prepartition cuts a piece of `len` tuples
+/// with values in `[min, max]` into: roughly `target_piece`-sized,
+/// capped at 256 buckets and at the distinct-value range. `None` when
+/// there is nothing to cut (fewer than two values or two buckets).
+fn prepartition_buckets(
+    len: usize,
+    target_piece: usize,
+    min: Val,
+    max: Val,
+) -> Option<ValueBuckets> {
+    if min >= max {
+        return None;
+    }
+    let range = max as i128 - min as i128 + 1;
+    let buckets = ((len / target_piece.max(1)).min(256) as i128).min(range) as usize;
+    (buckets >= 2).then(|| ValueBuckets::new(buckets, min, max))
+}
+
+/// The `(key, target piece)` of the prepartition that
+/// `crack_range_with(pred, policy)` — or `crack_boundary` at each of
+/// `pred`'s keys in turn — opens with on a virgin array of `n` tuples,
+/// if it opens with one: every condition the crack paths test before
+/// their first `maybe_prepartition` call, on state known before the
+/// array exists.
+fn first_prepartition(
+    n: usize,
+    pred: &RangePred,
+    policy: &CrackPolicy,
+) -> Option<(BoundaryKey, usize)> {
+    if active_kernel() != CrackKernel::Block || n < PREPARTITION_MIN_PIECE || pred.is_empty_range()
+    {
+        return None;
+    }
+    if matches!(*policy, CrackPolicy::CoarseGranular { min_piece } if n <= min_piece) {
+        return None;
+    }
+    let (lo_k, hi_k) = pred_keys(pred);
+    Some((lo_k.or(hi_k)?, policy.prepartition_target()))
+}
+
+/// The fused first touch of a structure seeded from a base-column
+/// snapshot: what the prepartition its first crack opens with would do
+/// to the freshly copied array — bucket function and bucket offsets,
+/// from one min/max pass and one counting pass over the snapshot's
+/// head column. [`CrackedArray::seeded`] then scatters the snapshot
+/// straight into bucket order instead of copying it and clustering the
+/// copy. A plan depends on the head column, the exclusion list and the
+/// first crack only, so sibling structures seeded from one snapshot
+/// (the maps of a map set) share it.
+#[derive(Debug, Clone)]
+pub struct SeedPlan {
+    key: BoundaryKey,
+    by: ValueBuckets,
+    offsets: Vec<usize>,
+}
+
+impl SeedPlan {
+    /// Plan the seeding of an array over `head` minus the `excluded`
+    /// positions (ascending, duplicate-free) whose first operation will
+    /// be a crack by `pred` under the static `policy`. `Some` exactly
+    /// when that crack would start by prepartitioning the whole virgin
+    /// array (block kernel, at least [`PREPARTITION_MIN_PIECE`] tuples,
+    /// a bounded predicate the policy does not decline) *and* would
+    /// leave no bucket big enough to be prepartitioned again — so the
+    /// crack, run on the seeded array, finds nothing left to do there
+    /// and continues exactly as it would have.
+    pub fn new(
+        head: &[Val],
+        excluded: &[RowId],
+        pred: &RangePred,
+        policy: &CrackPolicy,
+    ) -> Option<Self> {
+        let (key, target) = first_prepartition(head.len() - excluded.len(), pred, policy)?;
+        Self::with_target(head, excluded, key, target).filter(|plan| {
+            plan.offsets
+                .windows(2)
+                .all(|w| w[1] - w[0] < PREPARTITION_MIN_PIECE)
+        })
+    }
+
+    /// The unconditional counterpart of [`CrackedArray::prepartition`]:
+    /// plan what `prepartition(key, target_piece)` does to a virgin
+    /// array, whatever its size. Public for benches and tests.
+    pub fn with_target(
+        head: &[Val],
+        excluded: &[RowId],
+        key: BoundaryKey,
+        target_piece: usize,
+    ) -> Option<Self> {
+        let (min, max) = live_runs(head.len(), excluded)
+            .fold((Val::MAX, Val::MIN), |range, run| widen(range, &head[run]));
+        let live = head.len() - excluded.len();
+        let by = prepartition_buckets(live, target_piece, min, max)?;
+        let mut counts = vec![0usize; by.buckets()];
+        for run in live_runs(head.len(), excluded) {
+            by.count_into(&head[run], &mut counts);
+        }
+        Some(SeedPlan {
+            key,
+            by,
+            offsets: bucket_offsets(&counts),
+        })
+    }
+}
 
 /// Parallel head/tail arrays physically reorganized by cracking, plus the
 /// cracker index describing the current partitioning.
@@ -37,6 +166,47 @@ impl<T: Copy> CrackedArray<T> {
             index: CrackerIndex::new(),
             touched: 0,
         }
+    }
+
+    /// Seed from a base-column snapshot: the `head`/`tail` source
+    /// slices minus the `excluded` positions (ascending, duplicate-free).
+    ///
+    /// Without a plan this is a bulk copy of the live runs. With the
+    /// [`SeedPlan`] of the same `head` and `excluded`, the result is
+    /// bit-for-bit the state copy-then-`prepartition` produces — same
+    /// head and tail order, same advisory cuts, same `touched` — from
+    /// one scatter of the source into bucket order.
+    ///
+    /// # Panics
+    /// If the slices differ in length or the plan was made for a
+    /// different number of live tuples.
+    pub fn seeded(head: &[Val], tail: &[T], excluded: &[RowId], plan: Option<&SeedPlan>) -> Self {
+        assert_eq!(head.len(), tail.len(), "head/tail length mismatch");
+        let n = head.len() - excluded.len();
+        let mut runs = live_runs(head.len(), excluded).peekable();
+        let (Some(plan), Some(first)) = (plan, runs.peek()) else {
+            let (mut h, mut t) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for run in runs {
+                h.extend_from_slice(&head[run.clone()]);
+                t.extend_from_slice(&tail[run]);
+            }
+            return Self::new(h, t);
+        };
+        assert_eq!(
+            plan.offsets.last(),
+            Some(&n),
+            "plan is for another snapshot"
+        );
+        // The scatter writes every slot once; the fill is never read.
+        let mut arr = Self::new(vec![0; n], vec![tail[first.start]; n]);
+        let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
+        let (by, dst_head, dst_tail) = (&plan.by, &mut arr.head[..], &mut arr.tail[..]);
+        for run in runs {
+            let (src_head, src_tail) = (&head[run.clone()], &tail[run]);
+            cluster_into(src_head, src_tail, dst_head, dst_tail, by, &mut cursors);
+        }
+        arr.record_cuts(plan.key, 0, &plan.by, &plan.offsets);
+        arr
     }
 
     /// Reassemble from parts produced by [`Self::into_parts`] (used by
@@ -118,12 +288,14 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Radix-prepartition fast path: when the first crack would have to
     /// plough a huge uncracked piece, pay one cache-friendly counting
-    /// partition (`columnstore::radix::cluster_by_value`) instead and
-    /// seed the piece with up to 256 equal-width *advisory* boundaries
-    /// at once — the same advisory machinery stochastic cracking uses,
-    /// so storage management and exactness bookkeeping need no new
-    /// cases. Later cracks then run on roughly
-    /// [`PREPARTITION_TARGET_PIECE`]-sized pieces.
+    /// partition (`columnstore::radix`) instead and seed the piece with
+    /// up to 256 equal-width *advisory* boundaries at once — the same
+    /// advisory machinery stochastic cracking uses, so storage
+    /// management and exactness bookkeeping need no new cases. Later
+    /// cracks then run on roughly [`PREPARTITION_TARGET_PIECE`]-sized
+    /// pieces. A structure whose *first* crack would do this to the
+    /// whole virgin array is seeded in bucket order to begin with
+    /// ([`SeedPlan`], [`Self::seeded`]) and never gets here.
     ///
     /// Only fires under the block kernel ([`CrackKernel::Block`]): the
     /// fast path is part of the block kernel's behaviour, and keeping
@@ -143,43 +315,42 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Unconditionally counting-partition the piece enclosing `key` into
     /// roughly `target_piece`-sized advisory pieces (capped at 256
-    /// buckets and at the piece's distinct-value range). Public for
-    /// benches and tests; queries reach it automatically through the
-    /// [`PREPARTITION_MIN_PIECE`] size threshold. No-op when the piece
-    /// holds fewer than two values or `key` already has a boundary.
+    /// buckets and at the piece's distinct-value range): one min/max
+    /// pass, one counting pass, one out-of-place scatter, with bucket
+    /// membership in exact integer arithmetic
+    /// ([`ValueBuckets`]). Public for benches and tests; queries reach it
+    /// automatically through the [`PREPARTITION_MIN_PIECE`] size
+    /// threshold. No-op when the piece holds fewer than two values or
+    /// `key` already has a boundary.
     pub fn prepartition(&mut self, key: BoundaryKey, target_piece: usize) {
         if self.index.position_of(key).is_some() {
             return;
         }
         let (s, e) = self.index.enclosing_piece(key, self.head.len());
-        let mut min = Val::MAX;
-        let mut max = Val::MIN;
-        for &v in &self.head[s..e] {
-            min = min.min(v);
-            max = max.max(v);
-        }
-        if min >= max {
-            return; // empty or single-value piece: nothing to cut
-        }
-        let range = max as i128 - min as i128 + 1;
-        let buckets = (((e - s) / target_piece.max(1)).min(256) as i128).min(range) as usize;
-        if buckets < 2 {
-            return;
-        }
-        let offsets = cluster_by_value(
-            &mut self.head[s..e],
-            &mut self.tail[s..e],
-            buckets,
-            min,
-            max,
-        );
-        // One logical pass over the piece, like a crack of it (the
-        // counter is the paper's touched-tuples metric, not a physical
-        // sweep count — kernels of either flavour account the same).
-        self.touched += (e - s) as u64;
-        for (b, &off) in offsets.iter().enumerate().take(buckets).skip(1) {
-            let cut = (value_bucket_bound(b, buckets, min, max), BoundKind::Lt);
-            self.index.record_advisory(cut, s + off);
+        let (min, max) = widen((Val::MAX, Val::MIN), &self.head[s..e]);
+        let Some(by) = prepartition_buckets(e - s, target_piece, min, max) else {
+            return; // empty, single-value or sub-target piece: nothing to cut
+        };
+        let offsets = cluster_by_value(&mut self.head[s..e], &mut self.tail[s..e], &by);
+        self.record_cuts(key, s, &by, &offsets);
+    }
+
+    /// Book a prepartition of the piece starting at `start`: one logical
+    /// pass over it, like a crack of it (the counter is the paper's
+    /// touched-tuples metric, not a physical sweep count — kernels of
+    /// either flavour account the same), and an advisory cut at every
+    /// inner bucket offset.
+    fn record_cuts(
+        &mut self,
+        key: BoundaryKey,
+        start: usize,
+        by: &ValueBuckets,
+        offsets: &[usize],
+    ) {
+        self.touched += offsets[by.buckets()] as u64;
+        for (b, &off) in offsets.iter().enumerate().take(by.buckets()).skip(1) {
+            self.index
+                .record_advisory((by.lower_bound(b), BoundKind::Lt), start + off);
         }
         if self.index.position_of(key).is_some() {
             // The queried boundary coincides with a cut: it is

@@ -176,6 +176,15 @@ impl CrackerIndex {
         self.tree.iter_live()
     }
 
+    /// Everything the index knows, in key order: each live boundary
+    /// with its position and whether it is advisory. Two indexes
+    /// partition their arrays identically iff these are equal.
+    pub fn boundaries_with_status(&self) -> Vec<(BoundaryKey, usize, bool)> {
+        let live = self.tree.iter_live().into_iter();
+        live.map(|(k, pos)| (k, pos, self.advisory.contains(&k)))
+            .collect()
+    }
+
     /// Drop all knowledge.
     pub fn clear(&mut self) {
         self.tree.clear();

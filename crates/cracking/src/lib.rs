@@ -40,7 +40,7 @@ pub use advisor::{retention_score, PolicyAdvisor, WorkloadStats};
 pub use arena::{Arena, SlotId};
 pub use column::CrackerColumn;
 pub use crack::BoundKind;
-pub use cracked::CrackedArray;
+pub use cracked::{CrackedArray, SeedPlan};
 pub use index::{BoundaryKey, CrackerIndex, SizeEstimate};
 pub use kernel::{active_kernel, CrackKernel};
 pub use policy::{CrackPolicy, Span};

@@ -156,9 +156,9 @@ impl CrackPolicy {
     /// aligned siblings prepartition identically.)
     pub fn prepartition_target(&self) -> usize {
         match *self {
-            CrackPolicy::Standard
-            | CrackPolicy::Stochastic { .. }
-            | CrackPolicy::Adaptive => PREPARTITION_TARGET_PIECE,
+            CrackPolicy::Standard | CrackPolicy::Stochastic { .. } | CrackPolicy::Adaptive => {
+                PREPARTITION_TARGET_PIECE
+            }
             CrackPolicy::CoarseGranular { min_piece } => PREPARTITION_TARGET_PIECE.max(min_piece),
         }
     }

@@ -1,0 +1,224 @@
+//! Late-seeded maps against the two things they must agree with: their
+//! siblings (physical alignment at equal tape cursors, §3.2) and the
+//! plain engine (answers) — on a table big enough that, under the block
+//! kernel, maps are seeded already in prepartitioned bucket order.
+//!
+//! A map set cracks one map *k* times with insert and delete batches
+//! merged in between, then seeds a second map, which replays the whole
+//! tape from a fresh seed. Each scenario also rebuilds both maps the
+//! slow way — copy the live rows, replay the tape entry by entry — and
+//! requires bit-identical state, so a fused seed that is not exactly
+//! copy-then-first-crack shows here even where every sibling took the
+//! same wrong turn. One scenario starts the tape with an `Inserts`
+//! batch: the first replayed entry is then not a crack and the seed
+//! must stay a plain copy.
+
+use crackdb_columnstore::column::Table;
+use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
+use crackdb_core::{MapSet, TapeEntry};
+use crackdb_cracking::policy::PREPARTITION_MIN_PIECE;
+use crackdb_cracking::{active_kernel, CrackKernel, CrackPolicy, CrackedArray};
+use crackdb_engine::{Engine, PlainEngine, SelectQuery};
+use crackdb_workloads::random_table;
+use std::collections::HashSet;
+
+const ROWS: usize = PREPARTITION_MIN_PIECE + 1_000;
+const DOMAIN: Val = 1_000_000;
+const EXCLUDED: [RowId; 3] = [3, 500, ROWS as RowId - 1];
+
+fn sorted(mut v: Vec<Val>) -> Vec<Val> {
+    v.sort_unstable();
+    v
+}
+
+/// `select attr where pred(A)` through the map set, exact under every
+/// policy.
+fn set_answer(set: &mut MapSet, base: &Table, attr: usize, pred: &RangePred) -> Vec<Val> {
+    let (range, bv) = set.sideways_select_filtered(base, attr, pred);
+    let tails = set.view_tail(attr, range);
+    sorted(match bv {
+        None => tails.to_vec(),
+        Some(bv) => bv.iter_ones().map(|i| tails[i]).collect(),
+    })
+}
+
+fn plain_answer(plain: &mut PlainEngine, attr: usize, pred: &RangePred) -> Vec<Val> {
+    let out = plain.select(&SelectQuery::project(vec![(0, *pred)], vec![attr]));
+    sorted(out.proj_values[0].clone())
+}
+
+/// Map `attr` of `set`, rebuilt without any shortcut: copy the seed
+/// snapshot's live rows, replay the tape.
+fn rebuilt(set: &MapSet, base: &Table, attr: usize) -> CrackedArray<Val> {
+    let live = |k: &RowId| !EXCLUDED.contains(k);
+    let column = |a: usize| -> Vec<Val> {
+        let col = base.column(a);
+        (0..ROWS as RowId)
+            .filter(live)
+            .map(|k| col.get(k))
+            .collect()
+    };
+    let mut arr = CrackedArray::new(column(0), column(attr));
+    for i in 0..set.tape.len() {
+        match *set.tape.entry(i) {
+            TapeEntry::Crack(pred, policy) => {
+                arr.crack_range_with(&pred, &policy);
+            }
+            TapeEntry::Inserts(id) => {
+                for &key in &set.tape.insert_batches[id as usize].keys {
+                    arr.ripple_insert(base.column(0).get(key), base.column(attr).get(key));
+                }
+            }
+            TapeEntry::Deletes(id) => {
+                let resolved = set.tape.delete_batches[id as usize].resolved.as_ref();
+                for &p in resolved.expect("a map crossed the batch") {
+                    arr.ripple_delete_at(p);
+                }
+            }
+        }
+    }
+    arr
+}
+
+fn assert_same_state(got: &CrackedArray<Val>, want: &CrackedArray<Val>, ctx: &str) {
+    assert!(got.head() == want.head(), "{ctx}: head order");
+    assert!(got.tail() == want.tail(), "{ctx}: tail order");
+    let status = |a: &CrackedArray<Val>| a.index().boundaries_with_status();
+    assert_eq!(status(got), status(want), "{ctx}: index");
+    assert_eq!(got.touched(), want.touched(), "{ctx}: touched");
+}
+
+fn late_map_scenario(policy: CrackPolicy, inserts_first: bool) {
+    let ctx = format!("{} inserts_first={inserts_first}", policy.label());
+    let mut base = random_table(3, ROWS, DOMAIN, 0xA11E);
+    let mut plain = PlainEngine::new(base.clone());
+    for key in EXCLUDED {
+        plain.delete(key);
+    }
+    let excluded: HashSet<RowId> = EXCLUDED.into_iter().collect();
+    let mut set = MapSet::with_policy(0, ROWS, excluded, policy);
+
+    let insert = |set: &mut MapSet, base: &mut Table, plain: &mut PlainEngine, a: Val| {
+        let row = [a, a + 1, a + 2];
+        set.stage_insert(base.append_row(&row));
+        plain.insert(&row);
+    };
+    if inserts_first {
+        insert(&mut set, &mut base, &mut plain, 450_000);
+    }
+    // Every query covers [440k, 460k], so each merges what was staged
+    // since the one before it.
+    for q in 0..6 {
+        let pred = RangePred::open(440_000 - 7_000 * q, 460_000 + 11_000 * q);
+        assert_eq!(
+            set_answer(&mut set, &base, 1, &pred),
+            plain_answer(&mut plain, 1, &pred),
+            "{ctx}: query {q} on the early map"
+        );
+        if q % 2 == 0 {
+            insert(&mut set, &mut base, &mut plain, 441_000 + q);
+            insert(&mut set, &mut base, &mut plain, 459_000 - q);
+        } else {
+            // An original row inside the hot range, found by scan.
+            let col = base.column(0);
+            let victim = (10 * q as RowId..ROWS as RowId)
+                .find(|&k| (445_000..455_000).contains(&col.get(k)) && !EXCLUDED.contains(&k))
+                .expect("a million rows hit a 1% range");
+            set.stage_delete(col.get(victim), victim);
+            plain.delete(victim);
+        }
+    }
+    assert!(matches!(set.tape.entry(0), TapeEntry::Inserts(_)) == inserts_first);
+    assert!(!set.has_map(2));
+
+    let pred = RangePred::open(300_000, 700_000);
+    assert_eq!(
+        set_answer(&mut set, &base, 2, &pred),
+        plain_answer(&mut plain, 2, &pred),
+        "{ctx}: the late map"
+    );
+    assert_eq!(
+        set_answer(&mut set, &base, 1, &pred),
+        plain_answer(&mut plain, 1, &pred),
+        "{ctx}: the early map, re-aligned"
+    );
+    assert_eq!(set.check_aligned(), Ok(()), "{ctx}");
+    assert_eq!(set.stats.maps_created, 2);
+    for attr in [1, 2] {
+        let map = set.map(attr).expect("both maps exist");
+        assert_eq!(map.cursor, set.tape.len(), "{ctx}: map {attr} aligned");
+        assert_same_state(
+            &map.arr,
+            &rebuilt(&set, &base, attr),
+            &format!("{ctx} map {attr}"),
+        );
+    }
+    // Fused exactly when the first replayed entry is a crack the block
+    // kernel opens with a prepartition.
+    let block = active_kernel() == CrackKernel::Block;
+    assert_eq!(set.seed_is_clustered(), block && !inserts_first, "{ctx}");
+}
+
+#[test]
+fn late_map_aligns_and_answers_under_standard() {
+    late_map_scenario(CrackPolicy::Standard, false);
+    late_map_scenario(CrackPolicy::Standard, true);
+}
+
+#[test]
+fn late_map_aligns_and_answers_under_stochastic() {
+    late_map_scenario(CrackPolicy::stochastic(), false);
+    late_map_scenario(CrackPolicy::stochastic(), true);
+}
+
+#[test]
+fn late_map_aligns_and_answers_under_coarse_granular() {
+    late_map_scenario(CrackPolicy::coarse(), false);
+    late_map_scenario(CrackPolicy::coarse(), true);
+}
+
+/// A first crack whose bound lands exactly on a prepartition cut adds
+/// no boundary of its own. It made the cuts, so it is logged all the
+/// same — a seed that already carries them must not hide that — and a
+/// map seeded later replays it.
+#[test]
+fn first_crack_landing_on_a_cut_is_still_logged() {
+    let base = random_table(3, ROWS, DOMAIN, 0xA11E);
+    let mut set = MapSet::new(0, ROWS, HashSet::new());
+    set.sideways_select(&base, 1, &RangePred::open(440_000, 460_000));
+    let index = set.map(1).expect("just seeded").arr.index();
+    let cut = index
+        .boundaries()
+        .into_iter()
+        .find(|&(k, _)| index.is_advisory(k));
+    // Scalar kernel: no cuts; any bound will do.
+    let on_cut = RangePred::less(Bound::exclusive(cut.map_or(500_000, |((v, _), _)| v)));
+
+    let mut set = MapSet::new(0, ROWS, HashSet::new());
+    let mut plain = PlainEngine::new(base.clone());
+    assert_eq!(
+        set_answer(&mut set, &base, 1, &on_cut),
+        plain_answer(&mut plain, 1, &on_cut)
+    );
+    assert_eq!(
+        set.tape.len(),
+        1,
+        "the crack that made the cuts is on the tape"
+    );
+    assert_eq!(set.stats.query_cracks, 1);
+    assert_eq!(
+        set_answer(&mut set, &base, 2, &on_cut),
+        plain_answer(&mut plain, 2, &on_cut)
+    );
+    assert_eq!(set.tape.len(), 1);
+    assert_eq!(set.check_aligned(), Ok(()));
+    for attr in [1, 2] {
+        let map = set.map(attr).expect("both maps exist");
+        let mut want = CrackedArray::new(
+            base.column(0).values().to_vec(),
+            base.column(attr).values().to_vec(),
+        );
+        want.crack_range_with(&on_cut, &CrackPolicy::Standard);
+        assert_same_state(&map.arr, &want, &format!("map {attr}"));
+    }
+}

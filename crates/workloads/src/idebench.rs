@@ -175,10 +175,7 @@ impl IdeBench {
             ops.push(self.op(RangePred::open(cursor, cursor + w + 1)));
             cursor += w;
         }
-        Session {
-            name: "sweep",
-            ops,
-        }
+        Session { name: "sweep", ops }
     }
 
     /// Uncorrelated random panels (the filler between focused phases).
