@@ -10,8 +10,13 @@
 //!   cracks, the set of maps referencing the area, and lazily deleted
 //!   index shells of dropped chunks;
 //! * the partial maps themselves: one [`Chunk`] per (attribute, area)
-//!   pair, created on demand, dropped under storage pressure (LFU),
-//!   recreated when needed again.
+//!   pair, created on demand, evicted under storage pressure (lowest
+//!   [`retention_score`](crackdb_cracking::retention_score) first: last
+//!   access plus a log-frequency grace) and recreated or reloaded when
+//!   needed again. They live in one owner, `resident::Resident`, which
+//!   keeps their total length and their eviction order current as
+//!   chunks go in and out, so a query pays O(log chunks) per eviction
+//!   and O(1) for `usage()` rather than a scan of every chunk.
 //!
 //! Queries proceed **chunk-wise** (§4.1): each operator loads, creates,
 //! aligns, cracks and scans one chunk at a time, and alignment is
@@ -43,9 +48,11 @@
 //! panics.
 
 pub mod chunk;
+mod resident;
 pub mod spill;
 
 pub use chunk::Chunk;
+pub use resident::PartialMap;
 pub use spill::SpillTier;
 
 use crate::bitvec::BitVec;
@@ -54,8 +61,9 @@ use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
 use crackdb_cracking::{
-    retention_score, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan,
+    BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan,
 };
+use resident::Resident;
 use spill::SpillSlot;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -132,15 +140,16 @@ struct AreaInfo {
     /// Chunks of this area currently on disk, by tail attribute. A
     /// spilled chunk keeps the area fetched (its record carries a cursor
     /// into the tape), so the tape must survive until it reloads.
-    spilled: HashMap<usize, SpillSlot>,
+    spilled: HashMap<usize, SpilledChunk>,
 }
 
-/// A partial map: the workload-selected subset of `M_AB`, one chunk per
-/// fetched area.
-#[derive(Debug, Clone, Default)]
-pub struct PartialMap {
-    /// Chunks keyed by area.
-    pub chunks: HashMap<AreaId, Chunk>,
+/// Where a spilled chunk's record is, and the tape cursor it was
+/// written with — kept in memory so [`PartialSet::check_invariants`]
+/// can hold it against the tape without reading the record back.
+#[derive(Debug, Clone, Copy)]
+struct SpilledChunk {
+    slot: SpillSlot,
+    cursor: usize,
 }
 
 /// Instrumentation counters.
@@ -216,7 +225,9 @@ pub struct PartialSet {
     pub head_attr: usize,
     chunk_map: Option<CrackedArray<RowId>>,
     areas: HashMap<AreaId, AreaInfo>,
-    maps: HashMap<usize, PartialMap>,
+    /// The partial maps: every resident chunk, with the running tuple
+    /// count and the eviction order kept beside them.
+    resident: Resident,
     /// Inserted base keys not yet merged into any area.
     staged_inserts: Vec<RowId>,
     /// Deleted `(head value, key)` pairs not yet merged into any area.
@@ -262,7 +273,7 @@ impl PartialSet {
             head_attr,
             chunk_map: None,
             areas: HashMap::new(),
-            maps: HashMap::new(),
+            resident: Resident::default(),
             staged_inserts: Vec::new(),
             staged_deletes: Vec::new(),
             budget: None,
@@ -338,14 +349,10 @@ impl PartialSet {
 
     /// Current chunk storage in tuples (the chunk map and the per-area
     /// resolvers are infrastructure, like a cracker column, and not
-    /// counted against the budget). Computed from live chunk lengths so
-    /// merged inserts and deletes are reflected exactly.
+    /// counted against the budget). A running count of live chunk
+    /// lengths, so merged inserts and deletes are reflected exactly.
     pub fn usage(&self) -> usize {
-        self.maps
-            .values()
-            .flat_map(|m| m.chunks.values())
-            .map(Chunk::len)
-            .sum()
+        self.resident.tuples()
     }
 
     /// Tuples currently held by the spill tier (on disk, *not* counted
@@ -354,8 +361,77 @@ impl PartialSet {
         self.areas
             .values()
             .flat_map(|a| a.spilled.values())
-            .map(|s| s.tuples as usize)
+            .map(|s| s.slot.tuples as usize)
             .sum()
+    }
+
+    /// Check what must hold of the storage manager's bookkeeping
+    /// between queries (the partial-map sibling of
+    /// `MapSet::check_aligned`):
+    ///
+    /// * the running usage equals the summed chunk lengths, and the
+    ///   eviction order holds exactly the resident chunks, each under
+    ///   its current score;
+    /// * an area's `refs` are exactly the attributes with a resident
+    ///   chunk of it, and no chunk is both resident and spilled;
+    /// * chunks belong to fetched areas, and a fetched area has
+    ///   something that needs it frozen: a resident chunk, a spilled
+    ///   chunk, or merged updates on its tape;
+    /// * no chunk cursor, resident or spilled, points past its area's
+    ///   tape;
+    /// * `usage() <= budget` (nothing is pinned between queries).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.resident.check()?;
+        for (attr, map) in self.resident.maps() {
+            for &id in map.chunks.keys() {
+                if !self.areas.get(&id).is_some_and(|a| a.refs.contains(&attr)) {
+                    return Err(format!(
+                        "resident chunk ({attr}, {id:?}) is not in its area's refs"
+                    ));
+                }
+            }
+        }
+        for (id, info) in &self.areas {
+            let tape_len = info.tape.len();
+            for &attr in &info.refs {
+                let Some(chunk) = self.map(attr).and_then(|m| m.chunks.get(id)) else {
+                    return Err(format!(
+                        "area {id:?} refs attr {attr} without a resident chunk"
+                    ));
+                };
+                if info.spilled.contains_key(&attr) {
+                    return Err(format!("chunk ({attr}, {id:?}) is resident and spilled"));
+                }
+                if chunk.cursor > tape_len {
+                    return Err(format!(
+                        "chunk ({attr}, {id:?}) at cursor {} of a {tape_len}-entry tape",
+                        chunk.cursor
+                    ));
+                }
+            }
+            if let Some((attr, s)) = info.spilled.iter().find(|(_, s)| s.cursor > tape_len) {
+                return Err(format!(
+                    "spilled chunk ({attr}, {id:?}) at cursor {} of a {tape_len}-entry tape",
+                    s.cursor
+                ));
+            }
+            let referenced = !info.refs.is_empty() || !info.spilled.is_empty();
+            if referenced && !info.fetched {
+                return Err(format!("area {id:?} has chunks but is not fetched"));
+            }
+            if info.fetched && !referenced && update_floor(&info.tape) == 0 {
+                return Err(format!(
+                    "area {id:?} is fetched without a chunk or a merged update"
+                ));
+            }
+        }
+        match self.budget {
+            Some(budget) if self.usage() > budget => Err(format!(
+                "usage {} exceeds the budget {budget} with nothing pinned",
+                self.usage()
+            )),
+            _ => Ok(()),
+        }
     }
 
     // ----- updates (§3.5) ---------------------------------------------
@@ -379,12 +455,12 @@ impl PartialSet {
 
     /// Number of materialized chunks across all maps.
     pub fn chunk_count(&self) -> usize {
-        self.maps.values().map(|m| m.chunks.len()).sum()
+        self.resident.chunk_count()
     }
 
     /// Read access to a partial map.
     pub fn map(&self, tail_attr: usize) -> Option<&PartialMap> {
-        self.maps.get(&tail_attr)
+        self.resident.map(tail_attr)
     }
 
     /// Create the chunk map on first use. `first` is the predicate whose
@@ -442,13 +518,7 @@ impl PartialSet {
             if cm.index().position_of(key).is_some() {
                 continue;
             }
-            let id: AreaId = cm
-                .index()
-                .boundaries()
-                .iter()
-                .rev()
-                .find(|(k, _)| *k < key)
-                .map(|(k, _)| *k);
+            let id: AreaId = cm.index().floor_strict(key).map(|(k, _)| k);
             let fetched = self.areas.get(&id).is_some_and(|a| a.fetched);
             if !fetched {
                 // INVARIANT: same — ensured by every public entry path.
@@ -473,48 +543,54 @@ impl PartialSet {
         // before the internal helpers; field access keeps the borrow
         // disjoint from the sibling fields mutated below.
         let cm = self.chunk_map.as_ref().expect("chunk map ensured");
-        let bs = cm.index().boundaries();
+        let index = cm.index();
         let n = cm.len();
         let (lo_k, hi_k) = pred_keys(pred);
         let mut out = Vec::new();
-        let mut start_key: AreaId = None;
-        let mut start_pos = 0usize;
-        for i in 0..=bs.len() {
-            let (end_key, end_pos) = if i < bs.len() {
-                (Some(bs[i].0), bs[i].1)
-            } else {
-                (None, n)
+        // The leftmost area not wholly below the region is the one
+        // starting at the greatest boundary <= lo_k; from there the walk
+        // follows successor boundaries and stops at the first area
+        // starting at or above hi_k, so only the areas between the
+        // predicate's cut points are visited.
+        let (mut start_key, mut start_pos): (AreaId, usize) = match lo_k {
+            None => (None, 0),
+            Some(l) => match index.position_of(l) {
+                Some(pos) => (Some(l), pos),
+                None => index
+                    .floor_strict(l)
+                    .map_or((None, 0), |(k, pos)| (Some(k), pos)),
+            },
+        };
+        loop {
+            if matches!((start_key, hi_k), (Some(s), Some(h)) if s >= h) {
+                break;
+            }
+            let end = match start_key {
+                None => index.first(),
+                Some(s) => index.ceil_strict(s),
             };
-            // Overlap test on cut-point order: area [start_key, end_key)
-            // vs region (lo_k, hi_k).
-            let below = match (end_key, lo_k) {
-                (Some(e), Some(l)) => e <= l,
-                _ => false,
+            let (end_key, end_pos) = end.map_or((None, n), |(k, pos)| (Some(k), pos));
+            let area = AreaRef {
+                id: start_key,
+                start: start_pos,
+                end: end_pos,
+                end_key,
             };
-            let above = match (start_key, hi_k) {
-                (Some(s), Some(h)) => s >= h,
-                _ => false,
-            };
-            if !below && !above {
-                let area = AreaRef {
-                    id: start_key,
-                    start: start_pos,
-                    end: end_pos,
-                    end_key,
-                };
-                let keep = end_pos > start_pos
-                    || self.areas.get(&area.id).is_some_and(|a| a.fetched)
-                    || self
-                        .staged_inserts
-                        .iter()
-                        .any(|&k| Self::area_contains(&area, head_col.get(k)))
-                    || self
-                        .staged_deletes
-                        .iter()
-                        .any(|&(v, _)| Self::area_contains(&area, v));
-                if keep {
-                    out.push(area);
-                }
+            let keep = end_pos > start_pos
+                || self.areas.get(&area.id).is_some_and(|a| a.fetched)
+                || self
+                    .staged_inserts
+                    .iter()
+                    .any(|&k| Self::area_contains(&area, head_col.get(k)))
+                || self
+                    .staged_deletes
+                    .iter()
+                    .any(|&(v, _)| Self::area_contains(&area, v));
+            if keep {
+                out.push(area);
+            }
+            if end_key.is_none() {
+                break;
             }
             start_key = end_key;
             start_pos = end_pos;
@@ -657,149 +733,155 @@ impl PartialSet {
     }
 
     /// Evict cold chunks until `extra` more tuples fit in the budget.
-    /// Chunks in `pinned` are untouchable.
+    /// The chunks of `pinned_area` belonging to `pinned_attrs` — the
+    /// ones the running query is working on — are untouchable.
     ///
-    /// Victim choice minimizes [`retention_score`]: recency plus a
-    /// log-frequency grace, so a chunk the workload hammered keeps a
-    /// bounded head start over a once-touched one. Pure frequency (no
-    /// aging) would always evict the chunks a workload shift just
-    /// created — the previous batch's chunks carry large counts — and
-    /// thrash; the recency-dominated score keeps the adaptation property
-    /// §4.1 asks of the storage manager ("the system always keeps the
-    /// chunks that are really necessary for the workload hot-set").
+    /// The victim is the unpinned chunk with the lowest
+    /// [`retention_score`](crackdb_cracking::retention_score): recency
+    /// plus a log-frequency grace, so a chunk the workload hammered
+    /// keeps a bounded head start over a once-touched one. Pure
+    /// frequency (no aging) would always evict the chunks a workload
+    /// shift just created — the previous batch's chunks carry large
+    /// counts — and thrash; the recency-dominated score keeps the
+    /// adaptation property §4.1 asks of the storage manager ("the system
+    /// always keeps the chunks that are really necessary for the
+    /// workload hot-set"). The `(attr, area)` identity breaks score
+    /// ties, so eviction (and therefore every downstream answer) is
+    /// deterministic. [`Resident`] keeps that order and the usage
+    /// current, so each eviction costs a tree lookup, not a scan.
     fn make_room(
         &mut self,
         extra: usize,
-        pinned: &HashSet<(usize, AreaId)>,
+        pinned_area: AreaId,
+        pinned_attrs: &[usize],
     ) -> Result<(), StorageError> {
         let Some(budget) = self.budget else {
             return Ok(());
         };
-        // One scan establishes the current usage; each eviction then
-        // subtracts the freed tuples, so the loop stays O(chunks) per
-        // eviction (the victim scan) instead of rescanning every chunk
-        // length per iteration.
-        let mut usage = self.usage();
-        while usage + extra > budget {
-            // The (attr, area) identity breaks score ties so the victim
-            // never depends on hash-map iteration order — eviction (and
-            // therefore every downstream answer) stays deterministic.
-            let victim = self
-                .maps
-                .iter()
-                .flat_map(|(&attr, m)| {
-                    m.chunks.iter().map(move |(&aid, c)| {
-                        ((attr, aid), retention_score(c.accesses, c.last_access))
-                    })
-                })
-                .filter(|(key, _)| !pinned.contains(key))
-                .min_by_key(|&((attr, aid), score)| (score, attr, aid))
-                .map(|(key, _)| key);
-            let Some((attr, aid)) = victim else { break };
-            usage = usage.saturating_sub(self.evict_chunk(attr, aid)?);
+        // A failed spill still frees its chunk (by dropping it), so the
+        // loop carries on to the budget and reports the first failure.
+        let mut outcome = Ok(());
+        while self.resident.tuples() + extra > budget {
+            let Some((attr, area)) = self.next_victim(pinned_area, pinned_attrs) else {
+                break;
+            };
+            let evicted = self.evict_chunk(attr, area);
+            outcome = outcome.and(evicted);
         }
-        Ok(())
+        outcome
+    }
+
+    /// The chunk the storage manager evicts next, as `(attr, area)`:
+    /// the resident chunk with the lowest retention score (ties broken
+    /// by attribute, then area) that is not pinned — pinned being the
+    /// chunks of `pinned_area` that belong to `pinned_attrs`.
+    pub fn next_victim(
+        &self,
+        pinned_area: AreaId,
+        pinned_attrs: &[usize],
+    ) -> Option<(usize, AreaId)> {
+        self.resident.next_victim(pinned_area, pinned_attrs)
     }
 
     /// Tiered eviction of one chunk: spill when a tier is attached,
     /// otherwise drop. A failed spill write falls back to dropping the
     /// chunk (so the budget invariant still holds) and then surfaces the
     /// error — loud, but never wedged.
-    fn evict_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> Result<usize, StorageError> {
-        let Some(tier) = self.spill.clone() else {
-            return Ok(self.drop_chunk(tail_attr, area_id));
+    fn evict_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> Result<(), StorageError> {
+        let Some(tier) = &self.spill else {
+            self.drop_chunk(tail_attr, area_id);
+            return Ok(());
         };
-        let Some(map) = self.maps.get_mut(&tail_attr) else {
-            return Ok(0);
+        let Some(chunk) = self.resident.take(tail_attr, area_id) else {
+            return Ok(());
         };
-        let Some(chunk) = map.chunks.remove(&area_id) else {
-            return Ok(0);
-        };
-        let freed = chunk.len();
         let t0 = Instant::now();
-        let mut record = std::mem::take(&mut self.spill_scratch);
-        spill::encode_chunk_into(&chunk, &mut record);
-        let written = tier.write(tail_attr, &record, chunk.len() as u32);
-        self.spill_scratch = record;
+        spill::encode_chunk_into(&chunk, &mut self.spill_scratch);
+        let written = tier.write(tail_attr, &self.spill_scratch, chunk.len() as u32);
         self.stats.spill_write_ns += t0.elapsed().as_nanos() as u64;
         match written {
             Ok(slot) => {
                 let info = self.areas.entry(area_id).or_default();
                 info.refs.remove(&tail_attr);
-                info.spilled.insert(tail_attr, slot);
+                let spilled = SpilledChunk {
+                    slot,
+                    cursor: chunk.cursor,
+                };
+                info.spilled.insert(tail_attr, spilled);
                 self.stats.chunks_spilled += 1;
-                Ok(freed)
+                Ok(())
             }
             Err(e) => {
                 // Put the chunk back and drop it through the ordinary
                 // path so shells/un-merge bookkeeping stays consistent.
-                map.chunks.insert(area_id, chunk);
+                self.resident.put(tail_attr, area_id, chunk);
                 self.drop_chunk(tail_attr, area_id);
                 Err(e)
             }
         }
     }
 
-    /// Reload a spilled chunk of `tail_attr` for `area_id`. The slot has
-    /// already been taken out of the area's spill table; on any failure
-    /// the chunk is simply gone — the area keeps its tape, and the next
-    /// access recreates the chunk from the base (replaying the tape), so
-    /// one loud error leaves the set fully serviceable.
+    /// Reload the spilled chunk of `tail_attr` in `slot` from `tier`,
+    /// through the recycled record buffer `scratch`.
     fn reload_chunk(
-        &mut self,
         tier: &SpillTier,
+        scratch: &mut Vec<u8>,
+        stats: &mut PartialStats,
         tail_attr: usize,
         slot: SpillSlot,
     ) -> Result<Chunk, StorageError> {
         let t0 = Instant::now();
-        let mut bytes = std::mem::take(&mut self.spill_scratch);
-        let decoded = tier.read_into(tail_attr, slot, &mut bytes).and_then(|()| {
-            spill::decode_chunk(
-                &bytes,
-                &format!("decode spilled chunk of column {tail_attr}"),
-            )
-        });
-        self.spill_scratch = bytes;
-        let chunk = decoded?;
-        self.stats.spill_read_ns += t0.elapsed().as_nanos() as u64;
-        self.stats.chunks_reloaded += 1;
-        self.stats.tuples_reloaded += chunk.len() as u64;
+        tier.read_into(tail_attr, slot, scratch)?;
+        let chunk = spill::decode_chunk(
+            scratch,
+            &format!("decode spilled chunk of column {tail_attr}"),
+        )?;
+        stats.spill_read_ns += t0.elapsed().as_nanos() as u64;
+        stats.chunks_reloaded += 1;
+        stats.tuples_reloaded += chunk.len() as u64;
         Ok(chunk)
     }
 
-    /// Drop one chunk, keeping its index as a lazily deleted shell; if it
-    /// was the area's last chunk — resident *or* spilled — the area
-    /// reverts to unfetched and its tape is removed (§4.1) — merged
-    /// updates return to the staged lists, so chunks recreated from the
-    /// base later pick them up for free. While any sibling chunk sits in
-    /// the spill tier the tape must survive: the spilled record's cursor
-    /// points into it. Returns the tuples freed.
+    /// Drop one chunk, keeping its index as a lazily deleted shell
+    /// unless the area reverts to unfetched (see
+    /// [`Self::unfetch_if_unreferenced`]). Returns the tuples freed.
     pub fn drop_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> usize {
-        let Some(map) = self.maps.get_mut(&tail_attr) else {
-            return 0;
-        };
-        let Some(chunk) = map.chunks.remove(&area_id) else {
+        let Some(chunk) = self.resident.take(tail_attr, area_id) else {
             return 0;
         };
         let freed = chunk.len();
         self.stats.chunks_dropped += 1;
-        let info = self.areas.entry(area_id).or_default();
-        info.refs.remove(&tail_attr);
-        if info.refs.is_empty() && info.spilled.is_empty() {
-            info.fetched = false;
-            info.shells.clear();
-            info.resolver = None;
-            for entry in info.tape.drain(..) {
-                match entry {
-                    AreaEntry::Insert(key) => self.staged_inserts.push(key),
-                    AreaEntry::Delete { val, key, .. } => self.staged_deletes.push((val, key)),
-                    AreaEntry::Crack(..) => {}
-                }
-            }
-        } else {
-            info.shells.insert(tail_attr, chunk.into_shell());
+        self.area_info(area_id).refs.remove(&tail_attr);
+        if !self.unfetch_if_unreferenced(area_id) {
+            self.area_info(area_id)
+                .shells
+                .insert(tail_attr, chunk.into_shell());
         }
         freed
+    }
+
+    /// An area that has lost its last chunk — resident *or* spilled —
+    /// reverts to unfetched and its tape is removed (§4.1): merged
+    /// updates return to the staged lists, so chunks recreated from the
+    /// base later pick them up for free. While any sibling chunk sits in
+    /// the spill tier the tape must survive: the spilled record's cursor
+    /// points into it. Returns whether the area reverted.
+    fn unfetch_if_unreferenced(&mut self, area_id: AreaId) -> bool {
+        let info = self.areas.entry(area_id).or_default();
+        if !info.refs.is_empty() || !info.spilled.is_empty() {
+            return false;
+        }
+        info.fetched = false;
+        info.shells.clear();
+        info.resolver = None;
+        for entry in info.tape.drain(..) {
+            match entry {
+                AreaEntry::Insert(key) => self.staged_inserts.push(key),
+                AreaEntry::Delete { val, key, .. } => self.staged_deletes.push((val, key)),
+                AreaEntry::Crack(..) => {}
+            }
+        }
+        true
     }
 
     /// Post-query budget enforcement: with nothing pinned, evict until
@@ -807,7 +889,7 @@ impl PartialSet {
     /// exceed the budget while its own chunks are pinned; it must never
     /// *leave* it exceeded.
     fn enforce_budget(&mut self) -> Result<(), StorageError> {
-        self.make_room(0, &HashSet::new())
+        self.make_room(0, None, &[])
     }
 
     /// Deterministically rebuild the head column of a head-dropped chunk:
@@ -878,18 +960,18 @@ impl PartialSet {
             }
         }
         let areas = self.overlapping_areas(base, head_pred);
-        for area in areas {
+        let answered = areas.iter().try_for_each(|area| {
             self.process_area(
                 base,
-                &area,
+                area,
                 head_pred,
                 tail_sels,
                 projs,
                 &attrs,
                 &mut consume,
-            )?;
-        }
-        self.enforce_budget()
+            )
+        });
+        self.finish_query(answered)
     }
 
     /// Disjunctive multi-selection (§3.3 executed chunk-wise): predicates
@@ -926,10 +1008,20 @@ impl PartialSet {
             }
         }
         let areas = self.overlapping_areas(base, &RangePred::all());
-        for area in areas {
-            self.process_area_disj(base, &area, preds, projs, &attrs, &mut consume)?;
-        }
-        self.enforce_budget()
+        let answered = areas.iter().try_for_each(|area| {
+            self.process_area_disj(base, area, preds, projs, &attrs, &mut consume)
+        });
+        self.finish_query(answered)
+    }
+
+    /// Every query ends here, answered or not: nothing is pinned any
+    /// more, so the budget is enforced exactly — a query that failed
+    /// half-way must not leave it exceeded either — and the first error
+    /// is the one reported.
+    fn finish_query(&mut self, answered: Result<(), StorageError>) -> Result<(), StorageError> {
+        let enforced = self.enforce_budget();
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        answered.and(enforced)
     }
 
     /// Check the chunks of `attrs` out of one area for processing — the
@@ -956,47 +1048,58 @@ impl PartialSet {
         area: &AreaRef,
         attrs: &[usize],
     ) -> Result<CheckedOutArea, StorageError> {
-        let pinned: HashSet<(usize, AreaId)> = attrs.iter().map(|&a| (a, area.id)).collect();
         for &attr in attrs {
-            let present = self
-                .maps
-                .get(&attr)
-                .is_some_and(|m| m.chunks.contains_key(&area.id));
-            if present {
+            if self.resident.contains(attr, area.id) {
                 continue;
             }
             // Missing chunk: reload it from the spill tier when a spilled
             // sibling record exists (cheaper than recracking), otherwise
             // recreate it from the base columns. Either way the chunk's
-            // tuples must first fit in the resident budget.
-            let slot = self
+            // tuples must first fit in the resident budget, with this
+            // area's chunks of `attrs` pinned.
+            let spilled = self
                 .areas
-                .get_mut(&area.id)
-                .and_then(|info| info.spilled.remove(&attr));
-            let chunk = match (slot, self.spill.clone()) {
+                .get(&area.id)
+                .and_then(|info| info.spilled.get(&attr))
+                .map(|s| s.slot);
+            let slot = spilled.filter(|_| self.spill.is_some());
+            let incoming = slot.map_or(area.end - area.start, |s| s.tuples as usize);
+            self.make_room(incoming, area.id, attrs)?;
+            // Only now does the record stop counting as a chunk of the
+            // area: had `make_room` failed, the area would otherwise be
+            // left fetched with nothing to show for it.
+            if spilled.is_some() {
+                self.area_info(area.id).spilled.remove(&attr);
+            }
+            let chunk = match (slot, &self.spill) {
                 (Some(slot), Some(tier)) => {
-                    self.make_room(slot.tuples as usize, &pinned)?;
-                    let loaded = self.reload_chunk(&tier, attr, slot);
+                    let loaded = Self::reload_chunk(
+                        tier,
+                        &mut self.spill_scratch,
+                        &mut self.stats,
+                        attr,
+                        slot,
+                    );
                     // The slot is consumed on success *and* on failure: a
                     // bad record is released and the next access simply
-                    // recreates the chunk from the base (the area kept
-                    // its tape), so one loud error never wedges the set.
+                    // recreates the chunk from the base, so one loud
+                    // error never wedges the set.
                     tier.release(attr, slot);
-                    let mut chunk = loaded?;
+                    let mut chunk = match loaded {
+                        Ok(chunk) => chunk,
+                        Err(e) => {
+                            // The lost chunk may have been the area's last.
+                            self.unfetch_if_unreferenced(area.id);
+                            return Err(e);
+                        }
+                    };
                     chunk.last_access = self.clock;
-                    self.areas.entry(area.id).or_default().refs.insert(attr);
+                    self.area_info(area.id).refs.insert(attr);
                     chunk
                 }
-                _ => {
-                    self.make_room(area.end - area.start, &pinned)?;
-                    self.fetch_chunk(base, attr, area)?
-                }
+                _ => self.fetch_chunk(base, attr, area)?,
             };
-            self.maps
-                .entry(attr)
-                .or_default()
-                .chunks
-                .insert(area.id, chunk);
+            self.resident.put(attr, area.id, chunk);
         }
         self.flush_staged_for_area(base, area);
         // The loop above materialized (or reloaded) every chunk, so each
@@ -1004,11 +1107,7 @@ impl PartialSet {
         // panic-free without changing behaviour.
         let mut chunks: Vec<(usize, Chunk)> = Vec::with_capacity(attrs.len());
         for &attr in attrs {
-            if let Some(c) = self
-                .maps
-                .get_mut(&attr)
-                .and_then(|m| m.chunks.remove(&area.id))
-            {
+            if let Some(c) = self.resident.take(attr, area.id) {
                 chunks.push((attr, c));
             }
         }
@@ -1019,22 +1118,41 @@ impl PartialSet {
         if let Some(a) = self.areas.get(&area.id) {
             tape.extend_from_slice(&a.tape);
         }
+        // From here on the chunks are out of the set: a failure hands
+        // them back (aligned as far as they got) before it surfaces.
+        if let Err(e) = self.align_checked_out(base, area, &mut chunks, &tape) {
+            self.reinstall_chunks(area.id, chunks);
+            self.recycle_tape(tape);
+            return Err(e);
+        }
+        Ok((chunks, tape))
+    }
+
+    /// Step 4 of [`Self::checkout_area_chunks`]: partial alignment of
+    /// the checked-out chunks to their common target cursor.
+    fn align_checked_out(
+        &mut self,
+        base: &Table,
+        area: &AreaRef,
+        chunks: &mut [(usize, Chunk)],
+        tape: &[AreaEntry],
+    ) -> Result<(), StorageError> {
         let head_col = base.column(self.head_attr);
         let target = chunks
             .iter()
             .map(|(_, c)| c.cursor)
             .max()
             .unwrap_or(0)
-            .max(update_floor(&tape));
+            .max(update_floor(tape));
         for (attr, c) in chunks.iter_mut() {
             if c.cursor < target && c.head_dropped() {
-                let head = self.rebuild_head(base, *attr, area, c.cursor, &tape)?;
+                let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
                 c.restore_head(head);
             }
             self.stats.entries_replayed +=
-                c.align_to(&tape, target, head_col, base.column(*attr)) as u64;
+                c.align_to(tape, target, head_col, base.column(*attr)) as u64;
         }
-        Ok((chunks, tape))
+        Ok(())
     }
 
     /// Return the per-query tape snapshot buffer for reuse.
@@ -1058,7 +1176,7 @@ impl PartialSet {
                     self.stats.heads_dropped += 1;
                 }
             }
-            self.maps.entry(attr).or_default().chunks.insert(area_id, c);
+            self.resident.put(attr, area_id, c);
         }
     }
 
@@ -1106,6 +1224,8 @@ impl PartialSet {
         Ok(())
     }
 
+    /// One area of a conjunctive pass: check out, answer, hand back —
+    /// also when answering failed.
     #[allow(clippy::too_many_arguments)]
     fn process_area<F: FnMut(usize, Val)>(
         &mut self,
@@ -1120,6 +1240,35 @@ impl PartialSet {
         // Materialize, merge staged updates, take out and align (§3.5 /
         // §4.1 shared machinery).
         let (mut chunks, tape) = self.checkout_area_chunks(base, area, attrs)?;
+        let answered = self.answer_area(
+            base,
+            area,
+            head_pred,
+            tail_sels,
+            projs,
+            &mut chunks,
+            &tape,
+            consume,
+        );
+        self.reinstall_chunks(area.id, chunks);
+        self.recycle_tape(tape);
+        answered
+    }
+
+    /// Crack the aligned chunks of one area where the predicate needs
+    /// it, filter, and stream the projections.
+    #[allow(clippy::too_many_arguments)]
+    fn answer_area<F: FnMut(usize, Val)>(
+        &mut self,
+        base: &Table,
+        area: &AreaRef,
+        head_pred: &RangePred,
+        tail_sels: &[(usize, RangePred)],
+        projs: &[usize],
+        chunks: &mut [(usize, Chunk)],
+        tape: &[AreaEntry],
+        consume: &mut F,
+    ) -> Result<(), StorageError> {
         let needed = Self::keys_inside(head_pred, area);
         let head_col = base.column(self.head_attr);
         let policy = self.advisor.effective();
@@ -1134,11 +1283,11 @@ impl PartialSet {
             let mut missing = false;
             for (attr, c) in chunks.iter_mut() {
                 if !c.has_boundaries(&needed) && c.head_dropped() {
-                    let head = self.rebuild_head(base, *attr, area, c.cursor, &tape)?;
+                    let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
                     c.restore_head(head);
                 }
                 let (replayed, m) =
-                    c.align_until_boundaries(&tape, &needed, head_col, base.column(*attr));
+                    c.align_until_boundaries(tape, &needed, head_col, base.column(*attr));
                 self.stats.entries_replayed += replayed as u64;
                 missing = m;
             }
@@ -1148,7 +1297,7 @@ impl PartialSet {
                 let mut changed = false;
                 for (attr, c) in chunks.iter_mut() {
                     if c.head_dropped() {
-                        let head = self.rebuild_head(base, *attr, area, c.cursor, &tape)?;
+                        let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
                         c.restore_head(head);
                     }
                     let before = c.index().len();
@@ -1172,7 +1321,7 @@ impl PartialSet {
             }
             range = chunks[0].1.range_of(head_pred);
             exact = chunks[0].1.has_boundaries(&needed);
-            for (_, c) in &chunks {
+            for (_, c) in chunks.iter() {
                 debug_assert_eq!(c.range_of(head_pred), range, "aligned chunks agree");
             }
         }
@@ -1238,9 +1387,6 @@ impl PartialSet {
                 }
             }
         }
-
-        self.reinstall_chunks(area.id, chunks);
-        self.recycle_tape(tape);
         Ok(())
     }
 }

@@ -3,7 +3,7 @@
 
 use super::*;
 use crackdb_columnstore::column::{Column, Table};
-use crackdb_columnstore::types::{RangePred, Val};
+use crackdb_columnstore::types::{Bound, RangePred, Val};
 
 /// Deterministic pseudo-random table: `cols` columns, `n` rows, values in
 /// `[0, domain)`.
@@ -64,7 +64,27 @@ fn collect(
         got.iter_mut().find(|(p, _)| *p == attr).unwrap().1.push(v);
     })
     .unwrap();
+    check(s);
     got
+}
+
+/// What must hold after every operation: the bookkeeping invariants,
+/// and the eviction index naming the victim a scan of every resident
+/// chunk finds — with nothing pinned and with each resident chunk's
+/// area pinned for that chunk's attribute.
+fn check(s: &PartialSet) {
+    s.check_invariants().unwrap();
+    let r = &s.resident;
+    assert_eq!(r.next_victim(None, &[]), r.next_victim_by_scan(None, &[]));
+    for (attr, map) in r.maps() {
+        for &area in map.chunks.keys() {
+            assert_eq!(
+                r.next_victim(area, &[attr]),
+                r.next_victim_by_scan(area, &[attr]),
+                "pinned ({attr}, {area:?})"
+            );
+        }
+    }
 }
 
 fn assert_same(mut a: Vec<(usize, Vec<Val>)>, mut b: Vec<(usize, Vec<Val>)>) {
@@ -247,6 +267,7 @@ fn shell_reuse_on_recreation() {
     collect(&mut s, &t, &RangePred::open(50, 250), &[], &[0]);
     for id in &area_ids {
         s.drop_chunk(1, *id);
+        check(&s);
     }
     assert!(s.map(1).unwrap().chunks.is_empty());
     // Recreate; results stay correct.
@@ -308,6 +329,7 @@ fn staged_updates_merge_on_access() {
     s.stage_delete(t.column(0).get(d_in), d_in);
     s.stage_delete(t.column(0).get(d_out), d_out);
     assert_eq!(s.staged(), 4);
+    check(&s);
 
     // A query over (50,200) merges only the relevant updates.
     let got = collect(&mut s, &t, &pred, &[], &[1, 2]);
@@ -355,6 +377,7 @@ fn recreated_chunk_picks_updates_up_for_free() {
         .collect();
     for (attr, area) in drops {
         s.drop_chunk(attr, area);
+        check(&s);
     }
     assert_eq!(s.usage(), 0);
     assert!(s.staged() > 0, "unfetched areas un-merge their updates");
@@ -424,6 +447,7 @@ fn disjunctive_matches_scan() {
             got.iter_mut().find(|(p, _)| *p == attr).unwrap().1.push(v);
         })
         .unwrap();
+        check(&s);
         // Naive union.
         let mut want = vec![(2usize, Vec::new())];
         for row in 0..t.num_rows() as u32 {
@@ -492,4 +516,117 @@ fn chunk_map_first_touch_matches_copy_then_crack() {
         expect.sort_unstable();
         assert_same(got, vec![(1, expect)]);
     }
+}
+
+/// The whole-index walk `overlapping_areas` used to make: every area of
+/// the chunk map in order, kept when it is neither wholly below nor
+/// wholly above the predicate's region. Reference for the predecessor
+/// walk.
+fn overlapping_areas_by_full_walk(s: &PartialSet, base: &Table, pred: &RangePred) -> Vec<AreaRef> {
+    let head_col = base.column(s.head_attr);
+    let cm = s.chunk_map.as_ref().unwrap();
+    let bs = cm.index().boundaries();
+    let (lo_k, hi_k) = pred_keys(pred);
+    let mut out = Vec::new();
+    let (mut start_key, mut start_pos): (AreaId, usize) = (None, 0);
+    for i in 0..=bs.len() {
+        let (end_key, end_pos) = bs.get(i).map_or((None, cm.len()), |&(k, p)| (Some(k), p));
+        let below = matches!((end_key, lo_k), (Some(e), Some(l)) if e <= l);
+        let above = matches!((start_key, hi_k), (Some(s), Some(h)) if s >= h);
+        let area = AreaRef {
+            id: start_key,
+            start: start_pos,
+            end: end_pos,
+            end_key,
+        };
+        let keep = end_pos > start_pos
+            || s.areas.get(&area.id).is_some_and(|a| a.fetched)
+            || s.staged_inserts
+                .iter()
+                .any(|&k| PartialSet::area_contains(&area, head_col.get(k)))
+            || s.staged_deletes
+                .iter()
+                .any(|&(v, _)| PartialSet::area_contains(&area, v));
+        if !below && !above && keep {
+            out.push(area);
+        }
+        (start_key, start_pos) = (end_key, end_pos);
+    }
+    out
+}
+
+/// Both walks over every predicate shape on a small domain: each bound
+/// absent, inclusive or exclusive at every value from below the least
+/// to above the greatest boundary — so unbounded on either side,
+/// landing on existing boundaries of both kinds, strictly inside areas,
+/// inverted, and reaching the leftmost (`None`-id) and rightmost areas.
+fn assert_area_lookup_matches_full_walk(s: &PartialSet, t: &Table) {
+    let bounds = |v: Val| [Bound::inclusive(v), Bound::exclusive(v)].map(Some);
+    let all: Vec<Option<Bound>> = std::iter::once(None)
+        .chain((-1..=101).flat_map(bounds))
+        .collect();
+    let flat = |areas: Vec<AreaRef>| -> Vec<(AreaId, usize, usize, AreaId)> {
+        let tuple = |a: AreaRef| (a.id, a.start, a.end, a.end_key);
+        areas.into_iter().map(tuple).collect()
+    };
+    for &lo in &all {
+        for &hi in &all {
+            let pred = RangePred { lo, hi };
+            assert_eq!(
+                flat(s.overlapping_areas(t, &pred)),
+                flat(overlapping_areas_by_full_walk(s, t, &pred)),
+                "{pred:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn area_lookup_by_predecessor_walk_matches_full_walk() {
+    // Head values are multiples of 10, so cuts at other values open
+    // zero-row areas.
+    let mut t = table(2, 400, 10, 71);
+    let tens: Vec<Val> = (0..400u32).map(|k| t.column(0).get(k) * 10).collect();
+    let tails: Vec<Val> = (0..400u32).map(|k| t.column(1).get(k)).collect();
+    t = Table::new();
+    t.add_column("a0", Column::new(tens));
+    t.add_column("a1", Column::new(tails));
+
+    let mut s = PartialSet::new(0);
+    // Boundaries of both kinds: open → (lo, Le) and (hi, Lt); closed →
+    // (lo, Lt) and (hi, Le). The first two areas end up fetched.
+    collect(&mut s, &t, &RangePred::open(20, 60), &[], &[1]);
+    collect(&mut s, &t, &RangePred::closed(70, 80), &[], &[1]);
+    assert_area_lookup_matches_full_walk(&s, &t);
+
+    // Cuts inside a frozen fetched area crack its chunk, not the chunk
+    // map: the area stays one area for the lookup.
+    let boundaries = s.chunk_map.as_ref().unwrap().index().len();
+    collect(&mut s, &t, &RangePred::open(30, 50), &[], &[1]);
+    assert_eq!(s.chunk_map.as_ref().unwrap().index().len(), boundaries);
+    assert_area_lookup_matches_full_walk(&s, &t);
+
+    // A zero-row area (no head value lies in (91, 95)) …
+    collect(&mut s, &t, &RangePred::open(91, 95), &[], &[1]);
+    let inside = RangePred::closed(92, 94);
+    assert!(s.overlapping_areas(&t, &inside).is_empty());
+    assert_area_lookup_matches_full_walk(&s, &t);
+    // … is visited once it carries a staged insert …
+    let key = t.append_row(&[93, 9393]);
+    s.stage_insert(key);
+    assert_eq!(s.overlapping_areas(&t, &inside).len(), 1);
+    assert_area_lookup_matches_full_walk(&s, &t);
+    // … and stays visited, zero rows in the chunk map or not, while the
+    // merged insert (then the merged delete) sits on its tape.
+    let got = collect(&mut s, &t, &inside, &[], &[1]);
+    assert_same(got, vec![(1, vec![9393])]);
+    assert_eq!(s.staged(), 0);
+    assert_area_lookup_matches_full_walk(&s, &t);
+    s.stage_delete(93, key);
+    let got = collect(&mut s, &t, &inside, &[], &[1]);
+    assert_same(got, vec![(1, vec![])]);
+    let area = s.overlapping_areas(&t, &inside);
+    assert_eq!(area.len(), 1);
+    assert_eq!(area[0].start, area[0].end);
+    assert_area_lookup_matches_full_walk(&s, &t);
 }

@@ -208,6 +208,8 @@ fn spilled_partial_sets_match_never_evicted() {
                 cold.usage(),
                 budget
             );
+            assert_eq!(cold.check_invariants(), Ok(()));
+            assert_eq!(hot.check_invariants(), Ok(()));
         }
     });
 }

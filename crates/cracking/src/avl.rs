@@ -352,6 +352,31 @@ impl<K: Ord + Copy> AvlTree<K> {
         self.walk_live(node.right, f);
     }
 
+    /// Smallest live key, found by an in-order walk that stops at the
+    /// first live node: one root-to-leaf descent unless lazily deleted
+    /// nodes sit at the left edge.
+    pub fn first_live(&self) -> Option<(K, usize)> {
+        let mut path = [NIL; MAX_HEIGHT];
+        let mut depth = 0usize;
+        let mut n = self.root;
+        loop {
+            while n != NIL {
+                path[depth] = n;
+                depth += 1;
+                n = self.nodes.get(n).left;
+            }
+            if depth == 0 {
+                return None;
+            }
+            depth -= 1;
+            let node = self.nodes.get(path[depth]);
+            if !node.deleted {
+                return Some((node.key, node.pos));
+            }
+            n = node.right;
+        }
+    }
+
     /// In-order traversal of live `(key, pos)` pairs.
     pub fn iter_live(&self) -> Vec<(K, usize)> {
         let mut out = Vec::with_capacity(self.live);

@@ -147,11 +147,28 @@ impl CrackerIndex {
             .count()
     }
 
+    /// Greatest live boundary strictly below `key`, with its position.
+    pub fn floor_strict(&self, key: BoundaryKey) -> Option<(BoundaryKey, usize)> {
+        self.tree.floor_strict(&key)
+    }
+
+    /// Smallest live boundary strictly above `key`, with its position.
+    pub fn ceil_strict(&self, key: BoundaryKey) -> Option<(BoundaryKey, usize)> {
+        self.tree.ceil_strict(&key)
+    }
+
+    /// Smallest live boundary, with its position. Together with
+    /// [`Self::ceil_strict`] this walks a key range of the index
+    /// without materialising [`Self::boundaries`].
+    pub fn first(&self) -> Option<(BoundaryKey, usize)> {
+        self.tree.first_live()
+    }
+
     /// The enclosing uncracked piece `[start, end)` a new boundary falls
     /// into, given total array length `n`.
     pub fn enclosing_piece(&self, key: BoundaryKey, n: usize) -> (usize, usize) {
-        let start = self.tree.floor_strict(&key).map_or(0, |(_, p)| p);
-        let end = self.tree.ceil_strict(&key).map_or(n, |(_, p)| p);
+        let start = self.floor_strict(key).map_or(0, |(_, p)| p);
+        let end = self.ceil_strict(key).map_or(n, |(_, p)| p);
         (start, end.max(start))
     }
 
@@ -372,6 +389,49 @@ mod tests {
         // Revive.
         idx.record((10, BoundKind::Lt), 40);
         assert_eq!(idx.enclosing_piece((15, BoundKind::Lt), 100), (40, 70));
+    }
+
+    /// Neighbour and first-boundary lookups see exactly the live
+    /// boundaries `boundaries()` lists, whatever mix of lazily deleted
+    /// shell nodes sits between them (including a deleted left edge and
+    /// an all-deleted shell).
+    #[test]
+    fn neighbour_lookups_agree_with_boundaries_across_shell_nodes() {
+        let mut state = 0xC0FFEE_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let kinds = [BoundKind::Lt, BoundKind::Le];
+        let mut idx = CrackerIndex::new();
+        for round in 0..60 {
+            for _ in 0..next(12) {
+                idx.record(
+                    (next(40) as Val, kinds[next(2) as usize]),
+                    next(500) as usize,
+                );
+            }
+            for _ in 0..next(12) {
+                idx.mark_deleted((next(40) as Val, kinds[next(2) as usize]));
+            }
+            if round % 20 == 19 {
+                idx.mark_all_deleted();
+            }
+            let live = idx.boundaries();
+            assert_eq!(idx.first(), live.first().copied());
+            for v in -1..=40 {
+                for kind in kinds {
+                    let key = (v, kind);
+                    let below = live.iter().rev().find(|(k, _)| *k < key).copied();
+                    let above = live.iter().find(|(k, _)| *k > key).copied();
+                    assert_eq!(idx.floor_strict(key), below, "floor {key:?}");
+                    assert_eq!(idx.ceil_strict(key), above, "ceil {key:?}");
+                }
+            }
+        }
+        assert!(idx.total_nodes() > idx.len(), "shell nodes were exercised");
     }
 
     #[test]
