@@ -155,24 +155,20 @@ impl PartialAgg {
             (a, b) => a.or(b),
         };
     }
-
-    /// Fold a whole slice.
-    fn from_values(vals: &[Val]) -> PartialAgg {
-        let mut p = PartialAgg::default();
-        for &v in vals {
-            p.push(v);
-        }
-        p
-    }
 }
 
 /// Parallel aggregate over a contiguous value slice.
 pub fn par_agg_values(vals: &[Val]) -> PartialAgg {
+    let fold = |vals: &[Val]| {
+        let mut p = PartialAgg::default();
+        p.fold_slice(vals);
+        p
+    };
     if threads() <= 1 || vals.len() < MIN_PARALLEL_ROWS {
-        return PartialAgg::from_values(vals);
+        return fold(vals);
     }
     let mut total = PartialAgg::default();
-    for p in scatter(vals.len(), |lo, hi| PartialAgg::from_values(&vals[lo..hi])) {
+    for p in scatter(vals.len(), |lo, hi| fold(&vals[lo..hi])) {
         total.merge(&p);
     }
     total

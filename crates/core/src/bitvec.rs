@@ -95,6 +95,14 @@ impl BitVec {
         (self.blocks[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// The backing words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// no bit at or beyond `len` is set — the selection-word form a
+    /// reconstruction [`Block`](crackdb_columnstore::ops::block::Block)
+    /// carries.
+    pub fn words(&self) -> &[u64] {
+        &self.blocks
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()

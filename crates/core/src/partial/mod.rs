@@ -57,6 +57,7 @@ pub use spill::SpillTier;
 
 use crate::bitvec::BitVec;
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
@@ -922,28 +923,31 @@ impl PartialSet {
     }
 
     /// Single-selection, multi-projection query (`select P1.. from R where
-    /// pred(A)`): stream each projection attribute's qualifying values.
-    pub fn select_project_with<F: FnMut(usize, Val)>(
+    /// pred(A)`): one block per projection attribute per chunk area.
+    pub fn select_project_blocks(
         &mut self,
         base: &Table,
         head_pred: &RangePred,
         projs: &[usize],
-        consume: F,
+        consume: impl FnMut(Block<'_>),
     ) -> Result<(), StorageError> {
-        self.conjunctive_project_with(base, head_pred, &[], projs, consume)
+        self.conjunctive_project_blocks(base, head_pred, &[], projs, consume)
     }
 
     /// Conjunctive multi-selection query (§3.3 executed chunk-wise,
     /// §4.1): predicate on the head attribute plus `tail_sels` predicates
-    /// on other attributes; streams qualifying values of each projection
-    /// attribute via `consume(attr, value)`.
-    pub fn conjunctive_project_with<F: FnMut(usize, Val)>(
+    /// on other attributes; hands `consume` one block per projection
+    /// attribute per chunk area — the area's aligned tail values, the
+    /// area's bit vector selecting the qualifying ones. Blocks of one
+    /// area arrive in `projs` order and are positionally consistent
+    /// across attributes.
+    pub fn conjunctive_project_blocks(
         &mut self,
         base: &Table,
         head_pred: &RangePred,
         tail_sels: &[(usize, RangePred)],
         projs: &[usize],
-        mut consume: F,
+        mut consume: impl FnMut(Block<'_>),
     ) -> Result<(), StorageError> {
         if head_pred.is_empty_range() || (tail_sels.is_empty() && projs.is_empty()) {
             return Ok(());
@@ -978,13 +982,13 @@ impl PartialSet {
     /// on distinct attributes combined with OR. A disjunction needs every
     /// tuple examined, so the pass covers *all* areas of the chunk map,
     /// builds a per-area OR bit vector over the predicate chunks, and
-    /// streams the projection attributes' qualifying values.
-    pub fn disjunctive_project_with<F: FnMut(usize, Val)>(
+    /// hands `consume` one block per projection attribute per area.
+    pub fn disjunctive_project_blocks(
         &mut self,
         base: &Table,
         preds: &[(usize, RangePred)],
         projs: &[usize],
-        mut consume: F,
+        mut consume: impl FnMut(Block<'_>),
     ) -> Result<(), StorageError> {
         if preds.is_empty() || projs.is_empty() {
             return Ok(());
@@ -1180,8 +1184,8 @@ impl PartialSet {
         }
     }
 
-    /// One area of a disjunctive pass: check out, OR-filter, stream.
-    fn process_area_disj<F: FnMut(usize, Val)>(
+    /// One area of a disjunctive pass: check out, OR-filter, hand on.
+    fn process_area_disj<F: FnMut(Block<'_>)>(
         &mut self,
         base: &Table,
         area: &AreaRef,
@@ -1213,10 +1217,11 @@ impl PartialSet {
             let Some((_, c)) = chunks.iter().find(|(a, _)| *a == p) else {
                 continue;
             };
-            let tails = c.tail();
-            for i in bv.iter_ones() {
-                consume(p, tails[i]);
-            }
+            consume(Block {
+                attr: p,
+                vals: c.tail(),
+                sel: Some(bv.words()),
+            });
         }
 
         self.reinstall_chunks(area.id, chunks);
@@ -1227,7 +1232,7 @@ impl PartialSet {
     /// One area of a conjunctive pass: check out, answer, hand back —
     /// also when answering failed.
     #[allow(clippy::too_many_arguments)]
-    fn process_area<F: FnMut(usize, Val)>(
+    fn process_area<F: FnMut(Block<'_>)>(
         &mut self,
         base: &Table,
         area: &AreaRef,
@@ -1256,9 +1261,9 @@ impl PartialSet {
     }
 
     /// Crack the aligned chunks of one area where the predicate needs
-    /// it, filter, and stream the projections.
+    /// it, filter, and hand on the projections.
     #[allow(clippy::too_many_arguments)]
-    fn answer_area<F: FnMut(usize, Val)>(
+    fn answer_area<F: FnMut(Block<'_>)>(
         &mut self,
         base: &Table,
         area: &AreaRef,
@@ -1368,24 +1373,16 @@ impl PartialSet {
             bv
         };
 
-        // Stream projections.
+        // One block per projection: the qualifying local range.
         for &p in projs {
             let Some((_, c)) = chunks.iter().find(|(a, _)| *a == p) else {
                 continue;
             };
-            let tails = &c.tail()[range.0..range.1];
-            match &bv {
-                None => {
-                    for &v in tails {
-                        consume(p, v);
-                    }
-                }
-                Some(bv) => {
-                    for i in bv.iter_ones() {
-                        consume(p, tails[i]);
-                    }
-                }
-            }
+            consume(Block {
+                attr: p,
+                vals: &c.tail()[range.0..range.1],
+                sel: bv.as_ref().map(BitVec::words),
+            });
         }
         Ok(())
     }

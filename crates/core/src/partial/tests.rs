@@ -60,8 +60,8 @@ fn collect(
     projs: &[usize],
 ) -> Vec<(usize, Vec<Val>)> {
     let mut got: Vec<(usize, Vec<Val>)> = projs.iter().map(|&p| (p, Vec::new())).collect();
-    s.conjunctive_project_with(t, head_pred, tail_sels, projs, |attr, v| {
-        got.iter_mut().find(|(p, _)| *p == attr).unwrap().1.push(v);
+    s.conjunctive_project_blocks(t, head_pred, tail_sels, projs, |b| {
+        b.append_to(&mut got.iter_mut().find(|(p, _)| *p == b.attr).unwrap().1);
     })
     .unwrap();
     check(s);
@@ -443,8 +443,8 @@ fn disjunctive_matches_scan() {
             (1usize, RangePred::open(b, b + 60)),
         ];
         let mut got: Vec<(usize, Vec<Val>)> = vec![(2, Vec::new())];
-        s.disjunctive_project_with(&t, &preds, &[2], |attr, v| {
-            got.iter_mut().find(|(p, _)| *p == attr).unwrap().1.push(v);
+        s.disjunctive_project_blocks(&t, &preds, &[2], |b| {
+            b.append_to(&mut got.iter_mut().find(|(p, _)| *p == b.attr).unwrap().1);
         })
         .unwrap();
         check(&s);

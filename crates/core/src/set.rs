@@ -6,6 +6,7 @@ use crate::bitvec::BitVec;
 use crate::map::{CrackerMap, KeyMap};
 use crate::tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};
 use crackdb_columnstore::column::{Column, Table};
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::{CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan, Span};
 use std::borrow::Cow;
@@ -589,26 +590,41 @@ impl MapSet {
         bv.refine(|i| tail_pred.matches(tails[i]));
     }
 
-    /// `sideways.reconstruct` (§3.3): stream the tail values of the
-    /// qualifying area whose bits are set.
-    pub fn reconstruct_with<F: FnMut(Val)>(
-        &mut self,
+    /// [`Self::view_tail`] as a reconstruction block: the area's tail
+    /// values with `bv` (one bit per tuple of the area) as the selection.
+    pub fn view_block<'a>(
+        &'a self,
+        tail_attr: usize,
+        range: (usize, usize),
+        bv: Option<&'a BitVec>,
+    ) -> Block<'a> {
+        let vals = self.view_tail(tail_attr, range);
+        if let Some(bv) = bv {
+            assert_eq!(
+                vals.len(),
+                bv.len(),
+                "aligned maps must agree on the area size"
+            );
+        }
+        Block {
+            attr: tail_attr,
+            vals,
+            sel: bv.map(BitVec::words),
+        }
+    }
+
+    /// `sideways.reconstruct` (§3.3): align the map of `tail_attr` and
+    /// return the qualifying area's tail values with `bv` selecting among
+    /// them — a bulk operator, area and bit vector in, column out.
+    pub fn reconstruct_block<'a>(
+        &'a mut self,
         base: &Table,
         tail_attr: usize,
         head_pred: &RangePred,
-        bv: &BitVec,
-        mut consume: F,
-    ) {
+        bv: &'a BitVec,
+    ) -> Block<'a> {
         let range = self.sideways_select(base, tail_attr, head_pred);
-        let tails = self.view_tail(tail_attr, range);
-        assert_eq!(
-            tails.len(),
-            bv.len(),
-            "aligned maps must agree on the area size"
-        );
-        for i in bv.iter_ones() {
-            consume(tails[i]);
-        }
+        self.view_block(tail_attr, range, Some(bv))
     }
 
     // ----- disjunctive variants (§3.3) ---------------------------------
@@ -668,27 +684,19 @@ impl MapSet {
         bv.set_where_unset(|i| tail_pred.matches(tails[i]));
     }
 
-    /// Disjunctive reconstruction: stream tail values at all set bits
-    /// (whole-map indexing).
-    pub fn disj_reconstruct_with<F: FnMut(Val)>(
-        &mut self,
+    /// Disjunctive reconstruction: align the map of `tail_attr` and
+    /// return the whole map's tail values with `bv` (whole-map indexing)
+    /// selecting among them.
+    pub fn disj_reconstruct_block<'a>(
+        &'a mut self,
         base: &Table,
         tail_attr: usize,
         head_pred: &RangePred,
-        bv: &BitVec,
-        mut consume: F,
-    ) {
+        bv: &'a BitVec,
+    ) -> Block<'a> {
         self.sideways_select(base, tail_attr, head_pred);
-        let m = &self.maps[&tail_attr];
-        assert_eq!(
-            m.arr.len(),
-            bv.len(),
-            "aligned maps must agree on total size"
-        );
-        let tails = m.arr.tail();
-        for i in bv.iter_ones() {
-            consume(tails[i]);
-        }
+        let n = self.maps[&tail_attr].arr.len();
+        self.view_block(tail_attr, (0, n), Some(bv))
     }
 
     // ----- self-organizing histogram (§3.3) ----------------------------
@@ -805,7 +813,8 @@ mod tests {
         let head_pred = RangePred::open(1, 8);
         let (_, mut bv) = s.select_create_bv(&base, 1, &head_pred, &RangePred::open(20, 70));
         let mut out = Vec::new();
-        s.reconstruct_with(&base, 2, &head_pred, &bv.clone(), |v| out.push(v));
+        s.reconstruct_block(&base, 2, &head_pred, &bv)
+            .append_to(&mut out);
         // Qualifying tuples: A in {2..7}\{1,8} with B in (20,70):
         // A=7(B=71 no), A=4(41 yes), A=2(21 yes), A=3(31 yes), A=6(61 yes).
         assert_eq!(sorted(out), vec![22, 32, 42, 62]);
@@ -813,7 +822,8 @@ mod tests {
         // Refine further with a predicate on C.
         s.select_refine_bv(&base, 2, &head_pred, &RangePred::open(30, 50), &mut bv);
         let mut out2 = Vec::new();
-        s.reconstruct_with(&base, 2, &head_pred, &bv, |v| out2.push(v));
+        s.reconstruct_block(&base, 2, &head_pred, &bv)
+            .append_to(&mut out2);
         assert_eq!(sorted(out2), vec![32, 42]);
     }
 
@@ -832,7 +842,8 @@ mod tests {
             &mut bv,
         );
         let mut out = Vec::new();
-        s.disj_reconstruct_with(&base, 2, &head_pred, &bv, |v| out.push(v));
+        s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
+            .append_to(&mut out);
         // A=1 qualifies (A<2); B=71 (A=7), B=81 (A=8) qualify via B>70.
         assert_eq!(sorted(out), vec![12, 72, 82]);
     }
@@ -855,7 +866,8 @@ mod tests {
         let (_, mut bv) = s.disj_create_bv(&base, 1, &head_pred);
         s.disj_refine_bv(&base, 1, &head_pred, &b_pred, &mut bv);
         let mut out = Vec::new();
-        s.disj_reconstruct_with(&base, 2, &head_pred, &bv, |v| out.push(v));
+        s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
+            .append_to(&mut out);
         assert!(out.contains(&42), "insert matching only the B pred seen");
         assert_eq!(s.staged(), 0, "disjunctions merge every staged update");
 
@@ -865,7 +877,8 @@ mod tests {
         let (_, mut bv) = s.disj_create_bv(&base, 1, &head_pred);
         s.disj_refine_bv(&base, 1, &head_pred, &b_pred, &mut bv);
         let mut out = Vec::new();
-        s.disj_reconstruct_with(&base, 2, &head_pred, &bv, |v| out.push(v));
+        s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
+            .append_to(&mut out);
         assert!(!out.contains(&42), "deleted tuple no longer contributes");
     }
 

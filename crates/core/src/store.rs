@@ -6,6 +6,8 @@ use crate::bitvec::BitVec;
 use crate::partial::PartialSet;
 use crate::set::{uniform_estimate, MapSet};
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::block::Block;
+use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::CrackPolicy;
 use std::collections::{HashMap, HashSet};
@@ -287,41 +289,30 @@ impl SidewaysStore {
         self.ensure_set(base, head_attr, excluded)
     }
 
-    /// Single-selection, multi-projection query: stream each projection
-    /// attribute's qualifying values via `consume(attr, value)`.
-    pub fn select_project_with<F: FnMut(usize, Val)>(
+    /// Single-selection, multi-projection query: hand `consume` one
+    /// block per projection attribute — the cracked area's tail values
+    /// (with the head filter as selection where the area is inexact).
+    pub fn select_project_blocks(
         &mut self,
         base: &Table,
         sel_attr: usize,
         pred: &RangePred,
         projs: &[usize],
         excluded: &HashSet<RowId>,
-        mut consume: F,
+        mut consume: impl FnMut(Block<'_>),
     ) {
         self.reserve(base, sel_attr, projs);
         let s = self.ensure_set(base, sel_attr, excluded);
         s.note_query(pred);
         for &p in projs {
+            // `head_bv` is set for an inexact (coarse-granular) area only.
             let (range, head_bv) = s.sideways_select_filtered(base, p, pred);
-            let tails = s.view_tail(p, range);
-            match head_bv {
-                None => {
-                    for &v in tails {
-                        consume(p, v);
-                    }
-                }
-                // Inexact (coarse-granular) area: stream qualifying bits.
-                Some(bv) => {
-                    for i in bv.iter_ones() {
-                        consume(p, tails[i]);
-                    }
-                }
-            }
+            consume(s.view_block(p, range, head_bv.as_ref()));
         }
     }
 
     /// Conjunctive multi-selection (§3.3): returns the handle describing
-    /// the qualifying tuples; follow with [`Self::reconstruct_with`] per
+    /// the qualifying tuples; follow with [`Self::reconstruct_block`] per
     /// projection attribute.
     pub fn conjunctive_bv(
         &mut self,
@@ -401,27 +392,37 @@ impl SidewaysStore {
         }
     }
 
-    /// Stream tail values of `tail_attr` for the qualifying tuples of a
-    /// conjunctive handle (`sideways.reconstruct`).
+    /// `sideways.reconstruct` for a conjunctive handle: align the map of
+    /// `tail_attr` and return the handle's area of it, the handle's bit
+    /// vector selecting the qualifying tuples. Empty for a stale handle
+    /// (the set was dropped since).
+    pub fn reconstruct_block<'a>(
+        &'a mut self,
+        base: &Table,
+        handle: &'a ConjHandle,
+        tail_attr: usize,
+    ) -> Block<'a> {
+        let Some(s) = self.sets.get_mut(&handle.set_attr) else {
+            return Block {
+                attr: tail_attr,
+                vals: &[],
+                sel: None,
+            };
+        };
+        let range = s.sideways_select(base, tail_attr, &handle.head_pred);
+        s.view_block(tail_attr, range, handle.bv.as_ref())
+    }
+
+    /// [`Self::reconstruct_block`] one value at a time.
     pub fn reconstruct_with<F: FnMut(Val)>(
         &mut self,
         base: &Table,
         handle: &ConjHandle,
         tail_attr: usize,
-        mut consume: F,
+        consume: F,
     ) {
-        let Some(s) = self.sets.get_mut(&handle.set_attr) else {
-            return; // stale handle: the set was dropped since
-        };
-        match &handle.bv {
-            Some(bv) => s.reconstruct_with(base, tail_attr, &handle.head_pred, bv, consume),
-            None => {
-                let range = s.sideways_select(base, tail_attr, &handle.head_pred);
-                for &v in s.view_tail(tail_attr, range) {
-                    consume(v);
-                }
-            }
-        }
+        self.reconstruct_block(base, handle, tail_attr)
+            .for_each(consume);
     }
 
     /// Aligned tail slice of one map under the handle's head predicate —
@@ -437,15 +438,15 @@ impl SidewaysStore {
     }
 
     /// Disjunctive multi-selection (§3.3): all predicates on distinct
-    /// attributes combined with OR; streams the projection attributes'
-    /// qualifying values.
-    pub fn disjunctive_project_with<F: FnMut(usize, Val)>(
+    /// attributes combined with OR; hands `consume` one whole-map block
+    /// per projection attribute.
+    pub fn disjunctive_project_blocks(
         &mut self,
         base: &Table,
         preds: &[(usize, RangePred)],
         projs: &[usize],
         excluded: &HashSet<RowId>,
-        mut consume: F,
+        mut consume: impl FnMut(Block<'_>),
     ) {
         let chosen = self.choose_idx(base, preds, true).unwrap_or(0);
         let Some(&(set_attr, head_pred)) = preds.get(chosen) else {
@@ -473,7 +474,7 @@ impl SidewaysStore {
             s.disj_refine_bv(base, *attr, &head_pred, pred, &mut bv);
         }
         for &p in projs {
-            s.disj_reconstruct_with(base, p, &head_pred, &bv, |v| consume(p, v));
+            consume(s.disj_reconstruct_block(base, p, &head_pred, &bv));
         }
     }
 }
@@ -689,14 +690,15 @@ impl PartialStore {
     }
 
     /// Conjunctive query with histogram-based set choice (uniform
-    /// fallback), executed chunk-wise on the chosen partial set.
-    pub fn conjunctive_project_with<F: FnMut(usize, Val)>(
+    /// fallback), executed chunk-wise on the chosen partial set: one
+    /// block per projection attribute per chunk area.
+    pub fn conjunctive_project_blocks(
         &mut self,
         base: &Table,
         preds: &[(usize, RangePred)],
         projs: &[usize],
-        consume: F,
-    ) -> Result<(), crackdb_columnstore::storage::StorageError> {
+        consume: impl FnMut(Block<'_>),
+    ) -> Result<(), StorageError> {
         let n = base.num_rows();
         let Some(&(chosen, head_pred)) = preds.iter().min_by(|a, b| {
             let sa = uniform_estimate(&a.1, n, self.domain(a.0));
@@ -711,19 +713,31 @@ impl PartialStore {
             .cloned()
             .collect();
         self.set_mut(base, chosen)
-            .conjunctive_project_with(base, &head_pred, &tails, projs, consume)
+            .conjunctive_project_blocks(base, &head_pred, &tails, projs, consume)
+    }
+
+    /// [`Self::conjunctive_project_blocks`] one value at a time, as
+    /// `consume(attr, value)`.
+    pub fn conjunctive_project_with<F: FnMut(usize, Val)>(
+        &mut self,
+        base: &Table,
+        preds: &[(usize, RangePred)],
+        projs: &[usize],
+        mut consume: F,
+    ) -> Result<(), StorageError> {
+        self.conjunctive_project_blocks(base, preds, projs, |b| b.for_each(|v| consume(b.attr, v)))
     }
 
     /// Disjunctive query executed chunk-wise on the *least* selective
     /// predicate's set (so its own cracked areas stay large and the scan
     /// outside them small — the §3.3 disjunctive set choice).
-    pub fn disjunctive_project_with<F: FnMut(usize, Val)>(
+    pub fn disjunctive_project_blocks(
         &mut self,
         base: &Table,
         preds: &[(usize, RangePred)],
         projs: &[usize],
-        consume: F,
-    ) -> Result<(), crackdb_columnstore::storage::StorageError> {
+        consume: impl FnMut(Block<'_>),
+    ) -> Result<(), StorageError> {
         let n = base.num_rows();
         let Some(&(chosen, _)) = preds.iter().max_by(|a, b| {
             let sa = uniform_estimate(&a.1, n, self.domain(a.0));
@@ -733,7 +747,7 @@ impl PartialStore {
             return Ok(()); // empty predicate list: nothing qualifies
         };
         self.set_mut(base, chosen)
-            .disjunctive_project_with(base, preds, projs, consume)
+            .disjunctive_project_blocks(base, preds, projs, consume)
     }
 }
 
@@ -794,7 +808,7 @@ mod tests {
         ];
         // b = 99-row in (94,100) => row in 0..=4 — same rows; union = 5 rows.
         let mut out = Vec::new();
-        store.disjunctive_project_with(&base, &preds, &[2], &none, |_, v| out.push(v));
+        store.disjunctive_project_blocks(&base, &preds, &[2], &none, |b| b.append_to(&mut out));
         out.sort_unstable();
         assert_eq!(out, vec![0, 2, 4, 6, 8]);
     }
@@ -806,12 +820,12 @@ mod tests {
         let base = table();
         let none = HashSet::new();
         let pred = RangePred::open(10, 30);
-        store.select_project_with(&base, 0, &pred, &[1], &none, |_, _| {});
-        store.select_project_with(&base, 0, &pred, &[1], &none, |_, _| {});
-        store.select_project_with(&base, 0, &pred, &[2], &none, |_, _| {});
+        store.select_project_blocks(&base, 0, &pred, &[1], &none, |_| {});
+        store.select_project_blocks(&base, 0, &pred, &[1], &none, |_| {});
+        store.select_project_blocks(&base, 0, &pred, &[2], &none, |_| {});
         assert!(store.tuples() <= 250);
         // A third projection attribute forces an eviction.
-        store.select_project_with(&base, 1, &pred, &[2], &none, |_, _| {});
+        store.select_project_blocks(&base, 1, &pred, &[2], &none, |_| {});
         assert!(store.tuples() <= 250 + 100);
         assert!(store.maps_dropped >= 1);
     }
@@ -857,7 +871,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         store
-            .disjunctive_project_with(&base, &preds, &[2], |_, v| out.push(v))
+            .disjunctive_project_blocks(&base, &preds, &[2], |b| b.append_to(&mut out))
             .unwrap();
         out.sort_unstable();
         assert_eq!(out, vec![0, 2, 4, 6, 8]);

@@ -7,7 +7,15 @@
 //! boundaries, partial tail words, empty) so the masking arithmetic can
 //! never silently drop or invent bits — in particular in the tail
 //! word's padding region.
+//!
+//! The block kernels that consume a `BitVec`'s words — the masked fold
+//! and the mask compress of `columnstore::ops::block` — are pinned here
+//! too, against the value-at-a-time `PartialAgg::push` and `iter_ones`
+//! loops they replace.
 
+use crackdb_columnstore::ops::block::compress_masked;
+use crackdb_columnstore::ops::parallel::PartialAgg;
+use crackdb_columnstore::types::Val;
 use crackdb_core::bitvec::BitVec;
 
 struct Lcg(u64);
@@ -135,5 +143,88 @@ fn and_or_count_roundtrip_at_word_boundaries() {
             a.count_ones() + b.count_ones(),
             "len {len}"
         );
+    }
+}
+
+/// The masks the block kernels meet: nothing set, everything set, every
+/// density in between, and only the bits of the last (partial) word.
+fn kernel_masks(len: usize, rng: &mut Lcg) -> Vec<BitVec> {
+    let last_word = len.saturating_sub(1) / 64 * 64;
+    vec![
+        BitVec::zeros(len),
+        BitVec::ones(len),
+        BitVec::from_fn(len, |_| rng.chance(50)),
+        BitVec::from_fn(len, |_| rng.chance(3)),
+        BitVec::from_fn(len, |_| rng.chance(97)),
+        BitVec::from_fn(len, |i| i >= last_word),
+    ]
+}
+
+/// Values whose extremes sit at the ends of the domain and whose sum
+/// wraps: a few `Val::MIN` / `Val::MAX` among large magnitudes.
+fn kernel_values(len: usize, rng: &mut Lcg) -> Vec<Val> {
+    (0..len)
+        .map(|_| match rng.below(8) {
+            0 => Val::MIN,
+            1 => Val::MAX,
+            2 => rng.next() as Val - (1 << 52),
+            _ => (rng.next() as Val) << 10,
+        })
+        .collect()
+}
+
+fn pushed(vals: impl Iterator<Item = Val>) -> PartialAgg {
+    let mut agg = PartialAgg::default();
+    vals.for_each(|v| agg.push(v));
+    agg
+}
+
+#[test]
+fn block_folds_match_value_at_a_time_push() {
+    let mut rng = Lcg(7);
+    for len in [0usize, 1, 63, 64, 65, 200, 10_007] {
+        let vals = kernel_values(len, &mut rng);
+        let mut dense = PartialAgg::default();
+        dense.fold_slice(&vals);
+        assert_eq!(dense, pushed(vals.iter().copied()), "fold_slice, len {len}");
+        for bv in kernel_masks(len, &mut rng) {
+            let want = pushed(bv.iter_ones().map(|i| vals[i]));
+            let mut masked = PartialAgg::default();
+            masked.fold_masked(&vals, bv.words());
+            assert_eq!(masked, want, "fold_masked, len {len}");
+            assert_eq!(masked.count as usize, bv.count_ones());
+            // Folding continues a partial exactly as pushing would.
+            let mut both = dense;
+            both.fold_masked(&vals, bv.words());
+            let mut reference = dense;
+            reference.merge(&want);
+            assert_eq!(both, reference, "fold onto a non-empty partial, len {len}");
+        }
+    }
+    // Nothing folded: no minimum, no maximum, nothing counted.
+    let mut empty = PartialAgg::default();
+    empty.fold_slice(&[]);
+    empty.fold_masked(&[5, 6, 7], BitVec::zeros(3).words());
+    assert_eq!(empty, PartialAgg::default());
+    assert_eq!((empty.count, empty.min, empty.max), (0, None, None));
+    // The sum wraps instead of overflowing.
+    let mut wrapped = PartialAgg::default();
+    wrapped.fold_slice(&[Val::MAX, Val::MAX, 2]);
+    assert_eq!(wrapped.sum, Val::MAX.wrapping_add(Val::MAX).wrapping_add(2));
+}
+
+#[test]
+fn mask_compress_matches_iter_ones() {
+    let mut rng = Lcg(8);
+    for len in [0usize, 1, 63, 64, 65, 200, 10_007] {
+        let vals = kernel_values(len, &mut rng);
+        for bv in kernel_masks(len, &mut rng) {
+            let mut got = vec![42];
+            compress_masked(&mut got, &vals, bv.words());
+            let want: Vec<Val> = std::iter::once(42)
+                .chain(bv.iter_ones().map(|i| vals[i]))
+                .collect();
+            assert_eq!(got, want, "len {len}");
+        }
     }
 }

@@ -181,8 +181,10 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             ];
             let projs = [attrs[1]];
             let mut got = Vec::new();
-            set.disjunctive_project_with(&model.table, &preds, &projs, |a, v| got.push((a, v)))
-                .unwrap();
+            set.disjunctive_project_blocks(&model.table, &preds, &projs, |b| {
+                b.for_each(|v| got.push((b.attr, v)))
+            })
+            .unwrap();
             let want = model.scan(&projs, |k| {
                 preds.iter().any(|(a, p)| p.matches(model.get(*a, k)))
             });
@@ -196,8 +198,8 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let sels = [(attrs[0], range(rng, attrs[0], rows))];
             let projs = &attrs[1..];
             let mut got = Vec::new();
-            set.conjunctive_project_with(&model.table, &head, &sels, projs, |a, v| {
-                got.push((a, v))
+            set.conjunctive_project_blocks(&model.table, &head, &sels, projs, |b| {
+                b.for_each(|v| got.push((b.attr, v)))
             })
             .unwrap();
             let want = model.scan(projs, |k| {
@@ -210,8 +212,10 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let projs = distinct_tails(rng, 1);
             let head = range(rng, 0, rows);
             let mut got = Vec::new();
-            set.select_project_with(&model.table, &head, &projs, |a, v| got.push((a, v)))
-                .unwrap();
+            set.select_project_blocks(&model.table, &head, &projs, |b| {
+                b.for_each(|v| got.push((b.attr, v)))
+            })
+            .unwrap();
             let want = model.scan(&projs, |k| head.matches(model.get(0, k)));
             assert_eq!(sorted_by_attr(&projs, got), want, "select {head:?}");
             "select"
@@ -281,8 +285,10 @@ fn failed_spill_drops_the_chunk_and_keeps_the_books() {
 
     let select = |set: &mut PartialSet, model: &Model, head: &RangePred, attr: usize| {
         let mut got = Vec::new();
-        set.select_project_with(&model.table, head, &[attr], |a, v| got.push((a, v)))
-            .map(|()| sorted_by_attr(&[attr], got))
+        set.select_project_blocks(&model.table, head, &[attr], |b| {
+            b.for_each(|v| got.push((b.attr, v)))
+        })
+        .map(|()| sorted_by_attr(&[attr], got))
     };
     let window = |i: Val| RangePred::open((i * 7) % DOMAIN, (i * 7) % DOMAIN + 9);
 

@@ -92,7 +92,7 @@ fn conjunctive_plans_correct() {
             let bp = pred(rng.gen_range(0i64..40), rng.gen_range(0i64..20));
             let (_, bv) = set.select_create_bv(&t, 1, &ap, &bp);
             let mut got = Vec::new();
-            set.reconstruct_with(&t, 2, &ap, &bv, |v| got.push(v));
+            set.reconstruct_block(&t, 2, &ap, &bv).append_to(&mut got);
             got.sort_unstable();
             let mut expected: Vec<Val> = (0..n)
                 .filter(|&i| ap.matches(a[i]) && bp.matches(b[i]))
@@ -131,7 +131,7 @@ fn partial_maps_budget_correct() {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got = Vec::new();
-            set.select_project_with(&t, &p, &[attr], |_, v| got.push(v))
+            set.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got))
                 .unwrap();
             got.sort_unstable();
             let mut expected: Vec<Val> = (0..n)
@@ -188,10 +188,10 @@ fn spilled_partial_sets_match_never_evicted() {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got_cold = Vec::new();
-            cold.select_project_with(&t, &p, &[attr], |_, v| got_cold.push(v))
+            cold.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_cold))
                 .unwrap();
             let mut got_hot = Vec::new();
-            hot.select_project_with(&t, &p, &[attr], |_, v| got_hot.push(v))
+            hot.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_hot))
                 .unwrap();
             got_cold.sort_unstable();
             got_hot.sort_unstable();

@@ -10,11 +10,13 @@
 //!   region stay small);
 //! * conjunctive / disjunctive combining, delegated per step to the
 //!   path but built from the shared [`combine`] strategies;
-//! * aggregate accumulation and projection materialization;
+//! * block-at-a-time reconstruction: one [`PartialAgg`] per distinct
+//!   aggregated attribute, folded a [`Block`] at a time, and projection
+//!   columns appended a block at a time;
 //! * [`Timings`] phase instrumentation;
-//! * the data-parallel fast path for aggregate-only attributes (via
-//!   [`AccessPath::partial_agg`] and the `columnstore` parallel
-//!   kernels).
+//! * the data-parallel fast path for aggregate-only attributes of
+//!   key-list engines (via [`AccessPath::partial_agg`] and the
+//!   `columnstore` parallel kernels).
 //!
 //! The [`batch::BatchRunner`] session layer sits on top, running query
 //! batches with the read-only kernels fanned out over worker threads,
@@ -34,7 +36,9 @@ pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
 pub use snapshot::{EngineSnapshot, SnapPlan};
 
-use crate::query::{AggAcc, JoinSide, QueryError, QueryOutput, SelectQuery};
+use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryError, QueryOutput, SelectQuery};
+use crackdb_columnstore::ops::block::Block;
+use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::{CrackKernel, CrackPolicy};
 use std::path::PathBuf;
@@ -319,14 +323,11 @@ pub fn try_run_select<P: AccessPath + ?Sized>(
 
     // Attributes the reconstruction phase needs, deduplicated, aggregates
     // first (matching the plan shape of §3.2: one sideways operator per
-    // map in the selection phase, reconstruction after).
-    let mut fetch_attrs: Vec<usize> = Vec::new();
-    for a in q
-        .aggs
-        .iter()
-        .map(|&(a, _)| a)
-        .chain(q.projs.iter().copied())
-    {
+    // map in the selection phase, reconstruction after). The first
+    // `nagg` are the aggregated ones, each with one partial.
+    let mut fetch_attrs = agg_attrs(&q.aggs);
+    let nagg = fetch_attrs.len();
+    for &a in &q.projs {
         if !fetch_attrs.contains(&a) {
             fetch_attrs.push(a);
         }
@@ -359,78 +360,58 @@ pub fn try_run_select<P: AccessPath + ?Sized>(
 
     // --- Reconstruction phase --------------------------------------------
     let t1 = Instant::now();
-    let mut accs: Vec<AggAcc> = q.aggs.iter().map(|&(_, f)| AggAcc::new(f)).collect();
-    let mut proj_vals: Vec<Vec<Val>> = q.projs.iter().map(|_| Vec::new()).collect();
-    // Count per fetch attribute (row-count source for deferred plans).
-    let mut first_attr_count = 0usize;
-
-    // Aggregate-only attributes first try the path's partial-aggregate
-    // fast path (parallel kernels); everything else streams.
-    let mut stream_attrs: Vec<usize> = Vec::new();
-    let mut partial_filled = vec![false; q.aggs.len()];
-    let deferred = matches!(rows, RowSet::Deferred { .. } | RowSet::DeferredUnion { .. });
-    if !deferred {
-        for &attr in &fetch_attrs {
-            let agg_idxs: Vec<usize> = (0..q.aggs.len()).filter(|&i| q.aggs[i].0 == attr).collect();
-            let projected = q.projs.contains(&attr);
-            if !projected && !agg_idxs.is_empty() {
-                if let Some(p) = path.partial_agg(&rows, attr) {
-                    for i in agg_idxs {
-                        accs[i].absorb(&p);
-                        partial_filled[i] = true;
-                    }
-                    continue;
-                }
-            }
-            stream_attrs.push(attr);
-        }
-    } else {
-        stream_attrs = fetch_attrs.clone();
-        if stream_attrs.is_empty() {
-            // Nothing to reconstruct, but the result cardinality (and the
-            // adaptive reorganization) still require the fused pass: count
-            // via the head attribute itself.
-            match &rows {
-                RowSet::Deferred { head, .. } => stream_attrs.push(head.0),
-                RowSet::DeferredUnion { preds } => {
-                    stream_attrs.push(preds.first().map_or(0, |p| p.0))
-                }
-                _ => {}
-            }
-        }
-    }
-
-    if !stream_attrs.is_empty() {
-        let first_attr = stream_attrs[0];
-        path.fetch(&rows, &stream_attrs, &mut |attr, v| {
-            if attr == first_attr {
-                first_attr_count += 1;
-            }
-            for (i, &(a, _)) in q.aggs.iter().enumerate() {
-                if a == attr && !partial_filled[i] {
-                    accs[i].push(v);
-                }
-            }
-            for (i, &p) in q.projs.iter().enumerate() {
-                if p == attr {
-                    proj_vals[i].push(v);
-                }
-            }
-        })?;
-    }
-
-    out.aggs = accs.iter().map(|a| a.finish()).collect();
-    out.proj_values = proj_vals;
-    out.rows = match rows.len() {
-        Some(n) => n,
-        // Chunk-wise plans learn the result size while streaming; every
-        // fetched attribute yields exactly one value per qualifying tuple.
-        None => first_attr_count,
+    let deferred_head = match &rows {
+        RowSet::Deferred { head, .. } => Some(head.0),
+        RowSet::DeferredUnion { preds } => Some(preds.first().map_or(0, |p| p.0)),
+        RowSet::Keys { .. } | RowSet::Area { .. } => None,
     };
+    let mut answer = Answer {
+        agg_attrs: &fetch_attrs[..nagg],
+        projs: &q.projs,
+        partials: vec![PartialAgg::default(); nagg],
+        proj_values: q.projs.iter().map(|_| Vec::new()).collect(),
+        // Chunk-wise plans learn the result size while reconstructing:
+        // every attribute yields one value per qualifying tuple, so the
+        // first one's are counted.
+        counted: deferred_head.map(|head| fetch_attrs.first().copied().unwrap_or(head)),
+        counted_rows: 0,
+    };
+    match deferred_head {
+        // Chunk-wise plans run selection and reconstruction fused, in one
+        // pass over all attributes. With nothing to reconstruct, the
+        // result cardinality (and the adaptive reorganization) still
+        // require the pass: count via the head attribute itself.
+        Some(head) => {
+            let attrs = match fetch_attrs.as_slice() {
+                [] => std::slice::from_ref(&head),
+                attrs => attrs,
+            };
+            path.fetch(&rows, attrs, &mut |b| answer.absorb(b))?;
+        }
+        // A materialized row set is reconstructed attribute by
+        // attribute; aggregate-only attributes first try the path's
+        // partial-aggregate fast path (parallel gather kernels).
+        None => {
+            for (slot, attr) in fetch_attrs.iter().enumerate() {
+                if slot < nagg && !q.projs.contains(attr) {
+                    if let Some(p) = path.partial_agg(&rows, *attr) {
+                        answer.partials[slot] = p;
+                        continue;
+                    }
+                }
+                path.fetch(&rows, std::slice::from_ref(attr), &mut |b| answer.absorb(b))?;
+            }
+        }
+    }
+
+    out.aggs = finish_aggs(&q.aggs, answer.agg_attrs, &answer.partials);
+    out.rows = rows.len().unwrap_or(answer.counted_rows);
+    out.partials = answer.partials;
+    out.proj_values = answer.proj_values;
     // Partial maps interleave selection, alignment, fetching and
     // reconstruction chunk-wise; the paper reports a single per-query
     // cost for them (under selection).
-    if deferred {
+    if deferred_head.is_some() {
         out.timings.select += t1.elapsed();
     } else {
         out.timings.reconstruct = t1.elapsed();
@@ -438,24 +419,54 @@ pub fn try_run_select<P: AccessPath + ?Sized>(
     Ok(out)
 }
 
-/// Aggregate one join side over the matched `(left_key, right_key)`
-/// pairs: the post-join reconstruction loop shared by every engine's
-/// join plan. `value_of(attr, key)` resolves a side-local tuple identity
-/// to its attribute value.
-pub fn agg_matched(
+/// What the reconstruction phase accumulates a block at a time: one
+/// partial per distinct aggregated attribute (however many functions the
+/// query asks of it) and one value column per projection.
+struct Answer<'q> {
+    agg_attrs: &'q [usize],
+    projs: &'q [usize],
+    partials: Vec<PartialAgg>,
+    proj_values: Vec<Vec<Val>>,
+    /// The attribute whose qualifying values are counted, if any.
+    counted: Option<usize>,
+    counted_rows: usize,
+}
+
+impl Answer<'_> {
+    fn absorb(&mut self, b: Block<'_>) {
+        if self.counted == Some(b.attr) {
+            self.counted_rows += b.count();
+        }
+        if let Some(slot) = self.agg_attrs.iter().position(|&a| a == b.attr) {
+            b.fold_into(&mut self.partials[slot]);
+        }
+        for (vals, &p) in self.proj_values.iter_mut().zip(self.projs) {
+            if p == b.attr {
+                b.append_to(vals);
+            }
+        }
+    }
+}
+
+/// Post-join reconstruction of one join side over the matched
+/// `(left_key, right_key)` pairs, shared by the engines' join plans: one
+/// [`PartialAgg`] per distinct aggregated attribute of the side, in
+/// [`agg_attrs`] order. `value_of(attr, key)` resolves a side-local tuple
+/// identity to its attribute value.
+pub fn fold_matched(
     matched: &[(RowId, RowId)],
     side: &JoinSide,
     left: bool,
     value_of: impl Fn(usize, RowId) -> Val,
-) -> Vec<Option<Val>> {
-    side.aggs
-        .iter()
-        .map(|&(attr, func)| {
-            let mut acc = AggAcc::new(func);
+) -> Vec<PartialAgg> {
+    agg_attrs(&side.aggs)
+        .into_iter()
+        .map(|attr| {
+            let mut agg = PartialAgg::default();
             for &(lk, rk) in matched {
-                acc.push(value_of(attr, if left { lk } else { rk }));
+                agg.push(value_of(attr, if left { lk } else { rk }));
             }
-            acc.finish()
+            agg
         })
         .collect()
 }
@@ -464,7 +475,7 @@ pub fn agg_matched(
 mod tests {
     use super::*;
     use crackdb_columnstore::column::{Column, Table};
-    use crackdb_columnstore::ops::parallel::PartialAgg;
+    use crackdb_columnstore::ops::block::gather_blocks;
     use crackdb_columnstore::types::AggFunc;
 
     /// A minimal scan-based access path over one table, used to test the
@@ -510,16 +521,13 @@ mod tests {
             &mut self,
             rows: &RowSet,
             attrs: &[usize],
-            consume: &mut dyn FnMut(usize, Val),
+            consume: &mut dyn FnMut(Block<'_>),
         ) -> Result<(), QueryError> {
             let RowSet::Keys { keys, .. } = rows else {
                 unreachable!()
             };
             for &attr in attrs {
-                let col = self.table.column(attr);
-                for &k in keys {
-                    consume(attr, col.get(k));
-                }
+                gather_blocks(attr, self.table.column(attr), keys, &mut *consume);
             }
             Ok(())
         }
@@ -684,7 +692,7 @@ mod tests {
             &mut self,
             rows: &RowSet,
             attrs: &[usize],
-            consume: &mut dyn FnMut(usize, Val),
+            consume: &mut dyn FnMut(Block<'_>),
         ) -> Result<(), QueryError> {
             self.inner.fetch(rows, attrs, consume)
         }

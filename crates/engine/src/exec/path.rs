@@ -2,13 +2,14 @@
 //! implements, reducing each engine to what actually differs between the
 //! paper's systems — how the qualifying row set / contiguous area for a
 //! single `(attr, RangePred)` restriction is produced and how values are
-//! read back for it. Everything else (predicate ordering, conjunctive /
+//! read back for it, a [`Block`] at a time. Everything else (predicate ordering, conjunctive /
 //! disjunctive combining, aggregation, projection materialization, phase
 //! timing) lives once in [`super::run_select`].
 
 use crate::query::QueryError;
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::ops::parallel::PartialAgg;
-use crackdb_columnstore::types::{RangePred, Val};
+use crackdb_columnstore::types::RangePred;
 use crackdb_core::BitVec;
 
 /// The qualifying-set representation an access path produces.
@@ -130,22 +131,27 @@ pub trait AccessPath {
     /// Row set for a query with no predicates at all.
     fn unrestricted(&mut self, ctx: &RestrictCtx) -> RowSet;
 
-    /// Stream the values of each attribute in `attrs` for the qualifying
-    /// rows, as `consume(attr, value)`. Values of one attribute arrive in
-    /// row-set order; chunk-wise engines may interleave attributes.
-    /// Engines with a storage tier surface disk failures as
-    /// [`QueryError::Storage`]; in-RAM engines are infallible.
+    /// Reconstruct each attribute in `attrs` for the qualifying rows, a
+    /// [`Block`] at a time: one block per aligned area (sorted copy,
+    /// cracker map), one per chunk area for chunk-wise plans, gathered
+    /// runs for key lists. The qualifying values of one attribute arrive
+    /// in row-set order over its blocks; chunk-wise engines interleave
+    /// the attributes area by area. Engines with a storage tier surface
+    /// disk failures as [`QueryError::Storage`]; in-RAM engines are
+    /// infallible.
     fn fetch(
         &mut self,
         rows: &RowSet,
         attrs: &[usize],
-        consume: &mut dyn FnMut(usize, Val),
+        consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError>;
 
-    /// Complete partial aggregate for one attribute over the row set,
-    /// when the engine can hand the work to the data-parallel kernels
-    /// (`columnstore::ops::parallel`). `None` falls back to streaming
-    /// [`Self::fetch`].
+    /// Complete partial aggregate for one attribute over a *key list*,
+    /// for engines whose reconstruction is a positional gather: the
+    /// gather itself is then split over the data-parallel kernels
+    /// (`columnstore::ops::parallel`). `None` — the default, and right
+    /// for every engine whose blocks are contiguous areas — folds the
+    /// blocks of [`Self::fetch`].
     fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
         let _ = (rows, attr);
         None

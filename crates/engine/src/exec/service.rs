@@ -22,7 +22,7 @@
 //!   sequences the request in the router, enqueues it on the relevant
 //!   worker queues over mpsc channels, then blocks on a private reply
 //!   channel and merges the per-shard partial results — with exactly
-//!   the [`ShardedEngine`] merge semantics (statistics-block
+//!   the [`ShardedEngine`] merge semantics (per-attribute partial
 //!   aggregates, shard-order projection concatenation, summed rows,
 //!   max-across-shards timings), so a served answer is bit-identical
 //!   to the in-process router's.
@@ -102,10 +102,7 @@
 //! (`bench::harness::Percentiles`, used by the `service_bench` bin to
 //! emit `BENCH_service.json`).
 
-use super::shard::{
-    distinct_attrs, locate_key, merge_join_outputs, merge_select_outputs, shard_join_query,
-    shard_select_query, ShardedEngine,
-};
+use super::shard::{locate_key, merge_join_outputs, merge_select_outputs, ShardedEngine};
 use super::snapshot::EngineSnapshot;
 use crate::query::{Engine, JoinQuery, QueryOutput, SelectQuery};
 use crackdb_columnstore::shard::ShardCuts;
@@ -681,13 +678,14 @@ impl Client {
     pub fn select(&self, q: &SelectQuery) -> Result<Reply, ServiceError> {
         let t0 = Instant::now();
         let slot = self.admit()?;
-        let attrs = distinct_attrs(&q.aggs);
-        let shard_q = Arc::new(shard_select_query(q, &attrs));
-        if let Some(reply) = self.snapshot_select(q, &attrs, &shard_q) {
+        if let Some(reply) = self.snapshot_select(q) {
             drop(slot);
             self.record(t0);
             return Ok(reply);
         }
+        // The shards run the query as asked; the one copy made of it is
+        // the one the workers share.
+        let shard_q = Arc::new(q.clone());
         let (reply_tx, reply_rx) = channel();
         let seq = self.broadcast(|| Work::Select {
             q: shard_q.clone(),
@@ -695,7 +693,7 @@ impl Client {
         })?;
         drop(reply_tx);
         let outs = self.collect(reply_rx)?;
-        let output = merge_select_outputs(q, &attrs, outs);
+        let output = merge_select_outputs(q, outs);
         drop(slot);
         self.record(t0);
         Ok(Reply { seq, output })
@@ -710,9 +708,7 @@ impl Client {
     pub fn join(&self, q: &JoinQuery) -> Result<Reply, ServiceError> {
         let t0 = Instant::now();
         let slot = self.admit()?;
-        let lattrs = distinct_attrs(&q.left.aggs);
-        let rattrs = distinct_attrs(&q.right.aggs);
-        let shard_q = Arc::new(shard_join_query(q, &lattrs, &rattrs));
+        let shard_q = Arc::new(q.clone());
         let (reply_tx, reply_rx) = channel();
         let seq = self.broadcast(|| Work::Join {
             q: shard_q.clone(),
@@ -720,7 +716,7 @@ impl Client {
         })?;
         drop(reply_tx);
         let outs = self.collect(reply_rx)?;
-        let output = merge_join_outputs(q, &lattrs, &rattrs, &outs);
+        let output = merge_join_outputs(q, &outs);
         drop(slot);
         self.record(t0);
         Ok(Reply { seq, output })
@@ -813,12 +809,7 @@ impl Client {
     /// answers never observe. Execution happens after the lock drops;
     /// the cloned `Arc`s keep the snapshot data alive without the
     /// epoch pin.
-    fn snapshot_select(
-        &self,
-        q: &SelectQuery,
-        attrs: &[usize],
-        shard_q: &SelectQuery,
-    ) -> Option<Reply> {
+    fn snapshot_select(&self, q: &SelectQuery) -> Option<Reply> {
         if !self.shared.snapshot_reads || (q.disjunctive && !q.preds.is_empty()) {
             return None;
         }
@@ -835,16 +826,16 @@ impl Client {
                 if view.writes_applied != router.writes_sequenced[s] {
                     return None;
                 }
-                let plan = view.snap.plan(shard_q)?;
+                let plan = view.snap.plan(q)?;
                 plans.push((view.snap.clone(), plan));
             }
             (router.commit(), plans)
         };
         let outs: Vec<QueryOutput> = plans
             .iter()
-            .map(|(snap, plan)| snap.execute(plan, shard_q))
+            .map(|(snap, plan)| snap.execute(plan, q))
             .collect();
-        let output = merge_select_outputs(q, attrs, outs);
+        let output = merge_select_outputs(q, outs);
         self.shared.snapshot_hits.fetch_add(1, Ordering::Relaxed);
         Some(Reply { seq, output })
     }

@@ -14,13 +14,14 @@
 //!
 //! ## Merge semantics
 //!
-//! * **Aggregates** — each shard computes a complete
-//!   [`PartialAgg`]-shaped statistics block (count / wrapping sum / min
-//!   / max) per aggregated attribute; the router folds the blocks with
-//!   [`PartialAgg::merge`] and finishes each requested function through
-//!   [`AggAcc`], the same fold the serial and data-parallel paths use —
-//!   so sharded answers are bit-identical (averages included, computed
-//!   from the merged sum and count, never from per-shard averages).
+//! * **Aggregates** — each shard runs the query as asked and answers
+//!   with the [`PartialAgg`] (count / wrapping sum / min / max) it folded
+//!   per aggregated attribute ([`QueryOutput::partials`]); the router
+//!   folds the shards' partials with [`PartialAgg::merge`] and finishes
+//!   each requested function through [`finish_aggs`], which is also how
+//!   an unsharded engine finishes its own — so sharded answers are
+//!   bit-identical (averages included, computed from the merged sum and
+//!   count, never from per-shard averages).
 //! * **Projections** — per-shard value lists concatenated in shard
 //!   order (projection values are unordered by contract).
 //! * **Row counts** — summed.
@@ -52,11 +53,13 @@
 //! under that policy. Stochastic seeds may be shared across shards —
 //! each shard's pivot choice depends only on its own array state.
 
-use crate::query::{AggAcc, Engine, JoinQuery, JoinSide, QueryOutput, SelectQuery, Timings};
+use crate::query::{
+    agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,
+};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::shard::{partition_table, ShardCuts};
-use crackdb_columnstore::types::{AggFunc, RowId, Val};
+use crackdb_columnstore::types::{RowId, Val};
 use std::sync::Mutex;
 
 /// Router executing one independent inner engine per row-wise shard.
@@ -252,75 +255,20 @@ pub(crate) fn locate_key(
     Some((s, (cuts.len_of(s) + j / nshards) as RowId))
 }
 
-/// The statistics block requested from each shard per aggregated
-/// attribute, in this order. Every function any merge needs is derivable
-/// from the four, so a shard is asked each attribute exactly once no
-/// matter which functions the caller requested.
-pub(crate) const STAT_FUNCS: [AggFunc; 4] =
-    [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max];
-
-/// Distinct attributes of an aggregate list, in first-appearance order.
-pub(crate) fn distinct_attrs(aggs: &[(usize, AggFunc)]) -> Vec<usize> {
-    let mut attrs = Vec::new();
-    for &(a, _) in aggs {
-        if !attrs.contains(&a) {
-            attrs.push(a);
-        }
-    }
-    attrs
-}
-
-/// Expand an aggregate list into the per-shard statistics block: all of
-/// [`STAT_FUNCS`] for each distinct attribute.
-pub(crate) fn stat_block(attrs: &[usize]) -> Vec<(usize, AggFunc)> {
-    attrs
-        .iter()
-        .flat_map(|&a| STAT_FUNCS.iter().map(move |&f| (a, f)))
-        .collect()
-}
-
-/// Rebuild the [`PartialAgg`] a shard's statistics block describes.
-/// `slot` indexes the distinct attribute within the block.
-fn block_partial(aggs: &[Option<Val>], slot: usize) -> PartialAgg {
-    let base = slot * STAT_FUNCS.len();
-    PartialAgg {
-        count: aggs[base].expect("count aggregates are total"),
-        sum: aggs[base + 1].expect("sum aggregates are total"),
-        min: aggs[base + 2],
-        max: aggs[base + 3],
-    }
-}
-
-/// Fold the shards' statistics blocks into one merged [`PartialAgg`] per
-/// distinct attribute.
-pub(crate) fn merge_blocks<'a>(
-    shard_aggs: impl Iterator<Item = &'a [Option<Val>]>,
-    nattrs: usize,
-) -> Vec<PartialAgg> {
-    let mut merged = vec![PartialAgg::default(); nattrs];
-    for aggs in shard_aggs {
-        for (slot, m) in merged.iter_mut().enumerate() {
-            m.merge(&block_partial(aggs, slot));
+/// Fold the shards' answers into one merged [`PartialAgg`] per slot.
+fn merge_partials(outs: &[QueryOutput], slots: usize) -> Vec<PartialAgg> {
+    let mut merged = vec![PartialAgg::default(); slots];
+    for o in outs {
+        assert_eq!(
+            o.partials.len(),
+            slots,
+            "a shard answers one partial per distinct aggregated attribute"
+        );
+        for (m, p) in merged.iter_mut().zip(&o.partials) {
+            m.merge(p);
         }
     }
     merged
-}
-
-/// Finish the originally requested aggregates from the merged partials.
-pub(crate) fn finish_aggs(
-    requested: &[(usize, AggFunc)],
-    attrs: &[usize],
-    merged: &[PartialAgg],
-) -> Vec<Option<Val>> {
-    requested
-        .iter()
-        .map(|&(a, func)| {
-            let slot = attrs.iter().position(|&x| x == a).expect("attr in block");
-            let mut acc = AggAcc::new(func);
-            acc.absorb(&merged[slot]);
-            acc.finish()
-        })
-        .collect()
 }
 
 /// Per-phase maximum across shards: shards run concurrently, so the
@@ -336,33 +284,18 @@ fn merge_timings(outs: &[QueryOutput]) -> Timings {
     t
 }
 
-/// The statistics-block variant of a select query the shards answer:
-/// same predicates and projections (so selection — and therefore
-/// cracking — is exactly the query's own), aggregates expanded to the
-/// mergeable block over `attrs` (= `distinct_attrs(&q.aggs)`).
-pub(crate) fn shard_select_query(q: &SelectQuery, attrs: &[usize]) -> SelectQuery {
-    SelectQuery {
-        preds: q.preds.clone(),
-        disjunctive: q.disjunctive,
-        aggs: stat_block(attrs),
-        projs: q.projs.clone(),
-    }
-}
-
-/// Merge per-shard statistics-block answers (in shard order) into the
-/// final [`QueryOutput`] of the original query: aggregates fold through
-/// [`PartialAgg::merge`], projections concatenate in shard order, rows
-/// sum, timings take the per-phase maximum. The one merge
+/// Merge per-shard answers (in shard order) into the final
+/// [`QueryOutput`]: partials fold through [`PartialAgg::merge`] and
+/// finish the requested aggregates, projections concatenate in shard
+/// order, rows sum, timings take the per-phase maximum. The one merge
 /// implementation behind both the in-process [`ShardedEngine`] and the
 /// query service's `Client` — they must stay bit-identical.
-pub(crate) fn merge_select_outputs(
-    q: &SelectQuery,
-    attrs: &[usize],
-    outs: Vec<QueryOutput>,
-) -> QueryOutput {
-    let merged = merge_blocks(outs.iter().map(|o| o.aggs.as_slice()), attrs.len());
+pub(crate) fn merge_select_outputs(q: &SelectQuery, outs: Vec<QueryOutput>) -> QueryOutput {
+    let attrs = agg_attrs(&q.aggs);
+    let partials = merge_partials(&outs, attrs.len());
     let mut out = QueryOutput {
-        aggs: finish_aggs(&q.aggs, attrs, &merged),
+        aggs: finish_aggs(&q.aggs, &attrs, &partials),
+        partials,
         proj_values: q.projs.iter().map(|_| Vec::new()).collect(),
         rows: outs.iter().map(|o| o.rows).sum(),
         timings: merge_timings(&outs),
@@ -375,40 +308,15 @@ pub(crate) fn merge_select_outputs(
     out
 }
 
-/// The statistics-block variant of a join query (both sides expanded;
-/// `lattrs`/`rattrs` are the sides' distinct aggregate attributes).
-pub(crate) fn shard_join_query(q: &JoinQuery, lattrs: &[usize], rattrs: &[usize]) -> JoinQuery {
-    JoinQuery {
-        left: JoinSide {
-            preds: q.left.preds.clone(),
-            join_attr: q.left.join_attr,
-            aggs: stat_block(lattrs),
-        },
-        right: JoinSide {
-            preds: q.right.preds.clone(),
-            join_attr: q.right.join_attr,
-            aggs: stat_block(rattrs),
-        },
-    }
-}
-
-/// Merge per-shard join answers: a shard's agg list is the left block
-/// followed by the right block; split, merge, and finish each side in
-/// request order. Shared with the query service like
+/// Merge per-shard join answers: a shard's partials are the left side's
+/// followed by the right side's. Shared with the query service like
 /// [`merge_select_outputs`].
-pub(crate) fn merge_join_outputs(
-    q: &JoinQuery,
-    lattrs: &[usize],
-    rattrs: &[usize],
-    outs: &[QueryOutput],
-) -> QueryOutput {
-    let lblock = lattrs.len() * STAT_FUNCS.len();
-    let lmerged = merge_blocks(outs.iter().map(|o| &o.aggs[..lblock]), lattrs.len());
-    let rmerged = merge_blocks(outs.iter().map(|o| &o.aggs[lblock..]), rattrs.len());
-    let mut aggs = finish_aggs(&q.left.aggs, lattrs, &lmerged);
-    aggs.extend(finish_aggs(&q.right.aggs, rattrs, &rmerged));
+pub(crate) fn merge_join_outputs(q: &JoinQuery, outs: &[QueryOutput]) -> QueryOutput {
+    let slots = agg_attrs(&q.left.aggs).len() + agg_attrs(&q.right.aggs).len();
+    let partials = merge_partials(outs, slots);
     QueryOutput {
-        aggs,
+        aggs: finish_join_aggs(q, &partials),
+        partials,
         proj_values: Vec::new(),
         rows: outs.iter().map(|o| o.rows).sum(),
         timings: merge_timings(outs),
@@ -421,18 +329,13 @@ impl<E: Engine + Send> Engine for ShardedEngine<E> {
     }
 
     fn select(&mut self, q: &SelectQuery) -> QueryOutput {
-        let attrs = distinct_attrs(&q.aggs);
-        let shard_q = shard_select_query(q, &attrs);
-        let outs = self.fan_out(|e| e.select(&shard_q));
-        merge_select_outputs(q, &attrs, outs)
+        let outs = self.fan_out(|e| e.select(q));
+        merge_select_outputs(q, outs)
     }
 
     fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let lattrs = distinct_attrs(&q.left.aggs);
-        let rattrs = distinct_attrs(&q.right.aggs);
-        let shard_q = shard_join_query(q, &lattrs, &rattrs);
-        let outs = self.fan_out(|e| e.join(&shard_q));
-        merge_join_outputs(q, &lattrs, &rattrs, &outs)
+        let outs = self.fan_out(|e| e.join(q));
+        merge_join_outputs(q, &outs)
     }
 
     fn insert(&mut self, row: &[Val]) {
@@ -492,7 +395,7 @@ mod tests {
     use super::*;
     use crate::plain::PlainEngine;
     use crackdb_columnstore::column::Column;
-    use crackdb_columnstore::types::RangePred;
+    use crackdb_columnstore::types::{AggFunc, RangePred};
 
     fn table(n: usize) -> Table {
         let mut t = Table::new();

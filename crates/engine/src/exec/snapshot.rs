@@ -12,16 +12,17 @@
 //! Planning ([`EngineSnapshot::plan`]) mirrors the owner path's plan
 //! shape exactly: one predicate restricts through its column's piece
 //! catalog (the head), every other predicate refines by positional
-//! lookup, aggregates fold through [`AggAcc`] — the same accumulator
-//! the serial engines use, so answers merge bit-identically with
-//! worker-path partials. A query plans successfully only when its head
+//! lookup, aggregates fold into one [`PartialAgg`] per distinct
+//! attribute — what the serial engines answer with, so answers merge
+//! bit-identically with worker-path partials. A query plans successfully only when its head
 //! predicate resolves against published (converged, update-free)
 //! pieces; otherwise the caller falls back to the sequenced worker
 //! hop. Execution ([`EngineSnapshot::execute`]) is pure reads over
 //! immutable data — no locks, no `&mut`.
 
-use crate::query::{AggAcc, QueryOutput, SelectQuery};
+use crate::query::{agg_attrs, finish_aggs, QueryOutput, SelectQuery};
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
 use crackdb_cracking::{ColumnSnapshot, SnapSpan};
@@ -127,9 +128,9 @@ impl EngineSnapshot {
         None
     }
 
-    /// Execute a resolved plan for `q` (the statistics-block shard
-    /// query). Pure reads; the output merges with worker partials via
-    /// the shared statistics-block fold.
+    /// Execute a resolved plan for `q`. Pure reads; the output carries
+    /// the same per-attribute partials a worker's answer does and merges
+    /// with them through the shared fold.
     pub fn execute(&self, plan: &SnapPlan, q: &SelectQuery) -> QueryOutput {
         let t0 = Instant::now();
         let snap = self.cols[plan.col]
@@ -143,7 +144,8 @@ impl EngineSnapshot {
             .filter(|&(i, _)| Some(i) != plan.head_pred)
             .map(|(_, (attr, pred))| (*attr, pred))
             .collect();
-        let mut accs: Vec<AggAcc> = q.aggs.iter().map(|&(_, f)| AggAcc::new(f)).collect();
+        let attrs = agg_attrs(&q.aggs);
+        let mut partials = vec![PartialAgg::default(); attrs.len()];
         let mut out = QueryOutput {
             proj_values: q.projs.iter().map(|_| Vec::new()).collect(),
             ..QueryOutput::default()
@@ -160,9 +162,9 @@ impl EngineSnapshot {
             // bit vector.
             if (!edgeish || head_pred.is_none()) && rest.is_empty() {
                 out.rows += n;
-                for (acc, &(attr, _)) in accs.iter_mut().zip(&q.aggs) {
+                for (agg, &attr) in partials.iter_mut().zip(&attrs) {
                     for &k in &piece.tail {
-                        acc.push(self.value_of(attr, k));
+                        agg.push(self.value_of(attr, k));
                     }
                 }
                 for (vals, &attr) in out.proj_values.iter_mut().zip(&q.projs) {
@@ -185,15 +187,16 @@ impl EngineSnapshot {
             out.rows += bv.count_ones();
             for j in bv.iter_ones() {
                 let k = piece.tail[j];
-                for (acc, &(attr, _)) in accs.iter_mut().zip(&q.aggs) {
-                    acc.push(self.value_of(attr, k));
+                for (agg, &attr) in partials.iter_mut().zip(&attrs) {
+                    agg.push(self.value_of(attr, k));
                 }
                 for (vals, &attr) in out.proj_values.iter_mut().zip(&q.projs) {
                     vals.push(self.value_of(attr, k));
                 }
             }
         }
-        out.aggs = accs.iter().map(AggAcc::finish).collect();
+        out.aggs = finish_aggs(&q.aggs, &attrs, &partials);
+        out.partials = partials;
         out.timings.select = t0.elapsed();
         out
     }

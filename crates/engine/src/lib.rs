@@ -32,9 +32,10 @@
 //! engine (its own columns, cracker indexes, cracker maps and chunk
 //! sets). Queries fan out to every shard on scoped threads — so the
 //! *cracking itself* runs in parallel, not just the read-only kernels —
-//! and results merge deterministically: aggregates fold through the
-//! shared [`query::AggAcc`]/`PartialAgg` semantics (averages from merged
-//! sums and counts, never from per-shard averages), projections
+//! and results merge deterministically: each shard answers one
+//! `PartialAgg` per aggregated attribute and [`query::finish_aggs`]
+//! finishes the merged partials (averages from merged sums and counts,
+//! never from per-shard averages), projections
 //! concatenate in shard order, row counts sum, and per-phase
 //! [`query::Timings`] take the max across shards. Round-robin insert and
 //! cut-based delete routing keep the sharded engine answer-identical to
@@ -89,8 +90,6 @@ pub use exec::{AccessPath, BatchRunner, RestrictCtx, RowSet, ShardedEngine};
 pub use partial_engine::PartialEngine;
 pub use plain::PlainEngine;
 pub use presorted::PresortedEngine;
-pub use query::{
-    AggAcc, Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings,
-};
+pub use query::{Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings};
 pub use selcrack::SelCrackEngine;
 pub use sideways::SidewaysEngine;

@@ -6,8 +6,11 @@
 //! chunk-wise selection results.
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{
+    finish_join_aggs, Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings,
+};
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::{cracker_join, PartialStore};
 use crackdb_cracking::crack::BoundKind;
@@ -133,7 +136,7 @@ impl PartialEngine {
 type SideRows = (Vec<Val>, Vec<(usize, Vec<Val>)>);
 
 /// Chunk-wise selection + reconstruction of one join side: the fused
-/// conjunctive pass streams each needed attribute's qualifying values in
+/// conjunctive pass hands on each needed attribute's qualifying values in
 /// a positionally consistent order (same tuples, same order per
 /// attribute), so zipping the columns recovers the side's tuples.
 /// Returns `(join values, (attr, column) pairs)`.
@@ -154,10 +157,10 @@ fn side_rows(
         side.preds.clone()
     };
     let mut cols: Vec<(usize, Vec<Val>)> = attrs.iter().map(|&a| (a, Vec::new())).collect();
-    store.conjunctive_project_with(base, &preds, &attrs, |attr, v| {
+    store.conjunctive_project_blocks(base, &preds, &attrs, |b| {
         for (a, col) in cols.iter_mut() {
-            if *a == attr {
-                col.push(v);
+            if *a == b.attr {
+                b.append_to(col);
             }
         }
     })?;
@@ -234,16 +237,17 @@ impl AccessPath for PartialEngine {
         &mut self,
         rows: &RowSet,
         attrs: &[usize],
-        consume: &mut dyn FnMut(usize, Val),
+        consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError> {
         match rows {
             // The fused chunk-wise pass: one traversal merges pending
             // updates, materializes, aligns and cracks the touched chunks
-            // of every attribute and streams the qualifying values.
+            // of every attribute and hands on one block per attribute per
+            // chunk area.
             RowSet::Deferred { head, residual } => self
                 .store
                 .set_mut(&self.base, head.0)
-                .conjunctive_project_with(&self.base, &head.1, residual, attrs, consume)
+                .conjunctive_project_blocks(&self.base, &head.1, residual, attrs, consume)
                 .map_err(QueryError::from),
             // Union form: all areas of the least selective predicate's
             // set, one OR bit vector per area.
@@ -251,7 +255,7 @@ impl AccessPath for PartialEngine {
                 let head = preds.first().map_or(0, |p| p.0);
                 self.store
                     .set_mut(&self.base, head)
-                    .disjunctive_project_with(&self.base, preds, attrs, consume)
+                    .disjunctive_project_blocks(&self.base, preds, attrs, consume)
                     .map_err(QueryError::from)
             }
             _ => unreachable!("partial plans are deferred"),
@@ -320,11 +324,13 @@ impl Engine for PartialEngine {
                 .expect("agg attribute collected")
                 .1[i as usize]
         };
-        out.aggs = exec::agg_matched(&matched, &q.left, true, |attr, i| col_of(&lcols, attr, i));
-        out.aggs
-            .extend(exec::agg_matched(&matched, &q.right, false, |attr, i| {
+        out.partials =
+            exec::fold_matched(&matched, &q.left, true, |attr, i| col_of(&lcols, attr, i));
+        out.partials
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr, i| {
                 col_of(&rcols, attr, i)
             }));
+        out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t2.elapsed();
         out.timings = timings;
         Ok(out)

@@ -2,8 +2,11 @@
 //! order-preserving results, positional in-order tuple reconstruction.
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{
+    finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
+};
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::block::{gather_blocks, Block};
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
@@ -117,7 +120,7 @@ impl AccessPath for PlainEngine {
         &mut self,
         rows: &RowSet,
         attrs: &[usize],
-        consume: &mut dyn FnMut(usize, Val),
+        consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError> {
         let RowSet::Keys { keys, .. } = rows else {
             unreachable!("plain scans produce key lists")
@@ -125,10 +128,7 @@ impl AccessPath for PlainEngine {
         // In-order positional lookups per projected attribute (cache
         // friendly — the ordered-reconstruction pattern of the baseline).
         for &attr in attrs {
-            let col = self.base.column(attr);
-            for &k in keys {
-                consume(attr, col.get(k));
-            }
+            gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
         }
         Ok(())
     }
@@ -178,13 +178,14 @@ impl Engine for PlainEngine {
         // Post-join reconstruction: inner-side keys are in hash order →
         // random access into full base columns.
         let t3 = Instant::now();
-        out.aggs = exec::agg_matched(&matched, &q.left, true, |attr, k| {
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr, k| {
             self.base.column(attr).get(k)
         });
-        out.aggs
-            .extend(exec::agg_matched(&matched, &q.right, false, |attr, k| {
+        out.partials
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr, k| {
                 second.column(attr).get(k)
             }));
+        out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();
         out.timings = timings;
         out

@@ -3,10 +3,12 @@
 //! slice-read reconstructions — and a heavy, measured preparation step.
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{
+    finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
+};
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::ops::join::hash_join;
-use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::presorted::PresortedTable;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
@@ -181,44 +183,23 @@ impl AccessPath for PresortedEngine {
         &mut self,
         rows: &RowSet,
         attrs: &[usize],
-        consume: &mut dyn FnMut(usize, Val),
+        consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError> {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("presorted selections produce areas")
         };
-        // Reconstruction: aligned slice reads.
+        // Reconstruction: aligned slice reads. A contiguous unfiltered
+        // slice is one dense block, which the executor's fold splits over
+        // the parallel value kernel when it is long enough.
         let copy = self.copy_for(false, head.0);
         for &attr in attrs {
-            let vals = copy.project(attr, *range);
-            match bv {
-                Some(bv) => {
-                    for i in bv.iter_ones() {
-                        consume(attr, vals[i]);
-                    }
-                }
-                None => {
-                    for &v in vals {
-                        consume(attr, v);
-                    }
-                }
-            }
+            consume(Block {
+                attr,
+                vals: copy.project(attr, *range),
+                sel: bv.as_ref().map(BitVec::words),
+            });
         }
         Ok(())
-    }
-
-    fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
-        // Contiguous slices hand straight to the parallel value kernel;
-        // bit-vector-filtered areas stream instead.
-        let RowSet::Area {
-            head,
-            range,
-            bv: None,
-        } = rows
-        else {
-            return None;
-        };
-        let copy = self.copy_for(false, head.0);
-        Some(parallel::par_agg_values(copy.project(attr, *range)))
     }
 }
 
@@ -273,13 +254,14 @@ impl Engine for PresortedEngine {
 
         // Post-join: positions point into the clustered sorted-copy area.
         let t3 = Instant::now();
-        out.aggs = exec::agg_matched(&matched, &q.left, true, |attr, p| {
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr, p| {
             lcopy.column(attr)[p as usize]
         });
-        out.aggs
-            .extend(exec::agg_matched(&matched, &q.right, false, |attr, p| {
+        out.partials
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr, p| {
                 rcopy.column(attr)[p as usize]
             }));
+        out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();
         out.timings = timings;
         out

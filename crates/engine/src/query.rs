@@ -1,6 +1,7 @@
 //! The query shapes of the paper's experiments, and the common executor
 //! interface every physical design implements.
 
+use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use std::fmt;
@@ -126,6 +127,13 @@ pub struct QueryOutput {
     /// One value per requested aggregate (`None` on empty input for
     /// max/min).
     pub aggs: Vec<Option<Val>>,
+    /// What `aggs` was finished from: one mergeable [`PartialAgg`] per
+    /// distinct aggregated attribute, in [`agg_attrs`] order (for a join,
+    /// the left side's followed by the right side's). This is what a
+    /// shard answers with — the router merges the shards' partials and
+    /// finishes the requested functions once, so an engine serving behind
+    /// [`ShardedEngine`](crate::exec::ShardedEngine) must fill it.
+    pub partials: Vec<PartialAgg>,
     /// Materialized projection columns (one `Vec` per requested raw
     /// projection, in request order). Values are unordered.
     pub proj_values: Vec<Vec<Val>>,
@@ -199,60 +207,47 @@ pub trait Engine {
     }
 }
 
-/// Deterministic aggregate accumulator shared by all engines. The
-/// fold/merge semantics live in [`PartialAgg`] (shared with the
-/// data-parallel kernels), so serial and parallel aggregation cannot
-/// diverge.
-#[derive(Debug, Clone, Copy)]
-pub struct AggAcc {
-    func: AggFunc,
-    agg: PartialAgg,
+/// The distinct attributes of an aggregate list, in first-appearance
+/// order: the slot order of [`QueryOutput::partials`]. However many
+/// functions a query asks of one attribute, the attribute is folded once.
+pub fn agg_attrs(aggs: &[(usize, AggFunc)]) -> Vec<usize> {
+    let mut attrs = Vec::new();
+    for &(a, _) in aggs {
+        if !attrs.contains(&a) {
+            attrs.push(a);
+        }
+    }
+    attrs
 }
 
-use crackdb_columnstore::ops::parallel::PartialAgg;
+/// Finish the requested aggregates from the per-attribute partials
+/// (`partials[i]` folds attribute `attrs[i]`). Serial, data-parallel,
+/// sharded and served answers all end here, so they cannot diverge —
+/// averages included, computed from the merged sum and count.
+pub fn finish_aggs(
+    aggs: &[(usize, AggFunc)],
+    attrs: &[usize],
+    partials: &[PartialAgg],
+) -> Vec<Option<Val>> {
+    aggs.iter()
+        .map(|&(a, func)| {
+            let slot = attrs.iter().position(|&x| x == a);
+            slot.map_or(PartialAgg::default(), |s| partials[s])
+                .finish(func)
+        })
+        .collect()
+}
 
-impl AggAcc {
-    /// Fresh accumulator for `func`.
-    pub fn new(func: AggFunc) -> Self {
-        AggAcc {
-            func,
-            agg: PartialAgg::default(),
-        }
-    }
-
-    /// Fold one value.
-    #[inline(always)]
-    pub fn push(&mut self, v: Val) {
-        self.agg.push(v);
-    }
-
-    /// Number of values folded so far.
-    pub fn count(&self) -> usize {
-        self.agg.count as usize
-    }
-
-    /// Merge a chunk-level partial aggregate produced by the parallel
-    /// kernels (`columnstore::ops::parallel`).
-    pub fn absorb(&mut self, p: &PartialAgg) {
-        self.agg.merge(p);
-    }
-
-    /// Final value (`None` for empty max/min; avg truncated to integer).
-    pub fn finish(&self) -> Option<Val> {
-        match self.func {
-            AggFunc::Max => self.agg.max,
-            AggFunc::Min => self.agg.min,
-            AggFunc::Sum => Some(self.agg.sum),
-            AggFunc::Count => Some(self.agg.count),
-            AggFunc::Avg => {
-                if self.agg.count == 0 {
-                    None
-                } else {
-                    Some(self.agg.sum / self.agg.count)
-                }
-            }
-        }
-    }
+/// [`finish_aggs`] for a join: `partials` holds the left side's slots
+/// followed by the right side's; aggregates come out left then right, in
+/// request order.
+pub fn finish_join_aggs(q: &JoinQuery, partials: &[PartialAgg]) -> Vec<Option<Val>> {
+    let lattrs = agg_attrs(&q.left.aggs);
+    let rattrs = agg_attrs(&q.right.aggs);
+    let (left, right) = partials.split_at(lattrs.len());
+    let mut aggs = finish_aggs(&q.left.aggs, &lattrs, left);
+    aggs.extend(finish_aggs(&q.right.aggs, &rattrs, right));
+    aggs
 }
 
 #[cfg(test)]
@@ -260,17 +255,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn agg_acc_matches_spec() {
-        let mut m = AggAcc::new(AggFunc::Max);
-        let mut c = AggAcc::new(AggFunc::Count);
-        for v in [3, 9, 1] {
-            m.push(v);
-            c.push(v);
-        }
-        assert_eq!(m.finish(), Some(9));
-        assert_eq!(c.finish(), Some(3));
-        assert_eq!(AggAcc::new(AggFunc::Max).finish(), None);
-        assert_eq!(AggAcc::new(AggFunc::Count).finish(), Some(0));
+    fn aggregates_finish_from_one_partial_per_attribute() {
+        let aggs = [
+            (4, AggFunc::Max),
+            (2, AggFunc::Count),
+            (4, AggFunc::Avg),
+            (2, AggFunc::Min),
+        ];
+        let attrs = agg_attrs(&aggs);
+        assert_eq!(attrs, vec![4, 2]);
+        let mut four = PartialAgg::default();
+        four.fold_slice(&[3, 9, 1]);
+        let none = PartialAgg::default();
+        assert_eq!(
+            finish_aggs(&aggs, &attrs, &[four, none]),
+            vec![Some(9), Some(0), Some(4), None]
+        );
+        let side = |aggs: &[(usize, AggFunc)]| JoinSide {
+            preds: Vec::new(),
+            join_attr: 0,
+            aggs: aggs.to_vec(),
+        };
+        let q = JoinQuery {
+            left: side(&aggs[..1]),
+            right: side(&aggs[1..2]),
+        };
+        assert_eq!(finish_join_aggs(&q, &[four, none]), vec![Some(9), Some(0)]);
     }
 
     #[test]

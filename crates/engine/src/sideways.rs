@@ -1,9 +1,13 @@
 //! The paper's system: sideways cracking with full maps.
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings};
+use crate::query::{
+    agg_attrs, finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
+};
 use crackdb_columnstore::column::Table;
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::ops::join::hash_join;
+use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::SidewaysStore;
 use crackdb_cracking::CrackPolicy;
@@ -213,7 +217,7 @@ impl AccessPath for SidewaysEngine {
         &mut self,
         rows: &RowSet,
         attrs: &[usize],
-        consume: &mut dyn FnMut(usize, Val),
+        consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError> {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("sideways reconstruction operates on areas")
@@ -223,23 +227,10 @@ impl AccessPath for SidewaysEngine {
             .set_mut_ensured(&self.base, head.0, &self.tombstones);
         for &attr in attrs {
             // Align (and crack, first time) this attribute's map, then
-            // read the area — conjunctions use the head predicate's
+            // hand on the area — conjunctions use the head predicate's
             // cracked area, disjunctions the whole map.
             s.sideways_select(&self.base, attr, &head.1);
-            let tails = s.view_tail(attr, *range);
-            match bv {
-                Some(bv) => {
-                    assert_eq!(tails.len(), bv.len(), "aligned maps agree on the area");
-                    for i in bv.iter_ones() {
-                        consume(attr, tails[i]);
-                    }
-                }
-                None => {
-                    for &v in tails {
-                        consume(attr, v);
-                    }
-                }
-            }
+            consume(s.view_block(attr, *range, bv.as_ref()));
         }
         Ok(())
     }
@@ -323,22 +314,23 @@ impl Engine for SidewaysEngine {
         // Post-join reconstruction: random access *within the small
         // cracked areas* of the aligned maps — the sideways advantage.
         let t3 = Instant::now();
-        for &(attr, func) in &q.left.aggs {
+        for attr in agg_attrs(&q.left.aggs) {
             let tails = self.store.tail_slice(&self.base, &lh, attr);
-            let mut acc = crate::query::AggAcc::new(func);
+            let mut agg = PartialAgg::default();
             for &(lp, _) in &matched {
-                acc.push(tails[lp as usize]);
+                agg.push(tails[lp as usize]);
             }
-            out.aggs.push(acc.finish());
+            out.partials.push(agg);
         }
-        for &(attr, func) in &q.right.aggs {
+        for attr in agg_attrs(&q.right.aggs) {
             let tails = self.second_store.tail_slice(second, &rh, attr);
-            let mut acc = crate::query::AggAcc::new(func);
+            let mut agg = PartialAgg::default();
             for &(_, rp) in &matched {
-                acc.push(tails[rp as usize]);
+                agg.push(tails[rp as usize]);
             }
-            out.aggs.push(acc.finish());
+            out.partials.push(agg);
         }
+        out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();
         out.timings = timings;
         out

@@ -327,7 +327,9 @@ impl TpchExecutor {
             .iter()
             .map(|&a| {
                 let mut vals = Vec::new();
-                store.reconstruct_with(table, &handle, a, |v| vals.push(v));
+                store
+                    .reconstruct_block(table, &handle, a)
+                    .append_to(&mut vals);
                 vals
             })
             .collect()
@@ -355,14 +357,14 @@ impl TpchExecutor {
             .expect("stores built for partial mode");
         let mut preds = vec![sel];
         preds.extend_from_slice(residual);
-        // The fused chunk-wise pass streams each projection attribute's
+        // The fused chunk-wise pass hands on each projection attribute's
         // qualifying values in a positionally consistent order.
         let mut cols: Vec<Vec<Val>> = projs.iter().map(|_| Vec::new()).collect();
         store
-            .conjunctive_project_with(table, &preds, projs, |attr, v| {
-                for (i, &p) in projs.iter().enumerate() {
-                    if p == attr {
-                        cols[i].push(v);
+            .conjunctive_project_blocks(table, &preds, projs, |b| {
+                for (col, &p) in cols.iter_mut().zip(projs) {
+                    if p == b.attr {
+                        b.append_to(col);
                     }
                 }
             })

@@ -436,3 +436,198 @@ fn partial_with_budget_agrees() {
         assert_eq!(p.aggs, expected.aggs, "query {i}: aggs");
     }
 }
+
+/// The query shapes block-at-a-time reconstruction must get right: all
+/// five functions of one attribute (one fold), an attribute aggregated
+/// twice and both aggregated and projected (twice), aggregates on the
+/// head attribute, empty results (no area at all, and an area whose bit
+/// vector is all zero), a disjunction, and no predicates.
+fn contract_queries(rng: &mut Lcg) -> Vec<SelectQuery> {
+    use AggFunc::{Avg, Count, Max, Min, Sum};
+    let all = |a: usize| vec![(a, Count), (a, Sum), (a, Min), (a, Max), (a, Avg)];
+    let lo = rng.next(600);
+    let head = RangePred::open(lo, lo + 100 + rng.next(300));
+    let rlo = rng.next(500);
+    let residual = RangePred::open(rlo, rlo + 500);
+    let select = |preds: Vec<(usize, RangePred)>, disjunctive, aggs, projs| SelectQuery {
+        preds,
+        disjunctive,
+        aggs,
+        projs,
+    };
+    let mut five_and_one = all(2);
+    five_and_one.push((3, Sum));
+    let mut union_aggs = all(2);
+    union_aggs.push((0, Count));
+    vec![
+        select(vec![(0, head), (1, residual)], false, five_and_one, vec![]),
+        select(
+            vec![(0, head)],
+            false,
+            vec![(2, Sum), (2, Sum), (3, Max)],
+            vec![2, 3, 2],
+        ),
+        select(vec![(0, head)], false, all(0), vec![]),
+        select(
+            vec![(0, head), (1, residual)],
+            false,
+            vec![(0, Min), (1, Max)],
+            vec![0],
+        ),
+        select(
+            vec![(0, RangePred::open(5000, 6000))],
+            false,
+            all(1),
+            vec![1],
+        ),
+        select(
+            vec![(0, head), (1, RangePred::open(-10, 0))],
+            false,
+            all(2),
+            vec![3],
+        ),
+        select(vec![(0, head), (1, residual)], true, union_aggs, vec![2]),
+        select(vec![], false, all(1), vec![]),
+    ]
+}
+
+/// Rows, aggregates, and projections as multisets.
+fn assert_same_answer(
+    out: &crackdb_engine::QueryOutput,
+    expected: &crackdb_engine::QueryOutput,
+    ctx: &str,
+) {
+    assert_eq!(out.rows, expected.rows, "{ctx}: rows");
+    assert_eq!(out.aggs, expected.aggs, "{ctx}: aggs");
+    assert_eq!(out.proj_values.len(), expected.proj_values.len(), "{ctx}");
+    for (j, (got, want)) in out
+        .proj_values
+        .iter()
+        .zip(&expected.proj_values)
+        .enumerate()
+    {
+        let (mut got, mut want) = (got.clone(), want.clone());
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "{ctx}: projection {j}");
+    }
+}
+
+/// Every engine reconstructs through blocks — aligned areas, chunk
+/// areas, gathered runs — and must answer the contract shapes exactly
+/// like the scan baseline, on fresh structures, on cracked ones, and
+/// after inserts and deletes were staged and merged.
+#[test]
+fn block_contract_holds_on_every_engine_and_update_state() {
+    let table = random_table(4, 600, 808);
+    let mut plain = PlainEngine::new(table.clone());
+    let mut others: Vec<(&str, Box<dyn Engine>)> = vec![
+        (
+            "presorted",
+            Box::new(PresortedEngine::new(table.clone(), &[0, 1, 2, 3])),
+        ),
+        (
+            "selcrack",
+            Box::new(SelCrackEngine::new(table.clone(), DOMAIN)),
+        ),
+        (
+            "sideways",
+            Box::new(SidewaysEngine::new(table.clone(), DOMAIN)),
+        ),
+        (
+            "partial",
+            Box::new(PartialEngine::new(table.clone(), DOMAIN, None)),
+        ),
+        (
+            "partial+budget",
+            Box::new(PartialEngine::new(table.clone(), DOMAIN, Some(350))),
+        ),
+    ];
+    let mut rng = Lcg(20);
+    let mut next_key = 600u32;
+    for round in 0..6 {
+        if round >= 2 {
+            // Two inserts (one inside most heads, one at the domain's
+            // edge) and two deletes (an original row, an inserted one).
+            let rows = [
+                [300 + rng.next(300), rng.next(1000), -7 - round, 1 << 40],
+                [999, 0, Val::from(round), -(1 << 40)],
+            ];
+            let victims = [rng.next(600) as u32, next_key - (round > 2) as u32];
+            plain.insert(&rows[0]);
+            plain.insert(&rows[1]);
+            for (_, e) in others.iter_mut() {
+                e.insert(&rows[0]);
+                e.insert(&rows[1]);
+            }
+            next_key += 2;
+            for v in victims {
+                plain.delete(v);
+                for (_, e) in others.iter_mut() {
+                    e.delete(v);
+                }
+            }
+        }
+        for (i, q) in contract_queries(&mut rng).iter().enumerate() {
+            let expected = plain.select(q);
+            for (name, e) in others.iter_mut() {
+                let ctx = format!("round {round} query {i}: {name}");
+                assert_same_answer(&e.select(q), &expected, &ctx);
+            }
+        }
+    }
+}
+
+/// One partial-map query whose blocks come from several chunk areas,
+/// some recreated from the base and some reloaded from the spill tier:
+/// narrow queries first cut the chunk map into areas and push their
+/// chunks through a budget of about two areas, then wide queries span
+/// all of them.
+#[test]
+fn partial_blocks_come_from_several_and_reloaded_chunks() {
+    let table = random_table(4, 800, 4711);
+    let mut plain = PlainEngine::new(table.clone());
+    let mut partial = PartialEngine::with_spill_policy(
+        table,
+        DOMAIN,
+        Some(200),
+        std::env::temp_dir(),
+        CrackPolicy::Standard,
+    );
+    let all = |a: usize| {
+        use AggFunc::{Avg, Count, Max, Min, Sum};
+        vec![(a, Count), (a, Sum), (a, Min), (a, Max), (a, Avg)]
+    };
+    for lo in (0..1000).step_by(100) {
+        let q = SelectQuery::aggregate(vec![(0, RangePred::half_open(lo, lo + 100))], all(2));
+        let out = partial.try_select(&q).expect("healthy spill tier");
+        assert_same_answer(&out, &plain.select(&q), &format!("narrow {lo}"));
+    }
+    let wide = RangePred::open(50, 950);
+    let everything = RangePred::open(-1, 1001);
+    let mut aggs = all(2);
+    aggs.push((0, AggFunc::Max));
+    for (i, preds) in [vec![(0, wide)], vec![(0, wide), (1, everything)]]
+        .into_iter()
+        .enumerate()
+    {
+        let q = SelectQuery {
+            preds,
+            disjunctive: false,
+            aggs: aggs.clone(),
+            projs: vec![3, 2],
+        };
+        let before = partial.store().stats_sum();
+        let out = partial.try_select(&q).expect("healthy spill tier");
+        let after = partial.store().stats_sum();
+        assert_same_answer(&out, &plain.select(&q), &format!("wide {i}"));
+        assert!(
+            after.chunks_reloaded > before.chunks_reloaded,
+            "wide {i}: some blocks come from reloaded chunks"
+        );
+        assert!(
+            after.chunks_created >= before.chunks_created + 2,
+            "wide {i}: some blocks come from several recreated chunks"
+        );
+    }
+}

@@ -454,6 +454,93 @@ fn batch_runner_over_sharded_engines_matches_serial() {
     }
 }
 
+/// The shapes block-at-a-time reconstruction and the per-attribute
+/// partials a shard answers with must get right: all five functions of
+/// one attribute, an attribute aggregated twice and both aggregated and
+/// projected, an aggregate on the head attribute, empty results, a
+/// disjunction, no predicates.
+fn contract_queries(rng: &mut StdRng) -> Vec<SelectQuery> {
+    use AggFunc::{Avg, Count, Max, Min, Sum};
+    let all = |a: usize| vec![(a, Count), (a, Sum), (a, Min), (a, Max), (a, Avg)];
+    let lo: Val = rng.gen_range(0..600);
+    let head = RangePred::open(lo, lo + rng.gen_range(100..400i64));
+    let rlo: Val = rng.gen_range(0..500);
+    let residual = RangePred::open(rlo, rlo + 500);
+    let select = |preds: Vec<(usize, RangePred)>, disjunctive, aggs, projs| SelectQuery {
+        preds,
+        disjunctive,
+        aggs,
+        projs,
+    };
+    let mut five_and_one = all(2);
+    five_and_one.push((3, Sum));
+    vec![
+        select(vec![(0, head), (1, residual)], false, five_and_one, vec![]),
+        select(
+            vec![(0, head)],
+            false,
+            vec![(2, Sum), (2, Sum), (0, Max)],
+            vec![2, 3, 2],
+        ),
+        select(
+            vec![(0, RangePred::open(5000, 6000))],
+            false,
+            all(1),
+            vec![1],
+        ),
+        select(
+            vec![(0, head), (1, RangePred::open(-10, 0))],
+            false,
+            all(2),
+            vec![3],
+        ),
+        select(vec![(0, head), (1, residual)], true, all(2), vec![2]),
+        select(vec![], false, all(1), vec![]),
+    ]
+}
+
+/// One engine kind at every shard count against the unsharded scan
+/// baseline, on fresh, cracked and updated (insert + delete, global
+/// keys) states.
+fn check_contract<E: Engine + Send>(name: &str, t: &Table, make: impl Fn(Table) -> E) {
+    for shards in SHARD_COUNTS {
+        let mut plain = PlainEngine::new(t.clone());
+        let mut sharded = ShardedEngine::build(t.clone(), shards, |_, part| make(part));
+        let mut rng = StdRng::seed_from_u64(14);
+        for round in 0..5u32 {
+            if round >= 2 {
+                // Global key 400 + (round - 2).
+                let row = [rng.gen_range(300..600), rng.gen_range(0..1000), -7, 1 << 40];
+                plain.insert(&row);
+                sharded.insert(&row);
+                // An original row, and the row inserted a round ago.
+                let inserted = (round > 2).then(|| 400 + round - 3);
+                for victim in std::iter::once(round * 97).chain(inserted) {
+                    plain.delete(victim);
+                    sharded.delete(victim);
+                }
+            }
+            for (i, q) in contract_queries(&mut rng).iter().enumerate() {
+                let ctx = format!("{name}, {shards} shards, round {round}, query {i}");
+                assert_same(&sharded.select(q), &plain.select(q), &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn block_contract_holds_on_every_sharded_engine() {
+    let t = table(4, 400, 61);
+    check_contract("plain", &t, PlainEngine::new);
+    check_contract("presorted", &t, |p| PresortedEngine::new(p, &[0, 1, 2, 3]));
+    check_contract("selcrack", &t, |p| SelCrackEngine::new(p, DOMAIN));
+    check_contract("sideways", &t, |p| SidewaysEngine::new(p, DOMAIN));
+    check_contract("partial", &t, |p| PartialEngine::new(p, DOMAIN, None));
+    check_contract("partial+budget", &t, |p| {
+        PartialEngine::new(p, DOMAIN, Some(120))
+    });
+}
+
 /// Shard counts must not depend on fan-out threading: forcing the
 /// sequential fan-out path must give the same answers as the threaded
 /// one (CI runs the whole suite at CRACKDB_THREADS=1 and =4, which

@@ -95,7 +95,8 @@ fn figure3_trace() {
     let (_, mut bv) = s.select_create_bv(&t, 1, &a_pred, &b_pred);
     s.select_refine_bv(&t, 2, &a_pred, &c_pred, &mut bv);
     let mut result = Vec::new();
-    s.reconstruct_with(&t, 3, &a_pred, &bv, |v| result.push(v));
+    s.reconstruct_block(&t, 3, &a_pred, &bv)
+        .append_to(&mut result);
 
     // Naive check: rows with 3<A<10, 4<B<8, 1<C<7.
     let expected: Vec<Val> = (0..t.num_rows() as u32)
