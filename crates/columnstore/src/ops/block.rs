@@ -12,6 +12,7 @@
 use crate::column::Column;
 use crate::ops::parallel::{par_agg_values, PartialAgg};
 use crate::types::{AggFunc, RowId, Val};
+use std::borrow::Borrow;
 
 /// One attribute's values over one contiguous area, with the optional
 /// selection over them.
@@ -69,27 +70,46 @@ impl Block<'_> {
 /// that fills it and the fold or copy that drains it.
 const GATHER_RUN: usize = 1024;
 
-/// Positional reconstruction for key lists: gather `col[k]` for `keys`,
-/// in key order, and hand the values on as dense blocks of at most
-/// [`GATHER_RUN`] values.
+/// Positional gather: read `col[k]` for `keys`, in key order, and hand
+/// the values on as runs of at most [`GATHER_RUN`]. The one gather loop:
+/// key lists, cracked-area tails and the parallel aggregate kernel
+/// ([`par_agg_gather`](crate::ops::parallel::par_agg_gather)) all read
+/// base columns through it.
+pub fn gather_runs(
+    col: &Column,
+    keys: impl IntoIterator<Item = impl Borrow<RowId>>,
+    mut on_run: impl FnMut(&[Val]),
+) {
+    let mut buf = [0; GATHER_RUN];
+    let mut keys = keys.into_iter();
+    loop {
+        let mut n = 0;
+        for (v, k) in buf.iter_mut().zip(&mut keys) {
+            *v = col.get(*k.borrow());
+            n += 1;
+        }
+        if n == 0 {
+            return;
+        }
+        on_run(&buf[..n]);
+    }
+}
+
+/// Positional reconstruction for key lists: [`gather_runs`] with each run
+/// handed on as a dense block.
 pub fn gather_blocks(
     attr: usize,
     col: &Column,
-    keys: &[RowId],
+    keys: impl IntoIterator<Item = impl Borrow<RowId>>,
     mut consume: impl FnMut(Block<'_>),
 ) {
-    let mut buf = [0; GATHER_RUN];
-    for run in keys.chunks(GATHER_RUN) {
-        let vals = &mut buf[..run.len()];
-        for (v, &k) in vals.iter_mut().zip(run) {
-            *v = col.get(k);
-        }
+    gather_runs(col, keys, |vals| {
         consume(Block {
             attr,
             vals,
             sel: None,
-        });
-    }
+        })
+    });
 }
 
 /// Walk `vals` under `words` a word at a time, handing `on_run` the
@@ -258,7 +278,14 @@ mod tests {
         assert_eq!(blocks, 3);
         let want: Vec<Val> = keys.iter().map(|&k| k as Val * 3).collect();
         assert_eq!(got, want);
-        gather_blocks(7, &col, &[], |_| panic!("no keys, no blocks"));
+        gather_blocks(7, &col, [0; 0], |_| panic!("no keys, no blocks"));
+        // Keys need not be a slice: an iterator fills runs the same way.
+        let mut odd = Vec::new();
+        gather_blocks(7, &col, keys.iter().filter(|&&k| k % 2 == 1), |b| {
+            b.append_to(&mut odd)
+        });
+        assert_eq!(odd.len(), 1250);
+        assert!(odd.iter().all(|v| v % 2 == 1));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! for small inputs where spawn overhead would dominate.
 
 use crate::column::Column;
+use crate::ops::block::gather_runs;
 use crate::types::{RangePred, RowId, Val};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -177,22 +178,19 @@ pub fn par_agg_values(vals: &[Val]) -> PartialAgg {
 /// Parallel positional gather-aggregate: fold `col[k]` for every key.
 /// Chunks the *key list*, so it parallelizes both the sequential
 /// (ordered keys) and random (cracker results) reconstruction patterns.
+/// Serial and per worker alike, values are gathered a run at a time and
+/// folded with [`PartialAgg::fold_slice`].
 pub fn par_agg_gather(col: &Column, keys: &[RowId]) -> PartialAgg {
-    if threads() <= 1 || keys.len() < MIN_PARALLEL_ROWS {
+    let fold = |keys: &[RowId]| {
         let mut p = PartialAgg::default();
-        for &k in keys {
-            p.push(col.get(k));
-        }
-        return p;
+        gather_runs(col, keys, |vals| p.fold_slice(vals));
+        p
+    };
+    if threads() <= 1 || keys.len() < MIN_PARALLEL_ROWS {
+        return fold(keys);
     }
     let mut total = PartialAgg::default();
-    for p in scatter(keys.len(), |lo, hi| {
-        let mut p = PartialAgg::default();
-        for &k in &keys[lo..hi] {
-            p.push(col.get(k));
-        }
-        p
-    }) {
+    for p in scatter(keys.len(), |lo, hi| fold(&keys[lo..hi])) {
         total.merge(&p);
     }
     total
@@ -260,6 +258,8 @@ mod tests {
             let pred = RangePred::all();
             assert_eq!(par_select(&c, &pred).len(), 100);
             assert_eq!(par_agg_values(c.values()).count, 100);
+            let keys: Vec<RowId> = (0..100).rev().collect();
+            assert_eq!(par_agg_gather(&c, &keys), par_agg_values(c.values()));
         });
     }
 

@@ -508,11 +508,16 @@ impl MapSet {
         m.arr.view(range).1
     }
 
-    /// Like [`Self::sideways_select`] but over the key map: returns the
-    /// qualifying tuple keys (used when a plan needs tuple identities,
-    /// e.g. to feed a join). Correct under every policy: an inexact
-    /// coarse-granular span is filtered against head values.
-    pub fn select_keys(&mut self, base: &Table, pred: &RangePred) -> Vec<RowId> {
+    /// [`Self::sideways_select_filtered`] over the key map, for plans with
+    /// nothing to reconstruct: the qualifying area (its length is the
+    /// answer's cardinality) and, for an inexact coarse-granular span, the
+    /// head-filter bit vector over it. The area's keys are
+    /// `key_map().arr.view(range).1`.
+    pub fn select_key_area(
+        &mut self,
+        base: &Table,
+        pred: &RangePred,
+    ) -> ((usize, usize), Option<BitVec>) {
         self.flush_staged(pred, base);
         let late = self.key_map.is_none();
         let target = self.tape.len();
@@ -528,22 +533,13 @@ impl MapSet {
         }
         km.cursor = self.tape.len();
         km.accesses += 1;
-        let (heads, tail_keys) = km.arr.view(span.range());
-        let keys = if span.exact {
-            tail_keys.to_vec()
-        } else {
-            heads
-                .iter()
-                .zip(tail_keys)
-                .filter(|(&v, _)| pred.matches(v))
-                .map(|(_, &k)| k)
-                .collect()
-        };
+        let heads = km.arr.view(span.range()).0;
+        let bv = (!span.exact).then(|| BitVec::from_fn(heads.len(), |i| pred.matches(heads[i])));
         self.key_map = Some(km);
         if late {
             debug_assert_eq!(self.check_aligned(), Ok(()));
         }
-        keys
+        (span.range(), bv)
     }
 
     /// `sideways.select_create_bv` (§3.3): select on the head predicate,
@@ -887,7 +883,9 @@ mod tests {
         let base = fig2_table();
         let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
         let pred = RangePred::open(2, 7);
-        let mut keys = s.select_keys(&base, &pred);
+        let (range, bv) = s.select_key_area(&base, &pred);
+        assert_eq!(bv, None, "standard cracking leaves an exact area");
+        let mut keys = s.key_map().unwrap().arr.view(range).1.to_vec();
         keys.sort_unstable();
         let expected = crackdb_columnstore::ops::select::select(base.column(0), &pred);
         assert_eq!(keys, expected);

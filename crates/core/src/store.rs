@@ -363,7 +363,7 @@ impl SidewaysStore {
             }
             let (range, bv) = match needed.last() {
                 Some(&attr) => s.sideways_select_filtered(base, attr, &head_pred),
-                None => (s.select_keys(base, &head_pred).len().pipe_range(), None),
+                None => s.select_key_area(base, &head_pred),
             };
             return ConjHandle {
                 set_attr,
@@ -476,17 +476,6 @@ impl SidewaysStore {
         for &p in projs {
             consume(s.disj_reconstruct_block(base, p, &head_pred, &bv));
         }
-    }
-}
-
-/// Tiny helper to express "range of n keys" for the degenerate
-/// keys-only path.
-trait PipeRange {
-    fn pipe_range(self) -> (usize, usize);
-}
-impl PipeRange for usize {
-    fn pipe_range(self) -> (usize, usize) {
-        (0, self)
     }
 }
 

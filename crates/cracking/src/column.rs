@@ -4,7 +4,9 @@
 //! This is the baseline the SIGMOD'09 paper improves upon: selections get
 //! continuously faster, but because the cracker column is physically
 //! reorganized, selection results are no longer aligned with base columns
-//! and tuple reconstruction degenerates to random access.
+//! and reconstructing any *other* attribute degenerates to random access.
+//! The cracked attribute itself needs no reconstruction: `crackers.select`
+//! returns a view ([`CrackedArea`]) whose head slice holds its values.
 
 use crate::advisor::PolicyAdvisor;
 use crate::cracked::CrackedArray;
@@ -26,6 +28,38 @@ pub struct CrackerColumn {
     advisor: PolicyAdvisor,
     /// Cumulative count of crack operations (for instrumentation).
     pub cracks: u64,
+}
+
+/// What `crackers.select` returns: a view of the contiguous area the
+/// crack left the qualifying tuples in. It borrows the column, so it is
+/// gone before the next crack or ripple moves the tuples under it.
+#[derive(Debug, Clone, Copy)]
+pub struct CrackedArea<'a> {
+    /// `[start, end)` of the area within the column.
+    pub range: (usize, usize),
+    /// The area's values.
+    pub head: &'a [Val],
+    /// The area's keys, position for position with `head`.
+    pub tail: &'a [RowId],
+    /// The predicate the head values must still pass: `Some` only for an
+    /// inexact span ([`CrackPolicy::CoarseGranular`] declined a split).
+    pub filter: Option<RangePred>,
+}
+
+impl CrackedArea<'_> {
+    /// The qualifying keys, copied out in area order.
+    pub fn keys(&self) -> Vec<RowId> {
+        match &self.filter {
+            None => self.tail.to_vec(),
+            Some(pred) => self
+                .head
+                .iter()
+                .zip(self.tail)
+                .filter(|(&v, _)| pred.matches(v))
+                .map(|(_, &k)| k)
+                .collect(),
+        }
+    }
 }
 
 impl CrackerColumn {
@@ -90,21 +124,22 @@ impl CrackerColumn {
     }
 
     /// `crackers.select(A, v1, v2)`: merge relevant pending updates, crack
-    /// so qualifying tuples are contiguous, and return the qualifying
-    /// `(value, key)` slices. The key order is **not** the insertion
-    /// order — the cause of expensive tuple reconstruction.
-    ///
-    /// Under [`CrackPolicy::CoarseGranular`] the returned slices may be
-    /// a *superset* of the qualifying tuples (a declined split leaves
-    /// the whole leaf piece); use [`Self::select_keys`] for a filtered
-    /// result, or consult [`Self::crack_select_span`] for exactness.
-    pub fn crack_select(&mut self, pred: &RangePred) -> (&[Val], &[RowId]) {
+    /// so qualifying tuples are contiguous, and return that area as a
+    /// view. The key order is **not** the insertion order — the cause of
+    /// expensive tuple reconstruction for every attribute but this one.
+    pub fn crack_select(&mut self, pred: &RangePred) -> CrackedArea<'_> {
         let span = self.crack_select_span(pred);
-        self.arr.view(span.range())
+        let (head, tail) = self.arr.view(span.range());
+        CrackedArea {
+            range: span.range(),
+            head,
+            tail,
+            filter: (!span.exact).then_some(*pred),
+        }
     }
 
-    /// Like [`Self::crack_select`] but returns the [`Span`] so callers
-    /// can see whether the area is exact or needs filtering.
+    /// The crack behind [`Self::crack_select`], returning only the
+    /// [`Span`] (with exactness).
     pub fn crack_select_span(&mut self, pred: &RangePred) -> Span {
         self.merge_pending(pred);
         let policy = self
@@ -116,21 +151,11 @@ impl CrackerColumn {
         span
     }
 
-    /// Qualifying keys only (the common result shape). Correct under
-    /// every policy: an inexact coarse-granular span is filtered against
-    /// the head values before keys are returned.
+    /// [`Self::crack_select`] with the qualifying keys copied out, for
+    /// plans that outlive the view (joins, disjunctions that crack the
+    /// column again). Correct under every policy.
     pub fn select_keys(&mut self, pred: &RangePred) -> Vec<RowId> {
-        let span = self.crack_select_span(pred);
-        let (h, t) = self.arr.view(span.range());
-        if span.exact {
-            t.to_vec()
-        } else {
-            h.iter()
-                .zip(t)
-                .filter(|(&v, _)| pred.matches(v))
-                .map(|(_, &k)| k)
-                .collect()
-        }
+        self.crack_select(pred).keys()
     }
 
     /// Queue an insertion (applied on demand by the Ripple algorithm).
@@ -278,6 +303,42 @@ mod tests {
         }
     }
 
+    /// The view is `select_keys` without the copy: same keys (an inexact
+    /// coarse span carries the filter that makes them so), same crack.
+    #[test]
+    fn view_select_agrees_with_select_keys_under_all_policies() {
+        let col = Column::new((0..5000).map(|i| (i * 7919) % 1000).collect());
+        for policy in crate::policy::CrackPolicy::all_selectable() {
+            let mut viewed = CrackerColumn::with_policy(&col, policy);
+            let mut copied = CrackerColumn::with_policy(&col, policy);
+            for pred in [
+                RangePred::open(100, 400),
+                RangePred::closed(250, 260),
+                RangePred::point(7),
+                RangePred::open(13, 14),
+                RangePred::all(),
+                RangePred::open(600, 100),
+            ] {
+                let area = viewed.crack_select(&pred);
+                assert_eq!(area.head.len(), area.range.1 - area.range.0);
+                assert_eq!(area.tail.len(), area.head.len());
+                if area.filter.is_none() {
+                    assert!(area.head.iter().all(|&v| pred.matches(v)));
+                }
+                let keys = area.keys();
+                assert_eq!(
+                    keys,
+                    copied.select_keys(&pred),
+                    "policy {} pred {pred:?}",
+                    policy.label()
+                );
+                assert!(keys.iter().all(|&k| pred.matches(col.get(k))));
+                viewed.array().check_partitioning();
+            }
+            assert_eq!(viewed.touched(), copied.touched());
+        }
+    }
+
     #[test]
     fn knowledge_accumulates() {
         let mut c = CrackerColumn::from_column(&base());
@@ -295,8 +356,9 @@ mod tests {
         c.queue_insert(13, 100);
         c.queue_insert(999, 101);
         assert_eq!(c.pending(), 2);
-        let (h, t) = c.crack_select(&RangePred::open(10, 15));
-        assert!(h.iter().zip(t).any(|(&v, &k)| v == 13 && k == 100));
+        let area = c.crack_select(&RangePred::open(10, 15));
+        let mut pairs = area.head.iter().zip(area.tail);
+        assert!(pairs.any(|(&v, &k)| v == 13 && k == 100));
         // The out-of-range insert stays pending.
         assert_eq!(c.pending(), 1);
         c.array().check_partitioning();
@@ -307,8 +369,7 @@ mod tests {
         let mut c = CrackerColumn::from_column(&base());
         c.crack_select(&RangePred::open(10, 15));
         c.queue_delete(12, 0);
-        let (h, _) = c.crack_select(&RangePred::open(10, 15));
-        assert_eq!(h, &[11]);
+        assert_eq!(c.crack_select(&RangePred::open(10, 15)).head, &[11]);
         assert_eq!(c.pending(), 0);
     }
 

@@ -38,7 +38,7 @@ pub mod snapshot;
 
 pub use advisor::{retention_score, PolicyAdvisor, WorkloadStats};
 pub use arena::{Arena, SlotId};
-pub use column::CrackerColumn;
+pub use column::{CrackedArea, CrackerColumn};
 pub use crack::BoundKind;
 pub use cracked::{CrackedArray, SeedPlan};
 pub use index::{BoundaryKey, CrackerIndex, SizeEstimate};

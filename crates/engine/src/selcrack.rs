@@ -1,6 +1,13 @@
 //! The selection-cracking baseline (CIDR'07): fast, self-organizing
 //! selections via cracker columns — but unordered selection results, so
-//! tuple reconstruction random-accesses the full base columns.
+//! reconstructing any attribute *other* than the cracked one
+//! random-accesses its full base column.
+//!
+//! A conjunctive plan's row set is the cracked area itself
+//! ([`RowSet::Area`]): the cracked attribute is the area's head slice,
+//! other attributes are gathered through its tail slice, residual
+//! predicates fold into a bit vector over it — no key list is allocated.
+//! Disjunctions and joins copy the keys out ([`RowSet::Keys`]).
 
 use crate::exec::snapshot::EngineSnapshot;
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
@@ -12,6 +19,7 @@ use crackdb_columnstore::ops::block::{gather_blocks, Block};
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
+use crackdb_core::BitVec;
 use crackdb_cracking::{ColumnSnapshot, CrackPolicy, CrackerColumn, SnapshotBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -144,20 +152,24 @@ impl SelCrackEngine {
         ordered
     }
 
-    /// `crackers.select` over one attribute's cracker column (created on
-    /// first use). Returns unordered keys.
-    fn cracker_select(
-        crackers: &mut HashMap<(bool, usize), CrackerColumn>,
+    /// One attribute's cracker column, created on first use.
+    fn cracker<'a>(
+        crackers: &'a mut HashMap<(bool, usize), CrackerColumn>,
         table: &Table,
         second: bool,
         attr: usize,
-        pred: &RangePred,
         policy: CrackPolicy,
-    ) -> Vec<RowId> {
+    ) -> &'a mut CrackerColumn {
         crackers
             .entry((second, attr))
             .or_insert_with(|| CrackerColumn::with_policy(table.column(attr), policy))
-            .select_keys(pred)
+    }
+
+    /// The head and tail slices of an area `restrict` produced. Positions,
+    /// so valid only until the column cracks or ripples again — which a
+    /// conjunctive plan never does between `restrict` and `fetch`.
+    fn area(&self, head_attr: usize, range: (usize, usize)) -> (&[Val], &[RowId]) {
+        self.crackers[&(false, head_attr)].array().view(range)
     }
 
     /// Conjunctive selection used by the join path: `crackers.select` for
@@ -175,11 +187,12 @@ impl SelCrackEngine {
             // No predicate: still answer through a cracker column so that
             // queued (ripple) insertions and deletions are respected.
             let policy = policy_for(default, overrides, second, 0);
-            return Self::cracker_select(crackers, table, second, 0, &RangePred::all(), policy);
+            return Self::cracker(crackers, table, second, 0, policy)
+                .select_keys(&RangePred::all());
         }
         let policy = policy_for(default, overrides, second, preds[0].0);
         let mut keys =
-            Self::cracker_select(crackers, table, second, preds[0].0, &preds[0].1, policy);
+            Self::cracker(crackers, table, second, preds[0].0, policy).select_keys(&preds[0].1);
         for (attr, pred) in &preds[1..] {
             let col = table.column(*attr);
             combine::refine_keys(&mut keys, pred, |k| col.get(k));
@@ -212,47 +225,54 @@ impl AccessPath for SelCrackEngine {
         ))
     }
 
-    fn restrict(&mut self, attr: usize, pred: &RangePred, _ctx: &RestrictCtx) -> RowSet {
+    fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
         let policy = policy_for(self.policy, &self.overrides, false, attr);
-        RowSet::keys(
-            Self::cracker_select(&mut self.crackers, &self.base, false, attr, pred, policy),
-            false,
-        )
+        let cracker = Self::cracker(&mut self.crackers, &self.base, false, attr, policy);
+        // A disjunction's later selects may crack or ripple this very
+        // column (`a < x or a > y`), moving the tuples under an area.
+        if ctx.disjunctive {
+            return RowSet::keys(cracker.select_keys(pred), false);
+        }
+        let area = cracker.crack_select(pred);
+        RowSet::Area {
+            head: (attr, *pred),
+            range: area.range,
+            bv: area.filter.map(|p| combine::create_bv(area.head, &p)),
+        }
     }
 
     fn refine(&mut self, rows: &mut RowSet, attr: usize, pred: &RangePred, _ctx: &RestrictCtx) {
-        // rel_select: positional lookups into the base columns (random
-        // access — keys are unordered).
-        let RowSet::Keys { keys, .. } = rows else {
-            unreachable!("cracker selects produce key lists")
+        // rel_select: positional lookups into the base column through the
+        // area's tail (random access — keys are unordered), folded into a
+        // bit vector over the area.
+        let RowSet::Area { head, range, bv } = rows else {
+            return; // conjunctive plans start from `restrict`'s area
         };
+        let (_, tail) = self.area(head.0, *range);
         let col = self.base.column(attr);
-        combine::refine_keys(keys, pred, |k| col.get(k));
+        let keep = |i: usize| pred.matches(col.get(tail[i]));
+        match bv {
+            None => *bv = Some(BitVec::from_fn(tail.len(), keep)),
+            Some(bv) => bv.refine(keep),
+        }
     }
 
     fn extend(&mut self, rows: &mut RowSet, attr: usize, pred: &RangePred, _ctx: &RestrictCtx) {
         // Disjunctions fall back to per-predicate cracker selects and
         // key-set union (no aligned bit vectors available here).
         let RowSet::Keys { keys, .. } = rows else {
-            unreachable!("cracker selects produce key lists")
+            return; // disjunctive plans start from `restrict`'s key list
         };
         let policy = policy_for(self.policy, &self.overrides, false, attr);
-        let more = Self::cracker_select(&mut self.crackers, &self.base, false, attr, pred, policy);
+        let more =
+            Self::cracker(&mut self.crackers, &self.base, false, attr, policy).select_keys(pred);
         combine::union_keys_unordered(keys, more);
     }
 
-    fn unrestricted(&mut self, _ctx: &RestrictCtx) -> RowSet {
-        RowSet::keys(
-            Self::select_keys(
-                &mut self.crackers,
-                &self.base,
-                false,
-                &[],
-                self.policy,
-                &self.overrides,
-            ),
-            false,
-        )
+    fn unrestricted(&mut self, ctx: &RestrictCtx) -> RowSet {
+        // No predicate: still answer through a cracker column so that
+        // queued (ripple) insertions and deletions are respected.
+        self.restrict(0, &RangePred::all(), ctx)
     }
 
     fn fetch(
@@ -261,20 +281,53 @@ impl AccessPath for SelCrackEngine {
         attrs: &[usize],
         consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError> {
-        let RowSet::Keys { keys, .. } = rows else {
-            unreachable!("cracker selects produce key lists")
-        };
-        // Tuple reconstruction: random-order positional lookups into the
-        // full base columns — the cost the paper attacks.
-        for &attr in attrs {
-            gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
+        match rows {
+            // Tuple reconstruction: random-order positional lookups into
+            // the full base columns — the cost the paper attacks.
+            RowSet::Keys { keys, .. } => {
+                for &attr in attrs {
+                    gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
+                }
+            }
+            RowSet::Area { head, range, bv } => {
+                let (heads, tail) = self.area(head.0, *range);
+                for &attr in attrs {
+                    // The cracked attribute needs no reconstruction: its
+                    // values are the area's head slice.
+                    if attr == head.0 {
+                        consume(Block {
+                            attr,
+                            vals: heads,
+                            sel: bv.as_ref().map(BitVec::words),
+                        });
+                        continue;
+                    }
+                    let col = self.base.column(attr);
+                    match bv {
+                        None => gather_blocks(attr, col, tail, &mut *consume),
+                        Some(bv) => {
+                            let keys = bv.iter_ones().map(|i| tail[i]);
+                            gather_blocks(attr, col, keys, &mut *consume);
+                        }
+                    }
+                }
+            }
+            // Chunk-wise plans: never produced here.
+            RowSet::Deferred { .. } | RowSet::DeferredUnion { .. } => {}
         }
         Ok(())
     }
 
     fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
-        let RowSet::Keys { keys, .. } = rows else {
-            return None;
+        let keys = match rows {
+            RowSet::Keys { keys, .. } => keys.as_slice(),
+            // An unfiltered area's tail is a key list. The cracked
+            // attribute (a slice) and filtered areas (a masked gather)
+            // fold as the blocks of `fetch`.
+            RowSet::Area { head, range, bv } if bv.is_none() && head.0 != attr => {
+                self.area(head.0, *range).1
+            }
+            _ => return None,
         };
         Some(parallel::par_agg_gather(self.base.column(attr), keys))
     }
@@ -297,11 +350,8 @@ impl Engine for SelCrackEngine {
         let mut out = QueryOutput::default();
         let mut timings = Timings::default();
         let n = self.base.num_rows();
-        let n2 = self
-            .second
-            .as_ref()
-            .expect("join needs a second table")
-            .num_rows();
+        let second = self.second.as_ref().expect("join needs a second table");
+        let n2 = second.num_rows();
 
         let t0 = Instant::now();
         let lpreds = self.order_preds(&q.left.preds, n);
@@ -314,7 +364,6 @@ impl Engine for SelCrackEngine {
             self.policy,
             &self.overrides,
         );
-        let second = self.second.as_ref().expect("checked above");
         let rkeys = Self::select_keys(
             &mut self.crackers,
             second,
@@ -367,9 +416,7 @@ impl Engine for SelCrackEngine {
         // and the deletion queued for the Ripple algorithm.
         for attr in 0..self.base.num_columns() {
             let policy = policy_for(self.policy, &self.overrides, false, attr);
-            self.crackers
-                .entry((false, attr))
-                .or_insert_with(|| CrackerColumn::with_policy(self.base.column(attr), policy))
+            Self::cracker(&mut self.crackers, &self.base, false, attr, policy)
                 .queue_delete(self.base.column(attr).get(key), key);
         }
     }

@@ -133,9 +133,14 @@ impl AccessPath for SidewaysEngine {
         }
 
         if needed.is_empty() {
-            // Pure single-selection with nothing to reconstruct: answer
-            // from the key map.
-            return RowSet::keys(s.select_keys(&self.base, pred), false);
+            // Pure single-selection with nothing to reconstruct: the key
+            // map's area is the answer's cardinality, no key is copied.
+            let (range, bv) = s.select_key_area(&self.base, pred);
+            return RowSet::Area {
+                head: (attr, *pred),
+                range,
+                bv,
+            };
         }
 
         // One sideways.select per map the plan will touch (§3.2): crack
@@ -208,7 +213,12 @@ impl AccessPath for SidewaysEngine {
             }
             None => {
                 let s = self.store.set_mut_ensured(&self.base, 0, &self.tombstones);
-                RowSet::keys(s.select_keys(&self.base, &all), false)
+                let (range, bv) = s.select_key_area(&self.base, &all);
+                RowSet::Area {
+                    head: (0, all),
+                    range,
+                    bv,
+                }
             }
         }
     }
