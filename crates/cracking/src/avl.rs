@@ -12,8 +12,9 @@
 //! * **lazy deletion** (§4.1): when a chunk is dropped, its boundary nodes
 //!   are only marked deleted so the partitioning knowledge can be revived
 //!   if the chunk is recreated;
-//! * bulk position shifting, needed when ripple updates grow or shrink the
-//!   underlying array.
+//! * the ripple walk ([`AvlTree::ripple_walk`]): ripple updates grow or
+//!   shrink the underlying array by one tuple and move every boundary
+//!   above the update by one slot, in one reverse in-order pass.
 //!
 //! Nodes live in a per-column [`Arena`] and link by `u32` slot index, so
 //! each index is one contiguous allocation: lookups walk a single
@@ -415,14 +416,43 @@ impl<K: Ord + Copy> AvlTree<K> {
         self.live = 0;
     }
 
-    /// Shift the stored position of every node (live or deleted) whose
-    /// position is `>= from` by `delta`. Used by ripple updates that grow
-    /// (`delta = 1`) or shrink (`delta = -1`) the cracked array.
-    pub fn shift_positions(&mut self, from: usize, delta: isize) {
-        for node in self.nodes.slots_mut() {
-            if node.pos >= from {
-                node.pos = (node.pos as isize + delta) as usize;
+    /// Ripple walk: visit the live nodes `above` accepts, largest key
+    /// first, and replace each position with what `shift` returns for
+    /// it. `above` sees a live node's key and position and must be
+    /// monotone over the live nodes in key order — false on a prefix,
+    /// true on the rest (a key threshold, or a position threshold, since
+    /// live positions ascend with their keys). The walk stops at the
+    /// first live node `above` rejects: one descent to the largest key
+    /// plus the nodes it passes. Lazily deleted nodes on the way are
+    /// passed through: their positions are stale, so they are neither
+    /// tested nor shifted.
+    pub fn ripple_walk(
+        &mut self,
+        mut above: impl FnMut(&K, usize) -> bool,
+        mut shift: impl FnMut(usize) -> usize,
+    ) {
+        let mut path = [NIL; MAX_HEIGHT];
+        let mut depth = 0usize;
+        let mut n = self.root;
+        loop {
+            while n != NIL {
+                path[depth] = n;
+                depth += 1;
+                n = self.nodes.get(n).right;
             }
+            if depth == 0 {
+                return;
+            }
+            depth -= 1;
+            let node = self.nodes.get_mut(path[depth]);
+            if !node.deleted {
+                if !above(&node.key, node.pos) {
+                    // Every node left of here has a smaller key.
+                    return;
+                }
+                node.pos = shift(node.pos);
+            }
+            n = node.left;
         }
     }
 
@@ -536,17 +566,34 @@ mod tests {
     }
 
     #[test]
-    fn shift_positions() {
+    fn ripple_walk_shifts_the_live_suffix() {
         let mut t = AvlTree::new();
-        t.insert(1, 5);
-        t.insert(2, 10);
-        t.insert(3, 15);
-        t.shift_positions(10, 1);
-        assert_eq!(t.get(&1), Some(5));
-        assert_eq!(t.get(&2), Some(11));
-        assert_eq!(t.get(&3), Some(16));
-        t.shift_positions(0, -1);
-        assert_eq!(t.get(&1), Some(4));
+        for k in 0..20 {
+            t.insert(k, 10 * k as usize);
+        }
+        t.mark_deleted(&15);
+        t.mark_deleted(&3);
+        let mut seen = Vec::new();
+        t.ripple_walk(
+            |&k, _| k >= 8,
+            |pos| {
+                seen.push(pos);
+                pos + 1
+            },
+        );
+        // Largest key first; the deleted node is passed, not visited.
+        let want: Vec<usize> = (8..20).rev().filter(|&k| k != 15).map(|k| 10 * k).collect();
+        assert_eq!(seen, want);
+        assert_eq!(t.get(&8), Some(81));
+        assert_eq!(t.get(&7), Some(70));
+        assert_eq!(t.get_any(&15), Some((150, true)), "stale position kept");
+        // A position threshold, shifting down.
+        t.ripple_walk(|_, pos| pos > 100, |pos| pos - 1);
+        assert_eq!(t.get(&10), Some(100));
+        assert_eq!(t.get(&11), Some(110));
+        assert_eq!(t.get(&19), Some(190));
+        assert_eq!(t.get_any(&3), Some((30, true)));
+        t.check_invariants();
     }
 
     #[test]

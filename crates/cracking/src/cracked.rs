@@ -560,41 +560,41 @@ impl<T: Copy> CrackedArray<T> {
         (&self.head[range.0..range.1], &self.tail[range.0..range.1])
     }
 
-    /// The piece `[start, end)` that value `v` currently belongs to.
+    /// The piece `[start, end)` that value `v` currently belongs to: two
+    /// O(log B) neighbour lookups. `(v, Lt)` and `(v, Le)` are adjacent
+    /// keys, `v` belongs right of every boundary up to `(v, Lt)` and
+    /// left of every boundary from `(v, Le)` on.
     pub fn piece_of(&self, v: Val) -> (usize, usize) {
-        let mut s = 0;
-        let mut e = self.head.len();
-        for ((bv, kind), pos) in self.index.boundaries() {
-            if kind.belongs_left(v, bv) {
-                e = pos;
-                break;
-            }
-            s = pos;
-        }
+        let below = self.index.floor_strict((v, BoundKind::Le));
+        let above = self.index.ceil_strict((v, BoundKind::Lt));
+        let s = below.map_or(0, |(_, p)| p);
+        let e = above.map_or(self.head.len(), |(_, p)| p);
         (s, e.max(s))
     }
 
     /// Ripple-insert one tuple (Idreos et al., SIGMOD 2007): grow the
     /// array by one and shift each piece boundary above the target piece
     /// by moving a single element per piece, preserving all cracker-index
-    /// knowledge.
+    /// knowledge. Costs one walk down the boundaries above `v`, highest
+    /// first ([`CrackerIndex`]'s ripple walk): one moved tuple and one
+    /// in-place position update per boundary passed.
     pub fn ripple_insert(&mut self, v: Val, t: T) {
-        let bs = self.index.boundaries();
         self.head.push(v);
         self.tail.push(t);
+        // INVARIANT: the push above made the array non-empty.
         let mut free = self.head.len() - 1;
-        for &((bv, kind), pos) in bs.iter().rev() {
-            if kind.belongs_left(v, bv) {
+        let (head, tail) = (&mut self.head, &mut self.tail);
+        self.index.ripple_walk(
+            |&(bv, kind), _| kind.belongs_left(v, bv),
+            |pos| {
                 // The piece right of this boundary loses its first slot to
                 // the free position and regains one at its new start.
-                self.head[free] = self.head[pos];
-                self.tail[free] = self.tail[pos];
+                head[free] = head[pos];
+                tail[free] = tail[pos];
                 free = pos;
-                self.index.reposition((bv, kind), pos + 1);
-            } else {
-                break;
-            }
-        }
+                pos + 1
+            },
+        );
         self.head[free] = v;
         self.tail[free] = t;
     }
@@ -603,81 +603,57 @@ impl<T: Copy> CrackedArray<T> {
     /// satisfies `matches`. Returns the physical position the deletion was
     /// performed at, or `None` if no such tuple exists. The position is
     /// what other aligned structures must replay (see the tape's delete
-    /// batches).
+    /// batches). Costs the scan of `v`'s piece (found by
+    /// [`Self::piece_of`]) plus one walk down the boundaries above it.
     pub fn ripple_delete<F: Fn(&T) -> bool>(&mut self, v: Val, matches: F) -> Option<usize> {
-        let n = self.head.len();
-        let bs = self.index.boundaries();
-        // Locate the containing piece.
-        let mut s = 0;
-        let mut first_above = bs.len();
-        for (i, &((bv, kind), pos)) in bs.iter().enumerate() {
-            if kind.belongs_left(v, bv) {
-                first_above = i;
-                break;
-            }
-            s = pos;
-        }
-        let e = if first_above < bs.len() {
-            bs[first_above].1
-        } else {
-            n
-        };
-        // Find the victim within the piece.
+        let (s, e) = self.piece_of(v);
         let p = (s..e).find(|&i| self.head[i] == v && matches(&self.tail[i]))?;
-        self.shift_hole_up(p, e, first_above, &bs);
+        // The boundaries above `v`'s piece are those `v` belongs left of.
+        self.shift_hole_up(p, |&(bv, kind), _| kind.belongs_left(v, bv));
         Some(p)
     }
 
     /// Ripple-delete the tuple at a known physical position (replaying a
     /// deletion another aligned map already performed). Returns the
-    /// removed `(head, tail)` pair.
+    /// removed `(head, tail)` pair. Costs one walk down the boundaries
+    /// above `p`.
     pub fn ripple_delete_at(&mut self, p: usize) -> (Val, T) {
         let removed = (self.head[p], self.tail[p]);
-        let bs = self.index.boundaries();
-        // First boundary strictly above p delimits p's piece.
-        let first_above = bs.partition_point(|&(_, pos)| pos <= p);
-        let e = if first_above < bs.len() {
-            bs[first_above].1
-        } else {
-            self.head.len()
-        };
-        self.shift_hole_up(p, e, first_above, &bs);
+        // The boundaries above `p`'s piece are those strictly after it.
+        self.shift_hole_up(p, |_, pos| pos > p);
         removed
     }
 
-    /// Shift the hole at `p` (inside the piece ending at `piece_end`,
-    /// whose delimiting boundary is `bs[first_above]`) up through all
-    /// pieces above and shrink the array by one.
-    fn shift_hole_up(
-        &mut self,
-        p: usize,
-        piece_end: usize,
-        first_above: usize,
-        bs: &[(crate::index::BoundaryKey, usize)],
-    ) {
-        let n = self.head.len();
-        let mut hole = p;
-        let mut piece_end = piece_end;
-        let mut bi = first_above;
-        loop {
-            if hole != piece_end - 1 {
-                self.head[hole] = self.head[piece_end - 1];
-                self.tail[hole] = self.tail[piece_end - 1];
+    /// Close the hole the deleted tuple at `p` leaves and shrink the
+    /// array by one. Every boundary `above` selects (those above `p`)
+    /// moves down one slot, so each piece from `p`'s up gives up its
+    /// last slot: the tuple there moves into the hole below it — `p`
+    /// for `p`'s piece, the slot the piece gained for every piece above
+    /// — and the array's last slot is left free. The walk runs top
+    /// down, so it carries one tuple from slot to slot instead of
+    /// chasing the hole up; the moves are those of the bottom-up order.
+    /// Boundaries sharing a position (empty pieces) move one tuple.
+    fn shift_hole_up(&mut self, p: usize, above: impl FnMut(&BoundaryKey, usize) -> bool) {
+        // `carry` is the tuple moving down and `filled` the slot it came
+        // from: at first the last slot, which the pop below frees.
+        // INVARIANT: `p` indexes a tuple, so the array is non-empty.
+        let mut filled = self.head.len() - 1;
+        let (head, tail) = (&mut self.head, &mut self.tail);
+        let mut carry = (head[filled], tail[filled]);
+        self.index.ripple_walk(above, |pos| {
+            // INVARIANT: a boundary above `p` sits at `pos > p >= 0`.
+            let last = pos - 1;
+            if last < filled {
+                std::mem::swap(&mut head[last], &mut carry.0);
+                std::mem::swap(&mut tail[last], &mut carry.1);
+                filled = last;
             }
-            hole = piece_end - 1;
-            // Every boundary sitting exactly at this piece end shifts left
-            // by one — including boundaries at the array end (empty last
-            // pieces), which must not be left stale.
-            while bi < bs.len() && bs[bi].1 == piece_end {
-                self.index.reposition(bs[bi].0, piece_end - 1);
-                bi += 1;
-            }
-            if piece_end == n {
-                break;
-            }
-            piece_end = if bi < bs.len() { bs[bi].1 } else { n };
+            last
+        });
+        if p < filled {
+            self.head[p] = carry.0;
+            self.tail[p] = carry.1;
         }
-        debug_assert_eq!(hole, n - 1);
         self.head.pop();
         self.tail.pop();
     }

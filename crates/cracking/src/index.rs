@@ -120,13 +120,6 @@ impl CrackerIndex {
         }
     }
 
-    /// Update the position of an existing boundary without changing its
-    /// query-mandated/advisory status (ripple inserts and deletes shift
-    /// positions, they never create new partitioning knowledge).
-    pub fn reposition(&mut self, key: BoundaryKey, pos: usize) {
-        self.tree.insert(key, pos);
-    }
-
     /// Promote a boundary to query-mandated: a query predicate landed
     /// exactly on a previously advisory pivot.
     pub fn promote(&mut self, key: BoundaryKey) {
@@ -182,9 +175,24 @@ impl CrackerIndex {
         self.tree.mark_all_deleted()
     }
 
-    /// Shift all stored positions `>= from` by `delta` (ripple updates).
-    pub fn shift_positions(&mut self, from: usize, delta: isize) {
-        self.tree.shift_positions(from, delta)
+    /// Ripple updates: move every live boundary `above` accepts (a
+    /// monotone test, see [`AvlTree::ripple_walk`]) to the position
+    /// `shift` returns for it, highest boundary first. Ripple shifts
+    /// positions only, never creates partitioning knowledge, so each
+    /// boundary keeps its query-mandated/advisory status.
+    pub(crate) fn ripple_walk(
+        &mut self,
+        above: impl FnMut(&BoundaryKey, usize) -> bool,
+        shift: impl FnMut(usize) -> usize,
+    ) {
+        self.tree.ripple_walk(above, shift)
+    }
+
+    /// Verify the AVL invariants of the underlying tree (test / debug
+    /// helper).
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.tree.check_invariants()
     }
 
     /// Live boundaries in key order: `(key, pos)` pairs. Positions are
@@ -364,9 +372,11 @@ mod tests {
         assert!(idx.is_advisory((10, BoundKind::Le)));
         assert!(!idx.is_advisory((20, BoundKind::Lt)));
         assert_eq!(idx.advisory_count(), 1);
-        // Repositioning (ripple updates) preserves the flag.
-        idx.reposition((10, BoundKind::Le), 41);
+        // Ripple shifts preserve the flag.
+        idx.ripple_walk(|_, _| true, |pos| pos + 1);
+        assert_eq!(idx.position_of((10, BoundKind::Le)), Some(41));
         assert!(idx.is_advisory((10, BoundKind::Le)));
+        assert!(!idx.is_advisory((20, BoundKind::Lt)));
         // A query landing exactly on the pivot promotes it.
         idx.promote((10, BoundKind::Le));
         assert!(!idx.is_advisory((10, BoundKind::Le)));

@@ -11,15 +11,19 @@
 //! sideways cracking follows §3.5 chunk-wise (stage globally, merge on
 //! access); the presorted baseline maintains its sorted copies the
 //! expensive way the paper ascribes to it.
+//!
+//! The last group runs a `svc_mixed`-shaped stream whose reads first
+//! crack every map into thousands of pieces, so each merged update
+//! ripples across thousands of boundaries (and empty pieces).
 
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
-    Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine, SelectQuery,
-    ShardedEngine, SidewaysEngine,
+    CrackPolicy, Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine,
+    SelectQuery, Service, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
-use crackdb_workloads::random_table;
+use crackdb_workloads::{random_table, RangeGen};
 
 const DOMAIN: (Val, Val) = (0, 1000);
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -327,4 +331,177 @@ fn update_bursts_between_query_batches() {
             &format!("partial bursts x{shards}"),
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Ripple across many pieces
+// ---------------------------------------------------------------------
+
+/// Value domain of the many-pieces stream: wide enough that nearly
+/// every query bound is a boundary of its own.
+const WIDE: (Val, Val) = (0, 1_000_000);
+const WIDE_ROWS: usize = 14_000;
+const WIDE_COLS: usize = 4;
+/// Reads before the first update; each adds up to two boundaries to
+/// every map it uses.
+const WARMUP_READS: usize = 1_100;
+const STREAM_OPS: usize = 600;
+/// Boundaries every map must hold when the first update arrives.
+const MIN_BOUNDARIES: usize = 2_000;
+
+/// `svc_mixed`'s read: a 0.2% range on attribute 0, nine in ten of them
+/// in the lowest fifth of the domain, a 50% residual on attribute 1 and
+/// three aggregates.
+fn svc_read(sel: &mut RangeGen, res: &mut RangeGen) -> Op {
+    Op::Select(SelectQuery::aggregate(
+        vec![(0, sel.next_skewed(0.9, 0.2)), (1, res.next())],
+        vec![(2, AggFunc::Max), (3, AggFunc::Sum), (3, AggFunc::Count)],
+    ))
+}
+
+/// `WARMUP_READS` reads, then `STREAM_OPS` ops of which 90% are reads,
+/// 5% in-domain inserts and 5% deletes of live rows, then one read of
+/// the whole domain, which merges every update still staged.
+fn many_pieces_stream(seed: u64) -> Vec<Op> {
+    let mut sel = RangeGen::with_selectivity(WIDE.1, 0.002, seed);
+    let mut res = RangeGen::with_selectivity(WIDE.1, 0.5, seed + 1);
+    let mut rng = StdRng::seed_from_u64(seed + 2);
+    let mut ops: Vec<Op> = (0..WARMUP_READS)
+        .map(|_| svc_read(&mut sel, &mut res))
+        .collect();
+    let mut live: Vec<RowId> = (0..WIDE_ROWS as RowId).collect();
+    let mut next_key = WIDE_ROWS as RowId;
+    for _ in 0..STREAM_OPS {
+        match rng.gen_range(0..100) {
+            0..=89 => ops.push(svc_read(&mut sel, &mut res)),
+            90..=94 => {
+                let row = (0..WIDE_COLS).map(|_| rng.gen_range(1..=WIDE.1)).collect();
+                ops.push(Op::Insert(row));
+                live.push(next_key);
+                next_key += 1;
+            }
+            _ => ops.push(Op::Delete(live.swap_remove(rng.gen_range(0..live.len())))),
+        }
+    }
+    let aggs =
+        (1..WIDE_COLS).flat_map(|a| [(a, AggFunc::Count), (a, AggFunc::Sum), (a, AggFunc::Min)]);
+    ops.push(Op::Select(SelectQuery::aggregate(
+        vec![(0, RangePred::closed(WIDE.0, WIDE.1))],
+        aggs.collect(),
+    )));
+    ops
+}
+
+/// The fewest boundaries any map of a sideways engine's attribute-0 set
+/// holds.
+fn min_map_boundaries(e: &SidewaysEngine) -> usize {
+    let set = e
+        .store()
+        .set(0)
+        .expect("the reads built the set of attribute 0");
+    let maps = set.map_attrs().into_iter().filter_map(|a| set.map(a));
+    maps.map(|m| m.arr.index().len()).min().unwrap_or(0)
+}
+
+/// Replay the warm-up reads, check every map of every sideways engine
+/// `engines` exposes is cracked into thousands of pieces, then replay
+/// the rest; every answer must match the plain baseline's.
+fn check_many_pieces<E: Engine>(
+    engine: &mut E,
+    engines: impl Fn(&E) -> Vec<&SidewaysEngine>,
+    ops: &[Op],
+    expected: &[QueryOutput],
+    ctx: &str,
+) {
+    let mut outs = replay(engine, &ops[..WARMUP_READS]);
+    for (i, e) in engines(engine).into_iter().enumerate() {
+        let b = min_map_boundaries(e);
+        assert!(
+            b >= MIN_BOUNDARIES,
+            "{ctx}: shard {i} maps hold {b} boundaries"
+        );
+    }
+    outs.extend(replay(engine, &ops[WARMUP_READS..]));
+    assert_same(&outs, expected, ctx);
+}
+
+fn wide_table() -> Table {
+    random_table(WIDE_COLS, WIDE_ROWS, WIDE.1, 91)
+}
+
+fn sideways(t: Table) -> SidewaysEngine {
+    SidewaysEngine::with_policy(t, WIDE, CrackPolicy::Standard)
+}
+
+#[test]
+fn sideways_ripple_across_thousands_of_pieces() {
+    let t = wide_table();
+    let ops = many_pieces_stream(92);
+    let expected = expected_for(&t, &ops);
+    check_many_pieces(
+        &mut sideways(t.clone()),
+        |e| vec![e],
+        &ops,
+        &expected,
+        "sideways",
+    );
+    for shards in [2, 7] {
+        let mut e = ShardedEngine::build(t.clone(), shards, |_, p| sideways(p));
+        check_many_pieces(
+            &mut e,
+            |e| e.shards().iter().collect(),
+            &ops,
+            &expected,
+            &format!("sideways x{shards}"),
+        );
+    }
+}
+
+/// One client, so the service serves the stream in order.
+#[test]
+fn served_ripple_across_thousands_of_pieces() {
+    let t = wide_table();
+    let ops = many_pieces_stream(93);
+    let expected = expected_for(&t, &ops);
+    let svc = Service::start(ShardedEngine::build(t, 2, |_, p| sideways(p))).expect("starts");
+    let client = svc.client();
+    let mut outs = Vec::new();
+    for op in &ops {
+        match op {
+            Op::Insert(row) => {
+                client.insert(row).expect("insert admitted");
+            }
+            Op::Delete(key) => {
+                client.delete(*key).expect("delete admitted");
+            }
+            Op::Select(q) => outs.push(client.select(q).expect("select admitted").output),
+        }
+    }
+    drop(client);
+    let engine = svc.shutdown();
+    for (i, e) in engine.shards().iter().enumerate() {
+        let b = min_map_boundaries(e);
+        assert!(b >= MIN_BOUNDARIES, "shard {i} maps hold {b} boundaries");
+    }
+    assert_same(&outs, &expected, "service x2");
+}
+
+/// Partial maps under a budget that keeps evicting chunks, and the
+/// cracker columns of selection cracking.
+#[test]
+fn partial_and_selcrack_ripple_across_thousands_of_pieces() {
+    let t = wide_table();
+    let ops = many_pieces_stream(94);
+    let expected = expected_for(&t, &ops);
+    // Small enough that some areas lose one chunk while another stays
+    // resident, so later reads rebuild it on the dropped chunk's lazily
+    // deleted index shell (dozens of times in this stream).
+    let budget = 6_000;
+    let mut e = PartialEngine::with_policy(t.clone(), WIDE, Some(budget), CrackPolicy::Standard);
+    assert_same(&replay(&mut e, &ops), &expected, "partial");
+    let stats = e.store().stats_sum();
+    assert!(stats.chunks_dropped > 0, "the budget evicts: {stats:?}");
+    assert!(stats.updates_merged > 0, "updates were merged: {stats:?}");
+    let mut e = SelCrackEngine::with_policy(t, WIDE, CrackPolicy::Standard);
+    assert_same(&replay(&mut e, &ops), &expected, "selcrack");
 }
