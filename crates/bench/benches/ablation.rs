@@ -1,4 +1,4 @@
-//! Ablation benchmarks of the design decisions DESIGN.md calls out:
+//! Ablation benchmarks of the paper's design decisions:
 //!
 //! * adaptive alignment vs maps without alignment (correct plans need
 //!   alignment; here we measure its replay cost in isolation);

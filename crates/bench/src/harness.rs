@@ -7,194 +7,8 @@
 //!
 //! Benchmarks are ordinary `[[bench]]` targets with `harness = false`
 //! and a plain `main` that drives a [`Criterion`] value.
-//!
-//! Besides the human-readable tables, the harness provides a minimal
-//! dependency-free JSON emitter ([`JsonObj`] / [`JsonList`]) so bench
-//! bins can write machine-readable `BENCH_<name>.json` artifacts (e.g.
-//! the robustness sweep) that CI and perf-trajectory tooling consume.
 
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------
-// Machine-readable reports
-// ---------------------------------------------------------------------
-
-/// A JSON object under construction. Only the value shapes the bench
-/// artifacts need (strings, integers, floats, arrays, nested objects) —
-/// not a general serializer.
-#[derive(Debug, Default, Clone)]
-pub struct JsonObj {
-    parts: Vec<String>,
-}
-
-/// A JSON array under construction.
-#[derive(Debug, Default, Clone)]
-pub struct JsonList {
-    parts: Vec<String>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl JsonObj {
-    /// Empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.parts.push(format!(
-            "\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        ));
-        self
-    }
-
-    /// Add an integer field.
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.parts.push(format!("\"{}\":{value}", json_escape(key)));
-        self
-    }
-
-    /// Add a float field (finite values only; NaN/inf become null).
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        let v = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.parts.push(format!("\"{}\":{v}", json_escape(key)));
-        self
-    }
-
-    /// Add an array of integers.
-    pub fn u64_array(mut self, key: &str, values: &[u64]) -> Self {
-        let body: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        self.parts
-            .push(format!("\"{}\":[{}]", json_escape(key), body.join(",")));
-        self
-    }
-
-    /// Add a nested array value.
-    pub fn list(mut self, key: &str, value: JsonList) -> Self {
-        self.parts
-            .push(format!("\"{}\":{}", json_escape(key), value.finish()));
-        self
-    }
-
-    /// Add a nested object value.
-    pub fn obj(mut self, key: &str, value: JsonObj) -> Self {
-        self.parts
-            .push(format!("\"{}\":{}", json_escape(key), value.finish()));
-        self
-    }
-
-    /// Serialize.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.parts.join(","))
-    }
-}
-
-impl JsonList {
-    /// Empty array.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an object element.
-    pub fn push(&mut self, value: JsonObj) {
-        self.parts.push(value.finish());
-    }
-
-    /// Serialize.
-    pub fn finish(self) -> String {
-        format!("[{}]", self.parts.join(","))
-    }
-}
-
-/// Write a machine-readable bench artifact as `BENCH_<name>.json` in the
-/// current directory (the convention CI's perf-trajectory step greps
-/// for). Returns the path written.
-pub fn write_bench_json(name: &str, root: JsonObj) -> std::io::Result<String> {
-    let path = format!("BENCH_{name}.json");
-    std::fs::write(&path, root.finish() + "\n")?;
-    Ok(path)
-}
-
-/// Latency percentiles over a sample set (nanoseconds), nearest-rank
-/// method. The query service records one sample per completed call
-/// (`Service::take_latencies`); `service_bench` folds them through this
-/// and emits them into `BENCH_service.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Percentiles {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean (ns).
-    pub mean_ns: u64,
-    /// Median (ns).
-    pub p50_ns: u64,
-    /// 95th percentile (ns).
-    pub p95_ns: u64,
-    /// 99th percentile (ns).
-    pub p99_ns: u64,
-    /// Maximum (ns).
-    pub max_ns: u64,
-}
-
-impl Percentiles {
-    /// Compute from raw nanosecond samples (empty input yields zeros).
-    pub fn from_nanos(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        let count = samples.len();
-        let rank = |p: usize| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            // Nearest-rank: smallest sample with at least p% of the
-            // distribution at or below it.
-            samples[(p * count).div_ceil(100).clamp(1, count) - 1]
-        };
-        Percentiles {
-            count,
-            mean_ns: if count == 0 {
-                0
-            } else {
-                (samples.iter().map(|&n| n as u128).sum::<u128>() / count as u128) as u64
-            },
-            p50_ns: rank(50),
-            p95_ns: rank(95),
-            p99_ns: rank(99),
-            max_ns: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    /// Serialize into the bench-artifact JSON shape (microsecond floats
-    /// for readability, counts as integers).
-    pub fn to_json(self) -> JsonObj {
-        JsonObj::new()
-            .u64("samples", self.count as u64)
-            .f64("mean_us", self.mean_ns as f64 / 1e3)
-            .f64("p50_us", self.p50_ns as f64 / 1e3)
-            .f64("p95_us", self.p95_ns as f64 / 1e3)
-            .f64("p99_us", self.p99_ns as f64 / 1e3)
-            .f64("max_us", self.max_ns as f64 / 1e3)
-    }
-}
 
 /// How `iter_batched` amortizes setup (kept for API compatibility; this
 /// harness always runs one setup per measured sample).
@@ -216,9 +30,9 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        // Keep runs fast: kernels here are all ≥ microseconds, and the
-        // experiment binaries (not these microbenches) produce the
-        // paper's figures.
+        // Keep runs fast: kernels here are all ≥ microseconds, and
+        // `paperfigs` (not these microbenches) produces the paper's
+        // figures.
         Criterion {
             default_samples: 15,
         }
@@ -331,42 +145,5 @@ impl Bencher {
             std::hint::black_box(routine(state));
             self.times.push(t0.elapsed());
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let p = Percentiles::from_nanos((1..=100).collect());
-        assert_eq!(p.count, 100);
-        assert_eq!(p.p50_ns, 50);
-        assert_eq!(p.p95_ns, 95);
-        assert_eq!(p.p99_ns, 99);
-        assert_eq!(p.max_ns, 100);
-        assert_eq!(p.mean_ns, 50); // 50.5 truncated
-    }
-
-    #[test]
-    fn percentiles_degenerate_inputs() {
-        let empty = Percentiles::from_nanos(Vec::new());
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.p99_ns, 0);
-        assert_eq!(empty.max_ns, 0);
-        let one = Percentiles::from_nanos(vec![7]);
-        assert_eq!((one.p50_ns, one.p99_ns, one.max_ns), (7, 7, 7));
-        // Unsorted input is sorted internally.
-        let two = Percentiles::from_nanos(vec![9, 1]);
-        assert_eq!(two.p50_ns, 1);
-        assert_eq!(two.p99_ns, 9);
-    }
-
-    #[test]
-    fn percentiles_serialize() {
-        let json = Percentiles::from_nanos(vec![1000, 2000]).to_json().finish();
-        assert!(json.contains("\"samples\":2"), "{json}");
-        assert!(json.contains("\"p50_us\":1"), "{json}");
     }
 }

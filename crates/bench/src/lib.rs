@@ -1,127 +1,88 @@
 #![warn(missing_docs)]
 //! # crackdb-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's experiment index) plus Criterion micro-benchmarks of the
-//! underlying kernels.
+//! The paper-figure runner and the kernel micro-benchmarks. The
+//! `paperfigs` binary regenerates the paper's experiments — exp1–exp6
+//! (§3.6), Figures 9–13 (§4.2), Figure 14 and the mixed TPC-H workload
+//! (§5) — and prints the series each figure plots; `benches/` times the
+//! underlying kernels on the [`harness`] stand-in for criterion.
 //!
-//! Every binary prints the series the corresponding figure plots. Scales
-//! default to laptop-friendly sizes; pass `--n=`, `--queries=`, `--sf=`
-//! to approach paper scale (10^7 rows, 10^3 queries, SF 1).
+//! Scales default to laptop-friendly sizes; pass `--n=`, `--queries=`,
+//! `--sf=` to approach paper scale (10^7 rows, 10^3 queries, SF 1).
 
 pub mod harness;
 pub mod qi;
 
+use std::str::FromStr;
 use std::time::Instant;
 
-/// Simple `--key=value` argument parsing with defaults.
-#[derive(Debug, Clone)]
+/// Simple `--key=value` argument parsing.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Args {
-    /// Table cardinality.
+    /// Table cardinality (0 = not given: the figure's default).
     pub n: usize,
-    /// Number of queries per sequence.
+    /// Number of queries per sequence (0 = not given: the figure's
+    /// default).
     pub queries: usize,
     /// TPC-H scale factor.
     pub sf: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for the batch-execution benchmarks (0 = one per
-    /// hardware thread).
-    pub threads: usize,
-    /// Maximum shard count for the sharding benchmarks (0 = sweep up to
-    /// twice the hardware threads).
-    pub shards: usize,
-    /// Concurrent closed-loop client sessions for the service
-    /// benchmarks (0 = one per hardware thread, at least 2).
-    pub clients: usize,
-    /// Engine-set selector for benchmarks that support it (exp6:
+    /// Engine-set selector for figures that support it (exp6:
     /// "default" = the paper's update-capable trio, "all" = all five
     /// engines including presorted and budgeted partial maps).
     pub engines: String,
 }
 
 impl Args {
-    /// Parse from `std::env::args` with the given defaults.
-    pub fn parse(default_n: usize, default_queries: usize) -> Self {
+    /// Parse `--key=value` arguments. Unknown arguments are reported on
+    /// stderr and ignored; `n` and `queries` stay 0 unless given (see
+    /// [`Args::or_defaults`]).
+    ///
+    /// # Errors
+    /// A value that does not parse as its key's type, or an `--engines=`
+    /// other than `default` / `all`.
+    pub fn parse_from(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut a = Args {
-            n: default_n,
-            queries: default_queries,
+            n: 0,
+            queries: 0,
             sf: 0.01,
             seed: 42,
-            threads: 0,
-            shards: 0,
-            clients: 0,
             engines: "default".to_string(),
         };
-        for arg in std::env::args().skip(1) {
-            if let Some(v) = arg.strip_prefix("--n=") {
-                a.n = v.parse().expect("--n takes an integer");
-            } else if let Some(v) = arg.strip_prefix("--queries=") {
-                a.queries = v.parse().expect("--queries takes an integer");
-            } else if let Some(v) = arg.strip_prefix("--sf=") {
-                a.sf = v.parse().expect("--sf takes a float");
-            } else if let Some(v) = arg.strip_prefix("--seed=") {
-                a.seed = v.parse().expect("--seed takes an integer");
-            } else if let Some(v) = arg.strip_prefix("--threads=") {
-                a.threads = v.parse().expect("--threads takes an integer");
-            } else if let Some(v) = arg.strip_prefix("--shards=") {
-                a.shards = v.parse().expect("--shards takes an integer");
-            } else if let Some(v) = arg.strip_prefix("--clients=") {
-                a.clients = v.parse().expect("--clients takes an integer");
-            } else if let Some(v) = arg.strip_prefix("--engines=") {
-                assert!(
-                    matches!(v, "default" | "all"),
-                    "--engines takes 'default' or 'all', got {v:?}"
-                );
-                a.engines = v.to_string();
-            } else {
-                eprintln!("ignoring unknown argument {arg}");
+        for arg in args {
+            let (key, value) = arg.split_once('=').unwrap_or((&arg, ""));
+            match key {
+                "--n" => a.n = parse_value(key, value)?,
+                "--queries" => a.queries = parse_value(key, value)?,
+                "--sf" => a.sf = parse_value(key, value)?,
+                "--seed" => a.seed = parse_value(key, value)?,
+                "--engines" if matches!(value, "default" | "all") => a.engines = value.to_string(),
+                "--engines" => {
+                    return Err(format!("--engines takes 'default' or 'all', got {value:?}"))
+                }
+                _ => eprintln!("ignoring unknown argument {arg}"),
             }
         }
-        a
+        Ok(a)
     }
 
-    /// Resolved concurrent client-session count: `--clients=` or one
-    /// per hardware thread, at least 2 (a service benchmark with one
-    /// client cannot show concurrency at all).
-    pub fn clients_or_auto(&self) -> usize {
-        if self.clients > 0 {
-            self.clients
-        } else {
-            std::thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2)
+    /// These arguments with `n` and `queries` set to the given defaults
+    /// where they were not given.
+    pub fn or_defaults(&self, n: usize, queries: usize) -> Args {
+        let pick = |given: usize, default: usize| if given == 0 { default } else { given };
+        Args {
+            n: pick(self.n, n),
+            queries: pick(self.queries, queries),
+            ..self.clone()
         }
     }
+}
 
-    /// Resolved worker count: `--threads=` or one per hardware thread.
-    pub fn threads_or_auto(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-
-    /// Shard counts to sweep: doubling steps up to (and always
-    /// including) the resolved maximum — `--shards=` when given, else
-    /// twice the hardware threads (oversharding shows where the fan-out
-    /// overhead starts to dominate).
-    pub fn shard_sweep(&self) -> Vec<usize> {
-        let max = if self.shards > 0 {
-            self.shards
-        } else {
-            2 * std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        let mut sweep = Vec::new();
-        let mut s = 1;
-        while s < max {
-            sweep.push(s);
-            s *= 2;
-        }
-        sweep.push(max);
-        sweep
-    }
+fn parse_value<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{key} takes a number, got {value:?}"))
 }
 
 /// Milliseconds elapsed while running `f`; returns `(ms, result)`.
@@ -129,13 +90,6 @@ pub fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let t0 = Instant::now();
     let r = f();
     (t0.elapsed().as_secs_f64() * 1e3, r)
-}
-
-/// Microseconds elapsed while running `f`; returns `(us, result)`.
-pub fn time_us<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let t0 = Instant::now();
-    let r = f();
-    (t0.elapsed().as_secs_f64() * 1e6, r)
 }
 
 /// Should this query index be printed in a log-style sampled series?
@@ -152,11 +106,6 @@ pub fn log_sample(i: usize, total: usize) -> bool {
 /// Print a header line for a series table.
 pub fn header(cols: &[&str]) {
     println!("{}", cols.join("\t"));
-}
-
-/// Format ms with 3 decimals.
-pub fn fmt_ms(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 #[cfg(test)]
@@ -176,15 +125,28 @@ mod tests {
         assert!(picks.len() < 300);
     }
 
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn shard_sweep_doubles_up_to_max() {
-        let mut a = Args::parse(10, 10);
-        a.shards = 6;
-        assert_eq!(a.shard_sweep(), vec![1, 2, 4, 6]);
-        a.shards = 8;
-        assert_eq!(a.shard_sweep(), vec![1, 2, 4, 8]);
-        a.shards = 1;
-        assert_eq!(a.shard_sweep(), vec![1]);
+    fn parse_reads_flags_and_keeps_unset_sizes_open() {
+        let a = parse(&["--n=500", "--sf=0.5", "--seed=7", "--engines=all"]).unwrap();
+        assert_eq!((a.n, a.queries, a.sf, a.seed), (500, 0, 0.5, 7));
+        assert_eq!(a.engines, "all");
+        let d = a.or_defaults(1_000, 30);
+        assert_eq!((d.n, d.queries), (500, 30));
+        assert_eq!(parse(&["--bogus=1"]).unwrap(), parse(&[]).unwrap());
+    }
+
+    #[test]
+    fn bad_values_are_errors_not_panics() {
+        assert!(parse(&["--n=x"]).unwrap_err().contains("--n"));
+        assert!(parse(&["--queries=-3"]).is_err());
+        assert!(parse(&["--sf=big"]).is_err());
+        assert!(parse(&["--engines=bogus"])
+            .unwrap_err()
+            .contains("--engines"));
     }
 
     #[test]

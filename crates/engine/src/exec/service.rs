@@ -92,15 +92,6 @@
 //! republished views is hand-rolled epoch-based reclamation
 //! ([`crackdb_core::epoch`]): readers pin, workers retire old views
 //! into a limbo list freed only once no pin can still reference them.
-//!
-//! Per-call wall-clock latency (enqueue to merged result) is recorded
-//! in a per-client bounded ring (most recent
-//! [`ServiceConfig::latency_capacity`] samples each, so memory never
-//! grows per query) — completions never contend on a service-wide
-//! lock; [`Service::take_latencies`] drains all rings plus the
-//! flushed samples of dropped clients for p50/p95/p99 reporting
-//! (`bench::harness::Percentiles`, used by the `service_bench` bin to
-//! emit `BENCH_service.json`).
 
 use super::shard::{locate_key, merge_join_outputs, merge_select_outputs, ShardedEngine};
 use super::snapshot::EngineSnapshot;
@@ -110,9 +101,8 @@ use crackdb_columnstore::types::{RowId, Val};
 use crackdb_core::{lock_unpoisoned, EpochDomain, EpochReader, Published};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Global sequence number of a request: the position of the request in
 /// the service's total execution order.
@@ -129,13 +119,6 @@ pub struct ServiceConfig {
     /// concurrent sessions while still bounding queue growth under
     /// open-loop overload.
     pub queue_depth: usize,
-    /// Capacity of the latency ring: the service keeps the most recent
-    /// `latency_capacity` per-call latencies for
-    /// [`Service::take_latencies`] (older samples are overwritten, so a
-    /// long-lived service's memory stays bounded even if nobody
-    /// polls). `0` disables latency capture entirely — completions
-    /// then touch no shared state at all.
-    pub latency_capacity: usize,
     /// Enable the lock-free snapshot read path: selects whose every
     /// predicate resolves against the shards' published converged
     /// pieces execute on the client's own thread, skipping the worker
@@ -150,7 +133,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_depth: 1024,
-            latency_capacity: 1 << 16,
             snapshot_reads: super::snapshot_reads_from_env(),
         }
     }
@@ -279,14 +261,6 @@ struct Shared {
     /// [`Client::admit`] instead of enqueueing doomed work on the
     /// surviving shards.
     failed: AtomicBool,
-    /// Copy of [`ServiceConfig::latency_capacity`], checked before
-    /// taking the latency lock so disabled capture costs nothing.
-    latency_capacity: usize,
-    /// Latency-sample registry: weak handles to every live client's
-    /// private ring plus the flushed samples of dropped clients.
-    /// Locked only when clients are created/dropped and when
-    /// [`Service::take_latencies`] drains — never per completion.
-    latencies: Mutex<LatencyHub>,
     /// Epoch domain protecting the published shard views.
     epoch: Arc<EpochDomain>,
     /// One published view cell per shard worker, in shard order.
@@ -301,81 +275,6 @@ struct Shared {
     /// accumulated per work item by the shard workers (observability:
     /// 0 forever under a static policy configuration).
     policy_switches: Arc<AtomicU64>,
-}
-
-/// Bounded ring of the most recent per-call latencies: a long-lived
-/// service must not grow memory per query, whether or not anyone polls
-/// [`Service::take_latencies`].
-struct LatencyRing {
-    samples: Vec<u64>,
-    /// Overwrite position once `samples` reached capacity.
-    next: usize,
-    capacity: usize,
-}
-
-impl LatencyRing {
-    fn new(capacity: usize) -> Self {
-        LatencyRing {
-            samples: Vec::with_capacity(capacity.min(1 << 16)),
-            next: 0,
-            capacity,
-        }
-    }
-
-    fn push(&mut self, nanos: u64) {
-        if self.samples.len() < self.capacity {
-            self.samples.push(nanos);
-        } else {
-            self.samples[self.next] = nanos;
-            self.next = (self.next + 1) % self.capacity;
-        }
-    }
-
-    fn take(&mut self) -> Vec<u64> {
-        self.next = 0;
-        std::mem::take(&mut self.samples)
-    }
-}
-
-/// The latency-sample registry behind [`Service::take_latencies`].
-/// Completions touch only their client's private ring (uncontended in
-/// the steady state); this hub is locked on the cold paths — client
-/// creation, client drop (flushing the private samples into
-/// `orphans`), and draining.
-struct LatencyHub {
-    /// Live clients' rings; dead entries are pruned on registration
-    /// and drain.
-    rings: Vec<Weak<Mutex<LatencyRing>>>,
-    /// Samples of clients that were dropped before a drain.
-    orphans: LatencyRing,
-}
-
-impl LatencyHub {
-    /// Register a fresh per-client ring (`None` when capture is
-    /// disabled, so completions never allocate or lock).
-    fn register(shared: &Shared) -> Option<Arc<Mutex<LatencyRing>>> {
-        if shared.latency_capacity == 0 {
-            return None;
-        }
-        let ring = Arc::new(Mutex::new(LatencyRing::new(shared.latency_capacity)));
-        let mut hub = lock_unpoisoned(&shared.latencies);
-        hub.rings.retain(|w| w.strong_count() > 0);
-        hub.rings.push(Arc::downgrade(&ring));
-        Some(ring)
-    }
-
-    /// Drain everything: orphaned samples first, then every live
-    /// client's ring.
-    fn drain(&mut self) -> Vec<u64> {
-        let mut samples = self.orphans.take();
-        self.rings.retain(|w| w.strong_count() > 0);
-        for weak in &self.rings {
-            if let Some(ring) = weak.upgrade() {
-                samples.extend(lock_unpoisoned(&ring).take());
-            }
-        }
-        samples
-    }
 }
 
 /// RAII in-flight slot: released on completion *and* on every error
@@ -524,11 +423,6 @@ impl<E: Engine + Send + 'static> Service<E> {
                 in_flight: AtomicUsize::new(0),
                 queue_depth: config.queue_depth.max(1),
                 failed: AtomicBool::new(false),
-                latency_capacity: config.latency_capacity,
-                latencies: Mutex::new(LatencyHub {
-                    rings: Vec::new(),
-                    orphans: LatencyRing::new(config.latency_capacity),
-                }),
                 epoch,
                 views,
                 snapshot_reads: config.snapshot_reads,
@@ -566,15 +460,6 @@ impl<E: Engine + Send + 'static> Service<E> {
     /// Requests currently in flight (queued or executing).
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::Acquire)
-    }
-
-    /// Drain the recorded per-call latencies (up to
-    /// [`ServiceConfig::latency_capacity`] recent samples per client,
-    /// in nanoseconds): orphaned samples of dropped clients first,
-    /// then every live client's private ring. Feed them to
-    /// `bench::harness::Percentiles` for p50/p95/p99 reporting.
-    pub fn take_latencies(&self) -> Vec<u64> {
-        lock_unpoisoned(&self.shared.latencies).drain()
     }
 
     /// Graceful shutdown: stop admitting work, let every accepted
@@ -635,9 +520,6 @@ pub struct Client {
     /// of cloned per thread) must not pin one slot twice, so the fast
     /// path `try_lock`s and falls back to the worker hop on contention.
     reader: Mutex<EpochReader>,
-    /// This session's private latency ring (`None` = capture
-    /// disabled). Flushed into the service-wide hub on drop.
-    ring: Option<Arc<Mutex<LatencyRing>>>,
 }
 
 impl Clone for Client {
@@ -646,25 +528,10 @@ impl Clone for Client {
     }
 }
 
-impl Drop for Client {
-    fn drop(&mut self) {
-        if let Some(ring) = &self.ring {
-            let samples = lock_unpoisoned(ring).take();
-            if !samples.is_empty() {
-                let orphans = &mut lock_unpoisoned(&self.shared.latencies).orphans;
-                for s in samples {
-                    orphans.push(s);
-                }
-            }
-        }
-    }
-}
-
 impl Client {
     fn new(shared: Arc<Shared>, nshards: usize) -> Self {
         Client {
             reader: Mutex::new(shared.epoch.register()),
-            ring: LatencyHub::register(&shared),
             shared,
             nshards,
         }
@@ -676,11 +543,8 @@ impl Client {
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`] or
     /// [`ServiceError::WorkerLost`].
     pub fn select(&self, q: &SelectQuery) -> Result<Reply, ServiceError> {
-        let t0 = Instant::now();
-        let slot = self.admit()?;
+        let _slot = self.admit()?;
         if let Some(reply) = self.snapshot_select(q) {
-            drop(slot);
-            self.record(t0);
             return Ok(reply);
         }
         // The shards run the query as asked; the one copy made of it is
@@ -694,8 +558,6 @@ impl Client {
         drop(reply_tx);
         let outs = self.collect(reply_rx)?;
         let output = merge_select_outputs(q, outs);
-        drop(slot);
-        self.record(t0);
         Ok(Reply { seq, output })
     }
 
@@ -706,8 +568,7 @@ impl Client {
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`] or
     /// [`ServiceError::WorkerLost`].
     pub fn join(&self, q: &JoinQuery) -> Result<Reply, ServiceError> {
-        let t0 = Instant::now();
-        let slot = self.admit()?;
+        let _slot = self.admit()?;
         let shard_q = Arc::new(q.clone());
         let (reply_tx, reply_rx) = channel();
         let seq = self.broadcast(|| Work::Join {
@@ -717,8 +578,6 @@ impl Client {
         drop(reply_tx);
         let outs = self.collect(reply_rx)?;
         let output = merge_join_outputs(q, &outs);
-        drop(slot);
-        self.record(t0);
         Ok(Reply { seq, output })
     }
 
@@ -730,8 +589,7 @@ impl Client {
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`] or
     /// [`ServiceError::WorkerLost`].
     pub fn insert(&self, row: &[Val]) -> Result<WriteReply, ServiceError> {
-        let t0 = Instant::now();
-        let slot = self.admit()?;
+        let _slot = self.admit()?;
         let (reply_tx, reply_rx) = channel();
         let (seq, key) = {
             let mut router = self.lock_router()?;
@@ -747,8 +605,6 @@ impl Client {
             (router.commit(), key)
         };
         reply_rx.recv().map_err(|_| self.fail())?;
-        drop(slot);
-        self.record(t0);
         Ok(WriteReply {
             seq,
             key: Some(key),
@@ -764,8 +620,7 @@ impl Client {
     /// [`ServiceError::Overloaded`] / [`ServiceError::ShuttingDown`] /
     /// [`ServiceError::WorkerLost`].
     pub fn delete(&self, key: RowId) -> Result<WriteReply, ServiceError> {
-        let t0 = Instant::now();
-        let slot = self.admit()?;
+        let _slot = self.admit()?;
         let (reply_tx, reply_rx) = channel();
         let seq = {
             let mut router = self.lock_router()?;
@@ -781,8 +636,6 @@ impl Client {
             router.commit()
         };
         reply_rx.recv().map_err(|_| self.fail())?;
-        drop(slot);
-        self.record(t0);
         Ok(WriteReply { seq, key: None })
     }
 
@@ -897,16 +750,6 @@ impl Client {
             .into_iter()
             .map(|o| o.expect("each shard replies exactly once"))
             .collect())
-    }
-
-    /// Record one completed call's wall-clock latency in this client's
-    /// private ring: no service-wide lock on the completion path (the
-    /// ring's mutex is contended only by a concurrent drain). No-op
-    /// when capture is disabled.
-    fn record(&self, t0: Instant) {
-        let Some(ring) = &self.ring else { return };
-        let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        lock_unpoisoned(ring).push(nanos);
     }
 }
 
@@ -1160,42 +1003,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn latency_capture_is_bounded_and_optional() {
-        let engine = ShardedEngine::build(table(10), 2, |_, t| PlainEngine::new(t));
-        let config = ServiceConfig {
-            queue_depth: 16,
-            latency_capacity: 4,
-            ..ServiceConfig::default()
-        };
-        let svc = Service::with_config(engine, config).unwrap();
-        let client = svc.client();
-        for _ in 0..7 {
-            client.select(&count_query()).unwrap();
-        }
-        assert_eq!(
-            svc.take_latencies().len(),
-            4,
-            "only the most recent samples are kept"
-        );
-        // Draining resets the ring; capture resumes.
-        client.select(&count_query()).unwrap();
-        assert_eq!(svc.take_latencies().len(), 1);
-        svc.shutdown();
-
-        let engine = ShardedEngine::build(table(10), 1, |_, t| PlainEngine::new(t));
-        let config = ServiceConfig {
-            queue_depth: 16,
-            latency_capacity: 0,
-            ..ServiceConfig::default()
-        };
-        let svc = Service::with_config(engine, config).unwrap();
-        let client = svc.client();
-        client.select(&count_query()).unwrap();
-        assert!(svc.take_latencies().is_empty(), "capture disabled");
-        svc.shutdown();
-    }
-
     /// One worker of two: a healthy counting shard and a bomb shard.
     enum Duo {
         Counting(Arc<AtomicUsize>),
@@ -1348,7 +1155,6 @@ mod tests {
         let client = svc.client();
         let total = client.select(&count_query()).unwrap();
         assert_eq!(total.output.aggs, vec![Some(40 + 8 * 10)]);
-        assert_eq!(svc.take_latencies().len(), 8 * 10 * 2 + 1);
         let restored = svc.shutdown();
         assert_eq!(restored.shard_count(), 4);
     }

@@ -71,9 +71,8 @@
 //! linearizable (every client observes its own writes, and a
 //! concurrent run replays bit-identically on a serial engine — the
 //! concurrent differential suite asserts this); admission control
-//! bounds the total queue depth, shutdown drains in-flight queries and
-//! returns the `ShardedEngine`, and per-query latencies are recorded
-//! for p50/p95/p99 reporting (`service_bench`).
+//! bounds the total queue depth, and shutdown drains in-flight queries
+//! and returns the `ShardedEngine`.
 
 pub mod exec;
 pub mod partial_engine;

@@ -340,7 +340,10 @@ fn batch_runner_matches_serial_for_all_engines() {
 
 /// Every adaptive engine under every crack policy — explicitly, not via
 /// the `CRACKDB_POLICY` env hook — must match the plain baseline on a
-/// mixed query/update stream. `coarse:16` exercises both the crack and
+/// mixed query/update stream: random queries, then the two exploration
+/// patterns the policies exist for, a sequential sweep and nested
+/// drill-down zooms (where the adaptive advisor switches policy
+/// mid-stream). `coarse:16` exercises both the crack and
 /// the decline-and-filter paths on these table sizes; the default
 /// `coarse` (1024-tuple leaves) never cracks at all here, stressing the
 /// pure filtering fallback.
@@ -352,7 +355,14 @@ fn adaptive_engines_agree_under_every_policy_explicitly() {
         CrackPolicy::Stochastic { seed: 77 },
         CrackPolicy::coarse(),
         CrackPolicy::CoarseGranular { min_piece: 16 },
+        CrackPolicy::Adaptive,
     ];
+    let pattern_query = |pred: RangePred| {
+        SelectQuery::aggregate(
+            vec![(0, pred)],
+            vec![(1, AggFunc::Count), (1, AggFunc::Max), (1, AggFunc::Sum)],
+        )
+    };
     for policy in policies {
         let table = random_table(3, 400, 4242);
         let mut plain = PlainEngine::new(table.clone());
@@ -387,7 +397,7 @@ fn adaptive_engines_agree_under_every_policy_explicitly() {
         let mut rng = Lcg(1717);
         let mut live_keys: Vec<u32> = (0..400).collect();
         let mut next_insert = 0i64;
-        for i in 0..40 {
+        for i in 0..90 {
             if i % 4 == 3 {
                 let row = [rng.next(DOMAIN.1), 5_000_000 + next_insert, next_insert];
                 next_insert += 1;
@@ -400,8 +410,17 @@ fn adaptive_engines_agree_under_every_policy_explicitly() {
                     e.delete(victim);
                 }
             }
-            let mut q = random_select(&mut rng, 3);
-            q.disjunctive = i % 5 == 4 && q.preds.len() > 1;
+            let q = if i < 40 {
+                let mut q = random_select(&mut rng, 3);
+                q.disjunctive = i % 5 == 4 && q.preds.len() > 1;
+                q
+            } else if i < 70 {
+                let lo = (i - 40) * 33;
+                pattern_query(RangePred::open(lo, lo + 34))
+            } else {
+                let half = 500 - (i - 70) * 24;
+                pattern_query(RangePred::open(500 - half, 500 + half))
+            };
             let expected = plain.select(&q);
             for (name, e) in others.iter_mut() {
                 let out = e.select(&q);
@@ -416,6 +435,14 @@ fn adaptive_engines_agree_under_every_policy_explicitly() {
                     expected.aggs,
                     "policy {} query {i}: {name} aggs",
                     policy.label()
+                );
+            }
+        }
+        if policy == CrackPolicy::Adaptive {
+            for (name, e) in &others {
+                assert!(
+                    e.policy_switches() > 0,
+                    "{name}: the advisor never switched"
                 );
             }
         }

@@ -2,7 +2,7 @@
 //! subset used by the paper's twelve queries (1, 3, 4, 6, 7, 8, 10, 12,
 //! 14, 15, 19, 20), plus the random parameter generator mirroring qgen.
 //!
-//! Substitution note (see DESIGN.md): everything is integer-encoded —
+//! Substitution note: everything is integer-encoded —
 //! dates as days since 1992-01-01, strings (brands, containers, ship
 //! modes, segments…) as dictionary codes, prices in cents. The paper's
 //! queries select on non-string attributes, so the access patterns under
