@@ -25,6 +25,16 @@ use crate::types::{RowId, Val};
 use std::borrow::Cow;
 use std::sync::Arc;
 
+/// Spare capacity, in tuples, that a copy of `n` tuples reserves when it
+/// will take inserts later: `n / 64`. Reserved at the copies crackdb
+/// makes anyway (a shard's base columns, a seeded map), so a shard's
+/// first appended row or a map's first merged insert does not
+/// reallocate and copy the whole array. It is capacity only: lengths,
+/// and so every tuple count, stay the same.
+pub const fn insert_headroom(n: usize) -> usize {
+    n / 64
+}
+
 /// Storage tier behind a [`Column`].
 #[derive(Debug, Clone)]
 enum ColumnData {

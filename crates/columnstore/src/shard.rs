@@ -14,7 +14,7 @@
 //! lets differential tests drive a sharded and an unsharded engine with
 //! the *same* key stream.
 
-use crate::column::{Column, Table};
+use crate::column::{insert_headroom, Column, Table};
 use crate::types::RowId;
 
 /// The cut positions of a row-wise partitioning: `shards + 1` ascending
@@ -105,18 +105,19 @@ impl ShardCuts {
 
 impl Table {
     /// A new table holding rows `[lo, hi)` of this one (same columns,
-    /// same order).
+    /// same order). A shard takes its inserts as appended rows, so each
+    /// column reserves [`insert_headroom`] spare capacity.
     ///
     /// # Panics
     /// If `lo > hi` or `hi` exceeds the row count.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> Table {
         assert!(lo <= hi && hi <= self.num_rows(), "bad row range");
+        let n = hi - lo;
         let mut out = Table::new();
         for (i, name) in self.names().iter().enumerate() {
-            out.add_column(
-                name.clone(),
-                Column::new(self.column(i).values()[lo..hi].to_vec()),
-            );
+            let mut vals = Vec::with_capacity(n + insert_headroom(n));
+            vals.extend_from_slice(&self.column(i).values()[lo..hi]);
+            out.add_column(name.clone(), Column::new(vals));
         }
         out
     }

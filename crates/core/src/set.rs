@@ -175,9 +175,21 @@ impl MapSet {
     /// The alignment invariant (§3.2): structures of the set whose
     /// cursors point at the same tape entry are physically aligned —
     /// identical head arrays, identical cracker indexes (positions and
-    /// advisory status). `Err` names the first pair that is not
-    /// (`None` is the key map).
+    /// advisory status). Each structure must also pass
+    /// [`CrackedArray::check_invariants`] on its own. `Err` names the
+    /// first structure or pair that does not (`None` is the key map).
     pub fn check_aligned(&self) -> Result<(), String> {
+        for m in self.maps.values() {
+            let attr = m.tail_attr;
+            m.arr
+                .check_invariants()
+                .map_err(|e| format!("map {attr}: {e}"))?;
+        }
+        if let Some(k) = &self.key_map {
+            k.arr
+                .check_invariants()
+                .map_err(|e| format!("key map: {e}"))?;
+        }
         let maps = self.maps.values();
         let mut all: Vec<(usize, Option<usize>, &[Val], &CrackerIndex)> = maps
             .map(|m| (m.cursor, Some(m.tail_attr), m.arr.head(), m.arr.index()))
@@ -300,7 +312,7 @@ impl MapSet {
     /// the `query` it is seeded for, under the effective policy, while
     /// the tape is empty — is a crack that opens with a prepartition
     /// (see [`SeedPlan`]).
-    fn seed<T: Copy>(
+    fn seed<T: Copy + Default>(
         &mut self,
         head: &[Val],
         tail: &[T],

@@ -71,12 +71,14 @@ impl CrackerColumn {
     }
 
     /// Create the cracker column with an explicit [`CrackPolicy`]. The
-    /// column is copied before its first query is known, so this is the
-    /// plain bulk seed; the first crack prepartitions the copy.
+    /// column is copied before its first query is known, so this is a
+    /// plain copy; the first crack prepartitions it. Unlike a seeded map
+    /// it reserves no insert headroom: here spare capacity measured
+    /// slower first queries, from where the allocator placed the copy.
     pub fn with_policy(col: &Column, policy: CrackPolicy) -> Self {
         let keys: Vec<RowId> = (0..col.len() as RowId).collect();
         CrackerColumn {
-            arr: CrackedArray::seeded(col.values(), &keys, &[], None),
+            arr: CrackedArray::copied(col.values(), &keys, &[], 0),
             pending_inserts: Vec::new(),
             pending_deletes: Vec::new(),
             advisor: PolicyAdvisor::new(policy),

@@ -9,6 +9,7 @@ use crate::policy::{
     mix64, CrackPolicy, Span, DEFAULT_STOCHASTIC_MIN_PIECE, PREPARTITION_MIN_PIECE,
     PREPARTITION_TARGET_PIECE,
 };
+use crackdb_columnstore::column::insert_headroom;
 use crackdb_columnstore::radix::{bucket_offsets, cluster_by_value, cluster_into, ValueBuckets};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::ops::Range;
@@ -177,36 +178,54 @@ impl<T: Copy> CrackedArray<T> {
     /// head and tail order, same advisory cuts, same `touched` — from
     /// one scatter of the source into bucket order.
     ///
+    /// Either way the arrays reserve [`insert_headroom`] spare capacity
+    /// for the inserts a seeded structure merges later.
+    ///
     /// # Panics
     /// If the slices differ in length or the plan was made for a
     /// different number of live tuples.
-    pub fn seeded(head: &[Val], tail: &[T], excluded: &[RowId], plan: Option<&SeedPlan>) -> Self {
+    pub fn seeded(head: &[Val], tail: &[T], excluded: &[RowId], plan: Option<&SeedPlan>) -> Self
+    where
+        T: Default,
+    {
         assert_eq!(head.len(), tail.len(), "head/tail length mismatch");
         let n = head.len() - excluded.len();
-        let mut runs = live_runs(head.len(), excluded).peekable();
-        let (Some(plan), Some(first)) = (plan, runs.peek()) else {
-            let (mut h, mut t) = (Vec::with_capacity(n), Vec::with_capacity(n));
-            for run in runs {
-                h.extend_from_slice(&head[run.clone()]);
-                t.extend_from_slice(&tail[run]);
-            }
-            return Self::new(h, t);
+        let spare = insert_headroom(n);
+        let Some(plan) = plan else {
+            return Self::copied(head, tail, excluded, spare);
         };
         assert_eq!(
             plan.offsets.last(),
             Some(&n),
             "plan is for another snapshot"
         );
-        // The scatter writes every slot once; the fill is never read.
-        let mut arr = Self::new(vec![0; n], vec![tail[first.start]; n]);
+        // The scatter writes every slot once, so the fill is never read.
+        // A zero fill is a zeroed allocation: no write pass, and the
+        // spare pages stay untouched.
+        let (mut h, mut t) = (vec![0; n + spare], vec![T::default(); n + spare]);
+        h.truncate(n);
+        t.truncate(n);
+        let mut arr = Self::new(h, t);
         let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
         let (by, dst_head, dst_tail) = (&plan.by, &mut arr.head[..], &mut arr.tail[..]);
-        for run in runs {
+        for run in live_runs(head.len(), excluded) {
             let (src_head, src_tail) = (&head[run.clone()], &tail[run]);
             cluster_into(src_head, src_tail, dst_head, dst_tail, by, &mut cursors);
         }
         arr.record_cuts(plan.key, 0, &plan.by, &plan.offsets);
         arr
+    }
+
+    /// The live runs of `head`/`tail` (all but the `excluded` positions)
+    /// copied into arrays with room for `spare` more tuples.
+    pub(crate) fn copied(head: &[Val], tail: &[T], excluded: &[RowId], spare: usize) -> Self {
+        let cap = head.len() - excluded.len() + spare;
+        let (mut h, mut t) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        for run in live_runs(head.len(), excluded) {
+            h.extend_from_slice(&head[run.clone()]);
+            t.extend_from_slice(&tail[run]);
+        }
+        Self::new(h, t)
     }
 
     /// Reassemble from parts produced by [`Self::into_parts`] (used by
@@ -658,24 +677,51 @@ impl<T: Copy> CrackedArray<T> {
         self.tail.pop();
     }
 
-    /// Debug/test helper: assert every piece's contents respect the
-    /// boundaries recorded in the index.
-    #[doc(hidden)]
-    pub fn check_partitioning(&self) {
-        for ((bv, kind), pos) in self.index.boundaries() {
-            for (i, &h) in self.head.iter().enumerate() {
-                if i < pos {
-                    assert!(
-                        kind.belongs_left(h, bv),
-                        "value {h} at {i} violates boundary ({bv:?},{kind:?})@{pos}"
-                    );
-                } else {
-                    assert!(
-                        !kind.belongs_left(h, bv),
-                        "value {h} at {i} violates boundary ({bv:?},{kind:?})@{pos}"
-                    );
+    /// Check that the index describes the arrays: head and tail have
+    /// one length, live boundary positions ascend in key order and lie
+    /// within it, and every piece's head values belong right of the
+    /// boundary below the piece and left of the one above it. Boundary
+    /// keys are totally ordered, so the two neighbours imply every other
+    /// boundary: one ordered walk, O(n + B). `Err` names the first
+    /// violation.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.head.len();
+        if self.tail.len() != n {
+            return Err(format!("head holds {n} tuples, tail {}", self.tail.len()));
+        }
+        let mut below: Option<(BoundaryKey, usize)> = None;
+        let bounds = self.index.boundaries().into_iter().map(Some);
+        for above in bounds.chain([None]) {
+            let start = below.map_or(0, |(_, p)| p);
+            let end = above.map_or(n, |(_, p)| p);
+            if let Some(((bv, kind), pos)) = above {
+                if pos < start || pos > n {
+                    return Err(format!(
+                        "boundary ({bv:?},{kind:?})@{pos} outside [{start}, {n}]"
+                    ));
                 }
             }
+            for (i, &h) in (start..end).zip(&self.head[start..end]) {
+                let violated = below
+                    .filter(|&((bv, kind), _)| kind.belongs_left(h, bv))
+                    .or(above.filter(|&((bv, kind), _)| !kind.belongs_left(h, bv)));
+                if let Some(((bv, kind), pos)) = violated {
+                    return Err(format!(
+                        "value {h} at {i} violates boundary ({bv:?},{kind:?})@{pos}"
+                    ));
+                }
+            }
+            below = above;
+        }
+        Ok(())
+    }
+
+    /// Test helper: panic unless [`Self::check_invariants`] holds.
+    #[doc(hidden)]
+    pub fn check_partitioning(&self) {
+        if let Err(e) = self.check_invariants() {
+            // INVARIANT: a test helper whose job is to fail loudly.
+            panic!("{e}");
         }
     }
 }
@@ -767,6 +813,27 @@ mod tests {
         let (h, _) = a.view((s, e));
         assert!(h.is_empty());
         a.check_partitioning();
+    }
+
+    #[test]
+    fn check_invariants_names_the_first_violation() {
+        let mut a = arr();
+        a.crack_range(&RangePred::open(10, 15));
+        assert_eq!(a.check_invariants(), Ok(()));
+        // One slot to the right: a middle-piece value is now left of
+        // the lower boundary.
+        let (key, pos) = a.index().boundaries()[0];
+        let mut moved = a.clone();
+        moved.index_mut().record(key, pos + 1);
+        let err = moved.check_invariants().unwrap_err();
+        assert!(err.contains("violates"), "{err}");
+        // Past the end, and left of the boundary below it.
+        for bad in [a.len() + 1, 0] {
+            let mut b = a.clone();
+            b.index_mut().record((99, BoundKind::Lt), bad);
+            let err = b.check_invariants().unwrap_err();
+            assert!(err.contains("outside"), "{err}");
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn column(rng: &mut Lcg, n: usize, kind: usize) -> Vec<Val> {
 }
 
 /// `with_target` + `seeded` against `new` + `prepartition`, one tail type.
-fn check_clustering<T: Copy + PartialEq + std::fmt::Debug>(
+fn check_clustering<T: Copy + Default + PartialEq + std::fmt::Debug>(
     head: &[Val],
     tail: &[T],
     excluded: &[RowId],

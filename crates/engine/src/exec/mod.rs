@@ -272,25 +272,22 @@ fn order_preds<P: AccessPath + ?Sized>(
     if preds.len() < 2 {
         return preds.to_vec();
     }
-    let estimates: Vec<Option<f64>> = preds
+    // `(slot, estimate)` for every estimable predicate; the sorted
+    // estimable predicates are placed back into exactly these slots.
+    let mut order: Vec<(usize, f64)> = preds
         .iter()
-        .map(|(attr, pred)| path.estimate(*attr, pred))
+        .enumerate()
+        .filter_map(|(i, (attr, pred))| Some((i, path.estimate(*attr, pred)?)))
         .collect();
-    // Positions that hold an estimable predicate; the sorted estimable
-    // predicates are placed back into exactly these slots.
-    let slots: Vec<usize> = (0..preds.len())
-        .filter(|&i| estimates[i].is_some())
-        .collect();
-    if slots.len() < 2 {
+    if order.len() < 2 {
         return preds.to_vec();
     }
-    let mut order = slots.clone();
-    order.sort_by(|&a, &b| {
-        let (ea, eb) = (estimates[a].unwrap(), estimates[b].unwrap());
+    let slots: Vec<usize> = order.iter().map(|&(slot, _)| slot).collect();
+    order.sort_by(|(_, ea), (_, eb)| {
         // total_cmp: degenerate statistics (empty tables, single-value
         // domains) must never panic the planner — a NaN simply sorts
         // last and the plan stays valid.
-        let ord = ea.total_cmp(&eb);
+        let ord = ea.total_cmp(eb);
         if disjunctive {
             ord.reverse()
         } else {
@@ -298,7 +295,7 @@ fn order_preds<P: AccessPath + ?Sized>(
         }
     });
     let mut out = preds.to_vec();
-    for (&slot, &src) in slots.iter().zip(order.iter()) {
+    for (&slot, &(src, _)) in slots.iter().zip(&order) {
         out[slot] = preds[src];
     }
     out
