@@ -14,13 +14,10 @@
 //!   lazy index deletion and head-column dropping.
 //! * [`bitvec::BitVec`] — the filtering bit vector.
 //! * [`map`] — cracker map / key map structures.
-//! * [`epoch`] — hand-rolled epoch-based reclamation backing the
-//!   lock-free snapshot read path.
 
 pub mod aggregate;
 pub mod bitvec;
 pub mod cracker_join;
-pub mod epoch;
 pub mod map;
 pub mod partial;
 pub mod set;
@@ -30,7 +27,6 @@ pub mod tape;
 pub use bitvec::BitVec;
 pub use crackdb_columnstore::lock_unpoisoned;
 pub use cracker_join::{cracker_join, flat_hash_join};
-pub use epoch::{EpochDomain, EpochReader, Pin, Published};
 pub use map::{CrackerMap, KeyMap};
 pub use partial::{AreaEntry, PartialMap, PartialSet, PartialStats, SpillTier};
 pub use set::MapSet;

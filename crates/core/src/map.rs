@@ -55,21 +55,6 @@ impl CrackerMap {
         let heads = &self.arr.head()[range.0..range.1];
         BitVec::from_fn(heads.len(), |i| pred.matches(heads[i]))
     }
-
-    /// Publish this map's converged pieces as an immutable snapshot
-    /// (lock-free read path). `pending` are the values of staged
-    /// updates this map has not applied yet (the set's batches past
-    /// this map's cursor): pieces covering one stay unpublished. A map
-    /// behind on its tape is convergence-tracked exactly like a
-    /// cracker column — the tape replay only moves pieces whose
-    /// identity changes, so reuse stays sound.
-    pub fn converged_snapshot(
-        &self,
-        builder: &mut crackdb_cracking::SnapshotBuilder<Val>,
-        pending: &[Val],
-    ) -> std::sync::Arc<crackdb_cracking::ColumnSnapshot<Val>> {
-        builder.build(&self.arr, pending)
-    }
 }
 
 /// The key map `M_A,key`: head = values of `A`, tail = tuple keys. It is

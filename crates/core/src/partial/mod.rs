@@ -503,11 +503,9 @@ impl PartialSet {
 
     /// Crack the chunk map at the predicate's cut points, but only inside
     /// unfetched areas (fetched areas are frozen; their chunks get
-    /// cracked instead). The set's policy applies: stochastic advisory
-    /// pivots split large unfetched areas (both halves stay unfetched,
-    /// so freezing invariants hold), and the coarse-granular policy
-    /// declines to split areas at or below its leaf size — the query
-    /// then filters inside the chunks.
+    /// cracked instead). The set's policy applies: the coarse-granular
+    /// policy declines to split areas at or below its leaf size — the
+    /// query then filters inside the chunks.
     fn crack_chunk_map_for(&mut self, pred: &RangePred) {
         let policy = self.advisor.effective();
         let (lo_k, hi_k) = pred_keys(pred);

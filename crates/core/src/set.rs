@@ -494,8 +494,8 @@ impl MapSet {
 
     /// [`Self::sideways_select`] plus the qualifying-bit vector a
     /// non-exact span needs: `None` when every tuple in the area
-    /// qualifies (standard and stochastic policies, or coarse-granular
-    /// with matching boundaries), `Some(bv)` over the area otherwise
+    /// qualifies (the standard policy, or coarse-granular with matching
+    /// boundaries), `Some(bv)` over the area otherwise
     /// (bits derived from the map's head values).
     pub fn sideways_select_filtered(
         &mut self,
@@ -1013,15 +1013,12 @@ mod tests {
     }
 
     /// Sibling maps must stay physically aligned under every policy —
-    /// including stochastic advisory pivots (regenerated bit-for-bit by
-    /// tape replay) and coarse-granular declined splits — and produce
+    /// including coarse-granular declined splits — and produce
     /// scan-identical answers, with updates interleaved.
     #[test]
     fn maps_stay_aligned_and_correct_under_every_policy() {
         let policies = [
             CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
-            CrackPolicy::Stochastic { seed: 7 },
             CrackPolicy::CoarseGranular { min_piece: 8 },
             CrackPolicy::CoarseGranular { min_piece: 1 << 20 },
             CrackPolicy::Adaptive,
@@ -1083,15 +1080,10 @@ mod tests {
                 expected.sort_unstable();
                 assert_eq!(got, expected, "{}: query {q} results", policy.label());
             }
-            // Advisory pivots appear only under the stochastic policy
-            // (the table is large enough to trigger injection).
+            // The table is far below the prepartition threshold, so no
+            // policy injects advisory pivots.
             let advisory = s.map(1).unwrap().arr.index().advisory_count();
-            match policy {
-                CrackPolicy::Stochastic { .. } => {
-                    assert!(advisory > 0, "stochastic policy should inject pivots")
-                }
-                _ => assert_eq!(advisory, 0, "{}: no advisory pivots", policy.label()),
-            }
+            assert_eq!(advisory, 0, "{}: no advisory pivots", policy.label());
         }
     }
 

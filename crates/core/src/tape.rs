@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn entries_are_replayable() {
         let mut t = Tape::new();
-        t.log_crack(RangePred::open(1, 5), CrackPolicy::stochastic());
+        t.log_crack(RangePred::open(1, 5), CrackPolicy::coarse());
         t.log_inserts(InsertBatch { keys: vec![1, 2] });
         match t.entry(1) {
             TapeEntry::Inserts(id) => {

@@ -232,8 +232,8 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
 fn eviction_index_names_the_scans_victim_after_every_op() {
     let policies = [
         CrackPolicy::Standard,
-        CrackPolicy::stochastic(),
         CrackPolicy::CoarseGranular { min_piece: 8 },
+        CrackPolicy::CoarseGranular { min_piece: 32 },
     ];
     let (mut evictions, mut merges) = (0, 0);
     for case in 0..CASES {

@@ -267,7 +267,6 @@ fn spill_reload_replays_mixed_policy_tapes_bit_identically() {
         // an adaptive advisor switching mid-run would leave behind.
         let policies = [
             CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
             CrackPolicy::coarse(),
             CrackPolicy::CoarseGranular { min_piece: 4 },
         ];

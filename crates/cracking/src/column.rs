@@ -175,41 +175,6 @@ impl CrackerColumn {
         self.pending_inserts.len() + self.pending_deletes.len()
     }
 
-    /// Values of every pending (unmerged) insert and delete — the
-    /// snapshot builder hides pieces whose interval covers one, since a
-    /// sequenced read overlapping them must observe the merge.
-    pub fn pending_values(&self) -> Vec<Val> {
-        self.pending_inserts
-            .iter()
-            .chain(self.pending_deletes.iter())
-            .map(|&(v, _)| v)
-            .collect()
-    }
-
-    /// Cheap change fingerprint: equal fingerprints mean the column's
-    /// logical *and* physical state is unchanged, so a previously built
-    /// snapshot is still current. Covers array length (ripples), live
-    /// boundary count (cracks/prepartition), pending queue lengths
-    /// (staged updates) and tuples moved by the kernels.
-    pub fn fingerprint(&self) -> (usize, usize, usize, usize, u64) {
-        (
-            self.arr.len(),
-            self.arr.index().len(),
-            self.pending_inserts.len(),
-            self.pending_deletes.len(),
-            self.arr.touched(),
-        )
-    }
-
-    /// Build (or incrementally rebuild) the converged-piece snapshot of
-    /// this column via `builder` (one builder per column).
-    pub fn snapshot(
-        &self,
-        builder: &mut crate::snapshot::SnapshotBuilder<RowId>,
-    ) -> std::sync::Arc<crate::snapshot::ColumnSnapshot<RowId>> {
-        builder.build(&self.arr, &self.pending_values())
-    }
-
     /// Ripple-merge pending updates that are relevant to `pred`, i.e.,
     /// whose values the current query would observe. Other updates stay
     /// pending — the self-organizing behaviour of SIGMOD'07.

@@ -5,10 +5,7 @@
 use crate::crack::{crack_in_three, crack_in_two, BoundKind};
 use crate::index::{pred_keys, BoundaryKey, CrackerIndex};
 use crate::kernel::{active_kernel, CrackKernel};
-use crate::policy::{
-    mix64, CrackPolicy, Span, DEFAULT_STOCHASTIC_MIN_PIECE, PREPARTITION_MIN_PIECE,
-    PREPARTITION_TARGET_PIECE,
-};
+use crate::policy::{CrackPolicy, Span, PREPARTITION_MIN_PIECE, PREPARTITION_TARGET_PIECE};
 use crackdb_columnstore::column::insert_headroom;
 use crackdb_columnstore::radix::{bucket_offsets, cluster_by_value, cluster_into, ValueBuckets};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
@@ -244,9 +241,8 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Cumulative count of tuples the crack kernels have scanned or
     /// swapped over this array's lifetime. Per-query deltas of this
-    /// counter are the workload-robustness metric: under
-    /// `Pattern::Sequential` the standard policy keeps touching O(n)
-    /// tuples per query while the stochastic policy converges.
+    /// counter are the workload-robustness metric (tuples touched per
+    /// query must fall as the array converges).
     pub fn touched(&self) -> u64 {
         self.touched
     }
@@ -308,9 +304,8 @@ impl<T: Copy> CrackedArray<T> {
     /// Radix-prepartition fast path: when the first crack would have to
     /// plough a huge uncracked piece, pay one cache-friendly counting
     /// partition (`columnstore::radix`) instead and seed the piece with
-    /// up to 256 equal-width *advisory* boundaries at once — the same
-    /// advisory machinery stochastic cracking uses, so storage
-    /// management and exactness bookkeeping need no new cases. Later
+    /// up to 256 equal-width *advisory* boundaries at once (boundaries
+    /// no query asked for, which storage management may drop). Later
     /// cracks then run on roughly [`PREPARTITION_TARGET_PIECE`]-sized
     /// pieces. A structure whose *first* crack would do this to the
     /// whole virgin array is seeded in bucket order to begin with
@@ -378,53 +373,9 @@ impl<T: Copy> CrackedArray<T> {
         }
     }
 
-    /// Ensure a boundary exists under the stochastic policy: while the
-    /// enclosing piece is large, crack it at an *advisory* pivot — the
-    /// head value at a pseudo-random position derived purely from the
-    /// piece coordinates and `seed` (so tape replay on aligned siblings
-    /// reproduces it) — then descend into the half containing `key`.
-    /// Pieces along the access path halve until small enough for the
-    /// exact crack, defeating the sequential-sweep pathology.
-    fn ensure_boundary_stochastic(&mut self, key: BoundaryKey, seed: u64) -> usize {
-        // A huge virgin piece is better seeded by one counting pass than
-        // by O(log n) successive halvings that each re-plough it.
-        self.maybe_prepartition(key, PREPARTITION_TARGET_PIECE);
-        loop {
-            if let Some(p) = self.index.position_of(key) {
-                self.index.promote(key);
-                return p;
-            }
-            let (s, e) = self.index.enclosing_piece(key, self.head.len());
-            if e - s <= DEFAULT_STOCHASTIC_MIN_PIECE {
-                let split = crack_in_two(&mut self.head, &mut self.tail, s, e, key.0, key.1);
-                self.touched += (e - s) as u64;
-                self.index.record(key, split);
-                return split;
-            }
-            let h = mix64(seed ^ (s as u64).rotate_left(17) ^ ((e as u64) << 1));
-            let pos = s + (h as usize) % (e - s);
-            let adv: BoundaryKey = (self.head[pos], BoundKind::Le);
-            let split = crack_in_two(&mut self.head, &mut self.tail, s, e, adv.0, adv.1);
-            self.touched += (e - s) as u64;
-            if adv == key {
-                self.index.record(key, split);
-                return split;
-            }
-            if split == s || split == e {
-                // Degenerate pivot (one value dominates the piece):
-                // record nothing, crack exactly to guarantee progress.
-                let split = crack_in_two(&mut self.head, &mut self.tail, s, e, key.0, key.1);
-                self.touched += (e - s) as u64;
-                self.index.record(key, split);
-                return split;
-            }
-            self.index.record_advisory(adv, split);
-        }
-    }
-
     /// Crack at `key` if the policy permits it: `Some(position)` when the
     /// boundary exists afterwards (pre-existing or newly cracked, with
-    /// any advisory pivots the policy injects), `None` when
+    /// any advisory cuts a prepartition seeds), `None` when
     /// [`CrackPolicy::CoarseGranular`] declined because the enclosing
     /// piece is already at or below its leaf size.
     pub fn crack_boundary(&mut self, key: BoundaryKey, policy: &CrackPolicy) -> Option<usize> {
@@ -439,7 +390,6 @@ impl<T: Copy> CrackedArray<T> {
             // structure's advisor before cracking; a kernel that sees it
             // anyway falls back to the paper's exact behaviour.
             CrackPolicy::Standard | CrackPolicy::Adaptive => Some(self.ensure_boundary(key)),
-            CrackPolicy::Stochastic { seed } => Some(self.ensure_boundary_stochastic(key, seed)),
             CrackPolicy::CoarseGranular { min_piece } => {
                 let (s, e) = self.index.enclosing_piece(key, self.head.len());
                 if e - s <= min_piece {
@@ -940,30 +890,6 @@ mod tests {
             }
             a.check_partitioning();
         }
-    }
-
-    #[test]
-    fn stochastic_policy_spans_are_exact_and_match_standard_results() {
-        let head: Vec<Val> = (0..2000).map(|i| (i * 37) % 1000).collect();
-        let tail: Vec<u32> = (0..2000).collect();
-        let mut std_arr = CrackedArray::new(head.clone(), tail.clone());
-        let mut sto_arr = CrackedArray::new(head, tail);
-        let policy = CrackPolicy::stochastic();
-        for lo in [0, 150, 420, 900, 10] {
-            let pred = RangePred::open(lo, lo + 77);
-            let (s1, e1) = std_arr.crack_range(&pred);
-            let span = sto_arr.crack_range_with(&pred, &policy);
-            assert!(span.exact, "stochastic spans are always exact");
-            // Same qualifying multiset either way.
-            let mut a: Vec<_> = std_arr.head()[s1..e1].to_vec();
-            let mut b: Vec<_> = sto_arr.head()[span.start..span.end].to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            sto_arr.check_partitioning();
-        }
-        // Advisory pivots only ever appear under non-standard policies.
-        assert_eq!(std_arr.index().advisory_count(), 0);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! * [`column::CrackerColumn`] — the selection-cracking baseline
 //!   (`crackers.select`) with pending-update queues;
 //! * [`policy::CrackPolicy`] — pluggable pivot-choice strategies
-//!   (standard / stochastic / coarse-granular) hardening cracking
-//!   against adversarial workloads (sequential sweeps, hot-region
-//!   skew);
+//!   (standard / coarse-granular) hardening cracking against
+//!   adversarial workloads (sequential sweeps, hot-region skew);
 //! * [`advisor::PolicyAdvisor`] — per-structure self-tuning: O(1)
 //!   workload statistics ([`advisor::WorkloadStats`]) plus a pure
 //!   decision function that resolves [`policy::CrackPolicy::Adaptive`]
@@ -34,7 +33,6 @@ pub mod cracked;
 pub mod index;
 pub mod kernel;
 pub mod policy;
-pub mod snapshot;
 
 pub use advisor::{retention_score, PolicyAdvisor, WorkloadStats};
 pub use arena::{Arena, SlotId};
@@ -44,4 +42,3 @@ pub use cracked::{CrackedArray, SeedPlan};
 pub use index::{BoundaryKey, CrackerIndex, SizeEstimate};
 pub use kernel::{active_kernel, CrackKernel};
 pub use policy::{CrackPolicy, Span};
-pub use snapshot::{converged_piece_cap, ColumnSnapshot, PieceSnap, SnapSpan, SnapshotBuilder};

@@ -17,46 +17,38 @@
 //!
 //! * [`CrackPolicy::Standard`] — crack exactly at the predicate bounds
 //!   (the paper's behaviour, bit-for-bit).
-//! * [`CrackPolicy::Stochastic`] — before cracking at a bound whose
-//!   enclosing piece is still large, recursively inject *advisory*
-//!   pivots (data values at pseudo-random positions) so pieces halve on
-//!   every touch, à la stochastic cracking (Halim et al., VLDB 2012).
 //! * [`CrackPolicy::CoarseGranular`] — never split a piece at or below
 //!   `min_piece` tuples; the query filters inside the leaf piece
 //!   instead, capping AVL growth under skew.
 //!
 //! * [`CrackPolicy::Adaptive`] — let a per-column
 //!   [`PolicyAdvisor`](crate::advisor::PolicyAdvisor) pick one of the
-//!   three static strategies above per query, from O(1) workload
+//!   two static strategies above per query, from O(1) workload
 //!   statistics (sequential-run detection, hot-range skew counters,
 //!   boundary-density caps). The structures that own an advisor resolve
 //!   `Adaptive` to an *effective* static policy before every crack; the
 //!   partition kernels themselves never see it.
 //!
+//! The sequential-sweep pathology (one huge uncracked tail piece that
+//! every query re-partitions) is handled below the policy layer: the
+//! block kernel's radix prepartition cuts a large virgin piece into
+//! cache-sized advisory pieces on its first touch.
+//!
 //! **Determinism contract.** Alignment in sideways and partial sideways
 //! cracking replays tape-logged predicates on sibling structures and
 //! requires bit-identical physical outcomes. Every static policy is
-//! therefore a *pure function of the array state and the predicate*:
-//! the stochastic pivot is derived by hashing the enclosing piece's
-//! coordinates (plus the policy seed) into a position and reading the
-//! data value there — no mutable RNG state — so two aligned siblings
-//! replaying the same tape choose identical pivots. A structure's
-//! *effective* policy may change between queries (that is what
-//! `Adaptive` does), but every tape entry records the effective static
-//! policy the original crack ran under, and replay always uses the
-//! logged policy — never the owner's current one — so siblings,
-//! late-created maps and spill-reloaded chunks reproduce each historic
-//! crack bit-for-bit regardless of what the advisor has decided since.
-
-/// How many tuples a piece may hold before [`CrackPolicy::Stochastic`]
-/// stops injecting advisory pivots and cracks exactly.
-pub const DEFAULT_STOCHASTIC_MIN_PIECE: usize = 1 << 10;
+//! therefore a *pure function of the array state and the predicate*,
+//! so two aligned siblings replaying the same tape make identical
+//! cracks. A structure's *effective* policy may change between queries
+//! (that is what `Adaptive` does), but every tape entry records the
+//! effective static policy the original crack ran under, and replay
+//! always uses the logged policy — never the owner's current one — so
+//! siblings, late-created maps and spill-reloaded chunks reproduce each
+//! historic crack bit-for-bit regardless of what the advisor has
+//! decided since.
 
 /// Default leaf-piece size for [`CrackPolicy::CoarseGranular`].
 pub const DEFAULT_COARSE_MIN_PIECE: usize = 1 << 10;
-
-/// Default seed mixed into the stochastic pivot hash.
-pub const DEFAULT_STOCHASTIC_SEED: u64 = 0x0C4A_C4DB_0000_51DE;
 
 /// Smallest uncracked piece the radix-prepartition fast path bothers
 /// with: below this, one blocked crack-in-two pass is already cheap and
@@ -75,14 +67,6 @@ pub enum CrackPolicy {
     /// behaviour, reproduced bit-for-bit (the default).
     #[default]
     Standard,
-    /// Inject deterministic pseudo-random *advisory* pivots into large
-    /// enclosing pieces before the exact crack, so pieces halve even
-    /// under sequential sweeps.
-    Stochastic {
-        /// Seed mixed into the pivot-position hash. Two structures that
-        /// must stay aligned must share the seed.
-        seed: u64,
-    },
     /// Stop splitting pieces at or below `min_piece` tuples; queries
     /// filter inside the leaf piece instead of cracking it.
     CoarseGranular {
@@ -91,7 +75,7 @@ pub enum CrackPolicy {
     },
     /// Defer the choice to a per-structure
     /// [`PolicyAdvisor`](crate::advisor::PolicyAdvisor), which picks one
-    /// of the three static strategies per query from O(1) workload
+    /// of the two static strategies per query from O(1) workload
     /// statistics. Structures resolve this to an effective static policy
     /// before cracking; if a kernel ever sees it directly it behaves
     /// like [`CrackPolicy::Standard`].
@@ -99,13 +83,6 @@ pub enum CrackPolicy {
 }
 
 impl CrackPolicy {
-    /// Stochastic policy with the default seed.
-    pub fn stochastic() -> Self {
-        CrackPolicy::Stochastic {
-            seed: DEFAULT_STOCHASTIC_SEED,
-        }
-    }
-
     /// Coarse-granular policy with the default leaf size.
     pub fn coarse() -> Self {
         CrackPolicy::CoarseGranular {
@@ -117,14 +94,13 @@ impl CrackPolicy {
     pub fn label(&self) -> &'static str {
         match self {
             CrackPolicy::Standard => "standard",
-            CrackPolicy::Stochastic { .. } => "stochastic",
             CrackPolicy::CoarseGranular { .. } => "coarse",
             CrackPolicy::Adaptive => "adaptive",
         }
     }
 
-    /// Parse a policy name: `standard`, `stochastic` (default seed),
-    /// `coarse` (default leaf size), `coarse:<min_piece>` or `adaptive`.
+    /// Parse a policy name: `standard`, `coarse` (default leaf size),
+    /// `coarse:<min_piece>` or `adaptive`.
     ///
     /// This is pure string parsing; the `CRACKDB_POLICY` environment
     /// hook the engine constructors consume lives next to the other env
@@ -135,7 +111,6 @@ impl CrackPolicy {
         let s = s.trim();
         match s {
             "" | "standard" => Some(CrackPolicy::Standard),
-            "stochastic" => Some(CrackPolicy::stochastic()),
             "coarse" => Some(CrackPolicy::coarse()),
             "adaptive" => Some(CrackPolicy::Adaptive),
             _ => {
@@ -156,9 +131,7 @@ impl CrackPolicy {
     /// aligned siblings prepartition identically.)
     pub fn prepartition_target(&self) -> usize {
         match *self {
-            CrackPolicy::Standard | CrackPolicy::Stochastic { .. } | CrackPolicy::Adaptive => {
-                PREPARTITION_TARGET_PIECE
-            }
+            CrackPolicy::Standard | CrackPolicy::Adaptive => PREPARTITION_TARGET_PIECE,
             CrackPolicy::CoarseGranular { min_piece } => PREPARTITION_TARGET_PIECE.max(min_piece),
         }
     }
@@ -169,23 +142,18 @@ impl CrackPolicy {
         matches!(self, CrackPolicy::Adaptive)
     }
 
-    /// The three static policy families at their defaults, for sweeps.
+    /// The two static policy families at their defaults, for sweeps.
     /// (`Adaptive` is excluded: it is not a pivot strategy itself, only
-    /// a per-query selector over these three.)
-    pub fn all() -> [CrackPolicy; 3] {
-        [
-            CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
-            CrackPolicy::coarse(),
-        ]
+    /// a per-query selector over these two.)
+    pub fn all() -> [CrackPolicy; 2] {
+        [CrackPolicy::Standard, CrackPolicy::coarse()]
     }
 
     /// Every parseable policy family at its defaults, adaptive included
     /// — what benchmark sweeps and CI matrices iterate.
-    pub fn all_selectable() -> [CrackPolicy; 4] {
+    pub fn all_selectable() -> [CrackPolicy; 3] {
         [
             CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
             CrackPolicy::coarse(),
             CrackPolicy::Adaptive,
         ]
@@ -194,8 +162,7 @@ impl CrackPolicy {
 
 /// The qualifying area a policy-aware crack produced.
 ///
-/// Under [`CrackPolicy::Standard`] and [`CrackPolicy::Stochastic`] the
-/// span is always **exact**: every tuple in `[start, end)` satisfies the
+/// Under [`CrackPolicy::Standard`] the span is always **exact**: every tuple in `[start, end)` satisfies the
 /// predicate. Under [`CrackPolicy::CoarseGranular`] a declined split
 /// leaves the span **inexact** — a superset delimited by the enclosing
 /// leaf pieces — and the caller must filter head values by the
@@ -236,16 +203,6 @@ impl Span {
     }
 }
 
-/// splitmix64 finalizer: the stateless hash behind stochastic pivot
-/// positions. Pure, so tape replay on aligned siblings reproduces the
-/// same pivot from the same piece coordinates.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +226,6 @@ mod tests {
         );
         assert_eq!(CrackPolicy::parse("nonsense"), None);
         assert_eq!(CrackPolicy::parse("coarse:x"), None);
-    }
-
-    #[test]
-    fn mix64_is_deterministic_and_spreading() {
-        assert_eq!(mix64(1), mix64(1));
-        assert_ne!(mix64(1), mix64(2));
-        // Sequential inputs spread across the space (no tiny cycle).
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..1000u64 {
-            seen.insert(mix64(i) % 1024);
-        }
-        assert!(seen.len() > 500);
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //!    the index, it is not marked advisory, and the physical
 //!    partitioning honours it (and exact spans contain exactly the
 //!    qualifying tuples);
-//! 3. under `Pattern::Sequential`-shaped workloads the per-query
-//!    touched-tuple count is sub-linear after the first k queries for
-//!    the stochastic policy, while the standard policy stays Θ(n);
-//! 4. the coarse-granular policy caps cracker-index growth under skew.
+//! 3. the coarse-granular policy caps cracker-index growth under skew.
 
 use crackdb_columnstore::types::{RangePred, Val};
 use crackdb_cracking::index::pred_keys;
@@ -40,8 +37,6 @@ fn random_pred(rng: &mut StdRng, domain: Val) -> RangePred {
 fn policies() -> Vec<CrackPolicy> {
     vec![
         CrackPolicy::Standard,
-        CrackPolicy::stochastic(),
-        CrackPolicy::Stochastic { seed: 1234 },
         CrackPolicy::coarse(),
         CrackPolicy::CoarseGranular { min_piece: 32 },
         // A kernel handed the adaptive marker directly (no advisor in
@@ -196,68 +191,7 @@ fn adaptive_advisor_log_replays_bit_identically() {
     assert_eq!(replayed.index().len(), a.index().len());
 }
 
-/// (3): under a sequential sweep the stochastic policy's touched-tuple
-/// count converges while the standard policy's stays Θ(n) per query.
-#[test]
-fn sequential_sweep_touched_tuples_sublinear_for_stochastic() {
-    let n = 200_000usize;
-    let domain = n as Val;
-    let queries = 200usize;
-    let width = domain / queries as Val;
-
-    let run = |policy: CrackPolicy| -> (u64, u64) {
-        let mut arr = random_array(n, domain, 11);
-        let mut cursor: Val = 0;
-        let mut total = 0u64;
-        let mut late = 0u64; // touched during the last half of the sweep
-        for q in 0..queries {
-            if cursor + width > domain {
-                cursor = 0;
-            }
-            let pred = RangePred::open(cursor, cursor + width + 1);
-            cursor += width;
-            let before = arr.touched();
-            let span = arr.crack_range_with(&pred, &policy);
-            // Crack work plus the scan of the returned area — the full
-            // per-query data access.
-            let delta = (arr.touched() - before) + span.len() as u64;
-            total += delta;
-            if q >= queries / 2 {
-                late += delta;
-            }
-        }
-        (total, late)
-    };
-
-    let (std_total, std_late) = run(CrackPolicy::Standard);
-    let (sto_total, sto_late) = run(CrackPolicy::stochastic());
-
-    // Standard leaves a huge uncracked tail every query: Θ(n) touched
-    // per query, Θ(n·q) cumulative. Stochastic halves pieces along
-    // every access path: O(n log n) cumulative.
-    assert!(
-        std_total > (n as u64) * (queries as u64) / 4,
-        "standard sequential should stay near n per query (got {std_total})"
-    );
-    assert!(
-        sto_total * 4 < std_total,
-        "stochastic should beat standard by >= 4x on a sequential sweep \
-         (stochastic {sto_total} vs standard {std_total})"
-    );
-    // After the first k queries the per-query cost must be sub-linear:
-    // the late-half average is far below n (standard's stays Θ(n)).
-    let late_avg = sto_late / (queries as u64 / 2);
-    assert!(
-        late_avg < (n as u64) / 8,
-        "stochastic late-half per-query touched {late_avg} not sub-linear in n={n}"
-    );
-    assert!(
-        std_late / (queries as u64 / 2) > (n as u64) / 8,
-        "sanity: standard stays linear per query"
-    );
-}
-
-/// (4): a skewed drill-down workload shatters a hot region into tiny
+/// (3): a skewed drill-down workload shatters a hot region into tiny
 /// pieces under the standard policy; the coarse-granular policy stops
 /// at its leaf size, capping AVL growth.
 #[test]

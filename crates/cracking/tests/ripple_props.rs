@@ -270,13 +270,14 @@ fn pred(rng: &mut StdRng, arr: &CrackedArray<Tag>, values: Values) -> RangePred 
 }
 
 /// The policies a case cracks under: every selectable one, plus
-/// coarse and stochastic variants whose thresholds small columns reach.
+/// coarse variants whose thresholds small columns reach.
 fn policy(case: u64) -> CrackPolicy {
     let all = CrackPolicy::all_selectable();
     match case % 6 {
-        c @ 0..=3 => all[c as usize],
-        4 => CrackPolicy::CoarseGranular { min_piece: 6 },
-        _ => CrackPolicy::Stochastic { seed: case },
+        c @ 0..=2 => all[c as usize],
+        3 => CrackPolicy::CoarseGranular { min_piece: 6 },
+        4 => CrackPolicy::CoarseGranular { min_piece: 2 },
+        _ => CrackPolicy::CoarseGranular { min_piece: 24 },
     }
 }
 
@@ -324,8 +325,8 @@ fn run_case(case: u64, cov: &mut Coverage) {
         _ if case % 8 == 3 => Values::Constant(rng.gen_range(-5i64..5)),
         _ => Values::Dense,
     };
-    // Mostly small columns; every tenth is long enough that stochastic
-    // cracking injects advisory pivots (pieces above 1,024 tuples).
+    // Mostly small columns; every tenth is long enough to hold pieces
+    // above 1,024 tuples, where the coarse leaf size never binds.
     let len = if case % 10 == 9 {
         rng.gen_range(1_100usize..1_500)
     } else {

@@ -207,7 +207,6 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
         let excluded = [0, 17, live as RowId + 2];
         for policy in [
             CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
             CrackPolicy::coarse(),
             huge_leaf,
             CrackPolicy::Adaptive,
@@ -253,11 +252,7 @@ fn bounds_coinciding_with_cuts_promote_like_the_reference() {
         RangePred::less(Bound::exclusive(b)),
         RangePred::greater(Bound::inclusive(a)),
     ] {
-        for policy in [
-            CrackPolicy::Standard,
-            CrackPolicy::stochastic(),
-            CrackPolicy::coarse(),
-        ] {
+        for policy in [CrackPolicy::Standard, CrackPolicy::coarse()] {
             let ctx = format!("pred={pred:?} policy={policy:?}");
             let fired = check_first_crack(&head, &[], &pred, &policy, &ctx);
             assert_eq!(fired, active_kernel() == CrackKernel::Block, "{ctx}");

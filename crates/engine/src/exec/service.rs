@@ -45,6 +45,10 @@
 //!   number, so a concurrent run can be audited offline against a
 //!   serial engine.
 //!
+//! There is one read path. A select cracks — it reorganizes the
+//! columns it reads — so every select takes the sequenced hop to the
+//! shard workers that own those columns, like every write does.
+//!
 //! ## Admission control, shutdown, hygiene
 //!
 //! The service bounds its total queue depth: at most
@@ -64,41 +68,12 @@
 //! — one crashed query never cascades into unrelated failures. The
 //! worker's original panic payload is preserved and re-raised on the
 //! thread that calls [`Service::shutdown`].
-//!
-//! ## Lock-free snapshot reads
-//!
-//! The sequenced worker hop is the *fallback* read path. Each worker
-//! publishes its engine's converged-piece snapshot
-//! ([`EngineSnapshot`], built from
-//! [`ColumnSnapshot`](crackdb_cracking::ColumnSnapshot) catalogs) in
-//! a [`Published`] cell after every work item, stamped with the count
-//! of writes it has applied. A select whose every predicate resolves
-//! against every shard's published pieces executes right on the
-//! client's thread — no channel send, no worker queue, no `&mut`
-//! anywhere — while cracking, staged-update merges and snapshot
-//! (re)builds stay on the shard's single owner thread.
-//!
-//! The fast path is still sequenced: under one router-lock
-//! acquisition the client validates that every shard's view has
-//! applied exactly the writes sequenced for it
-//! (`Router::writes_sequenced`) and that the query plans, **then**
-//! commits a sequence number. Validation before commit keeps the
-//! committed order gapless (a committed-then-abandoned read would
-//! break serial replay), and the lock ensures no write sequences
-//! between validation and commit — so the snapshot answer equals the
-//! serial replay at that position, bit for bit, and the differential
-//! suite asserts it with the fast path forced on and off
-//! (`CRACKDB_SNAPSHOT_READS`). Memory safety of the concurrently
-//! republished views is hand-rolled epoch-based reclamation
-//! ([`crackdb_core::epoch`]): readers pin, workers retire old views
-//! into a limbo list freed only once no pin can still reference them.
 
 use super::shard::{locate_key, merge_join_outputs, merge_select_outputs, ShardedEngine};
-use super::snapshot::EngineSnapshot;
 use crate::query::{Engine, JoinQuery, QueryOutput, SelectQuery};
 use crackdb_columnstore::shard::ShardCuts;
 use crackdb_columnstore::types::{RowId, Val};
-use crackdb_core::{lock_unpoisoned, EpochDomain, EpochReader, Published};
+use crackdb_core::lock_unpoisoned;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -119,22 +94,11 @@ pub struct ServiceConfig {
     /// concurrent sessions while still bounding queue growth under
     /// open-loop overload.
     pub queue_depth: usize,
-    /// Enable the lock-free snapshot read path: selects whose every
-    /// predicate resolves against the shards' published converged
-    /// pieces execute on the client's own thread, skipping the worker
-    /// queues entirely (they still take a sequence number, so the
-    /// total order and its replay guarantees are unchanged). Defaults
-    /// to the `CRACKDB_SNAPSHOT_READS` environment selection (on when
-    /// unset).
-    pub snapshot_reads: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            queue_depth: 1024,
-            snapshot_reads: super::snapshot_reads_from_env(),
-        }
+        ServiceConfig { queue_depth: 1024 }
     }
 }
 
@@ -232,23 +196,8 @@ struct Router {
     inserted: usize,
     /// Next global sequence number.
     next_seq: Seq,
-    /// Writes sequenced per shard so far. A snapshot read may commit
-    /// only when every shard's published view has applied exactly this
-    /// many writes — then the view reflects every write sequenced
-    /// before the read, which is what the total order promises.
-    writes_sequenced: Vec<u64>,
     /// Set by [`Service::shutdown`]: reject new work.
     closed: bool,
-}
-
-/// What a shard worker publishes for the lock-free read path: its
-/// engine's converged-piece snapshot, stamped with how many writes the
-/// worker had applied when it was taken. Readers access it through
-/// [`Published`] under an epoch pin; the `Arc`s inside keep the
-/// snapshot data alive after the view itself is retired.
-struct ShardView {
-    writes_applied: u64,
-    snap: Arc<EngineSnapshot>,
 }
 
 /// State shared by the service handle and every client.
@@ -261,16 +210,6 @@ struct Shared {
     /// [`Client::admit`] instead of enqueueing doomed work on the
     /// surviving shards.
     failed: AtomicBool,
-    /// Epoch domain protecting the published shard views.
-    epoch: Arc<EpochDomain>,
-    /// One published view cell per shard worker, in shard order.
-    views: Vec<Arc<Published<ShardView>>>,
-    /// Copy of [`ServiceConfig::snapshot_reads`].
-    snapshot_reads: bool,
-    /// Selects served by the snapshot path (observability; the
-    /// differential suite asserts the path actually fired / stayed
-    /// cold).
-    snapshot_hits: AtomicU64,
     /// Adaptive-advisor policy switches across all shard engines,
     /// accumulated per work item by the shard workers (observability:
     /// 0 forever under a static policy configuration).
@@ -292,24 +231,12 @@ impl Drop for Slot<'_> {
 /// the engine when stopped (for [`Service::shutdown`] to reassemble).
 /// Reply sends ignore errors — a client that gave up on a reply is not
 /// the worker's problem.
-///
-/// After each work item the worker re-publishes its [`ShardView`] when
-/// anything changed: engines fingerprint their state, so the common
-/// repeat-query case costs one `Arc` comparison. All residual work —
-/// cracking, merging staged updates, snapshot building — happens here,
-/// on the shard's single owner thread; readers only ever see the
-/// immutable published result.
 fn worker<E: Engine>(
     shard: usize,
     mut engine: E,
     queue: Receiver<Work>,
-    view: Arc<Published<ShardView>>,
-    publish: bool,
     switches: Arc<AtomicU64>,
 ) -> E {
-    let mut writes_applied: u64 = 0;
-    let mut last: Option<Arc<EngineSnapshot>> = None;
-    let mut last_writes = u64::MAX;
     let mut last_switches: u64 = 0;
     while let Ok(work) = queue.recv() {
         match work {
@@ -321,12 +248,10 @@ fn worker<E: Engine>(
             }
             Work::Insert { row, reply } => {
                 engine.insert(&row);
-                writes_applied += 1;
                 let _ = reply.send(());
             }
             Work::Delete { key, reply } => {
                 engine.delete(key);
-                writes_applied += 1;
                 let _ = reply.send(());
             }
             Work::Stop => break,
@@ -338,21 +263,6 @@ fn worker<E: Engine>(
         if now_switches > last_switches {
             switches.fetch_add(now_switches - last_switches, Ordering::Relaxed);
             last_switches = now_switches;
-        }
-        if !publish {
-            continue;
-        }
-        if let Some(snap) = engine.snapshot() {
-            let unchanged = last_writes == writes_applied
-                && last.as_ref().is_some_and(|l| Arc::ptr_eq(l, &snap));
-            if !unchanged {
-                view.publish(ShardView {
-                    writes_applied,
-                    snap: snap.clone(),
-                });
-                last = Some(snap);
-                last_writes = writes_applied;
-            }
         }
     }
     engine
@@ -388,25 +298,19 @@ impl<E: Engine + Send + 'static> Service<E> {
     ) -> Result<Self, ServiceError> {
         super::env_policy().map_err(ServiceError::Config)?;
         super::env_kernel().map_err(ServiceError::Config)?;
-        super::env_snapshot_reads().map_err(ServiceError::Config)?;
         super::env_spill_dir().map_err(ServiceError::Config)?;
         let (cuts, shards, inserted) = engine.into_parts();
         let nshards = shards.len();
-        let epoch = Arc::new(EpochDomain::new());
         let policy_switches = Arc::new(AtomicU64::new(0));
         let mut queues = Vec::with_capacity(nshards);
         let mut handles = Vec::with_capacity(nshards);
-        let mut views = Vec::with_capacity(nshards);
         for (i, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = channel();
             queues.push(tx);
-            let view = Arc::new(Published::<ShardView>::new(epoch.clone()));
-            views.push(view.clone());
-            let publish = config.snapshot_reads;
             let switches = policy_switches.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("crackdb-shard-{i}"))
-                .spawn(move || worker(i, shard, rx, view, publish, switches))
+                .spawn(move || worker(i, shard, rx, switches))
                 .expect("spawn shard worker thread");
             handles.push(handle);
         }
@@ -417,32 +321,24 @@ impl<E: Engine + Send + 'static> Service<E> {
                     cuts,
                     inserted,
                     next_seq: 0,
-                    writes_sequenced: vec![0; nshards],
                     closed: false,
                 }),
                 in_flight: AtomicUsize::new(0),
                 queue_depth: config.queue_depth.max(1),
                 failed: AtomicBool::new(false),
-                epoch,
-                views,
-                snapshot_reads: config.snapshot_reads,
-                snapshot_hits: AtomicU64::new(0),
                 policy_switches,
             }),
             handles,
         })
     }
 
-    /// A new client handle. Handles are cheap (an `Arc` clone plus an
-    /// epoch-reader registration), cloneable, and independently usable
-    /// from any thread.
+    /// A new client handle. Handles are cheap (an `Arc` clone),
+    /// cloneable, and independently usable from any thread.
     pub fn client(&self) -> Client {
-        Client::new(self.shared.clone(), self.handles.len())
-    }
-
-    /// Selects served by the lock-free snapshot path so far.
-    pub fn snapshot_hits(&self) -> u64 {
-        self.shared.snapshot_hits.load(Ordering::Relaxed)
+        Client {
+            shared: self.shared.clone(),
+            nshards: self.handles.len(),
+        }
     }
 
     /// Adaptive-advisor policy switches across all shard engines so far
@@ -512,30 +408,13 @@ impl<E: Engine + Send + 'static> Service<E> {
 /// per concurrent session. All calls block until the merged result is
 /// available (closed-loop semantics); errors are [`ServiceError`]s, not
 /// panics.
+#[derive(Clone)]
 pub struct Client {
     shared: Arc<Shared>,
     nshards: usize,
-    /// This session's epoch reader. Behind a mutex only because
-    /// `select` takes `&self`: a handle shared across threads (instead
-    /// of cloned per thread) must not pin one slot twice, so the fast
-    /// path `try_lock`s and falls back to the worker hop on contention.
-    reader: Mutex<EpochReader>,
-}
-
-impl Clone for Client {
-    fn clone(&self) -> Self {
-        Client::new(self.shared.clone(), self.nshards)
-    }
 }
 
 impl Client {
-    fn new(shared: Arc<Shared>, nshards: usize) -> Self {
-        Client {
-            reader: Mutex::new(shared.epoch.register()),
-            shared,
-            nshards,
-        }
-    }
     /// Execute a single-table query. Broadcast to every shard worker;
     /// partial results merge exactly as in [`ShardedEngine::select`].
     ///
@@ -544,9 +423,6 @@ impl Client {
     /// [`ServiceError::WorkerLost`].
     pub fn select(&self, q: &SelectQuery) -> Result<Reply, ServiceError> {
         let _slot = self.admit()?;
-        if let Some(reply) = self.snapshot_select(q) {
-            return Ok(reply);
-        }
         // The shards run the query as asked; the one copy made of it is
         // the one the workers share.
         let shard_q = Arc::new(q.clone());
@@ -601,7 +477,6 @@ impl Client {
             };
             router.queues[shard].send(work).map_err(|_| self.fail())?;
             router.inserted += 1;
-            router.writes_sequenced[shard] += 1;
             (router.commit(), key)
         };
         reply_rx.recv().map_err(|_| self.fail())?;
@@ -632,7 +507,6 @@ impl Client {
                 reply: reply_tx,
             };
             router.queues[shard].send(work).map_err(|_| self.fail())?;
-            router.writes_sequenced[shard] += 1;
             router.commit()
         };
         reply_rx.recv().map_err(|_| self.fail())?;
@@ -642,55 +516,6 @@ impl Client {
     /// Number of shard workers behind this client.
     pub fn shard_count(&self) -> usize {
         self.nshards
-    }
-
-    /// The lock-free read fast path: execute `q` against the shards'
-    /// published snapshots on this thread, skipping the worker queues.
-    /// Returns `None` — and commits **nothing** — whenever any shard
-    /// cannot prove the read would be linearizable, and the caller
-    /// falls through to the sequenced worker hop (the committed order
-    /// must stay gapless, so validation happens strictly before
-    /// `Router::commit`).
-    ///
-    /// Under one router lock acquisition, for every shard: the
-    /// published view exists, it has applied exactly the writes
-    /// sequenced for that shard so far, and the query plans against
-    /// it. The lock orders the read against all writes: no write can
-    /// be sequenced between validation and commit, so the snapshots
-    /// reflect precisely the writes before this read's sequence
-    /// number — reads in between only reorganize physically, which
-    /// answers never observe. Execution happens after the lock drops;
-    /// the cloned `Arc`s keep the snapshot data alive without the
-    /// epoch pin.
-    fn snapshot_select(&self, q: &SelectQuery) -> Option<Reply> {
-        if !self.shared.snapshot_reads || (q.disjunctive && !q.preds.is_empty()) {
-            return None;
-        }
-        let reader = self.reader.try_lock().ok()?;
-        let (seq, plans) = {
-            let pin = self.shared.epoch.pin(&reader);
-            let mut router = lock_unpoisoned(&self.shared.router);
-            if router.closed {
-                return None;
-            }
-            let mut plans = Vec::with_capacity(self.nshards);
-            for (s, cell) in self.shared.views.iter().enumerate() {
-                let view = cell.read(&pin)?;
-                if view.writes_applied != router.writes_sequenced[s] {
-                    return None;
-                }
-                let plan = view.snap.plan(q)?;
-                plans.push((view.snap.clone(), plan));
-            }
-            (router.commit(), plans)
-        };
-        let outs: Vec<QueryOutput> = plans
-            .iter()
-            .map(|(snap, plan)| snap.execute(plan, q))
-            .collect();
-        let output = merge_select_outputs(q, outs);
-        self.shared.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-        Some(Reply { seq, output })
     }
 
     /// Mark the service failed (a worker is gone) and return the error:
@@ -887,10 +712,7 @@ mod tests {
             }],
             0,
         );
-        let config = ServiceConfig {
-            queue_depth: 1,
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig { queue_depth: 1 };
         let svc = Service::with_config(engine, config).unwrap();
         let client = svc.client();
         let parked = {
@@ -1055,75 +877,6 @@ mod tests {
             calls.load(Ordering::SeqCst) <= 1,
             "only the first (pre-failure) broadcast may have reached the healthy shard"
         );
-    }
-
-    /// The snapshot fast path must return answers bit-identical to the
-    /// queue path on the same operation sequence, actually fire once
-    /// the catalogs converge, and stay cold when disabled.
-    #[test]
-    fn snapshot_fast_path_matches_queue_path_and_counts_hits() {
-        use crate::selcrack::SelCrackEngine;
-        fn crack_table(n: i64) -> Table {
-            let mut t = Table::new();
-            t.add_column(
-                "a",
-                Column::new((0..n).map(|i| (i * 7919) % 1000).collect()),
-            );
-            t.add_column("b", Column::new((0..n).collect()));
-            t
-        }
-        let run = |snapshot_reads: bool| {
-            let engine = ShardedEngine::build(crack_table(4096), 2, |_, t| {
-                SelCrackEngine::new(t, (0, 1000))
-            });
-            let config = ServiceConfig {
-                snapshot_reads,
-                ..ServiceConfig::default()
-            };
-            let svc = Service::with_config(engine, config).unwrap();
-            let client = svc.client();
-            let range_q = |lo: i64, hi: i64| {
-                SelectQuery::aggregate(
-                    vec![(0, RangePred::open(lo, hi))],
-                    vec![
-                        (1, AggFunc::Count),
-                        (1, AggFunc::Sum),
-                        (1, AggFunc::Min),
-                        (1, AggFunc::Max),
-                    ],
-                )
-            };
-            let mut outputs = Vec::new();
-            // Warm-up cracks both shards into converged catalogs; the
-            // second sweep repeats with unaligned bounds so warm reads
-            // can resolve without cracking anything new.
-            for sweep in 0..2 {
-                for lo in (0..1000).step_by(20) {
-                    let q = range_q(lo + sweep * 3, lo + 15);
-                    outputs.push(client.select(&q).unwrap().output);
-                }
-            }
-            // A staged write hides its pieces until a query merges it;
-            // answers must observe it either way.
-            let w = client.insert(&[123, 999_999]).unwrap();
-            outputs.push(client.select(&range_q(100, 150)).unwrap().output);
-            client.delete(w.key.unwrap()).unwrap();
-            for lo in [3, 77, 411, 903] {
-                outputs.push(client.select(&range_q(lo, lo + 42)).unwrap().output);
-            }
-            let hits = svc.snapshot_hits();
-            svc.shutdown();
-            (outputs, hits)
-        };
-        let (fast, fast_hits) = run(true);
-        let (queue, queue_hits) = run(false);
-        assert_eq!(queue_hits, 0, "disabled fast path must stay cold");
-        assert!(fast_hits > 0, "warm reads must hit the snapshot path");
-        assert_eq!(fast.len(), queue.len());
-        for (i, (f, q)) in fast.iter().zip(&queue).enumerate() {
-            assert_eq!(f.rows, q.rows, "query {i}");
-            assert_eq!(f.aggs, q.aggs, "query {i}");
-        }
     }
 
     #[test]

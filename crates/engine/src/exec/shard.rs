@@ -50,8 +50,8 @@
 //! cross-shard coordination: pass it through the `make` closure
 //! (`ShardedEngine::build(base, n, |_, t| SidewaysEngine::with_policy(t,
 //! domain, policy))`) and every shard cracks its fraction of the data
-//! under that policy. Stochastic seeds may be shared across shards —
-//! each shard's pivot choice depends only on its own array state.
+//! under that policy. Each shard's pivot choice depends only on its
+//! own array state.
 
 use crate::query::{
     agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,

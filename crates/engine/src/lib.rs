@@ -46,7 +46,7 @@
 //! sharded/unsharded × serial/batch execution × crack policy.
 //!
 //! The adaptive engines additionally take a [`CrackPolicy`]
-//! (standard / stochastic / coarse-granular pivot choice, from
+//! (standard / coarse-granular pivot choice, from
 //! `crackdb-cracking`) hardening cracking against adversarial
 //! workloads; `SelCrackEngine::with_policy`,
 //! `SidewaysEngine::with_policy` and `PartialEngine::with_policy`
@@ -72,7 +72,8 @@
 //! concurrent run replays bit-identically on a serial engine — the
 //! concurrent differential suite asserts this); admission control
 //! bounds the total queue depth, and shutdown drains in-flight queries
-//! and returns the `ShardedEngine`.
+//! and returns the `ShardedEngine`. Every read takes that sequenced
+//! hop: a select cracks its shard, so only the shard's worker runs it.
 
 pub mod exec;
 pub mod partial_engine;

@@ -186,17 +186,6 @@ pub trait Engine {
         0
     }
 
-    /// Publishable picture of the engine's converged state for the
-    /// lock-free read path (see
-    /// [`EngineSnapshot`](crate::exec::snapshot::EngineSnapshot)).
-    /// Engines without converged-piece tracking return `None` — their
-    /// reads always take the sequenced worker hop. Cheap when nothing
-    /// changed since the last call (engines fingerprint their state
-    /// and hand back the cached `Arc`).
-    fn snapshot(&mut self) -> Option<std::sync::Arc<crate::exec::snapshot::EngineSnapshot>> {
-        None
-    }
-
     /// Propagate a session worker budget into the engine (`1` = fully
     /// serial). Plain executors have no internal parallelism and ignore
     /// it; routers (the sharded engine) cap their fan-out with it. The

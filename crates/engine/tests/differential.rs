@@ -351,8 +351,6 @@ fn batch_runner_matches_serial_for_all_engines() {
 fn adaptive_engines_agree_under_every_policy_explicitly() {
     let policies = [
         CrackPolicy::Standard,
-        CrackPolicy::stochastic(),
-        CrackPolicy::Stochastic { seed: 77 },
         CrackPolicy::coarse(),
         CrackPolicy::CoarseGranular { min_piece: 16 },
         CrackPolicy::Adaptive,

@@ -166,12 +166,6 @@ fn late_map_aligns_and_answers_under_standard() {
 }
 
 #[test]
-fn late_map_aligns_and_answers_under_stochastic() {
-    late_map_scenario(CrackPolicy::stochastic(), false);
-    late_map_scenario(CrackPolicy::stochastic(), true);
-}
-
-#[test]
 fn late_map_aligns_and_answers_under_coarse_granular() {
     late_map_scenario(CrackPolicy::coarse(), false);
     late_map_scenario(CrackPolicy::coarse(), true);

@@ -86,7 +86,6 @@ fn sorted(mut v: Vec<Val>) -> Vec<Val> {
 fn spilled_runs_match_never_evicted_bit_for_bit() {
     let policies = [
         CrackPolicy::Standard,
-        CrackPolicy::stochastic(),
         CrackPolicy::CoarseGranular { min_piece: 16 },
     ];
     for policy in policies {

@@ -1,19 +1,20 @@
-//! The two committed lint policy files.
+//! The committed lint policy files.
 //!
 //! `lint/atomics.allow` — one justified atomic-ordering use per line:
 //!
 //! ```text
-//! # path                          ordering  why
-//! crates/core/src/epoch.rs        SeqCst    the module-level total-order argument requires it
+//! # path                                  ordering  why
+//! crates/columnstore/src/ops/parallel.rs  Relaxed   advisory hint; staleness never changes answers
 //! ```
 //!
-//! `lint/panics.baseline` — the per-crate panic-site ratchet:
+//! `lint/panics.baseline` and `lint/loc.baseline` — the per-crate
+//! panic-site and non-test line ratchets, one format:
 //!
 //! ```text
 //! crackdb-core 37
 //! ```
 //!
-//! Both formats are whitespace-separated so they diff line-per-fact;
+//! All formats are whitespace-separated so they diff line-per-fact;
 //! `#` starts a comment, blank lines are ignored.
 
 use std::collections::BTreeMap;
@@ -78,14 +79,30 @@ pub fn parse_atomics_allow(content: &str) -> Result<Vec<AllowEntry>, String> {
     Ok(out)
 }
 
-/// The per-crate panic-site ratchet.
+/// A per-crate ratchet file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
-    /// Max allowed panic sites per crate.
+    /// Max allowed count per crate.
     pub counts: BTreeMap<String, usize>,
 }
 
-/// Parse `lint/panics.baseline`.
+/// Header of `lint/panics.baseline`.
+pub const PANICS_HEADER: &str = "\
+# L003 panic-site ratchet: per-crate counts of unwrap()/expect(/panic!/todo!/
+# unimplemented! in non-test library code without an `// INVARIANT:` escape.
+# Counts may only decrease. Regenerate with:
+#   cargo run -p crackdb-lint -- --update-baselines
+";
+
+/// Header of `lint/loc.baseline`.
+pub const LOC_HEADER: &str = "\
+# L006 code-line ratchet: per-crate counts of non-blank, non-comment lines
+# outside tests (src/ files, minus #[cfg(test)] / #[test] items).
+# A count rises only in a change that argues for the growth. Regenerate with:
+#   cargo run -p crackdb-lint -- --update-baselines
+";
+
+/// Parse a ratchet file (`lint/panics.baseline`, `lint/loc.baseline`).
 pub fn parse_baseline(content: &str) -> Result<Baseline, String> {
     let mut counts = BTreeMap::new();
     for (i, raw) in content.lines().enumerate() {
@@ -98,25 +115,16 @@ pub fn parse_baseline(content: &str) -> Result<Baseline, String> {
             (Some(name), Some(Ok(n))) => {
                 counts.insert(name.to_string(), n);
             }
-            _ => {
-                return Err(format!(
-                    "lint/panics.baseline:{}: expected `<crate> <count>`",
-                    i + 1
-                ))
-            }
+            _ => return Err(format!("line {}: expected `<crate> <count>`", i + 1)),
         }
     }
     Ok(Baseline { counts })
 }
 
-/// Serialize a baseline back out (for `--update-baselines`).
-pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
-    let mut s = String::from(
-        "# L003 panic-site ratchet: per-crate counts of unwrap()/expect(/panic!/todo!/\n\
-         # unimplemented! in non-test library code without an `// INVARIANT:` escape.\n\
-         # Counts may only decrease. Regenerate with:\n\
-         #   cargo run -p crackdb-lint -- --update-baselines\n",
-    );
+/// Serialize a baseline back out under `header` (for
+/// `--update-baselines`).
+pub fn render_baseline(header: &str, counts: &BTreeMap<String, usize>) -> String {
+    let mut s = String::from(header);
     for (k, v) in counts {
         s.push_str(&format!("{k} {v}\n"));
     }
@@ -130,11 +138,11 @@ mod tests {
     #[test]
     fn allow_roundtrip_and_errors() {
         let ok = parse_atomics_allow(
-            "# header\n\ncrates/core/src/epoch.rs SeqCst — total-order argument\n",
+            "# header\n\ncrates/columnstore/src/ops/parallel.rs Relaxed — advisory hint\n",
         )
         .expect("parses");
         assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].ordering, "SeqCst");
+        assert_eq!(ok[0].ordering, "Relaxed");
         assert_eq!(ok[0].line, 3);
         assert!(parse_atomics_allow("a.rs SeqCst").is_err(), "no why");
         assert!(parse_atomics_allow("a.rs Sideways because").is_err());
@@ -144,7 +152,7 @@ mod tests {
     fn baseline_roundtrip() {
         let b = parse_baseline("# c\ncrackdb-core 37\ncrackdb-lint 0\n").expect("parses");
         assert_eq!(b.counts["crackdb-core"], 37);
-        let out = render_baseline(&b.counts);
+        let out = render_baseline(PANICS_HEADER, &b.counts);
         assert_eq!(parse_baseline(&out).expect("reparses"), b);
         assert!(parse_baseline("crackdb-core many").is_err());
     }

@@ -1,4 +1,4 @@
-//! The repo-invariant lint passes (L001–L005) over lexed sources.
+//! The repo-invariant lint passes (L001–L006) over lexed sources.
 //!
 //! Every pass works on the token/comment streams from [`crate::lexer`]
 //! — never on raw text — so nothing inside a string, raw string, char
@@ -12,9 +12,11 @@
 //! | L003 | panic-prone calls in non-test library code respect the per-crate ratchet in `lint/panics.baseline`; `// INVARIANT:` comments escape individual sites |
 //! | L004 | `std::env::var("CRACKDB_*")` only in the env registry; every `CRACKDB_*` name in README/CI exists in the registry |
 //! | L005 | `.lock().unwrap()` / `.lock().expect(...)` forbidden — use `lock_unpoisoned` |
+//! | L006 | non-test code lines per crate respect the ratchet in `lint/loc.baseline` |
 
 use crate::config::{AllowEntry, Baseline};
 use crate::lexer::{lex, Comment, Lexed, TokKind, Token};
+use crate::workspace::{LOC_BASELINE_PATH, PANICS_BASELINE_PATH};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The five atomic memory orderings; `std::cmp::Ordering`'s variants
@@ -45,7 +47,7 @@ pub enum Severity {
 /// concrete site (ratchet-level findings point at the baseline file).
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Lint code (`L001`..`L005`).
+    /// Lint code (`L001`..`L006`).
     pub code: &'static str,
     /// Drives the exit code.
     pub severity: Severity,
@@ -65,7 +67,8 @@ pub enum Role {
     /// `src/bin/` binary code: all but the L003 panic ratchet
     /// (bench/CLI binaries may fail fast; libraries may not).
     Bin,
-    /// `tests/`, `benches/`, `examples/`: L001 and L005 only.
+    /// `tests/`, `benches/`, `examples/`: L001 and L005 only (and no
+    /// lines counted by L006).
     TestDir,
 }
 
@@ -91,6 +94,8 @@ pub struct Workspace {
     pub atomics_allow: Vec<AllowEntry>,
     /// Per-crate panic-site ratchet (`lint/panics.baseline`).
     pub panics_baseline: Baseline,
+    /// Per-crate non-test line ratchet (`lint/loc.baseline`).
+    pub loc_baseline: Baseline,
     /// Non-Rust documents scanned for `CRACKDB_*` drift: README, CI.
     pub docs: Vec<(String, String)>,
 }
@@ -106,6 +111,9 @@ pub struct Report {
     /// Every counted panic site as `(crate, path, line)` — the
     /// burn-down worklist behind `--list-panics`.
     pub panic_sites: Vec<(String, String, usize)>,
+    /// Non-test code lines per crate, for baseline updates and the
+    /// human summary.
+    pub loc_counts: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -128,12 +136,14 @@ pub fn run(ws: &Workspace) -> Report {
     let mut env_names: BTreeSet<String> = BTreeSet::new();
     let mut panic_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut panic_sites: Vec<(String, String, usize)> = Vec::new();
+    let mut loc_counts: BTreeMap<String, usize> = BTreeMap::new();
 
     // Registry names must be collected before the doc-drift check, and
-    // crates with zero panic sites still need baseline entries — so
-    // pre-seed every crate at 0.
+    // crates with zero panic sites or code lines still need baseline
+    // entries — so pre-seed every crate at 0.
     for f in &ws.files {
         panic_counts.entry(f.crate_name.clone()).or_insert(0);
+        loc_counts.entry(f.crate_name.clone()).or_insert(0);
         if ENV_REGISTRY_FILES.contains(&f.path.as_str()) {
             collect_env_names(&lex(&f.content), &mut env_names);
         }
@@ -150,17 +160,32 @@ pub fn run(ws: &Workspace) -> Report {
             &mut ordering_uses,
             &mut panic_sites,
         );
+        if f.role != Role::TestDir {
+            *loc_counts.entry(f.crate_name.clone()).or_insert(0) += code_lines(&lexed, &test_spans);
+        }
     }
     for (krate, _, _) in &panic_sites {
         *panic_counts.entry(krate.clone()).or_insert(0) += 1;
     }
 
     check_atomics_allow(ws, &ordering_uses, &mut report.findings);
-    check_panic_baseline(ws, &panic_counts, &mut report.findings);
+    check_ratchet(
+        &PANIC_RATCHET,
+        &ws.panics_baseline,
+        &panic_counts,
+        &mut report.findings,
+    );
+    check_ratchet(
+        &LOC_RATCHET,
+        &ws.loc_baseline,
+        &loc_counts,
+        &mut report.findings,
+    );
     check_doc_drift(ws, &env_names, &mut report.findings);
 
     report.panic_counts = panic_counts;
     report.panic_sites = panic_sites;
+    report.loc_counts = loc_counts;
     report
         .findings
         .sort_by(|a, b| (a.code, &a.path, a.line).cmp(&(b.code, &b.path, b.line)));
@@ -168,12 +193,13 @@ pub fn run(ws: &Workspace) -> Report {
 }
 
 /// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items: the
-/// attribute arms a pending flag, the next `{` opens the excluded
-/// region (its brace-matched span), and a `;` before any `{` cancels
-/// (e.g. `#[cfg(test)] use …;`).
+/// attribute arms a pending flag, the next `{` closes the excluded
+/// region's head (the region runs from the attribute to the
+/// brace-matched `}`), and a `;` before any `{` cancels (e.g.
+/// `#[cfg(test)] use …;`).
 fn test_token_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
-    let mut pending = false;
+    let mut pending: Option<usize> = None;
     let mut i = 0;
     while i < tokens.len() {
         match &tokens[i].kind {
@@ -186,17 +212,17 @@ fn test_token_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
                 let (idents, end) = attr_idents(tokens, i + 1);
                 let is_test = idents.iter().any(|s| s == "test")
                     && (idents.len() == 1 || idents.iter().any(|s| s == "cfg"));
-                if is_test {
-                    pending = true;
+                if is_test && pending.is_none() {
+                    pending = Some(i);
                 }
                 i = end;
                 continue;
             }
-            TokKind::Punct(';') if pending => pending = false,
-            TokKind::Punct('{') if pending => {
-                pending = false;
-                let close = matching_brace(tokens, i);
-                ranges.push((i, close));
+            TokKind::Punct(';') if pending.is_some() => pending = None,
+            TokKind::Punct('{') => {
+                if let Some(start) = pending.take() {
+                    ranges.push((start, matching_brace(tokens, i)));
+                }
             }
             _ => {}
         }
@@ -296,6 +322,24 @@ fn is_crackdb_name(s: &str) -> bool {
         && s.len() > "CRACKDB_".len()
         && s.chars()
             .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// L006 front end: the lines of `lexed` holding code outside the test
+/// spans. Comment-only and blank lines hold no token; a multi-line
+/// string literal counts every line it spans.
+fn code_lines(lexed: &Lexed, test_spans: &[(usize, usize)]) -> usize {
+    let mut lines = BTreeSet::new();
+    for (i, t) in lexed.tokens.iter().enumerate() {
+        if in_ranges(test_spans, i) {
+            continue;
+        }
+        let extra = match &t.kind {
+            TokKind::Str(s) => s.matches('\n').count(),
+            _ => 0,
+        };
+        lines.extend(t.line..=t.line + extra);
+    }
+    lines.len()
 }
 
 /// All single-file passes in one token walk per file.
@@ -454,56 +498,82 @@ fn check_atomics_allow(
     }
 }
 
-/// L003 back end: per-crate counts may only go down.
-fn check_panic_baseline(
-    ws: &Workspace,
+/// A per-crate count that may only go down, checked against a
+/// baseline file (L003 panic sites, L006 code lines).
+struct Ratchet {
+    code: &'static str,
+    path: &'static str,
+    /// What is counted, as it reads after a number.
+    what: &'static str,
+    /// How to get back under the baseline.
+    fix: &'static str,
+}
+
+const PANIC_RATCHET: Ratchet = Ratchet {
+    code: "L003",
+    path: PANICS_BASELINE_PATH,
+    what: "panic sites",
+    fix: "convert to typed errors or argue `// INVARIANT:` escapes",
+};
+
+const LOC_RATCHET: Ratchet = Ratchet {
+    code: "L006",
+    path: LOC_BASELINE_PATH,
+    what: "non-test lines",
+    fix: "delete code to make room, or raise the baseline in a change that argues for it",
+};
+
+/// L003/L006 back end: a crate missing from the baseline or above it is
+/// an error, a crate below it a warning to ratchet down.
+fn check_ratchet(
+    r: &Ratchet,
+    baseline: &Baseline,
     counts: &BTreeMap<String, usize>,
     findings: &mut Vec<Finding>,
 ) {
+    let mut push = |severity, message| {
+        findings.push(Finding {
+            code: r.code,
+            severity,
+            path: r.path.into(),
+            line: 0,
+            message,
+        })
+    };
     for (krate, &n) in counts {
-        match ws.panics_baseline.counts.get(krate) {
-            None => findings.push(Finding {
-                code: "L003",
-                severity: Severity::Error,
-                path: "lint/panics.baseline".into(),
-                line: 0,
-                message: format!(
-                    "crate `{krate}` ({n} panic sites) missing from the baseline — \
-                     run with --update-baselines"
+        match baseline.counts.get(krate) {
+            None => push(
+                Severity::Error,
+                format!(
+                    "crate `{krate}` ({n} {}) missing from the baseline — \
+                     run with --update-baselines",
+                    r.what
                 ),
-            }),
-            Some(&base) if n > base => findings.push(Finding {
-                code: "L003",
-                severity: Severity::Error,
-                path: "lint/panics.baseline".into(),
-                line: 0,
-                message: format!(
-                    "crate `{krate}` has {n} panic sites, baseline allows {base}: \
-                     convert to typed errors or argue `// INVARIANT:` escapes"
+            ),
+            Some(&base) if n > base => push(
+                Severity::Error,
+                format!(
+                    "crate `{krate}` has {n} {}, baseline allows {base}: {}",
+                    r.what, r.fix
                 ),
-            }),
-            Some(&base) if n < base => findings.push(Finding {
-                code: "L003",
-                severity: Severity::Warn,
-                path: "lint/panics.baseline".into(),
-                line: 0,
-                message: format!(
-                    "crate `{krate}` improved to {n} panic sites (baseline {base}) — \
-                     ratchet down with --update-baselines"
+            ),
+            Some(&base) if n < base => push(
+                Severity::Warn,
+                format!(
+                    "crate `{krate}` improved to {n} {} (baseline {base}) — \
+                     ratchet down with --update-baselines",
+                    r.what
                 ),
-            }),
+            ),
             Some(_) => {}
         }
     }
-    for krate in ws.panics_baseline.counts.keys() {
+    for krate in baseline.counts.keys() {
         if !counts.contains_key(krate) {
-            findings.push(Finding {
-                code: "L003",
-                severity: Severity::Warn,
-                path: "lint/panics.baseline".into(),
-                line: 0,
-                message: format!("baseline names unknown crate `{krate}`"),
-            });
+            push(
+                Severity::Warn,
+                format!("baseline names unknown crate `{krate}`"),
+            );
         }
     }
 }

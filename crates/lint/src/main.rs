@@ -8,10 +8,10 @@
 //!
 //! Exit codes: 0 clean, 1 warnings only (e.g. ratchet slack — a crate
 //! improved past its baseline), 2 errors (new unsafe without SAFETY,
-//! unjustified ordering, ratchet exceeded, env/doc drift, forbidden
-//! lock idiom) or usage/IO failure.
+//! unjustified ordering, panic or line ratchet exceeded, env/doc drift,
+//! forbidden lock idiom) or usage/IO failure.
 
-use crackdb_lint::{lints, report, workspace};
+use crackdb_lint::{config, lints, report, workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -74,17 +74,26 @@ fn run() -> Result<i32, String> {
     }
 
     if args.update_baselines {
-        let path = root.join(workspace::PANICS_BASELINE_PATH);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        for (rel, header, counts) in [
+            (
+                workspace::PANICS_BASELINE_PATH,
+                config::PANICS_HEADER,
+                &rep.panic_counts,
+            ),
+            (
+                workspace::LOC_BASELINE_PATH,
+                config::LOC_HEADER,
+                &rep.loc_counts,
+            ),
+        ] {
+            let path = root.join(rel);
+            if let Some(dir) = path.parent() {
+                std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+            }
+            std::fs::write(&path, config::render_baseline(header, counts))
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            println!("wrote {rel} ({} crates)", counts.len());
         }
-        std::fs::write(&path, workspace::render_baseline(&rep.panic_counts))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "wrote {} ({} crates)",
-            workspace::PANICS_BASELINE_PATH,
-            rep.panic_counts.len()
-        );
         // Re-lint against the fresh baseline so the exit code reflects
         // what CI would now see (ratchet findings disappear; anything
         // else stays loud).

@@ -51,6 +51,10 @@ pub fn human(report: &Report) -> String {
     for (krate, n) in &report.panic_counts {
         let _ = writeln!(out, "  {krate:<24} {n}");
     }
+    let _ = writeln!(out, "\ncode-line ratchet (L006, non-test code):");
+    for (krate, n) in &report.loc_counts {
+        let _ = writeln!(out, "  {krate:<24} {n}");
+    }
     let errors = report
         .findings
         .iter()
@@ -84,13 +88,22 @@ pub fn json(report: &Report) -> String {
             "\n"
         });
     }
-    out.push_str("  ],\n  \"panic_counts\": {\n");
-    let n = report.panic_counts.len();
-    for (i, (krate, count)) in report.panic_counts.iter().enumerate() {
-        let _ = write!(out, "    {}: {count}", escape(krate));
-        out.push_str(if i + 1 < n { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
+    out.push_str("  ],\n");
+    let maps: Vec<String> = [
+        ("panic_counts", &report.panic_counts),
+        ("loc_counts", &report.loc_counts),
+    ]
+    .iter()
+    .map(|(key, counts)| {
+        let rows: Vec<String> = counts
+            .iter()
+            .map(|(krate, count)| format!("    {}: {count}", escape(krate)))
+            .collect();
+        format!("  {}: {{\n{}\n  }}", escape(key), rows.join(",\n"))
+    })
+    .collect();
+    out.push_str(&maps.join(",\n"));
+    out.push_str("\n}\n");
     out
 }
 
@@ -131,10 +144,13 @@ mod tests {
             message: "back\\slash\nnewline".into(),
         });
         r.panic_counts.insert("crackdb-core".into(), 7);
+        r.loc_counts.insert("crackdb-core".into(), 1234);
         let j = json(&r);
         assert!(j.contains(r#""path": "a \"b\".rs""#), "{j}");
         assert!(j.contains(r#"back\\slash\nnewline"#), "{j}");
         assert!(j.contains(r#""crackdb-core": 7"#), "{j}");
+        assert!(j.contains(r#""loc_counts": {"#), "{j}");
+        assert!(j.contains(r#""crackdb-core": 1234"#), "{j}");
     }
 
     #[test]

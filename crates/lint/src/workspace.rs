@@ -1,8 +1,8 @@
 //! Load the real workspace from disk into the [`crate::lints`] model:
 //! member discovery from the root `Cargo.toml`, `.rs` file walking
-//! with role classification, and the two policy files.
+//! with role classification, and the policy files.
 
-use crate::config::{parse_atomics_allow, parse_baseline};
+use crate::config::{parse_atomics_allow, parse_baseline, Baseline};
 use crate::lints::{Role, VFile, Workspace};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,6 +11,8 @@ use std::path::{Path, PathBuf};
 pub const ATOMICS_ALLOW_PATH: &str = "lint/atomics.allow";
 /// See [`ATOMICS_ALLOW_PATH`].
 pub const PANICS_BASELINE_PATH: &str = "lint/panics.baseline";
+/// See [`ATOMICS_ALLOW_PATH`].
+pub const LOC_BASELINE_PATH: &str = "lint/loc.baseline";
 
 /// Documents scanned for `CRACKDB_*` drift (L004): the README and CI.
 pub const DOC_PATHS: [&str; 2] = ["README.md", ".github/workflows/ci.yml"];
@@ -52,8 +54,8 @@ pub fn load(root: &Path) -> Result<Workspace, String> {
     ws.files.sort_by(|a, b| a.path.cmp(&b.path));
 
     ws.atomics_allow = read_policy(root, ATOMICS_ALLOW_PATH, parse_atomics_allow)?;
-    ws.panics_baseline = read_policy(root, PANICS_BASELINE_PATH, |s| parse_baseline(s).map(Some))?
-        .unwrap_or_default();
+    ws.panics_baseline = read_baseline(root, PANICS_BASELINE_PATH)?;
+    ws.loc_baseline = read_baseline(root, LOC_BASELINE_PATH)?;
 
     for doc in DOC_PATHS {
         let p = root.join(doc);
@@ -80,6 +82,14 @@ fn read_policy<T: Default>(
     }
     let text = fs::read_to_string(&p).map_err(|e| format!("{rel}: {e}"))?;
     parse(&text)
+}
+
+/// A ratchet file; a missing one is empty, so every crate is reported
+/// as missing from it.
+fn read_baseline(root: &Path, rel: &str) -> Result<Baseline, String> {
+    read_policy(root, rel, |s| {
+        parse_baseline(s).map_err(|e| format!("{rel}: {e}"))
+    })
 }
 
 /// Workspace members from the root manifest's `members = [...]` list —

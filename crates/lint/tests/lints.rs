@@ -18,14 +18,18 @@ fn lib_file(content: &str) -> VFile {
 }
 
 /// A workspace holding just `f`, with a baseline allowing `panics`
-/// sites in crate `x` (so L003 noise never leaks into other tests).
+/// sites in crate `x` and a line baseline at `f`'s own count (so L003
+/// and L006 noise never leaks into other tests).
 fn ws_with(f: VFile, panics: usize) -> Workspace {
-    Workspace {
+    let mut ws = Workspace {
         files: vec![f],
         atomics_allow: Vec::new(),
         panics_baseline: parse_baseline(&format!("x {panics}\n")).expect("fixture baseline"),
+        loc_baseline: Default::default(),
         docs: Vec::new(),
-    }
+    };
+    ws.loc_baseline.counts = run(&ws).loc_counts;
+    ws
 }
 
 fn codes(ws: &Workspace) -> Vec<&'static str> {
@@ -237,6 +241,60 @@ fn l005_clean_on_the_recovering_idiom() {
     let src = "use std::sync::{Mutex, PoisonError};\npub fn f(m: &Mutex<u8>) -> u8 { *m.lock().unwrap_or_else(PoisonError::into_inner) }\n";
     let ws = ws_with(lib_file(src), 0);
     assert!(codes(&ws).is_empty());
+}
+
+// ---------------------------------------------------------------- L006
+
+/// Twelve lines, four of them code: comments, blank lines and the test
+/// module (attribute included) do not count; a two-line string counts
+/// twice.
+const LOC_SRC: &str = "// header comment\n\npub fn f() -> &'static str {\n    /* block */\n    \"two\nlines\"\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+
+#[test]
+fn l006_counts_code_lines_outside_tests_only() {
+    assert_eq!(run(&ws_with(lib_file(LOC_SRC), 0)).loc_counts["x"], 4);
+    let test_dir = VFile {
+        path: "crates/x/tests/it.rs".into(),
+        crate_name: "x".into(),
+        role: Role::TestDir,
+        content: LOC_SRC.into(),
+    };
+    assert_eq!(run(&ws_with(test_dir, 0)).loc_counts["x"], 0);
+}
+
+#[test]
+fn l006_above_or_missing_from_the_baseline_is_an_error() {
+    let mut ws = ws_with(lib_file(LOC_SRC), 0);
+    ws.loc_baseline = parse_baseline("x 3\n").expect("fixture baseline");
+    let rep = run(&ws);
+    assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
+    assert_eq!(
+        (rep.findings[0].code, rep.findings[0].severity),
+        ("L006", Severity::Error)
+    );
+    assert!(rep.findings[0].message.contains("4 non-test lines"));
+    assert_eq!(rep.exit_code(), 2);
+    ws.loc_baseline = Default::default();
+    let rep = run(&ws);
+    assert_eq!(rep.findings.len(), 1);
+    assert!(rep.findings[0]
+        .message
+        .contains("missing from the baseline"));
+}
+
+#[test]
+fn l006_at_baseline_is_clean_and_below_baseline_warns() {
+    let mut ws = ws_with(lib_file(LOC_SRC), 0);
+    assert!(codes(&ws).is_empty(), "{:?}", run(&ws).findings);
+    ws.loc_baseline = parse_baseline("x 9\n").expect("fixture baseline");
+    let rep = run(&ws);
+    assert_eq!(rep.findings.len(), 1);
+    assert_eq!(
+        (rep.findings[0].code, rep.findings[0].severity),
+        ("L006", Severity::Warn)
+    );
+    assert!(rep.findings[0].message.contains("ratchet down"));
+    assert_eq!(rep.exit_code(), 1);
 }
 
 // ------------------------------------------------- property tests
