@@ -38,14 +38,19 @@
 //! is discarded and its merged updates return to the staged lists — a
 //! chunk recreated from the base later picks them up for free.
 //!
-//! **Storage tiers:** eviction is tiered when a [`SpillTier`] is
-//! attached — RAM budget → spill file → (on spill failure) drop. A
-//! spilled chunk serializes with its tape cursor (the staged-update
-//! watermark) and *reloads* on re-access instead of being recracked; an
-//! area with spilled chunks stays fetched, so merged updates are never
-//! lost while a sibling is cold. Disk failures surface as
-//! [`StorageError`]s through every public query entry point — never as
-//! panics.
+//! **Storage tiers:** the paper's storage manager only discards chunks,
+//! and so does this one whenever rebuilding a chunk reads only
+//! in-memory base columns: a regather from RAM costs no more per tuple
+//! than writing the chunk out and reading it back. Only a chunk whose
+//! tail column, or the set's head column, is segmented (file-backed) —
+//! where a rebuild is a random gather through a bounded segment cache —
+//! goes to an attached [`SpillTier`] instead: RAM budget → spill file →
+//! (on spill failure) drop. A spilled chunk serializes with its tape
+//! cursor (the staged-update watermark) and *reloads* on re-access
+//! instead of being recracked; an area with spilled chunks stays
+//! fetched, so merged updates are never lost while a sibling is cold.
+//! Disk failures surface as [`StorageError`]s through every public
+//! query entry point — never as panics.
 
 pub mod chunk;
 mod resident;
@@ -293,7 +298,8 @@ impl PartialSet {
     }
 
     /// Attach (or detach) the disk spill tier. With a tier attached,
-    /// eviction spills instead of dropping.
+    /// eviction spills the chunks whose rebuild would read a segmented
+    /// base column and still drops the rest (see [`Self::evict_chunk`]).
     pub fn set_spill(&mut self, tier: Option<SpillTier>) {
         self.spill = tier;
     }
@@ -380,9 +386,16 @@ impl PartialSet {
     ///   chunk, or merged updates on its tape;
     /// * no chunk cursor, resident or spilled, points past its area's
     ///   tape;
+    /// * a resident chunk at its area resolver's cursor holds the
+    ///   resolver's head order (unless its head was dropped), so the
+    ///   positions the resolver hands out are the chunk's positions;
+    /// * no update is both staged and merged: no staged insert key, and
+    ///   no staged `(val, key)` delete, appears on any area tape;
     /// * `usage() <= budget` (nothing is pinned between queries).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.resident.check()?;
+        let staged_inserts: HashSet<RowId> = self.staged_inserts.iter().copied().collect();
+        let staged_deletes: HashSet<(Val, RowId)> = self.staged_deletes.iter().copied().collect();
         for (attr, map) in self.resident.maps() {
             for &id in map.chunks.keys() {
                 if !self.areas.get(&id).is_some_and(|a| a.refs.contains(&attr)) {
@@ -409,6 +422,25 @@ impl PartialSet {
                         chunk.cursor
                     ));
                 }
+                if let (Some(r), Some(head)) = (&info.resolver, chunk.head()) {
+                    if chunk.cursor == r.cursor && head != r.arr.head() {
+                        return Err(format!(
+                            "chunk ({attr}, {id:?}) at the resolver's cursor {} \
+                             differs from its head order",
+                            r.cursor
+                        ));
+                    }
+                }
+            }
+            let staged = info.tape.iter().find(|e| match **e {
+                AreaEntry::Insert(key) => staged_inserts.contains(&key),
+                AreaEntry::Delete { val, key, .. } => staged_deletes.contains(&(val, key)),
+                AreaEntry::Crack(..) => false,
+            });
+            if let Some(entry) = staged {
+                return Err(format!(
+                    "area {id:?} has merged {entry:?}, which is also staged"
+                ));
             }
             if let Some((attr, s)) = info.spilled.iter().find(|(_, s)| s.cursor > tape_len) {
                 return Err(format!(
@@ -444,7 +476,9 @@ impl PartialSet {
     }
 
     /// Stage a deletion of tuple `key` whose head-attribute value is
-    /// `head_val`.
+    /// `head_val`. Stage each key at most once (`PartialStore` filters
+    /// repeats): a repeat of a delete already merged into an area tape
+    /// would be both staged and merged.
     pub fn stage_delete(&mut self, head_val: Val, key: RowId) {
         self.staged_deletes.push((head_val, key));
     }
@@ -750,6 +784,7 @@ impl PartialSet {
     /// current, so each eviction costs a tree lookup, not a scan.
     fn make_room(
         &mut self,
+        base: &Table,
         extra: usize,
         pinned_area: AreaId,
         pinned_attrs: &[usize],
@@ -764,7 +799,7 @@ impl PartialSet {
             let Some((attr, area)) = self.next_victim(pinned_area, pinned_attrs) else {
                 break;
             };
-            let evicted = self.evict_chunk(attr, area);
+            let evicted = self.evict_chunk(base, attr, area);
             outcome = outcome.and(evicted);
         }
         outcome
@@ -782,12 +817,24 @@ impl PartialSet {
         self.resident.next_victim(pinned_area, pinned_attrs)
     }
 
-    /// Tiered eviction of one chunk: spill when a tier is attached,
-    /// otherwise drop. A failed spill write falls back to dropping the
-    /// chunk (so the budget invariant still holds) and then surfaces the
-    /// error — loud, but never wedged.
-    fn evict_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> Result<(), StorageError> {
-        let Some(tier) = &self.spill else {
+    /// Tiered eviction of one chunk: spill when a tier is attached *and*
+    /// rebuilding the chunk would read a segmented base column (its tail
+    /// column or the set's head column), otherwise drop. A rebuild from
+    /// in-memory columns regathers at memory speed, no slower per tuple
+    /// than a spill write plus its reload, and most evicted chunks are
+    /// never read again — so for them the write is pure cost. A failed
+    /// spill write falls back to dropping the chunk (so the budget
+    /// invariant still holds) and then surfaces the error — loud, but
+    /// never wedged.
+    fn evict_chunk(
+        &mut self,
+        base: &Table,
+        tail_attr: usize,
+        area_id: AreaId,
+    ) -> Result<(), StorageError> {
+        let reads_disk = |attr: usize| !base.column(attr).is_resident();
+        let spill_pays = reads_disk(tail_attr) || reads_disk(self.head_attr);
+        let Some(tier) = self.spill.as_ref().filter(|_| spill_pays) else {
             self.drop_chunk(tail_attr, area_id);
             return Ok(());
         };
@@ -883,14 +930,6 @@ impl PartialSet {
         true
     }
 
-    /// Post-query budget enforcement: with nothing pinned, evict until
-    /// `usage() <= budget` holds exactly. A single query may transiently
-    /// exceed the budget while its own chunks are pinned; it must never
-    /// *leave* it exceeded.
-    fn enforce_budget(&mut self) -> Result<(), StorageError> {
-        self.make_room(0, None, &[])
-    }
-
     /// Deterministically rebuild the head column of a head-dropped chunk:
     /// re-seed from the (frozen) chunk-map area and replay the area tape
     /// up to the chunk's cursor.
@@ -973,7 +1012,7 @@ impl PartialSet {
                 &mut consume,
             )
         });
-        self.finish_query(answered)
+        self.finish_query(base, answered)
     }
 
     /// Disjunctive multi-selection (§3.3 executed chunk-wise): predicates
@@ -1013,15 +1052,20 @@ impl PartialSet {
         let answered = areas.iter().try_for_each(|area| {
             self.process_area_disj(base, area, preds, projs, &attrs, &mut consume)
         });
-        self.finish_query(answered)
+        self.finish_query(base, answered)
     }
 
     /// Every query ends here, answered or not: nothing is pinned any
-    /// more, so the budget is enforced exactly — a query that failed
-    /// half-way must not leave it exceeded either — and the first error
-    /// is the one reported.
-    fn finish_query(&mut self, answered: Result<(), StorageError>) -> Result<(), StorageError> {
-        let enforced = self.enforce_budget();
+    /// more, so the budget is enforced exactly — a single query may
+    /// transiently exceed it while its own chunks are pinned, but no
+    /// query, not even one that failed half-way, may leave it exceeded —
+    /// and the first error is the one reported.
+    fn finish_query(
+        &mut self,
+        base: &Table,
+        answered: Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let enforced = self.make_room(base, 0, None, &[]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         answered.and(enforced)
     }
@@ -1066,7 +1110,7 @@ impl PartialSet {
                 .map(|s| s.slot);
             let slot = spilled.filter(|_| self.spill.is_some());
             let incoming = slot.map_or(area.end - area.start, |s| s.tuples as usize);
-            self.make_room(incoming, area.id, attrs)?;
+            self.make_room(base, incoming, area.id, attrs)?;
             // Only now does the record stop counting as a chunk of the
             // area: had `make_room` failed, the area would otherwise be
             // left fetched with nothing to show for it.

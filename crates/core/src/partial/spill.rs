@@ -1,6 +1,8 @@
 //! Disk spill tier for partial maps: evicted chunks serialize to
 //! per-column spill files and *reload* on re-access instead of being
-//! recracked from the base columns.
+//! recracked from the base columns. Only chunks whose rebuild would read
+//! a segmented (file-backed) base column come here; chunks of in-memory
+//! columns are dropped (see `PartialSet::evict_chunk`).
 //!
 //! This deliberately goes beyond §3.5 of the paper (which only discards
 //! under the storage budget): a spilled chunk keeps its full state —

@@ -499,7 +499,8 @@ pub struct PartialStore {
     /// area, §3.5).
     deleted: HashSet<RowId>,
     /// When set, newly created sets get a disk spill tier writing under
-    /// this directory (tiered eviction: RAM budget → spill → drop).
+    /// this directory (tiered eviction for chunks of segmented columns:
+    /// RAM budget → spill → drop).
     spill_dir: Option<std::path::PathBuf>,
 }
 
@@ -519,7 +520,9 @@ impl PartialStore {
 
     /// Enable the disk spill tier: every *future* set evicts into spill
     /// files under a unique subdirectory of `base_dir` (removed
-    /// best-effort when the sets drop). Existing sets are unaffected.
+    /// best-effort when the sets drop) the chunks whose rebuild would
+    /// read a segmented base column; chunks of in-memory columns are
+    /// still dropped, as without a tier. Existing sets are unaffected.
     pub fn enable_spill(&mut self, base_dir: std::path::PathBuf) {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -631,13 +634,17 @@ impl PartialStore {
 
     /// Stage a deletion of tuple `key` into every existing set (head
     /// values read from the base table) and remember it for the seeds of
-    /// sets created later.
+    /// sets created later. A repeated delete of a key is a no-op: the
+    /// first one may already be merged into an area tape, and a set
+    /// never holds one update both staged and merged.
     pub fn stage_delete(&mut self, base: &Table, key: RowId) {
+        if !self.deleted.insert(key) {
+            return;
+        }
         for s in self.sets.values_mut() {
             let v = base.column(s.head_attr).get(key);
             s.stage_delete(v, key);
         }
-        self.deleted.insert(key);
     }
 
     /// Mutable access (creating on demand) with the budget share updated

@@ -16,6 +16,9 @@ use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+#[path = "support/segmented.rs"]
+mod support;
+
 const CASES: u64 = 60;
 const TAILS: usize = 4;
 const DOMAIN: Val = 50;
@@ -226,8 +229,8 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
 /// Random select / project / disjunction streams with staged inserts and
 /// deletes in between (chunk lengths change while checked out), under
 /// budgets from about one chunk to almost the whole working set, with
-/// and without a spill tier, under every static policy, with and without
-/// head dropping.
+/// and without a spill tier (over file-backed columns, so that chunks do
+/// spill), under every static policy, with and without head dropping.
 #[test]
 fn eviction_index_names_the_scans_victim_after_every_op() {
     let policies = [
@@ -235,7 +238,7 @@ fn eviction_index_names_the_scans_victim_after_every_op() {
         CrackPolicy::CoarseGranular { min_piece: 8 },
         CrackPolicy::CoarseGranular { min_piece: 32 },
     ];
-    let (mut evictions, mut merges) = (0, 0);
+    let (mut evictions, mut spills, mut merges) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE71C7 ^ case.wrapping_mul(0x9E3779B97F4A7C15));
         let rows = rng.gen_range(60..300usize);
@@ -251,6 +254,8 @@ fn eviction_index_names_the_scans_victim_after_every_op() {
         };
         set.budget = Some(budget);
         if case % 2 == 0 {
+            // Only chunks of file-backed columns spill.
+            model.table = support::segmented(&model.table);
             set.set_spill(Some(SpillTier::new(spill_dir("prop"), "prop")));
         }
         if case % 5 < 2 {
@@ -261,9 +266,11 @@ fn eviction_index_names_the_scans_victim_after_every_op() {
             check(&set, &mut rng, &format!("case {case}, step {step}: {op}"));
         }
         evictions += set.stats.chunks_spilled + set.stats.chunks_dropped;
+        spills += set.stats.chunks_spilled;
         merges += set.stats.updates_merged;
     }
     assert!(evictions > 1000, "the budgets must bite: {evictions}");
+    assert!(spills > 100, "file-backed chunks must spill: {spills}");
     assert!(merges > 100, "updates must reach resident chunks: {merges}");
 }
 
@@ -278,6 +285,7 @@ fn failed_spill_drops_the_chunk_and_keeps_the_books() {
     let mut rng = StdRng::seed_from_u64(0xFA17);
     let rows = 400;
     let mut model = Model::new(&mut rng, rows);
+    model.table = support::segmented(&model.table);
     let dir = spill_dir("fault");
     let mut set = PartialSet::new(0);
     set.budget = Some(rows / 2);

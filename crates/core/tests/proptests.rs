@@ -12,6 +12,9 @@ use crackdb_core::{MapSet, PartialSet};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 
+#[path = "support/segmented.rs"]
+mod support;
+
 const CASES: u64 = 64;
 
 /// Run `f` once per case with a per-case deterministic generator.
@@ -150,16 +153,18 @@ fn partial_maps_budget_correct() {
     });
 }
 
-/// Spill round-trip property: a partial set with a spill tier and a
-/// tiny budget — so chunks constantly serialize to disk, reload and
-/// un-merge — answers bit-for-bit like a never-evicted set and a naive
-/// scan, and `usage() <= budget` holds *exactly* after every query
-/// (spilled tuples are disk-resident and must not count).
+/// Spill round-trip property: a partial set over file-backed columns
+/// with a spill tier and a tiny budget — so chunks constantly serialize
+/// to disk, reload and un-merge — answers bit-for-bit like a
+/// never-evicted set and a naive scan, and `usage() <= budget` holds
+/// *exactly* after every query (spilled tuples are disk-resident and
+/// must not count).
 #[test]
 fn spilled_partial_sets_match_never_evicted() {
     use crackdb_core::SpillTier;
     use std::sync::atomic::{AtomicU64, Ordering};
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+    let (mut spilled, mut reloaded) = (0, 0);
     cases(0x5B111ED, |rng| {
         let a = vec_of(rng, 0, 50, 8, 120);
         let n = a.len();
@@ -173,6 +178,7 @@ fn spilled_partial_sets_match_never_evicted() {
             })
             .collect();
         let t = table(cols);
+        let on_disk = support::segmented(&t);
         let budget = (n / rng.gen_range(3usize..8)).max(8);
         let dir = std::env::temp_dir().join(format!(
             "crackdb-prop-spill-{}-{}",
@@ -188,7 +194,7 @@ fn spilled_partial_sets_match_never_evicted() {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got_cold = Vec::new();
-            cold.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_cold))
+            cold.select_project_blocks(&on_disk, &p, &[attr], |b| b.append_to(&mut got_cold))
                 .unwrap();
             let mut got_hot = Vec::new();
             hot.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_hot))
@@ -211,7 +217,11 @@ fn spilled_partial_sets_match_never_evicted() {
             assert_eq!(cold.check_invariants(), Ok(()));
             assert_eq!(hot.check_invariants(), Ok(()));
         }
+        spilled += cold.stats.chunks_spilled;
+        reloaded += cold.stats.chunks_reloaded;
     });
+    assert!(spilled > 0, "the tiny budgets must spill");
+    assert!(reloaded > 0, "re-accessed chunks must reload");
 }
 
 /// The §3.3 histogram estimate always brackets the true result size

@@ -70,9 +70,12 @@ impl PartialEngine {
     }
 
     /// Single-table engine with the disk spill tier enabled: chunks
-    /// evicted by the budget serialize to per-column spill files under
-    /// the `CRACKDB_SPILL_DIR` base directory (system temp dir when
-    /// unset) and reload on re-access instead of recracking. Use
+    /// evicted by the budget whose rebuild would read a segmented
+    /// (file-backed) base column serialize to per-column spill files
+    /// under the `CRACKDB_SPILL_DIR` base directory (system temp dir when
+    /// unset) and reload on re-access instead of recracking. Chunks of
+    /// in-memory columns are dropped and regathered, exactly as in
+    /// [`Self::new`], so on a resident table the tier never writes. Use
     /// [`Engine::try_select`] / [`Engine::try_join`] with a spilled
     /// engine — spill I/O failures surface as
     /// [`QueryError::Storage`](crate::query::QueryError::Storage).
@@ -81,8 +84,8 @@ impl PartialEngine {
     }
 
     /// [`Self::with_spill`] with an explicit spill base directory (a
-    /// unique per-store subdirectory is created beneath it on first
-    /// eviction and removed when the engine drops).
+    /// unique per-store subdirectory is created beneath it on the first
+    /// spilled eviction and removed when the engine drops).
     pub fn with_spill_dir(
         base: Table,
         domain: (Val, Val),
@@ -459,6 +462,13 @@ mod tests {
         assert_eq!(out.aggs[0], before.aggs[0].map(|c| c - 1));
         assert_eq!(out.aggs[1], before.aggs[1].map(|s| s - 90));
         // Stays consistent on repeat.
+        assert_eq!(e.select(&q).aggs, out.aggs);
+        // A repeat after the first delete was merged is not staged
+        // again: no update is both staged and merged.
+        e.delete(30);
+        let set = e.store().set(0).expect("set 0 answered the query");
+        assert_eq!(set.check_invariants(), Ok(()));
+        assert_eq!(set.staged(), 0);
         assert_eq!(e.select(&q).aggs, out.aggs);
     }
 

@@ -8,6 +8,9 @@ use crackdb_engine::{
     PresortedEngine, SelCrackEngine, SelectQuery, SidewaysEngine,
 };
 
+#[path = "../../core/tests/support/segmented.rs"]
+mod support;
+
 const DOMAIN: (Val, Val) = (0, 1000);
 
 struct Lcg(u64);
@@ -607,13 +610,13 @@ fn block_contract_holds_on_every_engine_and_update_state() {
 /// some recreated from the base and some reloaded from the spill tier:
 /// narrow queries first cut the chunk map into areas and push their
 /// chunks through a budget of about two areas, then wide queries span
-/// all of them.
+/// all of them. The columns are file-backed, so evicted chunks spill.
 #[test]
 fn partial_blocks_come_from_several_and_reloaded_chunks() {
     let table = random_table(4, 800, 4711);
     let mut plain = PlainEngine::new(table.clone());
     let mut partial = PartialEngine::with_spill_policy(
-        table,
+        support::segmented(&table),
         DOMAIN,
         Some(200),
         std::env::temp_dir(),

@@ -1,16 +1,24 @@
-//! Spill-tier differential testing: a partial engine whose budget forces
-//! chunks through the disk spill tier (serialize → evict → reload on
-//! re-access) must stay bit-for-bit identical to a never-evicted engine
-//! and to the plain-scan baseline — across crack policies, under
-//! interleaved updates (the spilled-chunk cursor is the staged-update
-//! watermark), and with the `usage() <= budget` invariant holding after
-//! every query. Plus the fault-injection regression: a corrupted spill
-//! file fails exactly the queries that read it, loudly and typed, and
-//! leaves the engine fully serviceable.
+//! Spill-tier differential testing: a partial engine over file-backed
+//! (segmented) columns whose budget forces chunks through the disk spill
+//! tier (serialize → evict → reload on re-access) must stay bit-for-bit
+//! identical to a never-evicted engine and to the plain-scan baseline —
+//! across crack policies, under interleaved updates (the spilled-chunk
+//! cursor is the staged-update watermark), and with the
+//! `usage() <= budget` invariant and the partial sets' bookkeeping
+//! invariants holding after every op. Plus the fault-injection
+//! regression: a corrupted spill file fails exactly the queries that
+//! read it, loudly and typed, and leaves the engine fully serviceable.
+//! And the other side of the eviction rule: over in-memory columns the
+//! tier never writes, and the engine behaves as one without a tier.
 
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
+use crackdb_core::PartialStats;
 use crackdb_engine::{CrackPolicy, Engine, PartialEngine, PlainEngine, QueryError, SelectQuery};
+
+#[path = "../../core/tests/support/segmented.rs"]
+mod support;
+use support::segmented;
 
 const DOMAIN: (Val, Val) = (0, 1000);
 /// Tiny on purpose: almost every query overflows it, so chunks cycle
@@ -75,13 +83,25 @@ fn sorted(mut v: Vec<Val>) -> Vec<Val> {
     v
 }
 
+/// The bookkeeping invariants of every partial set of `e` (debug builds
+/// only, like the check each query already runs on its way out).
+fn check_sets(e: &PartialEngine, cols: usize, ctx: &str) {
+    if cfg!(debug_assertions) {
+        for attr in 0..cols {
+            if let Some(set) = e.store().set(attr) {
+                assert_eq!(set.check_invariants(), Ok(()), "{ctx}: set {attr}");
+            }
+        }
+    }
+}
+
 /// The spill round-trip property: for every crack policy, a seeded
 /// random query/update stream answers identically on (a) the plain
 /// baseline, (b) an unbudgeted in-RAM partial engine, and (c) a
-/// tiny-budget spill engine whose chunks round-trip through disk —
-/// including un-merge (area reverts under eviction pressure) and staged
-/// update replay on reloaded chunks. The budget invariant is asserted
-/// after every single query.
+/// tiny-budget spill engine over file-backed columns whose chunks
+/// round-trip through disk — including un-merge (area reverts under
+/// eviction pressure) and staged update replay on reloaded chunks. The
+/// budget invariant is asserted after every single query.
 #[test]
 fn spilled_runs_match_never_evicted_bit_for_bit() {
     let policies = [
@@ -93,7 +113,7 @@ fn spilled_runs_match_never_evicted_bit_for_bit() {
         let mut plain = PlainEngine::new(table.clone());
         let mut ram = PartialEngine::with_policy(table.clone(), DOMAIN, None, policy);
         let mut spilled = PartialEngine::with_spill_policy(
-            table.clone(),
+            segmented(&table),
             DOMAIN,
             Some(TINY_BUDGET),
             std::env::temp_dir(),
@@ -116,6 +136,7 @@ fn spilled_runs_match_never_evicted_bit_for_bit() {
                 plain.delete(victim);
                 ram.delete(victim);
                 spilled.delete(victim);
+                check_sets(&spilled, 3, &format!("policy {} op {i}", policy.label()));
             }
             let q = random_select(&mut rng, 3);
             let expected = plain.select(&q);
@@ -149,6 +170,7 @@ fn spilled_runs_match_never_evicted_bit_for_bit() {
                 policy.label(),
                 spilled.store().usage()
             );
+            check_sets(&spilled, 3, &format!("policy {} query {i}", policy.label()));
         }
         let stats = spilled.store().stats_sum();
         assert!(
@@ -175,7 +197,8 @@ fn updates_staged_while_spilled_replay_on_reload() {
     t.add_column("b", Column::new((0..300).map(|v| v * 3).collect()));
     t.add_column("c", Column::new((0..300).map(|v| v * 7).collect()));
     let mut plain = PlainEngine::new(t.clone());
-    let mut e = PartialEngine::with_spill_dir(t, (0, 300), Some(80), std::env::temp_dir());
+    let mut e =
+        PartialEngine::with_spill_dir(segmented(&t), (0, 300), Some(80), std::env::temp_dir());
 
     let qa = SelectQuery::aggregate(
         vec![(0, RangePred::open(10, 150))],
@@ -189,6 +212,7 @@ fn updates_staged_while_spilled_replay_on_reload() {
     assert_eq!(plain.select(&qa).aggs, e.try_select(&qa).unwrap().aggs);
     plain.select(&qb);
     e.try_select(&qb).unwrap();
+    check_sets(&e, 3, "after qb");
     assert!(
         e.store().spilled_tuples() > 0,
         "the 80-tuple budget must have spilled the first area"
@@ -198,6 +222,7 @@ fn updates_staged_while_spilled_replay_on_reload() {
     plain.delete(20);
     e.insert(&[100, 9999, 9998]);
     e.delete(20);
+    check_sets(&e, 3, "updates staged");
     // Reload: the staged insert and delete must replay into the
     // reloaded chunk exactly as they would have merged in RAM.
     let expected = plain.select(&qa);
@@ -210,6 +235,7 @@ fn updates_staged_while_spilled_replay_on_reload() {
         "staged insert visible after reload"
     );
     assert!(e.store().usage() <= 80, "budget holds after reload");
+    check_sets(&e, 3, "after the reload");
 }
 
 /// The fault-injection regression (bugfix sweep): corrupting the spill
@@ -223,14 +249,19 @@ fn corrupted_spill_file_fails_loudly_and_engine_recovers() {
 
     let table = random_table(3, 400, 555);
     let mut plain = PlainEngine::new(table.clone());
-    let mut e =
-        PartialEngine::with_spill_dir(table, DOMAIN, Some(TINY_BUDGET), std::env::temp_dir());
+    let mut e = PartialEngine::with_spill_dir(
+        segmented(&table),
+        DOMAIN,
+        Some(TINY_BUDGET),
+        std::env::temp_dir(),
+    );
 
     // Warm a few areas so several chunks are sitting in spill files.
     let mut rng = Lcg(9);
     let queries: Vec<SelectQuery> = (0..8).map(|_| random_select(&mut rng, 3)).collect();
     for q in &queries {
         e.try_select(q).expect("healthy tier");
+        check_sets(&e, 3, "warm-up");
     }
     assert!(e.store().spilled_tuples() > 0, "chunks must be on disk");
 
@@ -268,6 +299,7 @@ fn corrupted_spill_file_fails_loudly_and_engine_recovers() {
                     assert!(failures < 100, "failed reloads must converge");
                 }
             }
+            check_sets(&e, 3, &format!("faulty query {i}"));
         };
         assert_eq!(out.rows, expected.rows, "query {i} recovers rows");
         assert_eq!(out.aggs, expected.aggs, "query {i} recovers aggs");
@@ -287,5 +319,87 @@ fn corrupted_spill_file_fails_loudly_and_engine_recovers() {
         let expected = plain.select(q);
         let out = e.try_select(q).expect("tier healthy again");
         assert_eq!(out.aggs, expected.aggs);
+        check_sets(&e, 3, "healthy again");
     }
+}
+
+/// Every counter of a stats block except the timers.
+fn counts(s: &PartialStats) -> [u64; 12] {
+    [
+        s.chunks_created,
+        s.chunks_dropped,
+        s.tuples_fetched,
+        s.entries_replayed,
+        s.query_cracks,
+        s.chunk_map_cracks,
+        s.heads_dropped,
+        s.heads_recovered,
+        s.updates_merged,
+        s.chunks_spilled,
+        s.chunks_reloaded,
+        s.tuples_reloaded,
+    ]
+}
+
+/// The eviction rule's other side: over in-memory columns a rebuild is a
+/// regather from RAM, so an engine with a spill tier drops its evicted
+/// chunks exactly like one without. Under one stream of selects, inserts,
+/// deletes and a tiny budget, both answer identically and count
+/// identically (timers aside) after every op, and the spill directory
+/// never receives a record.
+#[test]
+fn resident_base_never_spills() {
+    let table = random_table(3, 400, 4242);
+    let mut plain = PlainEngine::new(table.clone());
+    let mut dropping = PartialEngine::new(table.clone(), DOMAIN, Some(TINY_BUDGET));
+    let mut tiered =
+        PartialEngine::with_spill_dir(table, DOMAIN, Some(TINY_BUDGET), std::env::temp_dir());
+    assert!(tiered.store().spill_enabled());
+
+    let mut rng = Lcg(777);
+    let mut live_keys: Vec<u32> = (0..400).collect();
+    let mut next_key = 400;
+    for i in 0..90 {
+        match i % 6 {
+            2 => {
+                let row = [rng.next(DOMAIN.1), rng.next(DOMAIN.1), rng.next(DOMAIN.1)];
+                plain.insert(&row);
+                live_keys.push(next_key);
+                next_key += 1;
+                dropping.insert(&row);
+                tiered.insert(&row);
+            }
+            5 => {
+                let victim = live_keys.swap_remove(rng.next(live_keys.len() as i64) as usize);
+                plain.delete(victim);
+                dropping.delete(victim);
+                tiered.delete(victim);
+            }
+            _ => {
+                let q = random_select(&mut rng, 3);
+                let expected = plain.select(&q);
+                let d = dropping.try_select(&q).expect("no disk tier in use");
+                let t = tiered.try_select(&q).expect("no disk tier in use");
+                for (name, out) in [("dropping", &d), ("tiered", &t)] {
+                    assert_eq!(out.rows, expected.rows, "op {i}: {name} rows");
+                    assert_eq!(out.aggs, expected.aggs, "op {i}: {name} aggs");
+                    assert_eq!(
+                        sorted(out.proj_values[0].clone()),
+                        sorted(expected.proj_values[0].clone()),
+                        "op {i}: {name} projection"
+                    );
+                }
+            }
+        }
+        let (ds, ts) = (dropping.store().stats_sum(), tiered.store().stats_sum());
+        assert_eq!(counts(&ts), counts(&ds), "op {i}: counters");
+        check_sets(&tiered, 3, &format!("op {i}"));
+    }
+    let stats = tiered.store().stats_sum();
+    assert!(stats.chunks_dropped > 0, "the tiny budget must evict");
+    assert_eq!(stats.chunks_spilled, 0);
+    assert_eq!(tiered.store().spilled_tuples(), 0);
+    let dir = tiered.store().spill_dir().expect("spill enabled");
+    let records = std::fs::read_dir(dir).map_or(0, |d| d.count());
+    assert_eq!(records, 0, "no spill file under {}", dir.display());
 }
