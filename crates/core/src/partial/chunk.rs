@@ -154,18 +154,23 @@ impl Chunk {
         r
     }
 
-    /// Apply one area-tape entry. Cracks reorganize under the entry's
-    /// *logged* policy — sibling chunks replaying the same tape stay
-    /// bit-identical regardless of what the owning set's effective
-    /// policy is today (the policies are pure functions of the array
+    /// Apply one area-tape entry. Cracks reorganize under `policy`, the
+    /// owning set's fixed policy — sibling chunks replaying the same tape
+    /// stay bit-identical (the policies are pure functions of the array
     /// state); the §3.5 update entries ripple one tuple in or out,
     /// reading the inserted tuple's head/tail values from the base
     /// columns (`head_col`, `tail_col`).
-    pub fn apply(&mut self, entry: &AreaEntry, head_col: &Column, tail_col: &Column) {
+    pub fn apply(
+        &mut self,
+        entry: &AreaEntry,
+        policy: &CrackPolicy,
+        head_col: &Column,
+        tail_col: &Column,
+    ) {
         match *entry {
-            AreaEntry::Crack(pred, policy) => {
+            AreaEntry::Crack(pred) => {
                 self.with_array(|a| {
-                    a.crack_range_with(&pred, &policy);
+                    a.crack_range_with(&pred, policy);
                 });
             }
             AreaEntry::Insert(key) => {
@@ -179,18 +184,20 @@ impl Chunk {
         }
     }
 
-    /// Replay tape entries `[cursor, target)` — *partial alignment*.
+    /// Replay tape entries `[cursor, target)` under `policy` — *partial
+    /// alignment*.
     pub fn align_to(
         &mut self,
         tape: &[AreaEntry],
         target: usize,
+        policy: &CrackPolicy,
         head_col: &Column,
         tail_col: &Column,
     ) -> usize {
         let mut replayed = 0;
         while self.cursor < target.min(tape.len()) {
             let entry = tape[self.cursor];
-            self.apply(&entry, head_col, tail_col);
+            self.apply(&entry, policy, head_col, tail_col);
             self.cursor += 1;
             replayed += 1;
         }
@@ -206,13 +213,14 @@ impl Chunk {
         &mut self,
         tape: &[AreaEntry],
         needed: &[BoundaryKey],
+        policy: &CrackPolicy,
         head_col: &Column,
         tail_col: &Column,
     ) -> (usize, bool) {
         let mut replayed = 0;
         while !self.has_boundaries(needed) && self.cursor < tape.len() {
             let entry = tape[self.cursor];
-            self.apply(&entry, head_col, tail_col);
+            self.apply(&entry, policy, head_col, tail_col);
             self.cursor += 1;
             replayed += 1;
         }
@@ -280,7 +288,7 @@ mod tests {
     }
 
     fn cracks(preds: &[RangePred]) -> Vec<AreaEntry> {
-        preds.iter().map(|&p| AreaEntry::Crack(p, STD)).collect()
+        preds.iter().map(|&p| AreaEntry::Crack(p)).collect()
     }
 
     #[test]
@@ -299,10 +307,10 @@ mod tests {
         let mut a = chunk();
         let mut b = chunk();
         // a applies entries as queries; b aligns later.
-        a.apply(&tape[0], &nc, &nc);
-        a.apply(&tape[1], &nc, &nc);
+        a.apply(&tape[0], &STD, &nc, &nc);
+        a.apply(&tape[1], &STD, &nc, &nc);
         a.cursor = 2;
-        let replayed = b.align_to(&tape, 2, &nc, &nc);
+        let replayed = b.align_to(&tape, 2, &STD, &nc, &nc);
         assert_eq!(replayed, 2);
         assert_eq!(a.head().unwrap(), b.head().unwrap());
         assert_eq!(a.tail(), b.tail());
@@ -320,7 +328,7 @@ mod tests {
         // Boundary for "A > 8" appears in entry 1; alignment must stop
         // after applying it, leaving entry 2 unapplied.
         let needed = [(8, BoundKind::Le)];
-        let (replayed, missing) = c.align_until_boundaries(&tape, &needed, &nc, &nc);
+        let (replayed, missing) = c.align_until_boundaries(&tape, &needed, &STD, &nc, &nc);
         assert_eq!(replayed, 2);
         assert!(!missing);
         assert_eq!(c.cursor, 2);
@@ -332,7 +340,7 @@ mod tests {
         let nc = no_col();
         let mut c = chunk();
         let needed = [(100, BoundKind::Lt)];
-        let (_, missing) = c.align_until_boundaries(&tape, &needed, &nc, &nc);
+        let (_, missing) = c.align_until_boundaries(&tape, &needed, &STD, &nc, &nc);
         assert!(missing);
         assert_eq!(c.cursor, 1);
     }
@@ -344,7 +352,7 @@ mod tests {
         let head_col = Column::new(vec![0, 0, 0, 0, 0, 0, 0, 6]);
         let tail_col = Column::new(vec![0, 0, 0, 0, 0, 0, 0, 60]);
         let tape = vec![
-            AreaEntry::Crack(RangePred::open(4, 13), STD),
+            AreaEntry::Crack(RangePred::open(4, 13)),
             AreaEntry::Insert(7),
             AreaEntry::Delete {
                 val: 9,
@@ -354,8 +362,8 @@ mod tests {
         ];
         let mut a = chunk();
         let mut b = chunk();
-        a.align_to(&tape, 3, &head_col, &tail_col);
-        b.align_to(&tape, 3, &head_col, &tail_col);
+        a.align_to(&tape, 3, &STD, &head_col, &tail_col);
+        b.align_to(&tape, 3, &STD, &head_col, &tail_col);
         assert_eq!(a.head().unwrap(), b.head().unwrap());
         assert_eq!(a.tail(), b.tail());
         assert_eq!(a.len(), 7); // 7 original + 1 insert - 1 delete

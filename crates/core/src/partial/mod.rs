@@ -11,7 +11,7 @@
 //!   index shells of dropped chunks;
 //! * the partial maps themselves: one [`Chunk`] per (attribute, area)
 //!   pair, created on demand, evicted under storage pressure (lowest
-//!   [`retention_score`](crackdb_cracking::retention_score) first: last
+//!   [`retention_score`] first: last
 //!   access plus a log-frequency grace) and recreated or reloaded when
 //!   needed again. They live in one owner, `resident::Resident`, which
 //!   keeps their total length and their eviction order current as
@@ -57,7 +57,7 @@ mod resident;
 pub mod spill;
 
 pub use chunk::Chunk;
-pub use resident::PartialMap;
+pub use resident::{retention_score, PartialMap};
 pub use spill::SpillTier;
 
 use crate::bitvec::BitVec;
@@ -66,9 +66,7 @@ use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
-use crackdb_cracking::{
-    BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan,
-};
+use crackdb_cracking::{BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, SeedPlan};
 use resident::Resident;
 use spill::SpillSlot;
 use std::collections::{HashMap, HashSet};
@@ -86,11 +84,9 @@ type CheckedOutArea = (Vec<(usize, Chunk)>, Vec<AreaEntry>);
 /// chunk of the area replays during alignment (§3.5 applied per chunk).
 #[derive(Debug, Clone, Copy)]
 pub enum AreaEntry {
-    /// A chunk-level crack, plus the effective static policy it ran
-    /// under. Replay always uses the logged policy — never the set's
-    /// current one — so sibling chunks and recreations stay bit-aligned
-    /// across adaptive policy switches.
-    Crack(RangePred, CrackPolicy),
+    /// A chunk-level crack. Replay runs it under the set's fixed policy,
+    /// so sibling chunks and recreations stay bit-aligned.
+    Crack(RangePred),
     /// Tuple `key` (appended to the base table) ripple-inserted into the
     /// area; replaying chunks read its values from the base columns.
     Insert(RowId),
@@ -244,14 +240,10 @@ pub struct PartialSet {
     /// When set, chunks whose largest piece is at most this many tuples
     /// drop their head column after use (§4.1 head dropping).
     pub head_drop_threshold: Option<usize>,
-    /// Policy selection shared by the chunk map, every chunk and the
-    /// per-area resolvers: the configured [`CrackPolicy`] plus (when
-    /// adaptive) the workload statistics driving per-query re-decisions.
-    /// Replay safety does not depend on it — every area-tape crack
-    /// carries the effective policy it ran under, and alignment replays
-    /// the logged policy, so sibling chunks and recreations crack
-    /// identically no matter what the advisor has decided since.
-    advisor: PolicyAdvisor,
+    /// The pivot-choice policy shared by the chunk map, every chunk and
+    /// the per-area resolvers, fixed for the set's life: every area-tape
+    /// crack is made and replayed under it.
+    policy: CrackPolicy,
     /// Counters.
     pub stats: PartialStats,
     /// Optional disk tier: evicted chunks spill here and reload on
@@ -285,11 +277,7 @@ impl PartialSet {
             budget: None,
             clock: 0,
             head_drop_threshold: None,
-            // Chunked cracking bounds every crack at the segment size,
-            // but a marching sweep still pays an exact crack per stripe
-            // edge in every chunk it crosses — the advisor's coarse
-            // sweep response applies here like on a plain cracker.
-            advisor: PolicyAdvisor::new(policy),
+            policy,
             stats: PartialStats::default(),
             spill: None,
             tape_scratch: Vec::new(),
@@ -309,39 +297,9 @@ impl PartialSet {
         self.spill.is_some()
     }
 
-    /// The set's configured pivot-choice policy (possibly
-    /// [`CrackPolicy::Adaptive`]).
+    /// The set's pivot-choice policy.
     pub fn policy(&self) -> CrackPolicy {
-        self.advisor.configured()
-    }
-
-    /// The static policy the next crack will run under (equals
-    /// [`Self::policy`] unless configured adaptive).
-    pub fn effective_policy(&self) -> CrackPolicy {
-        self.advisor.effective()
-    }
-
-    /// How many times the advisor has switched the effective policy.
-    pub fn policy_switches(&self) -> u64 {
-        self.advisor.switches()
-    }
-
-    /// Observe one logical query: feed the predicate to the advisor
-    /// (against the chunk map's shape — before the first query, the
-    /// shape it is about to be seeded with) and re-decide the effective
-    /// policy. Called once from each public query entry point.
-    fn note_query(&mut self, base: &Table, pred: &RangePred) {
-        if !self.advisor.configured().is_adaptive() {
-            return;
-        }
-        let (boundaries, len) = match &self.chunk_map {
-            Some(cm) => (cm.index().len(), cm.len()),
-            None => {
-                let rows = base.column(self.head_attr).len();
-                (0, rows - self.seed_exclusions(rows).len())
-            }
-        };
-        self.advisor.observe(pred, boundaries, len);
+        self.policy
     }
 
     /// Rows of a `rows`-tuple base the chunk map's seed leaves out:
@@ -517,8 +475,7 @@ impl PartialSet {
             let head = base.column(self.head_attr).try_contiguous()?;
             let keys: Vec<RowId> = (0..head.len() as RowId).collect();
             let dead = self.seed_exclusions(head.len());
-            let policy = self.advisor.effective();
-            let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred, &policy));
+            let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred, &self.policy));
             let cm = CrackedArray::seeded(&head, &keys, &dead, plan.as_ref());
             // The cuts of a fused first touch belong to the crack that
             // would have made them.
@@ -541,7 +498,6 @@ impl PartialSet {
     /// policy declines to split areas at or below its leaf size — the
     /// query then filters inside the chunks.
     fn crack_chunk_map_for(&mut self, pred: &RangePred) {
-        let policy = self.advisor.effective();
         let (lo_k, hi_k) = pred_keys(pred);
         for key in [lo_k, hi_k].into_iter().flatten() {
             // INVARIANT: every public query path calls ensure_chunk_map
@@ -557,7 +513,7 @@ impl PartialSet {
                 // INVARIANT: same — ensured by every public entry path.
                 let cm = self.chunk_map.as_mut().expect("chunk map ensured");
                 let before = cm.index().len();
-                cm.crack_boundary(key, &policy);
+                cm.crack_boundary(key, &self.policy);
                 self.stats.chunk_map_cracks += (cm.index().len() - before) as u64;
             }
         }
@@ -685,12 +641,11 @@ impl PartialSet {
             cursor: 0,
         });
         // Catch the resolver up with cracks logged since the last merge
-        // (each replayed under its logged policy, like every sibling
-        // chunk).
+        // (replayed under the set's policy, like every sibling chunk).
         while resolver.cursor < info.tape.len() {
             match info.tape[resolver.cursor] {
-                AreaEntry::Crack(pred, policy) => {
-                    resolver.arr.crack_range_with(&pred, &policy);
+                AreaEntry::Crack(pred) => {
+                    resolver.arr.crack_range_with(&pred, &self.policy);
                 }
                 AreaEntry::Insert(key) => {
                     resolver.arr.ripple_insert(head_col.get(key), key);
@@ -770,7 +725,7 @@ impl PartialSet {
     /// ones the running query is working on — are untouchable.
     ///
     /// The victim is the unpinned chunk with the lowest
-    /// [`retention_score`](crackdb_cracking::retention_score): recency
+    /// [`retention_score`]: recency
     /// plus a log-frequency grace, so a chunk the workload hammered
     /// keeps a bounded head start over a once-touched one. Pure
     /// frequency (no aging) would always evict the chunks a workload
@@ -952,7 +907,7 @@ impl PartialSet {
         let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
         tail_col.try_gather(keys.iter().copied(), |v| tail.push(v))?;
         let mut tmp = Chunk::seed(head, tail, None);
-        tmp.align_to(tape, cursor, head_col, tail_col);
+        tmp.align_to(tape, cursor, &self.policy, head_col, tail_col);
         self.stats.heads_recovered += 1;
         // INVARIANT: Chunk::seed is constructed with a head column and
         // align_to never drops it.
@@ -989,7 +944,6 @@ impl PartialSet {
         if head_pred.is_empty_range() || (tail_sels.is_empty() && projs.is_empty()) {
             return Ok(());
         }
-        self.note_query(base, head_pred);
         self.ensure_chunk_map(base, Some(head_pred))?;
         self.crack_chunk_map_for(head_pred);
         self.clock += 1;
@@ -1034,9 +988,6 @@ impl PartialSet {
         // points refine the chunk map for later conjunctive queries.
         let own = preds.iter().find(|(a, _)| *a == self.head_attr);
         let own = own.map(|(_, pred)| *pred);
-        if let Some(own) = &own {
-            self.note_query(base, own);
-        }
         self.ensure_chunk_map(base, own.as_ref())?;
         if let Some(own) = &own {
             self.crack_chunk_map_for(own);
@@ -1196,7 +1147,7 @@ impl PartialSet {
                 c.restore_head(head);
             }
             self.stats.entries_replayed +=
-                c.align_to(tape, target, head_col, base.column(*attr)) as u64;
+                c.align_to(tape, target, &self.policy, head_col, base.column(*attr)) as u64;
         }
         Ok(())
     }
@@ -1318,12 +1269,12 @@ impl PartialSet {
     ) -> Result<(), StorageError> {
         let needed = Self::keys_inside(head_pred, area);
         let head_col = base.column(self.head_attr);
-        let policy = self.advisor.effective();
+        let policy = self.policy;
 
         // Boundary handling with monitored alignment: replay further
         //    entries until the needed boundaries appear; crack (under the
-        //    query's effective policy, logged on the tape) only if the
-        //    tape never provides them.
+        //    set's policy, logged on the tape) only if the tape never
+        //    provides them.
         let mut range = (0, chunks.first().map_or(0, |(_, c)| c.len()));
         let mut exact = true;
         if !needed.is_empty() {
@@ -1334,7 +1285,7 @@ impl PartialSet {
                     c.restore_head(head);
                 }
                 let (replayed, m) =
-                    c.align_until_boundaries(tape, &needed, head_col, base.column(*attr));
+                    c.align_until_boundaries(tape, &needed, &policy, head_col, base.column(*attr));
                 self.stats.entries_replayed += replayed as u64;
                 missing = m;
             }
@@ -1359,7 +1310,7 @@ impl PartialSet {
                 // repeat of the same query.
                 if changed {
                     let info = self.area_info(area.id);
-                    info.tape.push(AreaEntry::Crack(*head_pred, policy));
+                    info.tape.push(AreaEntry::Crack(*head_pred));
                     let new_len = info.tape.len();
                     for (_, c) in chunks.iter_mut() {
                         c.cursor = new_len;

@@ -11,8 +11,23 @@
 
 use super::chunk::Chunk;
 use super::AreaId;
-use crackdb_cracking::retention_score;
 use std::collections::{BTreeSet, HashMap};
+
+/// Frequency-based grace for chunk retention scoring: each doubling of a
+/// chunk's access count keeps it alive this many clock ticks longer than
+/// pure recency would.
+pub const RETENTION_GRACE: u64 = 8;
+
+/// Retention score for cache-style eviction of partial chunks: recency
+/// boosted by log-frequency, so a chunk that has earned many accesses
+/// survives [`RETENTION_GRACE`] clock ticks per doubling beyond what pure
+/// recency would grant. Higher scores are worth keeping; evict the
+/// minimum. Deterministic and integral, so eviction order is stable
+/// across runs.
+pub fn retention_score(accesses: u64, last_access: u64) -> u64 {
+    let freq = 63 - (accesses + 1).leading_zeros() as u64;
+    last_access.saturating_add(freq * RETENTION_GRACE)
+}
 
 /// A partial map: the workload-selected subset of `M_AB`, one chunk per
 /// fetched area.
@@ -217,6 +232,16 @@ mod tests {
             }
         }
         assert!(r.chunk_count() > 0);
+    }
+
+    #[test]
+    fn retention_score_prefers_frequency_within_grace() {
+        // Same recency, more accesses → higher score.
+        assert!(retention_score(100, 50) > retention_score(1, 50));
+        // Zero accesses degrade to pure recency.
+        assert_eq!(retention_score(0, 50), 50);
+        // Enough recency always wins over frequency eventually.
+        assert!(retention_score(0, 10_000) > retention_score(1 << 20, 50));
     }
 
     #[test]

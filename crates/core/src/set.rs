@@ -8,7 +8,7 @@ use crate::tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{CrackPolicy, CrackedArray, CrackerIndex, PolicyAdvisor, SeedPlan, Span};
+use crackdb_cracking::{CrackPolicy, CrackedArray, CrackerIndex, SeedPlan, Span};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
@@ -46,14 +46,10 @@ pub struct MapSet {
     /// prepartitioning crack and shared by every sibling seeded after
     /// it: the snapshot and tape entry 0 never change.
     seed_plan: Option<SeedPlan>,
-    /// Policy selection shared by every map of the set: the configured
-    /// [`CrackPolicy`] plus (when adaptive) the workload statistics that
-    /// re-decide the effective static policy per query. Replay safety
-    /// does not depend on this — every tape crack entry carries the
-    /// effective policy it ran under, and alignment replays the logged
-    /// policy, so siblings and future recreations crack identically no
-    /// matter what the advisor has decided since.
-    advisor: PolicyAdvisor,
+    /// The pivot-choice policy every map of the set cracks and replays
+    /// under, fixed for the set's life: siblings and future recreations
+    /// replaying the tape crack identically.
+    policy: CrackPolicy,
     /// Counters.
     pub stats: SetStats,
 }
@@ -88,55 +84,14 @@ impl MapSet {
             initial_len,
             initial_excluded,
             seed_plan: None,
-            // Maps crack (head, tail) *pairs*: every tape entry moves
-            // two physical columns and late-created maps re-align by
-            // replaying the tape, so coarse-quantized sweep cracks bury
-            // stripe edges inside leaves that each replayed map then
-            // re-filters. A sweep decision resolves to Standard here —
-            // measured fastest on map sweeps since the block kernels.
-            advisor: PolicyAdvisor::new_sweep_immune(policy),
+            policy,
             stats: SetStats::default(),
         }
     }
 
-    /// The set's configured pivot-choice policy (possibly
-    /// [`CrackPolicy::Adaptive`]).
+    /// The set's pivot-choice policy.
     pub fn policy(&self) -> CrackPolicy {
-        self.advisor.configured()
-    }
-
-    /// The static policy the next crack will run under (equals
-    /// [`Self::policy`] unless configured adaptive).
-    pub fn effective_policy(&self) -> CrackPolicy {
-        self.advisor.effective()
-    }
-
-    /// How many times the advisor has switched the effective policy.
-    pub fn policy_switches(&self) -> u64 {
-        self.advisor.switches()
-    }
-
-    /// Observe one logical query against this set: feed the predicate to
-    /// the advisor (against the best-aligned structure's shape) and
-    /// re-decide the effective policy. Call once per query, not once per
-    /// sibling map — the store entry points do this — so multi-map plans
-    /// don't double-count the workload signal.
-    pub fn note_query(&mut self, pred: &RangePred) {
-        if !self.advisor.configured().is_adaptive() {
-            return;
-        }
-        let shape = self
-            .maps
-            .values()
-            .map(|m| (self.tape.lag(m.cursor), m.arr.index().len(), m.arr.len()))
-            .chain(
-                self.key_map
-                    .as_ref()
-                    .map(|k| (self.tape.lag(k.cursor), k.arr.index().len(), k.arr.len())),
-            )
-            .min_by_key(|&(lag, _, _)| lag);
-        let (boundaries, len) = shape.map_or((0, self.initial_len), |(_, b, l)| (b, l));
-        self.advisor.observe(pred, boundaries, len);
+        self.policy
     }
 
     /// Does a map for `tail_attr` currently exist?
@@ -308,10 +263,10 @@ impl MapSet {
     }
 
     /// Seed one structure of the set from the snapshot (`head` and `tail`
-    /// are its rows of two base columns), already in bucket order when the first entry it replays — tape entry 0, or
-    /// the `query` it is seeded for, under the effective policy, while
-    /// the tape is empty — is a crack that opens with a prepartition
-    /// (see [`SeedPlan`]).
+    /// are its rows of two base columns), already in bucket order when
+    /// the first entry it replays — tape entry 0, or the `query` it is
+    /// seeded for while the tape is empty — is a crack that opens with a
+    /// prepartition (see [`SeedPlan`]).
     fn seed<T: Copy + Default>(
         &mut self,
         head: &[Val],
@@ -320,15 +275,14 @@ impl MapSet {
     ) -> CrackedArray<T> {
         if self.seed_plan.is_none() {
             let first = if self.tape.is_empty() {
-                query.map(|pred| (*pred, self.advisor.effective()))
-            } else if let TapeEntry::Crack(pred, policy) = *self.tape.entry(0) {
-                Some((pred, policy))
+                query.copied()
+            } else if let TapeEntry::Crack(pred) = *self.tape.entry(0) {
+                Some(pred)
             } else {
                 None
             };
-            self.seed_plan = first.and_then(|(pred, policy)| {
-                SeedPlan::new(head, &self.initial_excluded, &pred, &policy)
-            });
+            self.seed_plan = first
+                .and_then(|pred| SeedPlan::new(head, &self.initial_excluded, &pred, &self.policy));
         }
         CrackedArray::seeded(head, tail, &self.initial_excluded, self.seed_plan.as_ref())
     }
@@ -358,11 +312,8 @@ impl MapSet {
         let head_col = base.column(self.head_attr);
         while km.cursor < target {
             match *self.tape.entry(km.cursor) {
-                // Replay under the policy the crack originally ran with,
-                // not the set's current effective policy — the advisor
-                // may have switched since the entry was logged.
-                TapeEntry::Crack(pred, policy) => {
-                    km.crack(&pred, &policy);
+                TapeEntry::Crack(pred) => {
+                    km.crack(&pred, &self.policy);
                 }
                 TapeEntry::Inserts(id) => {
                     for &key in &self.tape.insert_batches[id as usize].keys {
@@ -404,8 +355,8 @@ impl MapSet {
         let head_col = base.column(self.head_attr);
         while m.cursor < target {
             match *self.tape.entry(m.cursor) {
-                TapeEntry::Crack(pred, policy) => {
-                    m.crack(&pred, &policy);
+                TapeEntry::Crack(pred) => {
+                    m.crack(&pred, &self.policy);
                 }
                 TapeEntry::Inserts(id) => {
                     let tail_col = base.column(m.tail_attr);
@@ -476,11 +427,10 @@ impl MapSet {
         };
         let target = self.tape.len();
         self.align_map(&mut m, target, base);
-        let policy = self.advisor.effective();
         let before = self.boundaries_before_crack(m.arr.index().len());
-        let span = m.crack(pred, &policy);
+        let span = m.crack(pred, &self.policy);
         if m.arr.index().len() > before {
-            self.tape.log_crack(*pred, policy);
+            self.tape.log_crack(*pred);
             self.stats.query_cracks += 1;
         }
         m.cursor = self.tape.len();
@@ -536,11 +486,10 @@ impl MapSet {
         self.align_key_map_to(target, base, Some(pred));
         // INVARIANT: align_key_map_to always leaves `key_map` populated.
         let mut km = self.key_map.take().expect("aligned above");
-        let policy = self.advisor.effective();
         let before = self.boundaries_before_crack(km.arr.index().len());
-        let span = km.crack(pred, &policy);
+        let span = km.crack(pred, &self.policy);
         if km.arr.index().len() > before {
-            self.tape.log_crack(*pred, policy);
+            self.tape.log_crack(*pred);
             self.stats.query_cracks += 1;
         }
         km.cursor = self.tape.len();
@@ -1021,7 +970,6 @@ mod tests {
             CrackPolicy::Standard,
             CrackPolicy::CoarseGranular { min_piece: 8 },
             CrackPolicy::CoarseGranular { min_piece: 1 << 20 },
-            CrackPolicy::Adaptive,
         ];
         for policy in policies {
             let mut seed = 99u64;
@@ -1052,7 +1000,6 @@ mod tests {
                     }
                 }
                 // Alternate which map cracks first; the other aligns.
-                s.note_query(&pred);
                 let (first, second) = if q % 2 == 0 { (1, 2) } else { (2, 1) };
                 let r1 = s.sideways_select(&base, first, &pred);
                 let r2 = s.sideways_select(&base, second, &pred);
@@ -1084,59 +1031,6 @@ mod tests {
             // policy injects advisory pivots.
             let advisory = s.map(1).unwrap().arr.index().advisory_count();
             assert_eq!(advisory, 0, "{}: no advisory pivots", policy.label());
-        }
-    }
-
-    /// An adaptive set that switches policy mid-life must keep sibling
-    /// maps aligned — including a map created *after* the switch, whose
-    /// replay crosses cracks logged under different effective policies.
-    #[test]
-    fn adaptive_switch_keeps_late_created_maps_aligned() {
-        let n = 4000usize;
-        let mut base = Table::new();
-        base.add_column(
-            "a",
-            Column::new((0..n as Val).map(|v| (v * 37) % 4000).collect()),
-        );
-        base.add_column("b", Column::new((0..n as Val).collect()));
-        base.add_column("c", Column::new((0..n as Val).map(|v| v * 2).collect()));
-        let mut s = MapSet::with_policy(0, n, HashSet::new(), CrackPolicy::Adaptive);
-        // Scattered queries shatter the map until the boundary-density
-        // rule flips the advisor to coarse mid-run. (Map sets are
-        // sweep-immune, so the coarse downgrade is the switch an
-        // adaptive set actually performs in production.)
-        let mut x = 4242u64;
-        for _ in 0..60 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let lo = ((x >> 33) % 3800) as Val;
-            let pred = RangePred::open(lo, lo + 120);
-            s.note_query(&pred);
-            s.sideways_select(&base, 1, &pred);
-        }
-        assert!(
-            s.policy_switches() >= 1,
-            "boundary density should trigger at least one policy switch"
-        );
-        assert_eq!(s.effective_policy(), CrackPolicy::coarse());
-        // Map C is created only now: its alignment replays cracks logged
-        // under Standard *and* under CoarseGranular.
-        let pred = RangePred::open(500, 700);
-        s.note_query(&pred);
-        let rc = s.sideways_select(&base, 2, &pred);
-        let rb = s.sideways_select(&base, 1, &pred);
-        assert_eq!(rb, rc, "areas agree across the policy switch");
-        assert_eq!(
-            s.map(1).unwrap().arr.head(),
-            s.map(2).unwrap().arr.head(),
-            "late-created map replays logged policies bit-for-bit"
-        );
-        s.map(1).unwrap().arr.check_partitioning();
-        let b_vals = s.view_tail(1, rb).to_vec();
-        let c_vals = s.view_tail(2, rc).to_vec();
-        for (b, c) in b_vals.iter().zip(&c_vals) {
-            assert_eq!(*b * 2, *c, "tuple identity preserved positionally");
         }
     }
 

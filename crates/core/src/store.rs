@@ -46,10 +46,6 @@ pub struct SidewaysStore {
     default_domain: (Val, Val),
     /// Pivot-choice policy handed to every map set created by the store.
     policy: CrackPolicy,
-    /// Per-attribute policy overrides (mixed-policy stores): a set for
-    /// attribute `a` is created with `overrides[a]` when present, the
-    /// store default otherwise.
-    overrides: HashMap<usize, CrackPolicy>,
     /// Storage budget in tuples across all maps (`None` = unlimited).
     pub budget: Option<usize>,
     /// Maps dropped by the storage manager (instrumentation).
@@ -79,33 +75,9 @@ impl SidewaysStore {
         self.policy = policy;
     }
 
-    /// The store's default pivot-choice policy.
+    /// The store's pivot-choice policy.
     pub fn policy(&self) -> CrackPolicy {
         self.policy
-    }
-
-    /// Override the policy for one attribute's *future* map set (mixed-
-    /// policy stores).
-    ///
-    /// # Panics
-    /// If that attribute's set already exists — a set's configured
-    /// policy is fixed for its lifetime.
-    pub fn set_policy_for(&mut self, attr: usize, policy: CrackPolicy) {
-        assert!(
-            !self.sets.contains_key(&attr),
-            "crack policy must be chosen before the map set exists"
-        );
-        self.overrides.insert(attr, policy);
-    }
-
-    /// The policy a set for `attr` is (or would be) created with.
-    pub fn policy_for(&self, attr: usize) -> CrackPolicy {
-        self.overrides.get(&attr).copied().unwrap_or(self.policy)
-    }
-
-    /// Total effective-policy switches across all sets' advisors.
-    pub fn policy_switches(&self) -> u64 {
-        self.sets.values().map(|s| s.policy_switches()).sum()
     }
 
     /// Register a per-attribute value domain.
@@ -128,7 +100,7 @@ impl SidewaysStore {
         head_attr: usize,
         excluded: &HashSet<RowId>,
     ) -> &mut MapSet {
-        let policy = self.policy_for(head_attr);
+        let policy = self.policy;
         self.sets.entry(head_attr).or_insert_with(|| {
             MapSet::with_policy(head_attr, base.num_rows(), excluded.clone(), policy)
         })
@@ -303,7 +275,6 @@ impl SidewaysStore {
     ) {
         self.reserve(base, sel_attr, projs);
         let s = self.ensure_set(base, sel_attr, excluded);
-        s.note_query(pred);
         for &p in projs {
             // `head_bv` is set for an inexact (coarse-granular) area only.
             let (range, head_bv) = s.sideways_select_filtered(base, p, pred);
@@ -347,7 +318,6 @@ impl SidewaysStore {
         }
         self.reserve(base, set_attr, &needed);
         let s = self.ensure_set(base, set_attr, excluded);
-        s.note_query(&head_pred);
 
         if tails.is_empty() {
             // Pure single-selection: no residual bit vector needed. Run
@@ -465,7 +435,6 @@ impl SidewaysStore {
         }
         self.reserve(base, set_attr, &needed);
         let s = self.ensure_set(base, set_attr, excluded);
-        s.note_query(&head_pred);
 
         // First map: any needed map (prefer a selection map).
         let first_attr = needed.first().copied().unwrap_or(set_attr);
@@ -490,8 +459,6 @@ pub struct PartialStore {
     /// Pivot-choice policy handed to every partial set created by the
     /// store.
     policy: CrackPolicy,
-    /// Per-attribute policy overrides (mixed-policy stores).
-    overrides: HashMap<usize, CrackPolicy>,
     domains: HashMap<usize, (Val, Val)>,
     default_domain: (Val, Val),
     /// Every key deleted so far: sets created later must exclude them
@@ -572,32 +539,9 @@ impl PartialStore {
         self.policy = policy;
     }
 
-    /// The store's default pivot-choice policy.
+    /// The store's pivot-choice policy.
     pub fn policy(&self) -> CrackPolicy {
         self.policy
-    }
-
-    /// Override the policy for one attribute's *future* partial set.
-    ///
-    /// # Panics
-    /// If that attribute's set already exists — a set's configured
-    /// policy is fixed for its lifetime.
-    pub fn set_policy_for(&mut self, attr: usize, policy: CrackPolicy) {
-        assert!(
-            !self.sets.contains_key(&attr),
-            "crack policy must be chosen before the partial set exists"
-        );
-        self.overrides.insert(attr, policy);
-    }
-
-    /// The policy a set for `attr` is (or would be) created with.
-    pub fn policy_for(&self, attr: usize) -> CrackPolicy {
-        self.overrides.get(&attr).copied().unwrap_or(self.policy)
-    }
-
-    /// Total effective-policy switches across all sets' advisors.
-    pub fn policy_switches(&self) -> u64 {
-        self.sets.values().map(|s| s.policy_switches()).sum()
     }
 
     fn domain(&self, attr: usize) -> (Val, Val) {
@@ -659,11 +603,7 @@ impl PartialStore {
             .sum();
         let budget = self.budget.map(|b| b.saturating_sub(other));
         let hd = self.head_drop_threshold;
-        let policy = self
-            .overrides
-            .get(&head_attr)
-            .copied()
-            .unwrap_or(self.policy);
+        let policy = self.policy;
         let deleted = &self.deleted;
         let spill_dir = &self.spill_dir;
         let s = self.sets.entry(head_attr).or_insert_with(|| {

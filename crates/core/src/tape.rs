@@ -11,22 +11,19 @@
 //! set merges pending insertions/deletions, the merged subset is recorded
 //! so every other map replays exactly the same update at the same point.
 //!
-//! Every crack entry records the *effective* [`CrackPolicy`] it ran
-//! under. Replay always uses the logged policy — never the owning set's
-//! current one — so alignment stays bit-identical even when an adaptive
-//! advisor has switched the set's effective policy since the entry was
-//! written.
+//! A crack entry holds only its predicate: a set's
+//! [`CrackPolicy`](crackdb_cracking::CrackPolicy) is fixed when the set
+//! is built, so replay cracks under that same policy and stays
+//! bit-identical.
 
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::CrackPolicy;
 
 /// One logged reorganization (plain data: replay copies the entry out
 /// of the tape and reads the batch it names in place).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapeEntry {
-    /// A selection predicate that cracked some map of the set, plus the
-    /// effective static policy the crack ran under.
-    Crack(RangePred, CrackPolicy),
+    /// A selection predicate that cracked some map of the set.
+    Crack(RangePred),
     /// Merge of insert batch `id` (index into [`Tape::insert_batches`]).
     Inserts(u32),
     /// Merge of delete batch `id` (index into [`Tape::delete_batches`]).
@@ -86,10 +83,9 @@ impl Tape {
         &self.entries[i]
     }
 
-    /// Log a crack predicate and the effective policy it ran under;
-    /// returns its tape position.
-    pub fn log_crack(&mut self, pred: RangePred, policy: CrackPolicy) -> usize {
-        self.entries.push(TapeEntry::Crack(pred, policy));
+    /// Log a crack predicate; returns its tape position.
+    pub fn log_crack(&mut self, pred: RangePred) -> usize {
+        self.entries.push(TapeEntry::Crack(pred));
         self.entries.len() - 1
     }
 
@@ -125,7 +121,7 @@ mod tests {
     fn logging_and_lag() {
         let mut t = Tape::new();
         assert!(t.is_empty());
-        let p0 = t.log_crack(RangePred::open(1, 5), CrackPolicy::Standard);
+        let p0 = t.log_crack(RangePred::open(1, 5));
         let p1 = t.log_inserts(InsertBatch { keys: vec![7] });
         let p2 = t.log_deletes(DeleteBatch {
             items: vec![(3, 2)],
@@ -141,7 +137,7 @@ mod tests {
     #[test]
     fn entries_are_replayable() {
         let mut t = Tape::new();
-        t.log_crack(RangePred::open(1, 5), CrackPolicy::coarse());
+        t.log_crack(RangePred::open(1, 5));
         t.log_inserts(InsertBatch { keys: vec![1, 2] });
         match t.entry(1) {
             TapeEntry::Inserts(id) => {

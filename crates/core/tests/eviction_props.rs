@@ -9,9 +9,9 @@
 
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_core::partial::AreaId;
+use crackdb_core::partial::{retention_score, AreaId};
 use crackdb_core::{PartialSet, SpillTier};
-use crackdb_cracking::{retention_score, CrackPolicy};
+use crackdb_cracking::CrackPolicy;
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -146,8 +146,8 @@ fn maps_merge_their_headroom_in_place() {
         assert_eq!(arr.len(), ROWS + insert_headroom(ROWS), "map {attr}");
         for i in from..set.tape.len() {
             match *set.tape.entry(i) {
-                TapeEntry::Crack(pred, policy) => {
-                    want.crack_range_with(&pred, &policy);
+                TapeEntry::Crack(pred) => {
+                    want.crack_range_with(&pred, &set.policy());
                 }
                 TapeEntry::Inserts(id) => {
                     for &key in &set.tape.insert_batches[id as usize].keys {

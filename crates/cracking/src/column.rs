@@ -8,7 +8,6 @@
 //! The cracked attribute itself needs no reconstruction: `crackers.select`
 //! returns a view ([`CrackedArea`]) whose head slice holds its values.
 
-use crate::advisor::PolicyAdvisor;
 use crate::cracked::CrackedArray;
 use crate::policy::{CrackPolicy, Span};
 use crackdb_columnstore::column::Column;
@@ -22,10 +21,8 @@ pub struct CrackerColumn {
     arr: CrackedArray<RowId>,
     pending_inserts: Vec<(Val, RowId)>,
     pending_deletes: Vec<(Val, RowId)>,
-    /// Policy selection: holds the configured [`CrackPolicy`] and, when
-    /// that is [`CrackPolicy::Adaptive`], the workload statistics that
-    /// re-decide the effective static policy once per query.
-    advisor: PolicyAdvisor,
+    /// The pivot-choice policy every crack of this column runs under.
+    policy: CrackPolicy,
     /// Cumulative count of crack operations (for instrumentation).
     pub cracks: u64,
 }
@@ -81,27 +78,14 @@ impl CrackerColumn {
             arr: CrackedArray::copied(col.values(), &keys, &[], 0),
             pending_inserts: Vec::new(),
             pending_deletes: Vec::new(),
-            advisor: PolicyAdvisor::new(policy),
+            policy,
             cracks: 0,
         }
     }
 
-    /// The column's configured pivot-choice policy (possibly
-    /// [`CrackPolicy::Adaptive`]).
+    /// The column's pivot-choice policy.
     pub fn policy(&self) -> CrackPolicy {
-        self.advisor.configured()
-    }
-
-    /// The static policy the next crack will run under (equals
-    /// [`Self::policy`] unless configured adaptive).
-    pub fn effective_policy(&self) -> CrackPolicy {
-        self.advisor.effective()
-    }
-
-    /// How many times the advisor has switched the effective policy
-    /// (always 0 for a static configuration).
-    pub fn policy_switches(&self) -> u64 {
-        self.advisor.switches()
+        self.policy
     }
 
     /// Cumulative tuples touched by the crack kernels (robustness
@@ -144,11 +128,8 @@ impl CrackerColumn {
     /// [`Span`] (with exactness).
     pub fn crack_select_span(&mut self, pred: &RangePred) -> Span {
         self.merge_pending(pred);
-        let policy = self
-            .advisor
-            .observe(pred, self.arr.index().len(), self.arr.len());
         let before = self.arr.index().len();
-        let span = self.arr.crack_range_with(pred, &policy);
+        let span = self.arr.crack_range_with(pred, &self.policy);
         self.cracks += (self.arr.index().len() - before) as u64;
         span
     }
@@ -251,7 +232,7 @@ mod tests {
     #[test]
     fn select_keys_correct_under_all_policies() {
         let col = base();
-        for policy in crate::policy::CrackPolicy::all_selectable() {
+        for policy in CrackPolicy::all() {
             let mut c = CrackerColumn::with_policy(&col, policy);
             assert_eq!(c.policy(), policy);
             for pred in [
@@ -275,7 +256,7 @@ mod tests {
     #[test]
     fn view_select_agrees_with_select_keys_under_all_policies() {
         let col = Column::new((0..5000).map(|i| (i * 7919) % 1000).collect());
-        for policy in crate::policy::CrackPolicy::all_selectable() {
+        for policy in CrackPolicy::all() {
             let mut viewed = CrackerColumn::with_policy(&col, policy);
             let mut copied = CrackerColumn::with_policy(&col, policy);
             for pred in [

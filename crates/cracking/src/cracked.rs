@@ -386,10 +386,7 @@ impl<T: Copy> CrackedArray<T> {
             return Some(p);
         }
         match *policy {
-            // Adaptive is resolved to a static policy by the owning
-            // structure's advisor before cracking; a kernel that sees it
-            // anyway falls back to the paper's exact behaviour.
-            CrackPolicy::Standard | CrackPolicy::Adaptive => Some(self.ensure_boundary(key)),
+            CrackPolicy::Standard => Some(self.ensure_boundary(key)),
             CrackPolicy::CoarseGranular { min_piece } => {
                 let (s, e) = self.index.enclosing_piece(key, self.head.len());
                 if e - s <= min_piece {
@@ -487,7 +484,7 @@ impl<T: Copy> CrackedArray<T> {
     /// a superset delimited by leaf pieces — and the caller must filter
     /// head values with `pred`.
     pub fn crack_range_with(&mut self, pred: &RangePred, policy: &CrackPolicy) -> Span {
-        if matches!(policy, CrackPolicy::Standard | CrackPolicy::Adaptive) {
+        if *policy == CrackPolicy::Standard {
             let (s, e) = self.crack_range(pred);
             return Span::exact(s, e);
         }

@@ -16,15 +16,11 @@
 //!   ripple insert/delete;
 //! * [`column::CrackerColumn`] — the selection-cracking baseline
 //!   (`crackers.select`) with pending-update queues;
-//! * [`policy::CrackPolicy`] — pluggable pivot-choice strategies
-//!   (standard / coarse-granular) hardening cracking against
-//!   adversarial workloads (sequential sweeps, hot-region skew);
-//! * [`advisor::PolicyAdvisor`] — per-structure self-tuning: O(1)
-//!   workload statistics ([`advisor::WorkloadStats`]) plus a pure
-//!   decision function that resolves [`policy::CrackPolicy::Adaptive`]
-//!   into one of the static strategies per query.
+//! * [`policy::CrackPolicy`] — the pivot-choice strategy a structure is
+//!   built with and keeps for life: standard (the paper's exact cracks)
+//!   or coarse-granular (no splits below a leaf size, capping index
+//!   growth under hot-region skew).
 
-pub mod advisor;
 pub mod arena;
 pub mod avl;
 pub mod column;
@@ -34,7 +30,6 @@ pub mod index;
 pub mod kernel;
 pub mod policy;
 
-pub use advisor::{retention_score, PolicyAdvisor, WorkloadStats};
 pub use arena::{Arena, SlotId};
 pub use column::{CrackedArea, CrackerColumn};
 pub use crack::BoundKind;

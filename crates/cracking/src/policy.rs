@@ -21,14 +21,6 @@
 //!   `min_piece` tuples; the query filters inside the leaf piece
 //!   instead, capping AVL growth under skew.
 //!
-//! * [`CrackPolicy::Adaptive`] — let a per-column
-//!   [`PolicyAdvisor`](crate::advisor::PolicyAdvisor) pick one of the
-//!   two static strategies above per query, from O(1) workload
-//!   statistics (sequential-run detection, hot-range skew counters,
-//!   boundary-density caps). The structures that own an advisor resolve
-//!   `Adaptive` to an *effective* static policy before every crack; the
-//!   partition kernels themselves never see it.
-//!
 //! The sequential-sweep pathology (one huge uncracked tail piece that
 //! every query re-partitions) is handled below the policy layer: the
 //! block kernel's radix prepartition cuts a large virgin piece into
@@ -36,16 +28,13 @@
 //!
 //! **Determinism contract.** Alignment in sideways and partial sideways
 //! cracking replays tape-logged predicates on sibling structures and
-//! requires bit-identical physical outcomes. Every static policy is
-//! therefore a *pure function of the array state and the predicate*,
-//! so two aligned siblings replaying the same tape make identical
-//! cracks. A structure's *effective* policy may change between queries
-//! (that is what `Adaptive` does), but every tape entry records the
-//! effective static policy the original crack ran under, and replay
-//! always uses the logged policy — never the owner's current one — so
-//! siblings, late-created maps and spill-reloaded chunks reproduce each
-//! historic crack bit-for-bit regardless of what the advisor has
-//! decided since.
+//! requires bit-identical physical outcomes. Every policy is therefore a
+//! *pure function of the array state and the predicate*, and a
+//! structure's policy is fixed at construction: a cracker column, map
+//! set or partial set cracks under the one policy it was built with for
+//! its whole life, and replay uses that policy. So siblings, late-created
+//! maps and spill-reloaded chunks reproduce each historic crack
+//! bit-for-bit.
 
 /// Default leaf-piece size for [`CrackPolicy::CoarseGranular`].
 pub const DEFAULT_COARSE_MIN_PIECE: usize = 1 << 10;
@@ -73,13 +62,6 @@ pub enum CrackPolicy {
         /// Smallest piece the policy is willing to split.
         min_piece: usize,
     },
-    /// Defer the choice to a per-structure
-    /// [`PolicyAdvisor`](crate::advisor::PolicyAdvisor), which picks one
-    /// of the two static strategies per query from O(1) workload
-    /// statistics. Structures resolve this to an effective static policy
-    /// before cracking; if a kernel ever sees it directly it behaves
-    /// like [`CrackPolicy::Standard`].
-    Adaptive,
 }
 
 impl CrackPolicy {
@@ -95,12 +77,11 @@ impl CrackPolicy {
         match self {
             CrackPolicy::Standard => "standard",
             CrackPolicy::CoarseGranular { .. } => "coarse",
-            CrackPolicy::Adaptive => "adaptive",
         }
     }
 
-    /// Parse a policy name: `standard`, `coarse` (default leaf size),
-    /// `coarse:<min_piece>` or `adaptive`.
+    /// Parse a policy name: `standard`, `coarse` (default leaf size) or
+    /// `coarse:<min_piece>`.
     ///
     /// This is pure string parsing; the `CRACKDB_POLICY` environment
     /// hook the engine constructors consume lives next to the other env
@@ -112,7 +93,6 @@ impl CrackPolicy {
         match s {
             "" | "standard" => Some(CrackPolicy::Standard),
             "coarse" => Some(CrackPolicy::coarse()),
-            "adaptive" => Some(CrackPolicy::Adaptive),
             _ => {
                 let rest = s.strip_prefix("coarse:")?;
                 let min_piece: usize = rest.parse().ok()?;
@@ -126,37 +106,19 @@ impl CrackPolicy {
     /// The piece size the radix-prepartition fast path should target
     /// under this policy. Coarse-granular cracking promises never to
     /// manufacture pieces below its leaf size, so its target is clamped
-    /// up to `min_piece`; the other policies take the cache-friendly
+    /// up to `min_piece`; the standard policy takes the cache-friendly
     /// default. (Like every policy decision this is a pure function, so
     /// aligned siblings prepartition identically.)
     pub fn prepartition_target(&self) -> usize {
         match *self {
-            CrackPolicy::Standard | CrackPolicy::Adaptive => PREPARTITION_TARGET_PIECE,
+            CrackPolicy::Standard => PREPARTITION_TARGET_PIECE,
             CrackPolicy::CoarseGranular { min_piece } => PREPARTITION_TARGET_PIECE.max(min_piece),
         }
     }
 
-    /// `true` for the self-tuning variant that needs an advisor to
-    /// resolve it into a static policy.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, CrackPolicy::Adaptive)
-    }
-
-    /// The two static policy families at their defaults, for sweeps.
-    /// (`Adaptive` is excluded: it is not a pivot strategy itself, only
-    /// a per-query selector over these two.)
+    /// Both policy families at their defaults, for sweeps.
     pub fn all() -> [CrackPolicy; 2] {
         [CrackPolicy::Standard, CrackPolicy::coarse()]
-    }
-
-    /// Every parseable policy family at its defaults, adaptive included
-    /// — what benchmark sweeps and CI matrices iterate.
-    pub fn all_selectable() -> [CrackPolicy; 3] {
-        [
-            CrackPolicy::Standard,
-            CrackPolicy::coarse(),
-            CrackPolicy::Adaptive,
-        ]
     }
 }
 
@@ -209,12 +171,10 @@ mod tests {
 
     #[test]
     fn parse_round_trips_labels() {
-        for p in CrackPolicy::all_selectable() {
+        for p in CrackPolicy::all() {
             assert_eq!(CrackPolicy::parse(p.label()), Some(p));
         }
-        assert_eq!(CrackPolicy::parse("adaptive"), Some(CrackPolicy::Adaptive));
-        assert!(CrackPolicy::Adaptive.is_adaptive());
-        assert!(!CrackPolicy::Standard.is_adaptive());
+        assert_eq!(CrackPolicy::parse("adaptive"), None);
         assert_eq!(CrackPolicy::parse(""), Some(CrackPolicy::Standard));
         assert_eq!(
             CrackPolicy::parse("coarse:64"),

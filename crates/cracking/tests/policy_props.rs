@@ -13,7 +13,7 @@
 
 use crackdb_columnstore::types::{RangePred, Val};
 use crackdb_cracking::index::pred_keys;
-use crackdb_cracking::{CrackPolicy, CrackedArray, PolicyAdvisor};
+use crackdb_cracking::{CrackPolicy, CrackedArray};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 
 fn random_array(n: usize, domain: Val, seed: u64) -> CrackedArray<u32> {
@@ -39,9 +39,6 @@ fn policies() -> Vec<CrackPolicy> {
         CrackPolicy::Standard,
         CrackPolicy::coarse(),
         CrackPolicy::CoarseGranular { min_piece: 32 },
-        // A kernel handed the adaptive marker directly (no advisor in
-        // front of it) must fall back to the paper's exact behaviour.
-        CrackPolicy::Adaptive,
     ]
 }
 
@@ -125,70 +122,6 @@ fn head_stays_a_permutation_and_boundaries_stay_exact() {
             assert_eq!(got, expected, "{} query {q}: result set", policy.label());
         }
     }
-}
-
-/// (5): the adaptive advisor is a deterministic fold over the predicate
-/// stream, and the (pred, effective-policy) log it produces replays a
-/// fresh array to a bit-identical state with no advisor present — the
-/// contract every tape (MapSet, partial areas, spill/reload) relies on.
-#[test]
-fn adaptive_advisor_log_replays_bit_identically() {
-    let n = 60_000usize;
-    let domain = n as Val;
-    // A mixed trace: scattered browsing, a sequential sweep (flips the
-    // advisor to coarse leaves), then hot-zone panning (the sweep run
-    // breaks, but by then the index is dense enough that the boundary
-    // cap holds the downgrade).
-    let mut preds: Vec<RangePred> = Vec::new();
-    let mut rng = StdRng::seed_from_u64(31);
-    for _ in 0..40 {
-        preds.push(random_pred(&mut rng, domain));
-    }
-    let width = domain / 60;
-    let mut cursor: Val = 0;
-    for _ in 0..60 {
-        if cursor + width > domain {
-            cursor = 0;
-        }
-        preds.push(RangePred::open(cursor, cursor + width + 1));
-        cursor += width;
-    }
-    for _ in 0..40 {
-        let lo = rng.gen_range(0..domain / 10);
-        preds.push(RangePred::open(lo, lo + domain / 100 + 1));
-    }
-
-    let run = || {
-        let mut arr = random_array(n, domain, 13);
-        let mut advisor = PolicyAdvisor::new(CrackPolicy::Adaptive);
-        let mut log: Vec<CrackPolicy> = Vec::with_capacity(preds.len());
-        for p in &preds {
-            let eff = advisor.observe(p, arr.index().len(), arr.head().len());
-            assert!(
-                !eff.is_adaptive(),
-                "the advisor always resolves to a static policy"
-            );
-            arr.crack_range_with(p, &eff);
-            log.push(eff);
-        }
-        (arr, log, advisor.switches())
-    };
-    let (a, log_a, switches_a) = run();
-    let (b, log_b, switches_b) = run();
-    assert_eq!(log_a, log_b, "effective-policy stream is deterministic");
-    assert_eq!(switches_a, switches_b);
-    assert!(switches_a >= 1, "the mixed trace must flip the policy");
-    assert_eq!(a.head(), b.head());
-    assert_eq!(a.tail(), b.tail());
-
-    // Tape-style replay: logged policies only, no advisor.
-    let mut replayed = random_array(n, domain, 13);
-    for (p, eff) in preds.iter().zip(&log_a) {
-        replayed.crack_range_with(p, eff);
-    }
-    assert_eq!(replayed.head(), a.head(), "replayed head diverged");
-    assert_eq!(replayed.tail(), a.tail(), "replayed tail diverged");
-    assert_eq!(replayed.index().len(), a.index().len());
 }
 
 /// (3): a skewed drill-down workload shatters a hot region into tiny

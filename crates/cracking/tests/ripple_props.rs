@@ -269,12 +269,13 @@ fn pred(rng: &mut StdRng, arr: &CrackedArray<Tag>, values: Values) -> RangePred 
     }
 }
 
-/// The policies a case cracks under: every selectable one, plus
-/// coarse variants whose thresholds small columns reach.
+/// The policies a case cracks under: both families at their defaults
+/// (standard in two cases of six), plus coarse variants whose thresholds
+/// small columns reach.
 fn policy(case: u64) -> CrackPolicy {
-    let all = CrackPolicy::all_selectable();
     match case % 6 {
-        c @ 0..=2 => all[c as usize],
+        0 | 2 => CrackPolicy::Standard,
+        1 => CrackPolicy::coarse(),
         3 => CrackPolicy::CoarseGranular { min_piece: 6 },
         4 => CrackPolicy::CoarseGranular { min_piece: 2 },
         _ => CrackPolicy::CoarseGranular { min_piece: 24 },

@@ -205,12 +205,7 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
     ] {
         let head = &source[..live + 3];
         let excluded = [0, 17, live as RowId + 2];
-        for policy in [
-            CrackPolicy::Standard,
-            CrackPolicy::coarse(),
-            huge_leaf,
-            CrackPolicy::Adaptive,
-        ] {
+        for policy in [CrackPolicy::Standard, CrackPolicy::coarse(), huge_leaf] {
             let ctx = format!("live={live} policy={policy:?}");
             let fired = check_first_crack(head, &excluded, &two_sided, &policy, &ctx);
             let expect = block && live >= PREPARTITION_MIN_PIECE && policy != huge_leaf;

@@ -71,7 +71,7 @@ fn threads_override(value: Option<&str>) -> Option<usize> {
 
 /// Parse a `CRACKDB_POLICY`-style override value: unset or empty means
 /// the standard policy, anything else must name a crack policy
-/// (`standard | coarse | coarse:<min_piece> | adaptive`).
+/// (`standard | coarse | coarse:<min_piece>`).
 /// Like [`threads_override`], separated from the env read for
 /// testability.
 fn policy_override(value: Option<&str>) -> Result<CrackPolicy, String> {
@@ -80,7 +80,7 @@ fn policy_override(value: Option<&str>) -> Result<CrackPolicy, String> {
         Some(v) => CrackPolicy::parse(v).ok_or_else(|| {
             format!(
                 "CRACKDB_POLICY={v:?} is not a crack policy \
-                 (expected standard | coarse | coarse:<min_piece> | adaptive)"
+                 (expected standard | coarse | coarse:<min_piece>)"
             )
         }),
     }
@@ -559,7 +559,11 @@ mod tests {
             policy_override(Some("coarse:64")),
             Ok(CrackPolicy::CoarseGranular { min_piece: 64 })
         );
-        assert_eq!(policy_override(Some("adaptive")), Ok(CrackPolicy::Adaptive));
+        let err = policy_override(Some("adaptive")).unwrap_err();
+        assert!(
+            err.contains("standard | coarse | coarse:<min_piece>"),
+            "`adaptive` is no policy; the error names the forms: {err}"
+        );
         let err = policy_override(Some("nonsense")).unwrap_err();
         assert!(err.contains("nonsense"), "error names the bad value");
         assert!(err.contains("coarse:<min_piece>"), "error lists the forms");

@@ -74,7 +74,7 @@ use crate::query::{Engine, JoinQuery, QueryOutput, SelectQuery};
 use crackdb_columnstore::shard::ShardCuts;
 use crackdb_columnstore::types::{RowId, Val};
 use crackdb_core::lock_unpoisoned;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -119,6 +119,11 @@ pub enum ServiceError {
     WorkerLost,
     /// A delete named a key that no row ever had.
     UnknownKey(RowId),
+    /// A shard's storage tier failed the query (I/O error, checksum
+    /// mismatch, truncated file): the first failing shard's
+    /// [`QueryError`](crate::query::QueryError), formatted. The worker
+    /// keeps serving, so a retry may succeed.
+    Storage(String),
     /// Invalid service-startup configuration (e.g. an unparseable
     /// `CRACKDB_POLICY` environment selection).
     Config(String),
@@ -133,6 +138,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::WorkerLost => write!(f, "a shard worker is gone (it panicked)"),
             ServiceError::UnknownKey(k) => write!(f, "key {k} does not name a row"),
+            ServiceError::Storage(msg) => write!(f, "shard query failed: {msg}"),
             ServiceError::Config(msg) => write!(f, "invalid service configuration: {msg}"),
         }
     }
@@ -161,15 +167,19 @@ pub struct WriteReply {
     pub key: Option<RowId>,
 }
 
+/// A shard's answer to a read: its partial result, or its storage
+/// error formatted for [`ServiceError::Storage`].
+type ShardReply = (usize, Result<QueryOutput, String>);
+
 /// One unit of work on a shard worker's queue.
 enum Work {
     Select {
         q: Arc<SelectQuery>,
-        reply: Sender<(usize, QueryOutput)>,
+        reply: Sender<ShardReply>,
     },
     Join {
         q: Arc<JoinQuery>,
-        reply: Sender<(usize, QueryOutput)>,
+        reply: Sender<ShardReply>,
     },
     Insert {
         row: Vec<Val>,
@@ -210,10 +220,6 @@ struct Shared {
     /// [`Client::admit`] instead of enqueueing doomed work on the
     /// surviving shards.
     failed: AtomicBool,
-    /// Adaptive-advisor policy switches across all shard engines,
-    /// accumulated per work item by the shard workers (observability:
-    /// 0 forever under a static policy configuration).
-    policy_switches: Arc<AtomicU64>,
 }
 
 /// RAII in-flight slot: released on completion *and* on every error
@@ -229,22 +235,19 @@ impl Drop for Slot<'_> {
 /// The shard-worker loop: exclusively owns one shard's inner engine,
 /// drains its queue in FIFO order, posts partial results, and returns
 /// the engine when stopped (for [`Service::shutdown`] to reassemble).
-/// Reply sends ignore errors — a client that gave up on a reply is not
-/// the worker's problem.
-fn worker<E: Engine>(
-    shard: usize,
-    mut engine: E,
-    queue: Receiver<Work>,
-    switches: Arc<AtomicU64>,
-) -> E {
-    let mut last_switches: u64 = 0;
+/// Reads run through the fallible `try_*` paths, so a storage failure
+/// is a reply, not a dead worker. Reply sends ignore errors — a client
+/// that gave up on a reply is not the worker's problem.
+fn worker<E: Engine>(shard: usize, mut engine: E, queue: Receiver<Work>) -> E {
     while let Ok(work) = queue.recv() {
         match work {
             Work::Select { q, reply } => {
-                let _ = reply.send((shard, engine.select(&q)));
+                let out = engine.try_select(&q).map_err(|e| e.to_string());
+                let _ = reply.send((shard, out));
             }
             Work::Join { q, reply } => {
-                let _ = reply.send((shard, engine.join(&q)));
+                let out = engine.try_join(&q).map_err(|e| e.to_string());
+                let _ = reply.send((shard, out));
             }
             Work::Insert { row, reply } => {
                 engine.insert(&row);
@@ -255,14 +258,6 @@ fn worker<E: Engine>(
                 let _ = reply.send(());
             }
             Work::Stop => break,
-        }
-        // Publish this shard's advisor switches as a delta: the shared
-        // counter is only ever added to, so per-shard accumulation
-        // stays exact without a subtraction race.
-        let now_switches = engine.policy_switches();
-        if now_switches > last_switches {
-            switches.fetch_add(now_switches - last_switches, Ordering::Relaxed);
-            last_switches = now_switches;
         }
     }
     engine
@@ -301,16 +296,14 @@ impl<E: Engine + Send + 'static> Service<E> {
         super::env_spill_dir().map_err(ServiceError::Config)?;
         let (cuts, shards, inserted) = engine.into_parts();
         let nshards = shards.len();
-        let policy_switches = Arc::new(AtomicU64::new(0));
         let mut queues = Vec::with_capacity(nshards);
         let mut handles = Vec::with_capacity(nshards);
         for (i, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = channel();
             queues.push(tx);
-            let switches = policy_switches.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("crackdb-shard-{i}"))
-                .spawn(move || worker(i, shard, rx, switches))
+                .spawn(move || worker(i, shard, rx))
                 .expect("spawn shard worker thread");
             handles.push(handle);
         }
@@ -326,7 +319,6 @@ impl<E: Engine + Send + 'static> Service<E> {
                 in_flight: AtomicUsize::new(0),
                 queue_depth: config.queue_depth.max(1),
                 failed: AtomicBool::new(false),
-                policy_switches,
             }),
             handles,
         })
@@ -339,13 +331,6 @@ impl<E: Engine + Send + 'static> Service<E> {
             shared: self.shared.clone(),
             nshards: self.handles.len(),
         }
-    }
-
-    /// Adaptive-advisor policy switches across all shard engines so far
-    /// (0 forever under a static policy configuration). Updated by each
-    /// shard worker after every work item it processes.
-    pub fn policy_switches(&self) -> u64 {
-        self.shared.policy_switches.load(Ordering::Relaxed)
     }
 
     /// Number of shard workers.
@@ -419,8 +404,8 @@ impl Client {
     /// partial results merge exactly as in [`ShardedEngine::select`].
     ///
     /// # Errors
-    /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`] or
-    /// [`ServiceError::WorkerLost`].
+    /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
+    /// [`ServiceError::WorkerLost`] or [`ServiceError::Storage`].
     pub fn select(&self, q: &SelectQuery) -> Result<Reply, ServiceError> {
         let _slot = self.admit()?;
         // The shards run the query as asked; the one copy made of it is
@@ -441,8 +426,8 @@ impl Client {
     /// with a second table, e.g. [`ShardedEngine::build_with_second`]).
     ///
     /// # Errors
-    /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`] or
-    /// [`ServiceError::WorkerLost`].
+    /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
+    /// [`ServiceError::WorkerLost`] or [`ServiceError::Storage`].
     pub fn join(&self, q: &JoinQuery) -> Result<Reply, ServiceError> {
         let _slot = self.admit()?;
         let shard_q = Arc::new(q.clone());
@@ -561,20 +546,21 @@ impl Client {
     }
 
     /// Collect one partial result per shard, in shard order. A
-    /// disconnect before all replies arrive means a worker died.
-    fn collect(
-        &self,
-        rx: Receiver<(usize, QueryOutput)>,
-    ) -> Result<Vec<QueryOutput>, ServiceError> {
-        let mut outs: Vec<Option<QueryOutput>> = (0..self.nshards).map(|_| None).collect();
+    /// disconnect before all replies arrive means a worker died; with
+    /// every reply in, the first shard's storage error (in shard order)
+    /// fails the call.
+    fn collect(&self, rx: Receiver<ShardReply>) -> Result<Vec<QueryOutput>, ServiceError> {
+        let mut outs: Vec<Option<_>> = (0..self.nshards).map(|_| None).collect();
         for _ in 0..self.nshards {
             let (shard, out) = rx.recv().map_err(|_| self.fail())?;
             outs[shard] = Some(out);
         }
-        Ok(outs
-            .into_iter()
-            .map(|o| o.expect("each shard replies exactly once"))
-            .collect())
+        outs.into_iter()
+            .map(|o| {
+                o.expect("each shard replies exactly once")
+                    .map_err(ServiceError::Storage)
+            })
+            .collect()
     }
 }
 

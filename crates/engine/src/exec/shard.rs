@@ -54,7 +54,8 @@
 //! own array state.
 
 use crate::query::{
-    agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,
+    agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput,
+    SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::parallel::PartialAgg;
@@ -338,6 +339,19 @@ impl<E: Engine + Send> Engine for ShardedEngine<E> {
         merge_join_outputs(q, &outs)
     }
 
+    /// Every shard runs its own `try_select`; the first storage error in
+    /// shard order fails the query.
+    fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, QueryError> {
+        let outs = self.fan_out(|e| e.try_select(q)).into_iter();
+        Ok(merge_select_outputs(q, outs.collect::<Result<_, _>>()?))
+    }
+
+    /// Fallible join; see [`Self::try_select`].
+    fn try_join(&mut self, q: &JoinQuery) -> Result<QueryOutput, QueryError> {
+        let outs = self.fan_out(|e| e.try_join(q)).into_iter();
+        Ok(merge_join_outputs(q, &outs.collect::<Result<Vec<_>, _>>()?))
+    }
+
     fn insert(&mut self, row: &[Val]) {
         let s = self.inserted % self.shards.len();
         self.inserted += 1;
@@ -351,10 +365,6 @@ impl<E: Engine + Send> Engine for ShardedEngine<E> {
 
     fn aux_tuples(&self) -> usize {
         self.shards.iter().map(E::aux_tuples).sum()
-    }
-
-    fn policy_switches(&self) -> u64 {
-        self.shards.iter().map(E::policy_switches).sum()
     }
 
     fn set_workers(&mut self, workers: usize) {

@@ -45,10 +45,10 @@
 //! the [`query::Engine`] trait, every scenario composes: 5 engines ×
 //! sharded/unsharded × serial/batch execution × crack policy.
 //!
-//! The adaptive engines additionally take a [`CrackPolicy`]
-//! (standard / coarse-granular pivot choice, from
-//! `crackdb-cracking`) hardening cracking against adversarial
-//! workloads; `SelCrackEngine::with_policy`,
+//! The cracking engines additionally take one [`CrackPolicy`]
+//! (standard / coarse-granular pivot choice, from `crackdb-cracking`)
+//! that every cracker column, map set and partial set they build keeps
+//! for life; `SelCrackEngine::with_policy`,
 //! `SidewaysEngine::with_policy` and `PartialEngine::with_policy`
 //! select it explicitly, the plain `new` constructors read the
 //! `CRACKDB_POLICY` environment hook (standard when unset; invalid

@@ -120,18 +120,6 @@ impl PartialEngine {
     pub fn store(&self) -> &PartialStore {
         &self.store
     }
-
-    /// Override the crack policy of one head attribute's partial set in
-    /// the primary store (mixed-policy engines). Must run before the
-    /// set's first use.
-    pub fn set_policy_for(&mut self, head_attr: usize, policy: CrackPolicy) {
-        self.store.set_policy_for(head_attr, policy);
-    }
-
-    /// Cumulative adaptive-advisor switches across both stores' sets.
-    pub fn policy_switches(&self) -> u64 {
-        self.store.policy_switches() + self.second_store.policy_switches()
-    }
 }
 
 /// One reconstructed join side: the join-attribute values plus the
@@ -353,10 +341,6 @@ impl Engine for PartialEngine {
 
     fn aux_tuples(&self) -> usize {
         self.store.usage() + self.second_store.usage()
-    }
-
-    fn policy_switches(&self) -> u64 {
-        PartialEngine::policy_switches(self)
     }
 }
 

@@ -179,9 +179,9 @@ pub trait Engine {
         0
     }
 
-    /// Cumulative count of adaptive-advisor policy switches across the
-    /// engine's cracker structures. Always 0 for engines configured with
-    /// a static [`CrackPolicy`](crackdb_cracking::CrackPolicy).
+    /// Always 0: every cracker structure keeps the one policy it was
+    /// built with. Kept only because crackbench's
+    /// `cracking.policy.switches` metric reads it.
     fn policy_switches(&self) -> u64 {
         0
     }

@@ -29,11 +29,8 @@ pub struct SelCrackEngine {
     second: Option<Table>,
     /// Cracker columns per (table, attribute), created on first use.
     crackers: HashMap<(bool, usize), CrackerColumn>,
-    /// Default pivot-choice policy for every cracker column.
+    /// Pivot-choice policy of every cracker column.
     policy: CrackPolicy,
-    /// Per-column policy overrides (mixed-policy engines): consulted when
-    /// a cracker column is created, keyed like `crackers`.
-    overrides: HashMap<(bool, usize), CrackPolicy>,
     /// Value domain for ordering predicates by estimated selectivity
     /// ("all systems evaluate queries starting from the most selective
     /// predicate", §3.6 Exp4).
@@ -55,7 +52,6 @@ impl SelCrackEngine {
             second: None,
             crackers: HashMap::new(),
             policy,
-            overrides: HashMap::new(),
             domain,
         }
     }
@@ -81,32 +77,9 @@ impl SelCrackEngine {
         }
     }
 
-    /// The engine's default pivot-choice policy.
+    /// The engine's pivot-choice policy.
     pub fn policy(&self) -> CrackPolicy {
         self.policy
-    }
-
-    /// The policy one (table, attribute) cracker column will be created
-    /// with: the per-column override when set, the default otherwise.
-    pub fn policy_for(&self, second: bool, attr: usize) -> CrackPolicy {
-        policy_for(self.policy, &self.overrides, second, attr)
-    }
-
-    /// Override the crack policy of one (table, attribute) cracker
-    /// column. Must run before the column's first use — mixed-policy
-    /// engines (say, an adaptive hot attribute beside static siblings)
-    /// are configured up front, never rewired mid-workload.
-    pub fn set_policy_for(&mut self, second: bool, attr: usize, policy: CrackPolicy) {
-        assert!(
-            !self.crackers.contains_key(&(second, attr)),
-            "column ({second}, {attr}) already cracked; set per-column policies before first use"
-        );
-        self.overrides.insert((second, attr), policy);
-    }
-
-    /// Cumulative adaptive-advisor switches across all cracker columns.
-    pub fn policy_switches(&self) -> u64 {
-        self.crackers.values().map(|c| c.policy_switches()).sum()
     }
 
     fn order_preds(&self, preds: &[(usize, RangePred)], n: usize) -> Vec<(usize, RangePred)> {
@@ -150,17 +123,14 @@ impl SelCrackEngine {
         table: &Table,
         second: bool,
         preds: &[(usize, RangePred)],
-        default: CrackPolicy,
-        overrides: &HashMap<(bool, usize), CrackPolicy>,
+        policy: CrackPolicy,
     ) -> Vec<RowId> {
         if preds.is_empty() {
             // No predicate: still answer through a cracker column so that
             // queued (ripple) insertions and deletions are respected.
-            let policy = policy_for(default, overrides, second, 0);
             return Self::cracker(crackers, table, second, 0, policy)
                 .select_keys(&RangePred::all());
         }
-        let policy = policy_for(default, overrides, second, preds[0].0);
         let mut keys =
             Self::cracker(crackers, table, second, preds[0].0, policy).select_keys(&preds[0].1);
         for (attr, pred) in &preds[1..] {
@@ -169,17 +139,6 @@ impl SelCrackEngine {
         }
         keys
     }
-}
-
-/// Per-column policy resolution (free function: the static helpers split
-/// borrows across `SelCrackEngine` fields).
-fn policy_for(
-    default: CrackPolicy,
-    overrides: &HashMap<(bool, usize), CrackPolicy>,
-    second: bool,
-    attr: usize,
-) -> CrackPolicy {
-    overrides.get(&(second, attr)).copied().unwrap_or(default)
 }
 
 impl AccessPath for SelCrackEngine {
@@ -196,8 +155,7 @@ impl AccessPath for SelCrackEngine {
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
-        let policy = policy_for(self.policy, &self.overrides, false, attr);
-        let cracker = Self::cracker(&mut self.crackers, &self.base, false, attr, policy);
+        let cracker = Self::cracker(&mut self.crackers, &self.base, false, attr, self.policy);
         // A disjunction's later selects may crack or ripple this very
         // column (`a < x or a > y`), moving the tuples under an area.
         if ctx.disjunctive {
@@ -233,9 +191,8 @@ impl AccessPath for SelCrackEngine {
         let RowSet::Keys { keys, .. } = rows else {
             return; // disjunctive plans start from `restrict`'s key list
         };
-        let policy = policy_for(self.policy, &self.overrides, false, attr);
-        let more =
-            Self::cracker(&mut self.crackers, &self.base, false, attr, policy).select_keys(pred);
+        let more = Self::cracker(&mut self.crackers, &self.base, false, attr, self.policy)
+            .select_keys(pred);
         combine::union_keys_unordered(keys, more);
     }
 
@@ -326,22 +283,8 @@ impl Engine for SelCrackEngine {
         let t0 = Instant::now();
         let lpreds = self.order_preds(&q.left.preds, n);
         let rpreds = self.order_preds(&q.right.preds, n2);
-        let lkeys = Self::select_keys(
-            &mut self.crackers,
-            &self.base,
-            false,
-            &lpreds,
-            self.policy,
-            &self.overrides,
-        );
-        let rkeys = Self::select_keys(
-            &mut self.crackers,
-            second,
-            true,
-            &rpreds,
-            self.policy,
-            &self.overrides,
-        );
+        let lkeys = Self::select_keys(&mut self.crackers, &self.base, false, &lpreds, self.policy);
+        let rkeys = Self::select_keys(&mut self.crackers, second, true, &rpreds, self.policy);
         timings.select = t0.elapsed();
 
         let t1 = Instant::now();
@@ -385,18 +328,13 @@ impl Engine for SelCrackEngine {
         // demand here (from the current base, which still holds the row)
         // and the deletion queued for the Ripple algorithm.
         for attr in 0..self.base.num_columns() {
-            let policy = policy_for(self.policy, &self.overrides, false, attr);
-            Self::cracker(&mut self.crackers, &self.base, false, attr, policy)
+            Self::cracker(&mut self.crackers, &self.base, false, attr, self.policy)
                 .queue_delete(self.base.column(attr).get(key), key);
         }
     }
 
     fn aux_tuples(&self) -> usize {
         self.crackers.values().map(|c| c.len()).sum()
-    }
-
-    fn policy_switches(&self) -> u64 {
-        SelCrackEngine::policy_switches(self)
     }
 }
 

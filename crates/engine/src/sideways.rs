@@ -62,18 +62,6 @@ impl SidewaysEngine {
         self.store.budget = budget;
     }
 
-    /// Override the crack policy of one head attribute's map set in the
-    /// primary store (mixed-policy engines). Must run before the set's
-    /// first use.
-    pub fn set_policy_for(&mut self, head_attr: usize, policy: CrackPolicy) {
-        self.store.set_policy_for(head_attr, policy);
-    }
-
-    /// Cumulative adaptive-advisor switches across both stores' map sets.
-    pub fn policy_switches(&self) -> u64 {
-        self.store.policy_switches() + self.second_store.policy_switches()
-    }
-
     /// Access to the underlying store (instrumentation).
     pub fn store(&self) -> &SidewaysStore {
         &self.store
@@ -114,9 +102,6 @@ impl AccessPath for SidewaysEngine {
         let s = self
             .store
             .set_mut_ensured(&self.base, attr, &self.tombstones);
-        // One advisor observation per logical query: restrict runs once
-        // (refine/extend/fetch continue the same query).
-        s.note_query(pred);
 
         if ctx.disjunctive {
             // Disjunctive plans keep a bit vector over the *whole* map:
@@ -358,10 +343,6 @@ impl Engine for SidewaysEngine {
 
     fn aux_tuples(&self) -> usize {
         self.store.tuples() + self.second_store.tuples()
-    }
-
-    fn policy_switches(&self) -> u64 {
-        SidewaysEngine::policy_switches(self)
     }
 }
 

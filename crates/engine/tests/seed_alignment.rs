@@ -61,8 +61,8 @@ fn rebuilt(set: &MapSet, base: &Table, attr: usize) -> CrackedArray<Val> {
     let mut arr = CrackedArray::new(column(0), column(attr));
     for i in 0..set.tape.len() {
         match *set.tape.entry(i) {
-            TapeEntry::Crack(pred, policy) => {
-                arr.crack_range_with(&pred, &policy);
+            TapeEntry::Crack(pred) => {
+                arr.crack_range_with(&pred, &set.policy());
             }
             TapeEntry::Inserts(id) => {
                 for &key in &set.tape.insert_batches[id as usize].keys {

@@ -24,7 +24,7 @@ const COLS: usize = 3;
 const ROWS: usize = 2500;
 
 fn policies() -> Vec<CrackPolicy> {
-    let mut all = CrackPolicy::all_selectable().to_vec();
+    let mut all = CrackPolicy::all().to_vec();
     all.push(CrackPolicy::CoarseGranular { min_piece: 16 });
     all
 }

@@ -7,14 +7,19 @@
 //! `usage() <= budget` invariant and the partial sets' bookkeeping
 //! invariants holding after every op. Plus the fault-injection
 //! regression: a corrupted spill file fails exactly the queries that
-//! read it, loudly and typed, and leaves the engine fully serviceable.
+//! read it, loudly and typed, and leaves the engine fully serviceable —
+//! also behind the shard router and the query service.
 //! And the other side of the eviction rule: over in-memory columns the
 //! tier never writes, and the engine behaves as one without a tier.
 
 use crackdb_columnstore::column::{Column, Table};
+use crackdb_columnstore::shard::{partition_table, ShardCuts};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_core::PartialStats;
-use crackdb_engine::{CrackPolicy, Engine, PartialEngine, PlainEngine, QueryError, SelectQuery};
+use crackdb_engine::{
+    CrackPolicy, Engine, PartialEngine, PlainEngine, QueryError, SelectQuery, Service,
+    ServiceError, ShardedEngine,
+};
 
 #[path = "../../core/tests/support/segmented.rs"]
 mod support;
@@ -238,6 +243,26 @@ fn updates_staged_while_spilled_replay_on_reload() {
     check_sets(&e, 3, "after the reload");
 }
 
+/// Overwrite every spill file of `e` with junk; returns how many there
+/// were.
+fn corrupt_spill_files(e: &PartialEngine) -> usize {
+    use std::io::Write;
+
+    let dir = e.store().spill_dir().expect("spill enabled");
+    let mut corrupted_files = 0;
+    for entry in std::fs::read_dir(dir).expect("spill dir exists") {
+        let path = entry.expect("dir entry").path();
+        let len = std::fs::metadata(&path).expect("metadata").len() as usize;
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open spill file");
+        f.write_all(&vec![0xFF; len]).expect("overwrite");
+        corrupted_files += 1;
+    }
+    corrupted_files
+}
+
 /// The fault-injection regression (bugfix sweep): corrupting the spill
 /// files makes exactly the reads that touch them fail — as a typed
 /// `QueryError::Storage`, not a panic — and the engine stays fully
@@ -245,8 +270,6 @@ fn updates_staged_while_spilled_replay_on_reload() {
 /// return correct answers again.
 #[test]
 fn corrupted_spill_file_fails_loudly_and_engine_recovers() {
-    use std::io::Write;
-
     let table = random_table(3, 400, 555);
     let mut plain = PlainEngine::new(table.clone());
     let mut e = PartialEngine::with_spill_dir(
@@ -266,19 +289,7 @@ fn corrupted_spill_file_fails_loudly_and_engine_recovers() {
     assert!(e.store().spilled_tuples() > 0, "chunks must be on disk");
 
     // Flip every byte of every spill file: all cold chunks are now junk.
-    let dir = e.store().spill_dir().expect("spill enabled").to_path_buf();
-    let mut corrupted_files = 0;
-    for entry in std::fs::read_dir(&dir).expect("spill dir exists") {
-        let path = entry.expect("dir entry").path();
-        let len = std::fs::metadata(&path).expect("metadata").len() as usize;
-        let mut f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .expect("open spill file");
-        f.write_all(&vec![0xFF; len]).expect("overwrite");
-        corrupted_files += 1;
-    }
-    assert!(corrupted_files > 0, "spill files exist on disk");
+    assert!(corrupt_spill_files(&e) > 0, "spill files exist on disk");
 
     // Re-running the workload must hit the corruption at least once and
     // surface it as a typed storage error — never a panic. Every failed
@@ -321,6 +332,78 @@ fn corrupted_spill_file_fails_loudly_and_engine_recovers() {
         assert_eq!(out.aggs, expected.aggs);
         check_sets(&e, 3, "healthy again");
     }
+}
+
+/// The same corruption behind the layers above the engine: two
+/// file-backed spill shards, queried once through `ShardedEngine` and
+/// once through a `Service` client. Each storage failure must come back
+/// typed — `QueryError::Storage` from the router, `ServiceError::Storage`
+/// from the service — never as a panic or a lost worker, and retries
+/// must converge to the plain engine's answers.
+#[test]
+fn corrupted_spill_file_fails_typed_through_shards_and_service() {
+    let table = random_table(3, 400, 555);
+    let mut plain = PlainEngine::new(table.clone());
+    let mut rng = Lcg(9);
+    let queries: Vec<SelectQuery> = (0..8).map(|_| random_select(&mut rng, 3)).collect();
+    // Two segmented shards with spill tiers, warmed until chunks sit on
+    // disk, then every spill file corrupted.
+    let corrupted_shards = || {
+        let parts = partition_table(&table, &ShardCuts::even(table.num_rows(), 2));
+        let mut e = ShardedEngine::from_shards(parts.iter().map(segmented).collect(), |_, t| {
+            PartialEngine::with_spill_dir(t, DOMAIN, Some(TINY_BUDGET), std::env::temp_dir())
+        });
+        for q in &queries {
+            e.try_select(q).expect("healthy tier");
+        }
+        let files: usize = e.shards().iter().map(corrupt_spill_files).sum();
+        assert!(files > 0, "spill files exist on disk");
+        e
+    };
+
+    let mut sharded = corrupted_shards();
+    let mut failures = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let expected = plain.select(q);
+        let out = loop {
+            match sharded.try_select(q) {
+                Ok(out) => break out,
+                Err(QueryError::Storage(_)) => failures += 1,
+            }
+            assert!(failures < 100, "failed reloads must converge");
+        };
+        assert_eq!(out.rows, expected.rows, "sharded query {i} recovers rows");
+        assert_eq!(out.aggs, expected.aggs, "sharded query {i} recovers aggs");
+    }
+    assert!(
+        failures > 0,
+        "a sharded query must have read a corrupted record"
+    );
+
+    let service = Service::start(corrupted_shards()).expect("service starts");
+    let client = service.client();
+    let mut failures = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let expected = plain.select(q);
+        let out = loop {
+            match client.select(q) {
+                Ok(reply) => break reply.output,
+                Err(ServiceError::Storage(msg)) => {
+                    assert!(msg.contains("storage error"), "typed error: {msg}");
+                    failures += 1;
+                }
+                Err(other) => panic!("served query {i}: {other}"),
+            }
+            assert!(failures < 100, "failed reloads must converge");
+        };
+        assert_eq!(out.rows, expected.rows, "served query {i} recovers rows");
+        assert_eq!(out.aggs, expected.aggs, "served query {i} recovers aggs");
+    }
+    assert!(
+        failures > 0,
+        "a served query must have read a corrupted record"
+    );
+    service.shutdown();
 }
 
 /// Every counter of a stats block except the timers.

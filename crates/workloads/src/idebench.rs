@@ -5,15 +5,15 @@
 //! panel, rolls back up, pans, requests binned histograms — with think
 //! time between actions and a latency budget per action (the answer
 //! must arrive before the user's next interaction). These access
-//! patterns are exactly the regimes where the static crack policies
-//! diverge: sequential sweeps leave one huge tail piece that standard
-//! cracking re-ploughs every query, drill-downs reward exact bounds,
-//! and fine binning shatters the index under dense boundaries.
+//! patterns are exactly the regimes where the crack policies diverge:
+//! sequential sweeps leave one huge tail piece that standard cracking
+//! re-ploughs every query, drill-downs reward exact bounds, and fine
+//! binning shatters the index under dense boundaries.
 //!
 //! This module generates deterministic session traces of those shapes
-//! for the `idebench` bench bin, which replays them once per
-//! [`CrackPolicy`](crackdb_cracking::CrackPolicy) and scores the
-//! per-column adaptive advisor against the static policies.
+//! for crackbench's `ide_sessions` workload, which replays them on bare
+//! cracker columns, each under the one
+//! [`CrackPolicy`](crackdb_cracking::CrackPolicy) it was built with.
 //!
 //! Every generator is a pure function of `(domain, seed)`: two
 //! generators built alike produce byte-identical traces, so policies
@@ -211,12 +211,10 @@ impl IdeBench {
         }
     }
 
-    /// The canonical mixed exploration trace the `idebench` bench
-    /// replays, shaped like a real exploration arc: drill into a region,
-    /// pan around it (hot zone), scan across the whole domain, zoom back
-    /// out, request histograms, end with uncorrelated browsing. No
-    /// single static policy is best across all the phases — the
-    /// per-column adaptive advisor is scored on exactly this trace.
+    /// The canonical mixed exploration trace, shaped like a real
+    /// exploration arc: drill into a region, pan around it (hot zone),
+    /// scan across the whole domain, zoom back out, request histograms,
+    /// end with uncorrelated browsing.
     pub fn mixed(&mut self, scale: usize) -> Vec<Session> {
         let scale = scale.max(1);
         vec![
