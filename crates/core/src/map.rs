@@ -2,9 +2,8 @@
 //! cracking materializes per attribute pair, plus the special key map
 //! `M_A,key` used to resolve deletion positions (§3.5).
 
-use crate::bitvec::BitVec;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{CrackPolicy, CrackedArray, Span};
+use crackdb_cracking::CrackedArray;
 
 /// A cracker map `M_AB`: head = values of attribute `A`, tail = values of
 /// attribute `B`, physically reorganized (cracked) on the head as a side
@@ -41,19 +40,9 @@ impl CrackerMap {
         self.arr.len()
     }
 
-    /// Crack by `pred` under `policy` (the set's policy — a map must
-    /// always crack with its siblings' policy or alignment breaks).
-    pub fn crack(&mut self, pred: &RangePred, policy: &CrackPolicy) -> Span {
-        self.arr.crack_range_with(pred, policy)
-    }
-
-    /// Bit vector over `[range.0, range.1)` marking the head values that
-    /// match `pred` — the qualifying filter an inexact (coarse-granular)
-    /// span needs. Built word-at-a-time ([`BitVec::from_fn`]), with the
-    /// head slice hoisted so the per-bit work is one range comparison.
-    pub fn head_filter_bv(&self, range: (usize, usize), pred: &RangePred) -> BitVec {
-        let heads = &self.arr.head()[range.0..range.1];
-        BitVec::from_fn(heads.len(), |i| pred.matches(heads[i]))
+    /// Crack by `pred` and return the qualifying area.
+    pub fn crack(&mut self, pred: &RangePred) -> (usize, usize) {
+        self.arr.crack_range(pred)
     }
 }
 
@@ -87,9 +76,9 @@ impl KeyMap {
         self.arr.len()
     }
 
-    /// Crack by `pred` under `policy` (see [`CrackerMap::crack`]).
-    pub fn crack(&mut self, pred: &RangePred, policy: &CrackPolicy) -> Span {
-        self.arr.crack_range_with(pred, policy)
+    /// Crack by `pred` and return the qualifying area.
+    pub fn crack(&mut self, pred: &RangePred) -> (usize, usize) {
+        self.arr.crack_range(pred)
     }
 }
 

@@ -12,7 +12,7 @@ use super::AreaEntry;
 use crackdb_columnstore::column::Column;
 use crackdb_columnstore::types::{RangePred, Val};
 use crackdb_cracking::index::pred_keys;
-use crackdb_cracking::{BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, Span};
+use crackdb_cracking::{BoundaryKey, CrackedArray, CrackerIndex};
 
 /// One chunk of a partial map.
 #[derive(Debug, Clone)]
@@ -154,24 +154,16 @@ impl Chunk {
         r
     }
 
-    /// Apply one area-tape entry. Cracks reorganize under `policy`, the
-    /// owning set's fixed policy — sibling chunks replaying the same tape
-    /// stay bit-identical (the policies are pure functions of the array
-    /// state); the §3.5 update entries ripple one tuple in or out,
-    /// reading the inserted tuple's head/tail values from the base
-    /// columns (`head_col`, `tail_col`).
-    pub fn apply(
-        &mut self,
-        entry: &AreaEntry,
-        policy: &CrackPolicy,
-        head_col: &Column,
-        tail_col: &Column,
-    ) {
+    /// Apply one area-tape entry. Cracks split exactly at the
+    /// predicate's bounds — a pure function of the array state, so
+    /// sibling chunks replaying the same tape stay bit-identical; the
+    /// §3.5 update entries ripple one tuple in or out, reading the
+    /// inserted tuple's head/tail values from the base columns
+    /// (`head_col`, `tail_col`).
+    pub fn apply(&mut self, entry: &AreaEntry, head_col: &Column, tail_col: &Column) {
         match *entry {
             AreaEntry::Crack(pred) => {
-                self.with_array(|a| {
-                    a.crack_range_with(&pred, policy);
-                });
+                self.crack_range(&pred);
             }
             AreaEntry::Insert(key) => {
                 self.with_array(|a| a.ripple_insert(head_col.get(key), tail_col.get(key)));
@@ -184,20 +176,18 @@ impl Chunk {
         }
     }
 
-    /// Replay tape entries `[cursor, target)` under `policy` — *partial
-    /// alignment*.
+    /// Replay tape entries `[cursor, target)` — *partial alignment*.
     pub fn align_to(
         &mut self,
         tape: &[AreaEntry],
         target: usize,
-        policy: &CrackPolicy,
         head_col: &Column,
         tail_col: &Column,
     ) -> usize {
         let mut replayed = 0;
         while self.cursor < target.min(tape.len()) {
             let entry = tape[self.cursor];
-            self.apply(&entry, policy, head_col, tail_col);
+            self.apply(&entry, head_col, tail_col);
             self.cursor += 1;
             replayed += 1;
         }
@@ -206,37 +196,28 @@ impl Chunk {
 
     /// Monitored alignment (§4.1 "Partial Alignment"): keep replaying
     /// entries until all `needed` boundaries exist or the tape ends.
-    /// Returns `(entries_replayed, still_missing)`. (Under the
-    /// coarse-granular policy the boundaries may never appear; the
-    /// caller then cracks — or filters — per the policy's contract.)
+    /// Returns `(entries_replayed, still_missing)`; the caller cracks
+    /// when boundaries are still missing.
     pub fn align_until_boundaries(
         &mut self,
         tape: &[AreaEntry],
         needed: &[BoundaryKey],
-        policy: &CrackPolicy,
         head_col: &Column,
         tail_col: &Column,
     ) -> (usize, bool) {
         let mut replayed = 0;
         while !self.has_boundaries(needed) && self.cursor < tape.len() {
             let entry = tape[self.cursor];
-            self.apply(&entry, policy, head_col, tail_col);
+            self.apply(&entry, head_col, tail_col);
             self.cursor += 1;
             replayed += 1;
         }
         (replayed, !self.has_boundaries(needed))
     }
 
-    /// Crack the chunk by `pred` (standard policy) and return the
-    /// qualifying local range.
+    /// Crack the chunk by `pred` and return the qualifying local range.
     pub fn crack_range(&mut self, pred: &RangePred) -> (usize, usize) {
         self.with_array(|a| a.crack_range(pred))
-    }
-
-    /// Policy-aware crack: the returned [`Span`] is inexact when the
-    /// coarse-granular policy declined to split a leaf piece.
-    pub fn crack_range_with(&mut self, pred: &RangePred, policy: &CrackPolicy) -> Span {
-        self.with_array(|a| a.crack_range_with(pred, policy))
     }
 
     /// The qualifying local range for `pred` assuming all its boundaries
@@ -270,8 +251,6 @@ impl Chunk {
 mod tests {
     use super::*;
     use crackdb_cracking::crack::BoundKind;
-
-    const STD: CrackPolicy = CrackPolicy::Standard;
 
     fn chunk() -> Chunk {
         Chunk::seed(
@@ -307,10 +286,10 @@ mod tests {
         let mut a = chunk();
         let mut b = chunk();
         // a applies entries as queries; b aligns later.
-        a.apply(&tape[0], &STD, &nc, &nc);
-        a.apply(&tape[1], &STD, &nc, &nc);
+        a.apply(&tape[0], &nc, &nc);
+        a.apply(&tape[1], &nc, &nc);
         a.cursor = 2;
-        let replayed = b.align_to(&tape, 2, &STD, &nc, &nc);
+        let replayed = b.align_to(&tape, 2, &nc, &nc);
         assert_eq!(replayed, 2);
         assert_eq!(a.head().unwrap(), b.head().unwrap());
         assert_eq!(a.tail(), b.tail());
@@ -328,7 +307,7 @@ mod tests {
         // Boundary for "A > 8" appears in entry 1; alignment must stop
         // after applying it, leaving entry 2 unapplied.
         let needed = [(8, BoundKind::Le)];
-        let (replayed, missing) = c.align_until_boundaries(&tape, &needed, &STD, &nc, &nc);
+        let (replayed, missing) = c.align_until_boundaries(&tape, &needed, &nc, &nc);
         assert_eq!(replayed, 2);
         assert!(!missing);
         assert_eq!(c.cursor, 2);
@@ -340,7 +319,7 @@ mod tests {
         let nc = no_col();
         let mut c = chunk();
         let needed = [(100, BoundKind::Lt)];
-        let (_, missing) = c.align_until_boundaries(&tape, &needed, &STD, &nc, &nc);
+        let (_, missing) = c.align_until_boundaries(&tape, &needed, &nc, &nc);
         assert!(missing);
         assert_eq!(c.cursor, 1);
     }
@@ -362,8 +341,8 @@ mod tests {
         ];
         let mut a = chunk();
         let mut b = chunk();
-        a.align_to(&tape, 3, &STD, &head_col, &tail_col);
-        b.align_to(&tape, 3, &STD, &head_col, &tail_col);
+        a.align_to(&tape, 3, &head_col, &tail_col);
+        b.align_to(&tape, 3, &head_col, &tail_col);
         assert_eq!(a.head().unwrap(), b.head().unwrap());
         assert_eq!(a.tail(), b.tail());
         assert_eq!(a.len(), 7); // 7 original + 1 insert - 1 delete

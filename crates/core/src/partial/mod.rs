@@ -66,7 +66,7 @@ use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
-use crackdb_cracking::{BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex, SeedPlan};
+use crackdb_cracking::{BoundaryKey, CrackedArray, CrackerIndex, SeedPlan};
 use resident::Resident;
 use spill::SpillSlot;
 use std::collections::{HashMap, HashSet};
@@ -84,8 +84,8 @@ type CheckedOutArea = (Vec<(usize, Chunk)>, Vec<AreaEntry>);
 /// chunk of the area replays during alignment (§3.5 applied per chunk).
 #[derive(Debug, Clone, Copy)]
 pub enum AreaEntry {
-    /// A chunk-level crack. Replay runs it under the set's fixed policy,
-    /// so sibling chunks and recreations stay bit-aligned.
+    /// A chunk-level crack at the predicate's bounds. Replay runs it
+    /// again, so sibling chunks and recreations stay bit-aligned.
     Crack(RangePred),
     /// Tuple `key` (appended to the base table) ripple-inserted into the
     /// area; replaying chunks read its values from the base columns.
@@ -240,10 +240,6 @@ pub struct PartialSet {
     /// When set, chunks whose largest piece is at most this many tuples
     /// drop their head column after use (§4.1 head dropping).
     pub head_drop_threshold: Option<usize>,
-    /// The pivot-choice policy shared by the chunk map, every chunk and
-    /// the per-area resolvers, fixed for the set's life: every area-tape
-    /// crack is made and replayed under it.
-    policy: CrackPolicy,
     /// Counters.
     pub stats: PartialStats,
     /// Optional disk tier: evicted chunks spill here and reload on
@@ -259,14 +255,8 @@ pub struct PartialSet {
 }
 
 impl PartialSet {
-    /// Empty partial set for `head_attr`, cracking with the standard
-    /// exact-bounds policy.
+    /// Empty partial set for `head_attr`.
     pub fn new(head_attr: usize) -> Self {
-        Self::with_policy(head_attr, CrackPolicy::Standard)
-    }
-
-    /// Like [`Self::new`] with an explicit [`CrackPolicy`].
-    pub fn with_policy(head_attr: usize, policy: CrackPolicy) -> Self {
         PartialSet {
             head_attr,
             chunk_map: None,
@@ -277,7 +267,6 @@ impl PartialSet {
             budget: None,
             clock: 0,
             head_drop_threshold: None,
-            policy,
             stats: PartialStats::default(),
             spill: None,
             tape_scratch: Vec::new(),
@@ -295,11 +284,6 @@ impl PartialSet {
     /// `true` when a spill tier is attached.
     pub fn spill_enabled(&self) -> bool {
         self.spill.is_some()
-    }
-
-    /// The set's pivot-choice policy.
-    pub fn policy(&self) -> CrackPolicy {
-        self.policy
     }
 
     /// Rows of a `rows`-tuple base the chunk map's seed leaves out:
@@ -475,7 +459,7 @@ impl PartialSet {
             let head = base.column(self.head_attr).try_contiguous()?;
             let keys: Vec<RowId> = (0..head.len() as RowId).collect();
             let dead = self.seed_exclusions(head.len());
-            let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred, &self.policy));
+            let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred));
             let cm = CrackedArray::seeded(&head, &keys, &dead, plan.as_ref());
             // The cuts of a fused first touch belong to the crack that
             // would have made them.
@@ -494,9 +478,7 @@ impl PartialSet {
 
     /// Crack the chunk map at the predicate's cut points, but only inside
     /// unfetched areas (fetched areas are frozen; their chunks get
-    /// cracked instead). The set's policy applies: the coarse-granular
-    /// policy declines to split areas at or below its leaf size — the
-    /// query then filters inside the chunks.
+    /// cracked instead).
     fn crack_chunk_map_for(&mut self, pred: &RangePred) {
         let (lo_k, hi_k) = pred_keys(pred);
         for key in [lo_k, hi_k].into_iter().flatten() {
@@ -513,7 +495,7 @@ impl PartialSet {
                 // INVARIANT: same — ensured by every public entry path.
                 let cm = self.chunk_map.as_mut().expect("chunk map ensured");
                 let before = cm.index().len();
-                cm.crack_boundary(key, &self.policy);
+                cm.ensure_boundary(key);
                 self.stats.chunk_map_cracks += (cm.index().len() - before) as u64;
             }
         }
@@ -641,11 +623,11 @@ impl PartialSet {
             cursor: 0,
         });
         // Catch the resolver up with cracks logged since the last merge
-        // (replayed under the set's policy, like every sibling chunk).
+        // (replayed like every sibling chunk).
         while resolver.cursor < info.tape.len() {
             match info.tape[resolver.cursor] {
                 AreaEntry::Crack(pred) => {
-                    resolver.arr.crack_range_with(&pred, &self.policy);
+                    resolver.arr.crack_range(&pred);
                 }
                 AreaEntry::Insert(key) => {
                     resolver.arr.ripple_insert(head_col.get(key), key);
@@ -907,7 +889,7 @@ impl PartialSet {
         let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
         tail_col.try_gather(keys.iter().copied(), |v| tail.push(v))?;
         let mut tmp = Chunk::seed(head, tail, None);
-        tmp.align_to(tape, cursor, &self.policy, head_col, tail_col);
+        tmp.align_to(tape, cursor, head_col, tail_col);
         self.stats.heads_recovered += 1;
         // INVARIANT: Chunk::seed is constructed with a head column and
         // align_to never drops it.
@@ -1147,7 +1129,7 @@ impl PartialSet {
                 c.restore_head(head);
             }
             self.stats.entries_replayed +=
-                c.align_to(tape, target, &self.policy, head_col, base.column(*attr)) as u64;
+                c.align_to(tape, target, head_col, base.column(*attr)) as u64;
         }
         Ok(())
     }
@@ -1254,7 +1236,7 @@ impl PartialSet {
     }
 
     /// Crack the aligned chunks of one area where the predicate needs
-    /// it, filter, and hand on the projections.
+    /// it, filter by the tail predicates, and hand on the projections.
     #[allow(clippy::too_many_arguments)]
     fn answer_area<F: FnMut(Block<'_>)>(
         &mut self,
@@ -1269,14 +1251,11 @@ impl PartialSet {
     ) -> Result<(), StorageError> {
         let needed = Self::keys_inside(head_pred, area);
         let head_col = base.column(self.head_attr);
-        let policy = self.policy;
 
         // Boundary handling with monitored alignment: replay further
-        //    entries until the needed boundaries appear; crack (under the
-        //    set's policy, logged on the tape) only if the tape never
-        //    provides them.
+        //    entries until the needed boundaries appear; crack (logged on
+        //    the tape) only if the tape never provides them.
         let mut range = (0, chunks.first().map_or(0, |(_, c)| c.len()));
-        let mut exact = true;
         if !needed.is_empty() {
             let mut missing = false;
             for (attr, c) in chunks.iter_mut() {
@@ -1285,86 +1264,49 @@ impl PartialSet {
                     c.restore_head(head);
                 }
                 let (replayed, m) =
-                    c.align_until_boundaries(tape, &needed, &policy, head_col, base.column(*attr));
+                    c.align_until_boundaries(tape, &needed, head_col, base.column(*attr));
                 self.stats.entries_replayed += replayed as u64;
                 missing = m;
             }
             if missing {
-                // Every chunk is now at the tape end; crack them all with
-                // the same policy (deterministically identical outcomes).
-                let mut changed = false;
+                // Every chunk is now at the tape end; crack them all
+                // (deterministically identical outcomes) and log the
+                // crack, which records the missing boundaries.
                 for (attr, c) in chunks.iter_mut() {
                     if c.head_dropped() {
                         let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
                         c.restore_head(head);
                     }
-                    let before = c.index().len();
-                    c.crack_range_with(head_pred, &policy);
-                    if c.index().len() > before {
-                        changed = true;
-                    }
+                    c.crack_range(head_pred);
                     self.stats.query_cracks += 1;
                 }
-                // Log only cracks that created boundaries — a declined
-                // coarse-granular split must not grow the tape on every
-                // repeat of the same query.
-                if changed {
-                    let info = self.area_info(area.id);
-                    info.tape.push(AreaEntry::Crack(*head_pred));
-                    let new_len = info.tape.len();
-                    for (_, c) in chunks.iter_mut() {
-                        c.cursor = new_len;
-                    }
+                let info = self.area_info(area.id);
+                info.tape.push(AreaEntry::Crack(*head_pred));
+                let new_len = info.tape.len();
+                for (_, c) in chunks.iter_mut() {
+                    c.cursor = new_len;
                 }
             }
             range = chunks[0].1.range_of(head_pred);
-            exact = chunks[0].1.has_boundaries(&needed);
             for (_, c) in chunks.iter() {
                 debug_assert_eq!(c.range_of(head_pred), range, "aligned chunks agree");
             }
         }
 
-        // Head filter for an inexact (coarse-granular) range: the range
-        // is a superset delimited by leaf pieces, so qualifying tuples
-        // are identified by the head values. The heads were restored
-        // above (an inexact range implies the missing-crack path ran).
-        let head_bv = if exact {
-            None
-        } else {
-            let heads = chunks[0]
-                .1
-                .head()
-                // INVARIANT: an inexact range means the missing-crack
-                // path above ran (coarse-granular declined a split), and
-                // that path restores every dropped head before cracking.
-                .expect("head restored for the policy crack");
-            let heads = &heads[range.0..range.1];
-            Some(BitVec::from_fn(heads.len(), |i| {
-                head_pred.matches(heads[i])
-            }))
-        };
-
         // Bit-vector filtering over the qualifying local range.
-        let bv = if tail_sels.is_empty() {
-            head_bv
-        } else {
-            let mut bv: Option<BitVec> = head_bv;
-            for (attr, pred) in tail_sels {
-                // `attrs` contains every selection attribute, so the
-                // checkout returned a chunk for each.
-                let Some((_, c)) = chunks.iter().find(|(a, _)| a == attr) else {
-                    continue;
-                };
-                let tails = &c.tail()[range.0..range.1];
-                match &mut bv {
-                    None => {
-                        bv = Some(BitVec::from_fn(tails.len(), |i| pred.matches(tails[i])));
-                    }
-                    Some(bv) => bv.refine(|i| pred.matches(tails[i])),
-                }
+        let mut bv: Option<BitVec> = None;
+        for (attr, pred) in tail_sels {
+            // `attrs` contains every selection attribute, so the
+            // checkout returned a chunk for each.
+            let Some((_, c)) = chunks.iter().find(|(a, _)| a == attr) else {
+                continue;
+            };
+            let tails = &c.tail()[range.0..range.1];
+            match &mut bv {
+                None => bv = Some(BitVec::from_fn(tails.len(), |i| pred.matches(tails[i]))),
+                Some(bv) => bv.refine(|i| pred.matches(tails[i])),
             }
-            bv
-        };
+        }
 
         // One block per projection: the qualifying local range.
         for &p in projs {

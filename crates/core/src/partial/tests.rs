@@ -477,45 +477,43 @@ fn projection_equals_selection_attribute() {
 /// that crack's, and staged deletions are subsumed by the seed.
 #[test]
 fn chunk_map_first_touch_matches_copy_then_crack() {
-    use crackdb_cracking::policy::PREPARTITION_MIN_PIECE;
+    use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
     let n = PREPARTITION_MIN_PIECE + 77;
     let t = table(2, n, 1_000_000, 0x5EED);
-    for policy in [CrackPolicy::Standard, CrackPolicy::coarse()] {
-        let mut s = PartialSet::with_policy(0, policy);
-        let dead = [5u32, 6, 6, n as u32 - 1];
-        for k in dead {
-            s.stage_delete(t.column(0).get(k), k);
-        }
-        let pred = RangePred::open(250_000, 260_000);
-        let got = collect(&mut s, &t, &pred, &[], &[1]);
-
-        let live = |k: &u32| !dead.contains(k);
-        let keys: Vec<u32> = (0..n as u32).filter(live).collect();
-        let head = keys.iter().map(|&k| t.column(0).get(k)).collect();
-        let mut want = CrackedArray::new(head, keys);
-        let (lo, hi) = pred_keys(&pred);
-        for key in [lo, hi].into_iter().flatten() {
-            want.crack_boundary(key, &policy);
-        }
-        let cm = s.chunk_map.as_ref().unwrap();
-        assert!(cm.head() == want.head() && cm.tail() == want.tail());
-        assert_eq!(
-            cm.index().boundaries_with_status(),
-            want.index().boundaries_with_status()
-        );
-        assert_eq!(cm.touched(), want.touched());
-        assert_eq!(s.stats.chunk_map_cracks, want.index().len() as u64);
-        assert_eq!(s.staged(), 0);
-
-        let (s0, e0) = (
-            want.index().position_of(lo.unwrap()),
-            want.index().position_of(hi.unwrap()),
-        );
-        let area = want.view((s0.unwrap(), e0.unwrap()));
-        let mut expect: Vec<Val> = area.1.iter().map(|&k| t.column(1).get(k)).collect();
-        expect.sort_unstable();
-        assert_same(got, vec![(1, expect)]);
+    let mut s = PartialSet::new(0);
+    let dead = [5u32, 6, 6, n as u32 - 1];
+    for k in dead {
+        s.stage_delete(t.column(0).get(k), k);
     }
+    let pred = RangePred::open(250_000, 260_000);
+    let got = collect(&mut s, &t, &pred, &[], &[1]);
+
+    let live = |k: &u32| !dead.contains(k);
+    let keys: Vec<u32> = (0..n as u32).filter(live).collect();
+    let head = keys.iter().map(|&k| t.column(0).get(k)).collect();
+    let mut want = CrackedArray::new(head, keys);
+    let (lo, hi) = pred_keys(&pred);
+    for key in [lo, hi].into_iter().flatten() {
+        want.ensure_boundary(key);
+    }
+    let cm = s.chunk_map.as_ref().unwrap();
+    assert!(cm.head() == want.head() && cm.tail() == want.tail());
+    assert_eq!(
+        cm.index().boundaries_with_status(),
+        want.index().boundaries_with_status()
+    );
+    assert_eq!(cm.touched(), want.touched());
+    assert_eq!(s.stats.chunk_map_cracks, want.index().len() as u64);
+    assert_eq!(s.staged(), 0);
+
+    let (s0, e0) = (
+        want.index().position_of(lo.unwrap()),
+        want.index().position_of(hi.unwrap()),
+    );
+    let area = want.view((s0.unwrap(), e0.unwrap()));
+    let mut expect: Vec<Val> = area.1.iter().map(|&k| t.column(1).get(k)).collect();
+    expect.sort_unstable();
+    assert_same(got, vec![(1, expect)]);
 }
 
 /// The whole-index walk `overlapping_areas` used to make: every area of

@@ -8,7 +8,7 @@ use crate::tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{CrackPolicy, CrackedArray, CrackerIndex, SeedPlan, Span};
+use crackdb_cracking::{CrackedArray, CrackerIndex, SeedPlan};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
@@ -46,29 +46,14 @@ pub struct MapSet {
     /// prepartitioning crack and shared by every sibling seeded after
     /// it: the snapshot and tape entry 0 never change.
     seed_plan: Option<SeedPlan>,
-    /// The pivot-choice policy every map of the set cracks and replays
-    /// under, fixed for the set's life: siblings and future recreations
-    /// replaying the tape crack identically.
-    policy: CrackPolicy,
     /// Counters.
     pub stats: SetStats,
 }
 
 impl MapSet {
     /// Create the (empty) set for `head_attr` over a base table snapshot:
-    /// `initial_len` rows of which `excluded` are already deleted,
-    /// cracking with the standard exact-bounds policy.
+    /// `initial_len` rows of which `excluded` are already deleted.
     pub fn new(head_attr: usize, initial_len: usize, excluded: HashSet<RowId>) -> Self {
-        Self::with_policy(head_attr, initial_len, excluded, CrackPolicy::Standard)
-    }
-
-    /// Like [`Self::new`] with an explicit [`CrackPolicy`].
-    pub fn with_policy(
-        head_attr: usize,
-        initial_len: usize,
-        excluded: HashSet<RowId>,
-        policy: CrackPolicy,
-    ) -> Self {
         let mut initial_excluded: Vec<RowId> = excluded
             .into_iter()
             .filter(|&k| (k as usize) < initial_len)
@@ -84,14 +69,8 @@ impl MapSet {
             initial_len,
             initial_excluded,
             seed_plan: None,
-            policy,
             stats: SetStats::default(),
         }
-    }
-
-    /// The set's pivot-choice policy.
-    pub fn policy(&self) -> CrackPolicy {
-        self.policy
     }
 
     /// Does a map for `tail_attr` currently exist?
@@ -281,8 +260,8 @@ impl MapSet {
             } else {
                 None
             };
-            self.seed_plan = first
-                .and_then(|pred| SeedPlan::new(head, &self.initial_excluded, &pred, &self.policy));
+            self.seed_plan =
+                first.and_then(|pred| SeedPlan::new(head, &self.initial_excluded, &pred));
         }
         CrackedArray::seeded(head, tail, &self.initial_excluded, self.seed_plan.as_ref())
     }
@@ -313,7 +292,7 @@ impl MapSet {
         while km.cursor < target {
             match *self.tape.entry(km.cursor) {
                 TapeEntry::Crack(pred) => {
-                    km.crack(&pred, &self.policy);
+                    km.crack(&pred);
                 }
                 TapeEntry::Inserts(id) => {
                     for &key in &self.tape.insert_batches[id as usize].keys {
@@ -356,7 +335,7 @@ impl MapSet {
         while m.cursor < target {
             match *self.tape.entry(m.cursor) {
                 TapeEntry::Crack(pred) => {
-                    m.crack(&pred, &self.policy);
+                    m.crack(&pred);
                 }
                 TapeEntry::Inserts(id) => {
                     let tail_col = base.column(m.tail_attr);
@@ -401,25 +380,16 @@ impl MapSet {
     // ----- the sideways.select operator family ------------------------
 
     /// `sideways.select(A, v1, v2, B)` (§3.2): create the map if missing,
-    /// merge relevant staged updates, align, crack by `pred` (under the
-    /// set's policy), log the crack, and return the contiguous area.
-    ///
-    /// Under [`CrackPolicy::CoarseGranular`] the area may be a superset
-    /// of the qualifying tuples; use [`Self::sideways_select_filtered`]
-    /// when exact membership matters. View the area's values with
-    /// [`Self::map`] + `arr.view(range)`.
+    /// merge relevant staged updates, align, crack by `pred`, log the
+    /// crack, and return the contiguous area: every tuple in it
+    /// qualifies. View the area's values with [`Self::map`] +
+    /// `arr.view(range)`.
     pub fn sideways_select(
         &mut self,
         base: &Table,
         tail_attr: usize,
         pred: &RangePred,
     ) -> (usize, usize) {
-        self.sideways_select_span(base, tail_attr, pred).range()
-    }
-
-    /// The policy-aware core of [`Self::sideways_select`], returning the
-    /// full [`Span`] (with exactness).
-    fn sideways_select_span(&mut self, base: &Table, tail_attr: usize, pred: &RangePred) -> Span {
         self.flush_staged(pred, base);
         let (mut m, late) = match self.maps.remove(&tail_attr) {
             Some(m) => (m, false),
@@ -428,7 +398,7 @@ impl MapSet {
         let target = self.tape.len();
         self.align_map(&mut m, target, base);
         let before = self.boundaries_before_crack(m.arr.index().len());
-        let span = m.crack(pred, &self.policy);
+        let range = m.crack(pred);
         if m.arr.index().len() > before {
             self.tape.log_crack(*pred);
             self.stats.query_cracks += 1;
@@ -439,47 +409,21 @@ impl MapSet {
         if late {
             debug_assert_eq!(self.check_aligned(), Ok(()));
         }
-        span
-    }
-
-    /// [`Self::sideways_select`] plus the qualifying-bit vector a
-    /// non-exact span needs: `None` when every tuple in the area
-    /// qualifies (the standard policy, or coarse-granular with matching
-    /// boundaries), `Some(bv)` over the area otherwise
-    /// (bits derived from the map's head values).
-    pub fn sideways_select_filtered(
-        &mut self,
-        base: &Table,
-        tail_attr: usize,
-        pred: &RangePred,
-    ) -> ((usize, usize), Option<BitVec>) {
-        let span = self.sideways_select_span(base, tail_attr, pred);
-        if span.exact {
-            (span.range(), None)
-        } else {
-            let bv = self.maps[&tail_attr].head_filter_bv(span.range(), pred);
-            (span.range(), Some(bv))
-        }
+        range
     }
 
     /// Tail values of a previously selected area.
     pub fn view_tail(&self, tail_attr: usize, range: (usize, usize)) -> &[Val] {
-        // INVARIANT: ranges only come from sideways_select(_filtered),
+        // INVARIANT: ranges only come from sideways_select,
         // which materializes the map before returning.
         let m = self.maps.get(&tail_attr).expect("map exists after select");
         m.arr.view(range).1
     }
 
-    /// [`Self::sideways_select_filtered`] over the key map, for plans with
-    /// nothing to reconstruct: the qualifying area (its length is the
-    /// answer's cardinality) and, for an inexact coarse-granular span, the
-    /// head-filter bit vector over it. The area's keys are
-    /// `key_map().arr.view(range).1`.
-    pub fn select_key_area(
-        &mut self,
-        base: &Table,
-        pred: &RangePred,
-    ) -> ((usize, usize), Option<BitVec>) {
+    /// [`Self::sideways_select`] over the key map, for plans with nothing
+    /// to reconstruct: the qualifying area, whose length is the answer's
+    /// cardinality. The area's keys are `key_map().arr.view(range).1`.
+    pub fn select_key_area(&mut self, base: &Table, pred: &RangePred) -> (usize, usize) {
         self.flush_staged(pred, base);
         let late = self.key_map.is_none();
         let target = self.tape.len();
@@ -487,20 +431,18 @@ impl MapSet {
         // INVARIANT: align_key_map_to always leaves `key_map` populated.
         let mut km = self.key_map.take().expect("aligned above");
         let before = self.boundaries_before_crack(km.arr.index().len());
-        let span = km.crack(pred, &self.policy);
+        let range = km.crack(pred);
         if km.arr.index().len() > before {
             self.tape.log_crack(*pred);
             self.stats.query_cracks += 1;
         }
         km.cursor = self.tape.len();
         km.accesses += 1;
-        let heads = km.arr.view(span.range()).0;
-        let bv = (!span.exact).then(|| BitVec::from_fn(heads.len(), |i| pred.matches(heads[i])));
         self.key_map = Some(km);
         if late {
             debug_assert_eq!(self.check_aligned(), Ok(()));
         }
-        (span.range(), bv)
+        range
     }
 
     /// `sideways.select_create_bv` (§3.3): select on the head predicate,
@@ -513,16 +455,9 @@ impl MapSet {
         head_pred: &RangePred,
         tail_pred: &RangePred,
     ) -> ((usize, usize), BitVec) {
-        let (range, head_bv) = self.sideways_select_filtered(base, tail_attr, head_pred);
+        let range = self.sideways_select(base, tail_attr, head_pred);
         let tails = self.view_tail(tail_attr, range);
-        let bv = match head_bv {
-            None => BitVec::from_fn(tails.len(), |i| tail_pred.matches(tails[i])),
-            // Inexact head span (coarse-granular): AND the head filter in.
-            Some(mut bv) => {
-                bv.refine(|i| tail_pred.matches(tails[i]));
-                bv
-            }
-        };
+        let bv = BitVec::from_fn(tails.len(), |i| tail_pred.matches(tails[i]));
         (range, bv)
     }
 
@@ -602,27 +537,17 @@ impl MapSet {
         // inserted tuple missing from the map entirely, or a deleted one
         // still contributing bits through its tail values.
         self.flush_staged(&RangePred::all(), base);
-        let (range, head_bv) = self.sideways_select_filtered(base, tail_attr, head_pred);
+        let range = self.sideways_select(base, tail_attr, head_pred);
         let n = self.maps[&tail_attr].arr.len();
         let mut bv = BitVec::zeros(n);
-        match head_bv {
-            // Exact span: a word-level range fill, not one set() per bit.
-            None => bv.set_range(range.0, range.1),
-            // Inexact head span: mark only the actually qualifying bits.
-            Some(hbv) => {
-                for i in hbv.iter_ones() {
-                    bv.set(range.0 + i);
-                }
-            }
-        }
+        // A word-level range fill, not one set() per bit.
+        bv.set_range(range.0, range.1);
         (range, bv)
     }
 
     /// Disjunctive refinement: scan the still-unset positions and set
-    /// bits of tuples whose tail value satisfies `tail_pred`. (With an
-    /// exact head span this visits exactly the areas outside the cracked
-    /// area `w`, as in §3.3; with a coarse-granular inexact span it also
-    /// re-examines the non-qualifying remainder of the leaf pieces.)
+    /// bits of tuples whose tail value satisfies `tail_pred`: exactly the
+    /// areas outside the cracked area `w`, as in §3.3.
     pub fn disj_refine_bv(
         &mut self,
         base: &Table,
@@ -844,8 +769,7 @@ mod tests {
         let base = fig2_table();
         let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
         let pred = RangePred::open(2, 7);
-        let (range, bv) = s.select_key_area(&base, &pred);
-        assert_eq!(bv, None, "standard cracking leaves an exact area");
+        let range = s.select_key_area(&base, &pred);
         let mut keys = s.key_map().unwrap().arr.view(range).1.to_vec();
         keys.sort_unstable();
         let expected = crackdb_columnstore::ops::select::select(base.column(0), &pred);
@@ -961,77 +885,61 @@ mod tests {
         t
     }
 
-    /// Sibling maps must stay physically aligned under every policy —
-    /// including coarse-granular declined splits — and produce
+    /// Sibling maps must stay physically aligned and produce
     /// scan-identical answers, with updates interleaved.
     #[test]
-    fn maps_stay_aligned_and_correct_under_every_policy() {
-        let policies = [
-            CrackPolicy::Standard,
-            CrackPolicy::CoarseGranular { min_piece: 8 },
-            CrackPolicy::CoarseGranular { min_piece: 1 << 20 },
-        ];
-        for policy in policies {
-            let mut seed = 99u64;
-            let mut next = |m: i64| -> i64 {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((seed >> 33) as i64).rem_euclid(m)
-            };
-            let n = 3000usize;
-            let mut base = Table::new();
-            base.add_column("a", Column::new((0..n).map(|_| next(1000)).collect()));
-            base.add_column("b", Column::new((0..n as Val).collect()));
-            base.add_column("c", Column::new((0..n as Val).map(|v| v * 2).collect()));
-            let mut s = MapSet::with_policy(0, n, HashSet::new(), policy);
-            assert_eq!(s.policy(), policy);
-            let mut tombstones: Vec<RowId> = Vec::new();
-            for q in 0..25 {
-                let lo = next(950);
-                let pred = RangePred::open(lo, lo + 50);
-                if q % 5 == 4 {
-                    let key = base.append_row(&[next(1000), 10_000 + q, 20_000 + q]);
-                    s.stage_insert(key);
-                    let victim = (q % 7) as RowId;
-                    if !tombstones.contains(&victim) {
-                        s.stage_delete(base.column(0).get(victim), victim);
-                        tombstones.push(victim);
-                    }
+    fn maps_stay_aligned_and_correct() {
+        let mut seed = 99u64;
+        let mut next = |m: i64| -> i64 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) as i64).rem_euclid(m)
+        };
+        let n = 3000usize;
+        let mut base = Table::new();
+        base.add_column("a", Column::new((0..n).map(|_| next(1000)).collect()));
+        base.add_column("b", Column::new((0..n as Val).collect()));
+        base.add_column("c", Column::new((0..n as Val).map(|v| v * 2).collect()));
+        let mut s = MapSet::new(0, n, HashSet::new());
+        let mut tombstones: Vec<RowId> = Vec::new();
+        for q in 0..25 {
+            let lo = next(950);
+            let pred = RangePred::open(lo, lo + 50);
+            if q % 5 == 4 {
+                let key = base.append_row(&[next(1000), 10_000 + q, 20_000 + q]);
+                s.stage_insert(key);
+                let victim = (q % 7) as RowId;
+                if !tombstones.contains(&victim) {
+                    s.stage_delete(base.column(0).get(victim), victim);
+                    tombstones.push(victim);
                 }
-                // Alternate which map cracks first; the other aligns.
-                let (first, second) = if q % 2 == 0 { (1, 2) } else { (2, 1) };
-                let r1 = s.sideways_select(&base, first, &pred);
-                let r2 = s.sideways_select(&base, second, &pred);
-                assert_eq!(r1, r2, "{}: areas agree at query {q}", policy.label());
-                assert_eq!(
-                    s.map(1).unwrap().arr.head(),
-                    s.map(2).unwrap().arr.head(),
-                    "{}: heads aligned at query {q}",
-                    policy.label()
-                );
-                s.map(1).unwrap().arr.check_partitioning();
-                // Filtered select matches a scan of the live rows.
-                let (range, bv) = s.sideways_select_filtered(&base, 1, &pred);
-                let tails = s.view_tail(1, range);
-                let mut got: Vec<Val> = match bv {
-                    None => tails.to_vec(),
-                    Some(bv) => bv.iter_ones().map(|i| tails[i]).collect(),
-                };
-                got.sort_unstable();
-                let mut expected: Vec<Val> = (0..base.num_rows() as RowId)
-                    .filter(|k| !tombstones.contains(k))
-                    .filter(|&k| pred.matches(base.column(0).get(k)))
-                    .map(|k| base.column(1).get(k))
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(got, expected, "{}: query {q} results", policy.label());
             }
-            // The table is far below the prepartition threshold, so no
-            // policy injects advisory pivots.
-            let advisory = s.map(1).unwrap().arr.index().advisory_count();
-            assert_eq!(advisory, 0, "{}: no advisory pivots", policy.label());
+            // Alternate which map cracks first; the other aligns.
+            let (first, second) = if q % 2 == 0 { (1, 2) } else { (2, 1) };
+            let r1 = s.sideways_select(&base, first, &pred);
+            let r2 = s.sideways_select(&base, second, &pred);
+            assert_eq!(r1, r2, "areas agree at query {q}");
+            assert_eq!(
+                s.map(1).unwrap().arr.head(),
+                s.map(2).unwrap().arr.head(),
+                "heads aligned at query {q}"
+            );
+            s.map(1).unwrap().arr.check_partitioning();
+            // The area matches a scan of the live rows.
+            let mut got = s.view_tail(1, r1).to_vec();
+            got.sort_unstable();
+            let mut expected: Vec<Val> = (0..base.num_rows() as RowId)
+                .filter(|k| !tombstones.contains(k))
+                .filter(|&k| pred.matches(base.column(0).get(k)))
+                .map(|k| base.column(1).get(k))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(got, expected, "query {q} results");
         }
+        // The table is far below the prepartition threshold, so no
+        // advisory pivots appear.
+        assert_eq!(s.map(1).unwrap().arr.index().advisory_count(), 0);
     }
 
     #[test]

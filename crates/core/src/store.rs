@@ -9,7 +9,6 @@ use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::CrackPolicy;
 use std::collections::{HashMap, HashSet};
 
 /// Result handle of a conjunctive multi-selection: the chosen map set,
@@ -44,8 +43,6 @@ pub struct SidewaysStore {
     /// Value domain per attribute (for zero-knowledge estimates).
     domains: HashMap<usize, (Val, Val)>,
     default_domain: (Val, Val),
-    /// Pivot-choice policy handed to every map set created by the store.
-    policy: CrackPolicy,
     /// Storage budget in tuples across all maps (`None` = unlimited).
     pub budget: Option<usize>,
     /// Maps dropped by the storage manager (instrumentation).
@@ -60,24 +57,6 @@ impl SidewaysStore {
             default_domain,
             ..Default::default()
         }
-    }
-
-    /// Set the pivot-choice policy for all *future* map sets.
-    ///
-    /// # Panics
-    /// If any set already exists — a set's policy is fixed for its
-    /// lifetime (tape replay must stay deterministic).
-    pub fn set_policy(&mut self, policy: CrackPolicy) {
-        assert!(
-            self.sets.is_empty(),
-            "crack policy must be chosen before any map set exists"
-        );
-        self.policy = policy;
-    }
-
-    /// The store's pivot-choice policy.
-    pub fn policy(&self) -> CrackPolicy {
-        self.policy
     }
 
     /// Register a per-attribute value domain.
@@ -100,10 +79,9 @@ impl SidewaysStore {
         head_attr: usize,
         excluded: &HashSet<RowId>,
     ) -> &mut MapSet {
-        let policy = self.policy;
-        self.sets.entry(head_attr).or_insert_with(|| {
-            MapSet::with_policy(head_attr, base.num_rows(), excluded.clone(), policy)
-        })
+        self.sets
+            .entry(head_attr)
+            .or_insert_with(|| MapSet::new(head_attr, base.num_rows(), excluded.clone()))
     }
 
     /// Read access to a set.
@@ -262,8 +240,7 @@ impl SidewaysStore {
     }
 
     /// Single-selection, multi-projection query: hand `consume` one
-    /// block per projection attribute — the cracked area's tail values
-    /// (with the head filter as selection where the area is inexact).
+    /// block per projection attribute — the cracked area's tail values.
     pub fn select_project_blocks(
         &mut self,
         base: &Table,
@@ -276,9 +253,8 @@ impl SidewaysStore {
         self.reserve(base, sel_attr, projs);
         let s = self.ensure_set(base, sel_attr, excluded);
         for &p in projs {
-            // `head_bv` is set for an inexact (coarse-granular) area only.
-            let (range, head_bv) = s.sideways_select_filtered(base, p, pred);
-            consume(s.view_block(p, range, head_bv.as_ref()));
+            let range = s.sideways_select(base, p, pred);
+            consume(s.view_block(p, range, None));
         }
     }
 
@@ -324,22 +300,20 @@ impl SidewaysStore {
             // the sideways.select of every needed map now — the query
             // plan's selection phase contains one operator per map
             // (§3.2), so later reconstructions find the maps aligned.
-            // (A coarse-granular inexact area still carries its head
-            // filter so reconstructions stream only qualifying tuples;
-            // aligned maps share the area, so the filter is computed
-            // once — on the last map — not per alignment step.)
+            // The last map's select — the key map's when no map is
+            // needed — returns the area every aligned map shares.
             for &attr in needed.iter().rev().skip(1) {
                 s.sideways_select(base, attr, &head_pred);
             }
-            let (range, bv) = match needed.last() {
-                Some(&attr) => s.sideways_select_filtered(base, attr, &head_pred),
+            let range = match needed.last() {
+                Some(&attr) => s.sideways_select(base, attr, &head_pred),
                 None => s.select_key_area(base, &head_pred),
             };
             return ConjHandle {
                 set_attr,
                 head_pred,
                 range,
-                bv,
+                bv: None,
             };
         }
 
@@ -456,9 +430,6 @@ pub struct PartialStore {
     pub budget: Option<usize>,
     /// Head-drop policy forwarded to sets.
     pub head_drop_threshold: Option<usize>,
-    /// Pivot-choice policy handed to every partial set created by the
-    /// store.
-    policy: CrackPolicy,
     domains: HashMap<usize, (Val, Val)>,
     default_domain: (Val, Val),
     /// Every key deleted so far: sets created later must exclude them
@@ -526,24 +497,6 @@ impl PartialStore {
         acc
     }
 
-    /// Set the pivot-choice policy for all *future* partial sets.
-    ///
-    /// # Panics
-    /// If any set already exists — a set's policy is fixed for its
-    /// lifetime (area-tape replay must stay deterministic).
-    pub fn set_policy(&mut self, policy: CrackPolicy) {
-        assert!(
-            self.sets.is_empty(),
-            "crack policy must be chosen before any partial set exists"
-        );
-        self.policy = policy;
-    }
-
-    /// The store's pivot-choice policy.
-    pub fn policy(&self) -> CrackPolicy {
-        self.policy
-    }
-
     fn domain(&self, attr: usize) -> (Val, Val) {
         self.domains
             .get(&attr)
@@ -603,11 +556,10 @@ impl PartialStore {
             .sum();
         let budget = self.budget.map(|b| b.saturating_sub(other));
         let hd = self.head_drop_threshold;
-        let policy = self.policy;
         let deleted = &self.deleted;
         let spill_dir = &self.spill_dir;
         let s = self.sets.entry(head_attr).or_insert_with(|| {
-            let mut s = PartialSet::with_policy(head_attr, policy);
+            let mut s = PartialSet::new(head_attr);
             s.set_spill(
                 spill_dir
                     .as_ref()

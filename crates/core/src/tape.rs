@@ -11,10 +11,9 @@
 //! set merges pending insertions/deletions, the merged subset is recorded
 //! so every other map replays exactly the same update at the same point.
 //!
-//! A crack entry holds only its predicate: a set's
-//! [`CrackPolicy`](crackdb_cracking::CrackPolicy) is fixed when the set
-//! is built, so replay cracks under that same policy and stays
-//! bit-identical.
+//! A crack entry holds only its predicate: every map cracks exactly at
+//! the predicate's bounds, so replay reproduces each crack
+//! bit-identically.
 
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 

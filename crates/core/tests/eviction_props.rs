@@ -11,7 +11,6 @@ use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::partial::{retention_score, AreaId};
 use crackdb_core::{PartialSet, SpillTier};
-use crackdb_cracking::CrackPolicy;
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -230,20 +229,15 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
 /// deletes in between (chunk lengths change while checked out), under
 /// budgets from about one chunk to almost the whole working set, with
 /// and without a spill tier (over file-backed columns, so that chunks do
-/// spill), under every static policy, with and without head dropping.
+/// spill), with and without head dropping.
 #[test]
 fn eviction_index_names_the_scans_victim_after_every_op() {
-    let policies = [
-        CrackPolicy::Standard,
-        CrackPolicy::CoarseGranular { min_piece: 8 },
-        CrackPolicy::CoarseGranular { min_piece: 32 },
-    ];
     let (mut evictions, mut spills, mut merges) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE71C7 ^ case.wrapping_mul(0x9E3779B97F4A7C15));
         let rows = rng.gen_range(60..300usize);
         let mut model = Model::new(&mut rng, rows);
-        let mut set = PartialSet::with_policy(0, policies[(case % 3) as usize]);
+        let mut set = PartialSet::new(0);
         // A predicate covers up to half the domain, so a chunk holds up
         // to ~rows/2 tuples; the working set is TAILS maps of `rows`.
         let budget = match case % 4 {

@@ -16,7 +16,7 @@ use crackdb_columnstore::shard::{partition_table, ShardCuts};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::{MapSet, TapeEntry};
 use crackdb_cracking::crack::BoundKind;
-use crackdb_cracking::policy::PREPARTITION_MIN_PIECE;
+use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
 use crackdb_cracking::{active_kernel, CrackKernel, CrackedArray, SeedPlan};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -147,7 +147,7 @@ fn maps_merge_their_headroom_in_place() {
         for i in from..set.tape.len() {
             match *set.tape.entry(i) {
                 TapeEntry::Crack(pred) => {
-                    want.crack_range_with(&pred, &set.policy());
+                    want.crack_range(&pred);
                 }
                 TapeEntry::Inserts(id) => {
                     for &key in &set.tape.insert_batches[id as usize].keys {

@@ -254,15 +254,13 @@ fn histogram_bounds_hold() {
 }
 
 /// A spilled chunk round-trips into a replica that replays the rest of
-/// its area tape bit-identically under the set's policy, whichever it
-/// is: the spill format preserves everything replay depends on (cursor,
-/// index shell, access bookkeeping).
+/// its area tape bit-identically: the spill format preserves everything
+/// replay depends on (cursor, index shell, access bookkeeping).
 #[test]
-fn spill_reload_replays_tapes_bit_identically_under_each_policy() {
+fn spill_reload_replays_tapes_bit_identically() {
     use crackdb_core::partial::spill::{decode_chunk, encode_chunk};
     use crackdb_core::partial::Chunk;
     use crackdb_core::AreaEntry;
-    use crackdb_cracking::CrackPolicy;
 
     cases(0x5B111, |rng| {
         let head = vec_of(rng, 0, 200, 8, 120);
@@ -271,13 +269,6 @@ fn spill_reload_replays_tapes_bit_identically_under_each_policy() {
         let t = table(vec![head.clone(), tail.clone()]);
         let (head_col, tail_col) = (t.column(0), t.column(1));
 
-        // One policy per case, as a set fixes it for life.
-        let policies = [
-            CrackPolicy::Standard,
-            CrackPolicy::coarse(),
-            CrackPolicy::CoarseGranular { min_piece: 4 },
-        ];
-        let policy = policies[rng.gen_range(0usize..policies.len())];
         let tape: Vec<AreaEntry> = (0..rng.gen_range(2usize..12))
             .map(|_| AreaEntry::Crack(pred(rng.gen_range(0i64..200), rng.gen_range(0i64..80))))
             .collect();
@@ -285,7 +276,7 @@ fn spill_reload_replays_tapes_bit_identically_under_each_policy() {
         // Replay a prefix, then spill.
         let mut live = Chunk::seed(head.clone(), tail.clone(), None);
         let split = rng.gen_range(0usize..=tape.len());
-        live.align_to(&tape, split, &policy, head_col, tail_col);
+        live.align_to(&tape, split, head_col, tail_col);
         live.accesses = rng.gen_range(0u64..50);
         live.last_access = rng.gen_range(0u64..1000);
 
@@ -298,11 +289,11 @@ fn spill_reload_replays_tapes_bit_identically_under_each_policy() {
 
         // Both finish the tape; a reloaded chunk must be
         // indistinguishable from one that never left memory.
-        live.align_to(&tape, tape.len(), &policy, head_col, tail_col);
+        live.align_to(&tape, tape.len(), head_col, tail_col);
         if reloaded.head_dropped() {
             reloaded.restore_head(head.clone());
         }
-        reloaded.align_to(&tape, tape.len(), &policy, head_col, tail_col);
+        reloaded.align_to(&tape, tape.len(), head_col, tail_col);
         assert_eq!(reloaded.head(), live.head(), "replayed heads diverged");
         assert_eq!(reloaded.tail(), live.tail(), "replayed tails diverged");
         assert_eq!(reloaded.index().len(), live.index().len());

@@ -9,9 +9,9 @@
 //! returns a view ([`CrackedArea`]) whose head slice holds its values.
 
 use crate::cracked::CrackedArray;
-use crate::policy::{CrackPolicy, Span};
 use crackdb_columnstore::column::Column;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
+use std::ops::Range;
 
 /// A cracker column `C_A`: a copy of base column `A` as `(value, key)`
 /// pairs, physically reorganized by every selection, plus pending update
@@ -21,8 +21,6 @@ pub struct CrackerColumn {
     arr: CrackedArray<RowId>,
     pending_inserts: Vec<(Val, RowId)>,
     pending_deletes: Vec<(Val, RowId)>,
-    /// The pivot-choice policy every crack of this column runs under.
-    policy: CrackPolicy,
     /// Cumulative count of crack operations (for instrumentation).
     pub cracks: u64,
 }
@@ -38,54 +36,30 @@ pub struct CrackedArea<'a> {
     pub head: &'a [Val],
     /// The area's keys, position for position with `head`.
     pub tail: &'a [RowId],
-    /// The predicate the head values must still pass: `Some` only for an
-    /// inexact span ([`CrackPolicy::CoarseGranular`] declined a split).
-    pub filter: Option<RangePred>,
 }
 
 impl CrackedArea<'_> {
     /// The qualifying keys, copied out in area order.
     pub fn keys(&self) -> Vec<RowId> {
-        match &self.filter {
-            None => self.tail.to_vec(),
-            Some(pred) => self
-                .head
-                .iter()
-                .zip(self.tail)
-                .filter(|(&v, _)| pred.matches(v))
-                .map(|(_, &k)| k)
-                .collect(),
-        }
+        self.tail.to_vec()
     }
 }
 
 impl CrackerColumn {
     /// Create the cracker column by copying a base column (the paper's
-    /// "first time an attribute is required" step), cracking with the
-    /// standard exact-bounds policy.
+    /// "first time an attribute is required" step). The column is copied
+    /// before its first query is known, so this is a plain copy; the
+    /// first crack prepartitions it. Unlike a seeded map it reserves no
+    /// insert headroom: here spare capacity measured slower first
+    /// queries, from where the allocator placed the copy.
     pub fn from_column(col: &Column) -> Self {
-        Self::with_policy(col, CrackPolicy::Standard)
-    }
-
-    /// Create the cracker column with an explicit [`CrackPolicy`]. The
-    /// column is copied before its first query is known, so this is a
-    /// plain copy; the first crack prepartitions it. Unlike a seeded map
-    /// it reserves no insert headroom: here spare capacity measured
-    /// slower first queries, from where the allocator placed the copy.
-    pub fn with_policy(col: &Column, policy: CrackPolicy) -> Self {
         let keys: Vec<RowId> = (0..col.len() as RowId).collect();
         CrackerColumn {
             arr: CrackedArray::copied(col.values(), &keys, &[], 0),
             pending_inserts: Vec::new(),
             pending_deletes: Vec::new(),
-            policy,
             cracks: 0,
         }
-    }
-
-    /// The column's pivot-choice policy.
-    pub fn policy(&self) -> CrackPolicy {
-        self.policy
     }
 
     /// Cumulative tuples touched by the crack kernels (robustness
@@ -114,29 +88,28 @@ impl CrackerColumn {
     /// view. The key order is **not** the insertion order — the cause of
     /// expensive tuple reconstruction for every attribute but this one.
     pub fn crack_select(&mut self, pred: &RangePred) -> CrackedArea<'_> {
-        let span = self.crack_select_span(pred);
-        let (head, tail) = self.arr.view(span.range());
+        let Range { start, end } = self.crack_select_span(pred);
+        let (head, tail) = self.arr.view((start, end));
         CrackedArea {
-            range: span.range(),
+            range: (start, end),
             head,
             tail,
-            filter: (!span.exact).then_some(*pred),
         }
     }
 
     /// The crack behind [`Self::crack_select`], returning only the
-    /// [`Span`] (with exactness).
-    pub fn crack_select_span(&mut self, pred: &RangePred) -> Span {
+    /// positions of the qualifying area.
+    pub fn crack_select_span(&mut self, pred: &RangePred) -> Range<usize> {
         self.merge_pending(pred);
         let before = self.arr.index().len();
-        let span = self.arr.crack_range_with(pred, &self.policy);
+        let (start, end) = self.arr.crack_range(pred);
         self.cracks += (self.arr.index().len() - before) as u64;
-        span
+        start..end
     }
 
     /// [`Self::crack_select`] with the qualifying keys copied out, for
     /// plans that outlive the view (joins, disjunctions that crack the
-    /// column again). Correct under every policy.
+    /// column again).
     pub fn select_keys(&mut self, pred: &RangePred) -> Vec<RowId> {
         self.crack_select(pred).keys()
     }
@@ -229,62 +202,61 @@ mod tests {
         c.array().check_partitioning();
     }
 
+    /// Every cracker column cracks under the one exact-bounds policy.
+    /// Each predicate runs twice: the first round cracks new boundaries,
+    /// the second answers from the ones already in the index and must
+    /// not crack again.
     #[test]
     fn select_keys_correct_under_all_policies() {
         let col = base();
-        for policy in CrackPolicy::all() {
-            let mut c = CrackerColumn::with_policy(&col, policy);
-            assert_eq!(c.policy(), policy);
-            for pred in [
-                RangePred::open(5, 20),
-                RangePred::closed(5, 20),
-                RangePred::point(7),
-                RangePred::open(-5, 100),
-                RangePred::open(13, 14),
-            ] {
+        let mut c = CrackerColumn::from_column(&col);
+        let preds = [
+            RangePred::open(5, 20),
+            RangePred::closed(5, 20),
+            RangePred::point(7),
+            RangePred::open(-5, 100),
+            RangePred::open(13, 14),
+        ];
+        for round in 0..2 {
+            let cracks_before = c.cracks;
+            for pred in preds {
                 let mut got = c.select_keys(&pred);
                 got.sort_unstable();
                 let expected = crackdb_columnstore::ops::select::select(&col, &pred);
-                assert_eq!(got, expected, "policy {} pred {pred:?}", policy.label());
+                assert_eq!(got, expected, "round {round} pred {pred:?}");
+            }
+            if round == 1 {
+                assert_eq!(c.cracks, cracks_before, "repeated predicates cracked again");
             }
             c.array().check_partitioning();
         }
     }
 
-    /// The view is `select_keys` without the copy: same keys (an inexact
-    /// coarse span carries the filter that makes them so), same crack.
+    /// The view is `select_keys` without the copy: same keys, same
+    /// crack.
     #[test]
-    fn view_select_agrees_with_select_keys_under_all_policies() {
+    fn view_select_agrees_with_select_keys() {
         let col = Column::new((0..5000).map(|i| (i * 7919) % 1000).collect());
-        for policy in CrackPolicy::all() {
-            let mut viewed = CrackerColumn::with_policy(&col, policy);
-            let mut copied = CrackerColumn::with_policy(&col, policy);
-            for pred in [
-                RangePred::open(100, 400),
-                RangePred::closed(250, 260),
-                RangePred::point(7),
-                RangePred::open(13, 14),
-                RangePred::all(),
-                RangePred::open(600, 100),
-            ] {
-                let area = viewed.crack_select(&pred);
-                assert_eq!(area.head.len(), area.range.1 - area.range.0);
-                assert_eq!(area.tail.len(), area.head.len());
-                if area.filter.is_none() {
-                    assert!(area.head.iter().all(|&v| pred.matches(v)));
-                }
-                let keys = area.keys();
-                assert_eq!(
-                    keys,
-                    copied.select_keys(&pred),
-                    "policy {} pred {pred:?}",
-                    policy.label()
-                );
-                assert!(keys.iter().all(|&k| pred.matches(col.get(k))));
-                viewed.array().check_partitioning();
-            }
-            assert_eq!(viewed.touched(), copied.touched());
+        let mut viewed = CrackerColumn::from_column(&col);
+        let mut copied = CrackerColumn::from_column(&col);
+        for pred in [
+            RangePred::open(100, 400),
+            RangePred::closed(250, 260),
+            RangePred::point(7),
+            RangePred::open(13, 14),
+            RangePred::all(),
+            RangePred::open(600, 100),
+        ] {
+            let area = viewed.crack_select(&pred);
+            assert_eq!(area.head.len(), area.range.1 - area.range.0);
+            assert_eq!(area.tail.len(), area.head.len());
+            assert!(area.head.iter().all(|&v| pred.matches(v)));
+            let keys = area.keys();
+            assert_eq!(keys, copied.select_keys(&pred), "pred {pred:?}");
+            assert!(keys.iter().all(|&k| pred.matches(col.get(k))));
+            viewed.array().check_partitioning();
         }
+        assert_eq!(viewed.touched(), copied.touched());
     }
 
     #[test]

@@ -5,11 +5,19 @@
 use crate::crack::{crack_in_three, crack_in_two, BoundKind};
 use crate::index::{pred_keys, BoundaryKey, CrackerIndex};
 use crate::kernel::{active_kernel, CrackKernel};
-use crate::policy::{CrackPolicy, Span, PREPARTITION_MIN_PIECE, PREPARTITION_TARGET_PIECE};
 use crackdb_columnstore::column::insert_headroom;
 use crackdb_columnstore::radix::{bucket_offsets, cluster_by_value, cluster_into, ValueBuckets};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::ops::Range;
+
+/// Smallest uncracked piece the radix-prepartition fast path bothers
+/// with: below this, one blocked crack-in-two pass is already cheap and
+/// the advisory boundaries would not pay for their AVL nodes.
+pub const PREPARTITION_MIN_PIECE: usize = 1 << 20;
+
+/// Piece size the prepartition aims for: roughly L2-resident pieces, so
+/// every later crack of a seeded piece is cache-friendly.
+pub const PREPARTITION_TARGET_PIECE: usize = 1 << 16;
 
 /// The maximal runs of source positions `0..n` that are not in the
 /// ascending, duplicate-free exclusion list.
@@ -52,26 +60,17 @@ fn prepartition_buckets(
     (buckets >= 2).then(|| ValueBuckets::new(buckets, min, max))
 }
 
-/// The `(key, target piece)` of the prepartition that
-/// `crack_range_with(pred, policy)` — or `crack_boundary` at each of
-/// `pred`'s keys in turn — opens with on a virgin array of `n` tuples,
-/// if it opens with one: every condition the crack paths test before
-/// their first `maybe_prepartition` call, on state known before the
-/// array exists.
-fn first_prepartition(
-    n: usize,
-    pred: &RangePred,
-    policy: &CrackPolicy,
-) -> Option<(BoundaryKey, usize)> {
+/// The key of the prepartition that `crack_range(pred)` opens with on
+/// a virgin array of `n` tuples, if it opens with one: every condition
+/// the crack tests before its first `maybe_prepartition` call, on state
+/// known before the array exists.
+fn first_prepartition(n: usize, pred: &RangePred) -> Option<BoundaryKey> {
     if active_kernel() != CrackKernel::Block || n < PREPARTITION_MIN_PIECE || pred.is_empty_range()
     {
         return None;
     }
-    if matches!(*policy, CrackPolicy::CoarseGranular { min_piece } if n <= min_piece) {
-        return None;
-    }
     let (lo_k, hi_k) = pred_keys(pred);
-    Some((lo_k.or(hi_k)?, policy.prepartition_target()))
+    lo_k.or(hi_k)
 }
 
 /// The fused first touch of a structure seeded from a base-column
@@ -93,21 +92,15 @@ pub struct SeedPlan {
 impl SeedPlan {
     /// Plan the seeding of an array over `head` minus the `excluded`
     /// positions (ascending, duplicate-free) whose first operation will
-    /// be a crack by `pred` under the static `policy`. `Some` exactly
-    /// when that crack would start by prepartitioning the whole virgin
-    /// array (block kernel, at least [`PREPARTITION_MIN_PIECE`] tuples,
-    /// a bounded predicate the policy does not decline) *and* would
+    /// be a crack by `pred`. `Some` exactly when that crack would start
+    /// by prepartitioning the whole virgin array (block kernel, at least
+    /// [`PREPARTITION_MIN_PIECE`] tuples, a bounded predicate) *and* would
     /// leave no bucket big enough to be prepartitioned again — so the
     /// crack, run on the seeded array, finds nothing left to do there
     /// and continues exactly as it would have.
-    pub fn new(
-        head: &[Val],
-        excluded: &[RowId],
-        pred: &RangePred,
-        policy: &CrackPolicy,
-    ) -> Option<Self> {
-        let (key, target) = first_prepartition(head.len() - excluded.len(), pred, policy)?;
-        Self::with_target(head, excluded, key, target).filter(|plan| {
+    pub fn new(head: &[Val], excluded: &[RowId], pred: &RangePred) -> Option<Self> {
+        let key = first_prepartition(head.len() - excluded.len(), pred)?;
+        Self::with_target(head, excluded, key, PREPARTITION_TARGET_PIECE).filter(|plan| {
             plan.offsets
                 .windows(2)
                 .all(|w| w[1] - w[0] < PREPARTITION_MIN_PIECE)
@@ -147,7 +140,7 @@ pub struct CrackedArray<T: Copy> {
     tail: Vec<T>,
     index: CrackerIndex,
     /// Cumulative tuples touched (scanned/swapped) by crack kernels —
-    /// the robustness metric of the policy property tests and benches.
+    /// the robustness metric of the property tests and benches.
     touched: u64,
 }
 
@@ -288,7 +281,7 @@ impl<T: Copy> CrackedArray<T> {
         if let Some(p) = self.index.position_of(key) {
             return p;
         }
-        self.maybe_prepartition(key, PREPARTITION_TARGET_PIECE);
+        self.maybe_prepartition(key);
         if let Some(p) = self.index.position_of(key) {
             // A prepartition cut landed exactly on the queried boundary
             // (already promoted to query-mandated by `prepartition`).
@@ -317,13 +310,13 @@ impl<T: Copy> CrackedArray<T> {
     /// preserves its figures. Deterministic given the array state, so
     /// tape replay on aligned siblings (which share one process-wide
     /// kernel) reproduces it exactly.
-    fn maybe_prepartition(&mut self, key: BoundaryKey, target_piece: usize) {
+    fn maybe_prepartition(&mut self, key: BoundaryKey) {
         if active_kernel() != CrackKernel::Block {
             return;
         }
         let (s, e) = self.index.enclosing_piece(key, self.head.len());
         if e - s >= PREPARTITION_MIN_PIECE {
-            self.prepartition(key, target_piece);
+            self.prepartition(key, PREPARTITION_TARGET_PIECE);
         }
     }
 
@@ -373,41 +366,6 @@ impl<T: Copy> CrackedArray<T> {
         }
     }
 
-    /// Crack at `key` if the policy permits it: `Some(position)` when the
-    /// boundary exists afterwards (pre-existing or newly cracked, with
-    /// any advisory cuts a prepartition seeds), `None` when
-    /// [`CrackPolicy::CoarseGranular`] declined because the enclosing
-    /// piece is already at or below its leaf size.
-    pub fn crack_boundary(&mut self, key: BoundaryKey, policy: &CrackPolicy) -> Option<usize> {
-        if let Some(p) = self.index.position_of(key) {
-            // A query landed exactly on this boundary: if it was an
-            // advisory pivot it is query-mandated from now on.
-            self.index.promote(key);
-            return Some(p);
-        }
-        match *policy {
-            CrackPolicy::Standard => Some(self.ensure_boundary(key)),
-            CrackPolicy::CoarseGranular { min_piece } => {
-                let (s, e) = self.index.enclosing_piece(key, self.head.len());
-                if e - s <= min_piece {
-                    return None;
-                }
-                // Policy-aware target: never seed pieces below the
-                // coarse leaf size (see `CrackPolicy::prepartition_target`).
-                self.maybe_prepartition(key, policy.prepartition_target());
-                if let Some(p) = self.index.position_of(key) {
-                    return Some(p);
-                }
-                let (s, e) = self.index.enclosing_piece(key, self.head.len());
-                if e - s <= min_piece {
-                    None
-                } else {
-                    Some(self.ensure_boundary(key))
-                }
-            }
-        }
-    }
-
     /// Assert the boundary-inversion invariant: the hi boundary of a
     /// non-empty predicate can never sit left of its lo boundary,
     /// because boundary keys are totally ordered and every recorded
@@ -424,8 +382,7 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Crack so that all tuples qualifying `pred` form the contiguous area
     /// `[start, end)`; returns that range. Uses crack-in-three when both
-    /// new boundaries fall into the same piece. Equivalent to
-    /// [`Self::crack_range_with`] under [`CrackPolicy::Standard`].
+    /// new boundaries fall into the same piece.
     pub fn crack_range(&mut self, pred: &RangePred) -> (usize, usize) {
         let n = self.head.len();
         if pred.is_empty_range() {
@@ -441,8 +398,8 @@ impl<T: Copy> CrackedArray<T> {
                 // Seed huge virgin pieces before deciding between the
                 // crack-in-three and two-crack paths: the piece layout
                 // (and thus the choice) may change under prepartition.
-                self.maybe_prepartition(lk, PREPARTITION_TARGET_PIECE);
-                self.maybe_prepartition(hk, PREPARTITION_TARGET_PIECE);
+                self.maybe_prepartition(lk);
+                self.maybe_prepartition(hk);
                 let lo_pos = self.index.position_of(lk);
                 let hi_pos = self.index.position_of(hk);
                 match (lo_pos, hi_pos) {
@@ -472,51 +429,6 @@ impl<T: Copy> CrackedArray<T> {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// Policy-aware [`Self::crack_range`]: crack (or decline to crack)
-    /// at the predicate's bounds according to `policy` and return the
-    /// qualifying [`Span`]. Under [`CrackPolicy::Standard`] this is
-    /// byte-identical to `crack_range` (same kernels, same boundaries);
-    /// under [`CrackPolicy::CoarseGranular`] the span may be inexact —
-    /// a superset delimited by leaf pieces — and the caller must filter
-    /// head values with `pred`.
-    pub fn crack_range_with(&mut self, pred: &RangePred, policy: &CrackPolicy) -> Span {
-        if *policy == CrackPolicy::Standard {
-            let (s, e) = self.crack_range(pred);
-            return Span::exact(s, e);
-        }
-        let n = self.head.len();
-        if pred.is_empty_range() {
-            return Span::exact(0, 0);
-        }
-        let (lo_k, hi_k) = pred_keys(pred);
-        let (start, lo_exact) = match lo_k {
-            None => (0, true),
-            Some(k) => match self.crack_boundary(k, policy) {
-                Some(p) => (p, true),
-                // Coarse decline: open the span at the leaf piece start.
-                None => (self.index.enclosing_piece(k, n).0, false),
-            },
-        };
-        let (end, hi_exact) = match hi_k {
-            None => (n, true),
-            Some(k) => match self.crack_boundary(k, policy) {
-                Some(p) => (p, true),
-                None => (self.index.enclosing_piece(k, n).1, false),
-            },
-        };
-        let exact = lo_exact && hi_exact;
-        if exact {
-            let (start, end) = Self::checked_range(start, end);
-            Span { start, end, exact }
-        } else {
-            Span {
-                start,
-                end: end.max(start),
-                exact,
             }
         }
     }
@@ -887,33 +799,6 @@ mod tests {
             }
             a.check_partitioning();
         }
-    }
-
-    #[test]
-    fn coarse_policy_declines_small_pieces_and_reports_inexact_spans() {
-        let head: Vec<Val> = (0..100).rev().collect();
-        let tail: Vec<u32> = (0..100).collect();
-        let mut arr = CrackedArray::new(head, tail);
-        let policy = CrackPolicy::CoarseGranular { min_piece: 1000 };
-        let pred = RangePred::open(20, 40);
-        let span = arr.crack_range_with(&pred, &policy);
-        assert!(!span.exact, "piece of 100 <= min_piece 1000: no split");
-        assert_eq!(span.range(), (0, 100), "whole leaf piece returned");
-        assert_eq!(arr.index().len(), 0, "no boundary recorded");
-        // Filtering the span yields exactly the qualifying tuples.
-        let qualify: Vec<_> = arr.head()[span.start..span.end]
-            .iter()
-            .filter(|&&v| pred.matches(v))
-            .copied()
-            .collect();
-        assert_eq!(qualify.len(), 19);
-
-        // A large piece still cracks exactly.
-        let policy = CrackPolicy::CoarseGranular { min_piece: 10 };
-        let span = arr.crack_range_with(&pred, &policy);
-        assert!(span.exact);
-        assert_eq!(span.len(), 19);
-        arr.check_partitioning();
     }
 
     #[test]

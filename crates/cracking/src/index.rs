@@ -60,11 +60,11 @@ pub struct SizeEstimate {
 #[derive(Debug, Clone, Default)]
 pub struct CrackerIndex {
     tree: AvlTree<BoundaryKey>,
-    /// Boundaries injected by a [`crate::policy::CrackPolicy`] rather
-    /// than mandated by a query predicate. Physically they partition the
-    /// array exactly like query boundaries; the distinction exists for
-    /// instrumentation and for the policy property tests ("every
-    /// query-mandated boundary is exact").
+    /// Boundaries a prepartition cut rather than a query predicate
+    /// mandated (see [`crate::CrackedArray::prepartition`]). Physically
+    /// they partition the array exactly like query boundaries; the
+    /// distinction exists for instrumentation and for the property tests
+    /// ("every query bound is in the index and not advisory").
     advisory: HashSet<BoundaryKey>,
 }
 
@@ -109,9 +109,9 @@ impl CrackerIndex {
         self.advisory.remove(&key);
     }
 
-    /// Record a policy-injected *advisory* crack: boundary `key` lives
-    /// at `pos`, but no query predicate demanded it. A key that is
-    /// already query-mandated stays query-mandated.
+    /// Record a prepartition's *advisory* cut: boundary `key` lives at
+    /// `pos`, but no query predicate demanded it. A key that is already
+    /// query-mandated stays query-mandated.
     pub fn record_advisory(&mut self, key: BoundaryKey, pos: usize) {
         let already_query = self.tree.get(&key).is_some() && !self.advisory.contains(&key);
         self.tree.insert(key, pos);
@@ -120,13 +120,13 @@ impl CrackerIndex {
         }
     }
 
-    /// Promote a boundary to query-mandated: a query predicate landed
-    /// exactly on a previously advisory pivot.
+    /// Promote a boundary to query-mandated: the query key a
+    /// prepartition was run for landed exactly on one of its cuts.
     pub fn promote(&mut self, key: BoundaryKey) {
         self.advisory.remove(&key);
     }
 
-    /// Was this boundary injected by a policy (and never demanded by a
+    /// Was this boundary cut by a prepartition (and never demanded by a
     /// query predicate)?
     pub fn is_advisory(&self, key: BoundaryKey) -> bool {
         self.advisory.contains(&key)

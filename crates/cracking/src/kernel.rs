@@ -17,19 +17,18 @@
 //!
 //! The kernel is selected once per process from the `CRACKDB_KERNEL`
 //! environment variable (`scalar` | `block`; unset/empty means `block`)
-//! and then never changes, mirroring the crack-policy determinism
-//! contract: sideways alignment replays tape-logged predicates on
-//! sibling structures and requires bit-identical physical outcomes, so
-//! all structures in a process must partition with the same kernel.
-//! Within one kernel, replay is fully deterministic.
+//! and then never changes: sideways alignment replays tape-logged
+//! predicates on sibling structures and requires bit-identical physical
+//! outcomes, so all structures in a process must partition with the
+//! same kernel. Within one kernel, replay is fully deterministic.
 //!
-//! Like `CRACKDB_POLICY`, the *strict* validation of the environment
-//! value lives in `crackdb-engine`'s `exec` module (`env_kernel`),
-//! where a typo in a CI matrix fails loudly at service startup. The
-//! read here is lenient — an invalid value warns once and falls back
-//! to the block kernel — because the dispatch happens deep inside the
-//! partitioning hot path where a library user must not be panicked by
-//! an unrelated environment variable.
+//! The *strict* validation of the environment value lives in
+//! `crackdb-engine`'s `exec` module (`env_kernel`), where a typo in a
+//! CI matrix fails loudly at service startup. The read here is
+//! lenient — an invalid value warns once and falls back to the block
+//! kernel — because the dispatch happens deep inside the partitioning
+//! hot path where a library user must not be panicked by an unrelated
+//! environment variable.
 
 use std::sync::OnceLock;
 

@@ -15,11 +15,14 @@
 //! * [`cracked::CrackedArray`] — a generic two-column cracked array with
 //!   ripple insert/delete;
 //! * [`column::CrackerColumn`] — the selection-cracking baseline
-//!   (`crackers.select`) with pending-update queues;
-//! * [`policy::CrackPolicy`] — the pivot-choice strategy a structure is
-//!   built with and keeps for life: standard (the paper's exact cracks)
-//!   or coarse-granular (no splits below a leaf size, capping index
-//!   growth under hot-region skew).
+//!   (`crackers.select`) with pending-update queues.
+//!
+//! Every structure cracks exactly at the predicate bounds, as the paper
+//! does (§3.2), so a tape that logs only predicates replays each crack
+//! bit-for-bit on a sibling. The one physical choice is the partition
+//! kernel ([`kernel::CrackKernel`]), fixed per process; the block
+//! kernel opens a huge virgin piece with a radix prepartition whose
+//! cuts the index keeps as *advisory* boundaries.
 
 pub mod arena;
 pub mod avl;
@@ -28,7 +31,6 @@ pub mod crack;
 pub mod cracked;
 pub mod index;
 pub mod kernel;
-pub mod policy;
 
 pub use arena::{Arena, SlotId};
 pub use column::{CrackedArea, CrackerColumn};
@@ -36,4 +38,3 @@ pub use crack::BoundKind;
 pub use cracked::{CrackedArray, SeedPlan};
 pub use index::{BoundaryKey, CrackerIndex, SizeEstimate};
 pub use kernel::{active_kernel, CrackKernel};
-pub use policy::{CrackPolicy, Span};

@@ -10,15 +10,15 @@
 //! tapes) and must stay physically identical.
 //!
 //! Columns carry duplicates, single values, negatives and the `Val`
-//! extremes; they are cracked under every selectable policy (the
-//! process-wide kernel comes from `CRACKDB_KERNEL`, so CI runs the file
-//! once per kernel), seeded with advisory prepartition cuts, and some
+//! extremes; they are cracked at query bounds (the process-wide kernel
+//! comes from `CRACKDB_KERNEL`, so CI runs the file once per kernel),
+//! seeded with advisory prepartition cuts, and some
 //! carry lazily deleted boundaries — single marks, and whole-index
 //! marks with partial revival, as a dropped partial-map chunk leaves
 //! its shell.
 
 use crackdb_columnstore::types::{Bound, RangePred, Val};
-use crackdb_cracking::{BoundKind, BoundaryKey, CrackPolicy, CrackedArray, CrackerIndex};
+use crackdb_cracking::{BoundKind, BoundaryKey, CrackedArray, CrackerIndex};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 
@@ -269,19 +269,6 @@ fn pred(rng: &mut StdRng, arr: &CrackedArray<Tag>, values: Values) -> RangePred 
     }
 }
 
-/// The policies a case cracks under: both families at their defaults
-/// (standard in two cases of six), plus coarse variants whose thresholds
-/// small columns reach.
-fn policy(case: u64) -> CrackPolicy {
-    match case % 6 {
-        0 | 2 => CrackPolicy::Standard,
-        1 => CrackPolicy::coarse(),
-        3 => CrackPolicy::CoarseGranular { min_piece: 6 },
-        4 => CrackPolicy::CoarseGranular { min_piece: 2 },
-        _ => CrackPolicy::CoarseGranular { min_piece: 24 },
-    }
-}
-
 const CASES: u64 = 200;
 const RIPPLE_OPS: usize = 520;
 
@@ -326,8 +313,7 @@ fn run_case(case: u64, cov: &mut Coverage) {
         _ if case % 8 == 3 => Values::Constant(rng.gen_range(-5i64..5)),
         _ => Values::Dense,
     };
-    // Mostly small columns; every tenth is long enough to hold pieces
-    // above 1,024 tuples, where the coarse leaf size never binds.
+    // Mostly small columns; every tenth holds more than 1,000 tuples.
     let len = if case % 10 == 9 {
         rng.gen_range(1_100usize..1_500)
     } else {
@@ -336,7 +322,6 @@ fn run_case(case: u64, cov: &mut Coverage) {
     let head: Vec<Val> = (0..len).map(|_| values.draw(&mut rng)).collect();
     let mut next_tag = len as Tag;
     let mut arr = CrackedArray::new(head, (0..next_tag).collect());
-    let policy = policy(case);
     let lazy = case % 3 == 1;
     let mut keys: BTreeSet<BoundaryKey> = BTreeSet::new();
 
@@ -346,7 +331,7 @@ fn run_case(case: u64, cov: &mut Coverage) {
             // Crack: new boundaries, possibly reviving deleted ones.
             0..=2 => {
                 let p = pred(&mut rng, &arr, values);
-                arr.crack_range_with(&p, &policy);
+                arr.crack_range(&p);
             }
             // Advisory cuts from an explicit prepartition.
             3 if rng.gen_bool(0.3) => {

@@ -19,10 +19,10 @@
 //! All trials are driven by a fixed-seed LCG so failures replay.
 
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
+use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
 use crackdb_cracking::index::pred_keys;
-use crackdb_cracking::policy::PREPARTITION_MIN_PIECE;
 use crackdb_cracking::{
-    active_kernel, BoundKind, BoundaryKey, CrackKernel, CrackPolicy, CrackedArray, SeedPlan,
+    active_kernel, BoundKind, BoundaryKey, CrackKernel, CrackedArray, SeedPlan,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants).
@@ -152,31 +152,21 @@ fn clustered_seed_is_bit_identical_to_copy_then_prepartition() {
 
 /// One decision trial: plan + seed + first crack (+ a second one)
 /// against copy + the same cracks. Returns whether the plan fired.
-fn check_first_crack(
-    head: &[Val],
-    excluded: &[RowId],
-    pred: &RangePred,
-    policy: &CrackPolicy,
-    ctx: &str,
-) -> bool {
+fn check_first_crack(head: &[Val], excluded: &[RowId], pred: &RangePred, ctx: &str) -> bool {
     let keys: Vec<RowId> = (0..head.len() as RowId).collect();
-    let plan = SeedPlan::new(head, excluded, pred, policy);
+    let plan = SeedPlan::new(head, excluded, pred);
     let mut fused = CrackedArray::seeded(head, &keys, excluded, plan.as_ref());
     let mut reference = copy_live(head, &keys, excluded);
-    let span = fused.crack_range_with(pred, policy);
-    assert_eq!(
-        span,
-        reference.crack_range_with(pred, policy),
-        "{ctx}: span"
-    );
+    let range = fused.crack_range(pred);
+    assert_eq!(range, reference.crack_range(pred), "{ctx}: range");
     assert_eq!(
         state(&fused),
         state(&reference),
         "{ctx}: after the first crack"
     );
     let next = RangePred::open(pred.lo.map_or(5, |b| b.value) + 1_000, Val::MAX / 2);
-    fused.crack_range_with(&next, policy);
-    reference.crack_range_with(&next, policy);
+    fused.crack_range(&next);
+    reference.crack_range(&next);
     assert_eq!(
         state(&fused),
         state(&reference),
@@ -195,9 +185,6 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
         .map(|v| v * 977 % 1_000_003)
         .collect::<Vec<Val>>();
     let two_sided = RangePred::open(40_000, 90_000);
-    let huge_leaf = CrackPolicy::CoarseGranular {
-        min_piece: 2 * PREPARTITION_MIN_PIECE,
-    };
     for live in [
         PREPARTITION_MIN_PIECE - 1,
         PREPARTITION_MIN_PIECE,
@@ -205,12 +192,13 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
     ] {
         let head = &source[..live + 3];
         let excluded = [0, 17, live as RowId + 2];
-        for policy in [CrackPolicy::Standard, CrackPolicy::coarse(), huge_leaf] {
-            let ctx = format!("live={live} policy={policy:?}");
-            let fired = check_first_crack(head, &excluded, &two_sided, &policy, &ctx);
-            let expect = block && live >= PREPARTITION_MIN_PIECE && policy != huge_leaf;
-            assert_eq!(fired, expect, "{ctx}: fused");
-        }
+        let ctx = format!("live={live}");
+        let fired = check_first_crack(head, &excluded, &two_sided, &ctx);
+        assert_eq!(
+            fired,
+            block && live >= PREPARTITION_MIN_PIECE,
+            "{ctx}: fused"
+        );
     }
     // Which bound opens the crack, and the cracks that have none.
     let head = &source[..PREPARTITION_MIN_PIECE + 1];
@@ -222,7 +210,7 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
         (RangePred::open(7, 7), false),
     ] {
         let ctx = format!("pred={pred:?}");
-        let fired = check_first_crack(head, &[], &pred, &CrackPolicy::Standard, &ctx);
+        let fired = check_first_crack(head, &[], &pred, &ctx);
         assert_eq!(fired, block && bounded, "{ctx}: fused");
     }
 }
@@ -247,33 +235,29 @@ fn bounds_coinciding_with_cuts_promote_like_the_reference() {
         RangePred::less(Bound::exclusive(b)),
         RangePred::greater(Bound::inclusive(a)),
     ] {
-        for policy in [CrackPolicy::Standard, CrackPolicy::coarse()] {
-            let ctx = format!("pred={pred:?} policy={policy:?}");
-            let fired = check_first_crack(&head, &[], &pred, &policy, &ctx);
-            assert_eq!(fired, active_kernel() == CrackKernel::Block, "{ctx}");
-        }
+        let ctx = format!("pred={pred:?}");
+        let fired = check_first_crack(&head, &[], &pred, &ctx);
+        assert_eq!(fired, active_kernel() == CrackKernel::Block, "{ctx}");
     }
 }
 
-/// The chunk map opens with `crack_boundary` at each of the predicate's
-/// keys in turn instead of `crack_range_with`.
+/// The chunk map opens with `ensure_boundary` at each of the
+/// predicate's keys in turn instead of `crack_range`.
 #[test]
 fn fused_seed_is_identical_under_key_by_key_cracking() {
     let mut rng = Lcg(0xC0FFEE);
     let head = column(&mut rng, PREPARTITION_MIN_PIECE, 3);
     let keys: Vec<RowId> = (0..head.len() as RowId).collect();
     let pred = RangePred::closed(-250, 125);
-    for policy in [CrackPolicy::Standard, CrackPolicy::coarse()] {
-        let plan = SeedPlan::new(&head, &[], &pred, &policy);
-        assert_eq!(plan.is_some(), active_kernel() == CrackKernel::Block);
-        let mut fused = CrackedArray::seeded(&head, &keys, &[], plan.as_ref());
-        let mut reference = CrackedArray::new(head.clone(), keys.clone());
-        let (lo, hi) = pred_keys(&pred);
-        for key in [lo, hi].into_iter().flatten() {
-            let at = fused.crack_boundary(key, &policy);
-            assert_eq!(at, reference.crack_boundary(key, &policy));
-            assert_eq!(state(&fused), state(&reference), "{policy:?} at {key:?}");
-        }
+    let plan = SeedPlan::new(&head, &[], &pred);
+    assert_eq!(plan.is_some(), active_kernel() == CrackKernel::Block);
+    let mut fused = CrackedArray::seeded(&head, &keys, &[], plan.as_ref());
+    let mut reference = CrackedArray::new(head.clone(), keys.clone());
+    let (lo, hi) = pred_keys(&pred);
+    for key in [lo, hi].into_iter().flatten() {
+        let at = fused.ensure_boundary(key);
+        assert_eq!(at, reference.ensure_boundary(key));
+        assert_eq!(state(&fused), state(&reference), "at {key:?}");
     }
 }
 
@@ -295,10 +279,9 @@ fn skewed_column_is_not_fused() {
         })
         .collect();
     let pred = RangePred::open(10, 60);
-    let policy = CrackPolicy::Standard;
-    assert!(SeedPlan::new(&head, &[], &pred, &policy).is_none());
+    assert!(SeedPlan::new(&head, &[], &pred).is_none());
     // The unconditional plan exists; it is the re-fire rule that declined.
     let (lo, _) = pred_keys(&pred);
     assert!(SeedPlan::with_target(&head, &[], lo.unwrap(), 1 << 16).is_some());
-    assert!(!check_first_crack(&head, &[], &pred, &policy, "skewed"));
+    assert!(!check_first_crack(&head, &[], &pred, "skewed"));
 }

@@ -38,7 +38,7 @@ use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryError, QueryOutput, Se
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{CrackKernel, CrackPolicy};
+use crackdb_cracking::CrackKernel;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -69,54 +69,6 @@ fn threads_override(value: Option<&str>) -> Option<usize> {
     value?.trim().parse().ok().filter(|&n: &usize| n > 0)
 }
 
-/// Parse a `CRACKDB_POLICY`-style override value: unset or empty means
-/// the standard policy, anything else must name a crack policy
-/// (`standard | coarse | coarse:<min_piece>`).
-/// Like [`threads_override`], separated from the env read for
-/// testability.
-fn policy_override(value: Option<&str>) -> Result<CrackPolicy, String> {
-    match value {
-        None => Ok(CrackPolicy::Standard),
-        Some(v) => CrackPolicy::parse(v).ok_or_else(|| {
-            format!(
-                "CRACKDB_POLICY={v:?} is not a crack policy \
-                 (expected standard | coarse | coarse:<min_piece>)"
-            )
-        }),
-    }
-}
-
-/// Validate the `CRACKDB_POLICY` environment selection, parsed once per
-/// process. This is the *strict* entry point: startup paths that can
-/// report an error cleanly — [`service::Service::start`], bench bins,
-/// the env-validity test CI relies on — call it so a typo in a policy
-/// matrix produces one clear failure instead of either a panic inside
-/// every engine constructor or a silent fallback that vacuously
-/// re-tests the standard policy while reporting green.
-pub fn env_policy() -> Result<CrackPolicy, String> {
-    static POLICY: OnceLock<Result<CrackPolicy, String>> = OnceLock::new();
-    POLICY
-        .get_or_init(|| policy_override(registry_var("CRACKDB_POLICY").as_deref()))
-        .clone()
-}
-
-/// The crack policy engine constructors default to: the `CRACKDB_POLICY`
-/// environment selection when set and valid, [`CrackPolicy::Standard`]
-/// otherwise. *Non-fatal* by design — a library user embedding an
-/// engine must not be brought down by an unrelated environment variable;
-/// an invalid value logs one warning per process (and is reported as a
-/// proper error by the strict [`env_policy`] at service startup).
-pub fn policy_from_env() -> CrackPolicy {
-    static WARNED: OnceLock<()> = OnceLock::new();
-    match env_policy() {
-        Ok(p) => p,
-        Err(msg) => {
-            WARNED.get_or_init(|| eprintln!("warning: {msg}; falling back to standard cracking"));
-            CrackPolicy::Standard
-        }
-    }
-}
-
 /// Parse a `CRACKDB_KERNEL`-style override value: unset or empty means
 /// the default block kernel, anything else must name a crack kernel
 /// (`scalar | block`). Like [`threads_override`], separated from the
@@ -132,8 +84,7 @@ fn kernel_override(value: Option<&str>) -> Result<CrackKernel, String> {
 
 /// Validate the `CRACKDB_KERNEL` environment selection, parsed once per
 /// process — the strict twin of `crackdb-cracking`'s lenient
-/// [`crackdb_cracking::active_kernel`] dispatch, exactly as
-/// [`env_policy`] is to [`policy_from_env`]: service startup and the
+/// [`crackdb_cracking::active_kernel`] dispatch: service startup and the
 /// env-validity test CI relies on call this so a typo in the kernel
 /// matrix fails loudly instead of silently re-testing the default
 /// block kernel under a green "scalar" job.
@@ -167,7 +118,7 @@ fn spill_dir_override(value: Option<&str>) -> Result<Option<PathBuf>, String> {
 /// Validate the `CRACKDB_SPILL_DIR` environment selection, parsed once
 /// per process — the strict entry point [`ServiceConfig`] validation
 /// and the env-validity test CI relies on call, exactly as
-/// [`env_policy`] / [`env_kernel`] are for their variables: a spill
+/// [`env_kernel`] is for its variable: a spill
 /// directory that exists but is not a directory must fail loudly at
 /// startup, not as a confusing I/O error inside the first evicting
 /// query. A non-existent path is fine (spill tiers create their own
@@ -191,8 +142,9 @@ pub fn env_spill_dir() -> Result<Option<PathBuf>, String> {
 
 /// The spill base directory spill-enabled engine constructors default
 /// to: the validated `CRACKDB_SPILL_DIR` selection when set, the
-/// system temp dir otherwise. *Non-fatal* by design, like
-/// [`policy_from_env`]: an invalid value logs one warning per process
+/// system temp dir otherwise. *Non-fatal* by design — a library user
+/// embedding an engine must not be brought down by an unrelated
+/// environment variable: an invalid value logs one warning per process
 /// and falls back to the temp dir (and is reported as a proper error
 /// by the strict [`env_spill_dir`] at service startup).
 pub fn spill_dir_from_env() -> PathBuf {
@@ -550,38 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_override_parses_strictly() {
-        assert_eq!(policy_override(None), Ok(CrackPolicy::Standard));
-        assert_eq!(policy_override(Some("")), Ok(CrackPolicy::Standard));
-        assert_eq!(policy_override(Some("standard")), Ok(CrackPolicy::Standard));
-        assert_eq!(policy_override(Some("coarse")), Ok(CrackPolicy::coarse()));
-        assert_eq!(
-            policy_override(Some("coarse:64")),
-            Ok(CrackPolicy::CoarseGranular { min_piece: 64 })
-        );
-        let err = policy_override(Some("adaptive")).unwrap_err();
-        assert!(
-            err.contains("standard | coarse | coarse:<min_piece>"),
-            "`adaptive` is no policy; the error names the forms: {err}"
-        );
-        let err = policy_override(Some("nonsense")).unwrap_err();
-        assert!(err.contains("nonsense"), "error names the bad value");
-        assert!(err.contains("coarse:<min_piece>"), "error lists the forms");
-    }
-
-    /// The CI policy matrix exports `CRACKDB_POLICY` for entire test
-    /// runs; a typo there must fail loudly exactly once — here — instead
-    /// of panicking inside every engine constructor. Library users get
-    /// the non-fatal [`policy_from_env`] fallback; this test is what
-    /// keeps that fallback from letting a mistyped matrix vacuously
-    /// re-test the standard policy while reporting green.
-    #[test]
-    fn env_policy_is_valid() {
-        let p = env_policy().expect("CRACKDB_POLICY must be unset or a valid crack policy");
-        assert_eq!(policy_from_env(), p, "lenient and strict reads agree");
-    }
-
-    #[test]
     fn kernel_override_parses_strictly() {
         assert_eq!(kernel_override(None), Ok(CrackKernel::Block));
         assert_eq!(kernel_override(Some("")), Ok(CrackKernel::Block));
@@ -592,8 +512,8 @@ mod tests {
         assert!(err.contains("scalar | block"), "error lists the forms");
     }
 
-    /// The kernel twin of [`env_policy_is_valid`]: the CI kernel matrix
-    /// exports `CRACKDB_KERNEL` for entire test runs, and a typo there
+    /// The CI kernel matrix exports `CRACKDB_KERNEL` for entire test
+    /// runs, and a typo there
     /// must fail this test instead of letting the lenient dispatch fall
     /// back to the block kernel while a green "scalar" job reports
     /// scalar coverage it never ran.

@@ -125,7 +125,7 @@ pub enum ServiceError {
     /// keeps serving, so a retry may succeed.
     Storage(String),
     /// Invalid service-startup configuration (e.g. an unparseable
-    /// `CRACKDB_POLICY` environment selection).
+    /// `CRACKDB_KERNEL` environment selection).
     Config(String),
 }
 
@@ -275,10 +275,11 @@ impl<E: Engine + Send + 'static> Service<E> {
     /// Start serving `engine` with the default [`ServiceConfig`].
     ///
     /// # Errors
-    /// [`ServiceError::Config`] if the `CRACKDB_POLICY` environment
-    /// selection is set but invalid — the one clear startup error that
-    /// replaces a panic inside every engine constructor (constructors
-    /// themselves fall back to the standard policy with a warning).
+    /// [`ServiceError::Config`] if the `CRACKDB_KERNEL` or
+    /// `CRACKDB_SPILL_DIR` environment selection is set but invalid —
+    /// the one clear startup error that replaces a panic deep inside
+    /// the engines (which themselves fall back to the defaults with a
+    /// warning).
     pub fn start(engine: ShardedEngine<E>) -> Result<Self, ServiceError> {
         Self::with_config(engine, ServiceConfig::default())
     }
@@ -291,7 +292,6 @@ impl<E: Engine + Send + 'static> Service<E> {
         engine: ShardedEngine<E>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        super::env_policy().map_err(ServiceError::Config)?;
         super::env_kernel().map_err(ServiceError::Config)?;
         super::env_spill_dir().map_err(ServiceError::Config)?;
         let (cuts, shards, inserted) = engine.into_parts();

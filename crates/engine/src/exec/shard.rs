@@ -43,15 +43,14 @@
 //! into every shard: each left row meets every right row exactly once,
 //! so concatenating per-shard match sets yields the full join.
 //!
-//! ## Crack policies
+//! ## Per-shard engines
 //!
-//! Shards never share cracker state, so a
-//! [`crackdb_cracking::CrackPolicy`] composes per shard with no
-//! cross-shard coordination: pass it through the `make` closure
-//! (`ShardedEngine::build(base, n, |_, t| SidewaysEngine::with_policy(t,
-//! domain, policy))`) and every shard cracks its fraction of the data
-//! under that policy. Each shard's pivot choice depends only on its
-//! own array state.
+//! Shards never share cracker state, so an engine's options compose per
+//! shard with no cross-shard coordination: pass them through the `make`
+//! closure (`ShardedEngine::build(base, n, |_, t|
+//! PartialEngine::with_spill_dir(t, domain, budget, dir.clone()))`) and
+//! every shard cracks its fraction of the data with them. Each shard's
+//! cracks depend only on its own array state.
 
 use crate::query::{
     agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput,

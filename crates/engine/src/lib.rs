@@ -43,23 +43,13 @@
 //! suite (`tests/shard_differential.rs`) enforces exactly that for all
 //! five engines at several shard counts. Because the router only needs
 //! the [`query::Engine`] trait, every scenario composes: 5 engines ×
-//! sharded/unsharded × serial/batch execution × crack policy.
+//! sharded/unsharded × serial/batch execution.
 //!
-//! The cracking engines additionally take one [`CrackPolicy`]
-//! (standard / coarse-granular pivot choice, from `crackdb-cracking`)
-//! that every cracker column, map set and partial set they build keeps
-//! for life; `SelCrackEngine::with_policy`,
-//! `SidewaysEngine::with_policy` and `PartialEngine::with_policy`
-//! select it explicitly, the plain `new` constructors read the
-//! `CRACKDB_POLICY` environment hook (standard when unset; invalid
-//! values fall back to standard with one warning — the strict check
-//! lives in [`exec::env_policy`] and fails service startup and CI
-//! loudly instead of panicking library constructors) so CI drives
-//! the differential suites once per policy. A `ShardedEngine` composes
-//! per shard: pass the policy through the `make` closure of
-//! [`exec::ShardedEngine::build`] and every shard cracks under it —
-//! shards never share cracker state, so no cross-shard coordination is
-//! needed.
+//! Every cracker column, map set and partial set the cracking engines
+//! build cracks exactly at the predicate bounds, as the paper does
+//! (§3.2): there is no pivot choice to configure. Shards never share
+//! cracker state, so a `ShardedEngine` needs no cross-shard
+//! coordination.
 //!
 //! Finally, [`exec::Service`] makes the whole stack *servable*: it
 //! moves every shard of a `ShardedEngine` onto its own long-lived
@@ -84,7 +74,6 @@ pub mod selcrack;
 pub mod sideways;
 pub mod tpch;
 
-pub use crackdb_cracking::CrackPolicy;
 pub use exec::service::{Client, Reply, Service, ServiceConfig, ServiceError, WriteReply};
 pub use exec::{AccessPath, BatchRunner, RestrictCtx, RowSet, ShardedEngine};
 pub use partial_engine::PartialEngine;

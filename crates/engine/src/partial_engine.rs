@@ -14,7 +14,7 @@ use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::{cracker_join, PartialStore};
 use crackdb_cracking::crack::BoundKind;
-use crackdb_cracking::{CrackPolicy, CrackedArray};
+use crackdb_cracking::CrackedArray;
 use std::time::Instant;
 
 /// Partial-sideways-cracking executor.
@@ -26,32 +26,15 @@ pub struct PartialEngine {
 }
 
 impl PartialEngine {
-    /// Single-table engine with optional storage budget (tuples). The
-    /// crack policy defaults to the `CRACKDB_POLICY` environment
-    /// selection (standard when unset), so CI can drive the whole
-    /// differential surface once per policy.
+    /// Single-table engine with optional storage budget (tuples).
     pub fn new(base: Table, domain: (Val, Val), budget: Option<usize>) -> Self {
-        Self::with_policy(base, domain, budget, exec::policy_from_env())
-    }
-
-    /// Single-table engine with an explicit [`CrackPolicy`] for every
-    /// partial set (chunk maps, chunks and resolvers included).
-    pub fn with_policy(
-        base: Table,
-        domain: (Val, Val),
-        budget: Option<usize>,
-        policy: CrackPolicy,
-    ) -> Self {
         let mut store = PartialStore::new(domain);
         store.budget = budget;
-        store.set_policy(policy);
-        let mut second_store = PartialStore::new(domain);
-        second_store.set_policy(policy);
         PartialEngine {
             base,
             second: None,
             store,
-            second_store,
+            second_store: PartialStore::new(domain),
         }
     }
 
@@ -92,20 +75,7 @@ impl PartialEngine {
         budget: Option<usize>,
         dir: impl Into<std::path::PathBuf>,
     ) -> Self {
-        Self::with_spill_policy(base, domain, budget, dir, exec::policy_from_env())
-    }
-
-    /// [`Self::with_spill_dir`] with an explicit [`CrackPolicy`] (the
-    /// spill differential suite runs the whole spill surface once per
-    /// policy without going through the environment hook).
-    pub fn with_spill_policy(
-        base: Table,
-        domain: (Val, Val),
-        budget: Option<usize>,
-        dir: impl Into<std::path::PathBuf>,
-        policy: CrackPolicy,
-    ) -> Self {
-        let mut e = PartialEngine::with_policy(base, domain, budget, policy);
+        let mut e = PartialEngine::new(base, domain, budget);
         e.store.enable_spill(dir.into());
         e
     }

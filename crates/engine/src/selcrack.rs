@@ -19,7 +19,7 @@ use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
-use crackdb_cracking::{CrackPolicy, CrackerColumn};
+use crackdb_cracking::CrackerColumn;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -29,8 +29,6 @@ pub struct SelCrackEngine {
     second: Option<Table>,
     /// Cracker columns per (table, attribute), created on first use.
     crackers: HashMap<(bool, usize), CrackerColumn>,
-    /// Pivot-choice policy of every cracker column.
-    policy: CrackPolicy,
     /// Value domain for ordering predicates by estimated selectivity
     /// ("all systems evaluate queries starting from the most selective
     /// predicate", §3.6 Exp4).
@@ -38,20 +36,12 @@ pub struct SelCrackEngine {
 }
 
 impl SelCrackEngine {
-    /// Single-table engine. The crack policy defaults to the
-    /// `CRACKDB_POLICY` environment selection (standard when unset), so
-    /// CI can drive the whole differential surface once per policy.
+    /// Single-table engine.
     pub fn new(base: Table, domain: (Val, Val)) -> Self {
-        Self::with_policy(base, domain, exec::policy_from_env())
-    }
-
-    /// Single-table engine with an explicit [`CrackPolicy`].
-    pub fn with_policy(base: Table, domain: (Val, Val), policy: CrackPolicy) -> Self {
         SelCrackEngine {
             base,
             second: None,
             crackers: HashMap::new(),
-            policy,
             domain,
         }
     }
@@ -62,24 +52,6 @@ impl SelCrackEngine {
             second: Some(second),
             ..SelCrackEngine::new(base, domain)
         }
-    }
-
-    /// Two-table engine with an explicit [`CrackPolicy`].
-    pub fn with_second_policy(
-        base: Table,
-        second: Table,
-        domain: (Val, Val),
-        policy: CrackPolicy,
-    ) -> Self {
-        SelCrackEngine {
-            second: Some(second),
-            ..SelCrackEngine::with_policy(base, domain, policy)
-        }
-    }
-
-    /// The engine's pivot-choice policy.
-    pub fn policy(&self) -> CrackPolicy {
-        self.policy
     }
 
     fn order_preds(&self, preds: &[(usize, RangePred)], n: usize) -> Vec<(usize, RangePred)> {
@@ -101,11 +73,10 @@ impl SelCrackEngine {
         table: &Table,
         second: bool,
         attr: usize,
-        policy: CrackPolicy,
     ) -> &'a mut CrackerColumn {
         crackers
             .entry((second, attr))
-            .or_insert_with(|| CrackerColumn::with_policy(table.column(attr), policy))
+            .or_insert_with(|| CrackerColumn::from_column(table.column(attr)))
     }
 
     /// The head and tail slices of an area `restrict` produced. Positions,
@@ -123,16 +94,13 @@ impl SelCrackEngine {
         table: &Table,
         second: bool,
         preds: &[(usize, RangePred)],
-        policy: CrackPolicy,
     ) -> Vec<RowId> {
         if preds.is_empty() {
             // No predicate: still answer through a cracker column so that
             // queued (ripple) insertions and deletions are respected.
-            return Self::cracker(crackers, table, second, 0, policy)
-                .select_keys(&RangePred::all());
+            return Self::cracker(crackers, table, second, 0).select_keys(&RangePred::all());
         }
-        let mut keys =
-            Self::cracker(crackers, table, second, preds[0].0, policy).select_keys(&preds[0].1);
+        let mut keys = Self::cracker(crackers, table, second, preds[0].0).select_keys(&preds[0].1);
         for (attr, pred) in &preds[1..] {
             let col = table.column(*attr);
             combine::refine_keys(&mut keys, pred, |k| col.get(k));
@@ -155,7 +123,7 @@ impl AccessPath for SelCrackEngine {
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
-        let cracker = Self::cracker(&mut self.crackers, &self.base, false, attr, self.policy);
+        let cracker = Self::cracker(&mut self.crackers, &self.base, false, attr);
         // A disjunction's later selects may crack or ripple this very
         // column (`a < x or a > y`), moving the tuples under an area.
         if ctx.disjunctive {
@@ -165,7 +133,7 @@ impl AccessPath for SelCrackEngine {
         RowSet::Area {
             head: (attr, *pred),
             range: area.range,
-            bv: area.filter.map(|p| combine::create_bv(area.head, &p)),
+            bv: None,
         }
     }
 
@@ -191,8 +159,7 @@ impl AccessPath for SelCrackEngine {
         let RowSet::Keys { keys, .. } = rows else {
             return; // disjunctive plans start from `restrict`'s key list
         };
-        let more = Self::cracker(&mut self.crackers, &self.base, false, attr, self.policy)
-            .select_keys(pred);
+        let more = Self::cracker(&mut self.crackers, &self.base, false, attr).select_keys(pred);
         combine::union_keys_unordered(keys, more);
     }
 
@@ -283,8 +250,8 @@ impl Engine for SelCrackEngine {
         let t0 = Instant::now();
         let lpreds = self.order_preds(&q.left.preds, n);
         let rpreds = self.order_preds(&q.right.preds, n2);
-        let lkeys = Self::select_keys(&mut self.crackers, &self.base, false, &lpreds, self.policy);
-        let rkeys = Self::select_keys(&mut self.crackers, second, true, &rpreds, self.policy);
+        let lkeys = Self::select_keys(&mut self.crackers, &self.base, false, &lpreds);
+        let rkeys = Self::select_keys(&mut self.crackers, second, true, &rpreds);
         timings.select = t0.elapsed();
 
         let t1 = Instant::now();
@@ -328,7 +295,7 @@ impl Engine for SelCrackEngine {
         // demand here (from the current base, which still holds the row)
         // and the deletion queued for the Ripple algorithm.
         for attr in 0..self.base.num_columns() {
-            Self::cracker(&mut self.crackers, &self.base, false, attr, self.policy)
+            Self::cracker(&mut self.crackers, &self.base, false, attr)
                 .queue_delete(self.base.column(attr).get(key), key);
         }
     }

@@ -10,7 +10,6 @@ use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::SidewaysStore;
-use crackdb_cracking::CrackPolicy;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -25,26 +24,13 @@ pub struct SidewaysEngine {
 
 impl SidewaysEngine {
     /// Single-table engine; `domain` is the attribute value domain used
-    /// for zero-knowledge selectivity estimates. The crack policy
-    /// defaults to the `CRACKDB_POLICY` environment selection (standard
-    /// when unset), so CI can drive the whole differential surface once
-    /// per policy.
+    /// for zero-knowledge selectivity estimates.
     pub fn new(base: Table, domain: (Val, Val)) -> Self {
-        Self::with_policy(base, domain, exec::policy_from_env())
-    }
-
-    /// Single-table engine with an explicit [`CrackPolicy`] for every
-    /// map set (both tables of a join workload share it).
-    pub fn with_policy(base: Table, domain: (Val, Val), policy: CrackPolicy) -> Self {
-        let mut store = SidewaysStore::new(domain);
-        store.set_policy(policy);
-        let mut second_store = SidewaysStore::new(domain);
-        second_store.set_policy(policy);
         SidewaysEngine {
             base,
             second: None,
-            store,
-            second_store,
+            store: SidewaysStore::new(domain),
+            second_store: SidewaysStore::new(domain),
             tombstones: HashSet::new(),
         }
     }
@@ -120,34 +106,31 @@ impl AccessPath for SidewaysEngine {
         if needed.is_empty() {
             // Pure single-selection with nothing to reconstruct: the key
             // map's area is the answer's cardinality, no key is copied.
-            let (range, bv) = s.select_key_area(&self.base, pred);
+            let range = s.select_key_area(&self.base, pred);
             return RowSet::Area {
                 head: (attr, *pred),
                 range,
-                bv,
+                bv: None,
             };
         }
 
         // One sideways.select per map the plan will touch (§3.2): crack
         // the fetch maps now so reconstructions find them aligned; the
-        // residual selection maps crack during their own refine step. A
-        // coarse-granular inexact area arrives with its head filter
-        // attached so downstream refines/fetches see only qualifying
-        // tuples — computed once, on the last aligned map, since all
-        // maps of the set share the area.
+        // residual selection maps crack during their own refine step.
+        // All maps of the set share the area; the last one returns it.
         for &fa in ctx.fetch_attrs.iter().rev().skip(1) {
             s.sideways_select(&self.base, fa, pred);
         }
-        let (range, bv) = match ctx.fetch_attrs.last() {
-            Some(&fa) => s.sideways_select_filtered(&self.base, fa, pred),
+        let range = match ctx.fetch_attrs.last() {
+            Some(&fa) => s.sideways_select(&self.base, fa, pred),
             // No fetch attributes: derive the area from the first
             // residual map (its refine re-uses the aligned map).
-            None => s.sideways_select_filtered(&self.base, needed[0], pred),
+            None => s.sideways_select(&self.base, needed[0], pred),
         };
         RowSet::Area {
             head: (attr, *pred),
             range,
-            bv,
+            bv: None,
         }
     }
 
@@ -198,11 +181,11 @@ impl AccessPath for SidewaysEngine {
             }
             None => {
                 let s = self.store.set_mut_ensured(&self.base, 0, &self.tombstones);
-                let (range, bv) = s.select_key_area(&self.base, &all);
+                let range = s.select_key_area(&self.base, &all);
                 RowSet::Area {
                     head: (0, all),
                     range,
-                    bv,
+                    bv: None,
                 }
             }
         }

@@ -7,8 +7,8 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    CrackPolicy, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine,
-    SelCrackEngine, SelectQuery, ShardedEngine, SidewaysEngine,
+    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
+    SelectQuery, ShardedEngine, SidewaysEngine,
 };
 
 fn empty_table(cols: usize) -> Table {
@@ -110,8 +110,8 @@ fn single_value_domains_never_panic_the_planner() {
 /// uniform selectivity estimates; it used to `partial_cmp(..).expect`
 /// on them — the exact NaN panic the shared planner fixed with
 /// `total_cmp` but this path missed. Drive multi-predicate conjunctions
-/// through the SelCrack join path on every degenerate domain (and every
-/// policy) and require plain-identical answers.
+/// through the SelCrack join path on every degenerate domain and
+/// require plain-identical answers.
 #[test]
 fn selcrack_join_ordering_survives_degenerate_domains() {
     let tables: Vec<(Table, (Val, Val), &str)> = vec![
@@ -136,19 +136,17 @@ fn selcrack_join_ordering_survives_degenerate_domains() {
     for (t, domain, ctx) in &tables {
         let mut plain = PlainEngine::with_second(t.clone(), t.clone());
         let expected = plain.join(&q);
-        for policy in CrackPolicy::all() {
-            let mut e = SelCrackEngine::with_second_policy(t.clone(), t.clone(), *domain, policy);
-            let out = e.join(&q);
-            assert_eq!(out.rows, expected.rows, "{ctx} ({}): rows", policy.label());
-            assert_eq!(out.aggs, expected.aggs, "{ctx} ({}): aggs", policy.label());
-        }
+        let mut e = SelCrackEngine::with_second(t.clone(), t.clone(), *domain);
+        let out = e.join(&q);
+        assert_eq!(out.rows, expected.rows, "{ctx}: rows");
+        assert_eq!(out.aggs, expected.aggs, "{ctx}: aggs");
     }
 }
 
 /// Multi-predicate conjunctive *selects* through SelCrack on degenerate
-/// domains, under every policy explicitly (not just the env hook).
+/// domains.
 #[test]
-fn selcrack_conjunctions_on_degenerate_domains_under_all_policies() {
+fn selcrack_conjunctions_on_degenerate_domains() {
     let t = single_value_table(3, 50, 5);
     let q = SelectQuery::aggregate(
         vec![
@@ -161,16 +159,9 @@ fn selcrack_conjunctions_on_degenerate_domains_under_all_policies() {
     let mut plain = PlainEngine::new(t.clone());
     let expected = plain.select(&q);
     for domain in [(5, 5), (9, 3), (0, 0)] {
-        for policy in CrackPolicy::all() {
-            let mut e = SelCrackEngine::with_policy(t.clone(), domain, policy);
-            let out = e.select(&q);
-            assert_eq!(
-                out.aggs,
-                expected.aggs,
-                "domain {domain:?} policy {}",
-                policy.label()
-            );
-        }
+        let mut e = SelCrackEngine::new(t.clone(), domain);
+        let out = e.select(&q);
+        assert_eq!(out.aggs, expected.aggs, "domain {domain:?}");
     }
 }
 

@@ -4,8 +4,8 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    BatchRunner, CrackPolicy, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine,
-    PresortedEngine, SelCrackEngine, SelectQuery, SidewaysEngine,
+    BatchRunner, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine,
+    SelCrackEngine, SelectQuery, SidewaysEngine,
 };
 
 #[path = "../../core/tests/support/segmented.rs"]
@@ -341,101 +341,69 @@ fn batch_runner_matches_serial_for_all_engines() {
     );
 }
 
-/// Every adaptive engine under every crack policy — explicitly, not via
-/// the `CRACKDB_POLICY` env hook — must match the plain baseline on a
-/// mixed query/update stream: random queries, then two exploration
-/// patterns, a sequential sweep and nested drill-down zooms.
-/// `coarse:16` exercises both the crack and
-/// the decline-and-filter paths on these table sizes; the default
-/// `coarse` (1024-tuple leaves) never cracks at all here, stressing the
-/// pure filtering fallback.
+/// Every adaptive engine must match the plain baseline on a mixed
+/// query/update stream: random queries, then two exploration patterns,
+/// a sequential sweep and nested drill-down zooms.
 #[test]
-fn adaptive_engines_agree_under_every_policy_explicitly() {
-    let policies = [
-        CrackPolicy::Standard,
-        CrackPolicy::coarse(),
-        CrackPolicy::CoarseGranular { min_piece: 16 },
-    ];
+fn adaptive_engines_agree_under_updates_and_exploration() {
     let pattern_query = |pred: RangePred| {
         SelectQuery::aggregate(
             vec![(0, pred)],
             vec![(1, AggFunc::Count), (1, AggFunc::Max), (1, AggFunc::Sum)],
         )
     };
-    for policy in policies {
-        let table = random_table(3, 400, 4242);
-        let mut plain = PlainEngine::new(table.clone());
-        let mut others: Vec<(&str, Box<dyn Engine>)> = vec![
-            (
-                "selcrack",
-                Box::new(SelCrackEngine::with_policy(table.clone(), DOMAIN, policy)),
-            ),
-            (
-                "sideways",
-                Box::new(SidewaysEngine::with_policy(table.clone(), DOMAIN, policy)),
-            ),
-            (
-                "partial",
-                Box::new(PartialEngine::with_policy(
-                    table.clone(),
-                    DOMAIN,
-                    None,
-                    policy,
-                )),
-            ),
-            (
-                "partial+budget",
-                Box::new(PartialEngine::with_policy(
-                    table.clone(),
-                    DOMAIN,
-                    Some(300),
-                    policy,
-                )),
-            ),
-        ];
-        let mut rng = Lcg(1717);
-        let mut live_keys: Vec<u32> = (0..400).collect();
-        let mut next_insert = 0i64;
-        for i in 0..90 {
-            if i % 4 == 3 {
-                let row = [rng.next(DOMAIN.1), 5_000_000 + next_insert, next_insert];
-                next_insert += 1;
-                plain.insert(&row);
-                live_keys.push(399 + next_insert as u32);
-                let victim = live_keys.swap_remove(rng.next(live_keys.len() as i64) as usize);
-                plain.delete(victim);
-                for (_, e) in others.iter_mut() {
-                    e.insert(&row);
-                    e.delete(victim);
-                }
+    let table = random_table(3, 400, 4242);
+    let mut plain = PlainEngine::new(table.clone());
+    let mut others: Vec<(&str, Box<dyn Engine>)> = vec![
+        (
+            "selcrack",
+            Box::new(SelCrackEngine::new(table.clone(), DOMAIN)),
+        ),
+        (
+            "sideways",
+            Box::new(SidewaysEngine::new(table.clone(), DOMAIN)),
+        ),
+        (
+            "partial",
+            Box::new(PartialEngine::new(table.clone(), DOMAIN, None)),
+        ),
+        (
+            "partial+budget",
+            Box::new(PartialEngine::new(table.clone(), DOMAIN, Some(300))),
+        ),
+    ];
+    let mut rng = Lcg(1717);
+    let mut live_keys: Vec<u32> = (0..400).collect();
+    let mut next_insert = 0i64;
+    for i in 0..90 {
+        if i % 4 == 3 {
+            let row = [rng.next(DOMAIN.1), 5_000_000 + next_insert, next_insert];
+            next_insert += 1;
+            plain.insert(&row);
+            live_keys.push(399 + next_insert as u32);
+            let victim = live_keys.swap_remove(rng.next(live_keys.len() as i64) as usize);
+            plain.delete(victim);
+            for (_, e) in others.iter_mut() {
+                e.insert(&row);
+                e.delete(victim);
             }
-            let q = if i < 40 {
-                let mut q = random_select(&mut rng, 3);
-                q.disjunctive = i % 5 == 4 && q.preds.len() > 1;
-                q
-            } else if i < 70 {
-                let lo = (i - 40) * 33;
-                pattern_query(RangePred::open(lo, lo + 34))
-            } else {
-                let half = 500 - (i - 70) * 24;
-                pattern_query(RangePred::open(500 - half, 500 + half))
-            };
-            let expected = plain.select(&q);
-            for (name, e) in others.iter_mut() {
-                let out = e.select(&q);
-                assert_eq!(
-                    out.rows,
-                    expected.rows,
-                    "policy {} query {i}: {name} rows",
-                    policy.label()
-                );
-                assert_eq!(
-                    out.aggs,
-                    expected.aggs,
-                    "policy {} query {i}: {name} aggs",
-                    policy.label()
-                );
-            }
+        }
+        let q = if i < 40 {
+            let mut q = random_select(&mut rng, 3);
+            q.disjunctive = i % 5 == 4 && q.preds.len() > 1;
+            q
+        } else if i < 70 {
+            let lo = (i - 40) * 33;
+            pattern_query(RangePred::open(lo, lo + 34))
+        } else {
+            let half = 500 - (i - 70) * 24;
+            pattern_query(RangePred::open(500 - half, 500 + half))
+        };
+        let expected = plain.select(&q);
+        for (name, e) in others.iter_mut() {
+            let out = e.select(&q);
+            assert_eq!(out.rows, expected.rows, "query {i}: {name} rows");
+            assert_eq!(out.aggs, expected.aggs, "query {i}: {name} aggs");
         }
     }
 }
@@ -605,12 +573,11 @@ fn block_contract_holds_on_every_engine_and_update_state() {
 fn partial_blocks_come_from_several_and_reloaded_chunks() {
     let table = random_table(4, 800, 4711);
     let mut plain = PlainEngine::new(table.clone());
-    let mut partial = PartialEngine::with_spill_policy(
+    let mut partial = PartialEngine::with_spill_dir(
         support::segmented(&table),
         DOMAIN,
         Some(200),
         std::env::temp_dir(),
-        CrackPolicy::Standard,
     );
     let all = |a: usize| {
         use AggFunc::{Avg, Count, Max, Min, Sum};

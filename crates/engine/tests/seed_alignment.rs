@@ -16,8 +16,8 @@
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::{MapSet, TapeEntry};
-use crackdb_cracking::policy::PREPARTITION_MIN_PIECE;
-use crackdb_cracking::{active_kernel, CrackKernel, CrackPolicy, CrackedArray};
+use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
+use crackdb_cracking::{active_kernel, CrackKernel, CrackedArray};
 use crackdb_engine::{Engine, PlainEngine, SelectQuery};
 use crackdb_workloads::random_table;
 use std::collections::HashSet;
@@ -31,15 +31,10 @@ fn sorted(mut v: Vec<Val>) -> Vec<Val> {
     v
 }
 
-/// `select attr where pred(A)` through the map set, exact under every
-/// policy.
+/// `select attr where pred(A)` through the map set.
 fn set_answer(set: &mut MapSet, base: &Table, attr: usize, pred: &RangePred) -> Vec<Val> {
-    let (range, bv) = set.sideways_select_filtered(base, attr, pred);
-    let tails = set.view_tail(attr, range);
-    sorted(match bv {
-        None => tails.to_vec(),
-        Some(bv) => bv.iter_ones().map(|i| tails[i]).collect(),
-    })
+    let range = set.sideways_select(base, attr, pred);
+    sorted(set.view_tail(attr, range).to_vec())
 }
 
 fn plain_answer(plain: &mut PlainEngine, attr: usize, pred: &RangePred) -> Vec<Val> {
@@ -62,7 +57,7 @@ fn rebuilt(set: &MapSet, base: &Table, attr: usize) -> CrackedArray<Val> {
     for i in 0..set.tape.len() {
         match *set.tape.entry(i) {
             TapeEntry::Crack(pred) => {
-                arr.crack_range_with(&pred, &set.policy());
+                arr.crack_range(&pred);
             }
             TapeEntry::Inserts(id) => {
                 for &key in &set.tape.insert_batches[id as usize].keys {
@@ -88,15 +83,15 @@ fn assert_same_state(got: &CrackedArray<Val>, want: &CrackedArray<Val>, ctx: &st
     assert_eq!(got.touched(), want.touched(), "{ctx}: touched");
 }
 
-fn late_map_scenario(policy: CrackPolicy, inserts_first: bool) {
-    let ctx = format!("{} inserts_first={inserts_first}", policy.label());
+fn late_map_scenario(inserts_first: bool) {
+    let ctx = format!("inserts_first={inserts_first}");
     let mut base = random_table(3, ROWS, DOMAIN, 0xA11E);
     let mut plain = PlainEngine::new(base.clone());
     for key in EXCLUDED {
         plain.delete(key);
     }
     let excluded: HashSet<RowId> = EXCLUDED.into_iter().collect();
-    let mut set = MapSet::with_policy(0, ROWS, excluded, policy);
+    let mut set = MapSet::new(0, ROWS, excluded);
 
     let insert = |set: &mut MapSet, base: &mut Table, plain: &mut PlainEngine, a: Val| {
         let row = [a, a + 1, a + 2];
@@ -161,14 +156,8 @@ fn late_map_scenario(policy: CrackPolicy, inserts_first: bool) {
 
 #[test]
 fn late_map_aligns_and_answers_under_standard() {
-    late_map_scenario(CrackPolicy::Standard, false);
-    late_map_scenario(CrackPolicy::Standard, true);
-}
-
-#[test]
-fn late_map_aligns_and_answers_under_coarse_granular() {
-    late_map_scenario(CrackPolicy::coarse(), false);
-    late_map_scenario(CrackPolicy::coarse(), true);
+    late_map_scenario(false);
+    late_map_scenario(true);
 }
 
 /// A first crack whose bound lands exactly on a prepartition cut adds
@@ -212,7 +201,7 @@ fn first_crack_landing_on_a_cut_is_still_logged() {
             base.column(0).values().to_vec(),
             base.column(attr).values().to_vec(),
         );
-        want.crack_range_with(&on_cut, &CrackPolicy::Standard);
+        want.crack_range(&on_cut);
         assert_same_state(&map.arr, &want, &format!("map {attr}"));
     }
 }

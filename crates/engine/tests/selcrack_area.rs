@@ -2,19 +2,15 @@
 //! answers from the cracked area — the cracked attribute as the area's
 //! head slice, every other attribute gathered through its tail slice,
 //! residual predicates as a bit vector over it — and must agree with the
-//! plain scan baseline under every crack policy, through queued updates,
-//! and behind `ShardedEngine`.
+//! plain scan baseline, through queued updates, and behind
+//! `ShardedEngine`.
 //!
-//! Seeded throughout. The tables are small enough that the default
-//! coarse-granular policy (1024-tuple leaves) mostly declines to split
-//! and answers from inexact, head-filtered areas, while `coarse:16`
-//! mixes exact and inexact ones.
+//! Seeded throughout.
 
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, Bound, RangePred, RowId, Val};
 use crackdb_engine::{
-    BatchRunner, CrackPolicy, Engine, PlainEngine, QueryOutput, SelCrackEngine, SelectQuery,
-    ShardedEngine,
+    BatchRunner, Engine, PlainEngine, QueryOutput, SelCrackEngine, SelectQuery, ShardedEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::random_table;
@@ -22,12 +18,6 @@ use crackdb_workloads::random_table;
 const DOMAIN: (Val, Val) = (0, 1000);
 const COLS: usize = 3;
 const ROWS: usize = 2500;
-
-fn policies() -> Vec<CrackPolicy> {
-    let mut all = CrackPolicy::all().to_vec();
-    all.push(CrackPolicy::CoarseGranular { min_piece: 16 });
-    all
-}
 
 const FOUR: [AggFunc; 4] = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max];
 
@@ -58,17 +48,13 @@ fn assert_agrees(got: &QueryOutput, want: &QueryOutput, ctx: &str) {
     assert_eq!(tuples(got), tuples(want), "{ctx}: projected rows");
 }
 
-/// Run `queries` through a fresh `SelCrackEngine` per policy and through
-/// the plain baseline, comparing answer by answer.
-fn check_all_policies(t: &Table, queries: &[SelectQuery]) {
+/// Run `queries` through a fresh `SelCrackEngine` and through the plain
+/// baseline, comparing answer by answer.
+fn check_against_plain(t: &Table, queries: &[SelectQuery]) {
     let mut plain = PlainEngine::new(t.clone());
-    let want: Vec<QueryOutput> = queries.iter().map(|q| plain.select(q)).collect();
-    for policy in policies() {
-        let mut e = SelCrackEngine::with_policy(t.clone(), DOMAIN, policy);
-        for (i, (q, want)) in queries.iter().zip(&want).enumerate() {
-            let ctx = format!("policy {} query {i} {q:?}", policy.label());
-            assert_agrees(&e.select(q), want, &ctx);
-        }
+    let mut e = SelCrackEngine::new(t.clone(), DOMAIN);
+    for (i, q) in queries.iter().enumerate() {
+        assert_agrees(&e.select(q), &plain.select(q), &format!("query {i} {q:?}"));
     }
 }
 
@@ -82,7 +68,7 @@ fn aggregates_on_the_cracked_attribute() {
             SelectQuery::aggregate(vec![(a, range(&mut rng))], aggs_on(a))
         })
         .collect();
-    check_all_policies(&t, &queries);
+    check_against_plain(&t, &queries);
 }
 
 #[test]
@@ -98,7 +84,7 @@ fn cracked_and_other_attributes_in_one_query() {
             SelectQuery::aggregate(vec![(a, range(&mut rng))], aggs)
         })
         .collect();
-    check_all_policies(&t, &queries);
+    check_against_plain(&t, &queries);
 }
 
 #[test]
@@ -119,7 +105,7 @@ fn projections_stay_row_aligned() {
             q
         })
         .collect();
-    check_all_policies(&t, &queries);
+    check_against_plain(&t, &queries);
 }
 
 #[test]
@@ -144,7 +130,7 @@ fn conjunctions_with_residual_predicates() {
             q
         })
         .collect();
-    check_all_policies(&t, &queries);
+    check_against_plain(&t, &queries);
 }
 
 #[test]
@@ -174,7 +160,7 @@ fn whole_empty_and_point_ranges() {
             queries.push(SelectQuery::aggregate(vec![(a, pred)], vec![]));
         }
     }
-    check_all_policies(&t, &queries);
+    check_against_plain(&t, &queries);
 }
 
 enum Op {
@@ -261,20 +247,18 @@ fn assert_all_agree(got: &[QueryOutput], want: &[QueryOutput], ctx: &str) {
     }
 }
 
-/// Replay `ops` through a fresh `SelCrackEngine` per policy and through
-/// the plain baseline.
-fn check_stream_all_policies(t: &Table, ops: &[Op]) {
+/// Replay `ops` through a fresh `SelCrackEngine` and through the plain
+/// baseline.
+fn check_stream_against_plain(t: &Table, ops: &[Op]) {
     let want = replay(&mut PlainEngine::new(t.clone()), ops);
-    for policy in policies() {
-        let mut e = SelCrackEngine::with_policy(t.clone(), DOMAIN, policy);
-        assert_all_agree(&replay(&mut e, ops), &want, policy.label());
-    }
+    let mut e = SelCrackEngine::new(t.clone(), DOMAIN);
+    assert_all_agree(&replay(&mut e, ops), &want, "selcrack");
 }
 
 #[test]
 fn areas_show_ripple_merged_updates() {
     let t = random_table(COLS, ROWS, DOMAIN.1, 23);
-    check_stream_all_policies(&t, &update_stream(400, 24, conjunction));
+    check_stream_against_plain(&t, &update_stream(400, 24, conjunction));
 }
 
 /// `a < x or a > y` selects on the same column twice within one query,
@@ -284,7 +268,7 @@ fn areas_show_ripple_merged_updates() {
 #[test]
 fn disjunctions_naming_the_same_attribute_twice() {
     let t = random_table(COLS, ROWS, DOMAIN.1, 19);
-    check_stream_all_policies(&t, &update_stream(300, 20, same_attribute_disjunction));
+    check_stream_against_plain(&t, &update_stream(300, 20, same_attribute_disjunction));
 }
 
 /// An update outside the queried range stays queued (the cracker column
@@ -298,37 +282,33 @@ fn out_of_range_updates_stay_pending() {
         assert_eq!(out.aggs[0], Some(out.rows as Val));
         out
     };
-    for policy in policies() {
-        let mut e = SelCrackEngine::with_policy(t.clone(), DOMAIN, policy);
-        let low = RangePred::open(100, 300);
-        let high = RangePred::closed(900, 950);
-        let before_low = count(&mut e, low).rows;
-        let before_high = count(&mut e, high);
-        assert_eq!(e.aux_tuples(), ROWS);
+    let mut e = SelCrackEngine::new(t.clone(), DOMAIN);
+    let low = RangePred::open(100, 300);
+    let high = RangePred::closed(900, 950);
+    let before_low = count(&mut e, low).rows;
+    let before_high = count(&mut e, high);
+    assert_eq!(e.aux_tuples(), ROWS);
 
-        e.insert(&[925]);
-        e.insert(&[200]);
-        assert_eq!(count(&mut e, low).rows, before_low + 1);
-        assert_eq!(e.aux_tuples(), ROWS + 1, "the 925 insert is still queued");
-        let after_high = count(&mut e, high);
-        assert_eq!(after_high.rows, before_high.rows + 1);
-        assert_eq!(after_high.aggs[1], before_high.aggs[1].map(|s| s + 925));
-        assert_eq!(e.aux_tuples(), ROWS + 2);
+    e.insert(&[925]);
+    e.insert(&[200]);
+    assert_eq!(count(&mut e, low).rows, before_low + 1);
+    assert_eq!(e.aux_tuples(), ROWS + 1, "the 925 insert is still queued");
+    let after_high = count(&mut e, high);
+    assert_eq!(after_high.rows, before_high.rows + 1);
+    assert_eq!(after_high.aggs[1], before_high.aggs[1].map(|s| s + 925));
+    assert_eq!(e.aux_tuples(), ROWS + 2);
 
-        // Delete the two inserted rows again: one range at a time.
-        e.delete(ROWS as RowId);
-        e.delete(ROWS as RowId + 1);
-        assert_eq!(count(&mut e, high).aggs, before_high.aggs);
-        assert_eq!(e.aux_tuples(), ROWS + 1, "the 200 delete is still queued");
-        assert_eq!(count(&mut e, low).rows, before_low);
-        assert_eq!(e.aux_tuples(), ROWS);
-    }
+    // Delete the two inserted rows again: one range at a time.
+    e.delete(ROWS as RowId);
+    e.delete(ROWS as RowId + 1);
+    assert_eq!(count(&mut e, high).aggs, before_high.aggs);
+    assert_eq!(e.aux_tuples(), ROWS + 1, "the 200 delete is still queued");
+    assert_eq!(count(&mut e, low).rows, before_low);
+    assert_eq!(e.aux_tuples(), ROWS);
 }
 
 /// The same stream behind `ShardedEngine`: every shard answers from its
-/// own areas and the merged answers must not change. Built with
-/// `SelCrackEngine::new`, so the `CRACKDB_POLICY` legs of CI's
-/// `policy-differential` job drive it under each policy.
+/// own areas and the merged answers must not change.
 #[test]
 fn sharded_selcrack_answers_from_areas() {
     let t = random_table(COLS, ROWS, DOMAIN.1, 27);
@@ -366,9 +346,7 @@ fn long_areas_fold_through_the_parallel_kernels() {
         })
         .collect();
     let want = BatchRunner::new(PlainEngine::new(t.clone()), 1).run(&queries);
-    for policy in policies() {
-        let e = SelCrackEngine::with_policy(t.clone(), DOMAIN, policy);
-        let got = BatchRunner::new(e, 3).run(&queries);
-        assert_all_agree(&got, &want, policy.label());
-    }
+    let e = SelCrackEngine::new(t.clone(), DOMAIN);
+    let got = BatchRunner::new(e, 3).run(&queries);
+    assert_all_agree(&got, &want, "selcrack");
 }

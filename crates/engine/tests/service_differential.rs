@@ -14,8 +14,7 @@
 //! which is unordered by contract), and every insert's service-assigned
 //! global key must equal the key the serial engine hands out. That is
 //! the linearizability contract of the service, checked end to end for
-//! all five engines, shard counts 1/2/7, and the standard +
-//! coarse-granular crack policies.
+//! all five engines and shard counts 1/2/7.
 //!
 //! Clients only delete rows they own (their own service-assigned insert
 //! keys, plus a disjoint slice of the original rows), so every delete
@@ -24,8 +23,8 @@
 
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
-    Client, CrackPolicy, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine,
-    QueryOutput, SelCrackEngine, SelectQuery, Service, ShardedEngine, SidewaysEngine,
+    Client, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, QueryOutput,
+    SelCrackEngine, SelectQuery, Service, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::random_table;
@@ -200,13 +199,6 @@ fn check_service<E: Engine + Send + 'static>(
     }
 }
 
-/// The standard + coarse-granular policy pair every adaptive engine
-/// runs under (plain and presorted never crack, so policies don't
-/// apply).
-fn policies() -> [CrackPolicy; 2] {
-    [CrackPolicy::Standard, CrackPolicy::coarse()]
-}
-
 #[test]
 fn concurrent_plain_matches_serial_replay() {
     let t = random_table(3, 307, DOMAIN.1, 201);
@@ -240,58 +232,44 @@ fn concurrent_presorted_matches_serial_replay() {
 #[test]
 fn concurrent_selcrack_matches_serial_replay() {
     let t = random_table(3, 311, DOMAIN.1, 203);
-    for policy in policies() {
-        check_service(
-            &format!("selcrack/{}", policy.label()),
-            311,
-            3,
-            227,
-            &|s| {
-                ShardedEngine::build(t.clone(), s, |_, part| {
-                    SelCrackEngine::with_policy(part, DOMAIN, policy)
-                })
-            },
-            &|| SelCrackEngine::with_policy(t.clone(), DOMAIN, policy),
-        );
-    }
+    check_service(
+        "selcrack",
+        311,
+        3,
+        227,
+        &|s| ShardedEngine::build(t.clone(), s, |_, part| SelCrackEngine::new(part, DOMAIN)),
+        &|| SelCrackEngine::new(t.clone(), DOMAIN),
+    );
 }
 
 #[test]
 fn concurrent_sideways_matches_serial_replay() {
     let t = random_table(3, 299, DOMAIN.1, 204);
-    for policy in policies() {
-        check_service(
-            &format!("sideways/{}", policy.label()),
-            299,
-            3,
-            229,
-            &|s| {
-                ShardedEngine::build(t.clone(), s, |_, part| {
-                    SidewaysEngine::with_policy(part, DOMAIN, policy)
-                })
-            },
-            &|| SidewaysEngine::with_policy(t.clone(), DOMAIN, policy),
-        );
-    }
+    check_service(
+        "sideways",
+        299,
+        3,
+        229,
+        &|s| ShardedEngine::build(t.clone(), s, |_, part| SidewaysEngine::new(part, DOMAIN)),
+        &|| SidewaysEngine::new(t.clone(), DOMAIN),
+    );
 }
 
 #[test]
 fn concurrent_partial_matches_serial_replay() {
     let t = random_table(3, 303, DOMAIN.1, 205);
-    for policy in policies() {
-        check_service(
-            &format!("partial/{}", policy.label()),
-            303,
-            3,
-            233,
-            &|s| {
-                ShardedEngine::build(t.clone(), s, |_, part| {
-                    PartialEngine::with_policy(part, DOMAIN, None, policy)
-                })
-            },
-            &|| PartialEngine::with_policy(t.clone(), DOMAIN, None, policy),
-        );
-    }
+    check_service(
+        "partial",
+        303,
+        3,
+        233,
+        &|s| {
+            ShardedEngine::build(t.clone(), s, |_, part| {
+                PartialEngine::new(part, DOMAIN, None)
+            })
+        },
+        &|| PartialEngine::new(t.clone(), DOMAIN, None),
+    );
 }
 
 /// A read-heavy concurrent mix over warmed (converged)
@@ -306,7 +284,7 @@ fn read_heavy_selcrack_matches_serial_replay() {
     let t = random_table(COLS, ROWS, DOMAIN.1, 209);
     for shards in SHARD_COUNTS {
         let engine = ShardedEngine::build(t.clone(), shards, |_, part| {
-            SelCrackEngine::with_policy(part, DOMAIN, CrackPolicy::Standard)
+            SelCrackEngine::new(part, DOMAIN)
         });
         let svc = Service::start(engine).expect("service starts");
 
@@ -378,7 +356,7 @@ fn read_heavy_selcrack_matches_serial_replay() {
                 "{shards} shards: sequence numbers are a gapless total order"
             );
         }
-        let mut serial = SelCrackEngine::with_policy(t.clone(), DOMAIN, CrackPolicy::Standard);
+        let mut serial = SelCrackEngine::new(t.clone(), DOMAIN);
         let mut inserts = 0usize;
         for (seq, op) in &merged {
             let ctx = format!("read-heavy, {shards} shards, seq {seq}");

@@ -2,7 +2,7 @@
 //! (segmented) columns whose budget forces chunks through the disk spill
 //! tier (serialize → evict → reload on re-access) must stay bit-for-bit
 //! identical to a never-evicted engine and to the plain-scan baseline —
-//! across crack policies, under interleaved updates (the spilled-chunk
+//! under interleaved updates (the spilled-chunk
 //! cursor is the staged-update watermark), and with the
 //! `usage() <= budget` invariant and the partial sets' bookkeeping
 //! invariants holding after every op. Plus the fault-injection
@@ -17,8 +17,8 @@ use crackdb_columnstore::shard::{partition_table, ShardCuts};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_core::PartialStats;
 use crackdb_engine::{
-    CrackPolicy, Engine, PartialEngine, PlainEngine, QueryError, SelectQuery, Service,
-    ServiceError, ShardedEngine,
+    Engine, PartialEngine, PlainEngine, QueryError, SelectQuery, Service, ServiceError,
+    ShardedEngine,
 };
 
 #[path = "../../core/tests/support/segmented.rs"]
@@ -100,95 +100,74 @@ fn check_sets(e: &PartialEngine, cols: usize, ctx: &str) {
     }
 }
 
-/// The spill round-trip property: for every crack policy, a seeded
-/// random query/update stream answers identically on (a) the plain
-/// baseline, (b) an unbudgeted in-RAM partial engine, and (c) a
-/// tiny-budget spill engine over file-backed columns whose chunks
-/// round-trip through disk — including un-merge (area reverts under
-/// eviction pressure) and staged update replay on reloaded chunks. The
-/// budget invariant is asserted after every single query.
+/// The spill round-trip property: a seeded random query/update stream
+/// answers identically on (a) the plain baseline, (b) an unbudgeted
+/// in-RAM partial engine, and (c) a tiny-budget spill engine over
+/// file-backed columns whose chunks round-trip through disk — including
+/// un-merge (area reverts under eviction pressure) and staged update
+/// replay on reloaded chunks. The budget invariant is asserted after
+/// every single query.
 #[test]
 fn spilled_runs_match_never_evicted_bit_for_bit() {
-    let policies = [
-        CrackPolicy::Standard,
-        CrackPolicy::CoarseGranular { min_piece: 16 },
-    ];
-    for policy in policies {
-        let table = random_table(3, 400, 2026);
-        let mut plain = PlainEngine::new(table.clone());
-        let mut ram = PartialEngine::with_policy(table.clone(), DOMAIN, None, policy);
-        let mut spilled = PartialEngine::with_spill_policy(
-            segmented(&table),
-            DOMAIN,
-            Some(TINY_BUDGET),
-            std::env::temp_dir(),
-            policy,
-        );
-        assert!(spilled.store().spill_enabled());
+    let table = random_table(3, 400, 2026);
+    let mut plain = PlainEngine::new(table.clone());
+    let mut ram = PartialEngine::new(table.clone(), DOMAIN, None);
+    let mut spilled = PartialEngine::with_spill_dir(
+        segmented(&table),
+        DOMAIN,
+        Some(TINY_BUDGET),
+        std::env::temp_dir(),
+    );
+    assert!(spilled.store().spill_enabled());
 
-        let mut rng = Lcg(31337);
-        let mut live_keys: Vec<u32> = (0..400).collect();
-        let mut next_insert = 0i64;
-        for i in 0..50 {
-            if i % 4 == 3 {
-                let row = [rng.next(DOMAIN.1), 7_000_000 + next_insert, next_insert];
-                next_insert += 1;
-                plain.insert(&row);
-                ram.insert(&row);
-                spilled.insert(&row);
-                live_keys.push(399 + next_insert as u32);
-                let victim = live_keys.swap_remove(rng.next(live_keys.len() as i64) as usize);
-                plain.delete(victim);
-                ram.delete(victim);
-                spilled.delete(victim);
-                check_sets(&spilled, 3, &format!("policy {} op {i}", policy.label()));
-            }
-            let q = random_select(&mut rng, 3);
-            let expected = plain.select(&q);
-            let r = ram.select(&q);
-            let s = spilled
-                .try_select(&q)
-                .expect("a healthy spill tier never errors");
-            for (name, out) in [("ram", &r), ("spilled", &s)] {
-                assert_eq!(
-                    out.rows,
-                    expected.rows,
-                    "policy {} query {i}: {name} rows",
-                    policy.label()
-                );
-                assert_eq!(
-                    out.aggs,
-                    expected.aggs,
-                    "policy {} query {i}: {name} aggs",
-                    policy.label()
-                );
-                assert_eq!(
-                    sorted(out.proj_values[0].clone()),
-                    sorted(expected.proj_values[0].clone()),
-                    "policy {} query {i}: {name} projection",
-                    policy.label()
-                );
-            }
-            assert!(
-                spilled.store().usage() <= TINY_BUDGET,
-                "policy {} query {i}: usage {} exceeds budget {TINY_BUDGET}",
-                policy.label(),
-                spilled.store().usage()
-            );
-            check_sets(&spilled, 3, &format!("policy {} query {i}", policy.label()));
+    let mut rng = Lcg(31337);
+    let mut live_keys: Vec<u32> = (0..400).collect();
+    let mut next_insert = 0i64;
+    for i in 0..50 {
+        if i % 4 == 3 {
+            let row = [rng.next(DOMAIN.1), 7_000_000 + next_insert, next_insert];
+            next_insert += 1;
+            plain.insert(&row);
+            ram.insert(&row);
+            spilled.insert(&row);
+            live_keys.push(399 + next_insert as u32);
+            let victim = live_keys.swap_remove(rng.next(live_keys.len() as i64) as usize);
+            plain.delete(victim);
+            ram.delete(victim);
+            spilled.delete(victim);
+            check_sets(&spilled, 3, &format!("op {i}"));
         }
-        let stats = spilled.store().stats_sum();
+        let q = random_select(&mut rng, 3);
+        let expected = plain.select(&q);
+        let r = ram.select(&q);
+        let s = spilled
+            .try_select(&q)
+            .expect("a healthy spill tier never errors");
+        for (name, out) in [("ram", &r), ("spilled", &s)] {
+            assert_eq!(out.rows, expected.rows, "query {i}: {name} rows");
+            assert_eq!(out.aggs, expected.aggs, "query {i}: {name} aggs");
+            assert_eq!(
+                sorted(out.proj_values[0].clone()),
+                sorted(expected.proj_values[0].clone()),
+                "query {i}: {name} projection"
+            );
+        }
         assert!(
-            stats.chunks_spilled > 0,
-            "policy {}: the tiny budget must actually spill",
-            policy.label()
+            spilled.store().usage() <= TINY_BUDGET,
+            "query {i}: usage {} exceeds budget {TINY_BUDGET}",
+            spilled.store().usage()
         );
-        assert!(
-            stats.chunks_reloaded > 0,
-            "policy {}: re-accessed chunks must reload from disk, not recrack",
-            policy.label()
-        );
+        check_sets(&spilled, 3, &format!("query {i}"));
     }
+    let stats = spilled.store().stats_sum();
+    assert!(
+        stats.chunks_spilled > 0,
+        "the tiny budget must actually spill"
+    );
+    assert!(
+        stats.chunks_reloaded > 0,
+        "re-accessed chunks must reload from disk, not recrack"
+    );
 }
 
 /// Un-merge interplay, directly: updates staged while a chunk sits on

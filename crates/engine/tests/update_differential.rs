@@ -19,8 +19,8 @@
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
-    CrackPolicy, Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine,
-    SelectQuery, Service, ShardedEngine, SidewaysEngine,
+    Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine, SelectQuery,
+    Service, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::{random_table, RangeGen};
@@ -430,7 +430,7 @@ fn wide_table() -> Table {
 }
 
 fn sideways(t: Table) -> SidewaysEngine {
-    SidewaysEngine::with_policy(t, WIDE, CrackPolicy::Standard)
+    SidewaysEngine::new(t, WIDE)
 }
 
 #[test]
@@ -497,11 +497,11 @@ fn partial_and_selcrack_ripple_across_thousands_of_pieces() {
     // resident, so later reads rebuild it on the dropped chunk's lazily
     // deleted index shell (dozens of times in this stream).
     let budget = 6_000;
-    let mut e = PartialEngine::with_policy(t.clone(), WIDE, Some(budget), CrackPolicy::Standard);
+    let mut e = PartialEngine::new(t.clone(), WIDE, Some(budget));
     assert_same(&replay(&mut e, &ops), &expected, "partial");
     let stats = e.store().stats_sum();
     assert!(stats.chunks_dropped > 0, "the budget evicts: {stats:?}");
     assert!(stats.updates_merged > 0, "updates were merged: {stats:?}");
-    let mut e = SelCrackEngine::with_policy(t, WIDE, CrackPolicy::Standard);
+    let mut e = SelCrackEngine::new(t, WIDE);
     assert_same(&replay(&mut e, &ops), &expected, "selcrack");
 }

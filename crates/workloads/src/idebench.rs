@@ -5,19 +5,18 @@
 //! panel, rolls back up, pans, requests binned histograms — with think
 //! time between actions and a latency budget per action (the answer
 //! must arrive before the user's next interaction). These access
-//! patterns are exactly the regimes where the crack policies diverge:
-//! sequential sweeps leave one huge tail piece that standard cracking
-//! re-ploughs every query, drill-downs reward exact bounds, and fine
-//! binning shatters the index under dense boundaries.
+//! patterns stress cracking where it is weakest: sequential sweeps
+//! leave one huge tail piece that every query re-ploughs, drill-downs
+//! crack ever smaller pieces of a hot region, and fine binning
+//! shatters the index under dense boundaries.
 //!
 //! This module generates deterministic session traces of those shapes
 //! for crackbench's `ide_sessions` workload, which replays them on bare
-//! cracker columns, each under the one
-//! [`CrackPolicy`](crackdb_cracking::CrackPolicy) it was built with.
+//! cracker columns.
 //!
 //! Every generator is a pure function of `(domain, seed)`: two
-//! generators built alike produce byte-identical traces, so policies
-//! replay *the same* session and answer-identity checks are meaningful.
+//! generators built alike produce byte-identical traces, so runs replay
+//! *the same* session and answer-identity checks are meaningful.
 
 use crackdb_columnstore::types::{RangePred, Val};
 use crackdb_rng::rngs::StdRng;
@@ -193,9 +192,9 @@ impl IdeBench {
 
     /// Hot-zone browsing: `n` panels confined to one fifth of the domain
     /// (the user pans around the region they drilled into). Exact
-    /// cracking converges inside the zone after a few queries; policies
-    /// that pre-partition the whole array pay for regions this session
-    /// never visits.
+    /// cracking converges inside the zone after a few queries; a
+    /// first-touch prepartition of the whole array pays for regions this
+    /// session never visits.
     pub fn hot_browse(&mut self, n: usize) -> Session {
         let zone_w = (self.domain / 5).max(1);
         let zone_lo = self.rng.gen_range(0..=(self.domain - zone_w).max(1));
