@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the kernels behind every figure: crack-in-two /
-//! crack-in-three, AVL index operations, bit-vector filtering, the three
+//! crack-in-three, cracker-index operations, bit-vector filtering, the three
 //! positional-reconstruction access patterns, and ripple updates.
 
 use crackdb_bench::harness::{BatchSize, Criterion};

@@ -12,7 +12,7 @@ use std::ops::Range;
 
 /// Smallest uncracked piece the radix-prepartition fast path bothers
 /// with: below this, one blocked crack-in-two pass is already cheap and
-/// the advisory boundaries would not pay for their AVL nodes.
+/// the advisory boundaries would not pay for their index entries.
 pub const PREPARTITION_MIN_PIECE: usize = 1 << 20;
 
 /// Piece size the prepartition aims for: roughly L2-resident pieces, so
@@ -536,14 +536,16 @@ impl<T: Copy> CrackedArray<T> {
         self.tail.pop();
     }
 
-    /// Check that the index describes the arrays: head and tail have
-    /// one length, live boundary positions ascend in key order and lie
-    /// within it, and every piece's head values belong right of the
-    /// boundary below the piece and left of the one above it. Boundary
-    /// keys are totally ordered, so the two neighbours imply every other
-    /// boundary: one ordered walk, O(n + B). `Err` names the first
-    /// violation.
+    /// Check that the index describes the arrays: the index passes
+    /// [`CrackerIndex::check_invariants`] (live boundary positions
+    /// ascend in key order), head and tail have one length, live
+    /// boundary positions lie within it, and every piece's head values
+    /// belong right of the boundary below the piece and left of the one
+    /// above it. Boundary keys are totally ordered, so the two
+    /// neighbours imply every other boundary: one ordered walk,
+    /// O(n + B). `Err` names the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.index.check_invariants()?;
         let n = self.head.len();
         if self.tail.len() != n {
             return Err(format!("head holds {n} tuples, tail {}", self.tail.len()));
@@ -554,7 +556,7 @@ impl<T: Copy> CrackedArray<T> {
             let start = below.map_or(0, |(_, p)| p);
             let end = above.map_or(n, |(_, p)| p);
             if let Some(((bv, kind), pos)) = above {
-                if pos < start || pos > n {
+                if pos > n {
                     return Err(format!(
                         "boundary ({bv:?},{kind:?})@{pos} outside [{start}, {n}]"
                     ));

@@ -8,10 +8,10 @@
 //! Provided building blocks, all reused by `crackdb-core` for sideways
 //! cracking:
 //!
-//! * [`avl::AvlTree`] — arena AVL tree with lazy deletion;
 //! * [`crack`] — the crack-in-two / crack-in-three partition kernels;
-//! * [`index::CrackerIndex`] — boundary bookkeeping + §3.3 histogram
-//!   estimates;
+//! * [`index::CrackerIndex`] — the cracker index: std's ordered map
+//!   from boundaries to positions, with lazy deletion, plus §3.3
+//!   histogram estimates;
 //! * [`cracked::CrackedArray`] — a generic two-column cracked array with
 //!   ripple insert/delete;
 //! * [`column::CrackerColumn`] — the selection-cracking baseline
@@ -24,15 +24,12 @@
 //! kernel opens a huge virgin piece with a radix prepartition whose
 //! cuts the index keeps as *advisory* boundaries.
 
-pub mod arena;
-pub mod avl;
 pub mod column;
 pub mod crack;
 pub mod cracked;
 pub mod index;
 pub mod kernel;
 
-pub use arena::{Arena, SlotId};
 pub use column::{CrackedArea, CrackerColumn};
 pub use crack::BoundKind;
 pub use cracked::{CrackedArray, SeedPlan};

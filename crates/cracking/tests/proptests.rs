@@ -17,7 +17,7 @@ use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 ///    non-decreasing, every position within `[0, len]`;
 /// 2. each boundary partitions the array: values below its position
 ///    belong to the left piece, values at/after it do not;
-/// 3. the AVL lookups agree with the flattened boundary list —
+/// 3. the index lookups agree with the flattened boundary list —
 ///    `position_of` resolves each live boundary to the recorded
 ///    position, and `enclosing_piece` of a key between two adjacent
 ///    boundaries returns exactly those positions.
@@ -51,12 +51,12 @@ fn assert_structural_invariants<T: Copy>(arr: &CrackedArray<T>) {
         }
     }
 
-    // (3) AVL lookups consistent with the flattened list.
+    // (3) Index lookups consistent with the flattened list.
     for (i, &(key, pos)) in bs.iter().enumerate() {
         assert_eq!(
             arr.index().position_of(key),
             Some(pos),
-            "live boundary must resolve through the AVL"
+            "live boundary must resolve through the index"
         );
         // A key nestled between boundary i and i+1 sees exactly that
         // piece. BoundKind::Lt sorts before Le on equal values, so
@@ -185,7 +185,7 @@ fn crack_range_sequences_are_consistent() {
     });
 }
 
-/// Structural invariants (piece in-range, sorted boundaries, AVL
+/// Structural invariants (piece in-range, sorted boundaries, index
 /// consistency) hold after *any* random crack sequence — not just the
 /// end-to-end answers tested above.
 #[test]
@@ -224,7 +224,7 @@ fn crack_sequences_preserve_structural_invariants() {
 
 /// The same structural invariants survive ripple inserts and deletes
 /// interleaved with cracks (boundaries shift but stay sorted, pieces
-/// stay internally in-range, the AVL stays consistent).
+/// stay internally in-range, the index stays consistent).
 #[test]
 fn ripple_updates_preserve_structural_invariants() {
     cases(0x217C7, |rng| {

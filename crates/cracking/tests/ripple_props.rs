@@ -192,7 +192,7 @@ fn assert_same_state(arr: &CrackedArray<Tag>, want: &Reference, keys: &BTreeSet<
             "position of {k:?}, deleted nodes included"
         );
     }
-    idx.check_invariants();
+    assert_eq!(idx.check_invariants(), Ok(()));
     assert_pieces_in_range(arr);
     if arr.len() <= 128 {
         arr.check_partitioning();

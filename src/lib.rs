@@ -12,7 +12,7 @@
 //!
 //! * [`columnstore`] — BAT storage model, two-column physical algebra,
 //!   presorted and row-store baselines, radix-cluster reordering.
-//! * [`cracking`] — selection cracking: AVL cracker index, crack-in-two /
+//! * [`cracking`] — selection cracking: ordered-map cracker index, crack-in-two /
 //!   crack-in-three kernels, cracker columns, ripple updates.
 //! * [`core`] — the paper's contribution: cracker maps, map sets, tapes,
 //!   adaptive alignment, bit-vector multi-selection plans, self-organizing
