@@ -210,8 +210,8 @@ impl Column {
     ///
     /// # Panics
     /// On a segmented column — a file-backed tail has no contiguous
-    /// resident slice. Operators that need raw slices (parallel scans,
-    /// radix clustering, shard partitioning) require resident columns.
+    /// resident slice. Operators that need raw slices (radix clustering,
+    /// shard partitioning) require resident columns.
     pub fn values(&self) -> &[Val] {
         match &self.data {
             ColumnData::Resident(v) => v,

@@ -10,7 +10,6 @@
 //! each, instead of paying a call per value.
 
 use crate::column::Column;
-use crate::ops::parallel::{par_agg_values, PartialAgg};
 use crate::types::{AggFunc, RowId, Val};
 use std::borrow::Borrow;
 
@@ -38,13 +37,11 @@ impl Block<'_> {
         }
     }
 
-    /// Fold the qualifying values into `agg`. Dense blocks go through
-    /// [`par_agg_values`], so a long contiguous area is split over the
-    /// batch session's workers and a short one never spawns a thread.
+    /// Fold the qualifying values into `agg`.
     pub fn fold_into(&self, agg: &mut PartialAgg) {
         match self.sel {
             Some(words) => agg.fold_masked(self.vals, words),
-            None => agg.merge(&par_agg_values(self.vals)),
+            None => agg.fold_slice(self.vals),
         }
     }
 
@@ -70,15 +67,15 @@ impl Block<'_> {
 /// that fills it and the fold or copy that drains it.
 const GATHER_RUN: usize = 1024;
 
-/// Positional gather: read `col[k]` for `keys`, in key order, and hand
-/// the values on as runs of at most [`GATHER_RUN`]. The one gather loop:
-/// key lists, cracked-area tails and the parallel aggregate kernel
-/// ([`par_agg_gather`](crate::ops::parallel::par_agg_gather)) all read
-/// base columns through it.
-pub fn gather_runs(
+/// Positional gather for key lists: read `col[k]` for `keys`, in key
+/// order, and hand the values on as dense blocks of at most
+/// [`GATHER_RUN`]. The one gather loop: key lists and cracked-area tails
+/// both read base columns through it.
+pub fn gather_blocks(
+    attr: usize,
     col: &Column,
     keys: impl IntoIterator<Item = impl Borrow<RowId>>,
-    mut on_run: impl FnMut(&[Val]),
+    mut consume: impl FnMut(Block<'_>),
 ) {
     let mut buf = [0; GATHER_RUN];
     let mut keys = keys.into_iter();
@@ -91,25 +88,12 @@ pub fn gather_runs(
         if n == 0 {
             return;
         }
-        on_run(&buf[..n]);
-    }
-}
-
-/// Positional reconstruction for key lists: [`gather_runs`] with each run
-/// handed on as a dense block.
-pub fn gather_blocks(
-    attr: usize,
-    col: &Column,
-    keys: impl IntoIterator<Item = impl Borrow<RowId>>,
-    mut consume: impl FnMut(Block<'_>),
-) {
-    gather_runs(col, keys, |vals| {
         consume(Block {
             attr,
-            vals,
+            vals: &buf[..n],
             sel: None,
-        })
-    });
+        });
+    }
 }
 
 /// Walk `vals` under `words` a word at a time, handing `on_run` the
@@ -170,7 +154,45 @@ impl Run {
     }
 }
 
+/// A mergeable partial aggregate: one fold computes every statistic the
+/// aggregate functions need, so a block is scanned exactly once, and
+/// shards' partials merge into the unsharded answer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartialAgg {
+    /// Number of values folded.
+    pub count: i64,
+    /// Wrapping sum.
+    pub sum: i64,
+    /// Minimum (`None` on empty input).
+    pub min: Option<Val>,
+    /// Maximum (`None` on empty input).
+    pub max: Option<Val>,
+}
+
 impl PartialAgg {
+    /// Fold one value.
+    #[inline(always)]
+    pub fn push(&mut self, v: Val) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = Some(self.min.map_or(v, |m| m.min(v)));
+        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+    }
+
+    /// Merge another partial (another shard's, say) into this one.
+    pub fn merge(&mut self, other: &PartialAgg) {
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = match (self.min, other.min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.max = match (self.max, other.max) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+    }
+
     /// Fold a whole slice: equal to [`Self::push`] on every value, in a
     /// loop the compiler vectorizes (no `Option` inside it — whether a
     /// minimum exists is decided once, from the count).
@@ -234,6 +256,20 @@ mod tests {
         assert_eq!(empty.finish(AggFunc::Avg), None);
         assert_eq!(empty.finish(AggFunc::Count), Some(0));
         assert_eq!(empty.finish(AggFunc::Sum), Some(0));
+    }
+
+    #[test]
+    fn merge_has_the_empty_partial_as_identity() {
+        let mut a = PartialAgg::default();
+        let empty = PartialAgg::default();
+        a.push(5);
+        a.push(-3);
+        let mut b = a;
+        b.merge(&empty);
+        assert_eq!(a, b);
+        let mut e = empty;
+        e.merge(&a);
+        assert_eq!(e, a);
     }
 
     #[test]

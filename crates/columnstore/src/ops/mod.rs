@@ -3,7 +3,6 @@
 pub mod block;
 pub mod group;
 pub mod join;
-pub mod parallel;
 pub mod reconstruct;
 pub mod select;
 pub mod sort;

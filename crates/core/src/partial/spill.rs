@@ -135,12 +135,6 @@ impl SpillTier {
         }
     }
 
-    /// Path of the spill file for `attr` (test hook for corruption
-    /// injection; the file exists only after the first spill).
-    pub fn file_path(&self, attr: usize) -> PathBuf {
-        self.inner.path_for(attr)
-    }
-
     /// Write one serialized chunk record to `attr`'s spill file, reusing
     /// a released slot when one fits.
     pub fn write(

@@ -13,8 +13,7 @@
 //! too, against the value-at-a-time `PartialAgg::push` and `iter_ones`
 //! loops they replace.
 
-use crackdb_columnstore::ops::block::compress_masked;
-use crackdb_columnstore::ops::parallel::PartialAgg;
+use crackdb_columnstore::ops::block::{compress_masked, PartialAgg};
 use crackdb_columnstore::types::Val;
 use crackdb_core::bitvec::BitVec;
 

@@ -13,30 +13,24 @@
 //! * block-at-a-time reconstruction: one [`PartialAgg`] per distinct
 //!   aggregated attribute, folded a [`Block`] at a time, and projection
 //!   columns appended a block at a time;
-//! * [`Timings`] phase instrumentation;
-//! * the data-parallel fast path for aggregate-only attributes of
-//!   key-list engines (via [`AccessPath::partial_agg`] and the
-//!   `columnstore` parallel kernels).
+//! * [`Timings`] phase instrumentation.
 //!
-//! The [`batch::BatchRunner`] session layer sits on top, running query
-//! batches with the read-only kernels fanned out over worker threads,
-//! and the [`shard::ShardedEngine`] router shards the table itself so
-//! that cracking, too, runs partition-parallel.
+//! Queries run one at a time, as in the paper. The one parallelism is
+//! on top: the [`shard::ShardedEngine`] router splits the table row-wise
+//! into shards, each a complete engine, and runs a query on all of them
+//! at once — the scans, the gathers and the cracking alike.
 
-pub mod batch;
 pub mod combine;
 pub mod path;
 pub mod service;
 pub mod shard;
 
-pub use batch::BatchRunner;
 pub use path::{AccessPath, RestrictCtx, RowSet};
 pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
 
 use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryError, QueryOutput, SelectQuery};
-use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::ops::parallel::PartialAgg;
+use crackdb_columnstore::ops::block::{Block, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::CrackKernel;
 use std::path::PathBuf;
@@ -51,28 +45,11 @@ fn registry_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// The session-wide default worker count: the `CRACKDB_THREADS`
-/// environment override when set (CI runs the whole suite at 1 and 4 so
-/// the serial and parallel paths are both exercised), else one worker
-/// per available hardware thread. Consumed by [`BatchRunner::auto`] and
-/// the [`ShardedEngine`] fan-out.
-pub fn auto_threads() -> usize {
-    threads_override(registry_var("CRACKDB_THREADS").as_deref())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Parse a `CRACKDB_THREADS`-style override value; unset, garbage and
-/// non-positive values mean "no override". Separated from the env read
-/// so it is testable without process-global `set_var` (unsynchronized
-/// with concurrent `env::var` readers on other test threads).
-fn threads_override(value: Option<&str>) -> Option<usize> {
-    value?.trim().parse().ok().filter(|&n: &usize| n > 0)
-}
-
 /// Parse a `CRACKDB_KERNEL`-style override value: unset or empty means
 /// the default block kernel, anything else must name a crack kernel
-/// (`scalar | block`). Like [`threads_override`], separated from the
-/// env read for testability.
+/// (`scalar | block`). Separated from the env read so it is testable
+/// without process-global `set_var` (unsynchronized with concurrent
+/// `env::var` readers on other test threads).
 fn kernel_override(value: Option<&str>) -> Result<CrackKernel, String> {
     match value {
         None => Ok(CrackKernel::Block),
@@ -93,14 +70,6 @@ pub fn env_kernel() -> Result<CrackKernel, String> {
     KERNEL
         .get_or_init(|| kernel_override(registry_var("CRACKDB_KERNEL").as_deref()))
         .clone()
-}
-
-/// The kernel the process partitions with: the validated `CRACKDB_KERNEL`
-/// selection, falling back to the default block kernel with one warning
-/// on an invalid value (the warning itself is emitted by the dispatch in
-/// `crackdb-cracking`, which every crack call funnels through).
-pub fn kernel_from_env() -> CrackKernel {
-    env_kernel().unwrap_or(CrackKernel::Block)
 }
 
 /// Parse a `CRACKDB_SPILL_DIR`-style override value: unset or empty
@@ -289,16 +258,9 @@ pub fn try_run_select<P: AccessPath + ?Sized>(
             path.fetch(&rows, attrs, &mut |b| answer.absorb(b))?;
         }
         // A materialized row set is reconstructed attribute by
-        // attribute; aggregate-only attributes first try the path's
-        // partial-aggregate fast path (parallel gather kernels).
+        // attribute.
         None => {
-            for (slot, attr) in fetch_attrs.iter().enumerate() {
-                if slot < nagg && !q.projs.contains(attr) {
-                    if let Some(p) = path.partial_agg(&rows, *attr) {
-                        answer.partials[slot] = p;
-                        continue;
-                    }
-                }
+            for attr in &fetch_attrs {
                 path.fetch(&rows, std::slice::from_ref(attr), &mut |b| answer.absorb(b))?;
             }
         }
@@ -382,7 +344,7 @@ mod tests {
     /// executor in isolation from the real engines.
     struct ScanPath {
         table: Table,
-        partial_agg_calls: usize,
+        fetch_calls: usize,
     }
 
     impl AccessPath for ScanPath {
@@ -423,6 +385,7 @@ mod tests {
             attrs: &[usize],
             consume: &mut dyn FnMut(Block<'_>),
         ) -> Result<(), QueryError> {
+            self.fetch_calls += 1;
             let RowSet::Keys { keys, .. } = rows else {
                 unreachable!()
             };
@@ -430,17 +393,6 @@ mod tests {
                 gather_blocks(attr, self.table.column(attr), keys, &mut *consume);
             }
             Ok(())
-        }
-
-        fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
-            self.partial_agg_calls += 1;
-            let RowSet::Keys { keys, .. } = rows else {
-                return None;
-            };
-            Some(crackdb_columnstore::ops::parallel::par_agg_gather(
-                self.table.column(attr),
-                keys,
-            ))
         }
     }
 
@@ -450,7 +402,7 @@ mod tests {
         t.add_column("b", Column::new(vec![50, 10, 90, 30, 70]));
         ScanPath {
             table: t,
-            partial_agg_calls: 0,
+            fetch_calls: 0,
         }
     }
 
@@ -459,15 +411,12 @@ mod tests {
         let mut p = path();
         let q = SelectQuery::aggregate(
             vec![(0, RangePred::open(2, 8))],
-            vec![(1, AggFunc::Max), (1, AggFunc::Min)],
+            vec![(1, AggFunc::Max), (1, AggFunc::Min), (0, AggFunc::Count)],
         );
         let out = run_select(&mut p, &q);
         assert_eq!(out.rows, 3);
-        assert_eq!(out.aggs, vec![Some(70), Some(30)]);
-        assert_eq!(
-            p.partial_agg_calls, 1,
-            "one partial agg per distinct attribute"
-        );
+        assert_eq!(out.aggs, vec![Some(70), Some(30), Some(3)]);
+        assert_eq!(p.fetch_calls, 2, "one fetch per distinct attribute");
     }
 
     #[test]
@@ -480,25 +429,13 @@ mod tests {
             projs: vec![1],
         };
         let out = run_select(&mut p, &q);
-        // Attribute 1 is both aggregated and projected: it must stream
-        // (one pass) rather than use the partial-agg fast path.
-        assert_eq!(p.partial_agg_calls, 0);
+        // Attribute 1 is both aggregated and projected: one pass over
+        // its blocks feeds both.
+        assert_eq!(p.fetch_calls, 1);
         assert_eq!(out.aggs, vec![Some(3)]);
         let mut vals = out.proj_values[0].clone();
         vals.sort_unstable();
         assert_eq!(vals, vec![30, 50, 70]);
-    }
-
-    #[test]
-    fn threads_override_parses_strictly() {
-        assert_eq!(threads_override(None), None);
-        assert_eq!(threads_override(Some("")), None);
-        assert_eq!(threads_override(Some("abc")), None);
-        assert_eq!(threads_override(Some("0")), None);
-        assert_eq!(threads_override(Some("-2")), None);
-        assert_eq!(threads_override(Some("4")), Some(4));
-        assert_eq!(threads_override(Some(" 8 ")), Some(8));
-        assert!(auto_threads() >= 1);
     }
 
     #[test]
@@ -520,7 +457,6 @@ mod tests {
     #[test]
     fn env_kernel_is_valid() {
         let k = env_kernel().expect("CRACKDB_KERNEL must be unset or a valid crack kernel");
-        assert_eq!(kernel_from_env(), k, "lenient and strict reads agree");
         // The engine-side read and the cracking-side dispatch observe
         // the same environment, so a valid selection is what runs.
         assert_eq!(crackdb_cracking::active_kernel(), k);
@@ -576,7 +512,7 @@ mod tests {
         MixedStatsPath {
             inner: ScanPath {
                 table: t,
-                partial_agg_calls: 0,
+                fetch_calls: 0,
             },
             stats,
         }
@@ -712,6 +648,7 @@ mod tests {
         let mut p = path();
         let q = SelectQuery::aggregate(vec![], vec![(0, AggFunc::Count)]);
         assert_eq!(run_select(&mut p, &q).aggs, vec![Some(5)]);
+        assert_eq!(p.fetch_calls, 1);
     }
 
     #[test]
@@ -724,6 +661,8 @@ mod tests {
             projs: vec![],
         };
         // a in {1,3} plus b in {70,90} → 4 rows.
-        assert_eq!(run_select(&mut p, &q).rows, 4);
+        let out = run_select(&mut p, &q);
+        assert_eq!((out.rows, out.aggs), (4, vec![Some(4)]));
+        assert_eq!(p.fetch_calls, 1);
     }
 }

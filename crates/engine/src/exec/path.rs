@@ -8,7 +8,6 @@
 
 use crate::query::QueryError;
 use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::RangePred;
 use crackdb_core::BitVec;
 
@@ -145,22 +144,4 @@ pub trait AccessPath {
         attrs: &[usize],
         consume: &mut dyn FnMut(Block<'_>),
     ) -> Result<(), QueryError>;
-
-    /// Complete partial aggregate for one attribute over a *key list*,
-    /// for engines whose reconstruction is a positional gather: the
-    /// gather itself is then split over the data-parallel kernels
-    /// (`columnstore::ops::parallel`). `None` — the default, and right
-    /// for every engine whose blocks are contiguous areas — folds the
-    /// blocks of [`Self::fetch`].
-    fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
-        let _ = (rows, attr);
-        None
-    }
-
-    /// `true` when executing queries physically reorganizes data
-    /// (cracking); such engines must process a batch sequentially, while
-    /// non-adaptive ones are safe under any interleaving.
-    fn is_adaptive(&self) -> bool {
-        false
-    }
 }

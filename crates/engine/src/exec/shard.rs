@@ -1,16 +1,16 @@
-//! The horizontal sharding layer: partition-parallel adaptive indexing.
+//! The horizontal sharding layer: partition-parallel adaptive indexing,
+//! and crackdb's only parallelism.
 //!
-//! [`BatchRunner`](super::BatchRunner) parallelizes only the *read-only*
-//! scan/aggregate kernels — cracking itself stays strictly sequential,
-//! because reorganizing one shared cracker map is order-dependent.
-//! [`ShardedEngine`] removes that limit by removing the sharing: the base
-//! table is split row-wise into `N` contiguous shards and every shard
-//! gets its own complete inner engine — own columns, own cracker
-//! columns, own cracker maps and chunk sets. Queries fan out to all
-//! shards on scoped threads, so *adaptation itself* (the cracking) runs
-//! in parallel, while each shard's physical reorganization sequence
-//! remains exactly the serial one for its fraction of the data —
-//! per-shard layouts stay reproducible.
+//! Reorganizing one shared cracker map is order-dependent, so one
+//! engine runs its queries strictly one at a time. [`ShardedEngine`]
+//! parallelizes by removing the sharing: the base table is split
+//! row-wise into `N` contiguous shards and every shard gets its own
+//! complete inner engine — own columns, own cracker columns, own cracker
+//! maps and chunk sets. Queries fan out to all shards on scoped threads,
+//! so scans, gathers and the cracking itself all run in parallel, while
+//! each shard's physical reorganization sequence remains exactly the
+//! serial one for its fraction of the data — per-shard layouts stay
+//! reproducible.
 //!
 //! ## Merge semantics
 //!
@@ -57,7 +57,7 @@ use crate::query::{
     SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
-use crackdb_columnstore::ops::parallel::PartialAgg;
+use crackdb_columnstore::ops::block::PartialAgg;
 use crackdb_columnstore::shard::{partition_table, ShardCuts};
 use crackdb_columnstore::types::{RowId, Val};
 use std::sync::Mutex;
@@ -128,7 +128,7 @@ impl<E: Engine> ShardedEngine<E> {
         let name = interned_name(format!("Sharded {} x{}", shards[0].name(), shards.len()));
         ShardedEngine {
             cuts,
-            threads: super::auto_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             name,
             inserted: 0,
             shards,
@@ -170,15 +170,11 @@ impl<E: Engine> ShardedEngine<E> {
     }
 
     /// Set the fan-out worker budget (1 = run shards sequentially).
-    /// Defaults to [`super::auto_threads`], which honors the
-    /// `CRACKDB_THREADS` environment override.
+    /// Defaults to one worker per available hardware thread. The budget
+    /// changes how many shards run at once, never an answer or a
+    /// shard's crack sequence.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Current fan-out worker budget.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Resolve a global key to `(shard, shard-local key)`: original rows
@@ -365,13 +361,6 @@ impl<E: Engine + Send> Engine for ShardedEngine<E> {
     fn aux_tuples(&self) -> usize {
         self.shards.iter().map(E::aux_tuples).sum()
     }
-
-    fn set_workers(&mut self, workers: usize) {
-        self.set_threads(workers);
-        for shard in &mut self.shards {
-            shard.set_workers(workers);
-        }
-    }
 }
 
 /// Intern a dynamically built engine name: `Engine::name` returns
@@ -506,16 +495,6 @@ mod tests {
         let out = e.select(&q);
         assert_eq!(out.rows, 3);
         assert_eq!(out.aggs, vec![Some(3), Some(0)]);
-    }
-
-    #[test]
-    fn batch_runner_budget_reaches_the_fan_out() {
-        // A serial BatchRunner over a sharded engine must switch the
-        // shard fan-out to serial too (Engine::set_workers propagation).
-        let runner = crate::exec::BatchRunner::new(sharded(20, 4), 1);
-        assert_eq!(runner.engine().threads(), 1);
-        let runner = crate::exec::BatchRunner::new(sharded(20, 4), 3);
-        assert_eq!(runner.engine().threads(), 3);
     }
 
     #[test]

@@ -21,18 +21,16 @@
 //! reading values back for it. Predicate ordering, conjunctive and
 //! disjunctive combining (the §3.3 bit-vector and intersection
 //! strategies), aggregation, projection materialization and phase timing
-//! live once in the shared executor [`exec::run_select`]. The
-//! [`exec::BatchRunner`] session layer executes query batches with the
-//! read-only scan/aggregate kernels data-parallel while cracking stays
-//! sequential.
+//! live once in the shared executor [`exec::run_select`], which runs one
+//! query at a time, as the paper does.
 //!
-//! On top of both sits the horizontal sharding layer
-//! [`exec::ShardedEngine`]: the base table is partitioned row-wise into
+//! The only parallelism sits on top: the horizontal sharding layer
+//! [`exec::ShardedEngine`]. The base table is partitioned row-wise into
 //! `N` contiguous shards, each owning a complete, independent inner
 //! engine (its own columns, cracker indexes, cracker maps and chunk
-//! sets). Queries fan out to every shard on scoped threads — so the
-//! *cracking itself* runs in parallel, not just the read-only kernels —
-//! and results merge deterministically: each shard answers one
+//! sets). Queries fan out to every shard on scoped threads — scans,
+//! gathers and the cracking itself run in parallel — and results merge
+//! deterministically: each shard answers one
 //! `PartialAgg` per aggregated attribute and [`query::finish_aggs`]
 //! finishes the merged partials (averages from merged sums and counts,
 //! never from per-shard averages), projections
@@ -43,7 +41,7 @@
 //! suite (`tests/shard_differential.rs`) enforces exactly that for all
 //! five engines at several shard counts. Because the router only needs
 //! the [`query::Engine`] trait, every scenario composes: 5 engines ×
-//! sharded/unsharded × serial/batch execution.
+//! sharded/unsharded.
 //!
 //! Every cracker column, map set and partial set the cracking engines
 //! build cracks exactly at the predicate bounds, as the paper does
@@ -75,7 +73,7 @@ pub mod sideways;
 pub mod tpch;
 
 pub use exec::service::{Client, Reply, Service, ServiceConfig, ServiceError, WriteReply};
-pub use exec::{AccessPath, BatchRunner, RestrictCtx, RowSet, ShardedEngine};
+pub use exec::{AccessPath, RestrictCtx, RowSet, ShardedEngine};
 pub use partial_engine::PartialEngine;
 pub use plain::PlainEngine;
 pub use presorted::PresortedEngine;

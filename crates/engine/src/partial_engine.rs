@@ -222,10 +222,6 @@ impl AccessPath for PartialEngine {
             _ => unreachable!("partial plans are deferred"),
         }
     }
-
-    fn is_adaptive(&self) -> bool {
-        true
-    }
 }
 
 impl Engine for PartialEngine {

@@ -8,7 +8,6 @@ use crate::query::{
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{gather_blocks, Block};
 use crackdb_columnstore::ops::join::hash_join;
-use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -46,10 +45,9 @@ impl PlainEngine {
         &self.base
     }
 
-    /// Tombstone-aware full scan (parallel kernel when a batch session
-    /// enabled workers; key order is preserved either way).
+    /// Tombstone-aware full scan; keys come out in ascending order.
     fn scan(table: &Table, tomb: &HashSet<RowId>, attr: usize, pred: &RangePred) -> Vec<RowId> {
-        let mut keys = parallel::par_select(table.column(attr), pred);
+        let mut keys = crackdb_columnstore::ops::select::select(table.column(attr), pred);
         if !tomb.is_empty() {
             keys.retain(|k| !tomb.contains(k));
         }
@@ -131,13 +129,6 @@ impl AccessPath for PlainEngine {
             gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
         }
         Ok(())
-    }
-
-    fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
-        let RowSet::Keys { keys, .. } = rows else {
-            return None;
-        };
-        Some(parallel::par_agg_gather(self.base.column(attr), keys))
     }
 }
 

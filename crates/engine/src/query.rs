@@ -1,7 +1,7 @@
 //! The query shapes of the paper's experiments, and the common executor
 //! interface every physical design implements.
 
-use crackdb_columnstore::ops::parallel::PartialAgg;
+use crackdb_columnstore::ops::block::PartialAgg;
 use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use std::fmt;
@@ -185,15 +185,6 @@ pub trait Engine {
     fn policy_switches(&self) -> u64 {
         0
     }
-
-    /// Propagate a session worker budget into the engine (`1` = fully
-    /// serial). Plain executors have no internal parallelism and ignore
-    /// it; routers (the sharded engine) cap their fan-out with it. The
-    /// batch layer calls this so that `BatchRunner::new(engine, 1)`
-    /// means serial *everywhere*, not just in the scan kernels.
-    fn set_workers(&mut self, workers: usize) {
-        let _ = workers;
-    }
 }
 
 /// The distinct attributes of an aggregate list, in first-appearance
@@ -210,8 +201,8 @@ pub fn agg_attrs(aggs: &[(usize, AggFunc)]) -> Vec<usize> {
 }
 
 /// Finish the requested aggregates from the per-attribute partials
-/// (`partials[i]` folds attribute `attrs[i]`). Serial, data-parallel,
-/// sharded and served answers all end here, so they cannot diverge —
+/// (`partials[i]` folds attribute `attrs[i]`). Unsharded, sharded and
+/// served answers all end here, so they cannot diverge —
 /// averages included, computed from the merged sum and count.
 pub fn finish_aggs(
     aggs: &[(usize, AggFunc)],

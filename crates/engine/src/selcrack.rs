@@ -16,7 +16,6 @@ use crate::query::{
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{gather_blocks, Block};
 use crackdb_columnstore::ops::join::hash_join;
-use crackdb_columnstore::ops::parallel::{self, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
 use crackdb_cracking::CrackerColumn;
@@ -210,24 +209,6 @@ impl AccessPath for SelCrackEngine {
             RowSet::Deferred { .. } | RowSet::DeferredUnion { .. } => {}
         }
         Ok(())
-    }
-
-    fn partial_agg(&mut self, rows: &RowSet, attr: usize) -> Option<PartialAgg> {
-        let keys = match rows {
-            RowSet::Keys { keys, .. } => keys.as_slice(),
-            // An unfiltered area's tail is a key list. The cracked
-            // attribute (a slice) and filtered areas (a masked gather)
-            // fold as the blocks of `fetch`.
-            RowSet::Area { head, range, bv } if bv.is_none() && head.0 != attr => {
-                self.area(head.0, *range).1
-            }
-            _ => return None,
-        };
-        Some(parallel::par_agg_gather(self.base.column(attr), keys))
-    }
-
-    fn is_adaptive(&self) -> bool {
-        true
     }
 }
 

@@ -5,9 +5,8 @@ use crate::query::{
     agg_attrs, finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
-use crackdb_columnstore::ops::block::Block;
+use crackdb_columnstore::ops::block::{Block, PartialAgg};
 use crackdb_columnstore::ops::join::hash_join;
-use crackdb_columnstore::ops::parallel::PartialAgg;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::SidewaysStore;
 use std::collections::HashSet;
@@ -211,10 +210,6 @@ impl AccessPath for SidewaysEngine {
             consume(s.view_block(attr, *range, bv.as_ref()));
         }
         Ok(())
-    }
-
-    fn is_adaptive(&self) -> bool {
-        true
     }
 }
 

@@ -222,9 +222,8 @@ impl TpchExecutor {
         projs: &[usize],
     ) -> Vec<Vec<Val>> {
         let t = self.table(tbl);
-        // Shared intersection strategy over scan keys (parallel scan
-        // kernel under a batch session).
-        let mut keys = crackdb_columnstore::ops::parallel::par_select(t.column(sel.0), &sel.1);
+        // Shared intersection strategy over scan keys.
+        let mut keys = crackdb_columnstore::ops::select::select(t.column(sel.0), &sel.1);
         for (attr, pred) in residual {
             let col = t.column(*attr);
             combine::refine_keys(&mut keys, pred, |k| col.get(k));

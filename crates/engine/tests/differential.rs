@@ -4,8 +4,8 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    BatchRunner, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine,
-    SelCrackEngine, SelectQuery, SidewaysEngine,
+    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
+    SelectQuery, SidewaysEngine,
 };
 
 #[path = "../../core/tests/support/segmented.rs"]
@@ -293,52 +293,6 @@ fn disjunctive_engines_agree() {
             assert_eq!(out.aggs, expected.aggs, "disj {i}: {name} aggs");
         }
     }
-}
-
-/// The batch-execution layer must be answer-identical to serial
-/// execution for every engine — including the adaptive ones, whose
-/// cracking sequence stays serial inside a batch.
-#[test]
-fn batch_runner_matches_serial_for_all_engines() {
-    // Large enough that the parallel scan/aggregate kernels engage.
-    let table = random_table(3, 20_000, 3);
-    let mut rng = Lcg(909);
-    let queries: Vec<SelectQuery> = (0..12).map(|_| random_select(&mut rng, 3)).collect();
-
-    fn check<E: Engine>(serial: &mut E, parallel: E, queries: &[SelectQuery], name: &str) {
-        let expected: Vec<_> = queries.iter().map(|q| serial.select(q)).collect();
-        let mut runner = BatchRunner::new(parallel, 4);
-        let outs = runner.run(queries);
-        for (i, (o, e)) in outs.iter().zip(&expected).enumerate() {
-            assert_eq!(o.rows, e.rows, "{name} query {i}: batch rows");
-            assert_eq!(o.aggs, e.aggs, "{name} query {i}: batch aggs");
-        }
-    }
-
-    check(
-        &mut PlainEngine::new(table.clone()),
-        PlainEngine::new(table.clone()),
-        &queries,
-        "plain",
-    );
-    check(
-        &mut SelCrackEngine::new(table.clone(), DOMAIN),
-        SelCrackEngine::new(table.clone(), DOMAIN),
-        &queries,
-        "selcrack",
-    );
-    check(
-        &mut SidewaysEngine::new(table.clone(), DOMAIN),
-        SidewaysEngine::new(table.clone(), DOMAIN),
-        &queries,
-        "sideways",
-    );
-    check(
-        &mut PartialEngine::new(table.clone(), DOMAIN, None),
-        PartialEngine::new(table, DOMAIN, None),
-        &queries,
-        "partial",
-    );
 }
 
 /// Every adaptive engine must match the plain baseline on a mixed

@@ -10,7 +10,7 @@
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, Bound, RangePred, RowId, Val};
 use crackdb_engine::{
-    BatchRunner, Engine, PlainEngine, QueryOutput, SelCrackEngine, SelectQuery, ShardedEngine,
+    Engine, PlainEngine, QueryOutput, SelCrackEngine, SelectQuery, ShardedEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::random_table;
@@ -323,11 +323,12 @@ fn sharded_selcrack_answers_from_areas() {
     }
 }
 
-/// Areas longer than the parallel kernels' serial cut-off, in a batch
-/// session with three workers: the head slice splits over the value
-/// kernel, the tail over the gather kernel, and nothing changes.
+/// Long areas, unfiltered and filtered by a residual: every aggregate
+/// folds the blocks `fetch` hands on — the head slice for the cracked
+/// attribute, gathered tail runs for the other — and agrees with the
+/// plain scan baseline.
 #[test]
-fn long_areas_fold_through_the_parallel_kernels() {
+fn long_areas_fold_through_the_block_path() {
     let rows = 60_000;
     let t = random_table(COLS, rows, DOMAIN.1, 31);
     let mut rng = StdRng::seed_from_u64(32);
@@ -345,8 +346,5 @@ fn long_areas_fold_through_the_parallel_kernels() {
             q
         })
         .collect();
-    let want = BatchRunner::new(PlainEngine::new(t.clone()), 1).run(&queries);
-    let e = SelCrackEngine::new(t.clone(), DOMAIN);
-    let got = BatchRunner::new(e, 3).run(&queries);
-    assert_all_agree(&got, &want, "selcrack");
+    check_against_plain(&t, &queries);
 }

@@ -7,8 +7,8 @@
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    BatchRunner, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine,
-    SelCrackEngine, SelectQuery, ShardedEngine, SidewaysEngine,
+    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
+    SelectQuery, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::{random_table, random_table_shards};
@@ -431,29 +431,6 @@ fn more_shards_than_rows() {
     }
 }
 
-/// The sharded router composes with the batch-execution session layer:
-/// `BatchRunner<ShardedEngine<E>>` must match serial unsharded answers.
-#[test]
-fn batch_runner_over_sharded_engines_matches_serial() {
-    let t = table(3, 20_000, 47);
-    let mut rng = StdRng::seed_from_u64(9);
-    let queries: Vec<SelectQuery> = (0..8).map(|_| random_select(&mut rng, 3)).collect();
-
-    let mut serial = PlainEngine::new(t.clone());
-    let expected: Vec<_> = queries.iter().map(|q| serial.select(q)).collect();
-
-    for shards in [2, 4] {
-        let sharded =
-            ShardedEngine::build(t.clone(), shards, |_, p| SidewaysEngine::new(p, DOMAIN));
-        let mut runner = BatchRunner::new(sharded, 2);
-        let outs = runner.run(&queries);
-        for (i, (o, e)) in outs.iter().zip(&expected).enumerate() {
-            assert_eq!(o.rows, e.rows, "batch+shard x{shards} query {i} rows");
-            assert_eq!(o.aggs, e.aggs, "batch+shard x{shards} query {i} aggs");
-        }
-    }
-}
-
 /// The shapes block-at-a-time reconstruction and the per-attribute
 /// partials a shard answers with must get right: all five functions of
 /// one attribute, an attribute aggregated twice and both aggregated and
@@ -541,23 +518,42 @@ fn block_contract_holds_on_every_sharded_engine() {
     });
 }
 
-/// Shard counts must not depend on fan-out threading: forcing the
-/// sequential fan-out path must give the same answers as the threaded
-/// one (CI runs the whole suite at CRACKDB_THREADS=1 and =4, which
-/// exercises both defaults).
+/// One engine kind, sharded four ways, with the fan-out threaded
+/// (four workers) and sequential (one): every answer must match, on
+/// fresh, cracked and updated states alike. The worker budget decides
+/// only how many shards run at once, whatever the host's core count.
+fn check_fan_out<E: Engine + Send>(name: &str, t: &Table, make: impl Fn(Table) -> E) {
+    let mut threaded = ShardedEngine::build(t.clone(), 4, |_, p| make(p));
+    threaded.set_threads(4);
+    let mut sequential = ShardedEngine::build(t.clone(), 4, |_, p| make(p));
+    sequential.set_threads(1);
+    let mut rng = StdRng::seed_from_u64(10);
+    for i in 0..15u32 {
+        if i > 0 && i % 5 == 0 {
+            // One insert (global key 400, then 401) and one delete: an
+            // original row first, then the row inserted five queries ago.
+            let row = [rng.gen_range(0..1000), rng.gen_range(0..1000), -7];
+            let victim = if i == 5 { 205 } else { 400 };
+            for e in [&mut threaded, &mut sequential] {
+                e.insert(&row);
+                e.delete(victim);
+            }
+        }
+        let q = random_select(&mut rng, 3);
+        let ctx = format!("{name}, query {i}");
+        assert_same(&threaded.select(&q), &sequential.select(&q), &ctx);
+    }
+}
+
 #[test]
 fn fan_out_threading_does_not_change_answers() {
     let t = table(3, 400, 53);
-    let mut rng = StdRng::seed_from_u64(10);
-    let queries: Vec<SelectQuery> = (0..15).map(|_| random_select(&mut rng, 3)).collect();
-    let mut threaded = ShardedEngine::build(t.clone(), 4, |_, p| SelCrackEngine::new(p, DOMAIN));
-    threaded.set_threads(4);
-    let mut sequential = ShardedEngine::build(t.clone(), 4, |_, p| SelCrackEngine::new(p, DOMAIN));
-    sequential.set_threads(1);
-    for (i, q) in queries.iter().enumerate() {
-        let a = threaded.select(q);
-        let b = sequential.select(q);
-        assert_eq!(a.rows, b.rows, "query {i} rows");
-        assert_eq!(a.aggs, b.aggs, "query {i} aggs");
-    }
+    check_fan_out("plain", &t, PlainEngine::new);
+    check_fan_out("presorted", &t, |p| PresortedEngine::new(p, &[0, 1, 2]));
+    check_fan_out("selcrack", &t, |p| SelCrackEngine::new(p, DOMAIN));
+    check_fan_out("sideways", &t, |p| SidewaysEngine::new(p, DOMAIN));
+    check_fan_out("partial", &t, |p| PartialEngine::new(p, DOMAIN, None));
+    check_fan_out("partial+budget", &t, |p| {
+        PartialEngine::new(p, DOMAIN, Some(120))
+    });
 }

@@ -187,7 +187,7 @@ fn l003_counts_panic_macros_but_not_macro_named_idents() {
 
 #[test]
 fn l004_fires_outside_the_registry_and_not_inside() {
-    let src = "pub fn f() -> Option<String> { std::env::var(\"CRACKDB_THREADS\").ok() }\n";
+    let src = "pub fn f() -> Option<String> { std::env::var(\"CRACKDB_SPILL_DIR\").ok() }\n";
     assert_eq!(codes(&ws_with(lib_file(src), 0)), vec!["L004"]);
     let registry = VFile {
         path: "crates/engine/src/exec/mod.rs".into(),
@@ -210,13 +210,13 @@ fn l004_doc_drift_flags_unregistered_names() {
         path: "crates/engine/src/exec/mod.rs".into(),
         crate_name: "x".into(),
         role: Role::Lib,
-        content: "pub fn f() -> Option<String> { std::env::var(\"CRACKDB_THREADS\").ok() }\n"
+        content: "pub fn f() -> Option<String> { std::env::var(\"CRACKDB_SPILL_DIR\").ok() }\n"
             .into(),
     };
     let mut ws = ws_with(registry, 0);
     ws.docs.push((
         "README.md".into(),
-        "Set CRACKDB_THREADS=4.\nSet CRACKDB_IMAGINARY=1 for magic.\n".into(),
+        "Set CRACKDB_SPILL_DIR=/tmp/spill.\nSet CRACKDB_IMAGINARY=1 for magic.\n".into(),
     ));
     let rep = run(&ws);
     assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);

@@ -21,8 +21,8 @@
 //!   / skewed patterns) and the TPC-H substrate (data + query
 //!   parameters).
 //! * [`engine`] — one query executor per physical design behind a shared
-//!   access-path + batch-execution layer (`engine::exec`), the
-//!   `ShardedEngine` partition-parallel router and the `Service`
+//!   access-path layer (`engine::exec`), the `ShardedEngine`
+//!   partition-parallel router (the only parallelism) and the `Service`
 //!   concurrent query service on top of it, plus the twelve TPC-H query
 //!   plans over a mode-parametric access layer.
 //!
