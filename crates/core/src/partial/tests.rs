@@ -471,10 +471,10 @@ fn projection_equals_selection_attribute() {
 }
 
 /// The chunk map of a big table is seeded for the crack that is about
-/// to hit it. Whether or not that seed is already in bucket order (block
-/// kernel: yes), the chunk map ends up exactly where copying the live
-/// rows and cracking at the predicate's keys puts it, the cuts count as
-/// that crack's, and staged deletions are subsumed by the seed.
+/// to hit it, already in bucket order. The chunk map ends up exactly
+/// where copying the live rows and cracking at the predicate's keys
+/// puts it, the cuts count as that crack's, and staged deletions are
+/// subsumed by the seed.
 #[test]
 fn chunk_map_first_touch_matches_copy_then_crack() {
     use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;

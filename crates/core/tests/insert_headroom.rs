@@ -7,9 +7,7 @@
 //! leave on an exact-capacity copy.
 //!
 //! The map-set table is big enough that maps are seeded through a
-//! `SeedPlan` under the block kernel; under the scalar kernel they take
-//! the plain copy. The process-wide kernel comes from `CRACKDB_KERNEL`,
-//! so CI runs this file once per kernel.
+//! `SeedPlan`.
 
 use crackdb_columnstore::column::{insert_headroom, Column, Table};
 use crackdb_columnstore::shard::{partition_table, ShardCuts};
@@ -17,7 +15,7 @@ use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::{MapSet, TapeEntry};
 use crackdb_cracking::crack::BoundKind;
 use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
-use crackdb_cracking::{active_kernel, CrackKernel, CrackedArray, SeedPlan};
+use crackdb_cracking::{CrackedArray, SeedPlan};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 
@@ -138,8 +136,7 @@ fn maps_merge_their_headroom_in_place() {
     }
 
     assert_eq!(set.check_aligned(), Ok(()));
-    let block = active_kernel() == CrackKernel::Block;
-    assert_eq!(set.seed_is_clustered(), block, "seeded through a plan");
+    assert!(set.seed_is_clustered(), "seeded through a plan");
     for (attr, at, mut want) in maps {
         let arr = &set.map(attr).expect("still there").arr;
         assert!(addr(arr) == at, "map {attr}: a merged insert reallocated");

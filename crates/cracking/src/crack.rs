@@ -6,30 +6,24 @@
 //! a two-column array *in place*, swapping head and tail values together so
 //! the columns stay positionally aligned.
 //!
-//! Each kernel exists in two physical implementations selected at process
-//! start by [`crate::kernel::active_kernel`] (`CRACKDB_KERNEL`):
+//! [`crack_in_two`] and [`crack_in_three`] are BlockQuicksort-style:
+//! membership of a 64-tuple block is computed as a branch-free bit mask,
+//! the mask bits are the buffered offsets-to-swap, and swaps are paired
+//! between a left and a right block so every tuple is moved at most once.
+//! [`crack_in_two_scalar`] and [`crack_in_three_scalar`] are the paper's
+//! element-at-a-time loops, one unpredictable branch per tuple. They
+//! finish the block kernel's sub-two-block remainder and are the
+//! reference the block kernels are tested against.
 //!
-//! * the **scalar** variants ([`crack_in_two_scalar`],
-//!   [`crack_in_three_scalar`]) are the paper's element-at-a-time loops —
-//!   one unpredictable branch per tuple;
-//! * the **block** variants ([`crack_in_two_block`],
-//!   [`crack_in_three_block`]) are BlockQuicksort-style: membership of a
-//!   64-tuple block is computed as a branch-free bit mask, the mask bits
-//!   are the buffered offsets-to-swap, and swaps are paired between a
-//!   left and a right block so every tuple is moved at most once.
-//!
-//! Both implementations return identical split positions (the split is
-//! determined by the *count* of qualifying tuples, which no reordering
-//! changes) and permutation-equivalent piece contents; the equivalence is
-//! enforced by seeded property tests in `tests/kernel_props.rs`. Callers
-//! account the same touched-tuple cost (`end - start`) no matter which
-//! kernel executes, so robustness metrics stay comparable across kernels.
+//! Both return identical split positions (the split is determined by the
+//! *count* of qualifying tuples, which no reordering changes) and
+//! permutation-equivalent piece contents; `tests/kernel_props.rs`
+//! enforces the equivalence with seeded property tests.
 //!
 //! The kernels are generic over the tail type: cracker columns carry
 //! `RowId` tails, cracker maps carry `Val` tails, and head-only arrays use
 //! a `()` tail which compiles to nothing.
 
-use crate::kernel::{active_kernel, CrackKernel};
 use crackdb_columnstore::types::Val;
 
 /// Which side of a boundary value belongs to the left (lower) piece.
@@ -52,80 +46,12 @@ impl BoundKind {
     }
 }
 
-/// Partition `head[range]` (and `tail[range]` alongside) around
-/// `(pivot, kind)`. Returns the split position: after the call, elements
-/// in `[range.start, split)` belong left of the boundary and
-/// `[split, range.end)` belong right.
-///
-/// Dispatches to the process-wide kernel selection (`CRACKDB_KERNEL`);
-/// see the module docs for the equivalence guarantees.
-#[inline]
-pub fn crack_in_two<T: Copy>(
-    head: &mut [Val],
-    tail: &mut [T],
-    start: usize,
-    end: usize,
-    pivot: Val,
-    kind: BoundKind,
-) -> usize {
-    match active_kernel() {
-        CrackKernel::Scalar => crack_in_two_scalar(head, tail, start, end, pivot, kind),
-        CrackKernel::Block => crack_in_two_block(head, tail, start, end, pivot, kind),
-    }
-}
-
-/// Three-way partition of `head[range]` into `< lo-boundary`, middle, and
-/// `> hi-boundary` regions (dispatching like [`crack_in_two`]).
-///
-/// `lo_bound = (v1, k1)` separates left from middle: values for which
-/// `k1.belongs_left(v, v1)` go left. `hi_bound = (v2, k2)` separates middle
-/// from right: values for which `!k2.belongs_left(v, v2)` go right.
-/// Returns `(split1, split2)` with left `[start, split1)`, middle
-/// `[split1, split2)`, right `[split2, end)`.
-///
-/// The bounds should be consistent — no value may classify both left
-/// and right, which under the boundary-key ordering is exactly
-/// `lo_bound < hi_bound` (callers derive the bounds from strictly
-/// ordered cracker-index keys, so this holds by construction). A
-/// contradictory or degenerate pair (`lo_bound >= hi_bound`, e.g. the
-/// equal-value `(v,Le)` lo / `(v,Lt)` hi combo, where `v` itself
-/// classifies both left and right) is resolved *deterministically* in
-/// release and debug builds alike: the range is two-way partitioned at
-/// `hi_bound` and the middle piece is empty — identical under both
-/// kernels, so a release build can never silently diverge where a
-/// debug build would have asserted.
-#[inline]
-pub fn crack_in_three<T: Copy>(
-    head: &mut [Val],
-    tail: &mut [T],
-    start: usize,
-    end: usize,
-    lo_bound: (Val, BoundKind),
-    hi_bound: (Val, BoundKind),
-) -> (usize, usize) {
-    if lo_bound >= hi_bound {
-        // Contradictory bounds cannot be expressed as a three-way
-        // partition (the per-element left/right tests overlap, and the
-        // scalar and block kernels break the tie differently). Fall
-        // back to a single two-way crack at `hi_bound`: left of it is
-        // `belongs_left(hi_bound)`, the middle is empty, and both
-        // kernels agree on the split by the crack-in-two count
-        // invariant.
-        let s = crack_in_two(head, tail, start, end, hi_bound.0, hi_bound.1);
-        return (s, s);
-    }
-    match active_kernel() {
-        CrackKernel::Scalar => crack_in_three_scalar(head, tail, start, end, lo_bound, hi_bound),
-        CrackKernel::Block => crack_in_three_block(head, tail, start, end, lo_bound, hi_bound),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scalar kernels (the paper's loops, bit-for-bit)
 // ---------------------------------------------------------------------
 
-/// [`crack_in_two`], scalar kernel: a single Hoare-style pass with paired
-/// swaps and one data-dependent branch per element.
+/// [`crack_in_two`] as the paper writes it: a single Hoare-style pass with
+/// paired swaps and one data-dependent branch per element.
 pub fn crack_in_two_scalar<T: Copy>(
     head: &mut [Val],
     tail: &mut [T],
@@ -150,7 +76,8 @@ pub fn crack_in_two_scalar<T: Copy>(
     lo
 }
 
-/// [`crack_in_three`], scalar kernel: a single Dutch-national-flag pass.
+/// [`crack_in_three`] as the paper writes it: a single Dutch-national-flag
+/// pass. The bounds must be consistent (`lo_bound <= hi_bound`).
 pub fn crack_in_three_scalar<T: Copy>(
     head: &mut [Val],
     tail: &mut [T],
@@ -222,7 +149,7 @@ fn offender_mask<F: Fn(Val) -> bool>(blk: &[Val], offender: F) -> u64 {
 /// its pointer advances. The sub-two-block remainder falls back to the
 /// scalar pass, which also computes the final split.
 #[inline(always)]
-fn crack_in_two_block_impl<T: Copy, F: Fn(Val) -> bool + Copy>(
+fn block_partition<T: Copy, F: Fn(Val) -> bool + Copy>(
     head: &mut [Val],
     tail: &mut [T],
     start: usize,
@@ -278,9 +205,12 @@ fn crack_in_two_block_impl<T: Copy, F: Fn(Val) -> bool + Copy>(
     crack_in_two_scalar(head, tail, l, r, pivot, kind)
 }
 
-/// [`crack_in_two`], block kernel. Same split position as the scalar
-/// kernel, permutation-equivalent piece contents.
-pub fn crack_in_two_block<T: Copy>(
+/// Partition `head[range]` (and `tail[range]` alongside) around
+/// `(pivot, kind)`. Returns the split position: after the call, elements
+/// in `[range.start, split)` belong left of the boundary and
+/// `[split, range.end)` belong right. Same split position as
+/// [`crack_in_two_scalar`], permutation-equivalent piece contents.
+pub fn crack_in_two<T: Copy>(
     head: &mut [Val],
     tail: &mut [T],
     start: usize,
@@ -289,23 +219,37 @@ pub fn crack_in_two_block<T: Copy>(
     kind: BoundKind,
 ) -> usize {
     match kind {
-        BoundKind::Lt => {
-            crack_in_two_block_impl(head, tail, start, end, |v| v < pivot, pivot, kind)
-        }
-        BoundKind::Le => {
-            crack_in_two_block_impl(head, tail, start, end, |v| v <= pivot, pivot, kind)
-        }
+        BoundKind::Lt => block_partition(head, tail, start, end, |v| v < pivot, pivot, kind),
+        BoundKind::Le => block_partition(head, tail, start, end, |v| v <= pivot, pivot, kind),
     }
 }
 
-/// [`crack_in_three`], block kernel: a fused two-boundary variant of the
-/// same block scheme. The first blocked pass partitions the whole range
-/// by the *hi* boundary (left+middle | right), the second partitions the
-/// surviving prefix by the *lo* boundary (left | middle) — two
-/// branch-free sweeps instead of one branchy three-way loop, touching
-/// `n + |left+middle|` tuples. Split positions are identical to the
-/// scalar Dutch-flag pass (both are determined by value counts).
-pub fn crack_in_three_block<T: Copy>(
+/// Three-way partition of `head[range]` into `< lo-boundary`, middle, and
+/// `> hi-boundary` regions.
+///
+/// `lo_bound = (v1, k1)` separates left from middle: values for which
+/// `k1.belongs_left(v, v1)` go left. `hi_bound = (v2, k2)` separates middle
+/// from right: values for which `!k2.belongs_left(v, v2)` go right.
+/// Returns `(split1, split2)` with left `[start, split1)`, middle
+/// `[split1, split2)`, right `[split2, end)`.
+///
+/// Two branch-free [`crack_in_two`] sweeps instead of one branchy
+/// three-way loop: the first partitions the whole range by the *hi*
+/// boundary (left+middle | right), the second partitions the surviving
+/// prefix by the *lo* boundary (left | middle), touching
+/// `n + |left+middle|` tuples. Split positions are identical to
+/// [`crack_in_three_scalar`] (both are determined by value counts).
+///
+/// The bounds should be consistent — no value may classify both left
+/// and right, which under the boundary-key ordering is exactly
+/// `lo_bound < hi_bound` (callers derive the bounds from strictly
+/// ordered cracker-index keys, so this holds by construction). A
+/// contradictory or degenerate pair (`lo_bound >= hi_bound`, e.g. the
+/// equal-value `(v,Le)` lo / `(v,Lt)` hi combo, where `v` itself
+/// classifies both left and right) is resolved *deterministically* in
+/// release and debug builds alike: the range is two-way partitioned at
+/// `hi_bound` and the middle piece is empty.
+pub fn crack_in_three<T: Copy>(
     head: &mut [Val],
     tail: &mut [T],
     start: usize,
@@ -313,16 +257,16 @@ pub fn crack_in_three_block<T: Copy>(
     lo_bound: (Val, BoundKind),
     hi_bound: (Val, BoundKind),
 ) -> (usize, usize) {
-    debug_assert!(start <= end && end <= head.len());
-    debug_assert_eq!(head.len(), tail.len());
-    debug_assert!(
-        lo_bound <= hi_bound,
-        "bounds must be consistent and ordered"
-    );
     let (v2, k2) = hi_bound;
-    let split2 = crack_in_two_block(head, tail, start, end, v2, k2);
+    let split2 = crack_in_two(head, tail, start, end, v2, k2);
+    if lo_bound >= hi_bound {
+        // Contradictory bounds cannot be expressed as a three-way
+        // partition (the per-element left/right tests overlap): left of
+        // `hi_bound` is `belongs_left(hi_bound)`, the middle is empty.
+        return (split2, split2);
+    }
     let (v1, k1) = lo_bound;
-    let split1 = crack_in_two_block(head, tail, start, split2, v1, k1);
+    let split1 = crack_in_two(head, tail, start, split2, v1, k1);
     (split1, split2)
 }
 
@@ -331,14 +275,14 @@ mod tests {
     use super::*;
 
     fn check_two(head: &[Val], pivot: Val, kind: BoundKind) {
-        // Both kernels, directly (the dispatcher picks one per process).
+        // The block kernel and its scalar reference.
         for block in [false, true] {
             let mut h = head.to_vec();
             let mut t: Vec<usize> = (0..h.len()).collect();
             let orig = h.clone();
             let n = h.len();
             let split = if block {
-                crack_in_two_block(&mut h, &mut t, 0, n, pivot, kind)
+                crack_in_two(&mut h, &mut t, 0, n, pivot, kind)
             } else {
                 crack_in_two_scalar(&mut h, &mut t, 0, n, pivot, kind)
             };
@@ -378,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn crack_in_two_blocked_sizes() {
+    fn crack_in_two_at_block_sizes() {
         // Sizes that exercise the blocked main loop: whole blocks, a
         // partial remainder, all-left blocks, all-right blocks.
         let mut state = 0x1234_5678u64;
@@ -421,7 +365,7 @@ mod tests {
                 let mut h2 = data.clone();
                 let mut t2 = t1.clone();
                 let s1 = crack_in_two_scalar(&mut h1, &mut t1, 0, 777, pivot, kind);
-                let s2 = crack_in_two_block(&mut h2, &mut t2, 0, 777, pivot, kind);
+                let s2 = crack_in_two(&mut h2, &mut t2, 0, 777, pivot, kind);
                 assert_eq!(s1, s2, "splits agree for pivot {pivot} {kind:?}");
             }
         }
@@ -452,7 +396,7 @@ mod tests {
         let mut h: Vec<Val> = (0..n as Val).rev().collect();
         let mut t: Vec<u32> = (0..n as u32).collect();
         let orig = h.clone();
-        let split = crack_in_two_block(&mut h, &mut t, 50, 350, 200, BoundKind::Lt);
+        let split = crack_in_two(&mut h, &mut t, 50, 350, 200, BoundKind::Lt);
         assert_eq!(&h[..50], &orig[..50], "left flank untouched");
         assert_eq!(&h[350..], &orig[350..], "right flank untouched");
         for (i, &v) in h.iter().enumerate().take(350).skip(50) {
@@ -469,7 +413,7 @@ mod tests {
             let n = h.len();
             let bounds = ((10, BoundKind::Le), (15, BoundKind::Lt));
             let (s1, s2) = if block {
-                crack_in_three_block(&mut h, &mut t, 0, n, bounds.0, bounds.1)
+                crack_in_three(&mut h, &mut t, 0, n, bounds.0, bounds.1)
             } else {
                 crack_in_three_scalar(&mut h, &mut t, 0, n, bounds.0, bounds.1)
             };
@@ -553,7 +497,7 @@ mod tests {
                 let mut h2 = data.clone();
                 let mut t2 = t1.clone();
                 let s = crack_in_three_scalar(&mut h1, &mut t1, 0, 999, (lo, k1), (hi, k2));
-                let b = crack_in_three_block(&mut h2, &mut t2, 0, 999, (lo, k1), (hi, k2));
+                let b = crack_in_three(&mut h2, &mut t2, 0, 999, (lo, k1), (hi, k2));
                 assert_eq!(s, b, "splits agree for ({lo},{k1:?})..({hi},{k2:?})");
                 // Piece multisets agree.
                 for (x, y) in [(0, s.0), (s.0, s.1), (s.1, 999)] {
@@ -569,7 +513,7 @@ mod tests {
 
     /// Contradictory / degenerate bound pairs must partition
     /// deterministically in *release* builds too (this test carries no
-    /// debug-only meaning: the dispatcher resolves the case before any
+    /// debug-only meaning: `crack_in_three` resolves the case before any
     /// `debug_assert`, so the same semantics are exercised under
     /// `cargo test` and `cargo test --release`). The documented
     /// resolution: two-way crack at `hi_bound`, empty middle.

@@ -4,7 +4,6 @@
 
 use crate::crack::{crack_in_three, crack_in_two, BoundKind};
 use crate::index::{pred_keys, BoundaryKey, CrackerIndex};
-use crate::kernel::{active_kernel, CrackKernel};
 use crackdb_columnstore::column::insert_headroom;
 use crackdb_columnstore::radix::{bucket_offsets, cluster_by_value, cluster_into, ValueBuckets};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
@@ -65,8 +64,7 @@ fn prepartition_buckets(
 /// the crack tests before its first `maybe_prepartition` call, on state
 /// known before the array exists.
 fn first_prepartition(n: usize, pred: &RangePred) -> Option<BoundaryKey> {
-    if active_kernel() != CrackKernel::Block || n < PREPARTITION_MIN_PIECE || pred.is_empty_range()
-    {
+    if n < PREPARTITION_MIN_PIECE || pred.is_empty_range() {
         return None;
     }
     let (lo_k, hi_k) = pred_keys(pred);
@@ -93,7 +91,7 @@ impl SeedPlan {
     /// Plan the seeding of an array over `head` minus the `excluded`
     /// positions (ascending, duplicate-free) whose first operation will
     /// be a crack by `pred`. `Some` exactly when that crack would start
-    /// by prepartitioning the whole virgin array (block kernel, at least
+    /// by prepartitioning the whole virgin array (at least
     /// [`PREPARTITION_MIN_PIECE`] tuples, a bounded predicate) *and* would
     /// leave no bucket big enough to be prepartitioned again — so the
     /// crack, run on the seeded array, finds nothing left to do there
@@ -304,16 +302,10 @@ impl<T: Copy> CrackedArray<T> {
     /// whole virgin array is seeded in bucket order to begin with
     /// ([`SeedPlan`], [`Self::seeded`]) and never gets here.
     ///
-    /// Only fires under the block kernel ([`CrackKernel::Block`]): the
-    /// fast path is part of the block kernel's behaviour, and keeping
-    /// the scalar kernel bit-for-bit the paper's access pattern
-    /// preserves its figures. Deterministic given the array state, so
-    /// tape replay on aligned siblings (which share one process-wide
-    /// kernel) reproduces it exactly.
+    /// The one place the access pattern departs from the paper's.
+    /// Deterministic given the array state, so tape replay on aligned
+    /// siblings reproduces it exactly.
     fn maybe_prepartition(&mut self, key: BoundaryKey) {
-        if active_kernel() != CrackKernel::Block {
-            return;
-        }
         let (s, e) = self.index.enclosing_piece(key, self.head.len());
         if e - s >= PREPARTITION_MIN_PIECE {
             self.prepartition(key, PREPARTITION_TARGET_PIECE);
@@ -344,9 +336,8 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Book a prepartition of the piece starting at `start`: one logical
     /// pass over it, like a crack of it (the counter is the paper's
-    /// touched-tuples metric, not a physical sweep count — kernels of
-    /// either flavour account the same), and an advisory cut at every
-    /// inner bucket offset.
+    /// touched-tuples metric, not a physical sweep count), and an
+    /// advisory cut at every inner bucket offset.
     fn record_cuts(
         &mut self,
         key: BoundaryKey,
@@ -886,9 +877,6 @@ mod tests {
 
     #[test]
     fn automatic_prepartition_fires_above_threshold_under_block_kernel() {
-        if crate::kernel::active_kernel() != crate::kernel::CrackKernel::Block {
-            return; // scalar kernel preserves the paper's access pattern
-        }
         let n = super::PREPARTITION_MIN_PIECE + 10;
         let head = lcg_vals(n, 1 << 30, 11);
         let tail: Vec<u32> = (0..n as u32).collect();

@@ -8,7 +8,9 @@
 //! Provided building blocks, all reused by `crackdb-core` for sideways
 //! cracking:
 //!
-//! * [`crack`] — the crack-in-two / crack-in-three partition kernels;
+//! * [`crack`] — the crack-in-two / crack-in-three partition kernels
+//!   (branch-free block kernels, with the paper's scalar loops as their
+//!   reference);
 //! * [`index::CrackerIndex`] — the cracker index: std's ordered map
 //!   from boundaries to positions, with lazy deletion, plus §3.3
 //!   histogram estimates;
@@ -19,19 +21,17 @@
 //!
 //! Every structure cracks exactly at the predicate bounds, as the paper
 //! does (§3.2), so a tape that logs only predicates replays each crack
-//! bit-for-bit on a sibling. The one physical choice is the partition
-//! kernel ([`kernel::CrackKernel`]), fixed per process; the block
-//! kernel opens a huge virgin piece with a radix prepartition whose
-//! cuts the index keeps as *advisory* boundaries.
+//! bit-for-bit on a sibling. The one departure from the paper's access
+//! pattern: a crack that would plough a huge virgin piece opens it with
+//! a radix prepartition whose cuts the index keeps as *advisory*
+//! boundaries.
 
 pub mod column;
 pub mod crack;
 pub mod cracked;
 pub mod index;
-pub mod kernel;
 
 pub use column::{CrackedArea, CrackerColumn};
 pub use crack::BoundKind;
 pub use cracked::{CrackedArray, SeedPlan};
 pub use index::{BoundaryKey, CrackerIndex, SizeEstimate};
-pub use kernel::{active_kernel, CrackKernel};

@@ -7,9 +7,6 @@
 //! 2. every query bound is in the index and not marked advisory, the
 //!    physical partitioning honours every recorded boundary, and the
 //!    returned area holds exactly the tuples a naive scan selects.
-//!
-//! The process-wide kernel comes from `CRACKDB_KERNEL`, so CI runs the
-//! file once per kernel.
 
 use crackdb_columnstore::types::{RangePred, Val};
 use crackdb_cracking::index::pred_keys;

@@ -1,19 +1,18 @@
-//! Seeded-PRNG equivalence properties: the block crack kernels against
-//! the scalar reference.
+//! Seeded-PRNG equivalence properties: the crack kernels the product
+//! calls (`crack_in_two`, `crack_in_three`) against the paper's
+//! scalar loops.
 //!
-//! The determinism contract (see `crackdb_cracking::kernel`) promises
-//! that both kernels produce **identical split positions** (splits are
-//! determined by value counts, which no reordering changes) and
+//! Both produce **identical split positions** (splits are determined by
+//! value counts, which no reordering changes) and
 //! **permutation-equivalent piece contents** (same multiset per piece,
-//! head/tail pairing preserved). These properties are what make
-//! `CRACKDB_KERNEL` safe to flip per process: every differential suite,
-//! tape replay and boundary position is kernel-invariant.
+//! head/tail pairing preserved): each crack splits where the paper's
+//! loop would.
 //!
 //! All trials are driven by a fixed-seed LCG so failures replay.
 
 use crackdb_columnstore::types::Val;
 use crackdb_cracking::crack::{
-    crack_in_three_block, crack_in_three_scalar, crack_in_two_block, crack_in_two_scalar,
+    crack_in_three, crack_in_three_scalar, crack_in_two, crack_in_two_scalar,
 };
 use crackdb_cracking::BoundKind;
 
@@ -97,7 +96,7 @@ fn crack_in_two_equivalence_under_random_trials() {
         let mut h2 = data.clone();
         let mut t2 = t1.clone();
         let s1 = crack_in_two_scalar(&mut h1, &mut t1, start, end, pivot, kind);
-        let s2 = crack_in_two_block(&mut h2, &mut t2, start, end, pivot, kind);
+        let s2 = crack_in_two(&mut h2, &mut t2, start, end, pivot, kind);
         assert_eq!(
             s1, s2,
             "trial {trial}: splits differ (n={n} range=[{start},{end}) pivot={pivot} {kind:?})"
@@ -160,7 +159,7 @@ fn crack_in_three_equivalence_under_random_trials() {
         let mut h2 = data.clone();
         let mut t2 = t1.clone();
         let s1 = crack_in_three_scalar(&mut h1, &mut t1, start, end, lo_bound, hi_bound);
-        let s2 = crack_in_three_block(&mut h2, &mut t2, start, end, lo_bound, hi_bound);
+        let s2 = crack_in_three(&mut h2, &mut t2, start, end, lo_bound, hi_bound);
         assert_eq!(
             s1, s2,
             "trial {trial}: splits differ (n={n} range=[{start},{end}) \

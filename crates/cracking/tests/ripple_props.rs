@@ -10,9 +10,8 @@
 //! tapes) and must stay physically identical.
 //!
 //! Columns carry duplicates, single values, negatives and the `Val`
-//! extremes; they are cracked at query bounds (the process-wide kernel
-//! comes from `CRACKDB_KERNEL`, so CI runs the file once per kernel),
-//! seeded with advisory prepartition cuts, and some
+//! extremes; they are cracked at query bounds, seeded with advisory
+//! prepartition cuts, and some
 //! carry lazily deleted boundaries — single marks, and whole-index
 //! marks with partial revival, as a dropped partial-map chunk leaves
 //! its shell.

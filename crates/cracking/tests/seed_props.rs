@@ -13,17 +13,14 @@
 //!   `SeedPlan::with_target` against `new` + `prepartition`;
 //! * the decision to fuse, at lengths straddling
 //!   `PREPARTITION_MIN_PIECE`, through `SeedPlan::new` + the first
-//!   crack against `new` + the same crack — under whichever kernel
-//!   `CRACKDB_KERNEL` selects (block: fused path on; scalar: never).
+//!   crack against `new` + the same crack.
 //!
 //! All trials are driven by a fixed-seed LCG so failures replay.
 
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
 use crackdb_cracking::index::pred_keys;
-use crackdb_cracking::{
-    active_kernel, BoundKind, BoundaryKey, CrackKernel, CrackedArray, SeedPlan,
-};
+use crackdb_cracking::{BoundKind, BoundaryKey, CrackedArray, SeedPlan};
 
 /// Deterministic 64-bit LCG (MMIX constants).
 struct Lcg(u64);
@@ -177,7 +174,6 @@ fn check_first_crack(head: &[Val], excluded: &[RowId], pred: &RangePred, ctx: &s
 
 #[test]
 fn fusing_decision_straddles_the_prepartition_threshold() {
-    let block = active_kernel() == CrackKernel::Block;
     let mut rng = Lcg(0xFEED_5EED);
     // Three excluded rows, so source and array lengths differ.
     let source = column(&mut rng, PREPARTITION_MIN_PIECE + 4, 0)
@@ -194,11 +190,7 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
         let excluded = [0, 17, live as RowId + 2];
         let ctx = format!("live={live}");
         let fired = check_first_crack(head, &excluded, &two_sided, &ctx);
-        assert_eq!(
-            fired,
-            block && live >= PREPARTITION_MIN_PIECE,
-            "{ctx}: fused"
-        );
+        assert_eq!(fired, live >= PREPARTITION_MIN_PIECE, "{ctx}: fused");
     }
     // Which bound opens the crack, and the cracks that have none.
     let head = &source[..PREPARTITION_MIN_PIECE + 1];
@@ -211,7 +203,7 @@ fn fusing_decision_straddles_the_prepartition_threshold() {
     ] {
         let ctx = format!("pred={pred:?}");
         let fired = check_first_crack(head, &[], &pred, &ctx);
-        assert_eq!(fired, block && bounded, "{ctx}: fused");
+        assert_eq!(fired, bounded, "{ctx}: fused");
     }
 }
 
@@ -237,7 +229,7 @@ fn bounds_coinciding_with_cuts_promote_like_the_reference() {
     ] {
         let ctx = format!("pred={pred:?}");
         let fired = check_first_crack(&head, &[], &pred, &ctx);
-        assert_eq!(fired, active_kernel() == CrackKernel::Block, "{ctx}");
+        assert!(fired, "{ctx}");
     }
 }
 
@@ -250,7 +242,7 @@ fn fused_seed_is_identical_under_key_by_key_cracking() {
     let keys: Vec<RowId> = (0..head.len() as RowId).collect();
     let pred = RangePred::closed(-250, 125);
     let plan = SeedPlan::new(&head, &[], &pred);
-    assert_eq!(plan.is_some(), active_kernel() == CrackKernel::Block);
+    assert!(plan.is_some());
     let mut fused = CrackedArray::seeded(&head, &keys, &[], plan.as_ref());
     let mut reference = CrackedArray::new(head.clone(), keys.clone());
     let (lo, hi) = pred_keys(&pred);

@@ -32,101 +32,7 @@ pub use shard::ShardedEngine;
 use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryError, QueryOutput, SelectQuery};
 use crackdb_columnstore::ops::block::{Block, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::CrackKernel;
-use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// The one sanctioned raw environment read: this module (with
-/// `crackdb-cracking`'s kernel dispatch) *is* the env registry that
-/// lint L004 and clippy's disallowed-methods point everything else at.
-fn registry_var(name: &str) -> Option<String> {
-    #[allow(clippy::disallowed_methods)]
-    std::env::var(name).ok()
-}
-
-/// Parse a `CRACKDB_KERNEL`-style override value: unset or empty means
-/// the default block kernel, anything else must name a crack kernel
-/// (`scalar | block`). Separated from the env read so it is testable
-/// without process-global `set_var` (unsynchronized with concurrent
-/// `env::var` readers on other test threads).
-fn kernel_override(value: Option<&str>) -> Result<CrackKernel, String> {
-    match value {
-        None => Ok(CrackKernel::Block),
-        Some(v) => CrackKernel::parse(v).ok_or_else(|| {
-            format!("CRACKDB_KERNEL={v:?} is not a crack kernel (expected scalar | block)")
-        }),
-    }
-}
-
-/// Validate the `CRACKDB_KERNEL` environment selection, parsed once per
-/// process — the strict twin of `crackdb-cracking`'s lenient
-/// [`crackdb_cracking::active_kernel`] dispatch: service startup and the
-/// env-validity test CI relies on call this so a typo in the kernel
-/// matrix fails loudly instead of silently re-testing the default
-/// block kernel under a green "scalar" job.
-pub fn env_kernel() -> Result<CrackKernel, String> {
-    static KERNEL: OnceLock<Result<CrackKernel, String>> = OnceLock::new();
-    KERNEL
-        .get_or_init(|| kernel_override(registry_var("CRACKDB_KERNEL").as_deref()))
-        .clone()
-}
-
-/// Parse a `CRACKDB_SPILL_DIR`-style override value: unset or empty
-/// means "no override" (spill-enabled engines then place their spill
-/// files under the system temp dir); anything else is taken as a
-/// directory path. Purely syntactic — existence is checked by the
-/// strict [`env_spill_dir`], which can see the filesystem.
-fn spill_dir_override(value: Option<&str>) -> Result<Option<PathBuf>, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(v) => Ok(Some(PathBuf::from(v))),
-    }
-}
-
-/// Validate the `CRACKDB_SPILL_DIR` environment selection, parsed once
-/// per process — the strict entry point [`ServiceConfig`] validation
-/// and the env-validity test CI relies on call, exactly as
-/// [`env_kernel`] is for its variable: a spill
-/// directory that exists but is not a directory must fail loudly at
-/// startup, not as a confusing I/O error inside the first evicting
-/// query. A non-existent path is fine (spill tiers create their own
-/// unique subdirectory on first use).
-pub fn env_spill_dir() -> Result<Option<PathBuf>, String> {
-    static SPILL: OnceLock<Result<Option<PathBuf>, String>> = OnceLock::new();
-    SPILL
-        .get_or_init(|| {
-            let dir = spill_dir_override(registry_var("CRACKDB_SPILL_DIR").as_deref())?;
-            if let Some(d) = &dir {
-                if d.exists() && !d.is_dir() {
-                    return Err(format!(
-                        "CRACKDB_SPILL_DIR={d:?} exists but is not a directory"
-                    ));
-                }
-            }
-            Ok(dir)
-        })
-        .clone()
-}
-
-/// The spill base directory spill-enabled engine constructors default
-/// to: the validated `CRACKDB_SPILL_DIR` selection when set, the
-/// system temp dir otherwise. *Non-fatal* by design — a library user
-/// embedding an engine must not be brought down by an unrelated
-/// environment variable: an invalid value logs one warning per process
-/// and falls back to the temp dir (and is reported as a proper error
-/// by the strict [`env_spill_dir`] at service startup).
-pub fn spill_dir_from_env() -> PathBuf {
-    static WARNED: OnceLock<()> = OnceLock::new();
-    match env_spill_dir() {
-        Ok(Some(d)) => d,
-        Ok(None) => std::env::temp_dir(),
-        Err(msg) => {
-            WARNED.get_or_init(|| eprintln!("warning: {msg}; spilling to the system temp dir"));
-            std::env::temp_dir()
-        }
-    }
-}
 
 /// Order predicates by the path's selectivity estimates: ascending
 /// (most selective first) for conjunctions, descending for disjunctions.
@@ -438,30 +344,6 @@ mod tests {
         assert_eq!(vals, vec![30, 50, 70]);
     }
 
-    #[test]
-    fn kernel_override_parses_strictly() {
-        assert_eq!(kernel_override(None), Ok(CrackKernel::Block));
-        assert_eq!(kernel_override(Some("")), Ok(CrackKernel::Block));
-        assert_eq!(kernel_override(Some("block")), Ok(CrackKernel::Block));
-        assert_eq!(kernel_override(Some("scalar")), Ok(CrackKernel::Scalar));
-        let err = kernel_override(Some("simd")).unwrap_err();
-        assert!(err.contains("simd"), "error names the bad value");
-        assert!(err.contains("scalar | block"), "error lists the forms");
-    }
-
-    /// The CI kernel matrix exports `CRACKDB_KERNEL` for entire test
-    /// runs, and a typo there
-    /// must fail this test instead of letting the lenient dispatch fall
-    /// back to the block kernel while a green "scalar" job reports
-    /// scalar coverage it never ran.
-    #[test]
-    fn env_kernel_is_valid() {
-        let k = env_kernel().expect("CRACKDB_KERNEL must be unset or a valid crack kernel");
-        // The engine-side read and the cracking-side dispatch observe
-        // the same environment, so a valid selection is what runs.
-        assert_eq!(crackdb_cracking::active_kernel(), k);
-    }
-
     /// A scan path that reports selectivity estimates only for a chosen
     /// subset of attributes, for exercising mixed known/unknown
     /// predicate ordering.
@@ -607,39 +489,6 @@ mod tests {
             for o in &outs[1..] {
                 assert_eq!(o, &outs[0], "answers must be ordering-invariant");
             }
-        }
-    }
-
-    #[test]
-    fn spill_dir_override_parses() {
-        assert_eq!(spill_dir_override(None), Ok(None));
-        assert_eq!(spill_dir_override(Some("")), Ok(None));
-        assert_eq!(spill_dir_override(Some("  ")), Ok(None));
-        assert_eq!(
-            spill_dir_override(Some("/tmp/spills")),
-            Ok(Some(PathBuf::from("/tmp/spills")))
-        );
-        assert_eq!(
-            spill_dir_override(Some(" relative/dir ")),
-            Ok(Some(PathBuf::from("relative/dir")))
-        );
-    }
-
-    /// The CI oom job exports `CRACKDB_SPILL_DIR` for entire test runs;
-    /// a value pointing at a non-directory must fail loudly here instead
-    /// of the lenient default silently spilling to the temp dir while a
-    /// green job reports spill-dir coverage it never ran.
-    #[test]
-    fn env_spill_dir_is_valid() {
-        let d = env_spill_dir()
-            .expect("CRACKDB_SPILL_DIR must be unset or name a (possibly absent) directory");
-        match d {
-            Some(dir) => assert_eq!(spill_dir_from_env(), dir, "lenient and strict reads agree"),
-            None => assert_eq!(
-                spill_dir_from_env(),
-                std::env::temp_dir(),
-                "unset falls back to the temp dir"
-            ),
         }
     }
 

@@ -115,7 +115,8 @@ pub enum ServiceError {
     ShuttingDown,
     /// A shard worker is gone (it panicked), so the request cannot be
     /// answered completely. The panic payload is re-raised by
-    /// [`Service::shutdown`].
+    /// [`Service::shutdown`]. Also returned by [`Service::start`] when
+    /// a worker thread cannot be spawned.
     WorkerLost,
     /// A delete named a key that no row ever had.
     UnknownKey(RowId),
@@ -124,9 +125,6 @@ pub enum ServiceError {
     /// [`QueryError`](crate::query::QueryError), formatted. The worker
     /// keeps serving, so a retry may succeed.
     Storage(String),
-    /// Invalid service-startup configuration (e.g. an unparseable
-    /// `CRACKDB_KERNEL` environment selection).
-    Config(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -136,10 +134,9 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "service overloaded: {in_flight} requests in flight")
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
-            ServiceError::WorkerLost => write!(f, "a shard worker is gone (it panicked)"),
+            ServiceError::WorkerLost => write!(f, "a shard worker is gone or never started"),
             ServiceError::UnknownKey(k) => write!(f, "key {k} does not name a row"),
             ServiceError::Storage(msg) => write!(f, "shard query failed: {msg}"),
-            ServiceError::Config(msg) => write!(f, "invalid service configuration: {msg}"),
         }
     }
 }
@@ -275,11 +272,9 @@ impl<E: Engine + Send + 'static> Service<E> {
     /// Start serving `engine` with the default [`ServiceConfig`].
     ///
     /// # Errors
-    /// [`ServiceError::Config`] if the `CRACKDB_KERNEL` or
-    /// `CRACKDB_SPILL_DIR` environment selection is set but invalid —
-    /// the one clear startup error that replaces a panic deep inside
-    /// the engines (which themselves fall back to the defaults with a
-    /// warning).
+    /// [`ServiceError::WorkerLost`] if the operating system refuses a
+    /// shard worker thread; the workers already started are stopped
+    /// and joined first.
     pub fn start(engine: ShardedEngine<E>) -> Result<Self, ServiceError> {
         Self::with_config(engine, ServiceConfig::default())
     }
@@ -292,19 +287,24 @@ impl<E: Engine + Send + 'static> Service<E> {
         engine: ShardedEngine<E>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        super::env_kernel().map_err(ServiceError::Config)?;
-        super::env_spill_dir().map_err(ServiceError::Config)?;
         let (cuts, shards, inserted) = engine.into_parts();
         let nshards = shards.len();
         let mut queues = Vec::with_capacity(nshards);
-        let mut handles = Vec::with_capacity(nshards);
+        let mut handles: Vec<JoinHandle<E>> = Vec::with_capacity(nshards);
         for (i, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = channel();
-            queues.push(tx);
-            let handle = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("crackdb-shard-{i}"))
-                .spawn(move || worker(i, shard, rx))
-                .expect("spawn shard worker thread");
+                .spawn(move || worker(i, shard, rx));
+            let Ok(handle) = spawned else {
+                // A closed queue ends a worker's loop.
+                drop(queues);
+                for handle in handles {
+                    let _ = handle.join();
+                }
+                return Err(ServiceError::WorkerLost);
+            };
+            queues.push(tx);
             handles.push(handle);
         }
         Ok(Service {

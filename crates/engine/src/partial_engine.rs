@@ -55,20 +55,14 @@ impl PartialEngine {
     /// Single-table engine with the disk spill tier enabled: chunks
     /// evicted by the budget whose rebuild would read a segmented
     /// (file-backed) base column serialize to per-column spill files
-    /// under the `CRACKDB_SPILL_DIR` base directory (system temp dir when
-    /// unset) and reload on re-access instead of recracking. Chunks of
-    /// in-memory columns are dropped and regathered, exactly as in
+    /// under `dir` and reload on re-access instead of recracking. A
+    /// unique per-store subdirectory is created beneath `dir` on the
+    /// first spilled eviction and removed when the engine drops. Chunks
+    /// of in-memory columns are dropped and regathered, exactly as in
     /// [`Self::new`], so on a resident table the tier never writes. Use
     /// [`Engine::try_select`] / [`Engine::try_join`] with a spilled
     /// engine — spill I/O failures surface as
     /// [`QueryError::Storage`](crate::query::QueryError::Storage).
-    pub fn with_spill(base: Table, domain: (Val, Val), budget: Option<usize>) -> Self {
-        Self::with_spill_dir(base, domain, budget, exec::spill_dir_from_env())
-    }
-
-    /// [`Self::with_spill`] with an explicit spill base directory (a
-    /// unique per-store subdirectory is created beneath it on the first
-    /// spilled eviction and removed when the engine drops).
     pub fn with_spill_dir(
         base: Table,
         domain: (Val, Val),

@@ -1,7 +1,7 @@
 //! Late-seeded maps against the two things they must agree with: their
 //! siblings (physical alignment at equal tape cursors, §3.2) and the
-//! plain engine (answers) — on a table big enough that, under the block
-//! kernel, maps are seeded already in prepartitioned bucket order.
+//! plain engine (answers) — on a table big enough that maps are seeded
+//! already in prepartitioned bucket order.
 //!
 //! A map set cracks one map *k* times with insert and delete batches
 //! merged in between, then seeds a second map, which replays the whole
@@ -17,7 +17,7 @@ use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::{MapSet, TapeEntry};
 use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
-use crackdb_cracking::{active_kernel, CrackKernel, CrackedArray};
+use crackdb_cracking::CrackedArray;
 use crackdb_engine::{Engine, PlainEngine, SelectQuery};
 use crackdb_workloads::random_table;
 use std::collections::HashSet;
@@ -148,10 +148,9 @@ fn late_map_scenario(inserts_first: bool) {
             &format!("{ctx} map {attr}"),
         );
     }
-    // Fused exactly when the first replayed entry is a crack the block
-    // kernel opens with a prepartition.
-    let block = active_kernel() == CrackKernel::Block;
-    assert_eq!(set.seed_is_clustered(), block && !inserts_first, "{ctx}");
+    // Fused exactly when the first replayed entry is a crack that opens
+    // with a prepartition.
+    assert_eq!(set.seed_is_clustered(), !inserts_first, "{ctx}");
 }
 
 #[test]
@@ -170,12 +169,12 @@ fn first_crack_landing_on_a_cut_is_still_logged() {
     let mut set = MapSet::new(0, ROWS, HashSet::new());
     set.sideways_select(&base, 1, &RangePred::open(440_000, 460_000));
     let index = set.map(1).expect("just seeded").arr.index();
-    let cut = index
+    let ((cut, _), _) = index
         .boundaries()
         .into_iter()
-        .find(|&(k, _)| index.is_advisory(k));
-    // Scalar kernel: no cuts; any bound will do.
-    let on_cut = RangePred::less(Bound::exclusive(cut.map_or(500_000, |((v, _), _)| v)));
+        .find(|&(k, _)| index.is_advisory(k))
+        .expect("the first crack prepartitions");
+    let on_cut = RangePred::less(Bound::exclusive(cut));
 
     let mut set = MapSet::new(0, ROWS, HashSet::new());
     let mut plain = PlainEngine::new(base.clone());

@@ -28,7 +28,7 @@ pub struct Token {
 }
 
 /// Token kinds the lints care about. Literal *contents* are kept only
-/// for strings (the env-registry lint reads `"CRACKDB_*"` names);
+/// for strings (L006 counts the lines a multi-line string spans);
 /// everything else is shape-only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {

@@ -10,7 +10,7 @@
 //! | L001 | every `unsafe` block/fn/impl is immediately preceded by a `// SAFETY:` comment |
 //! | L002 | every atomic `Ordering::*` use in non-test code has a justification in `lint/atomics.allow` |
 //! | L003 | panic-prone calls in non-test library code respect the per-crate ratchet in `lint/panics.baseline`; `// INVARIANT:` comments escape individual sites |
-//! | L004 | `std::env::var("CRACKDB_*")` only in the env registry; every `CRACKDB_*` name in README/CI exists in the registry |
+//! | L004 | no `CRACKDB_*` name in README/CI: crackdb reads no environment variable |
 //! | L005 | `.lock().unwrap()` / `.lock().expect(...)` forbidden — use `lock_unpoisoned` |
 //! | L006 | non-test code lines per crate respect the ratchet in `lint/loc.baseline` |
 
@@ -23,14 +23,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// (`Less`/`Equal`/`Greater`) are disjoint, so qualified matches can
 /// never confuse the two enums.
 pub const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// The only files allowed to read `CRACKDB_*` environment variables:
-/// the strict/lenient env registry in `exec` and the kernel dispatch
-/// (which must stay self-contained inside `crackdb-cracking`).
-pub const ENV_REGISTRY_FILES: [&str; 2] = [
-    "crates/engine/src/exec/mod.rs",
-    "crates/cracking/src/kernel.rs",
-];
 
 /// How severe a finding is; drives the process exit code
 /// (clean → 0, warnings only → 1, any error → 2).
@@ -133,20 +125,15 @@ impl Report {
 pub fn run(ws: &Workspace) -> Report {
     let mut report = Report::default();
     let mut ordering_uses: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut env_names: BTreeSet<String> = BTreeSet::new();
     let mut panic_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut panic_sites: Vec<(String, String, usize)> = Vec::new();
     let mut loc_counts: BTreeMap<String, usize> = BTreeMap::new();
 
-    // Registry names must be collected before the doc-drift check, and
-    // crates with zero panic sites or code lines still need baseline
+    // Crates with zero panic sites or code lines still need baseline
     // entries — so pre-seed every crate at 0.
     for f in &ws.files {
         panic_counts.entry(f.crate_name.clone()).or_insert(0);
         loc_counts.entry(f.crate_name.clone()).or_insert(0);
-        if ENV_REGISTRY_FILES.contains(&f.path.as_str()) {
-            collect_env_names(&lex(&f.content), &mut env_names);
-        }
     }
 
     for f in &ws.files {
@@ -181,7 +168,7 @@ pub fn run(ws: &Workspace) -> Report {
         &loc_counts,
         &mut report.findings,
     );
-    check_doc_drift(ws, &env_names, &mut report.findings);
+    check_doc_drift(ws, &mut report.findings);
 
     report.panic_counts = panic_counts;
     report.panic_sites = panic_sites;
@@ -304,17 +291,6 @@ fn marker_comment_precedes(comments: &[Comment], line: usize, marker: &str) -> b
     false
 }
 
-/// Collect `"CRACKDB_*"` string literals (the registry's env names).
-fn collect_env_names(lexed: &Lexed, out: &mut BTreeSet<String>) {
-    for t in &lexed.tokens {
-        if let TokKind::Str(s) = &t.kind {
-            if is_crackdb_name(s) {
-                out.insert(s.clone());
-            }
-        }
-    }
-}
-
 /// A well-formed `CRACKDB_*` env name: the prefix plus uppercase /
 /// digits / underscores only.
 fn is_crackdb_name(s: &str) -> bool {
@@ -358,8 +334,8 @@ fn lint_file(
     };
     let punct = |i: usize, c: char| matches!(toks.get(i).map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c);
 
-    for i in 0..toks.len() {
-        let line = toks[i].line;
+    for (i, tok) in toks.iter().enumerate() {
+        let line = tok.line;
         let in_test = f.role == Role::TestDir || in_ranges(test_spans, i);
 
         // L001 — unsafe demands a SAFETY argument, test code included:
@@ -417,29 +393,6 @@ fn lint_file(
             // record the use site too.
             if let Some(ord) = ident(i) {
                 ordering_uses.insert((f.path.clone(), ord.to_string()));
-            }
-        }
-
-        // L004 — CRACKDB_* env reads outside the registry.
-        if ident(i) == Some("env")
-            && punct(i + 1, ':')
-            && punct(i + 2, ':')
-            && ident(i + 3) == Some("var")
-            && punct(i + 4, '(')
-        {
-            if let Some(TokKind::Str(s)) = toks.get(i + 5).map(|t| &t.kind) {
-                if s.starts_with("CRACKDB_") && !ENV_REGISTRY_FILES.contains(&f.path.as_str()) {
-                    findings.push(Finding {
-                        code: "L004",
-                        severity: Severity::Error,
-                        path: f.path.clone(),
-                        line,
-                        message: format!(
-                            "`env::var(\"{s}\")` outside the env registry ({})",
-                            ENV_REGISTRY_FILES.join(", ")
-                        ),
-                    });
-                }
             }
         }
 
@@ -578,25 +531,21 @@ fn check_ratchet(
     }
 }
 
-/// L004 doc-drift back end: every `CRACKDB_*` name mentioned in the
-/// scanned documents must exist in the env registry.
-fn check_doc_drift(ws: &Workspace, names: &BTreeSet<String>, findings: &mut Vec<Finding>) {
+/// L004: crackdb reads no environment variable, so every `CRACKDB_*`
+/// name mentioned in the scanned documents is doc drift.
+fn check_doc_drift(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (path, content) in &ws.docs {
         for (lineno, line) in content.lines().enumerate() {
             for name in crackdb_mentions(line) {
-                if !names.contains(&name) {
-                    findings.push(Finding {
-                        code: "L004",
-                        severity: Severity::Error,
-                        path: path.clone(),
-                        line: lineno + 1,
-                        message: format!(
-                            "`{name}` is not in the env registry \
-                             ({}) — doc drift",
-                            ENV_REGISTRY_FILES.join(", ")
-                        ),
-                    });
-                }
+                findings.push(Finding {
+                    code: "L004",
+                    severity: Severity::Error,
+                    path: path.clone(),
+                    line: lineno + 1,
+                    message: format!(
+                        "`{name}` is not an environment variable crackdb reads — doc drift"
+                    ),
+                });
             }
         }
     }
