@@ -191,41 +191,10 @@ fn bench_cracker_join(c: &mut Criterion) {
     g.finish();
 }
 
-/// §3.4 extension: piece-aware max/count vs full scans over a cracked
-/// array.
-fn bench_piece_aware_aggregates(c: &mut Criterion) {
-    use crackdb_core::aggregate::{head_count, head_max};
-    use crackdb_cracking::CrackedArray;
-    let mut g = c.benchmark_group("ablation_piece_aggregates");
-    let mut rng = StdRng::seed_from_u64(22);
-    let n = 1_000_000;
-    let head: Vec<Val> = (0..n).map(|_| rng.gen_range(0..n as Val)).collect();
-    let mut arr = CrackedArray::new(head.clone(), vec![(); n]);
-    for i in 1..64 {
-        let lo = (i * n / 64) as Val;
-        arr.crack_range(&RangePred::open(lo, lo + 3));
-    }
-    g.bench_function("head_max_piece_aware", |b| {
-        b.iter(|| black_box(head_max(&arr)))
-    });
-    g.bench_function("head_max_full_scan", |b| {
-        b.iter(|| black_box(head.iter().copied().max()))
-    });
-    let pred = RangePred::open(200_000, 700_000);
-    g.bench_function("head_count_piece_aware", |b| {
-        b.iter(|| black_box(head_count(&arr, &pred)))
-    });
-    g.bench_function("head_count_full_scan", |b| {
-        b.iter(|| black_box(head.iter().filter(|&&v| pred.matches(v)).count()))
-    });
-    g.finish();
-}
-
 fn main() {
     let mut c = Criterion::default();
     bench_alignment_lag(&mut c);
     bench_set_choice(&mut c);
     bench_partial_vs_full_focused(&mut c);
     bench_cracker_join(&mut c);
-    bench_piece_aware_aggregates(&mut c);
 }

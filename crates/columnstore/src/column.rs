@@ -246,18 +246,6 @@ impl Column {
             }
         }
     }
-
-    /// Iterate `(key, value)` pairs, materializing the virtual key.
-    ///
-    /// # Panics
-    /// On a segmented column (see [`Column::values`]); use
-    /// [`Column::try_for_each_segment`] for tier-agnostic scans.
-    pub fn iter_pairs(&self) -> impl Iterator<Item = (RowId, Val)> + '_ {
-        self.values()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as RowId, v))
-    }
 }
 
 /// A relational table as a set of equally long, tuple-order-aligned columns.
@@ -309,16 +297,6 @@ impl Table {
     /// Column by index.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
-    }
-
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.index_of(name).map(|i| &self.columns[i])
-    }
-
-    /// Index of a named column.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
     }
 
     /// Column names in declaration order.
@@ -373,9 +351,8 @@ mod tests {
         let t = sample();
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.num_columns(), 2);
-        assert_eq!(t.column_by_name("b").unwrap().get(1), 20);
-        assert_eq!(t.index_of("a"), Some(0));
-        assert_eq!(t.index_of("zzz"), None);
+        assert_eq!(t.names(), ["a", "b"]);
+        assert_eq!(t.column(1).get(1), 20);
         assert_eq!(t.row(2), vec![3, 30]);
     }
 
@@ -401,13 +378,6 @@ mod tests {
     fn duplicate_name_panics() {
         let mut t = sample();
         t.add_column("a", Column::new(vec![0, 0, 0]));
-    }
-
-    #[test]
-    fn iter_pairs_materializes_keys() {
-        let c = Column::new(vec![7, 8]);
-        let pairs: Vec<_> = c.iter_pairs().collect();
-        assert_eq!(pairs, vec![(0, 7), (1, 8)]);
     }
 
     fn tmp(name: &str) -> PathBuf {

@@ -10,10 +10,11 @@
 //!
 //! * the BAT storage model ([`column::Column`], [`column::Table`]) with
 //!   virtual dense keys and tuple-order alignment across base columns;
-//! * the two-column physical algebra ([`ops`]): order-preserving range
-//!   [`ops::select`], positional [`ops::reconstruct`], hash
-//!   [`ops::join`], non-order-preserving [`ops::group`] and
-//!   [`ops::sort`] operators;
+//! * the two-column physical algebra ([`ops`]) the engines' query paths
+//!   use: order-preserving range [`ops::select`], positional
+//!   [`ops::reconstruct`], hash [`ops::join`], block-at-a-time
+//!   [`ops::block`] folds and gathers, and the [`ops::sort`] permutation
+//!   the presorted copies are built with;
 //! * the **presorted** baseline ([`presorted::PresortedTable`]) — the
 //!   paper's "ultimate physical design" of per-attribute sorted copies;
 //! * a **row-store** baseline ([`rowstore`]) standing in for MySQL in the
@@ -47,4 +48,4 @@ pub use rowstore::{PresortedRowTable, RowTable};
 pub use shard::{partition_table, ShardCuts};
 pub use storage::{SegmentWriter, SegmentedColumn, StorageError};
 pub use sync::lock_unpoisoned;
-pub use types::{AggFunc, AggResult, Bound, RangePred, RowId, Val};
+pub use types::{AggFunc, Bound, RangePred, RowId, Val};

@@ -28,19 +28,6 @@ pub fn hash_join(left: &[(RowId, Val)], right: &[(RowId, Val)]) -> Vec<(RowId, R
     out
 }
 
-/// Join returning only the matched keys of each side (common case when the
-/// join is a pure connector between two filtered relations).
-pub fn hash_join_keys(left: &[(RowId, Val)], right: &[(RowId, Val)]) -> (Vec<RowId>, Vec<RowId>) {
-    let pairs = hash_join(left, right);
-    let mut lk = Vec::with_capacity(pairs.len());
-    let mut rk = Vec::with_capacity(pairs.len());
-    for (l, r) in pairs {
-        lk.push(l);
-        rk.push(r);
-    }
-    (lk, rk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,15 +54,6 @@ mod tests {
         let l = vec![(0, 4)];
         let r = vec![(1, 4), (2, 4)];
         assert_eq!(hash_join(&l, &r).len(), 2);
-    }
-
-    #[test]
-    fn split_keys() {
-        let l = vec![(0, 1), (1, 2)];
-        let r = vec![(8, 2)];
-        let (lk, rk) = hash_join_keys(&l, &r);
-        assert_eq!(lk, vec![1]);
-        assert_eq!(rk, vec![8]);
     }
 
     #[test]

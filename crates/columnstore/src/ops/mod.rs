@@ -1,7 +1,6 @@
 //! MonetDB-style two-column physical algebra operators.
 
 pub mod block;
-pub mod group;
 pub mod join;
 pub mod reconstruct;
 pub mod select;

@@ -18,13 +18,6 @@ pub fn reconstruct(col: &Column, keys: &[RowId]) -> Vec<Val> {
     keys.iter().map(|&k| values[k as usize]).collect()
 }
 
-/// Fetch values and pair them with their keys, for operators that need to
-/// propagate tuple identity.
-pub fn reconstruct_pairs(col: &Column, keys: &[RowId]) -> Vec<(RowId, Val)> {
-    let values = col.values();
-    keys.iter().map(|&k| (k, values[k as usize])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,12 +32,6 @@ mod tests {
     fn unordered_fetch_preserves_key_order_of_input() {
         let c = Column::new(vec![10, 20, 30, 40]);
         assert_eq!(reconstruct(&c, &[3, 0, 2]), vec![40, 10, 30]);
-    }
-
-    #[test]
-    fn pairs_carry_keys() {
-        let c = Column::new(vec![5, 6]);
-        assert_eq!(reconstruct_pairs(&c, &[1, 0]), vec![(1, 6), (0, 5)]);
     }
 
     #[test]

@@ -1,17 +1,6 @@
-//! `orderby` and sort utilities, including the permutation machinery used
-//! to build presorted table copies.
+//! The sort permutation machinery used to build presorted table copies.
 
 use crate::types::{RowId, Val};
-
-/// Stable sort of keys by their values; returns keys in ascending value
-/// order. This is the `orderby` operator — note the output key order no
-/// longer matches insertion order (not tuple order-preserving).
-pub fn order_by(keys: &[RowId], vals: &[Val]) -> Vec<RowId> {
-    assert_eq!(keys.len(), vals.len());
-    let mut idx: Vec<usize> = (0..keys.len()).collect();
-    idx.sort_by_key(|&i| vals[i]);
-    idx.into_iter().map(|i| keys[i]).collect()
-}
 
 /// Compute the sort permutation of `vals`: `perm[i]` is the original
 /// position of the i-th smallest value (stable).
@@ -26,30 +15,9 @@ pub fn apply_permutation(vals: &[Val], perm: &[RowId]) -> Vec<Val> {
     perm.iter().map(|&i| vals[i as usize]).collect()
 }
 
-/// Sort `(key, value)` pairs by key — used to reorder unordered
-/// intermediate results before reconstruction (paper Exp3's
-/// "sort + ordered TR" strategy).
-pub fn sort_pairs_by_key(pairs: &mut [(RowId, Val)]) {
-    pairs.sort_unstable_by_key(|p| p.0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn order_by_sorts_by_value() {
-        let keys = [10, 11, 12];
-        let vals = [3, 1, 2];
-        assert_eq!(order_by(&keys, &vals), vec![11, 12, 10]);
-    }
-
-    #[test]
-    fn order_by_is_stable() {
-        let keys = [0, 1, 2];
-        let vals = [5, 5, 1];
-        assert_eq!(order_by(&keys, &vals), vec![2, 0, 1]);
-    }
 
     #[test]
     fn permutation_roundtrip() {
@@ -57,12 +25,5 @@ mod tests {
         let perm = sort_permutation(&vals);
         assert_eq!(perm, vec![1, 2, 0]);
         assert_eq!(apply_permutation(&vals, &perm), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn sort_pairs() {
-        let mut pairs = vec![(3, 30), (1, 10), (2, 20)];
-        sort_pairs_by_key(&mut pairs);
-        assert_eq!(pairs, vec![(1, 10), (2, 20), (3, 30)]);
     }
 }

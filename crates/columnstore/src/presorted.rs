@@ -40,23 +40,6 @@ impl PresortedTable {
         }
     }
 
-    /// Build a copy sorted on `sort_col` with ties broken by `sub_col`
-    /// (the paper sub-sorts TPC-H copies on group-by/order-by columns).
-    pub fn build_with_subsort(table: &Table, sort_col: usize, sub_col: usize) -> Self {
-        let primary = table.column(sort_col).values();
-        let secondary = table.column(sub_col).values();
-        let mut perm: Vec<RowId> = (0..primary.len() as RowId).collect();
-        perm.sort_by_key(|&i| (primary[i as usize], secondary[i as usize]));
-        let columns = (0..table.num_columns())
-            .map(|c| apply_permutation(table.column(c).values(), &perm))
-            .collect();
-        PresortedTable {
-            sort_col,
-            columns,
-            orig_keys: perm,
-        }
-    }
-
     /// The attribute this copy is sorted on.
     pub fn sort_col(&self) -> usize {
         self.sort_col
@@ -212,15 +195,5 @@ mod tests {
         // Keys still map back for the surviving tuples.
         let r = p.select_range(&RangePred::closed(8, 9));
         assert_eq!(p.keys(r), &[7, 3]);
-    }
-
-    #[test]
-    fn subsort_breaks_ties() {
-        let mut t = Table::new();
-        t.add_column("a", Column::new(vec![1, 1, 0]));
-        t.add_column("b", Column::new(vec![9, 2, 5]));
-        let p = PresortedTable::build_with_subsort(&t, 0, 1);
-        assert_eq!(p.column(0), &[0, 1, 1]);
-        assert_eq!(p.column(1), &[5, 2, 9]);
     }
 }

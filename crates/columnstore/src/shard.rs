@@ -80,12 +80,6 @@ impl ShardCuts {
         (s, (k - self.cuts[s]) as RowId)
     }
 
-    /// Map a shard-local key back to the global key space (the inverse
-    /// of [`Self::locate`]).
-    pub fn rebase(&self, shard: usize, local: RowId) -> RowId {
-        (self.cuts[shard] + local as usize) as RowId
-    }
-
     /// Cuts matching already-partitioned parts of the given sizes (the
     /// inverse of [`partition_table`]: data that arrives pre-sharded).
     ///
@@ -172,13 +166,13 @@ mod tests {
     }
 
     #[test]
-    fn locate_and_rebase_roundtrip() {
+    fn locate_roundtrips_through_range() {
         let c = ShardCuts::even(10, 3); // 4, 3, 3
         for key in 0..10u32 {
             let (s, local) = c.locate(key);
             let (lo, hi) = c.range(s);
             assert!((lo..hi).contains(&(key as usize)));
-            assert_eq!(c.rebase(s, local), key);
+            assert_eq!(lo + local as usize, key as usize);
         }
         assert_eq!(c.locate(0), (0, 0));
         assert_eq!(c.locate(4), (1, 0));

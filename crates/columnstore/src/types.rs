@@ -164,53 +164,6 @@ pub enum AggFunc {
     Avg,
 }
 
-/// Result of an aggregate computation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AggResult {
-    /// Integer-valued aggregate (max/min/sum/count). `None` on empty input
-    /// for max/min.
-    Int(Option<Val>),
-    /// Average as a float. `None` on empty input.
-    Float(Option<f64>),
-}
-
-impl AggResult {
-    /// Unwrap an integer aggregate, panicking on type mismatch.
-    pub fn as_int(&self) -> Option<Val> {
-        match self {
-            AggResult::Int(v) => *v,
-            // INVARIANT: documented type-mismatch panic — callers match
-            // the AggFunc they passed (only Avg produces Float).
-            AggResult::Float(_) => panic!("aggregate is a float"),
-        }
-    }
-}
-
-/// Compute `func` over a value iterator.
-pub fn aggregate<I: IntoIterator<Item = Val>>(func: AggFunc, values: I) -> AggResult {
-    let mut count: i64 = 0;
-    let mut sum: i64 = 0;
-    let mut min: Option<Val> = None;
-    let mut max: Option<Val> = None;
-    for v in values {
-        count += 1;
-        sum = sum.wrapping_add(v);
-        min = Some(min.map_or(v, |m| m.min(v)));
-        max = Some(max.map_or(v, |m| m.max(v)));
-    }
-    match func {
-        AggFunc::Max => AggResult::Int(max),
-        AggFunc::Min => AggResult::Int(min),
-        AggFunc::Sum => AggResult::Int(Some(sum)),
-        AggFunc::Count => AggResult::Int(Some(count)),
-        AggFunc::Avg => AggResult::Float(if count == 0 {
-            None
-        } else {
-            Some(sum as f64 / count as f64)
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,25 +210,5 @@ mod tests {
         assert!(!RangePred::open(5, 6).matches(5));
         assert!(!RangePred::open(5, 6).matches(6));
         assert!(RangePred::closed(7, 5).is_empty_range());
-    }
-
-    #[test]
-    fn aggregates() {
-        let vals = [3i64, 1, 4, 1, 5];
-        assert_eq!(aggregate(AggFunc::Max, vals).as_int(), Some(5));
-        assert_eq!(aggregate(AggFunc::Min, vals).as_int(), Some(1));
-        assert_eq!(aggregate(AggFunc::Sum, vals).as_int(), Some(14));
-        assert_eq!(aggregate(AggFunc::Count, vals).as_int(), Some(5));
-        match aggregate(AggFunc::Avg, vals) {
-            AggResult::Float(Some(f)) => assert!((f - 2.8).abs() < 1e-9),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn aggregates_empty() {
-        assert_eq!(aggregate(AggFunc::Max, []).as_int(), None);
-        assert_eq!(aggregate(AggFunc::Count, []).as_int(), Some(0));
-        assert_eq!(aggregate(AggFunc::Avg, []), AggResult::Float(None));
     }
 }

@@ -15,7 +15,6 @@
 //! * [`bitvec::BitVec`] — the filtering bit vector.
 //! * [`map`] — cracker map / key map structures.
 
-pub mod aggregate;
 pub mod bitvec;
 pub mod cracker_join;
 pub mod map;

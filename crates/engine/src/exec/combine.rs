@@ -1,5 +1,4 @@
-//! The §3.3 combining strategies, shared by every access path and the
-//! TPC-H access layer:
+//! The §3.3 combining strategies, shared by every access path:
 //!
 //! * **intersection strategy** — positional refinement of key lists
 //!   (plain scans, selection cracking, row stores);
@@ -54,21 +53,6 @@ pub fn fold_bv(bv: &mut Option<BitVec>, vals: &[Val], pred: &RangePred) {
     }
 }
 
-/// Materialize the values of an aligned slice under an optional
-/// qualifying-bit vector (projection over an area).
-pub fn project_area(vals: &[Val], bv: &Option<BitVec>) -> Vec<Val> {
-    match bv {
-        Some(bv) => bv.iter_ones().map(|i| vals[i]).collect(),
-        None => vals.to_vec(),
-    }
-}
-
-/// Materialize one projection column from a key list via a value
-/// accessor (positional reconstruction).
-pub fn project_keys(keys: &[RowId], value_of: impl Fn(RowId) -> Val) -> Vec<Val> {
-    keys.iter().map(|&k| value_of(k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,12 +84,7 @@ mod tests {
             &vals,
             &RangePred::less(crackdb_columnstore::types::Bound::exclusive(9)),
         );
-        assert_eq!(project_area(&vals, &bv), vec![5, 5]);
-    }
-
-    #[test]
-    fn project_keys_gathers() {
-        let vals = [7i64, 8, 9];
-        assert_eq!(project_keys(&[2, 0], |k| vals[k as usize]), vec![9, 7]);
+        let ones: Vec<usize> = bv.map_or(Vec::new(), |bv| bv.iter_ones().collect());
+        assert_eq!(ones, vec![1, 3]);
     }
 }

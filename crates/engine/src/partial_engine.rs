@@ -74,10 +74,10 @@ impl PartialEngine {
         e
     }
 
-    /// Enable the §4.1 head-dropping policy: chunks whose largest piece is
-    /// at most `threshold` tuples shed their head column after use.
-    pub fn set_head_drop_threshold(&mut self, threshold: Option<usize>) {
-        self.store.head_drop_threshold = threshold;
+    /// Register the value domain of one primary-table attribute; its
+    /// selectivity estimates use it instead of the constructor's domain.
+    pub(crate) fn set_domain(&mut self, attr: usize, domain: (Val, Val)) {
+        self.store.set_domain(attr, domain);
     }
 
     /// Access to the store (instrumentation: usage, chunk stats).

@@ -188,9 +188,9 @@ impl AccessPath for PresortedEngine {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("presorted selections produce areas")
         };
-        // Reconstruction: aligned slice reads. A contiguous unfiltered
-        // slice is one dense block, which the executor's fold splits over
-        // the parallel value kernel when it is long enough.
+        // Reconstruction: aligned slice reads, one block per attribute
+        // over the whole area, filtered by the residual bit vector if
+        // there is one.
         let copy = self.copy_for(false, head.0);
         for &attr in attrs {
             consume(Block {

@@ -32,6 +32,8 @@ pub struct SelCrackEngine {
     /// ("all systems evaluate queries starting from the most selective
     /// predicate", §3.6 Exp4).
     domain: (Val, Val),
+    /// Per-attribute domains of the primary table overriding `domain`.
+    domains: HashMap<usize, (Val, Val)>,
 }
 
 impl SelCrackEngine {
@@ -42,6 +44,7 @@ impl SelCrackEngine {
             second: None,
             crackers: HashMap::new(),
             domain,
+            domains: HashMap::new(),
         }
     }
 
@@ -53,16 +56,35 @@ impl SelCrackEngine {
         }
     }
 
-    fn order_preds(&self, preds: &[(usize, RangePred)], n: usize) -> Vec<(usize, RangePred)> {
+    /// Register the value domain of one primary-table attribute; its
+    /// selectivity estimates use it instead of the constructor's domain.
+    pub(crate) fn set_domain(&mut self, attr: usize, domain: (Val, Val)) {
+        self.domains.insert(attr, domain);
+    }
+
+    /// The value domain of an attribute: its registered one on the
+    /// primary table, the constructor's otherwise.
+    fn domain(&self, second: bool, attr: usize) -> (Val, Val) {
+        match self.domains.get(&attr) {
+            Some(&domain) if !second => domain,
+            _ => self.domain,
+        }
+    }
+
+    fn order_preds(
+        &self,
+        preds: &[(usize, RangePred)],
+        n: usize,
+        second: bool,
+    ) -> Vec<(usize, RangePred)> {
+        let estimate = |&(attr, pred): &(usize, RangePred)| {
+            crackdb_core::set::uniform_estimate(&pred, n, self.domain(second, attr))
+        };
         let mut ordered = preds.to_vec();
-        ordered.sort_by(|a, b| {
-            let ea = crackdb_core::set::uniform_estimate(&a.1, n, self.domain);
-            let eb = crackdb_core::set::uniform_estimate(&b.1, n, self.domain);
-            // total_cmp, like the shared planner: a NaN estimate from
-            // degenerate domain statistics must never panic predicate
-            // ordering — it just sorts last and the plan stays valid.
-            ea.total_cmp(&eb)
-        });
+        // total_cmp, like the shared planner: a NaN estimate from
+        // degenerate domain statistics must never panic predicate
+        // ordering — it just sorts last and the plan stays valid.
+        ordered.sort_by(|a, b| estimate(a).total_cmp(&estimate(b)));
         ordered
     }
 
@@ -113,11 +135,11 @@ impl AccessPath for SelCrackEngine {
         "Selection Cracking"
     }
 
-    fn estimate(&self, _attr: usize, pred: &RangePred) -> Option<f64> {
+    fn estimate(&self, attr: usize, pred: &RangePred) -> Option<f64> {
         Some(crackdb_core::set::uniform_estimate(
             pred,
             self.base.num_rows(),
-            self.domain,
+            self.domain(false, attr),
         ))
     }
 
@@ -229,8 +251,8 @@ impl Engine for SelCrackEngine {
         let n2 = second.num_rows();
 
         let t0 = Instant::now();
-        let lpreds = self.order_preds(&q.left.preds, n);
-        let rpreds = self.order_preds(&q.right.preds, n2);
+        let lpreds = self.order_preds(&q.left.preds, n, false);
+        let rpreds = self.order_preds(&q.right.preds, n2, true);
         let lkeys = Self::select_keys(&mut self.crackers, &self.base, false, &lpreds);
         let rkeys = Self::select_keys(&mut self.crackers, second, true, &rpreds);
         timings.select = t0.elapsed();

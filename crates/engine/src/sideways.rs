@@ -47,6 +47,12 @@ impl SidewaysEngine {
         self.store.budget = budget;
     }
 
+    /// Register the value domain of one primary-table attribute; its
+    /// selectivity estimates use it instead of the constructor's domain.
+    pub(crate) fn set_domain(&mut self, attr: usize, domain: (Val, Val)) {
+        self.store.set_domain(attr, domain);
+    }
+
     /// Access to the underlying store (instrumentation).
     pub fn store(&self) -> &SidewaysStore {
         &self.store

@@ -1,22 +1,24 @@
 //! TPC-H execution (§5): the twelve paper queries runnable under every
-//! physical design through a mode-parametric *access layer*.
+//! physical design. Every selection-and-projection block runs through
+//! the mode's engine — the same [`Engine`] implementations and shared
+//! executor every other experiment drives — over that engine's own copy
+//! of the table. The presorted row store standing in for MySQL is the one
+//! plan outside the engines.
 //!
-//! Joins, group-bys and aggregations above the access layer are shared
+//! Joins, group-bys and aggregations above the selections are shared
 //! verbatim across modes — exactly the paper's setting, where the systems
 //! differ in selection and tuple-reconstruction behaviour while the rest
 //! of the plan uses the regular column-store operators.
 
 pub mod queries;
 
-use crate::exec::combine;
+use crate::query::{Engine, SelectQuery};
+use crate::{PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine, SidewaysEngine};
 use crackdb_columnstore::column::Table;
-use crackdb_columnstore::presorted::PresortedTable;
 use crackdb_columnstore::rowstore::PresortedRowTable;
 use crackdb_columnstore::types::{RangePred, Val};
-use crackdb_core::{BitVec, PartialStore, SidewaysStore};
-use crackdb_cracking::CrackerColumn;
 use crackdb_workloads::tpch::{l, o, TpchData};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Physical design a TPC-H run executes under.
@@ -55,16 +57,44 @@ pub enum Tbl {
     Nation,
 }
 
+impl Tbl {
+    const ALL: [Tbl; 7] = [
+        Tbl::Lineitem,
+        Tbl::Orders,
+        Tbl::Customer,
+        Tbl::Part,
+        Tbl::Supplier,
+        Tbl::PartSupp,
+        Tbl::Nation,
+    ];
+
+    /// This table in `data`.
+    fn of(self, data: &TpchData) -> &Table {
+        match self {
+            Tbl::Lineitem => &data.lineitem,
+            Tbl::Orders => &data.orders,
+            Tbl::Customer => &data.customer,
+            Tbl::Part => &data.part,
+            Tbl::Supplier => &data.supplier,
+            Tbl::PartSupp => &data.partsupp,
+            Tbl::Nation => &data.nation,
+        }
+    }
+}
+
 /// The mode-parametric TPC-H executor.
 pub struct TpchExecutor {
     /// Generated database.
     pub data: TpchData,
     mode: Mode,
-    presorted: HashMap<(Tbl, usize), PresortedTable>,
+    /// The mode's engine per table, each over its own clone of the table.
+    /// Under [`Mode::Presorted`] only tables with [`SORT_ATTRS`] copies
+    /// have one; under [`Mode::RowStore`] none does.
+    engines: HashMap<Tbl, Box<dyn Engine>>,
+    /// [`Mode::Presorted`] only: a plain engine per table, answering the
+    /// selections on attributes without a presorted copy.
+    unsorted: HashMap<Tbl, Box<dyn Engine>>,
     rowstores: HashMap<(Tbl, usize), PresortedRowTable>,
-    crackers: HashMap<(Tbl, usize), CrackerColumn>,
-    stores: HashMap<Tbl, SidewaysStore>,
-    partial_stores: HashMap<Tbl, PartialStore>,
     /// Preparation cost (presorted copies / row tables); the paper
     /// reports it separately from per-query times.
     pub prep_cost: Duration,
@@ -79,100 +109,85 @@ const SORT_ATTRS: &[(Tbl, usize)] = &[
     (Tbl::Orders, o::ORDERDATE),
 ];
 
+/// Per-attribute value domains (column min/max): the statistics the
+/// cracking engines' selectivity estimates run on.
+fn domains(t: &Table) -> impl Iterator<Item = (usize, (Val, Val))> + '_ {
+    (0..t.num_columns()).map(|c| {
+        let vals = t.column(c).values();
+        let lo = vals.iter().copied().min().unwrap_or(0);
+        let hi = vals.iter().copied().max().unwrap_or(1);
+        (c, (lo, hi))
+    })
+}
+
 impl TpchExecutor {
     /// Build an executor; for the presorted modes the copies are built
     /// here (measured in [`Self::prep_cost`]).
     pub fn new(data: TpchData, mode: Mode) -> Self {
-        let mut e = TpchExecutor {
+        let mut engines: HashMap<Tbl, Box<dyn Engine>> = HashMap::new();
+        let mut unsorted: HashMap<Tbl, Box<dyn Engine>> = HashMap::new();
+        let mut rowstores = HashMap::new();
+        let mut prep_cost = Duration::ZERO;
+        for tbl in Tbl::ALL {
+            let t = tbl.of(&data);
+            let sort_attrs: Vec<usize> = SORT_ATTRS
+                .iter()
+                .filter(|&&(s, _)| s == tbl)
+                .map(|&(_, a)| a)
+                .collect();
+            // The cracking engines get every attribute's domain below, so
+            // their constructor domain is never consulted.
+            let engine: Box<dyn Engine> = match mode {
+                Mode::Plain => Box::new(PlainEngine::new(t.clone())),
+                Mode::Presorted => {
+                    unsorted.insert(tbl, Box::new(PlainEngine::new(t.clone())));
+                    if sort_attrs.is_empty() {
+                        continue;
+                    }
+                    let engine = PresortedEngine::new(t.clone(), &sort_attrs);
+                    prep_cost += engine.presort_cost;
+                    Box::new(engine)
+                }
+                Mode::SelCrack => {
+                    let mut engine = SelCrackEngine::new(t.clone(), (0, 1));
+                    for (attr, domain) in domains(t) {
+                        engine.set_domain(attr, domain);
+                    }
+                    Box::new(engine)
+                }
+                Mode::Sideways => {
+                    let mut engine = SidewaysEngine::new(t.clone(), (0, 1));
+                    for (attr, domain) in domains(t) {
+                        engine.set_domain(attr, domain);
+                    }
+                    Box::new(engine)
+                }
+                Mode::Partial => {
+                    let mut engine = PartialEngine::new(t.clone(), (0, 1), None);
+                    for (attr, domain) in domains(t) {
+                        engine.set_domain(attr, domain);
+                    }
+                    Box::new(engine)
+                }
+                Mode::RowStore => {
+                    let t0 = Instant::now();
+                    for attr in sort_attrs {
+                        rowstores.insert((tbl, attr), PresortedRowTable::build(t, attr));
+                    }
+                    prep_cost += t0.elapsed();
+                    continue;
+                }
+            };
+            engines.insert(tbl, engine);
+        }
+        TpchExecutor {
             data,
             mode,
-            presorted: HashMap::new(),
-            rowstores: HashMap::new(),
-            crackers: HashMap::new(),
-            stores: HashMap::new(),
-            partial_stores: HashMap::new(),
-            prep_cost: Duration::ZERO,
-        };
-        let t0 = Instant::now();
-        match mode {
-            Mode::Presorted => {
-                for &(tbl, attr) in SORT_ATTRS {
-                    let copy = PresortedTable::build(e.table(tbl), attr);
-                    e.presorted.insert((tbl, attr), copy);
-                }
-            }
-            Mode::RowStore => {
-                for &(tbl, attr) in SORT_ATTRS {
-                    let rt = PresortedRowTable::build(e.table(tbl), attr);
-                    e.rowstores.insert((tbl, attr), rt);
-                }
-            }
-            Mode::Sideways => {
-                // Register per-attribute domains (column statistics) for
-                // the histogram-based set choice.
-                for tbl in [
-                    Tbl::Lineitem,
-                    Tbl::Orders,
-                    Tbl::Customer,
-                    Tbl::Part,
-                    Tbl::Supplier,
-                    Tbl::PartSupp,
-                    Tbl::Nation,
-                ] {
-                    let mut store = SidewaysStore::new((0, 1));
-                    let t = match tbl {
-                        Tbl::Lineitem => &e.data.lineitem,
-                        Tbl::Orders => &e.data.orders,
-                        Tbl::Customer => &e.data.customer,
-                        Tbl::Part => &e.data.part,
-                        Tbl::Supplier => &e.data.supplier,
-                        Tbl::PartSupp => &e.data.partsupp,
-                        Tbl::Nation => &e.data.nation,
-                    };
-                    for c in 0..t.num_columns() {
-                        let vals = t.column(c).values();
-                        let lo = vals.iter().copied().min().unwrap_or(0);
-                        let hi = vals.iter().copied().max().unwrap_or(1);
-                        store.set_domain(c, (lo, hi));
-                    }
-                    e.stores.insert(tbl, store);
-                }
-            }
-            Mode::Partial => {
-                // Same per-attribute domain statistics: partial maps use
-                // the uniform assumption for their §4 set choice.
-                for tbl in [
-                    Tbl::Lineitem,
-                    Tbl::Orders,
-                    Tbl::Customer,
-                    Tbl::Part,
-                    Tbl::Supplier,
-                    Tbl::PartSupp,
-                    Tbl::Nation,
-                ] {
-                    let mut store = PartialStore::new((0, 1));
-                    let t = match tbl {
-                        Tbl::Lineitem => &e.data.lineitem,
-                        Tbl::Orders => &e.data.orders,
-                        Tbl::Customer => &e.data.customer,
-                        Tbl::Part => &e.data.part,
-                        Tbl::Supplier => &e.data.supplier,
-                        Tbl::PartSupp => &e.data.partsupp,
-                        Tbl::Nation => &e.data.nation,
-                    };
-                    for c in 0..t.num_columns() {
-                        let vals = t.column(c).values();
-                        let lo = vals.iter().copied().min().unwrap_or(0);
-                        let hi = vals.iter().copied().max().unwrap_or(1);
-                        store.set_domain(c, (lo, hi));
-                    }
-                    e.partial_stores.insert(tbl, store);
-                }
-            }
-            _ => {}
+            engines,
+            unsorted,
+            rowstores,
+            prep_cost,
         }
-        e.prep_cost = t0.elapsed();
-        e
     }
 
     /// The mode this executor runs under.
@@ -182,21 +197,13 @@ impl TpchExecutor {
 
     /// Base table by id.
     pub fn table(&self, tbl: Tbl) -> &Table {
-        match tbl {
-            Tbl::Lineitem => &self.data.lineitem,
-            Tbl::Orders => &self.data.orders,
-            Tbl::Customer => &self.data.customer,
-            Tbl::Part => &self.data.part,
-            Tbl::Supplier => &self.data.supplier,
-            Tbl::PartSupp => &self.data.partsupp,
-            Tbl::Nation => &self.data.nation,
-        }
+        tbl.of(&self.data)
     }
 
-    /// The access layer: select rows of `tbl` satisfying `sel` and all
-    /// `residual` predicates; return the values of `projs`, column-wise
-    /// (one `Vec` per projection, positionally consistent across
-    /// projections). Row order is mode-dependent and unspecified.
+    /// Select rows of `tbl` satisfying `sel` and all `residual`
+    /// predicates; return the values of `projs`, column-wise (one `Vec`
+    /// per projection, positionally consistent across projections). Row
+    /// order is mode-dependent and unspecified.
     pub fn select_project(
         &mut self,
         tbl: Tbl,
@@ -204,171 +211,21 @@ impl TpchExecutor {
         residual: &[(usize, RangePred)],
         projs: &[usize],
     ) -> Vec<Vec<Val>> {
-        match self.mode {
-            Mode::Plain => self.sp_plain(tbl, sel, residual, projs),
-            Mode::Presorted => self.sp_presorted(tbl, sel, residual, projs),
-            Mode::SelCrack => self.sp_selcrack(tbl, sel, residual, projs),
-            Mode::Sideways => self.sp_sideways(tbl, sel, residual, projs),
-            Mode::Partial => self.sp_partial(tbl, sel, residual, projs),
-            Mode::RowStore => self.sp_rowstore(tbl, sel, residual, projs),
-        }
-    }
-
-    fn sp_plain(
-        &mut self,
-        tbl: Tbl,
-        sel: (usize, RangePred),
-        residual: &[(usize, RangePred)],
-        projs: &[usize],
-    ) -> Vec<Vec<Val>> {
-        let t = self.table(tbl);
-        // Shared intersection strategy over scan keys.
-        let mut keys = crackdb_columnstore::ops::select::select(t.column(sel.0), &sel.1);
-        for (attr, pred) in residual {
-            let col = t.column(*attr);
-            combine::refine_keys(&mut keys, pred, |k| col.get(k));
-        }
-        projs
-            .iter()
-            .map(|&a| {
-                let col = t.column(a);
-                combine::project_keys(&keys, |k| col.get(k))
-            })
-            .collect()
-    }
-
-    fn sp_presorted(
-        &mut self,
-        tbl: Tbl,
-        sel: (usize, RangePred),
-        residual: &[(usize, RangePred)],
-        projs: &[usize],
-    ) -> Vec<Vec<Val>> {
-        let Some(copy) = self.presorted.get(&(tbl, sel.0)) else {
+        let engines = if self.mode == Mode::Presorted && !SORT_ATTRS.contains(&(tbl, sel.0)) {
             // No copy for this selection attribute (string selections):
             // same plan as the plain column-store.
-            return self.sp_plain(tbl, sel, residual, projs);
+            &mut self.unsorted
+        } else {
+            &mut self.engines
         };
-        let range = copy.select_range(&sel.1);
-        // Shared bit-vector strategy over the aligned copy slices.
-        let mut bv: Option<BitVec> = None;
-        for (attr, pred) in residual {
-            combine::fold_bv(&mut bv, copy.project(*attr, range), pred);
-        }
-        projs
-            .iter()
-            .map(|&a| combine::project_area(copy.project(a, range), &bv))
-            .collect()
-    }
-
-    fn sp_selcrack(
-        &mut self,
-        tbl: Tbl,
-        sel: (usize, RangePred),
-        residual: &[(usize, RangePred)],
-        projs: &[usize],
-    ) -> Vec<Vec<Val>> {
-        let cracker = match self.crackers.entry((tbl, sel.0)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let col = match tbl {
-                    Tbl::Lineitem => self.data.lineitem.column(sel.0),
-                    Tbl::Orders => self.data.orders.column(sel.0),
-                    Tbl::Customer => self.data.customer.column(sel.0),
-                    Tbl::Part => self.data.part.column(sel.0),
-                    Tbl::Supplier => self.data.supplier.column(sel.0),
-                    Tbl::PartSupp => self.data.partsupp.column(sel.0),
-                    Tbl::Nation => self.data.nation.column(sel.0),
-                };
-                v.insert(CrackerColumn::from_column(col))
-            }
+        let Some(engine) = engines.get_mut(&tbl) else {
+            return self.sp_rowstore(tbl, sel, residual, projs);
         };
-        let mut keys = cracker.select_keys(&sel.1);
-        let t = self.table(tbl);
-        for (attr, pred) in residual {
-            let col = t.column(*attr);
-            combine::refine_keys(&mut keys, pred, |k| col.get(k));
-        }
-        projs
-            .iter()
-            .map(|&a| {
-                let col = t.column(a);
-                combine::project_keys(&keys, |k| col.get(k))
-            })
-            .collect()
-    }
-
-    fn sp_sideways(
-        &mut self,
-        tbl: Tbl,
-        sel: (usize, RangePred),
-        residual: &[(usize, RangePred)],
-        projs: &[usize],
-    ) -> Vec<Vec<Val>> {
-        let table: &Table = match tbl {
-            Tbl::Lineitem => &self.data.lineitem,
-            Tbl::Orders => &self.data.orders,
-            Tbl::Customer => &self.data.customer,
-            Tbl::Part => &self.data.part,
-            Tbl::Supplier => &self.data.supplier,
-            Tbl::PartSupp => &self.data.partsupp,
-            Tbl::Nation => &self.data.nation,
-        };
-        let store = self
-            .stores
-            .get_mut(&tbl)
-            .expect("stores built for sideways mode");
-        let none = HashSet::new();
         let mut preds = vec![sel];
         preds.extend_from_slice(residual);
-        let handle = store.conjunctive_bv(table, &preds, projs, &none);
-        projs
-            .iter()
-            .map(|&a| {
-                let mut vals = Vec::new();
-                store
-                    .reconstruct_block(table, &handle, a)
-                    .append_to(&mut vals);
-                vals
-            })
-            .collect()
-    }
-
-    fn sp_partial(
-        &mut self,
-        tbl: Tbl,
-        sel: (usize, RangePred),
-        residual: &[(usize, RangePred)],
-        projs: &[usize],
-    ) -> Vec<Vec<Val>> {
-        let table: &Table = match tbl {
-            Tbl::Lineitem => &self.data.lineitem,
-            Tbl::Orders => &self.data.orders,
-            Tbl::Customer => &self.data.customer,
-            Tbl::Part => &self.data.part,
-            Tbl::Supplier => &self.data.supplier,
-            Tbl::PartSupp => &self.data.partsupp,
-            Tbl::Nation => &self.data.nation,
-        };
-        let store = self
-            .partial_stores
-            .get_mut(&tbl)
-            .expect("stores built for partial mode");
-        let mut preds = vec![sel];
-        preds.extend_from_slice(residual);
-        // The fused chunk-wise pass hands on each projection attribute's
-        // qualifying values in a positionally consistent order.
-        let mut cols: Vec<Vec<Val>> = projs.iter().map(|_| Vec::new()).collect();
-        store
-            .conjunctive_project_blocks(table, &preds, projs, |b| {
-                for (col, &p) in cols.iter_mut().zip(projs) {
-                    if p == b.attr {
-                        b.append_to(col);
-                    }
-                }
-            })
-            .expect("tpch partial stores are resident and unspilled");
-        cols
+        engine
+            .select(&SelectQuery::project(preds, projs.to_vec()))
+            .proj_values
     }
 
     fn sp_rowstore(

@@ -1,14 +1,16 @@
-//! The twelve TPC-H queries of §5, written once against the
-//! mode-parametric access layer. Each returns a digest value (a checksum
+//! The twelve TPC-H queries of §5, written once against
+//! [`TpchExecutor::select_project`], which runs each selection block
+//! through the mode's engine. Each returns a digest value (a checksum
 //! over the aggregates) so that the modes can be differentially tested.
 //!
 //! The plans are structurally faithful simplifications: the selection and
 //! tuple-reconstruction work — the paper's object of study — follows each
-//! query's template; joins, group-bys and aggregations use the shared
-//! operators above the access layer. Q12's mode IN-list and Q19's
-//! disjunction are executed as unioned conjunctive branches (the standard
-//! column-store rewriting). Prices are cents and percentages integers, so
-//! revenue aggregates use integer arithmetic: `price * (100 - disc)`.
+//! query's template; joins, group-bys and aggregations are written once
+//! above the selections, identical for every mode. Q12's mode IN-list and
+//! Q19's disjunction are executed as unioned conjunctive branches (the
+//! standard column-store rewriting). Prices are cents and percentages
+//! integers, so revenue aggregates use integer arithmetic:
+//! `price * (100 - disc)`.
 
 #![allow(clippy::needless_range_loop)] // positional access across parallel columns
 
@@ -305,7 +307,7 @@ pub fn q12(exec: &mut TpchExecutor, prm: Params) -> Val {
             &[l::ORDERKEY, l::SHIPDATE, l::COMMITDATE, l::RECEIPTDATE],
         );
         for i in 0..cols[0].len() {
-            // Column-to-column comparisons applied above the access layer.
+            // Column-to-column comparisons applied above the selection.
             if cols[2][i] < cols[3][i] && cols[1][i] < cols[2][i] {
                 let pr = prio[cols[0][i] as usize];
                 if pr <= 1 {

@@ -24,7 +24,7 @@
 //!   access-path layer (`engine::exec`), the `ShardedEngine`
 //!   partition-parallel router (the only parallelism) and the `Service`
 //!   concurrent query service on top of it, plus the twelve TPC-H query
-//!   plans over a mode-parametric access layer.
+//!   plans, whose selections run through those same engines.
 //!
 //! The workspace builds fully offline with zero external dependencies;
 //! `crackdb-rng` (a dev-dependency here) provides the deterministic PRNG

@@ -106,6 +106,7 @@ fn tpch_tiny_all_modes_agree_over_sequences() {
         Mode::Presorted,
         Mode::SelCrack,
         Mode::Sideways,
+        Mode::Partial,
         Mode::RowStore,
     ] {
         let mut exec = TpchExecutor::new(data.clone(), mode);
