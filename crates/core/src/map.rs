@@ -1,6 +1,6 @@
 //! Cracker maps (§3.1): the two-column `(head, tail)` tables that sideways
 //! cracking materializes per attribute pair, plus the special key map
-//! `M_A,key` used to resolve deletion positions (§3.5).
+//! `M_A,key` for plans that need keys and ambiguous deletions (§3.5).
 
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::CrackedArray;
@@ -47,10 +47,11 @@ impl CrackerMap {
 }
 
 /// The key map `M_A,key`: head = values of `A`, tail = tuple keys. It is
-/// aligned through the same tape and serves two purposes: resolving the
-/// physical positions of deletions for all sibling maps, and providing
+/// aligned through the same tape and built only when needed: to provide
 /// `(value, key)` results when a plan needs tuple identities (e.g. before
-/// a join).
+/// a join), and to resolve the physical positions of a delete batch that
+/// a cracker map cannot resolve by value (a deleted tuple with a live
+/// twin equal on head and tail).
 #[derive(Debug, Clone)]
 pub struct KeyMap {
     /// The cracked head/key arrays and their index.

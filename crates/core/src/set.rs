@@ -24,7 +24,9 @@ pub struct SetStats {
 }
 
 /// A map set `S_A`: all cracker maps with head attribute `A`, the tape
-/// `T_A`, the key map `M_A,key`, and staged (not yet merged) updates.
+/// `T_A`, the key map `M_A,key` (built only when a plan needs keys or a
+/// delete batch cannot be resolved by value), and staged (not yet merged)
+/// updates.
 #[derive(Debug, Clone)]
 pub struct MapSet {
     /// The head attribute all maps of this set share.
@@ -35,6 +37,9 @@ pub struct MapSet {
     key_map: Option<KeyMap>,
     staged_inserts: Vec<RowId>,
     staged_deletes: Vec<(Val, RowId)>,
+    /// Every key this set excludes, has staged or has merged a deletion
+    /// of: a repeated deletion is ignored, so no batch names a dead key.
+    deleted: HashSet<RowId>,
     /// Keys `[0, initial_len)` existed when the set was created; maps are
     /// always seeded from exactly this snapshot and then replay the tape,
     /// which keeps late-created maps deterministically aligned.
@@ -55,7 +60,8 @@ impl MapSet {
     /// `initial_len` rows of which `excluded` are already deleted.
     pub fn new(head_attr: usize, initial_len: usize, excluded: HashSet<RowId>) -> Self {
         let mut initial_excluded: Vec<RowId> = excluded
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&k| (k as usize) < initial_len)
             .collect();
         initial_excluded.sort_unstable();
@@ -66,6 +72,7 @@ impl MapSet {
             key_map: None,
             staged_inserts: Vec::new(),
             staged_deletes: Vec::new(),
+            deleted: excluded,
             initial_len,
             initial_excluded,
             seed_plan: None,
@@ -178,9 +185,13 @@ impl MapSet {
     }
 
     /// Stage a deletion of the tuple `key` whose head-attribute value is
-    /// `head_val`.
+    /// `head_val`. A key already excluded, staged or merged is ignored:
+    /// a batch may only name live tuples, or value resolution could
+    /// remove a live twin in the dead tuple's place.
     pub fn stage_delete(&mut self, head_val: Val, key: RowId) {
-        self.staged_deletes.push((head_val, key));
+        if self.deleted.insert(key) {
+            self.staged_deletes.push((head_val, key));
+        }
     }
 
     /// Number of staged (unmerged) updates.
@@ -281,8 +292,10 @@ impl MapSet {
     }
 
     /// Align the key map up to (excluding) tape position `target`,
-    /// resolving any unresolved delete batches it crosses. `query` is
-    /// the crack the caller is about to apply (see [`Self::seed`]).
+    /// resolving by key any unresolved delete batch it crosses: those
+    /// [`Self::align_map`] found ambiguous, and those the key map is the
+    /// first structure to reach. `query` is the crack the caller is about
+    /// to apply (see [`Self::seed`]).
     fn align_key_map_to(&mut self, target: usize, base: &Table, query: Option<&RangePred>) {
         let mut km = match self.key_map.take() {
             Some(km) => km,
@@ -329,7 +342,10 @@ impl MapSet {
     }
 
     /// Align a (removed-from-the-registry) map up to tape position
-    /// `target` by replaying entries from its cursor.
+    /// `target` by replaying entries from its cursor. A map that is the
+    /// first structure to cross a delete batch resolves it by value on
+    /// itself ([`resolve_by_value`]); only an ambiguous batch goes
+    /// through the key map.
     fn align_map(&mut self, m: &mut CrackerMap, target: usize, base: &Table) {
         let head_col = base.column(self.head_attr);
         while m.cursor < target {
@@ -344,19 +360,23 @@ impl MapSet {
                     }
                 }
                 TapeEntry::Deletes(id) => {
-                    if self.tape.delete_batches[id as usize].resolved.is_none() {
-                        self.align_key_map_to(m.cursor + 1, base, None);
-                    }
-                    let positions = self.tape.delete_batches[id as usize]
-                        .resolved
-                        .as_deref()
-                        // INVARIANT: align_key_map_to above crossed this
-                        // entry, and the key map resolves every delete
-                        // batch it crosses, so `resolved` is always
-                        // `Some` here.
-                        .expect("key map resolved the batch");
-                    for &p in positions {
-                        m.arr.ripple_delete_at(p);
+                    let batch = &mut self.tape.delete_batches[id as usize];
+                    let by_value = batch.resolved.is_none() && resolve_by_value(m, batch, base);
+                    if !by_value {
+                        if self.tape.delete_batches[id as usize].resolved.is_none() {
+                            self.align_key_map_to(m.cursor + 1, base, None);
+                        }
+                        let positions = self.tape.delete_batches[id as usize]
+                            .resolved
+                            .as_deref()
+                            // INVARIANT: align_key_map_to above crossed
+                            // this entry, and the key map resolves every
+                            // delete batch it crosses, so `resolved` is
+                            // always `Some` here.
+                            .expect("key map resolved the batch");
+                        for &p in positions {
+                            m.arr.ripple_delete_at(p);
+                        }
                     }
                 }
             }
@@ -604,6 +624,35 @@ impl MapSet {
     }
 }
 
+/// Resolve a delete batch no structure has crossed yet on the cracker map
+/// `m` itself, which is aligned up to it. Each item's tuple lies in the
+/// piece of its head value; when it is the only tuple there equal to it
+/// on head *and* tail, that slot is the item's row. Ripple-delete every
+/// item there and record the positions in `batch.resolved` for siblings
+/// and the key map to replay. Uniqueness is checked for every item on the
+/// pre-batch state: if two live tuples of some item's piece are equal on
+/// both values, nothing moves and `false` sends the batch to the key map.
+/// Out of line, so the crack-replay loop around it keeps its codegen.
+#[inline(never)]
+fn resolve_by_value(m: &mut CrackerMap, batch: &mut DeleteBatch, base: &Table) -> bool {
+    let tail_col = base.column(m.tail_attr);
+    let unique = batch.items.iter().all(|&(v, key)| {
+        let t = tail_col.get(key);
+        let (head, tail) = m.arr.view(m.arr.piece_of(v));
+        let mut equal = head.iter().zip(tail).filter(|&(&h, &x)| h == v && x == t);
+        equal.next().is_some() && equal.next().is_none()
+    });
+    if !unique {
+        return false;
+    }
+    let positions = batch.items.iter().filter_map(|&(v, key)| {
+        let t = tail_col.get(key);
+        m.arr.ripple_delete(v, |&x| x == t)
+    });
+    batch.resolved = Some(positions.collect());
+    true
+}
+
 /// Uniform-distribution estimate of qualifying tuples with no index
 /// knowledge at all. Total for degenerate inputs: empty tables yield
 /// `0.0`, single-value and inverted domains are treated as unit spans —
@@ -824,8 +873,11 @@ mod tests {
         s.sideways_select(&base, 1, &pred);
         s.sideways_select(&base, 2, &pred);
 
-        // Delete tuple with key 3 (a=2, b=21, c=22).
+        // Delete tuple with key 3 (a=2, b=21, c=22). The key map is the
+        // first structure to cross the batch, so it resolves it by key.
         s.stage_delete(2, 3);
+        let rk = s.select_key_area(&base, &pred);
+        assert!(!s.key_map().unwrap().arr.view(rk).1.contains(&3));
 
         let r = s.sideways_select(&base, 1, &pred);
         assert!(!s.view_tail(1, r).contains(&21));
@@ -835,6 +887,52 @@ mod tests {
         // Maps still aligned.
         assert_eq!(s.map(1).unwrap().arr.head(), s.map(2).unwrap().arr.head());
         s.map(1).unwrap().arr.check_partitioning();
+    }
+
+    #[test]
+    fn deletes_resolve_by_value_on_the_first_map() {
+        let base = fig2_table();
+        let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
+        let pred = RangePred::open(1, 5);
+        s.sideways_select(&base, 1, &pred);
+        s.sideways_select(&base, 2, &pred);
+        // Delete tuple with key 3 (a=2, b=21, c=22): unique on (a, b),
+        // so map B resolves the batch itself and map C replays it.
+        s.stage_delete(2, 3);
+        let r = s.sideways_select(&base, 1, &pred);
+        assert!(!s.view_tail(1, r).contains(&21));
+        let rc = s.sideways_select(&base, 2, &pred);
+        assert_eq!(r, rc);
+        assert_eq!(sorted(s.view_tail(2, rc).to_vec()), vec![32, 42]);
+        assert!(s.key_map().is_none(), "no key map for a unique batch");
+        assert_eq!(s.check_aligned(), Ok(()));
+    }
+
+    /// Keys 0 and 1 are twins on (a, b) and differ on c. A repeated
+    /// delete of key 0 once it is merged must not reach a batch: value
+    /// resolution would find key 1 as the one tuple equal on (a, b).
+    #[test]
+    fn repeated_deletes_are_idempotent() {
+        let mut base = Table::new();
+        base.add_column("a", Column::new(vec![5, 5, 3]));
+        base.add_column("b", Column::new(vec![50, 50, 30]));
+        base.add_column("c", Column::new(vec![1, 2, 3]));
+        let mut s = MapSet::new(0, 3, HashSet::from([2]));
+        let all = RangePred::all();
+        s.sideways_select(&base, 1, &all);
+        s.stage_delete(3, 2);
+        assert_eq!(s.staged(), 0, "excluded at creation");
+        s.stage_delete(5, 0);
+        s.stage_delete(5, 0);
+        assert_eq!(s.staged(), 1, "staged once");
+        s.sideways_select(&base, 1, &all);
+        assert!(s.key_map().is_some(), "twins on (a, b) need the key map");
+        s.stage_delete(5, 0);
+        assert_eq!(s.staged(), 0, "merged already");
+        s.sideways_select(&base, 1, &all);
+        let rc = s.sideways_select(&base, 2, &all);
+        assert_eq!(s.view_tail(2, rc), &[2], "key 1 survives");
+        assert_eq!(s.check_aligned(), Ok(()));
     }
 
     #[test]

@@ -39,14 +39,16 @@ pub struct InsertBatch {
 
 /// A deletion batch: `(head value, key)` of each deleted tuple, plus the
 /// physical positions at which the deletions were performed, recorded by
-/// the key map (`M_A,key`) the first time the batch is replayed so that
-/// every map deletes exactly the same physical slots.
+/// the first structure to replay the batch so that every map deletes
+/// exactly the same physical slots. A cracker map finds them by value;
+/// the key map (`M_A,key`) by key, when the values are ambiguous or it
+/// is the first to cross.
 #[derive(Debug, Clone, Default)]
 pub struct DeleteBatch {
     /// Head value and key of each deleted tuple.
     pub items: Vec<(Val, RowId)>,
     /// Physical delete positions, in execution order, recorded at this
-    /// batch's unique tape position. `None` until the key map first
+    /// batch's unique tape position. `None` until the first structure
     /// crosses the entry.
     pub resolved: Option<Vec<usize>>,
 }

@@ -12,11 +12,15 @@
 //! access); the presorted baseline maintains its sorted copies the
 //! expensive way the paper ascribes to it.
 //!
+//! A middle group pins down how sideways cracking finds deleted tuples:
+//! by value on the first map that crosses a delete batch, and through
+//! the key map only when twins make that ambiguous.
+//!
 //! The last group runs a `svc_mixed`-shaped stream whose reads first
 //! crack every map into thousands of pieces, so each merged update
 //! ripples across thousands of boundaries (and empty pieces).
 
-use crackdb_columnstore::column::Table;
+use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
     Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine, SelectQuery,
@@ -24,6 +28,7 @@ use crackdb_engine::{
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::{random_table, RangeGen};
+use std::collections::HashSet;
 
 const DOMAIN: (Val, Val) = (0, 1000);
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -331,6 +336,172 @@ fn update_bursts_between_query_batches() {
             &format!("partial bursts x{shards}"),
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Delete resolution: by value, or through the key map
+// ---------------------------------------------------------------------
+
+/// Row `key` of the twin stream: attributes 0 and 1 come from `1..=3`,
+/// so every row has many twins on (A, B); attributes 2 and 3 are
+/// distinct for every key, so a map with one of them as its tail tells
+/// the twins apart.
+fn twin_row(rng: &mut StdRng, key: RowId) -> Vec<Val> {
+    let (a, b) = (rng.gen_range(1..=3), rng.gen_range(1..=3));
+    vec![a, b, key as Val * 10 + 2, key as Val * 10 + 3]
+}
+
+/// A read on attribute 0 whose first map is `M_AB` (`b_first`), which
+/// must hand twins to the key map, or `M_AC`, which never needs it.
+fn twin_read(rng: &mut StdRng, b_first: bool) -> SelectQuery {
+    let lo = rng.gen_range(1..=3);
+    let pred = RangePred::closed(lo, rng.gen_range(lo..=3));
+    let aggs = if b_first {
+        vec![(1, AggFunc::Sum), (1, AggFunc::Count)]
+    } else {
+        vec![(2, AggFunc::Sum), (3, AggFunc::Max), (2, AggFunc::Count)]
+    };
+    SelectQuery::aggregate(vec![(0, pred)], aggs)
+}
+
+/// Twins on (A, B) that differ on C and D. Attribute 0's map set must
+/// build its key map exactly when a batch merged by `M_AB` names a tuple
+/// with a live twin there, and answers must match the plain engine
+/// after every op. The first half reads only through `M_AC`, so value
+/// resolution carries it; the second half mixes in `M_AB` reads.
+#[test]
+fn twins_resolve_through_the_key_map_and_only_they_do() {
+    let n0 = 240;
+    let mut rng = StdRng::seed_from_u64(81);
+    let mut rows: Vec<Vec<Val>> = (0..n0).map(|k| twin_row(&mut rng, k)).collect();
+    let mut t = Table::new();
+    for a in 0..4 {
+        t.add_column(
+            format!("A{a}"),
+            Column::new(rows.iter().map(|r| r[a]).collect()),
+        );
+    }
+    let mut plain = PlainEngine::new(t.clone());
+    let mut e = SidewaysEngine::new(t, (0, 3));
+    let mut live: HashSet<RowId> = (0..n0).collect();
+    // Deletes staged into attribute 0's set and not merged yet.
+    let mut pending: Vec<RowId> = Vec::new();
+    let (mut value_batches, mut key_map_expected) = (0, false);
+    for i in 0..400 {
+        match rng.gen_range(0..4) {
+            0 => {
+                let row = twin_row(&mut rng, rows.len() as RowId);
+                plain.insert(&row);
+                e.insert(&row);
+                live.insert(rows.len() as RowId);
+                rows.push(row);
+            }
+            1 => {
+                let mut keys: Vec<RowId> = live.iter().copied().collect();
+                keys.sort_unstable();
+                let key = keys[rng.gen_range(0..keys.len())];
+                plain.delete(key);
+                e.delete(key);
+                live.remove(&key);
+                if e.store().set(0).is_some() {
+                    pending.push(key);
+                }
+            }
+            _ => {
+                let b_first = i >= 200 && rng.gen_range(0..2) == 0;
+                let q = twin_read(&mut rng, b_first);
+                let pred = q.preds[0].1;
+                let batch: Vec<RowId> = pending
+                    .iter()
+                    .copied()
+                    .filter(|&k| pred.matches(rows[k as usize][0]))
+                    .collect();
+                pending.retain(|k| !batch.contains(k));
+                // Live tuples equal to `k` on (A, B) before the batch.
+                let twins = |k: RowId| {
+                    let ab = &rows[k as usize][..2];
+                    let same = |r: &&RowId| &rows[**r as usize][..2] == ab;
+                    live.iter().chain(&batch).filter(same).count()
+                };
+                if !batch.is_empty() {
+                    if b_first {
+                        key_map_expected |= batch.iter().any(|&k| twins(k) > 1);
+                    } else if !key_map_expected {
+                        value_batches += 1;
+                    }
+                }
+                assert_same(&[e.select(&q)], &[plain.select(&q)], &format!("op {i}"));
+            }
+        }
+        if let Some(set) = e.store().set(0) {
+            assert_eq!(set.check_aligned(), Ok(()), "op {i}");
+            assert_eq!(set.key_map().is_some(), key_map_expected, "op {i}");
+        }
+    }
+    assert!(value_batches > 0, "batches resolved by value first");
+    assert!(key_map_expected, "some twin reached the key map");
+}
+
+/// Every attribute value distinct, in a `svc_mixed`-shaped stream of
+/// aggregate reads, inserts and deletes: every delete batch resolves by
+/// value, so no map set of any shard builds a key map.
+#[test]
+fn unique_values_never_build_a_key_map() {
+    const P: Val = 10_007;
+    const N: usize = 3_000;
+    // Distinct per attribute while keys stay below `P`.
+    let value = |key: usize, a: usize| (key as Val * [1, 7_919, 104_729, 31][a] + a as Val) % P;
+    let mut t = Table::new();
+    for a in 0..4 {
+        t.add_column(
+            format!("A{a}"),
+            Column::new((0..N).map(|k| value(k, a)).collect()),
+        );
+    }
+    let mut sel = RangeGen::with_selectivity(P, 0.01, 95);
+    let mut res = RangeGen::with_selectivity(P, 0.5, 96);
+    let mut rng = StdRng::seed_from_u64(97);
+    let mut ops: Vec<Op> = (0..200).map(|_| svc_read(&mut sel, &mut res)).collect();
+    let mut live: Vec<RowId> = (0..N as RowId).collect();
+    let mut next_key = N;
+    for _ in 0..1_000 {
+        match rng.gen_range(0..100) {
+            0..=89 => ops.push(svc_read(&mut sel, &mut res)),
+            90..=94 => {
+                ops.push(Op::Insert((0..4).map(|a| value(next_key, a)).collect()));
+                live.push(next_key as RowId);
+                next_key += 1;
+            }
+            _ => ops.push(Op::Delete(live.swap_remove(rng.gen_range(0..live.len())))),
+        }
+    }
+    let aggs = (1..4).flat_map(|a| [(a, AggFunc::Count), (a, AggFunc::Sum)]);
+    ops.push(Op::Select(SelectQuery::aggregate(
+        vec![(0, RangePred::all())],
+        aggs.collect(),
+    )));
+    let expected = expected_for(&t, &ops);
+    let check = |engines: &[SidewaysEngine], ctx: &str| {
+        let sets = engines
+            .iter()
+            .flat_map(|e| (0..4).filter_map(|a| e.store().set(a)));
+        let mut batches = 0;
+        for set in sets {
+            assert!(
+                set.key_map().is_none(),
+                "{ctx}: set {} built a key map",
+                set.head_attr
+            );
+            batches += set.tape.delete_batches.len();
+        }
+        assert!(batches > 0, "{ctx}: deletes were merged");
+    };
+    let mut e = SidewaysEngine::new(t.clone(), (0, P));
+    assert_same(&replay(&mut e, &ops), &expected, "sideways");
+    check(std::slice::from_ref(&e), "sideways");
+    let mut e = ShardedEngine::build(t, 2, |_, p| SidewaysEngine::new(p, (0, P)));
+    assert_same(&replay(&mut e, &ops), &expected, "sideways x2");
+    check(e.shards(), "sideways x2");
 }
 
 // ---------------------------------------------------------------------
