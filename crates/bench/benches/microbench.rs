@@ -3,8 +3,9 @@
 //! positional-reconstruction access patterns, and ripple updates.
 
 use crackdb_bench::harness::{BatchSize, Criterion};
+use crackdb_columnstore::ops::block::PartialAgg;
 use crackdb_columnstore::radix::radix_cluster;
-use crackdb_columnstore::types::{RangePred, RowId, Val};
+use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::BitVec;
 use crackdb_cracking::crack::{crack_in_three, crack_in_two, BoundKind};
 use crackdb_cracking::{CrackedArray, CrackerIndex};
@@ -103,26 +104,66 @@ fn bench_index(c: &mut Criterion) {
     g.finish();
 }
 
+/// Tuples per bit-vector area: about one `svc_mixed` shard's cracked
+/// area. Each bit-vector sample runs [`AREAS`] areas, each under a
+/// different predicate, so divide its time by `AREAS * AREA` for
+/// ns/tuple.
+const AREA: usize = 8192;
+const AREAS: usize = 8;
+
 fn bench_bitvec(c: &mut Criterion) {
     let mut g = c.benchmark_group("bitvec");
-    let vals: Vec<Val> = {
-        let mut rng = StdRng::seed_from_u64(3);
-        (0..N).map(|_| rng.gen_range(0..1000)).collect()
+    // Several arrays and predicates in rotation: one array under one
+    // predicate, timed over and over, keeps every branch predicted and
+    // hides what a per-value predicate test costs in place.
+    let mut rng = StdRng::seed_from_u64(3);
+    let areas: Vec<Vec<Val>> = (0..AREAS)
+        .map(|_| (0..AREA).map(|_| rng.gen_range(0..1000)).collect())
+        .collect();
+    let preds = [
+        RangePred::open(100, 600),
+        RangePred::closed(250, 750),
+        RangePred::less(Bound::exclusive(500)),
+        RangePred::half_open(0, 900),
+        RangePred::greater(Bound::inclusive(300)),
+    ];
+    let mut round = 0;
+    let mut pred_of = move |a: usize| {
+        round += 1;
+        preds[(round + a) % preds.len()]
     };
-    g.bench_function("create_bv_1M", |b| {
-        b.iter(|| black_box(BitVec::from_fn(N, |i| vals[i] < 500)))
+    g.bench_function("create_bv_8x8K", |b| {
+        b.iter(|| {
+            for (a, vals) in areas.iter().enumerate() {
+                black_box(BitVec::from_range(vals, &pred_of(a)));
+            }
+        })
     });
-    let bv = BitVec::from_fn(N, |i| vals[i] < 500);
-    g.bench_function("refine_bv_1M", |b| {
+    let half = RangePred::half_open(0, 500);
+    let bvs: Vec<BitVec> = areas.iter().map(|v| BitVec::from_range(v, &half)).collect();
+    g.bench_function("refine_bv_8x8K", |b| {
         b.iter_batched(
-            || bv.clone(),
-            |mut bv| {
-                bv.refine(|i| vals[i] > 250);
-                black_box(bv)
+            || bvs.clone(),
+            |mut bvs| {
+                for (a, (bv, vals)) in bvs.iter_mut().zip(&areas).enumerate() {
+                    bv.refine_range(vals, &pred_of(a));
+                }
+                black_box(bvs)
             },
             BatchSize::LargeInput,
         )
     });
+    g.bench_function("fold_masked_50pct_8x8K", |b| {
+        b.iter(|| {
+            let mut agg = PartialAgg::default();
+            for (bv, vals) in bvs.iter().zip(&areas) {
+                agg.fold_masked(vals, bv.words());
+            }
+            black_box(agg)
+        })
+    });
+    let vals: Vec<Val> = (0..N).map(|_| rng.gen_range(0..1000)).collect();
+    let bv = BitVec::from_range(&vals, &half);
     g.bench_function("iter_ones_1M", |b| {
         b.iter(|| black_box(bv.iter_ones().count()))
     });

@@ -64,8 +64,10 @@ impl Block<'_> {
 }
 
 /// Values per gathered run: a run's buffer stays in L1 between the gather
-/// that fills it and the fold or copy that drains it.
+/// that fills it and the fold or copy that drains it. A multiple of 64,
+/// so every run but the last fills whole selection words.
 const GATHER_RUN: usize = 1024;
+const _: () = assert!(GATHER_RUN.is_multiple_of(64));
 
 /// Positional gather for key lists: read `col[k]` for `keys`, in key
 /// order, and hand the values on as dense blocks of at most
@@ -201,16 +203,27 @@ impl PartialAgg {
     }
 
     /// Fold the values of `vals` whose bit in `words` is set: equal to
-    /// [`Self::push`] on each of them. All-ones words take the dense
-    /// loop of [`Self::fold_slice`]; other words visit only their set
-    /// bits.
+    /// [`Self::push`] on each of them. Branch-free: every value is
+    /// visited, and its bit, stretched to an all-ones or all-zeros mask,
+    /// selects between the value and the fold's neutral element (0 for
+    /// the sum, `Val::MAX` / `Val::MIN` for the minimum / maximum).
     pub fn fold_masked(&mut self, vals: &[Val], words: &[u64]) {
+        assert_eq!(
+            words.len(),
+            vals.len().div_ceil(64),
+            "one selection word per 64 values"
+        );
         let mut run = Run::EMPTY;
         let mut count = 0;
-        for_each_masked(vals, words, |r| {
-            count += r.len();
-            run = run.fold(r);
-        });
+        for (chunk, &word) in vals.chunks(64).zip(words) {
+            count += word.count_ones() as usize;
+            for (i, &v) in chunk.iter().enumerate() {
+                let keep = ((word >> i) & 1).wrapping_neg() as i64;
+                run.sum = run.sum.wrapping_add(v & keep);
+                run.lo = run.lo.min((v & keep) | (Val::MAX & !keep));
+                run.hi = run.hi.max((v & keep) | (Val::MIN & !keep));
+            }
+        }
         self.absorb_run(count, run);
     }
 

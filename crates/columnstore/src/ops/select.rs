@@ -13,9 +13,12 @@ use crate::types::{RangePred, RowId};
 /// Full-scan range selection over a base column. Returns qualifying keys in
 /// ascending (insertion) order.
 pub fn select(col: &Column, pred: &RangePred) -> Vec<RowId> {
+    let Some(iv) = pred.interval() else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for (i, &v) in col.values().iter().enumerate() {
-        if pred.matches(v) {
+        if iv.contains(v) {
             out.push(i as RowId);
         }
     }
@@ -25,7 +28,9 @@ pub fn select(col: &Column, pred: &RangePred) -> Vec<RowId> {
 /// Count qualifying tuples without materializing keys (used by aggregate
 /// pushdown and tests).
 pub fn count(col: &Column, pred: &RangePred) -> usize {
-    col.values().iter().filter(|&&v| pred.matches(v)).count()
+    pred.interval().map_or(0, |iv| {
+        col.values().iter().filter(|&&v| iv.contains(v)).count()
+    })
 }
 
 /// Intersect an ordered key list with a predicate on another column:
@@ -33,15 +38,19 @@ pub fn count(col: &Column, pred: &RangePred) -> usize {
 /// column-store plan for conjunctive multi-attribute selections (scan the
 /// first column, then probe the remaining ones positionally).
 pub fn refine(col: &Column, keys: &[RowId], pred: &RangePred) -> Vec<RowId> {
+    let Some(iv) = pred.interval() else {
+        return Vec::new();
+    };
     keys.iter()
         .copied()
-        .filter(|&k| pred.matches(col.get(k)))
+        .filter(|&k| iv.contains(col.get(k)))
         .collect()
 }
 
 /// Union-style refinement for disjunctions: returns the ordered merge of
 /// `keys` with all other positions in `col` matching `pred`.
 pub fn union_scan(col: &Column, keys: &[RowId], pred: &RangePred) -> Vec<RowId> {
+    let iv = pred.interval();
     let mut out = Vec::with_capacity(keys.len());
     let mut ki = 0usize;
     for (i, &v) in col.values().iter().enumerate() {
@@ -50,7 +59,7 @@ pub fn union_scan(col: &Column, keys: &[RowId], pred: &RangePred) -> Vec<RowId> 
         if in_keys {
             ki += 1;
         }
-        if in_keys || pred.matches(v) {
+        if in_keys || iv.is_some_and(|iv| iv.contains(v)) {
             out.push(i);
         }
     }

@@ -105,30 +105,31 @@ impl RangePred {
         RangePred { lo: None, hi: None }
     }
 
+    /// The predicate as one closed interval `[lo, lo + span]`, or `None`
+    /// when no value satisfies it: an inverted range, or an exclusive
+    /// bound at the end of the domain (`< i64::MIN`, `> i64::MAX`).
+    #[inline(always)]
+    pub fn interval(&self) -> Option<Interval> {
+        let lo = match self.lo {
+            None => Val::MIN,
+            Some(b) if b.inclusive => b.value,
+            Some(b) => b.value.checked_add(1)?,
+        };
+        let hi = match self.hi {
+            None => Val::MAX,
+            Some(b) if b.inclusive => b.value,
+            Some(b) => b.value.checked_sub(1)?,
+        };
+        (lo <= hi).then(|| Interval {
+            lo,
+            span: hi.wrapping_sub(lo) as u64,
+        })
+    }
+
     /// Does `v` satisfy the predicate?
     #[inline(always)]
     pub fn matches(&self, v: Val) -> bool {
-        let lo_ok = match self.lo {
-            None => true,
-            Some(b) => {
-                if b.inclusive {
-                    v >= b.value
-                } else {
-                    v > b.value
-                }
-            }
-        };
-        let hi_ok = match self.hi {
-            None => true,
-            Some(b) => {
-                if b.inclusive {
-                    v <= b.value
-                } else {
-                    v < b.value
-                }
-            }
-        };
-        lo_ok && hi_ok
+        self.interval().is_some_and(|i| i.contains(v))
     }
 
     /// `true` if no value can satisfy the predicate.
@@ -145,6 +146,38 @@ impl RangePred {
             }
             _ => false,
         }
+    }
+}
+
+/// A non-empty closed range `[lo, lo + span]` of values: a [`RangePred`]
+/// with its bounds resolved to inclusive ones, so membership is one
+/// unsigned compare and a word of 64 memberships builds branch-free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Interval {
+    /// Smallest member.
+    pub lo: Val,
+    /// Largest member minus `lo`.
+    pub span: u64,
+}
+
+impl Interval {
+    /// Is `v` in `[lo, lo + span]`? Values below `lo` wrap to large
+    /// unsigned offsets, so one compare tests both bounds.
+    #[inline(always)]
+    pub fn contains(&self, v: Val) -> bool {
+        (v.wrapping_sub(self.lo) as u64) <= self.span
+    }
+
+    /// One selection word over at most 64 values: bit `i` is set when
+    /// `chunk[i]` is a member, and no bit at or beyond `chunk.len()` is.
+    #[inline(always)]
+    pub fn word(&self, chunk: &[Val]) -> u64 {
+        debug_assert!(chunk.len() <= 64);
+        let mut m = 0u64;
+        for (i, &v) in chunk.iter().enumerate() {
+            m |= (self.contains(v) as u64) << i;
+        }
+        m
     }
 }
 
@@ -210,5 +243,86 @@ mod tests {
         assert!(!RangePred::open(5, 6).matches(5));
         assert!(!RangePred::open(5, 6).matches(6));
         assert!(RangePred::closed(7, 5).is_empty_range());
+    }
+
+    /// The two-sided bound test `matches` was before it went through
+    /// [`Interval`]: the truth table the interval form must keep.
+    fn bounds_match(p: &RangePred, v: Val) -> bool {
+        let lo_ok = p.lo.is_none_or(|b| {
+            if b.inclusive {
+                v >= b.value
+            } else {
+                v > b.value
+            }
+        });
+        let hi_ok = p.hi.is_none_or(|b| {
+            if b.inclusive {
+                v <= b.value
+            } else {
+                v < b.value
+            }
+        });
+        lo_ok && hi_ok
+    }
+
+    #[test]
+    fn interval_keeps_the_bound_truth_table() {
+        let edges = [
+            Val::MIN,
+            Val::MIN + 1,
+            Val::MIN + 2,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            Val::MAX - 2,
+            Val::MAX - 1,
+            Val::MAX,
+        ];
+        let bounds = edges
+            .iter()
+            .flat_map(|&v| [Some(Bound::inclusive(v)), Some(Bound::exclusive(v))])
+            .chain([None]);
+        let bounds: Vec<Option<Bound>> = bounds.collect();
+        for &lo in &bounds {
+            for &hi in &bounds {
+                let p = RangePred { lo, hi };
+                let interval = p.interval();
+                for &v in &edges {
+                    let want = bounds_match(&p, v);
+                    assert_eq!(
+                        interval.is_some_and(|i| i.contains(v)),
+                        want,
+                        "{p:?} at {v}"
+                    );
+                    assert_eq!(p.matches(v), want, "{p:?} at {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interval_of_edge_predicates() {
+        assert_eq!(
+            RangePred::all().interval(),
+            Some(Interval {
+                lo: Val::MIN,
+                span: u64::MAX
+            })
+        );
+        assert_eq!(
+            RangePred::point(7).interval(),
+            Some(Interval { lo: 7, span: 0 })
+        );
+        assert_eq!(RangePred::open(5, 6).interval(), None);
+        assert_eq!(RangePred::closed(7, 5).interval(), None);
+        assert_eq!(RangePred::less(Bound::exclusive(Val::MIN)).interval(), None);
+        assert_eq!(
+            RangePred::greater(Bound::exclusive(Val::MAX)).interval(),
+            None
+        );
+        let below_max = RangePred::less(Bound::exclusive(Val::MAX)).interval();
+        assert!(below_max.is_some_and(|i| i.contains(Val::MAX - 1) && !i.contains(Val::MAX)));
     }
 }

@@ -4,12 +4,21 @@
 //! `w`; disjunctive plans allocate one bit per tuple of the whole map.
 //! Only sequential patterns are used: create, refine (and/or), iterate.
 //!
-//! All sequential patterns run word-at-a-time over the `u64` blocks:
-//! [`BitVec::from_fn`] builds whole words branch-free, [`BitVec::refine`]
-//! and [`BitVec::set_where_unset`] visit only set (resp. zero) bits via
-//! `trailing_zeros`, and [`BitVec::set_range`] edits at most two partial
-//! words plus a `fill`. The naive bit-at-a-time loops survive only in the
-//! property tests (`tests/` of this crate) as the reference oracle.
+//! All sequential patterns run word-at-a-time over the `u64` blocks. The
+//! three that test a predicate — [`BitVec::from_range`],
+//! [`BitVec::refine_range`] and [`BitVec::set_where_unset_range`] — share
+//! one kernel: the predicate is resolved once to an [`Interval`], and
+//! each word is [`Interval::word`] over 64 values, one unsigned compare
+//! per value and no branch. Refinement skips zero words and the
+//! disjunctive fill skips all-ones words, so sparse (resp. dense)
+//! vectors stay cheap. [`BitVec::set_range`] edits at most two partial
+//! words plus a `fill`. The naive bit-at-a-time loops survive only in
+//! the property tests (`tests/` of this crate) as the reference oracle.
+//!
+//! [`Interval`]: crackdb_columnstore::types::Interval
+//! [`Interval::word`]: crackdb_columnstore::types::Interval::word
+
+use crackdb_columnstore::types::{RangePred, Val};
 
 /// A fixed-length bit vector backed by `u64` blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,21 +46,26 @@ impl BitVec {
         bv
     }
 
-    /// Build from a predicate over indices. Words are assembled with the
-    /// same branch-free comparison-as-arithmetic shape as the block
-    /// crack kernels' membership masks (`m |= (f(i) as u64) << bit`), so
-    /// simple predicates autovectorize.
-    pub fn from_fn<F: FnMut(usize) -> bool>(len: usize, mut f: F) -> Self {
-        let mut bv = Self::zeros(len);
-        for (bi, block) in bv.blocks.iter_mut().enumerate() {
-            let base = bi * 64;
-            let word_bits = 64.min(len - base);
-            let mut m = 0u64;
-            for bit in 0..word_bits {
-                m |= (f(base + bit) as u64) << bit;
-            }
-            *block = m;
+    /// Bits over `vals`, set where the value satisfies `pred`.
+    pub fn from_range(vals: &[Val], pred: &RangePred) -> Self {
+        match pred.interval() {
+            Some(iv) => BitVec {
+                blocks: vals.chunks(64).map(|chunk| iv.word(chunk)).collect(),
+                len: vals.len(),
+            },
+            None => Self::zeros(vals.len()),
         }
+    }
+
+    /// Adopt `words` as the backing words of a `len`-bit vector (bit `i`
+    /// is bit `i % 64` of word `i / 64`; bits at or beyond `len` are
+    /// cleared), e.g. words built by
+    /// [`Interval::word`](crackdb_columnstore::types::Interval::word)
+    /// over values gathered run by run.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "one word per 64 bits");
+        let mut bv = BitVec { blocks: words, len };
+        bv.clear_tail();
         bv
     }
 
@@ -126,21 +140,18 @@ impl BitVec {
         }
     }
 
-    /// Refine in place: keep bit `i` only if `f(i)` holds (applied only to
-    /// currently set bits — a sequential pass, as in
-    /// `sideways.select_refine_bv`). Consumes whole words: zero words are
-    /// skipped in one test, and within a word only the set bits are
-    /// visited via `trailing_zeros`, so sparse vectors refine in
-    /// O(set bits) rather than O(len).
-    pub fn refine<F: FnMut(usize) -> bool>(&mut self, mut f: F) {
-        for (bi, block) in self.blocks.iter_mut().enumerate() {
-            let mut remaining = *block;
-            while remaining != 0 {
-                let tz = remaining.trailing_zeros();
-                remaining &= remaining - 1;
-                if !f(bi * 64 + tz as usize) {
-                    *block &= !(1u64 << tz);
-                }
+    /// Refine in place: keep bit `i` only if `vals[i]` satisfies `pred`
+    /// (the conjunctive `sideways.select_refine_bv` pass). Zero words are
+    /// skipped in one test, so a sparse vector reads few values.
+    pub fn refine_range(&mut self, vals: &[Val], pred: &RangePred) {
+        assert_eq!(self.len, vals.len(), "bitvec length mismatch");
+        let Some(iv) = pred.interval() else {
+            self.blocks.fill(0);
+            return;
+        };
+        for (block, chunk) in self.blocks.iter_mut().zip(vals.chunks(64)) {
+            if *block != 0 {
+                *block &= iv.word(chunk);
             }
         }
     }
@@ -166,27 +177,18 @@ impl BitVec {
         self.blocks[last] |= tail_mask;
     }
 
-    /// Set every currently-zero bit `i` for which `f(i)` holds — the
-    /// disjunction residual-check pattern (`!bv.get(i) && pred(i)`),
-    /// word-at-a-time: all-ones words are skipped in one test and only
-    /// zero bits are visited via `trailing_zeros` on the complement.
-    pub fn set_where_unset<F: FnMut(usize) -> bool>(&mut self, mut f: F) {
-        let n = self.len;
-        for (bi, block) in self.blocks.iter_mut().enumerate() {
-            let base = bi * 64;
-            let word_bits = 64.min(n - base);
-            // Complement, with bits beyond `len` masked off so the tail
-            // word's padding is never visited.
-            let mut zeros = !*block;
-            if word_bits < 64 {
-                zeros &= (1u64 << word_bits) - 1;
-            }
-            while zeros != 0 {
-                let tz = zeros.trailing_zeros();
-                zeros &= zeros - 1;
-                if f(base + tz as usize) {
-                    *block |= 1u64 << tz;
-                }
+    /// Set every currently-zero bit `i` whose `vals[i]` satisfies `pred`
+    /// — the disjunction residual-check pattern (`!bv.get(i) &&
+    /// pred(i)`). All-ones words are skipped in one test, so the dense
+    /// area an earlier OR-branch set costs nothing.
+    pub fn set_where_unset_range(&mut self, vals: &[Val], pred: &RangePred) {
+        assert_eq!(self.len, vals.len(), "bitvec length mismatch");
+        let Some(iv) = pred.interval() else {
+            return;
+        };
+        for (block, chunk) in self.blocks.iter_mut().zip(vals.chunks(64)) {
+            if *block != u64::MAX {
+                *block |= iv.word(chunk);
             }
         }
     }
@@ -211,6 +213,19 @@ impl BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crackdb_columnstore::types::Bound;
+
+    /// Bit `i` set where `f(i)` holds, one `set` at a time.
+    fn naive(len: usize, f: impl Fn(usize) -> bool) -> BitVec {
+        let mut bv = BitVec::zeros(len);
+        (0..len).filter(|&i| f(i)).for_each(|i| bv.set(i));
+        bv
+    }
+
+    /// The values `0..len`, so a predicate on values is one on indices.
+    fn indices(len: usize) -> Vec<Val> {
+        (0..len as Val).collect()
+    }
 
     #[test]
     fn set_get_clear() {
@@ -234,8 +249,8 @@ mod tests {
 
     #[test]
     fn and_or() {
-        let mut a = BitVec::from_fn(10, |i| i % 2 == 0);
-        let b = BitVec::from_fn(10, |i| i % 3 == 0);
+        let mut a = naive(10, |i| i % 2 == 0);
+        let b = naive(10, |i| i % 3 == 0);
         let mut c = a.clone();
         a.and_with(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 6]);
@@ -246,7 +261,7 @@ mod tests {
     #[test]
     fn refine_only_clears() {
         let mut bv = BitVec::ones(8);
-        bv.refine(|i| i >= 4);
+        bv.refine_range(&indices(8), &RangePred::greater(Bound::inclusive(4)));
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![4, 5, 6, 7]);
     }
 
@@ -270,9 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_matches_bitwise_reference() {
+    fn from_range_matches_bitwise_reference() {
         for len in [0usize, 1, 63, 64, 65, 128, 200] {
-            let bv = BitVec::from_fn(len, |i| i % 7 < 3);
+            let vals: Vec<Val> = (0..len as Val).map(|i| i % 7).collect();
+            let bv = BitVec::from_range(&vals, &RangePred::half_open(0, 3));
             for i in 0..len {
                 assert_eq!(bv.get(i), i % 7 < 3, "bit {i} of {len}");
             }
@@ -310,21 +326,20 @@ mod tests {
 
     #[test]
     fn set_where_unset_only_touches_zero_bits() {
-        let mut bv = BitVec::from_fn(130, |i| i % 2 == 0);
-        let mut visited = Vec::new();
-        bv.set_where_unset(|i| {
-            visited.push(i);
-            i % 3 == 0
-        });
-        // Only odd (zero) bits were offered, none beyond len.
-        assert!(visited.iter().all(|&i| i % 2 == 1 && i < 130));
-        assert_eq!(visited.len(), 65);
+        let mut bv = naive(130, |i| i % 2 == 0);
+        let thirds: Vec<Val> = (0..130).map(|i| i % 3).collect();
+        bv.set_where_unset_range(&thirds, &RangePred::point(0));
         for i in 0..130 {
             assert_eq!(bv.get(i), i % 2 == 0 || i % 3 == 0, "bit {i}");
         }
-        // A full word is skipped without visiting any bit.
+        // A predicate nothing satisfies leaves every bit as it was.
+        let before = bv.clone();
+        bv.set_where_unset_range(&thirds, &RangePred::open(0, 1));
+        assert_eq!(bv, before);
+        // Set bits stay set whatever their values.
         let mut bv = BitVec::ones(64);
-        bv.set_where_unset(|_| panic!("no zero bits to visit"));
+        bv.set_where_unset_range(&[7; 64], &RangePred::point(0));
+        assert_eq!(bv.count_ones(), 64);
     }
 
     #[test]
@@ -332,12 +347,18 @@ mod tests {
         let mut bv = BitVec::zeros(256);
         bv.set(70);
         bv.set(200);
-        let mut visited = Vec::new();
-        bv.refine(|i| {
-            visited.push(i);
-            i > 100
-        });
-        assert_eq!(visited, vec![70, 200], "only set bits are visited");
+        // Every value of the zero words 0 and 2 matches: they stay zero.
+        bv.refine_range(&indices(256), &RangePred::greater(Bound::exclusive(100)));
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![200]);
+        // A predicate nothing satisfies clears everything.
+        bv.refine_range(&indices(256), &RangePred::closed(9, 1));
+        assert_eq!(bv.count_ones(), 0);
+    }
+
+    #[test]
+    fn from_words_clears_the_padding() {
+        let bv = BitVec::from_words(70, vec![u64::MAX, u64::MAX]);
+        assert_eq!(bv, BitVec::ones(70));
+        assert_eq!(BitVec::from_words(0, Vec::new()), BitVec::zeros(0));
     }
 }

@@ -1303,8 +1303,8 @@ impl PartialSet {
             };
             let tails = &c.tail()[range.0..range.1];
             match &mut bv {
-                None => bv = Some(BitVec::from_fn(tails.len(), |i| pred.matches(tails[i]))),
-                Some(bv) => bv.refine(|i| pred.matches(tails[i])),
+                None => bv = Some(BitVec::from_range(tails, pred)),
+                Some(bv) => bv.refine_range(tails, pred),
             }
         }
 

@@ -477,7 +477,7 @@ impl MapSet {
     ) -> ((usize, usize), BitVec) {
         let range = self.sideways_select(base, tail_attr, head_pred);
         let tails = self.view_tail(tail_attr, range);
-        let bv = BitVec::from_fn(tails.len(), |i| tail_pred.matches(tails[i]));
+        let bv = BitVec::from_range(tails, tail_pred);
         (range, bv)
     }
 
@@ -499,7 +499,7 @@ impl MapSet {
             bv.len(),
             "aligned maps must agree on the area size"
         );
-        bv.refine(|i| tail_pred.matches(tails[i]));
+        bv.refine_range(tails, tail_pred);
     }
 
     /// [`Self::view_tail`] as a reconstruction block: the area's tail
@@ -578,12 +578,14 @@ impl MapSet {
     ) {
         self.sideways_select(base, tail_attr, head_pred);
         let m = &self.maps[&tail_attr];
-        let n = m.arr.len();
-        assert_eq!(n, bv.len(), "aligned maps must agree on total size");
-        let tails = m.arr.tail();
-        // Word-at-a-time over the complement: after the first OR-branch
-        // set a dense area, its words are skipped wholesale.
-        bv.set_where_unset(|i| tail_pred.matches(tails[i]));
+        assert_eq!(
+            m.arr.len(),
+            bv.len(),
+            "aligned maps must agree on total size"
+        );
+        // Word-at-a-time: after the first OR-branch set a dense area, its
+        // words are skipped wholesale.
+        bv.set_where_unset_range(m.arr.tail(), tail_pred);
     }
 
     /// Disjunctive reconstruction: align the map of `tail_attr` and

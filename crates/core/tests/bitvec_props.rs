@@ -6,7 +6,10 @@
 //! pin them to the obvious per-bit loops at awkward lengths (word
 //! boundaries, partial tail words, empty) so the masking arithmetic can
 //! never silently drop or invent bits — in particular in the tail
-//! word's padding region.
+//! word's padding region. The three predicate kernels (`from_range`,
+//! `refine_range`, `set_where_unset_range`) are pinned to a per-bit
+//! `RangePred::matches` loop over predicates whose bounds sit at the
+//! ends of the domain, inclusive and exclusive, empty and inverted.
 //!
 //! The block kernels that consume a `BitVec`'s words — the masked fold
 //! and the mask compress of `columnstore::ops::block` — are pinned here
@@ -14,7 +17,7 @@
 //! loops they replace.
 
 use crackdb_columnstore::ops::block::{compress_masked, PartialAgg};
-use crackdb_columnstore::types::Val;
+use crackdb_columnstore::types::{Bound, RangePred, Val};
 use crackdb_core::bitvec::BitVec;
 
 struct Lcg(u64);
@@ -40,20 +43,82 @@ impl Lcg {
 /// Lengths that stress every word-boundary case.
 const LENGTHS: &[usize] = &[0, 1, 5, 63, 64, 65, 127, 128, 129, 200, 640, 1000];
 
+/// The naive oracle: bit `i` set where `f(i)` holds, one `set` at a time.
+fn bits(len: usize, mut f: impl FnMut(usize) -> bool) -> BitVec {
+    let mut bv = BitVec::zeros(len);
+    for i in 0..len {
+        if f(i) {
+            bv.set(i);
+        }
+    }
+    bv
+}
+
+/// Values the edge predicates cut between: the ends of the domain, their
+/// neighbours, and a few small integers.
+const EDGES: &[Val] = &[
+    Val::MIN,
+    Val::MIN + 1,
+    -3,
+    -1,
+    0,
+    1,
+    3,
+    Val::MAX - 1,
+    Val::MAX,
+];
+
+/// Predicates over [`EDGES`]: every pair of bounds (each edge inclusive
+/// and exclusive, or absent) — so `RangePred::all()`, single values,
+/// empty and inverted ranges and exclusive bounds at `i64::MIN` /
+/// `i64::MAX` all occur — plus random ones.
+fn predicates(rng: &mut Lcg) -> Vec<RangePred> {
+    let mut bounds = vec![None];
+    for &v in EDGES {
+        bounds.push(Some(Bound::inclusive(v)));
+        bounds.push(Some(Bound::exclusive(v)));
+    }
+    let mut preds: Vec<RangePred> = bounds
+        .iter()
+        .flat_map(|&lo| bounds.iter().map(move |&hi| RangePred { lo, hi }))
+        .collect();
+    for _ in 0..32 {
+        let mut bound = || Bound {
+            value: rng.below(40) as Val - 20,
+            inclusive: rng.chance(50),
+        };
+        preds.push(RangePred {
+            lo: Some(bound()),
+            hi: Some(bound()),
+        });
+    }
+    preds
+}
+
+/// Values a predicate kernel reads: mostly small (so random predicates
+/// cut them), some at the edges of the domain.
+fn predicate_values(len: usize, rng: &mut Lcg) -> Vec<Val> {
+    (0..len)
+        .map(|_| match rng.below(4) {
+            0 => EDGES[rng.below(EDGES.len())],
+            _ => rng.below(40) as Val - 20,
+        })
+        .collect()
+}
+
 #[test]
-fn from_fn_matches_naive_bits() {
+fn from_range_matches_naive_bits() {
     let mut rng = Lcg(1);
     for &len in LENGTHS {
-        let bits: Vec<bool> = (0..len).map(|_| rng.chance(30)).collect();
-        let bv = BitVec::from_fn(len, |i| bits[i]);
-        let mut naive = BitVec::zeros(len);
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                naive.set(i);
-            }
+        let vals = predicate_values(len, &mut rng);
+        for pred in predicates(&mut rng) {
+            let bv = BitVec::from_range(&vals, &pred);
+            assert_eq!(
+                bv,
+                bits(len, |i| pred.matches(vals[i])),
+                "len {len}, {pred:?}"
+            );
         }
-        assert_eq!(bv, naive, "len {len}");
-        assert_eq!(bv.count_ones(), bits.iter().filter(|&&b| b).count());
     }
 }
 
@@ -62,7 +127,7 @@ fn iter_ones_matches_naive_scan() {
     let mut rng = Lcg(2);
     for &len in LENGTHS {
         for density in [0, 3, 50, 97, 100] {
-            let bv = BitVec::from_fn(len, |_| rng.chance(density));
+            let bv = bits(len, |_| rng.chance(density));
             let word: Vec<usize> = bv.iter_ones().collect();
             let naive: Vec<usize> = (0..len).filter(|&i| bv.get(i)).collect();
             assert_eq!(word, naive, "len {len} density {density}");
@@ -74,16 +139,21 @@ fn iter_ones_matches_naive_scan() {
 fn refine_matches_naive_loop() {
     let mut rng = Lcg(3);
     for &len in LENGTHS {
-        let keep: Vec<bool> = (0..len).map(|_| rng.chance(60)).collect();
-        let mut word = BitVec::from_fn(len, |i| i % 3 != 1);
-        let mut naive = word.clone();
-        word.refine(|i| keep[i]);
-        for (i, &k) in keep.iter().enumerate() {
-            if naive.get(i) && !k {
-                naive.clear(i);
+        let vals = predicate_values(len, &mut rng);
+        for pred in predicates(&mut rng) {
+            // Sparse, dense and empty starting vectors: zero words skip.
+            for density in [0, 10, 60, 100] {
+                let mut word = bits(len, |_| rng.chance(density));
+                let mut naive = word.clone();
+                word.refine_range(&vals, &pred);
+                for (i, &v) in vals.iter().enumerate() {
+                    if naive.get(i) && !pred.matches(v) {
+                        naive.clear(i);
+                    }
+                }
+                assert_eq!(word, naive, "len {len}, {pred:?}");
             }
         }
-        assert_eq!(word, naive, "len {len}");
     }
 }
 
@@ -94,7 +164,7 @@ fn set_range_matches_naive_loop() {
         for _ in 0..8 {
             let lo = rng.below(len + 1);
             let hi = lo + rng.below(len - lo + 1);
-            let mut word = BitVec::from_fn(len, |_| rng.chance(10));
+            let mut word = bits(len, |_| rng.chance(10));
             let mut naive = word.clone();
             word.set_range(lo, hi);
             for i in lo..hi {
@@ -109,16 +179,23 @@ fn set_range_matches_naive_loop() {
 fn set_where_unset_matches_naive_loop() {
     let mut rng = Lcg(5);
     for &len in LENGTHS {
-        let want: Vec<bool> = (0..len).map(|_| rng.chance(40)).collect();
-        let mut word = BitVec::from_fn(len, |_| rng.chance(50));
-        let mut naive = word.clone();
-        word.set_where_unset(|i| want[i]);
-        for (i, &w) in want.iter().enumerate() {
-            if !naive.get(i) && w {
-                naive.set(i);
+        let vals = predicate_values(len, &mut rng);
+        for pred in predicates(&mut rng) {
+            // A set range first, as the disjunctive plan has: its
+            // all-ones words skip.
+            let lo = rng.below(len + 1);
+            let hi = lo + rng.below(len - lo + 1);
+            let mut word = bits(len, |_| rng.chance(30));
+            word.set_range(lo, hi);
+            let mut naive = word.clone();
+            word.set_where_unset_range(&vals, &pred);
+            for (i, &v) in vals.iter().enumerate() {
+                if !naive.get(i) && pred.matches(v) {
+                    naive.set(i);
+                }
             }
+            assert_eq!(word, naive, "len {len}, {pred:?}");
         }
-        assert_eq!(word, naive, "len {len}");
     }
 }
 
@@ -126,8 +203,8 @@ fn set_where_unset_matches_naive_loop() {
 fn and_or_count_roundtrip_at_word_boundaries() {
     let mut rng = Lcg(6);
     for &len in LENGTHS {
-        let a = BitVec::from_fn(len, |_| rng.chance(50));
-        let b = BitVec::from_fn(len, |_| rng.chance(50));
+        let a = bits(len, |_| rng.chance(50));
+        let b = bits(len, |_| rng.chance(50));
         let mut and = a.clone();
         and.and_with(&b);
         let mut or = a.clone();
@@ -152,10 +229,10 @@ fn kernel_masks(len: usize, rng: &mut Lcg) -> Vec<BitVec> {
     vec![
         BitVec::zeros(len),
         BitVec::ones(len),
-        BitVec::from_fn(len, |_| rng.chance(50)),
-        BitVec::from_fn(len, |_| rng.chance(3)),
-        BitVec::from_fn(len, |_| rng.chance(97)),
-        BitVec::from_fn(len, |i| i >= last_word),
+        bits(len, |_| rng.chance(50)),
+        bits(len, |_| rng.chance(3)),
+        bits(len, |_| rng.chance(97)),
+        bits(len, |i| i >= last_word),
     ]
 }
 

@@ -32,24 +32,13 @@ pub fn union_keys_unordered(keys: &mut Vec<RowId>, more: impl IntoIterator<Item 
     }
 }
 
-/// Bit-vector strategy, creation: bits over a positionally-aligned value
-/// slice, set where `pred` holds.
-pub fn create_bv(vals: &[Val], pred: &RangePred) -> BitVec {
-    BitVec::from_fn(vals.len(), |i| pred.matches(vals[i]))
-}
-
-/// Bit-vector strategy, refinement: clear bits whose aligned value fails
-/// `pred`.
-pub fn refine_bv(bv: &mut BitVec, vals: &[Val], pred: &RangePred) {
-    assert_eq!(bv.len(), vals.len(), "aligned area sizes must agree");
-    bv.refine(|i| pred.matches(vals[i]));
-}
-
-/// Create-or-refine in one call (the common residual-predicate loop).
+/// Bit-vector strategy: create bits over a positionally-aligned value
+/// slice, set where `pred` holds, or refine them (clear bits whose
+/// aligned value fails `pred`) — the residual-predicate loop.
 pub fn fold_bv(bv: &mut Option<BitVec>, vals: &[Val], pred: &RangePred) {
     match bv {
-        None => *bv = Some(create_bv(vals, pred)),
-        Some(bv) => refine_bv(bv, vals, pred),
+        None => *bv = Some(BitVec::from_range(vals, pred)),
+        Some(bv) => bv.refine_range(vals, pred),
     }
 }
 
@@ -75,10 +64,12 @@ mod tests {
     #[test]
     fn bv_strategy_roundtrip() {
         let vals = [1i64, 5, 9, 5, 1];
-        let mut bv = Some(create_bv(
+        let mut bv = None;
+        fold_bv(
+            &mut bv,
             &vals,
             &RangePred::greater(crackdb_columnstore::types::Bound::inclusive(5)),
-        ));
+        );
         fold_bv(
             &mut bv,
             &vals,

@@ -147,12 +147,7 @@ impl AccessPath for PresortedEngine {
             unreachable!("disjunctive presorted plans carry a whole-copy bit vector")
         };
         let copy = self.copy_for(false, head.0);
-        let vals = copy.column(attr);
-        for (i, &v) in vals.iter().enumerate() {
-            if !bv.get(i) && pred.matches(v) {
-                bv.set(i);
-            }
-        }
+        bv.set_where_unset_range(copy.column(attr), pred);
     }
 
     fn unrestricted(&mut self, ctx: &RestrictCtx) -> RowSet {

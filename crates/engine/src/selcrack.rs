@@ -160,17 +160,25 @@ impl AccessPath for SelCrackEngine {
 
     fn refine(&mut self, rows: &mut RowSet, attr: usize, pred: &RangePred, _ctx: &RestrictCtx) {
         // rel_select: positional lookups into the base column through the
-        // area's tail (random access — keys are unordered), folded into a
-        // bit vector over the area.
+        // area's tail (random access — keys are unordered), gathered run
+        // by run and folded into a bit vector over the area one
+        // selection word per 64 values. Gathered runs are whole words
+        // long but for the last, so word `i` covers tuples `64i..`.
         let RowSet::Area { head, range, bv } = rows else {
             return; // conjunctive plans start from `restrict`'s area
         };
         let (_, tail) = self.area(head.0, *range);
-        let col = self.base.column(attr);
-        let keep = |i: usize| pred.matches(col.get(tail[i]));
+        let mut words = Vec::with_capacity(tail.len().div_ceil(64));
+        if let Some(iv) = pred.interval() {
+            gather_blocks(attr, self.base.column(attr), tail, |b| {
+                words.extend(b.vals.chunks(64).map(|chunk| iv.word(chunk)))
+            });
+        }
+        words.resize(tail.len().div_ceil(64), 0);
+        let keep = BitVec::from_words(tail.len(), words);
         match bv {
-            None => *bv = Some(BitVec::from_fn(tail.len(), keep)),
-            Some(bv) => bv.refine(keep),
+            None => *bv = Some(keep),
+            Some(bv) => bv.and_with(&keep),
         }
     }
 
