@@ -16,6 +16,40 @@ use std::hint::black_box;
 
 const N: usize = 1 << 20;
 
+/// The `svc_mixed`-shaped map the ripple and index benches run on:
+/// [`SKEWED_ROWS`] seeded rows with about 13k boundaries, 90% of them in
+/// the lowest fifth of the value domain `0..SKEWED_ROWS`.
+const SKEWED_ROWS: usize = 3_000_000;
+
+/// Lookups or records per sample of the ns-scale index benches: a
+/// sample's time in µs reads as ns per op.
+const OPS: usize = 1_000;
+
+fn skewed_map() -> CrackedArray<RowId> {
+    let mut rng = StdRng::seed_from_u64(11);
+    let domain = SKEWED_ROWS as Val;
+    let head: Vec<Val> = (0..SKEWED_ROWS).map(|_| rng.gen_range(0..domain)).collect();
+    let tail: Vec<RowId> = (0..SKEWED_ROWS as RowId).collect();
+    let mut arr = CrackedArray::seeded(&head, &tail, &[], None);
+    for i in 0..13_000 {
+        let hi = if i % 10 == 9 { domain } else { domain / 5 };
+        let v = rng.gen_range(0..hi);
+        arr.crack_range(&RangePred::less(Bound::exclusive(v)));
+    }
+    arr
+}
+
+/// A value in the crack-dense lowest fifth of the domain (`hot`) or in
+/// the rest.
+fn skewed_value(rng: &mut StdRng, hot: bool) -> Val {
+    let fifth = SKEWED_ROWS as Val / 5;
+    if hot {
+        rng.gen_range(0..fifth)
+    } else {
+        rng.gen_range(fifth..5 * fifth)
+    }
+}
+
 fn data(seed: u64) -> (Vec<Val>, Vec<RowId>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let head: Vec<Val> = (0..N).map(|_| rng.gen_range(0..N as Val)).collect();
@@ -79,7 +113,7 @@ fn bench_crack_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_index(c: &mut Criterion) {
+fn bench_index(c: &mut Criterion, skewed: &CrackedArray<RowId>) {
     let mut g = c.benchmark_group("cracker_index");
     let mut idx = CrackerIndex::new();
     let mut rng = StdRng::seed_from_u64(2);
@@ -101,6 +135,46 @@ fn bench_index(c: &mut Criterion) {
             black_box(idx.estimate_size(&RangePred::open(lo, lo + 50_000), N, (0, 1_000_000)))
         })
     });
+    let keys: Vec<_> = skewed
+        .index()
+        .boundaries()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
+    let domain = SKEWED_ROWS as Val;
+    g.bench_function(format!("piece_of_{}_boundaries_x{OPS}", keys.len()), |b| {
+        b.iter(|| {
+            for _ in 0..OPS {
+                black_box(skewed.piece_of(rng.gen_range(0..domain)));
+            }
+        })
+    });
+    g.bench_function(
+        format!("position_of_{}_boundaries_x{OPS}", keys.len()),
+        |b| {
+            b.iter(|| {
+                for _ in 0..OPS {
+                    let k = keys[rng.gen_range(0..keys.len())];
+                    black_box(skewed.index().position_of(k));
+                }
+            })
+        },
+    );
+    g.bench_function(
+        format!("record_into_{}_boundaries_x{OPS}", keys.len()),
+        |b| {
+            b.iter_batched(
+                || skewed.index().clone(),
+                |mut idx| {
+                    for _ in 0..OPS {
+                        idx.record((rng.gen_range(0..domain), BoundKind::Le), 0);
+                    }
+                    idx
+                },
+                BatchSize::LargeInput,
+            )
+        },
+    );
     g.finish();
 }
 
@@ -203,32 +277,54 @@ fn bench_reconstruction_patterns(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ripple(c: &mut Criterion) {
+/// One ripple insert or delete per sample into a copy of the skewed
+/// map, its value in the crack-dense fifth (`hot`) or the rest
+/// (`cold`). Before each sample a 32 MB sweep evicts the map from the
+/// caches, as the queries between two merges do in `svc_mixed`.
+fn bench_ripple(c: &mut Criterion, skewed: &CrackedArray<RowId>) {
     let mut g = c.benchmark_group("ripple_updates");
-    g.sample_size(10);
-    let (head, tail) = data(6);
-    let mut arr = CrackedArray::new(head, tail);
-    // Crack into ~32 pieces first.
-    for i in 1..32 {
-        arr.crack_range(&RangePred::open(
-            (i * N / 32) as Val,
-            (i * N / 32 + 1) as Val,
-        ));
+    g.sample_size(200);
+    let bounds = skewed.index().len();
+    let mut sweep = vec![0u64; 4 << 20];
+    let mut evict = || {
+        sweep
+            .iter_mut()
+            .for_each(|x| *x = black_box(x.wrapping_add(1)))
+    };
+    for hot in [true, false] {
+        let temp = if hot { "hot" } else { "cold" };
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut arr = skewed.clone();
+        g.bench_function(format!("ripple_insert_{temp}_{bounds}_boundaries"), |b| {
+            b.iter_batched(
+                &mut evict,
+                |()| arr.ripple_insert(skewed_value(&mut rng, hot), 0),
+                BatchSize::PerIteration,
+            )
+        });
+        let mut arr = skewed.clone();
+        g.bench_function(format!("ripple_delete_{temp}_{bounds}_boundaries"), |b| {
+            b.iter_batched(
+                &mut evict,
+                |()| {
+                    let (s, e) = arr.piece_of(skewed_value(&mut rng, hot));
+                    if s < e {
+                        arr.ripple_delete_at(rng.gen_range(s..e));
+                    }
+                },
+                BatchSize::PerIteration,
+            )
+        });
     }
-    let mut rng = StdRng::seed_from_u64(7);
-    g.bench_function("ripple_insert_32_pieces", |b| {
-        b.iter(|| {
-            arr.ripple_insert(rng.gen_range(0..N as Val), 0);
-        })
-    });
     g.finish();
 }
 
 fn main() {
     let mut c = Criterion::default();
     bench_crack_kernels(&mut c);
-    bench_index(&mut c);
+    let skewed = skewed_map();
+    bench_index(&mut c, &skewed);
     bench_bitvec(&mut c);
     bench_reconstruction_patterns(&mut c);
-    bench_ripple(&mut c);
+    bench_ripple(&mut c, &skewed);
 }

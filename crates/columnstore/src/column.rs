@@ -29,8 +29,9 @@ use std::sync::Arc;
 /// will take inserts later: `n / 64`. Reserved at the copies crackdb
 /// makes anyway (a shard's base columns, a seeded map), so a shard's
 /// first appended row or a map's first merged insert does not
-/// reallocate and copy the whole array. It is capacity only: lengths,
-/// and so every tuple count, stay the same.
+/// reallocate and copy the whole array. A seeded map reserves as many
+/// free slots at its front. It is capacity only: lengths, and so every
+/// tuple count, stay the same.
 pub const fn insert_headroom(n: usize) -> usize {
     n / 64
 }

@@ -14,15 +14,17 @@ use crackdb_columnstore::types::{RangePred, Val};
 use crackdb_cracking::index::pred_keys;
 use crackdb_cracking::{BoundaryKey, CrackedArray, CrackerIndex};
 
-/// One chunk of a partial map.
+/// One chunk of a partial map. Its buffers are those of a
+/// [`CrackedArray`]: they start with the index's
+/// [`CrackerIndex::origin`] free slots of front slack.
 #[derive(Debug, Clone)]
 pub struct Chunk {
-    /// Head values; `None` after the head column was dropped.
+    /// Head buffer; `None` after the head column was dropped.
     head: Option<Vec<Val>>,
-    /// Tail (projected attribute) values.
+    /// Tail (projected attribute) buffer.
     tail: Vec<Val>,
-    /// Partitioning knowledge. Survives head drops, and (as a lazily
-    /// deleted shell) even whole-chunk drops.
+    /// Partitioning knowledge and front slack. Survives head drops, and
+    /// (as a lazily deleted shell) even whole-chunk drops.
     index: CrackerIndex,
     /// Position in the area tape: entries `< cursor` have been applied.
     pub cursor: usize,
@@ -48,8 +50,9 @@ impl Chunk {
         }
     }
 
-    /// Reassemble a chunk from deserialized spill-record parts. The
-    /// cursor is the chunk's staged-update watermark: alignment resumes
+    /// Reassemble a chunk from deserialized spill-record parts: buffers
+    /// with the index's origin of front slack. The cursor is the chunk's
+    /// staged-update watermark: alignment resumes
     /// from it exactly as if the chunk had stayed resident, and the
     /// access bookkeeping (`accesses`, `last_access`) survives the
     /// round-trip so eviction scoring doesn't restart from cold.
@@ -64,6 +67,7 @@ impl Chunk {
         if let Some(h) = &head {
             assert_eq!(h.len(), tail.len());
         }
+        assert!(index.origin() <= tail.len(), "origin past the buffers");
         Chunk {
             head,
             tail,
@@ -76,22 +80,29 @@ impl Chunk {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tail.len()
+        self.tail.len() - self.index.origin()
     }
 
     /// `true` when the chunk holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tail.is_empty()
+        self.len() == 0
     }
 
     /// Tail values (always present).
     pub fn tail(&self) -> &[Val] {
-        &self.tail
+        &self.tail[self.index.origin()..]
     }
 
     /// Head values if not dropped.
     pub fn head(&self) -> Option<&[Val]> {
-        self.head.as_deref()
+        let o = self.index.origin();
+        self.head.as_deref().map(|h| &h[o..])
+    }
+
+    /// The head buffer, front slack included, for
+    /// [`Self::restore_head`] on a chunk at the same tape cursor.
+    pub fn into_head(self) -> Option<Vec<Val>> {
+        self.head
     }
 
     /// `true` when the head column was dropped.
@@ -110,8 +121,9 @@ impl Chunk {
         self.head = None;
     }
 
-    /// Restore a recovered head column (must be the deterministic rebuild
-    /// for the current cursor — the caller guarantees this).
+    /// Restore a recovered head buffer (must be the deterministic rebuild
+    /// for the current cursor, [`Self::into_head`] of a chunk replayed
+    /// to it — the caller guarantees this).
     pub fn restore_head(&mut self, head: Vec<Val>) {
         assert_eq!(head.len(), self.tail.len());
         self.head = Some(head);
@@ -241,9 +253,8 @@ impl Chunk {
 
     /// Take the index out as a lazily deleted shell (chunk being
     /// dropped).
-    pub fn into_shell(mut self) -> CrackerIndex {
-        self.index.mark_all_deleted();
-        self.index
+    pub fn into_shell(self) -> CrackerIndex {
+        self.index.into_shell()
     }
 }
 

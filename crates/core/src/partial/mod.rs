@@ -893,7 +893,7 @@ impl PartialSet {
         self.stats.heads_recovered += 1;
         // INVARIANT: Chunk::seed is constructed with a head column and
         // align_to never drops it.
-        Ok(tmp.head().expect("fresh chunk has a head").to_vec())
+        Ok(tmp.into_head().expect("fresh chunk has a head"))
     }
 
     /// Single-selection, multi-projection query (`select P1.. from R where

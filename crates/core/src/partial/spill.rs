@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! [ 0.. 4)  magic "CKSP"
-//! [ 4.. 8)  u32 version (2)
+//! [ 4.. 8)  u32 version (3)
 //! [ 8..16)  u64 payload length
 //! [16..  )  payload:
 //!             u64 flags (bit0: head present)
@@ -28,6 +28,7 @@
 //!             u64 LFU access count
 //!             u64 last-access clock (eviction recency; v2)
 //!             u64 n (tuples)
+//!             u64 front slack (free slots before the tuples; v3)
 //!             n × i64 head values     (only when bit0 set)
 //!             n × i64 tail values
 //!             u64 live boundary count
@@ -61,9 +62,10 @@ use std::sync::{Arc, Mutex};
 
 const SPILL_MAGIC: [u8; 4] = *b"CKSP";
 /// v2 added the last-access clock to the payload so eviction scoring
-/// survives a spill round-trip. Decoding stays strict: a version we did
-/// not write is corruption, not a compatibility case.
-const SPILL_VERSION: u32 = 2;
+/// survives a spill round-trip; v3 the front slack, so a reloaded chunk
+/// ripples toward the same ends as its siblings. Decoding stays strict:
+/// a version we did not write is corruption, not a compatibility case.
+const SPILL_VERSION: u32 = 3;
 const HEADER_LEN: usize = 16;
 
 /// Location of one spilled chunk inside its column's spill file.
@@ -293,14 +295,16 @@ fn put_vals(out: &mut Vec<u8>, vals: &[Val]) {
     }
 }
 
-/// Bulk-decode `n` values (the inverse of [`put_vals`]).
-fn take_vals(r: &mut Reader<'_>, n: usize) -> Result<Vec<Val>, String> {
+/// Bulk-decode `n` values (the inverse of [`put_vals`]) into a buffer
+/// after `front` free slots.
+fn take_vals(r: &mut Reader<'_>, front: usize, n: usize) -> Result<Vec<Val>, String> {
     let raw = r.take(n * 8)?;
-    Ok(raw
-        .chunks_exact(8)
-        // INVARIANT: chunks_exact(8) yields exactly-8-byte slices.
-        .map(|w| i64::from_le_bytes(w.try_into().expect("8-byte value")))
-        .collect())
+    let mut vals = Vec::with_capacity(front + n);
+    vals.resize(front, 0);
+    // INVARIANT: chunks_exact(8) yields exactly-8-byte slices.
+    let word = |w: &[u8]| i64::from_le_bytes(w.try_into().expect("8-byte value"));
+    vals.extend(raw.chunks_exact(8).map(word));
+    Ok(vals)
 }
 
 /// Cursor over a byte slice with bounds-checked little-endian reads.
@@ -347,7 +351,7 @@ pub fn encode_chunk_into(chunk: &Chunk, out: &mut Vec<u8>) {
     let n = chunk.len();
     let head = chunk.head();
     let bounds = chunk.index().boundaries();
-    let payload_len = 8 * 5 + head.map_or(0, |h| h.len() * 8) + n * 8 + 8 + bounds.len() * 24;
+    let payload_len = 8 * 6 + head.map_or(0, |h| h.len() * 8) + n * 8 + 8 + bounds.len() * 24;
     out.clear();
     out.reserve(HEADER_LEN + payload_len + 8);
     out.extend_from_slice(&SPILL_MAGIC);
@@ -360,6 +364,7 @@ pub fn encode_chunk_into(chunk: &Chunk, out: &mut Vec<u8>) {
     put_u64(out, chunk.accesses);
     put_u64(out, chunk.last_access);
     put_u64(out, n as u64);
+    put_u64(out, chunk.index().origin() as u64);
     if let Some(h) = head {
         put_vals(out, h);
     }
@@ -431,14 +436,22 @@ fn decode_inner(bytes: &[u8]) -> Result<Chunk, String> {
     let accesses = r.u64()?;
     let last_access = r.u64()?;
     let n = r.u64()? as usize;
+    let origin = r.u64()? as usize;
+    // A chunk starts without front slack; each replayed delete adds at
+    // most one slot.
+    if origin > cursor {
+        return Err(format!(
+            "front slack {origin} exceeds the tape cursor {cursor}"
+        ));
+    }
     let head = if flags & 1 != 0 {
-        Some(take_vals(&mut r, n)?)
+        Some(take_vals(&mut r, origin, n)?)
     } else {
         None
     };
-    let tail = take_vals(&mut r, n)?;
+    let tail = take_vals(&mut r, origin, n)?;
     let nbounds = r.u64()? as usize;
-    let mut index = CrackerIndex::new();
+    let mut index = CrackerIndex::with_origin(origin);
     for _ in 0..nbounds {
         let val = r.i64()?;
         let pos = r.u64()? as usize;
@@ -501,6 +514,23 @@ mod tests {
             d.range_of(&RangePred::open(4, 13)),
             c.range_of(&RangePred::open(4, 13))
         );
+    }
+
+    #[test]
+    fn front_slack_survives_the_roundtrip() {
+        let mut index = CrackerIndex::with_origin(2);
+        index.record((9, BoundKind::Lt), 1);
+        let (head, tail) = (vec![0, 0, 5, 12], vec![0, 0, 50, 120]);
+        let c = Chunk::from_spill_parts(Some(head), tail.clone(), index, 3, 0, 0);
+        let d = decode_chunk(&encode_chunk(&c), "test").unwrap();
+        assert_eq!(d.index().origin(), 2);
+        assert_eq!((d.head(), d.tail()), (Some(&[5, 12][..]), &[50, 120][..]));
+        assert_eq!(d.index().boundaries(), vec![((9, BoundKind::Lt), 1)]);
+        // More slack than the cursor's deletes can have made is corrupt.
+        let index = CrackerIndex::with_origin(2);
+        let c = Chunk::from_spill_parts(None, tail, index, 1, 0, 0);
+        let err = decode_chunk(&encode_chunk(&c), "test").unwrap_err();
+        assert!(err.to_string().contains("front slack 2"), "{err}");
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! shard's base columns (`partition_table`), a seeded cracked array
 //! (`CrackedArray::seeded`, with and without a `SeedPlan`) and the maps
 //! of a map set — reserve `insert_headroom(n)` spare slots when they are
-//! copied. Up to that many inserts must leave every array where it is
-//! (same `as_ptr()`) and must leave exactly the state the same inserts
-//! leave on an exact-capacity copy.
+//! copied; seeded arrays reserve as many free slots at the front.
+//! Up to that many inserts must leave every array where it is (same
+//! allocation: base pointer and capacity — a front-ward insert moves
+//! `head().as_ptr()` by design) and must leave exactly the state the
+//! same inserts leave on an exact-capacity copy with the same front
+//! slack.
 //!
 //! The map-set table is big enough that maps are seeded through a
 //! `SeedPlan`.
@@ -24,14 +27,12 @@ fn values(n: usize, domain: Val, seed: u64) -> Vec<Val> {
     (0..n).map(|_| rng.gen_range(0..domain)).collect()
 }
 
-/// Where an array's head and tail buffers live.
-fn addr<T: Copy>(a: &CrackedArray<T>) -> (*const Val, *const T) {
-    (a.head().as_ptr(), a.tail().as_ptr())
-}
-
-/// `a`'s contents and index, at exact capacity.
+/// `a`'s buffers, front slack included, and index, at exact capacity.
 fn exact_copy<T: Copy>(a: &CrackedArray<T>) -> CrackedArray<T> {
-    CrackedArray::from_parts(a.head().to_vec(), a.tail().to_vec(), a.index().clone())
+    let (head, tail, index) = a.clone().into_parts();
+    let exact = |cap: usize| cap == head.len();
+    assert!(exact(head.capacity()) && exact(tail.capacity()));
+    CrackedArray::from_parts(head, tail, index)
 }
 
 fn assert_same_state<T: Copy + PartialEq>(
@@ -59,7 +60,8 @@ fn seeded_arrays_take_their_headroom_in_place() {
         let mut arr = CrackedArray::seeded(&head, &tail, &excluded, plan);
         arr.crack_range(&RangePred::open(2_000, 2_500));
         arr.crack_range(&RangePred::closed(7_000, 9_000));
-        let (at, mut want) = (addr(&arr), exact_copy(&arr));
+        let (at, mut want) = (arr.allocation(), exact_copy(&arr));
+        assert_eq!(arr.index().origin(), insert_headroom(live), "{ctx}");
         let mut rng = StdRng::seed_from_u64(2);
         for i in 0..insert_headroom(live) as Val {
             // Below, inside and above the domain: every piece grows.
@@ -67,7 +69,11 @@ fn seeded_arrays_take_their_headroom_in_place() {
             arr.ripple_insert(v, -i);
             want.ripple_insert(v, -i);
         }
-        assert!(addr(&arr) == at, "{ctx}: an insert reallocated");
+        assert_eq!(arr.allocation(), at, "{ctx}: an insert reallocated");
+        assert!(
+            arr.index().origin() < insert_headroom(live),
+            "{ctx}: none went front-ward"
+        );
         assert_eq!(arr.len(), live + insert_headroom(live), "{ctx}");
         assert_same_state(&arr, &want, ctx);
     }
@@ -121,7 +127,7 @@ fn maps_merge_their_headroom_in_place() {
     }
     let maps = [1, 2].map(|attr| {
         let arr = &set.map(attr).expect("just seeded").arr;
-        (attr, addr(arr), exact_copy(arr))
+        (attr, arr.allocation(), exact_copy(arr))
     });
     let from = set.tape.len();
 
@@ -139,7 +145,11 @@ fn maps_merge_their_headroom_in_place() {
     assert!(set.seed_is_clustered(), "seeded through a plan");
     for (attr, at, mut want) in maps {
         let arr = &set.map(attr).expect("still there").arr;
-        assert!(addr(arr) == at, "map {attr}: a merged insert reallocated");
+        assert_eq!(
+            arr.allocation(),
+            at,
+            "map {attr}: a merged insert reallocated"
+        );
         assert_eq!(arr.len(), ROWS + insert_headroom(ROWS), "map {attr}");
         for i in from..set.tape.len() {
             match *set.tape.entry(i) {

@@ -55,7 +55,7 @@ impl CrackerColumn {
     pub fn from_column(col: &Column) -> Self {
         let keys: Vec<RowId> = (0..col.len() as RowId).collect();
         CrackerColumn {
-            arr: CrackedArray::copied(col.values(), &keys, &[], 0),
+            arr: CrackedArray::new(col.values().to_vec(), keys.to_vec()),
             pending_inserts: Vec::new(),
             pending_deletes: Vec::new(),
             cracks: 0,

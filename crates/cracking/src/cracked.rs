@@ -1,6 +1,15 @@
 //! A generic two-column cracked array: the shared physical structure
 //! behind cracker columns (tail = tuple key) and cracker maps (tail =
 //! projected attribute value).
+//!
+//! The buffers may start with free *front slack* (the index's
+//! [`CrackerIndex::origin`]): a ripple update grows or shrinks the array
+//! at whichever end has fewer live boundaries between it and the update,
+//! so it moves one tuple across, and rewrites the index entry of, only
+//! those boundaries. An insert goes front-ward only into existing slack;
+//! a front-ward delete creates slack. The rule reads index state alone,
+//! so siblings replaying a tape choose alike. Every accessor is
+//! origin-relative: tuple `0` is the first tuple, wherever it sits.
 
 use crate::crack::{crack_in_three, crack_in_two, BoundKind};
 use crate::index::{pred_keys, BoundaryKey, CrackerIndex};
@@ -134,8 +143,10 @@ impl SeedPlan {
 /// cracker index describing the current partitioning.
 #[derive(Debug, Clone, Default)]
 pub struct CrackedArray<T: Copy> {
+    /// Head and tail buffers: free front slack, then the tuples.
     head: Vec<Val>,
     tail: Vec<T>,
+    /// The partitioning, and the length of the front slack.
     index: CrackerIndex,
     /// Cumulative tuples touched (scanned/swapped) by crack kernels —
     /// the robustness metric of the property tests and benches.
@@ -148,13 +159,7 @@ impl<T: Copy> CrackedArray<T> {
     /// # Panics
     /// If the vectors differ in length.
     pub fn new(head: Vec<Val>, tail: Vec<T>) -> Self {
-        assert_eq!(head.len(), tail.len(), "head/tail length mismatch");
-        CrackedArray {
-            head,
-            tail,
-            index: CrackerIndex::new(),
-            touched: 0,
-        }
+        Self::from_parts(head, tail, CrackerIndex::new())
     }
 
     /// Seed from a base-column snapshot: the `head`/`tail` source
@@ -166,8 +171,9 @@ impl<T: Copy> CrackedArray<T> {
     /// head and tail order, same advisory cuts, same `touched` — from
     /// one scatter of the source into bucket order.
     ///
-    /// Either way the arrays reserve [`insert_headroom`] spare capacity
-    /// for the inserts a seeded structure merges later.
+    /// Either way the arrays reserve [`insert_headroom`] free slots at
+    /// each end for the inserts a seeded structure merges later: spare
+    /// capacity at the back, front slack at the front.
     ///
     /// # Panics
     /// If the slices differ in length or the plan was made for a
@@ -179,23 +185,30 @@ impl<T: Copy> CrackedArray<T> {
         assert_eq!(head.len(), tail.len(), "head/tail length mismatch");
         let n = head.len() - excluded.len();
         let spare = insert_headroom(n);
+        // Copy and scatter write every tuple slot once, so the fill is
+        // never read. A zero fill is a zeroed allocation: no write pass,
+        // and the slack pages stay untouched until ripples use them.
+        let (mut h, mut t) = (vec![0; n + 2 * spare], vec![T::default(); n + 2 * spare]);
+        h.truncate(spare + n);
+        t.truncate(spare + n);
+        let mut arr = Self::from_parts(h, t, CrackerIndex::with_origin(spare));
+        let (dst_head, dst_tail) = arr.slices();
         let Some(plan) = plan else {
-            return Self::copied(head, tail, excluded, spare);
+            let mut at = 0;
+            for run in live_runs(head.len(), excluded) {
+                let to = at + run.len();
+                dst_head[at..to].copy_from_slice(&head[run.clone()]);
+                dst_tail[at..to].copy_from_slice(&tail[run]);
+                at = to;
+            }
+            return arr;
         };
         assert_eq!(
             plan.offsets.last(),
             Some(&n),
             "plan is for another snapshot"
         );
-        // The scatter writes every slot once, so the fill is never read.
-        // A zero fill is a zeroed allocation: no write pass, and the
-        // spare pages stay untouched.
-        let (mut h, mut t) = (vec![0; n + spare], vec![T::default(); n + spare]);
-        h.truncate(n);
-        t.truncate(n);
-        let mut arr = Self::new(h, t);
-        let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
-        let (by, dst_head, dst_tail) = (&plan.by, &mut arr.head[..], &mut arr.tail[..]);
+        let (by, mut cursors) = (&plan.by, plan.offsets[..plan.by.buckets()].to_vec());
         for run in live_runs(head.len(), excluded) {
             let (src_head, src_tail) = (&head[run.clone()], &tail[run]);
             cluster_into(src_head, src_tail, dst_head, dst_tail, by, &mut cursors);
@@ -204,24 +217,17 @@ impl<T: Copy> CrackedArray<T> {
         arr
     }
 
-    /// The live runs of `head`/`tail` (all but the `excluded` positions)
-    /// copied into arrays with room for `spare` more tuples.
-    pub(crate) fn copied(head: &[Val], tail: &[T], excluded: &[RowId], spare: usize) -> Self {
-        let cap = head.len() - excluded.len() + spare;
-        let (mut h, mut t) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
-        for run in live_runs(head.len(), excluded) {
-            h.extend_from_slice(&head[run.clone()]);
-            t.extend_from_slice(&tail[run]);
-        }
-        Self::new(h, t)
-    }
-
     /// Reassemble from parts produced by [`Self::into_parts`] (used by
     /// partial sideways cracking's chunks, whose head column is
-    /// droppable and therefore stored outside the array). The
+    /// droppable and therefore stored outside the array). The buffers
+    /// start with the index's [`CrackerIndex::origin`] free slots. The
     /// touched-tuple counter restarts at zero.
+    ///
+    /// # Panics
+    /// If the buffers differ in length or are shorter than the origin.
     pub fn from_parts(head: Vec<Val>, tail: Vec<T>, index: CrackerIndex) -> Self {
         assert_eq!(head.len(), tail.len(), "head/tail length mismatch");
+        assert!(index.origin() <= head.len(), "origin past the buffers");
         CrackedArray {
             head,
             tail,
@@ -238,29 +244,49 @@ impl<T: Copy> CrackedArray<T> {
         self.touched
     }
 
-    /// Disassemble into `(head, tail, index)` without copying.
+    /// Disassemble into `(head, tail, index)` without copying: the
+    /// buffers, front slack included (see [`Self::from_parts`]).
     pub fn into_parts(self) -> (Vec<Val>, Vec<T>, CrackerIndex) {
         (self.head, self.tail, self.index)
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.head.len()
+        self.head.len() - self.index.origin()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.head.is_empty()
+        self.len() == 0
     }
 
     /// Head (selection attribute) values.
     pub fn head(&self) -> &[Val] {
-        &self.head
+        &self.head[self.index.origin()..]
     }
 
     /// Tail values.
     pub fn tail(&self) -> &[T] {
-        &self.tail
+        &self.tail[self.index.origin()..]
+    }
+
+    /// The head and tail buffers' base pointers and capacities, which
+    /// tests hold to show that an update did not reallocate.
+    #[doc(hidden)]
+    pub fn allocation(&self) -> (usize, usize, usize, usize) {
+        let (h, t) = (&self.head, &self.tail);
+        (
+            h.as_ptr() as usize,
+            h.capacity(),
+            t.as_ptr() as usize,
+            t.capacity(),
+        )
+    }
+
+    /// The tuples' head and tail values, mutable.
+    fn slices(&mut self) -> (&mut [Val], &mut [T]) {
+        let o = self.index.origin();
+        (&mut self.head[o..], &mut self.tail[o..])
     }
 
     /// The cracker index.
@@ -285,8 +311,9 @@ impl<T: Copy> CrackedArray<T> {
             // (already promoted to query-mandated by `prepartition`).
             return p;
         }
-        let (s, e) = self.index.enclosing_piece(key, self.head.len());
-        let split = crack_in_two(&mut self.head, &mut self.tail, s, e, key.0, key.1);
+        let (s, e) = self.index.enclosing_piece(key, self.len());
+        let (head, tail) = self.slices();
+        let split = crack_in_two(head, tail, s, e, key.0, key.1);
         self.touched += (e - s) as u64;
         self.index.record(key, split);
         split
@@ -306,7 +333,7 @@ impl<T: Copy> CrackedArray<T> {
     /// Deterministic given the array state, so tape replay on aligned
     /// siblings reproduces it exactly.
     fn maybe_prepartition(&mut self, key: BoundaryKey) {
-        let (s, e) = self.index.enclosing_piece(key, self.head.len());
+        let (s, e) = self.index.enclosing_piece(key, self.len());
         if e - s >= PREPARTITION_MIN_PIECE {
             self.prepartition(key, PREPARTITION_TARGET_PIECE);
         }
@@ -325,12 +352,13 @@ impl<T: Copy> CrackedArray<T> {
         if self.index.position_of(key).is_some() {
             return;
         }
-        let (s, e) = self.index.enclosing_piece(key, self.head.len());
-        let (min, max) = widen((Val::MAX, Val::MIN), &self.head[s..e]);
+        let (s, e) = self.index.enclosing_piece(key, self.len());
+        let (head, tail) = self.slices();
+        let (min, max) = widen((Val::MAX, Val::MIN), &head[s..e]);
         let Some(by) = prepartition_buckets(e - s, target_piece, min, max) else {
             return; // empty, single-value or sub-target piece: nothing to cut
         };
-        let offsets = cluster_by_value(&mut self.head[s..e], &mut self.tail[s..e], &by);
+        let offsets = cluster_by_value(&mut head[s..e], &mut tail[s..e], &by);
         self.record_cuts(key, s, &by, &offsets);
     }
 
@@ -375,7 +403,7 @@ impl<T: Copy> CrackedArray<T> {
     /// `[start, end)`; returns that range. Uses crack-in-three when both
     /// new boundaries fall into the same piece.
     pub fn crack_range(&mut self, pred: &RangePred) -> (usize, usize) {
-        let n = self.head.len();
+        let n = self.len();
         if pred.is_empty_range() {
             return (0, 0);
         }
@@ -407,8 +435,8 @@ impl<T: Copy> CrackedArray<T> {
                         let (s1, e1) = self.index.enclosing_piece(lk, n);
                         let (s2, e2) = self.index.enclosing_piece(hk, n);
                         if (s1, e1) == (s2, e2) {
-                            let (a, b) =
-                                crack_in_three(&mut self.head, &mut self.tail, s1, e1, lk, hk);
+                            let (head, tail) = self.slices();
+                            let (a, b) = crack_in_three(head, tail, s1, e1, lk, hk);
                             self.touched += (e1 - s1) as u64;
                             self.index.record(lk, a);
                             self.index.record(hk, b);
@@ -426,7 +454,8 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Read-only view of a contiguous area.
     pub fn view(&self, range: (usize, usize)) -> (&[Val], &[T]) {
-        (&self.head[range.0..range.1], &self.tail[range.0..range.1])
+        let r = range.0..range.1;
+        (&self.head()[r.clone()], &self.tail()[r])
     }
 
     /// The piece `[start, end)` that value `v` currently belongs to: two
@@ -437,94 +466,116 @@ impl<T: Copy> CrackedArray<T> {
         let below = self.index.floor_strict((v, BoundKind::Le));
         let above = self.index.ceil_strict((v, BoundKind::Lt));
         let s = below.map_or(0, |(_, p)| p);
-        let e = above.map_or(self.head.len(), |(_, p)| p);
+        let e = above.map_or(self.len(), |(_, p)| p);
         (s, e.max(s))
     }
 
+    /// Does a ripple update of a tuple with head value `v` have fewer
+    /// live boundaries between it and the front than between it and
+    /// the back? Ties ripple toward the back, as SIGMOD'07 always does.
+    /// The boundaries above `v`'s piece are those from `(v, Le)` on.
+    fn front_is_nearer(&self, v: Val) -> bool {
+        2 * self.index.rank((v, BoundKind::Le)) < self.index.len()
+    }
+
     /// Ripple-insert one tuple (Idreos et al., SIGMOD 2007): grow the
-    /// array by one and shift each piece boundary above the target piece
-    /// by moving a single element per piece, preserving all cracker-index
-    /// knowledge. Costs one walk down the boundaries above `v`, highest
-    /// first ([`CrackerIndex`]'s ripple walk): one moved tuple and one
+    /// array by one at its nearer end and shift each piece boundary
+    /// between that end and the target piece by moving a single element
+    /// per piece, preserving all cracker-index knowledge. The front end
+    /// counts only while the front slack has a free slot. Costs one
+    /// lookup plus one walk over those boundaries, starting at the end
+    /// ([`CrackerIndex`]'s ripple walks): one moved tuple and one
     /// in-place position update per boundary passed.
     pub fn ripple_insert(&mut self, v: Val, t: T) {
-        self.head.push(v);
-        self.tail.push(t);
-        // INVARIANT: the push above made the array non-empty.
-        let mut free = self.head.len() - 1;
+        let (split, o) = ((v, BoundKind::Le), self.index.origin);
+        let up = o == 0 || !self.front_is_nearer(v);
         let (head, tail) = (&mut self.head, &mut self.tail);
-        self.index.ripple_walk(
-            |&(bv, kind), _| kind.belongs_left(v, bv),
-            |pos| {
-                // The piece right of this boundary loses its first slot to
-                // the free position and regains one at its new start.
-                head[free] = head[pos];
-                tail[free] = tail[pos];
-                free = pos;
-                pos + 1
-            },
-        );
+        // The slot the growth frees: one past the last tuple, or the last
+        // free slot before the first one, which joins the lowest piece.
+        if up {
+            head.push(v);
+            tail.push(t);
+        }
+        let mut free = if up { head.len() - 1 } else { o - 1 };
+        self.index.ripple(split, up, |pos| {
+            // The piece beside this boundary, on the side of the free
+            // slot, gives the tuple at its far end to the free slot and
+            // frees that end for the piece across the boundary.
+            let from = if up { pos } else { pos - 1 };
+            let to = if up { pos + 1 } else { from };
+            head[free] = head[from];
+            tail[free] = tail[from];
+            free = from;
+            to
+        });
+        self.index.origin = if up { o } else { o - 1 };
         self.head[free] = v;
         self.tail[free] = t;
     }
 
     /// Ripple-delete the first tuple with head value `v` whose tail
-    /// satisfies `matches`. Returns the physical position the deletion was
+    /// satisfies `matches`. Returns the position the deletion was
     /// performed at, or `None` if no such tuple exists. The position is
     /// what other aligned structures must replay (see the tape's delete
     /// batches). Costs the scan of `v`'s piece (found by
-    /// [`Self::piece_of`]) plus one walk down the boundaries above it.
+    /// [`Self::piece_of`]) plus one walk over the boundaries between it
+    /// and the nearer end.
     pub fn ripple_delete<F: Fn(&T) -> bool>(&mut self, v: Val, matches: F) -> Option<usize> {
         let (s, e) = self.piece_of(v);
-        let p = (s..e).find(|&i| self.head[i] == v && matches(&self.tail[i]))?;
-        // The boundaries above `v`'s piece are those `v` belongs left of.
-        self.shift_hole_up(p, |&(bv, kind), _| kind.belongs_left(v, bv));
+        let p = (s..e).find(|&i| self.head()[i] == v && matches(&self.tail()[i]))?;
+        self.ripple_delete_at(p);
         Some(p)
     }
 
-    /// Ripple-delete the tuple at a known physical position (replaying a
+    /// Ripple-delete the tuple at a known position (replaying a
     /// deletion another aligned map already performed). Returns the
-    /// removed `(head, tail)` pair. Costs one walk down the boundaries
-    /// above `p`.
+    /// removed `(head, tail)` pair. Costs one walk over the boundaries
+    /// between `p` and the nearer end, which shrinks by one.
+    ///
+    /// Toward the back, every boundary above `p` moves down one slot, so
+    /// each piece from `p`'s up gives up its last slot: the tuple there
+    /// moves into the hole below it — `p` for `p`'s piece, the slot the
+    /// piece gained for every piece above — and the array's last slot
+    /// is left free. The walk runs top down, so it carries one tuple
+    /// from slot to slot instead of chasing the hole up; the moves are
+    /// those of the bottom-up order. Toward the front it is the mirror
+    /// image: every boundary below `p` moves up one slot, each piece up
+    /// to `p`'s gives up its first slot, and the first tuple slot joins
+    /// the front slack. Boundaries sharing a position (empty pieces)
+    /// move one tuple.
     pub fn ripple_delete_at(&mut self, p: usize) -> (Val, T) {
-        let removed = (self.head[p], self.tail[p]);
-        // The boundaries above `p`'s piece are those strictly after it.
-        self.shift_hole_up(p, |_, pos| pos > p);
-        removed
-    }
-
-    /// Close the hole the deleted tuple at `p` leaves and shrink the
-    /// array by one. Every boundary `above` selects (those above `p`)
-    /// moves down one slot, so each piece from `p`'s up gives up its
-    /// last slot: the tuple there moves into the hole below it — `p`
-    /// for `p`'s piece, the slot the piece gained for every piece above
-    /// — and the array's last slot is left free. The walk runs top
-    /// down, so it carries one tuple from slot to slot instead of
-    /// chasing the hole up; the moves are those of the bottom-up order.
-    /// Boundaries sharing a position (empty pieces) move one tuple.
-    fn shift_hole_up(&mut self, p: usize, above: impl FnMut(&BoundaryKey, usize) -> bool) {
-        // `carry` is the tuple moving down and `filled` the slot it came
-        // from: at first the last slot, which the pop below frees.
-        // INVARIANT: `p` indexes a tuple, so the array is non-empty.
-        let mut filled = self.head.len() - 1;
+        let removed = (self.head()[p], self.tail()[p]);
+        // The tuple sits in the piece of its head value.
+        let (split, o) = ((removed.0, BoundKind::Le), self.index.origin);
+        let front = self.front_is_nearer(removed.0);
         let (head, tail) = (&mut self.head, &mut self.tail);
+        // `carry` is the tuple moving toward the hole and `filled` the
+        // slot it came from: at first the end slot the shrink frees.
+        let mut filled = if front { o } else { head.len() - 1 };
         let mut carry = (head[filled], tail[filled]);
-        self.index.ripple_walk(above, |pos| {
-            // INVARIANT: a boundary above `p` sits at `pos > p >= 0`.
-            let last = pos - 1;
-            if last < filled {
-                std::mem::swap(&mut head[last], &mut carry.0);
-                std::mem::swap(&mut tail[last], &mut carry.1);
-                filled = last;
+        self.index.ripple(split, !front, |pos| {
+            // The piece beside this boundary, on the side of the hole,
+            // gives up its slot next to the boundary. INVARIANT: toward
+            // the back, a boundary above the hole sits at `pos > 0`.
+            let slot = if front { pos } else { pos - 1 };
+            let to = if front { slot + 1 } else { slot };
+            if slot != filled {
+                std::mem::swap(&mut head[slot], &mut carry.0);
+                std::mem::swap(&mut tail[slot], &mut carry.1);
+                filled = slot;
             }
-            last
+            to
         });
-        if p < filled {
-            self.head[p] = carry.0;
-            self.tail[p] = carry.1;
+        if o + p != filled {
+            self.head[o + p] = carry.0;
+            self.tail[o + p] = carry.1;
         }
-        self.head.pop();
-        self.tail.pop();
+        self.index.origin = if front { o + 1 } else { o };
+        if !front {
+            self.head.pop();
+            self.tail.pop();
+        }
+        removed
     }
 
     /// Check that the index describes the arrays: the index passes
@@ -537,9 +588,9 @@ impl<T: Copy> CrackedArray<T> {
     /// O(n + B). `Err` names the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.index.check_invariants()?;
-        let n = self.head.len();
-        if self.tail.len() != n {
-            return Err(format!("head holds {n} tuples, tail {}", self.tail.len()));
+        let n = self.len();
+        if self.tail().len() != n {
+            return Err(format!("head holds {n} tuples, tail {}", self.tail().len()));
         }
         let mut below: Option<(BoundaryKey, usize)> = None;
         let bounds = self.index.boundaries().into_iter().map(Some);
@@ -553,7 +604,7 @@ impl<T: Copy> CrackedArray<T> {
                     ));
                 }
             }
-            for (i, &h) in (start..end).zip(&self.head[start..end]) {
+            for (i, &h) in (start..end).zip(&self.head()[start..end]) {
                 let violated = below
                     .filter(|&((bv, kind), _)| kind.belongs_left(h, bv))
                     .or(above.filter(|&((bv, kind), _)| !kind.belongs_left(h, bv)));

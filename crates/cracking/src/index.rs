@@ -2,8 +2,12 @@
 //! positions where crack values partition a physical array, plus the
 //! piece arithmetic and the self-organizing-histogram estimates of §3.3.
 //!
-//! The paper's MonetDB implementation keeps this map in an AVL tree;
-//! here it is std's B-tree ([`BTreeMap`]). What the index needs of it:
+//! The paper's MonetDB implementation keeps this map in an AVL tree.
+//! Here it is a leaf-blocked sorted array: split-only leaves of at most
+//! 256 entries, each a run of parallel `keys` / `pos` / `deleted` /
+//! `advisory` arrays, plus a contiguous array of the leaves' first keys.
+//! A lookup is two binary searches (leaf, then slot). What the index
+//! needs of it:
 //!
 //! * strict `floor` / `ceil` neighbour lookups to locate the piece a
 //!   value falls into;
@@ -12,20 +16,32 @@
 //! * **lazy deletion** (§4.1): when a chunk is dropped, its boundaries
 //!   are only marked deleted, so the partitioning knowledge can be
 //!   revived if the chunk is recreated;
-//! * the ripple walk behind [`crate::CrackedArray::ripple_insert`] and
-//!   its delete twins: ripple updates grow or shrink the array by one
-//!   tuple and move every boundary above the update by one slot, in one
-//!   descending pass.
+//! * the rank of a key (live boundaries below it), from per-leaf live
+//!   counts;
+//! * the ripple walks behind [`crate::CrackedArray::ripple_insert`] and
+//!   its delete twins: a ripple update grows or shrinks the array by one
+//!   tuple at one of its two ends and moves every boundary between that
+//!   end and the update by one slot. A walk is one lookup of the split
+//!   key and a loop over contiguous `pos` slices.
+//!
+//! Positions are stored relative to the start of the array's buffers,
+//! which may begin with free *front slack*; [`CrackerIndex::origin`] is
+//! its length. Every accessor speaks origin-relative positions (tuple
+//! `0` is the first tuple), so a ripple toward the front moves only the
+//! boundaries below the update plus the origin.
 
 use crate::crack::BoundKind;
 use crackdb_columnstore::types::{Bound, RangePred, Val};
-use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
 
 /// A boundary key: the crack value plus which side of it belongs to the
 /// left piece. `(v, Lt)` sorts before `(v, Le)` so that the pieces
 /// `< v`, `== v`, `> v` nest correctly.
 pub type BoundaryKey = (Val, BoundKind);
+
+/// Most entries a leaf holds; a leaf growing past it splits in halves.
+/// Lookups and ripple walks cost about the same from 64 to 256 entries;
+/// recording a new key pays more for small leaves (more splits).
+const LEAF: usize = 256;
 
 /// Derive the boundary key whose *position* is the start of the qualifying
 /// area for a lower bound.
@@ -70,41 +86,58 @@ pub struct SizeEstimate {
     pub exact: bool,
 }
 
-/// What the index knows about one boundary.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Position of the boundary in the cracked array; stale once the
-    /// boundary is lazily deleted.
-    pos: usize,
+/// One leaf: a sorted run of entries as parallel arrays.
+#[derive(Debug, Clone, Default)]
+struct Leaf {
+    keys: Vec<BoundaryKey>,
+    /// A live entry's position in the array's buffers (origin included);
+    /// a lazily deleted entry's stale origin-relative position, frozen
+    /// when it was deleted.
+    pos: Vec<usize>,
     /// Lazily deleted: invisible to every lookup but
     /// [`CrackerIndex::position_any`], revived by the next record.
-    deleted: bool,
+    deleted: Vec<bool>,
     /// Cut by a prepartition (see [`crate::CrackedArray::prepartition`])
     /// rather than mandated by a query predicate. Physically it
     /// partitions the array exactly like a query boundary; the flag
     /// exists for instrumentation and for the property tests ("every
     /// query bound is in the index and not advisory").
-    advisory: bool,
-}
-
-/// The live `(key, pos)` of a map entry, `None` if lazily deleted.
-fn live((&key, e): (&BoundaryKey, &Entry)) -> Option<(BoundaryKey, usize)> {
-    (!e.deleted).then_some((key, e.pos))
+    advisory: Vec<bool>,
+    /// Entries not lazily deleted.
+    live: usize,
 }
 
 /// The cracker index proper: an ordered map from boundary keys to
 /// positions into the cracked array, with lazy deletion.
 #[derive(Debug, Clone, Default)]
 pub struct CrackerIndex {
-    map: BTreeMap<BoundaryKey, Entry>,
+    leaves: Vec<Leaf>,
+    /// `leaves[i].keys[0]` for every leaf, for the first binary search.
+    firsts: Vec<BoundaryKey>,
     /// Number of entries not lazily deleted.
     live: usize,
+    /// Free slots before the array's first tuple; ripples toward the
+    /// front move it.
+    pub(crate) origin: usize,
 }
 
 impl CrackerIndex {
     /// Empty index (one piece spanning the whole array).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty index over an array whose buffers start with `origin` free
+    /// slots.
+    pub fn with_origin(origin: usize) -> Self {
+        let empty = Self::default();
+        Self { origin, ..empty }
+    }
+
+    /// Free slots before the first tuple in the buffers of the array
+    /// this index describes: the room a front-ward ripple insert takes.
+    pub fn origin(&self) -> usize {
+        self.origin
     }
 
     /// Number of live boundaries; the array has `len() + 1` pieces.
@@ -119,35 +152,98 @@ impl CrackerIndex {
 
     /// Total entries including lazily deleted ones (storage-reuse tests).
     pub fn total_nodes(&self) -> usize {
-        self.map.len()
+        self.leaves.iter().map(|leaf| leaf.keys.len()).sum()
+    }
+
+    /// The slot `(leaf, slot)` of the first entry `below` rejects;
+    /// `below` must hold on a prefix of the keys. Past the last entry it
+    /// is one past the end of the last leaf.
+    fn seek(&self, below: impl Fn(&BoundaryKey) -> bool) -> (usize, usize) {
+        let l = self.firsts.partition_point(&below).saturating_sub(1);
+        let keys = self.leaves.get(l).map_or(&[][..], |leaf| &leaf.keys[..]);
+        let slot = keys.partition_point(&below);
+        if slot == keys.len() && l + 1 < self.leaves.len() {
+            return (l + 1, 0);
+        }
+        (l, slot)
+    }
+
+    /// The slot holding `key`, live or not.
+    fn find(&self, key: BoundaryKey) -> Option<(usize, usize)> {
+        let (l, s) = self.seek(|k| *k < key);
+        (self.leaves.get(l)?.keys.get(s) == Some(&key)).then_some((l, s))
+    }
+
+    /// The first live entry at or after slot `(l, s)` (`up`), or the last
+    /// one before it.
+    fn live_near(&self, (mut l, s): (usize, usize), up: bool) -> Option<(BoundaryKey, usize)> {
+        let mut range = if up { s..usize::MAX } else { 0..s };
+        loop {
+            let leaf = self.leaves.get(l)?;
+            let range_in = range.start..range.end.min(leaf.keys.len());
+            let mut live = range_in.filter(|&i| !leaf.deleted[i]);
+            if let Some(i) = if up { live.next() } else { live.next_back() } {
+                return Some((leaf.keys[i], leaf.pos[i] - self.origin));
+            }
+            l = if up { l + 1 } else { l.checked_sub(1)? };
+            range = 0..usize::MAX;
+        }
     }
 
     /// Position of a live boundary, if this exact boundary was cracked.
     pub fn position_of(&self, key: BoundaryKey) -> Option<usize> {
-        self.map.get(&key).filter(|e| !e.deleted).map(|e| e.pos)
+        let (l, s) = self.find(key)?;
+        (!self.leaves[l].deleted[s]).then(|| self.leaves[l].pos[s] - self.origin)
     }
 
     /// Position of a boundary even if lazily deleted: `(pos, deleted)`.
     pub fn position_any(&self, key: BoundaryKey) -> Option<(usize, bool)> {
-        self.map.get(&key).map(|e| (e.pos, e.deleted))
+        let (l, s) = self.find(key)?;
+        let deleted = self.leaves[l].deleted[s];
+        let origin = if deleted { 0 } else { self.origin };
+        Some((self.leaves[l].pos[s] - origin, deleted))
     }
 
     /// Insert or revive boundary `key` at `pos`. It ends up advisory iff
     /// `advisory` is set and it was not a live query-mandated boundary.
     fn upsert(&mut self, key: BoundaryKey, pos: usize, advisory: bool) {
-        // A new key enters as a deleted entry, so that one revival path
-        // below counts it live.
-        let e = self.map.entry(key).or_insert(Entry {
-            pos,
-            deleted: true,
-            advisory,
-        });
-        e.advisory = advisory && (e.deleted || e.advisory);
-        if e.deleted {
-            e.deleted = false;
+        let (l, s) = self.seek(|k| *k < key);
+        if self.leaves.is_empty() {
+            self.leaves.push(Leaf::default());
+            self.firsts.push(key);
+        }
+        let leaf = &mut self.leaves[l];
+        if leaf.keys.get(s) != Some(&key) {
+            // A new key enters as a deleted entry, so that one revival
+            // path below counts it live.
+            leaf.keys.insert(s, key);
+            leaf.pos.insert(s, 0);
+            leaf.deleted.insert(s, true);
+            leaf.advisory.insert(s, advisory);
+            self.firsts[l] = leaf.keys[0];
+        }
+        leaf.advisory[s] = advisory && (leaf.deleted[s] || leaf.advisory[s]);
+        if leaf.deleted[s] {
+            leaf.deleted[s] = false;
+            leaf.live += 1;
             self.live += 1;
         }
-        e.pos = pos;
+        leaf.pos[s] = self.origin + pos;
+        if leaf.keys.len() > LEAF {
+            let at = leaf.keys.len() / 2;
+            let deleted = leaf.deleted.split_off(at);
+            let live = deleted.iter().filter(|&&d| !d).count();
+            leaf.live -= live;
+            let right = Leaf {
+                keys: leaf.keys.split_off(at),
+                pos: leaf.pos.split_off(at),
+                deleted,
+                advisory: leaf.advisory.split_off(at),
+                live,
+            };
+            self.firsts.insert(l + 1, right.keys[0]);
+            self.leaves.insert(l + 1, right);
+        }
     }
 
     /// Record a query-mandated crack: boundary `key` lives at `pos`. An
@@ -166,40 +262,46 @@ impl CrackerIndex {
     /// Promote a boundary to query-mandated: the query key a
     /// prepartition was run for landed exactly on one of its cuts.
     pub fn promote(&mut self, key: BoundaryKey) {
-        if let Some(e) = self.map.get_mut(&key) {
-            e.advisory = false;
+        if let Some((l, s)) = self.find(key) {
+            self.leaves[l].advisory[s] = false;
         }
     }
 
     /// Was this boundary cut by a prepartition (and never demanded by a
     /// query predicate)?
     pub fn is_advisory(&self, key: BoundaryKey) -> bool {
-        self.map.get(&key).is_some_and(|e| e.advisory)
+        self.find(key)
+            .is_some_and(|(l, s)| self.leaves[l].advisory[s])
     }
 
     /// Number of live advisory boundaries.
     pub fn advisory_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|e| e.advisory && !e.deleted)
-            .count()
+        self.entries().filter(|e| !e.2 && e.3).count()
     }
 
     /// Greatest live boundary strictly below `key`, with its position.
     pub fn floor_strict(&self, key: BoundaryKey) -> Option<(BoundaryKey, usize)> {
-        self.map.range(..key).rev().find_map(live)
+        self.live_near(self.seek(|k| *k < key), false)
     }
 
     /// Smallest live boundary strictly above `key`, with its position.
     pub fn ceil_strict(&self, key: BoundaryKey) -> Option<(BoundaryKey, usize)> {
-        self.map.range((Excluded(key), Unbounded)).find_map(live)
+        self.live_near(self.seek(|k| *k <= key), true)
     }
 
     /// Smallest live boundary, with its position. Together with
     /// [`Self::ceil_strict`] this walks a key range of the index
     /// without materialising [`Self::boundaries`].
     pub fn first(&self) -> Option<(BoundaryKey, usize)> {
-        self.map.iter().find_map(live)
+        self.live_near((0, 0), true)
+    }
+
+    /// Number of live boundaries strictly below `key`.
+    pub(crate) fn rank(&self, key: BoundaryKey) -> usize {
+        let (l, s) = self.seek(|k| *k < key);
+        let before: usize = self.leaves.iter().take(l).map(|leaf| leaf.live).sum();
+        let live = |leaf: &Leaf| leaf.deleted[..s].iter().filter(|&&d| !d).count();
+        before + self.leaves.get(l).map_or(0, live)
     }
 
     /// The enclosing uncracked piece `[start, end)` a new boundary falls
@@ -212,10 +314,9 @@ impl CrackerIndex {
 
     /// Mark one boundary lazily deleted; `false` if it was not live.
     pub fn mark_deleted(&mut self, key: BoundaryKey) -> bool {
-        match self.map.get_mut(&key) {
-            Some(e) if !e.deleted => {
-                e.deleted = true;
-                self.live -= 1;
+        match self.find(key) {
+            Some((l, s)) if !self.leaves[l].deleted[s] => {
+                self.delete(l, s);
                 true
             }
             _ => false,
@@ -224,77 +325,149 @@ impl CrackerIndex {
 
     /// Mark everything lazily deleted (chunk dropped).
     pub fn mark_all_deleted(&mut self) {
-        for e in self.map.values_mut() {
-            e.deleted = true;
+        for l in 0..self.leaves.len() {
+            for s in 0..self.leaves[l].keys.len() {
+                if !self.leaves[l].deleted[s] {
+                    self.delete(l, s);
+                }
+            }
         }
-        self.live = 0;
     }
 
-    /// Ripple updates: visit the live boundaries `above` accepts,
-    /// highest first, and move each to the position `shift` returns for
-    /// it. `above` sees a live boundary's key and position and must be
-    /// monotone over the live boundaries in key order — false on a
-    /// prefix, true on the rest (a key threshold, or a position
-    /// threshold, since live positions ascend with their keys). The walk
-    /// stops at the first live boundary `above` rejects. Lazily deleted
+    /// Lazily delete the live entry at a slot, freezing its position.
+    fn delete(&mut self, l: usize, s: usize) {
+        let leaf = &mut self.leaves[l];
+        leaf.deleted[s] = true;
+        leaf.pos[s] -= self.origin;
+        leaf.live -= 1;
+        self.live -= 1;
+    }
+
+    /// The lazily deleted shell of a dropped chunk's index, ready to be
+    /// revived over a fresh array without front slack.
+    pub fn into_shell(mut self) -> Self {
+        self.mark_all_deleted();
+        self.origin = 0;
+        self
+    }
+
+    /// Ripple updates: visit the live boundaries at or above `split`
+    /// (`up`, highest first) or below it (lowest first) — walks that
+    /// start at the array end the ripple grows or shrinks — and move
+    /// each to the position `shift` returns for it. `shift` sees and
+    /// returns buffer positions, origin included. Lazily deleted
     /// boundaries on the way are passed through: their positions are
-    /// stale, so they are neither tested nor shifted. Ripple shifts
-    /// positions only, never creates partitioning knowledge, so each
-    /// boundary keeps its query-mandated/advisory status.
-    pub(crate) fn ripple_walk(
+    /// stale, so they are not shifted. Ripple shifts positions only,
+    /// never creates partitioning knowledge, so each boundary keeps its
+    /// query-mandated/advisory status.
+    pub(crate) fn ripple(
         &mut self,
-        mut above: impl FnMut(&BoundaryKey, usize) -> bool,
+        split: BoundaryKey,
+        up: bool,
         mut shift: impl FnMut(usize) -> usize,
     ) {
-        for (key, e) in self.map.iter_mut().rev() {
-            if e.deleted {
-                continue;
+        let ((l, s), n) = (self.seek(|k| *k < split), self.leaves.len());
+        let walk = if up { l..n } else { 0..n.min(l + 1) };
+        for i in 0..walk.len() {
+            let i = if up { walk.end - 1 - i } else { i };
+            let leaf = &mut self.leaves[i];
+            let all = 0..leaf.keys.len();
+            let range = match (i == l, up) {
+                (false, _) => all,
+                (true, true) => s..all.end,
+                (true, false) => 0..s,
+            };
+            let slots = leaf.pos[range.clone()].iter_mut().zip(&leaf.deleted[range]);
+            let live = slots.filter(|(_, &d)| !d).map(|(p, _)| p);
+            let mut step = |p: &mut usize| *p = shift(*p);
+            if up {
+                live.rev().for_each(&mut step);
+            } else {
+                live.for_each(&mut step);
             }
-            if !above(key, e.pos) {
-                return;
-            }
-            e.pos = shift(e.pos);
         }
     }
 
-    /// Check what the map itself does not guarantee: the cached live
-    /// count matches the entries not lazily deleted, and live positions
-    /// do not decrease in key order. `Err` names the first violation.
+    /// Every entry in key order: `(key, pos, deleted, advisory)`, with
+    /// live positions origin-relative.
+    fn entries(&self) -> impl Iterator<Item = (BoundaryKey, usize, bool, bool)> + '_ {
+        self.leaves.iter().flat_map(move |leaf| {
+            (0..leaf.keys.len()).map(move |i| {
+                let d = leaf.deleted[i];
+                let pos = leaf.pos[i] - if d { 0 } else { self.origin };
+                (leaf.keys[i], pos, d, leaf.advisory[i])
+            })
+        })
+    }
+
+    /// Check what the layout itself does not guarantee: leaves are
+    /// non-empty, at most `LEAF` long and in step with their first
+    /// keys and cached live counts, keys ascend within and across
+    /// leaves, the cached live count matches the entries not lazily
+    /// deleted, and live positions do not decrease in key order. `Err`
+    /// names the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let live = self.map.values().filter(|e| !e.deleted).count();
-        if live != self.live {
+        let firsts = self.leaves.iter().map(|leaf| leaf.keys.first());
+        if !firsts.eq(self.firsts.iter().map(Some)) {
             return Err(format!(
-                "index caches {} live boundaries, holds {live}",
-                self.live
+                "firsts {:?} out of step with the leaves",
+                self.firsts
             ));
         }
-        let bounds = self.boundaries();
-        match bounds.windows(2).find(|w| w[0].1 > w[1].1) {
-            Some([(k0, p0), (k1, p1)]) => Err(format!(
-                "boundary {k1:?}@{p1} outside [{p0}, ..): left of {k0:?}, the boundary below it"
-            )),
-            _ => Ok(()),
+        for (l, leaf) in self.leaves.iter().enumerate() {
+            let (n, live) = (
+                leaf.keys.len(),
+                leaf.deleted.iter().filter(|&&d| !d).count(),
+            );
+            let lens = [
+                leaf.pos.len(),
+                leaf.deleted.len(),
+                leaf.advisory.len(),
+                leaf.live,
+            ];
+            if n == 0 || n > LEAF || lens != [n, n, n, live] {
+                return Err(format!(
+                    "leaf {l}: {n} keys, {live} live, fields and cache {lens:?}"
+                ));
+            }
         }
+        let (mut prev, mut below, mut live) = (None, None, 0);
+        for (key, pos, deleted, _) in self.entries() {
+            if prev.is_some_and(|k| k >= key) {
+                return Err(format!("key {key:?} not above {prev:?}"));
+            }
+            prev = Some(key);
+            if let Some((k0, p0)) = below.filter(|&(_, p0)| !deleted && p0 > pos) {
+                return Err(format!(
+                    "boundary {key:?}@{pos} outside [{p0}, ..): left of {k0:?}, the boundary below it"
+                ));
+            }
+            if !deleted {
+                (below, live) = (Some((key, pos)), live + 1);
+            }
+        }
+        if live != self.live {
+            let cached = self.live;
+            return Err(format!(
+                "index caches {cached} live boundaries, holds {live}"
+            ));
+        }
+        Ok(())
     }
 
     /// Live boundaries in key order: `(key, pos)` pairs. Positions are
     /// guaranteed ascending.
     pub fn boundaries(&self) -> Vec<(BoundaryKey, usize)> {
-        self.map.iter().filter_map(live).collect()
+        let live = self.entries().filter(|e| !e.2);
+        live.map(|(k, pos, ..)| (k, pos)).collect()
     }
 
     /// Everything the index knows, in key order: each live boundary
     /// with its position and whether it is advisory. Two indexes
     /// partition their arrays identically iff these are equal.
     pub fn boundaries_with_status(&self) -> Vec<(BoundaryKey, usize, bool)> {
-        let entries = self.map.iter().filter(|(_, e)| !e.deleted);
-        entries.map(|(&k, e)| (k, e.pos, e.advisory)).collect()
-    }
-
-    /// Drop all knowledge, lazily deleted boundaries included.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.live = 0;
+        let live = self.entries().filter(|e| !e.2);
+        live.map(|(k, pos, _, a)| (k, pos, a)).collect()
     }
 
     /// §3.3: estimate the number of tuples qualifying `pred` in a cracked
@@ -454,7 +627,7 @@ mod tests {
         assert!(!idx.is_advisory((20, BoundKind::Lt)));
         assert_eq!(idx.advisory_count(), 1);
         // Ripple shifts preserve the flag.
-        idx.ripple_walk(|_, _| true, |pos| pos + 1);
+        idx.ripple((Val::MIN, BoundKind::Lt), true, |pos| pos + 1);
         assert_eq!(idx.position_of((10, BoundKind::Le)), Some(41));
         assert!(idx.is_advisory((10, BoundKind::Le)));
         assert!(!idx.is_advisory((20, BoundKind::Lt)));
@@ -606,23 +779,25 @@ mod tests {
     }
 
     #[test]
-    fn ripple_walk_shifts_the_live_suffix() {
-        let mut idx = CrackerIndex::new();
+    fn ripple_walks_shift_one_side_of_the_split() {
+        let mut idx = CrackerIndex::with_origin(5);
         for v in 0..20 {
             idx.record(k(v), 10 * v as usize);
         }
         idx.mark_deleted(k(15));
         idx.mark_deleted(k(3));
         let mut seen = Vec::new();
-        idx.ripple_walk(
-            |key, _| key.0 >= 8,
-            |pos| {
-                seen.push(pos);
-                pos + 1
-            },
-        );
-        // Largest key first; the deleted boundary is passed, not visited.
-        let want: Vec<usize> = (8..20).rev().filter(|&v| v != 15).map(|v| 10 * v).collect();
+        idx.ripple(k(8), true, |pos| {
+            seen.push(pos);
+            pos + 1
+        });
+        // Largest key first, buffer positions; the deleted boundary is
+        // passed, not visited.
+        let want: Vec<usize> = (8..20)
+            .rev()
+            .filter(|&v| v != 15)
+            .map(|v| 5 + 10 * v)
+            .collect();
         assert_eq!(seen, want);
         assert_eq!(idx.position_of(k(8)), Some(81));
         assert_eq!(idx.position_of(k(7)), Some(70));
@@ -631,13 +806,43 @@ mod tests {
             Some((150, true)),
             "stale position kept"
         );
-        // A position threshold, shifting down.
-        idx.ripple_walk(|_, pos| pos > 100, |pos| pos - 1);
-        assert_eq!(idx.position_of(k(10)), Some(100));
-        assert_eq!(idx.position_of(k(11)), Some(110));
-        assert_eq!(idx.position_of(k(19)), Some(190));
+        // Front-ward: lowest first; with the origin, the walked
+        // boundaries keep their positions and the others move down.
+        seen.clear();
+        idx.ripple(k(5), false, |pos| {
+            seen.push(pos);
+            pos + 1
+        });
+        idx.origin = 6;
+        let want: Vec<usize> = (0..5).filter(|&v| v != 3).map(|v| 5 + 10 * v).collect();
+        assert_eq!(seen, want);
+        assert_eq!(idx.position_of(k(4)), Some(40));
+        assert_eq!(idx.position_of(k(8)), Some(80));
         assert_eq!(idx.position_any(k(3)), Some((30, true)));
         assert_eq!(idx.check_invariants(), Ok(()));
+        // A shell forgets the origin, not the stale positions.
+        let shell = idx.into_shell();
+        assert_eq!((shell.origin(), shell.len()), (0, 0));
+        assert_eq!(shell.position_any(k(8)), Some((80, true)));
+    }
+
+    #[test]
+    fn check_invariants_sees_leaf_order_and_firsts() {
+        let mut idx = CrackerIndex::new();
+        for v in 0..3 * LEAF as Val {
+            idx.record(k(v), v as usize);
+        }
+        assert!(idx.leaves.len() >= 3, "{} leaves", idx.leaves.len());
+        assert_eq!(idx.check_invariants(), Ok(()));
+        let mut swapped = idx.clone();
+        swapped.leaves.swap(0, 1);
+        swapped.firsts.swap(0, 1);
+        let err = swapped.check_invariants().unwrap_err();
+        assert!(err.contains("not above"), "{err}");
+        let mut stale = idx.clone();
+        stale.firsts[1] = (-1, BoundKind::Lt);
+        let err = stale.check_invariants().unwrap_err();
+        assert!(err.contains("out of step"), "{err}");
     }
 
     #[test]
@@ -720,6 +925,8 @@ mod tests {
         }
     }
 
+    /// Random ops against the model, over enough keys that the index
+    /// splits into many leaves.
     #[test]
     fn random_ops_match_naive_model() {
         let mut state = 12345u64;
@@ -732,28 +939,29 @@ mod tests {
         let kinds = [BoundKind::Lt, BoundKind::Le];
         let mut idx = CrackerIndex::new();
         let mut model = NaiveIndex::default();
-        for _ in 0..3000 {
+        let (values, mut max_leaves) = (700, 0);
+        for _ in 0..6000 {
             let kind = rng(2) as usize;
-            let key = (rng(60) as Val, kinds[kind]);
+            let key = (rng(values) as Val, kinds[kind]);
             // Positions roughly follow keys, so some states order their
             // live positions and some do not.
             let pos = 20 * key.0 as usize + 10 * kind + rng(12) as usize;
             match rng(40) {
-                0..=13 => {
+                0..=17 => {
                     idx.record(key, pos);
                     model.record(key, pos, false);
                 }
-                14..=23 => {
+                18..=25 => {
                     idx.record_advisory(key, pos);
                     model.record(key, pos, true);
                 }
-                24..=27 => {
+                26..=28 => {
                     idx.promote(key);
                     if let Some(e) = model.find_mut(key) {
                         e.3 = false;
                     }
                 }
-                28..=34 => {
+                29..=34 => {
                     let was_live = model.find(key).is_some_and(|e| !e.2);
                     if let Some(e) = model.find_mut(key) {
                         e.2 = true;
@@ -765,24 +973,21 @@ mod tests {
                     model.0.iter_mut().for_each(|e| e.2 = true);
                 }
                 _ => {
-                    let up = rng(2) == 0;
-                    let shift = |p: usize| if up { p + 1 } else { p.saturating_sub(1) };
+                    let (up, grow) = (rng(2) == 0, rng(2) == 0);
+                    let step = |p: usize| if grow { p + 1 } else { p.saturating_sub(1) };
                     let mut seen = Vec::new();
-                    idx.ripple_walk(
-                        |k, _| *k >= key,
-                        |p| {
-                            seen.push(p);
-                            shift(p)
-                        },
-                    );
-                    let mut want = Vec::new();
-                    for e in model.0.iter_mut().rev() {
-                        if !e.2 && e.0 >= key {
-                            want.push(e.1);
-                            e.1 = shift(e.1);
-                        }
+                    idx.ripple(key, up, |p| {
+                        seen.push(p);
+                        step(p)
+                    });
+                    let walked = model.0.iter_mut().filter(|e| !e.2 && (e.0 >= key) == up);
+                    let mut walked: Vec<_> = walked.collect();
+                    if up {
+                        walked.reverse();
                     }
-                    assert_eq!(seen, want, "ripple above {key:?}");
+                    let want: Vec<usize> = walked.iter().map(|e| e.1).collect();
+                    walked.into_iter().for_each(|e| e.1 = step(e.1));
+                    assert_eq!(seen, want, "ripple {up} of {key:?}");
                 }
             }
 
@@ -797,8 +1002,9 @@ mod tests {
             assert_eq!(idx.first(), live.first().copied());
             let ordered = live.windows(2).all(|w| w[0].1 <= w[1].1);
             assert_eq!(idx.check_invariants().is_ok(), ordered);
-            for _ in 0..6 {
-                let probe = (rng(62) as Val - 1, kinds[rng(2) as usize]);
+            max_leaves = max_leaves.max(idx.leaves.len());
+            for _ in 0..3 {
+                let probe = (rng(values + 2) as Val - 1, kinds[rng(2) as usize]);
                 let any = model.find(probe);
                 assert_eq!(idx.position_any(probe), any.map(|e| (e.1, e.2)));
                 let of = any.filter(|e| !e.2).map(|e| e.1);
@@ -808,8 +1014,15 @@ mod tests {
                 assert_eq!(idx.floor_strict(probe), below, "floor {probe:?}");
                 let above = model.live().find(|e| e.0 > probe);
                 assert_eq!(idx.ceil_strict(probe), above, "ceil {probe:?}");
+                let rank = model.live().filter(|e| e.0 < probe).count();
+                assert_eq!(idx.rank(probe), rank, "rank {probe:?}");
             }
         }
+        assert!(
+            idx.total_nodes() >= 4 * LEAF && max_leaves >= 8,
+            "{} keys in {max_leaves} leaves",
+            idx.total_nodes()
+        );
         assert!(
             idx.total_nodes() > idx.len(),
             "deleted entries were exercised"

@@ -11,11 +11,11 @@
 //! * [`crack`] — the crack-in-two / crack-in-three partition kernels
 //!   (branch-free block kernels, with the paper's scalar loops as their
 //!   reference);
-//! * [`index::CrackerIndex`] — the cracker index: std's ordered map
-//!   from boundaries to positions, with lazy deletion, plus §3.3
+//! * [`index::CrackerIndex`] — the cracker index: leaf-blocked sorted
+//!   arrays from boundaries to positions, with lazy deletion, plus §3.3
 //!   histogram estimates;
 //! * [`cracked::CrackedArray`] — a generic two-column cracked array with
-//!   ripple insert/delete;
+//!   ripple insert/delete toward the nearer end;
 //! * [`column::CrackerColumn`] — the selection-cracking baseline
 //!   (`crackers.select`) with pending-update queues.
 //!

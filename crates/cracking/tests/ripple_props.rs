@@ -1,13 +1,18 @@
 //! Ripple updates (Idreos et al., SIGMOD 2007) against a reference:
 //! `CrackedArray::{ripple_insert, ripple_delete, ripple_delete_at}`
-//! walk only the boundaries above an update, and must leave exactly the
-//! state the straightforward implementation leaves — the one that
-//! flattens the index into `boundaries()` and updates one boundary at a
-//! time. Head and tail bytes, boundary positions and advisory status,
-//! the stale positions of lazily deleted boundaries and every returned
-//! delete position are compared after each op, because sibling
-//! structures replay these positions (tapes, delete batches, area
-//! tapes) and must stay physically identical.
+//! walk only the boundaries between an update and the nearer end of the
+//! array, and must leave exactly the state the straightforward
+//! implementation leaves — the one that flattens the index into
+//! `boundaries()` and updates one boundary at a time, in either
+//! direction. Head and tail bytes, the front slack, boundary positions
+//! and advisory status, the stale positions of lazily deleted
+//! boundaries and every returned delete position are compared after
+//! each op, because sibling structures replay these positions (tapes,
+//! delete batches, area tapes) and must stay physically identical.
+//!
+//! Arrays start without front slack (deletes toward the front make
+//! some), with a few slots (inserts soon use them up and fall back to
+//! the back end) or with many.
 //!
 //! Columns carry duplicates, single values, negatives and the `Val`
 //! extremes; they are cracked at query bounds, seeded with advisory
@@ -23,19 +28,32 @@ use std::collections::BTreeSet;
 
 type Tag = u32;
 
-/// The reference: the ripple updates as first written, over the
-/// flattened boundary list with one index update per shifted boundary.
+/// The reference: the ripple updates as first written, plus their
+/// front-ward transcription, over the flattened boundary list with one
+/// index update per shifted boundary. `head` and `tail` hold the tuples
+/// only; `front` counts the free slots before them.
 #[derive(Clone)]
 struct Reference {
     head: Vec<Val>,
     tail: Vec<Tag>,
     index: CrackerIndex,
+    front: usize,
 }
 
 impl Reference {
     fn of(arr: &CrackedArray<Tag>) -> Self {
-        let (head, tail, index) = arr.clone().into_parts();
-        Reference { head, tail, index }
+        Reference {
+            head: arr.head().to_vec(),
+            tail: arr.tail().to_vec(),
+            index: arr.index().clone(),
+            front: arr.index().origin(),
+        }
+    }
+
+    /// Toward the front iff fewer live boundaries lie below the update
+    /// (the first `below` of `bs`) than above it.
+    fn front_is_nearer(below: usize, bs: &[(BoundaryKey, usize)]) -> bool {
+        below < bs.len() - below
     }
 
     /// Move a live boundary, keeping its query-mandated/advisory status.
@@ -62,6 +80,14 @@ impl Reference {
 
     fn ripple_insert(&mut self, v: Val, t: Tag) {
         let bs = self.index.boundaries();
+        let below = bs
+            .iter()
+            .take_while(|((bv, kind), _)| !kind.belongs_left(v, *bv));
+        let below = below.count();
+        if self.front > 0 && Self::front_is_nearer(below, &bs) {
+            self.insert_front(v, t, below, &bs);
+            return;
+        }
         self.head.push(v);
         self.tail.push(t);
         let mut free = self.head.len() - 1;
@@ -74,6 +100,27 @@ impl Reference {
             } else {
                 break;
             }
+        }
+        self.head[free] = v;
+        self.tail[free] = t;
+    }
+
+    /// The free slot just before the tuples joins the lowest piece;
+    /// each piece below `v`'s hands its last tuple to the free slot
+    /// before it, so the boundaries below keep their positions.
+    fn insert_front(&mut self, v: Val, t: Tag, below: usize, bs: &[(BoundaryKey, usize)]) {
+        self.head.insert(0, v);
+        self.tail.insert(0, t);
+        self.front -= 1;
+        let mut free = 0;
+        for &(_, pos) in &bs[..below] {
+            // The piece left of this boundary now ends at `pos + 1`.
+            self.head[free] = self.head[pos];
+            self.tail[free] = self.tail[pos];
+            free = pos;
+        }
+        for &(key, pos) in &bs[below..] {
+            self.reposition(key, pos + 1);
         }
         self.head[free] = v;
         self.tail[free] = t;
@@ -97,7 +144,7 @@ impl Reference {
             n
         };
         let p = (s..e).find(|&i| self.head[i] == v && matches(&self.tail[i]))?;
-        self.shift_hole_up(p, e, first_above, &bs);
+        self.close_hole(p, e, first_above, &bs);
         Some(p)
     }
 
@@ -110,8 +157,46 @@ impl Reference {
         } else {
             self.head.len()
         };
-        self.shift_hole_up(p, e, first_above, &bs);
+        self.close_hole(p, e, first_above, &bs);
         removed
+    }
+
+    fn close_hole(
+        &mut self,
+        p: usize,
+        piece_end: usize,
+        first_above: usize,
+        bs: &[(BoundaryKey, usize)],
+    ) {
+        if Self::front_is_nearer(first_above, bs) {
+            self.shift_hole_down(p, first_above, bs);
+        } else {
+            self.shift_hole_up(p, piece_end, first_above, bs);
+        }
+    }
+
+    /// Each piece from `p`'s down gives its first tuple to the hole
+    /// after it, and the first tuple slot joins the front slack: the
+    /// boundaries below keep their positions, those above move down.
+    fn shift_hole_down(&mut self, p: usize, first_above: usize, bs: &[(BoundaryKey, usize)]) {
+        let mut hole = p;
+        for &(_, pos) in bs[..first_above].iter().rev() {
+            if hole != pos {
+                self.head[hole] = self.head[pos];
+                self.tail[hole] = self.tail[pos];
+            }
+            hole = pos;
+        }
+        if hole != 0 {
+            self.head[hole] = self.head[0];
+            self.tail[hole] = self.tail[0];
+        }
+        self.head.remove(0);
+        self.tail.remove(0);
+        self.front += 1;
+        for &(key, pos) in &bs[first_above..] {
+            self.reposition(key, pos - 1);
+        }
     }
 
     fn shift_hole_up(
@@ -178,6 +263,7 @@ fn assert_same_state(arr: &CrackedArray<Tag>, want: &Reference, keys: &BTreeSet<
     assert_eq!(arr.head(), &want.head[..], "head");
     assert_eq!(arr.tail(), &want.tail[..], "tail");
     let idx = arr.index();
+    assert_eq!(idx.origin(), want.front, "front slack");
     assert_eq!(
         idx.boundaries_with_status(),
         want.index.boundaries_with_status(),
@@ -288,6 +374,11 @@ struct Coverage {
     missing: usize,
     /// Most live boundaries an op ran against.
     max_boundaries: usize,
+    /// Ops that rippled toward the front.
+    front: usize,
+    /// Inserts that would have rippled toward the front but found no
+    /// free slot there.
+    fallbacks: usize,
 }
 
 impl Coverage {
@@ -318,9 +409,16 @@ fn run_case(case: u64, cov: &mut Coverage) {
     } else {
         rng.gen_range(0usize..120)
     };
-    let head: Vec<Val> = (0..len).map(|_| values.draw(&mut rng)).collect();
+    let front = match case % 5 {
+        0 | 1 => 0,
+        2 | 3 => rng.gen_range(1usize..4),
+        _ => rng.gen_range(16usize..64),
+    };
+    let mut head = vec![0; front];
+    head.extend((0..len).map(|_| values.draw(&mut rng)));
     let mut next_tag = len as Tag;
-    let mut arr = CrackedArray::new(head, (0..next_tag).collect());
+    let tail: Vec<Tag> = (0..front as Tag).chain(0..next_tag).collect();
+    let mut arr = CrackedArray::from_parts(head, tail, CrackerIndex::with_origin(front));
     let lazy = case % 3 == 1;
     let mut keys: BTreeSet<BoundaryKey> = BTreeSet::new();
 
@@ -373,7 +471,7 @@ fn ripple_step(
     cov: &mut Coverage,
 ) {
     let mut want = Reference::of(arr);
-    let touched = arr.touched();
+    let (touched, origin) = (arr.touched(), arr.index().origin());
     let op = if arr.is_empty() {
         0
     } else {
@@ -382,6 +480,12 @@ fn ripple_step(
     match op {
         0 => {
             let v = probe(rng, arr, values);
+            let bs = arr.index().boundaries();
+            let below = bs
+                .iter()
+                .filter(|((bv, kind), _)| !kind.belongs_left(v, *bv));
+            let nearer = Reference::front_is_nearer(below.count(), &bs);
+            cov.fallbacks += usize::from(nearer && arr.index().origin() == 0);
             arr.ripple_insert(v, *next_tag);
             want.ripple_insert(v, *next_tag);
             *next_tag += 1;
@@ -408,6 +512,7 @@ fn ripple_step(
         }
     }
     assert_eq!(arr.touched(), touched, "ripple touches no crack counter");
+    cov.front += usize::from(arr.index().origin() != origin);
     assert_same_state(arr, &want, keys);
 }
 
@@ -426,16 +531,27 @@ fn ripple_updates_match_the_reference_bit_for_bit() {
     assert!(cov.empty_pieces > floor, "{cov:?}");
     assert!(cov.missing > floor, "{cov:?}");
     assert!(cov.max_boundaries >= 100, "{cov:?}");
+    assert!(cov.front > floor, "{cov:?}");
+    assert!(cov.fallbacks > floor / 10, "{cov:?}");
 }
 
 /// The shapes the walk must get right, spelled out: boundaries at 0 and
 /// at the array end, several boundaries at one position (empty
-/// pieces), a delete at the last slot, and a lazily deleted boundary
-/// whose stale position must not move.
+/// pieces), deletes at the first and the last slot, and a lazily
+/// deleted boundary whose stale position must not move — with and
+/// without front slack.
 #[test]
 fn ripple_handles_edge_boundaries_and_shells() {
-    let head: Vec<Val> = vec![5, 1, 9, 5, 3, 7, 5, 2];
-    let mut arr = CrackedArray::new(head, (0..8).collect::<Vec<Tag>>());
+    for front in [0, 2, 9] {
+        edge_boundaries_and_shells(front);
+    }
+}
+
+fn edge_boundaries_and_shells(front: usize) {
+    let mut head: Vec<Val> = vec![0; front];
+    head.extend([5, 1, 9, 5, 3, 7, 5, 2]);
+    let tail: Vec<Tag> = (0..(front + 8) as Tag).collect();
+    let mut arr = CrackedArray::from_parts(head, tail, CrackerIndex::with_origin(front));
     arr.crack_range(&RangePred::closed(5, 5));
     arr.crack_range(&RangePred::less(Bound::exclusive(-1)));
     arr.crack_range(&RangePred::greater(Bound::exclusive(100)));

@@ -43,17 +43,11 @@ fn plain_answer(plain: &mut PlainEngine, attr: usize, pred: &RangePred) -> Vec<V
 }
 
 /// Map `attr` of `set`, rebuilt without any shortcut: copy the seed
-/// snapshot's live rows, replay the tape.
+/// snapshot's live rows, with the front slack of every seeded array,
+/// and replay the tape.
 fn rebuilt(set: &MapSet, base: &Table, attr: usize) -> CrackedArray<Val> {
-    let live = |k: &RowId| !EXCLUDED.contains(k);
-    let column = |a: usize| -> Vec<Val> {
-        let col = base.column(a);
-        (0..ROWS as RowId)
-            .filter(live)
-            .map(|k| col.get(k))
-            .collect()
-    };
-    let mut arr = CrackedArray::new(column(0), column(attr));
+    let column = |a: usize| base.column(a).values()[..ROWS].to_vec();
+    let mut arr = CrackedArray::seeded(&column(0), &column(attr), &EXCLUDED, None);
     for i in 0..set.tape.len() {
         match *set.tape.entry(i) {
             TapeEntry::Crack(pred) => {
