@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the kernels behind every figure: crack-in-two /
-//! crack-in-three, cracker-index operations, bit-vector filtering, the three
-//! positional-reconstruction access patterns, and ripple updates.
+//! crack-in-three, map groups against separate maps, cracker-index
+//! operations, bit-vector filtering, the three positional-reconstruction
+//! access patterns, and ripple updates.
 
 use crackdb_bench::harness::{BatchSize, Criterion};
+use crackdb_columnstore::column::insert_headroom;
 use crackdb_columnstore::ops::block::PartialAgg;
 use crackdb_columnstore::radix::radix_cluster;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::BitVec;
 use crackdb_cracking::crack::{crack_in_three, crack_in_two, BoundKind};
-use crackdb_cracking::{CrackedArray, CrackerIndex};
+use crackdb_cracking::{CrackedArray, CrackerIndex, SeedPlan};
 use crackdb_rng::rngs::StdRng;
 use crackdb_rng::seq::SliceRandom;
 use crackdb_rng::{Rng, SeedableRng};
@@ -30,7 +32,7 @@ fn skewed_map() -> CrackedArray<RowId> {
     let domain = SKEWED_ROWS as Val;
     let head: Vec<Val> = (0..SKEWED_ROWS).map(|_| rng.gen_range(0..domain)).collect();
     let tail: Vec<RowId> = (0..SKEWED_ROWS as RowId).collect();
-    let mut arr = CrackedArray::seeded(&head, &tail, &[], None);
+    let mut arr = CrackedArray::seeded(&head, &[&tail], &[], None, insert_headroom(SKEWED_ROWS));
     for i in 0..13_000 {
         let hi = if i % 10 == 9 { domain } else { domain / 5 };
         let v = rng.gen_range(0..hi);
@@ -319,12 +321,236 @@ fn bench_ripple(c: &mut Criterion, skewed: &CrackedArray<RowId>) {
     g.finish();
 }
 
-fn main() {
-    let mut c = Criterion::default();
-    bench_crack_kernels(&mut c);
+/// Rows of the arrays the `map_groups` benches crack and seed: a
+/// `qi_cold` map.
+const GROUP_ROWS: usize = 3_000_000;
+
+/// `k` tail columns of [`GROUP_ROWS`] values each.
+fn group_tails(k: usize, seed: u64) -> Vec<Vec<Val>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let domain = GROUP_ROWS as Val;
+    let col = |_| (0..GROUP_ROWS).map(|_| rng.gen_range(0..domain)).collect();
+    (0..k).map(col).collect()
+}
+
+/// The same rows as one `k`-tail group and as `k` one-tail arrays: a
+/// head array of `piece`-tuple pieces (values `[i p, (i+1) p)` shuffled
+/// within piece `i`), cut at every piece boundary.
+fn pieces(k: usize, piece: usize) -> (CrackedArray<Val>, Vec<CrackedArray<Val>>) {
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut head: Vec<Val> = (0..GROUP_ROWS as Val).collect();
+    head.chunks_mut(piece).for_each(|c| c.shuffle(&mut rng));
+    let tails = group_tails(k, 22);
+    let cut = |arr: &mut CrackedArray<Val>| {
+        for at in (piece..GROUP_ROWS).step_by(piece) {
+            arr.index_mut().record((at as Val, BoundKind::Lt), at);
+        }
+    };
+    let refs: Vec<&[Val]> = tails.iter().map(Vec::as_slice).collect();
+    let mut group = CrackedArray::seeded(&head, &refs, &[], None, 0);
+    cut(&mut group);
+    let singles = tails
+        .iter()
+        .map(|t| {
+            let mut arr = CrackedArray::new(head.clone(), t.clone());
+            cut(&mut arr);
+            arr
+        })
+        .collect();
+    (group, singles)
+}
+
+/// The `svc_mixed`-shaped skewed map as a `k`-tail group and as `k`
+/// one-tail arrays.
+fn skewed_group(k: usize) -> (CrackedArray<Val>, Vec<CrackedArray<Val>>) {
+    let tails = group_tails(k, 23);
     let skewed = skewed_map();
-    bench_index(&mut c, &skewed);
-    bench_bitvec(&mut c);
-    bench_reconstruction_patterns(&mut c);
-    bench_ripple(&mut c, &skewed);
+    let head = skewed.head();
+    let refs: Vec<&[Val]> = tails.iter().map(Vec::as_slice).collect();
+    let cut = |arr: &mut CrackedArray<Val>| {
+        for ((v, kind), pos) in skewed.index().boundaries() {
+            arr.index_mut().record((v, kind), pos);
+        }
+    };
+    let mut group = CrackedArray::seeded(head, &refs, &[], None, insert_headroom(head.len()));
+    cut(&mut group);
+    let singles = refs
+        .iter()
+        .map(|t| {
+            let mut arr = CrackedArray::seeded(head, &[t], &[], None, insert_headroom(head.len()));
+            cut(&mut arr);
+            arr
+        })
+        .collect();
+    (group, singles)
+}
+
+/// Map groups against the separate maps they replace, each case on a
+/// `k`-tail group (`group`) and on `k` one-tail arrays (`separate`):
+/// 300 cold cracks, each in a random one of the array's pieces of a
+/// given size (the 45 pieces of 66k tuples, a prepartitioned `qi_cold`
+/// map's, are each cracked several times);
+/// seeding 3M rows through a `SeedPlan`; and hot ripple inserts and
+/// deletes at the `svc_mixed` shape.
+fn bench_map_groups(c: &mut Criterion) {
+    let mut g = c.benchmark_group("map_groups");
+    g.sample_size(10);
+    for k in [2, 3] {
+        for piece in [1_500, 6_000, 66_000] {
+            let (group, singles) = pieces(k, piece);
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut preds = || -> Vec<RangePred> {
+                let n = (GROUP_ROWS / piece) as Val;
+                let mut v = || rng.gen_range(0..n) * piece as Val + rng.gen_range(1..piece as Val);
+                (0..300)
+                    .map(|_| RangePred::less(Bound::exclusive(v())))
+                    .collect()
+            };
+            g.bench_function(format!("crack_300_of_{piece}_k{k}_group"), |b| {
+                b.iter_batched(
+                    || (group.clone(), preds()),
+                    |(mut arr, preds)| {
+                        preds.iter().for_each(|p| {
+                            black_box(arr.crack_range(p));
+                        })
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+            g.bench_function(format!("crack_300_of_{piece}_k{k}_separate"), |b| {
+                b.iter_batched(
+                    || (singles.clone(), preds()),
+                    |(mut arrs, preds)| {
+                        for arr in &mut arrs {
+                            preds.iter().for_each(|p| {
+                                black_box(arr.crack_range(p));
+                            });
+                        }
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(25);
+        let domain = GROUP_ROWS as Val;
+        let head: Vec<Val> = (0..GROUP_ROWS).map(|_| rng.gen_range(0..domain)).collect();
+        let tails = group_tails(k, 26);
+        let refs: Vec<&[Val]> = tails.iter().map(Vec::as_slice).collect();
+        let first = RangePred::open(domain / 3, domain / 3 + 6_000);
+        let plan = SeedPlan::new(&head, &[], &first).expect("3M rows prepartition");
+        let headroom = insert_headroom(GROUP_ROWS);
+        g.bench_function(format!("seed_3M_k{k}_group"), |b| {
+            b.iter(|| CrackedArray::seeded(&head, &refs, &[], Some(&plan), headroom))
+        });
+        g.bench_function(format!("seed_3M_k{k}_separate"), |b| {
+            b.iter(|| {
+                refs.iter()
+                    .map(|t| CrackedArray::seeded(&head, &[t], &[], Some(&plan), headroom))
+                    .collect::<Vec<_>>()
+            })
+        });
+    }
+    let (group, singles) = skewed_group(3);
+    let bounds = group.index().len();
+    const UPDATES: usize = 100;
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut vals = || -> Vec<Val> { (0..UPDATES).map(|_| skewed_value(&mut rng, true)).collect() };
+    g.bench_function(
+        format!("ripple_insert_hot_x{UPDATES}_{bounds}_k3_group"),
+        |b| {
+            b.iter_batched(
+                || (group.clone(), vals()),
+                |(mut arr, vals)| {
+                    vals.iter()
+                        .for_each(|&v| arr.ripple_insert_row(v, &[v, v, v]))
+                },
+                BatchSize::LargeInput,
+            )
+        },
+    );
+    g.bench_function(
+        format!("ripple_insert_hot_x{UPDATES}_{bounds}_k3_separate"),
+        |b| {
+            b.iter_batched(
+                || (singles.clone(), vals()),
+                |(mut arrs, vals)| {
+                    for &v in &vals {
+                        arrs.iter_mut().for_each(|arr| arr.ripple_insert(v, v));
+                    }
+                },
+                BatchSize::LargeInput,
+            )
+        },
+    );
+    let mut positions = || -> Vec<usize> {
+        let mut left = group.len();
+        (0..UPDATES)
+            .map(|_| {
+                let (s, e) = group.piece_of(skewed_value(&mut rng, true));
+                left -= 1;
+                rng.gen_range(s..e.max(s + 1)).min(left - 1)
+            })
+            .collect()
+    };
+    g.bench_function(
+        format!("ripple_delete_hot_x{UPDATES}_{bounds}_k3_group"),
+        |b| {
+            b.iter_batched(
+                || (group.clone(), positions()),
+                |(mut arr, ps)| {
+                    ps.iter().for_each(|&p| {
+                        black_box(arr.ripple_delete_at(p));
+                    })
+                },
+                BatchSize::LargeInput,
+            )
+        },
+    );
+    g.bench_function(
+        format!("ripple_delete_hot_x{UPDATES}_{bounds}_k3_separate"),
+        |b| {
+            b.iter_batched(
+                || (singles.clone(), positions()),
+                |(mut arrs, ps)| {
+                    for &p in &ps {
+                        arrs.iter_mut().for_each(|arr| {
+                            black_box(arr.ripple_delete_at(p));
+                        });
+                    }
+                },
+                BatchSize::LargeInput,
+            )
+        },
+    );
+    g.finish();
+}
+
+/// Runs every group, or with arguments only the groups whose name one
+/// of them is: `cargo bench --bench microbench -- map_groups`.
+fn main() {
+    let only: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with('-'))
+        .collect();
+    let run = |name: &str| only.is_empty() || only.iter().any(|o| o == name);
+    let mut c = Criterion::default();
+    if run("crack_kernels") {
+        bench_crack_kernels(&mut c);
+    }
+    if run("map_groups") {
+        bench_map_groups(&mut c);
+    }
+    let skewed = skewed_map();
+    if run("cracker_index") {
+        bench_index(&mut c, &skewed);
+    }
+    if run("bitvec") {
+        bench_bitvec(&mut c);
+    }
+    if run("reconstruction") {
+        bench_reconstruction_patterns(&mut c);
+    }
+    if run("ripple_updates") {
+        bench_ripple(&mut c, &skewed);
+    }
 }

@@ -164,31 +164,37 @@ pub fn bucket_offsets(counts: &[usize]) -> Vec<usize> {
     offsets
 }
 
-/// The scatter pass: append each `(src_head[i], src_tail[i])` to its
+/// The scatter pass of a value-domain counting partition (the
+/// value-domain twin of [`radix_cluster`], which buckets by key bits),
+/// behind the crack prepartition and the fused first touch of a seeded
+/// cracked array: append each `(src_head[i], src_tail[i])` to its
 /// bucket's span of `dst_head`/`dst_tail` at `cursors[bucket]`, in
-/// source order, advancing the cursor. With `cursors` started at the
-/// bucket offsets of the whole source (see [`ValueBuckets::count_into`])
-/// every destination slot is written exactly once, so the destination's
-/// prior contents never survive. A source in several runs is scattered
-/// run by run through the same cursors.
+/// source order, advancing the cursor, and call `more(i, slot)` so the
+/// caller moves row `i` of any further tail columns to the same slot.
+/// With `cursors` started at the bucket offsets of the whole source
+/// (see [`ValueBuckets::count_into`]) every destination slot is written
+/// exactly once, so the destination's prior contents never survive. A
+/// source in several runs is scattered run by run through the same
+/// cursors.
 pub fn cluster_into<T: Copy>(
-    src_head: &[Val],
-    src_tail: &[T],
-    dst_head: &mut [Val],
-    dst_tail: &mut [T],
+    (src_head, src_tail): (&[Val], &[T]),
+    (dst_head, dst_tail): (&mut [Val], &mut [T]),
     by: &ValueBuckets,
     cursors: &mut [usize],
+    more: impl FnMut(usize, usize),
 ) {
     fn scatter<T: Copy>(
         src: (&[Val], &[T]),
         dst: (&mut [Val], &mut [T]),
         cursors: &mut [usize],
+        mut more: impl FnMut(usize, usize),
         bucket_of: impl Fn(Val) -> usize,
     ) {
-        for (&v, &t) in src.0.iter().zip(src.1) {
+        for (i, (&v, &t)) in src.0.iter().zip(src.1).enumerate() {
             let c = &mut cursors[bucket_of(v)];
             dst.0[*c] = v;
             dst.1[*c] = t;
+            more(i, *c);
             *c += 1;
         }
     }
@@ -196,38 +202,9 @@ pub fn cluster_into<T: Copy>(
     debug_assert_eq!(dst_head.len(), dst_tail.len());
     let (src, dst) = ((src_head, src_tail), (dst_head, dst_tail));
     match by.span {
-        Some(span) => scatter(src, dst, cursors, |v| by.narrow(v, span)),
-        None => scatter(src, dst, cursors, |v| by.wide(v)),
+        Some(span) => scatter(src, dst, cursors, more, |v| by.narrow(v, span)),
+        None => scatter(src, dst, cursors, more, |v| by.wide(v)),
     }
-}
-
-/// Counting-partition `head[..]` (and `tail` alongside) in place into
-/// the equal-width value ranges of `by`: one counting pass, then one
-/// [`cluster_into`] scatter from a copy of the input back into it.
-/// Returns the `buckets + 1` bucket offsets (offsets[0] = 0,
-/// offsets[buckets] = n).
-///
-/// This is the value-domain twin of [`radix_cluster`] (which buckets by
-/// key bits) and the engine of the crack prepartition: the first crack
-/// of a huge uncracked piece pays one cache-friendly counting partition
-/// instead of many half-array crack-in-two passes, and every bucket
-/// offset becomes an advisory cracker boundary at the bucket's lower
-/// bound ([`ValueBuckets::lower_bound`]). A structure that is being
-/// *seeded* skips the copy: it counts and scatters straight from the
-/// base columns into its own arrays (`CrackedArray::seeded`).
-pub fn cluster_by_value<T: Copy>(
-    head: &mut [Val],
-    tail: &mut [T],
-    by: &ValueBuckets,
-) -> Vec<usize> {
-    debug_assert_eq!(head.len(), tail.len());
-    let mut counts = vec![0usize; by.buckets()];
-    by.count_into(head, &mut counts);
-    let offsets = bucket_offsets(&counts);
-    let (src_head, src_tail) = (head.to_vec(), tail.to_vec());
-    let mut cursors = offsets[..by.buckets()].to_vec();
-    cluster_into(&src_head, &src_tail, head, tail, by, &mut cursors);
-    offsets
 }
 
 /// Reconstruct `col` at `keys` after radix-clustering them: the returned
@@ -242,6 +219,25 @@ pub fn clustered_reconstruct(col: &Column, keys: &[RowId], bits: u32) -> Vec<Val
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counting-partition `head` (and `tail` alongside) in place into
+    /// the value ranges of `by`, as a cracked array's prepartition does:
+    /// one counting pass, then one [`cluster_into`] scatter from a copy
+    /// of the input back into it. Returns the bucket offsets.
+    fn cluster_by_value<T: Copy>(
+        head: &mut [Val],
+        tail: &mut [T],
+        by: &ValueBuckets,
+    ) -> Vec<usize> {
+        let mut counts = vec![0usize; by.buckets()];
+        by.count_into(head, &mut counts);
+        let offsets = bucket_offsets(&counts);
+        let (src_head, src_tail) = (head.to_vec(), tail.to_vec());
+        let mut cursors = offsets[..by.buckets()].to_vec();
+        let (src, dst) = ((&src_head[..], &src_tail[..]), (head, tail));
+        cluster_into(src, dst, by, &mut cursors, |_, _| {});
+        offsets
+    }
 
     #[test]
     fn clustering_partitions_by_high_bits() {

@@ -440,6 +440,12 @@ impl PartialSet {
         self.resident.map(tail_attr)
     }
 
+    /// The chunk map, once a query has created it.
+    #[doc(hidden)]
+    pub fn chunk_map(&self) -> Option<&CrackedArray<RowId>> {
+        self.chunk_map.as_ref()
+    }
+
     /// Create the chunk map on first use. `first` is the predicate whose
     /// cut points the caller is about to crack it at, if any: the chunk
     /// map is then seeded already in the bucket order that crack's
@@ -460,7 +466,8 @@ impl PartialSet {
             let keys: Vec<RowId> = (0..head.len() as RowId).collect();
             let dead = self.seed_exclusions(head.len());
             let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred));
-            let cm = CrackedArray::seeded(&head, &keys, &dead, plan.as_ref());
+            // No headroom: resolvers merge the updates, never the chunk map.
+            let cm = CrackedArray::seeded(&head, &[&keys], &dead, plan.as_ref(), 0);
             // The cuts of a fused first touch belong to the crack that
             // would have made them.
             debug_assert!(self.areas.is_empty());

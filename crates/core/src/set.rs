@@ -1,30 +1,37 @@
 //! Map sets `S_A` (§3.2–§3.5): the per-attribute collection of cracker
 //! maps, their shared tape, adaptive alignment, the bit-vector operators
 //! for multi-selection queries, and on-demand update merging.
+//!
+//! The maps are stored as map groups ([`CrackerMap`]): the maps one query
+//! uses together are seeded as one group (one seed plan, one scatter, one
+//! tape replay), and groups a query uses together merge once both are
+//! aligned, so a query's maps share one head and one index from then on.
+//! Groups never split; the storage manager drops single tails.
 
 use crate::bitvec::BitVec;
 use crate::map::{CrackerMap, KeyMap};
 use crate::tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};
-use crackdb_columnstore::column::{Column, Table};
+use crackdb_columnstore::column::{insert_headroom, Column, Table};
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_cracking::{CrackedArray, CrackerIndex, SeedPlan};
+use crackdb_cracking::{CrackedArray, SeedPlan};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Instrumentation counters for a map set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SetStats {
-    /// Maps seeded from base columns (includes recreations after drops).
+    /// Maps (group tails) seeded from base columns (includes recreations
+    /// after drops).
     pub maps_created: u64,
-    /// Tape entries replayed during alignment (all maps).
+    /// Tape entries replayed during alignment (all groups).
     pub entries_replayed: u64,
     /// Cracks performed directly by queries (not via alignment).
     pub query_cracks: u64,
 }
 
-/// A map set `S_A`: all cracker maps with head attribute `A`, the tape
-/// `T_A`, the key map `M_A,key` (built only when a plan needs keys or a
+/// A map set `S_A`: all cracker maps with head attribute `A`, in map
+/// groups, the tape `T_A`, the key map `M_A,key` (built only when a plan needs keys or a
 /// delete batch cannot be resolved by value), and staged (not yet merged)
 /// updates.
 #[derive(Debug, Clone)]
@@ -33,7 +40,7 @@ pub struct MapSet {
     pub head_attr: usize,
     /// The shared reorganization log.
     pub tape: Tape,
-    maps: HashMap<usize, CrackerMap>,
+    groups: Vec<CrackerMap>,
     key_map: Option<KeyMap>,
     staged_inserts: Vec<RowId>,
     staged_deletes: Vec<(Val, RowId)>,
@@ -68,7 +75,7 @@ impl MapSet {
         MapSet {
             head_attr,
             tape: Tape::new(),
-            maps: HashMap::new(),
+            groups: Vec::new(),
             key_map: None,
             staged_inserts: Vec::new(),
             staged_deletes: Vec::new(),
@@ -82,12 +89,17 @@ impl MapSet {
 
     /// Does a map for `tail_attr` currently exist?
     pub fn has_map(&self, tail_attr: usize) -> bool {
-        self.maps.contains_key(&tail_attr)
+        self.map(tail_attr).is_some()
     }
 
-    /// Read access to a map (if materialized).
+    /// Read access to the map group holding `tail_attr` (if materialized).
     pub fn map(&self, tail_attr: usize) -> Option<&CrackerMap> {
-        self.maps.get(&tail_attr)
+        self.groups.iter().find(|g| g.column(tail_attr).is_some())
+    }
+
+    /// The map groups.
+    pub fn groups(&self) -> &[CrackerMap] {
+        &self.groups
     }
 
     /// Read access to the key map (if materialized).
@@ -95,15 +107,17 @@ impl MapSet {
         self.key_map.as_ref()
     }
 
-    /// Storage footprint in tuples across all maps (and the key map).
+    /// Storage footprint in tuples across all map groups (see
+    /// [`CrackerMap::tuples`]) and the key map.
     pub fn tuples(&self) -> usize {
-        self.maps.values().map(|m| m.tuples()).sum::<usize>()
+        self.groups.iter().map(|m| m.tuples()).sum::<usize>()
             + self.key_map.as_ref().map_or(0, |k| k.tuples())
     }
 
     /// Tail attributes of currently materialized maps.
     pub fn map_attrs(&self) -> Vec<usize> {
-        self.maps.keys().copied().collect()
+        let attrs = self.groups.iter().flat_map(|g| &g.tail_attrs);
+        attrs.copied().collect()
     }
 
     /// Instrumentation: are this set's structures seeded already in
@@ -117,30 +131,30 @@ impl MapSet {
     /// cursors point at the same tape entry are physically aligned —
     /// identical head arrays, identical cracker indexes (positions and
     /// advisory status). Each structure must also pass
-    /// [`CrackedArray::check_invariants`] on its own. `Err` names the
-    /// first structure or pair that does not (`None` is the key map).
+    /// [`CrackedArray::check_invariants`] on its own, every tail of a
+    /// group included. `Err` names the first structure or pair that does
+    /// not (a group by its tails, `None` the key map).
     pub fn check_aligned(&self) -> Result<(), String> {
-        for m in self.maps.values() {
-            let attr = m.tail_attr;
-            m.arr
+        for g in &self.groups {
+            g.arr
                 .check_invariants()
-                .map_err(|e| format!("map {attr}: {e}"))?;
+                .map_err(|e| format!("maps {:?}: {e}", g.tail_attrs))?;
         }
         if let Some(k) = &self.key_map {
             k.arr
                 .check_invariants()
                 .map_err(|e| format!("key map: {e}"))?;
         }
-        let maps = self.maps.values();
-        let mut all: Vec<(usize, Option<usize>, &[Val], &CrackerIndex)> = maps
-            .map(|m| (m.cursor, Some(m.tail_attr), m.arr.head(), m.arr.index()))
+        let groups = self.groups.iter();
+        let mut all: Vec<_> = groups
+            .map(|g| (g.cursor, Some(&*g.tail_attrs), g.arr.head(), g.arr.index()))
             .chain(
                 self.key_map
                     .iter()
                     .map(|k| (k.cursor, None, k.arr.head(), k.arr.index())),
             )
             .collect();
-        all.sort_by_key(|&(cursor, attr, ..)| (cursor, attr));
+        all.sort_by_key(|&(cursor, attrs, ..)| (cursor, attrs));
         for pair in all.windows(2) {
             let ((ca, na, ha, ia), (cb, nb, hb, ib)) = (pair[0], pair[1]);
             if ca == cb && ha != hb {
@@ -157,23 +171,25 @@ impl MapSet {
         Ok(())
     }
 
-    /// Drop the least-frequently-accessed map; returns the tuples freed.
-    /// Used by the store's storage manager for *full* maps (§4.2 compares
-    /// against this policy).
-    pub fn drop_lfu_map(&mut self) -> usize {
-        let victim = self
-            .maps
-            .iter()
-            .min_by_key(|(_, m)| m.accesses)
-            .map(|(&a, _)| a);
-        victim
-            .and_then(|a| self.maps.remove(&a))
-            .map_or(0, |m| m.tuples())
-    }
-
-    /// Drop a specific map (storage management); returns tuples freed.
+    /// Drop a specific map — the tail column of its group, or the whole
+    /// group when it is the last tail (storage management); returns the
+    /// tuples freed.
     pub fn drop_map(&mut self, tail_attr: usize) -> usize {
-        self.maps.remove(&tail_attr).map_or(0, |m| m.tuples())
+        let holds = |g: &CrackerMap| g.column(tail_attr).is_some();
+        let Some(g) = self.groups.iter().position(holds) else {
+            return 0;
+        };
+        let group = &mut self.groups[g];
+        let before = group.tuples();
+        match group.column(tail_attr) {
+            Some(c) if group.tail_attrs.len() > 1 => {
+                group.arr.remove_tail(c);
+                group.tail_attrs.remove(c);
+                group.accesses.remove(c);
+                before - group.tuples()
+            }
+            _ => self.groups.swap_remove(g).tuples(),
+        }
     }
 
     // ----- updates ---------------------------------------------------
@@ -252,15 +268,16 @@ impl MapSet {
             .unwrap_or_else(|e| panic!("segmented column read failed: {e}"))
     }
 
-    /// Seed one structure of the set from the snapshot (`head` and `tail`
-    /// are its rows of two base columns), already in bucket order when
-    /// the first entry it replays — tape entry 0, or the `query` it is
-    /// seeded for while the tape is empty — is a crack that opens with a
-    /// prepartition (see [`SeedPlan`]).
+    /// Seed one structure of the set from the snapshot (`head` and each
+    /// of `tails` are its rows of a base column), already in bucket order
+    /// when the first entry it replays — tape entry 0, or the `query` it
+    /// is seeded for while the tape is empty — is a crack that opens with
+    /// a prepartition (see [`SeedPlan`]). Every structure of a set merges
+    /// updates, so each reserves [`insert_headroom`] for them.
     fn seed<T: Copy + Default>(
         &mut self,
         head: &[Val],
-        tail: &[T],
+        tails: &[&[T]],
         query: Option<&RangePred>,
     ) -> CrackedArray<T> {
         if self.seed_plan.is_none() {
@@ -274,21 +291,29 @@ impl MapSet {
             self.seed_plan =
                 first.and_then(|pred| SeedPlan::new(head, &self.initial_excluded, &pred));
         }
-        CrackedArray::seeded(head, tail, &self.initial_excluded, self.seed_plan.as_ref())
+        let (excluded, plan) = (&self.initial_excluded, self.seed_plan.as_ref());
+        let headroom = insert_headroom(head.len() - excluded.len());
+        CrackedArray::seeded(head, tails, excluded, plan, headroom)
     }
 
-    fn seed_map(&mut self, base: &Table, tail_attr: usize, query: &RangePred) -> CrackerMap {
+    /// Seed the maps of `tail_attrs` as one group.
+    fn seed_map(&mut self, base: &Table, tail_attrs: Vec<usize>, query: &RangePred) -> CrackerMap {
         let n = self.initial_len;
         let head = Self::contiguous(base.column(self.head_attr));
-        let tail = Self::contiguous(base.column(tail_attr));
-        self.stats.maps_created += 1;
-        CrackerMap::seed(tail_attr, self.seed(&head[..n], &tail[..n], Some(query)))
+        let cols: Vec<_> = tail_attrs
+            .iter()
+            .map(|&a| Self::contiguous(base.column(a)))
+            .collect();
+        let tails: Vec<&[Val]> = cols.iter().map(|c| &c[..n]).collect();
+        self.stats.maps_created += tail_attrs.len() as u64;
+        let arr = self.seed(&head[..n], &tails, Some(query));
+        CrackerMap::seed(tail_attrs, arr)
     }
 
     fn seed_key_map(&mut self, base: &Table, query: Option<&RangePred>) -> KeyMap {
         let head = Self::contiguous(base.column(self.head_attr));
         let keys: Vec<RowId> = (0..self.initial_len as RowId).collect();
-        KeyMap::seed(self.seed(&head[..keys.len()], &keys, query))
+        KeyMap::seed(self.seed(&head[..keys.len()], &[&keys], query))
     }
 
     /// Align the key map up to (excluding) tape position `target`,
@@ -305,7 +330,7 @@ impl MapSet {
         while km.cursor < target {
             match *self.tape.entry(km.cursor) {
                 TapeEntry::Crack(pred) => {
-                    km.crack(&pred);
+                    km.arr.crack_range(&pred);
                 }
                 TapeEntry::Inserts(id) => {
                     for &key in &self.tape.insert_batches[id as usize].keys {
@@ -341,22 +366,24 @@ impl MapSet {
         self.key_map = Some(km);
     }
 
-    /// Align a (removed-from-the-registry) map up to tape position
-    /// `target` by replaying entries from its cursor. A map that is the
+    /// Align a (removed-from-the-registry) map group up to tape position
+    /// `target` by replaying entries from its cursor. A group that is the
     /// first structure to cross a delete batch resolves it by value on
     /// itself ([`resolve_by_value`]); only an ambiguous batch goes
     /// through the key map.
     fn align_map(&mut self, m: &mut CrackerMap, target: usize, base: &Table) {
         let head_col = base.column(self.head_attr);
+        let mut row = Vec::with_capacity(m.tail_attrs.len());
         while m.cursor < target {
             match *self.tape.entry(m.cursor) {
                 TapeEntry::Crack(pred) => {
-                    m.crack(&pred);
+                    m.arr.crack_range(&pred);
                 }
                 TapeEntry::Inserts(id) => {
-                    let tail_col = base.column(m.tail_attr);
                     for &key in &self.tape.insert_batches[id as usize].keys {
-                        m.arr.ripple_insert(head_col.get(key), tail_col.get(key));
+                        row.clear();
+                        row.extend(m.tail_attrs.iter().map(|&a| base.column(a).get(key)));
+                        m.arr.ripple_insert_row(head_col.get(key), &row);
                     }
                 }
                 TapeEntry::Deletes(id) => {
@@ -385,16 +412,26 @@ impl MapSet {
         }
     }
 
-    /// The boundary count a query's crack is measured against (a crack
-    /// that adds boundaries is logged). While the tape is empty nothing
-    /// has ever cracked, so the count is 0 — whatever a structure
-    /// seeded for this very crack already carries of it.
-    fn boundaries_before_crack(&self, aligned: usize) -> usize {
-        if self.tape.is_empty() {
+    /// A query's own crack of an aligned structure, logged when it adds
+    /// a boundary. While the tape is empty nothing has ever cracked, so
+    /// whatever a structure seeded for this very crack already carries
+    /// of it counts as added. Returns the area and the cursor after it.
+    fn crack_logged<T: Copy>(
+        &mut self,
+        arr: &mut CrackedArray<T>,
+        pred: &RangePred,
+    ) -> ((usize, usize), usize) {
+        let before = if self.tape.is_empty() {
             0
         } else {
-            aligned
+            arr.index().len()
+        };
+        let range = arr.crack_range(pred);
+        if arr.index().len() > before {
+            self.tape.log_crack(*pred);
+            self.stats.query_cracks += 1;
         }
+        (range, self.tape.len())
     }
 
     // ----- the sideways.select operator family ------------------------
@@ -402,30 +439,58 @@ impl MapSet {
     /// `sideways.select(A, v1, v2, B)` (§3.2): create the map if missing,
     /// merge relevant staged updates, align, crack by `pred`, log the
     /// crack, and return the contiguous area: every tuple in it
-    /// qualifies. View the area's values with [`Self::map`] +
-    /// `arr.view(range)`.
+    /// qualifies. View the area's values with [`Self::view_tail`].
     pub fn sideways_select(
         &mut self,
         base: &Table,
         tail_attr: usize,
         pred: &RangePred,
     ) -> (usize, usize) {
+        self.select_maps(base, &[tail_attr], pred)
+    }
+
+    /// [`Self::sideways_select`] for every map a query uses at once (its
+    /// residual selection and fetch attributes): the missing ones are
+    /// seeded as one group, every group holding one of `tail_attrs` is
+    /// aligned and then merged into one, and the crack runs once for all
+    /// of them. Without tails, the key map's area.
+    pub fn select_maps(
+        &mut self,
+        base: &Table,
+        tail_attrs: &[usize],
+        pred: &RangePred,
+    ) -> (usize, usize) {
         self.flush_staged(pred, base);
-        let (mut m, late) = match self.maps.remove(&tail_attr) {
-            Some(m) => (m, false),
-            None => (self.seed_map(base, tail_attr, pred), true),
-        };
+        let uses = |g: &CrackerMap| tail_attrs.iter().any(|&a| g.column(a).is_some());
+        let (used, kept) = std::mem::take(&mut self.groups).into_iter().partition(uses);
+        self.groups = kept;
+        let held = |a: &usize| used.iter().any(|g: &CrackerMap| g.column(*a).is_some());
+        let mut missing: Vec<usize> = tail_attrs.iter().copied().filter(|a| !held(a)).collect();
+        missing.sort_unstable();
+        missing.dedup();
+
+        let late = !missing.is_empty();
+        let seeded = late.then(|| self.seed_map(base, missing, pred));
         let target = self.tape.len();
-        self.align_map(&mut m, target, base);
-        let before = self.boundaries_before_crack(m.arr.index().len());
-        let range = m.crack(pred);
-        if m.arr.index().len() > before {
-            self.tape.log_crack(*pred);
-            self.stats.query_cracks += 1;
+        let mut merged: Option<CrackerMap> = None;
+        for mut g in used.into_iter().chain(seeded) {
+            self.align_map(&mut g, target, base);
+            match &mut merged {
+                Some(m) => m.merge(g),
+                None => merged = Some(g),
+            }
         }
-        m.cursor = self.tape.len();
-        m.accesses += 1;
-        self.maps.insert(tail_attr, m);
+        let Some(mut m) = merged else {
+            return self.select_key_area(base, pred);
+        };
+        let range;
+        (range, m.cursor) = self.crack_logged(&mut m.arr, pred);
+        for &a in tail_attrs {
+            if let Some(c) = m.column(a) {
+                m.accesses[c] += 1;
+            }
+        }
+        self.groups.push(m);
         if late {
             debug_assert_eq!(self.check_aligned(), Ok(()));
         }
@@ -434,10 +499,10 @@ impl MapSet {
 
     /// Tail values of a previously selected area.
     pub fn view_tail(&self, tail_attr: usize, range: (usize, usize)) -> &[Val] {
-        // INVARIANT: ranges only come from sideways_select,
-        // which materializes the map before returning.
-        let m = self.maps.get(&tail_attr).expect("map exists after select");
-        m.arr.view(range).1
+        let tail = self.map(tail_attr).map_or(&[][..], |m| m.tail(tail_attr));
+        // INVARIANT: ranges only come from a select over this map, which
+        // materializes it before returning.
+        &tail[range.0..range.1]
     }
 
     /// [`Self::sideways_select`] over the key map, for plans with nothing
@@ -450,13 +515,8 @@ impl MapSet {
         self.align_key_map_to(target, base, Some(pred));
         // INVARIANT: align_key_map_to always leaves `key_map` populated.
         let mut km = self.key_map.take().expect("aligned above");
-        let before = self.boundaries_before_crack(km.arr.index().len());
-        let range = km.crack(pred);
-        if km.arr.index().len() > before {
-            self.tape.log_crack(*pred);
-            self.stats.query_cracks += 1;
-        }
-        km.cursor = self.tape.len();
+        let range;
+        (range, km.cursor) = self.crack_logged(&mut km.arr, pred);
         km.accesses += 1;
         self.key_map = Some(km);
         if late {
@@ -541,13 +601,14 @@ impl MapSet {
 
     // ----- disjunctive variants (§3.3) ---------------------------------
 
-    /// Disjunctive first step: crack by the head predicate and return a
-    /// bit vector sized to the whole map with the qualifying area's bits
-    /// set.
+    /// Disjunctive first step: crack the maps of `tail_attrs` (the ones
+    /// the query uses, [`Self::select_maps`]) by the head predicate and
+    /// return a bit vector sized to the whole map with the qualifying
+    /// area's bits set.
     pub fn disj_create_bv(
         &mut self,
         base: &Table,
-        tail_attr: usize,
+        tail_attrs: &[usize],
         head_pred: &RangePred,
     ) -> ((usize, usize), BitVec) {
         // A disjunction examines every tuple, so *every* staged update is
@@ -557,8 +618,9 @@ impl MapSet {
         // inserted tuple missing from the map entirely, or a deleted one
         // still contributing bits through its tail values.
         self.flush_staged(&RangePred::all(), base);
-        let range = self.sideways_select(base, tail_attr, head_pred);
-        let n = self.maps[&tail_attr].arr.len();
+        let range = self.select_maps(base, tail_attrs, head_pred);
+        let group = tail_attrs.iter().find_map(|&a| self.map(a));
+        let n = group.map_or(0, |m| m.arr.len());
         let mut bv = BitVec::zeros(n);
         // A word-level range fill, not one set() per bit.
         bv.set_range(range.0, range.1);
@@ -577,15 +639,15 @@ impl MapSet {
         bv: &mut BitVec,
     ) {
         self.sideways_select(base, tail_attr, head_pred);
-        let m = &self.maps[&tail_attr];
+        let tails = self.map(tail_attr).map_or(&[][..], |m| m.tail(tail_attr));
         assert_eq!(
-            m.arr.len(),
+            tails.len(),
             bv.len(),
             "aligned maps must agree on total size"
         );
         // Word-at-a-time: after the first OR-branch set a dense area, its
         // words are skipped wholesale.
-        bv.set_where_unset_range(m.arr.tail(), tail_pred);
+        bv.set_where_unset_range(tails, tail_pred);
     }
 
     /// Disjunctive reconstruction: align the map of `tail_attr` and
@@ -599,7 +661,7 @@ impl MapSet {
         bv: &'a BitVec,
     ) -> Block<'a> {
         self.sideways_select(base, tail_attr, head_pred);
-        let n = self.maps[&tail_attr].arr.len();
+        let n = self.map(tail_attr).map_or(0, |m| m.arr.len());
         self.view_block(tail_attr, (0, n), Some(bv))
     }
 
@@ -610,8 +672,8 @@ impl MapSet {
     /// when the set has no maps yet. `n` is the table cardinality.
     pub fn estimate(&self, pred: &RangePred, n: usize, domain: (Val, Val)) -> f64 {
         let best = self
-            .maps
-            .values()
+            .groups
+            .iter()
             .map(|m| (self.tape.lag(m.cursor), m.arr.index(), m.arr.len()))
             .chain(
                 self.key_map
@@ -626,33 +688,51 @@ impl MapSet {
     }
 }
 
-/// Resolve a delete batch no structure has crossed yet on the cracker map
+/// Resolve a delete batch no structure has crossed yet on the map group
 /// `m` itself, which is aligned up to it. Each item's tuple lies in the
 /// piece of its head value; when it is the only tuple there equal to it
-/// on head *and* tail, that slot is the item's row. Ripple-delete every
-/// item there and record the positions in `batch.resolved` for siblings
-/// and the key map to replay. Uniqueness is checked for every item on the
-/// pre-batch state: if two live tuples of some item's piece are equal on
-/// both values, nothing moves and `false` sends the batch to the key map.
-/// Out of line, so the crack-replay loop around it keeps its codegen.
+/// on the head *and every tail*, that slot is the item's row.
+/// Ripple-delete every item there and record the positions in
+/// `batch.resolved` for siblings and the key map to replay. Uniqueness is
+/// checked for every item on the pre-batch state: if two live tuples of
+/// some item's piece are equal on all values, nothing moves and `false`
+/// sends the batch to the key map. Out of line, so the crack-replay loop
+/// around it keeps its codegen.
 #[inline(never)]
 fn resolve_by_value(m: &mut CrackerMap, batch: &mut DeleteBatch, base: &Table) -> bool {
-    let tail_col = base.column(m.tail_attr);
-    let unique = batch.items.iter().all(|&(v, key)| {
-        let t = tail_col.get(key);
-        let (head, tail) = m.arr.view(m.arr.piece_of(v));
-        let mut equal = head.iter().zip(tail).filter(|&(&h, &x)| h == v && x == t);
-        equal.next().is_some() && equal.next().is_none()
+    let row = |key| {
+        m.tail_attrs
+            .iter()
+            .map(|&a| base.column(a).get(key))
+            .collect()
+    };
+    let rows: Vec<(Val, Vec<Val>)> = batch.items.iter().map(|&(v, key)| (v, row(key))).collect();
+    let unique = rows.iter().all(|(v, row)| {
+        let mut slots = slots_of(&m.arr, *v, row);
+        slots.next().is_some() && slots.next().is_none()
     });
     if !unique {
         return false;
     }
-    let positions = batch.items.iter().filter_map(|&(v, key)| {
-        let t = tail_col.get(key);
-        m.arr.ripple_delete(v, |&x| x == t)
+    let positions = rows.iter().filter_map(|(v, row)| {
+        let p = slots_of(&m.arr, *v, row).next()?;
+        m.arr.ripple_delete_at(p);
+        Some(p)
     });
     batch.resolved = Some(positions.collect());
     true
+}
+
+/// The slots of `v`'s piece of `arr` holding head `v` and `row`, one
+/// value per tail column.
+fn slots_of<'a>(
+    arr: &'a CrackedArray<Val>,
+    v: Val,
+    row: &'a [Val],
+) -> impl Iterator<Item = usize> + 'a {
+    let (s, e) = arr.piece_of(v);
+    let tails = move |i| row.iter().enumerate().all(|(c, &x)| arr.tail_at(c)[i] == x);
+    (s..e).filter(move |&i| arr.head()[i] == v && tails(i))
 }
 
 /// Uniform-distribution estimate of qualifying tuples with no index
@@ -766,7 +846,7 @@ mod tests {
         let base = fig2_table();
         let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
         let head_pred = RangePred::less(crackdb_columnstore::types::Bound::exclusive(2));
-        let (_, mut bv) = s.disj_create_bv(&base, 1, &head_pred);
+        let (_, mut bv) = s.disj_create_bv(&base, &[1], &head_pred);
         s.disj_refine_bv(
             &base,
             1,
@@ -796,7 +876,7 @@ mod tests {
         // Insert (a=100, b=1000, c=42): matches only the B predicate.
         let key = base.append_row(&[100, 1000, 42]);
         s.stage_insert(key);
-        let (_, mut bv) = s.disj_create_bv(&base, 1, &head_pred);
+        let (_, mut bv) = s.disj_create_bv(&base, &[1], &head_pred);
         s.disj_refine_bv(&base, 1, &head_pred, &b_pred, &mut bv);
         let mut out = Vec::new();
         s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
@@ -807,7 +887,7 @@ mod tests {
         // And the deletion direction: delete that row; it must stop
         // contributing although its head value matches no A range.
         s.stage_delete(100, key);
-        let (_, mut bv) = s.disj_create_bv(&base, 1, &head_pred);
+        let (_, mut bv) = s.disj_create_bv(&base, &[1], &head_pred);
         s.disj_refine_bv(&base, 1, &head_pred, &b_pred, &mut bv);
         let mut out = Vec::new();
         s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
@@ -1043,21 +1123,25 @@ mod tests {
     }
 
     #[test]
-    fn lfu_drop_and_recreate() {
+    fn drop_and_recreate() {
         let base = fig2_table();
         let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
         let pred = RangePred::open(1, 5);
         s.sideways_select(&base, 1, &pred);
-        s.sideways_select(&base, 1, &pred);
         s.sideways_select(&base, 2, &pred);
-        assert_eq!(s.tuples(), 14);
-        let freed = s.drop_lfu_map();
-        assert_eq!(freed, 7);
-        assert!(!s.has_map(2), "map C had fewer accesses");
+        assert_eq!(s.tuples(), 14, "two one-tail groups are two maps");
+        assert_eq!(s.drop_map(2), 7);
+        assert!(!s.has_map(2));
         // Recreate on demand, still correct and aligned.
         let rc = s.sideways_select(&base, 2, &pred);
         let rb = s.sideways_select(&base, 1, &pred);
         assert_eq!(rb, rc);
         assert_eq!(s.stats.maps_created, 3);
+        // A query over both merges them: 7 heads and 14 tails.
+        s.select_maps(&base, &[1, 2], &pred);
+        assert_eq!((s.groups().len(), s.tuples()), (1, 10));
+        assert_eq!(s.drop_map(1), 3, "the tail goes, the group stays");
+        assert_eq!(s.map(2).map(|m| m.tail_attrs.clone()), Some(vec![2]));
+        assert_eq!(s.check_aligned(), Ok(()));
     }
 }

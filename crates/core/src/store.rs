@@ -72,7 +72,8 @@ impl SidewaysStore {
     }
 
     /// Access (creating on demand) the map set of `head_attr`. `excluded`
-    /// are the base-table keys already deleted at creation time.
+    /// are the base-table keys already deleted at creation time. Combine
+    /// with [`Self::reserve`] when a budget is active.
     pub fn ensure_set(
         &mut self,
         base: &Table,
@@ -111,19 +112,6 @@ impl SidewaysStore {
         }
     }
 
-    /// §3.3 map-set choice for conjunctions: the most selective
-    /// predicate's attribute, judged by the most-aligned map's cracker
-    /// index (or a uniform assumption when no knowledge exists).
-    pub fn choose_set_conj(&self, base: &Table, preds: &[(usize, RangePred)]) -> usize {
-        self.choose_set(base, preds, false)
-    }
-
-    /// Map-set choice for disjunctions: the *least* selective attribute,
-    /// so the areas scanned outside the cracked region stay small.
-    pub fn choose_set_disj(&self, base: &Table, preds: &[(usize, RangePred)]) -> usize {
-        self.choose_set(base, preds, true)
-    }
-
     /// §3.3 self-organizing estimate for one predicate: the attribute's
     /// map-set histogram when one exists, a uniform assumption otherwise.
     pub fn estimate(&self, base: &Table, attr: usize, pred: &RangePred) -> f64 {
@@ -132,11 +120,6 @@ impl SidewaysStore {
             Some(s) => s.estimate(pred, n, self.domain(attr)),
             None => uniform_estimate(pred, n, self.domain(attr)),
         }
-    }
-
-    fn choose_set(&self, base: &Table, preds: &[(usize, RangePred)], largest: bool) -> usize {
-        self.choose_idx(base, preds, largest)
-            .map_or(0, |i| preds[i].0)
     }
 
     /// Index into `preds` of the chosen set's predicate (`None` only for
@@ -183,10 +166,11 @@ impl SidewaysStore {
                 .sets
                 .iter()
                 .flat_map(|(&sa, s)| {
-                    s.map_attrs().into_iter().filter_map(move |ta| {
-                        let m = s.map(ta)?;
-                        Some(((sa, ta), m.accesses))
-                    })
+                    let tails = s
+                        .groups()
+                        .iter()
+                        .flat_map(|m| m.tail_attrs.iter().zip(&m.accesses));
+                    tails.map(move |(&ta, &n)| ((sa, ta), n))
                 })
                 .filter(|(key, _)| !pinned.contains(key))
                 .min_by_key(|&((sa, ta), acc)| (acc, sa, ta))
@@ -201,9 +185,11 @@ impl SidewaysStore {
         }
     }
 
-    /// Reserve budget room for a query that will touch `tail_attrs` maps
-    /// of set `set_attr` (creating the missing ones).
-    fn reserve(&mut self, base: &Table, set_attr: usize, tail_attrs: &[usize]) {
+    /// Budget hook, also for executors driving map sets directly: make
+    /// room for a query that will touch the `tail_attrs` maps of set
+    /// `set_attr` before the missing ones are materialized (no-op
+    /// without a budget).
+    pub fn reserve(&mut self, base: &Table, set_attr: usize, tail_attrs: &[usize]) {
         if self.budget.is_none() {
             return;
         }
@@ -220,25 +206,6 @@ impl SidewaysStore {
         }
     }
 
-    /// Public budget hook for executors driving map sets directly: make
-    /// room for the maps of `tail_attrs` under `set_attr` before they are
-    /// materialized (no-op without a budget).
-    pub fn reserve_for(&mut self, base: &Table, set_attr: usize, tail_attrs: &[usize]) {
-        self.reserve(base, set_attr, tail_attrs);
-    }
-
-    /// Mutable access to the map set of `head_attr`, created on demand
-    /// from the current base snapshot (excluding already-deleted keys).
-    /// Combine with [`Self::reserve_for`] when a budget is active.
-    pub fn set_mut_ensured(
-        &mut self,
-        base: &Table,
-        head_attr: usize,
-        excluded: &HashSet<RowId>,
-    ) -> &mut MapSet {
-        self.ensure_set(base, head_attr, excluded)
-    }
-
     /// Single-selection, multi-projection query: hand `consume` one
     /// block per projection attribute — the cracked area's tail values.
     pub fn select_project_blocks(
@@ -252,8 +219,8 @@ impl SidewaysStore {
     ) {
         self.reserve(base, sel_attr, projs);
         let s = self.ensure_set(base, sel_attr, excluded);
+        let range = s.select_maps(base, projs, pred);
         for &p in projs {
-            let range = s.sideways_select(base, p, pred);
             consume(s.view_block(p, range, None));
         }
     }
@@ -281,34 +248,15 @@ impl SidewaysStore {
                 };
             }
         };
-        let tails: Vec<(usize, RangePred)> = preds
-            .iter()
-            .filter(|(a, _)| *a != set_attr)
-            .cloned()
-            .collect();
-        let mut needed: Vec<usize> = tails.iter().map(|(a, _)| *a).collect();
-        for &a in extra_attrs {
-            if !needed.contains(&a) {
-                needed.push(a);
-            }
-        }
+        let (tails, needed) = plan_maps(preds, set_attr, extra_attrs);
         self.reserve(base, set_attr, &needed);
         let s = self.ensure_set(base, set_attr, excluded);
-
+        // The selection phase aligns and cracks every map the plan uses,
+        // as one group (§3.2: one sideways operator per map), so later
+        // refinements and reconstructions find them aligned. With no map
+        // needed, the key map's area.
+        let range = s.select_maps(base, &needed, &head_pred);
         if tails.is_empty() {
-            // Pure single-selection: no residual bit vector needed. Run
-            // the sideways.select of every needed map now — the query
-            // plan's selection phase contains one operator per map
-            // (§3.2), so later reconstructions find the maps aligned.
-            // The last map's select — the key map's when no map is
-            // needed — returns the area every aligned map shares.
-            for &attr in needed.iter().rev().skip(1) {
-                s.sideways_select(base, attr, &head_pred);
-            }
-            let range = match needed.last() {
-                Some(&attr) => s.sideways_select(base, attr, &head_pred),
-                None => s.select_key_area(base, &head_pred),
-            };
             return ConjHandle {
                 set_attr,
                 head_pred,
@@ -320,13 +268,6 @@ impl SidewaysStore {
         let (range, mut bv) = s.select_create_bv(base, tails[0].0, &head_pred, &tails[0].1);
         for (attr, pred) in &tails[1..] {
             s.select_refine_bv(base, *attr, &head_pred, pred, &mut bv);
-        }
-        // Align the projection/aggregation maps now, in the selection
-        // phase (one sideways operator per map in the plan, §3.3).
-        for &attr in &needed {
-            if !tails.iter().any(|(a, _)| *a == attr) {
-                s.sideways_select(base, attr, &head_pred);
-            }
         }
         ConjHandle {
             set_attr,
@@ -396,23 +337,17 @@ impl SidewaysStore {
         let Some(&(set_attr, head_pred)) = preds.get(chosen) else {
             return; // empty predicate list: nothing qualifies
         };
-        let tails: Vec<(usize, RangePred)> = preds
-            .iter()
-            .filter(|(a, _)| *a != set_attr)
-            .cloned()
-            .collect();
-        let mut needed: Vec<usize> = tails.iter().map(|(a, _)| *a).collect();
-        for &a in projs {
-            if !needed.contains(&a) {
-                needed.push(a);
-            }
-        }
+        let (tails, needed) = plan_maps(preds, set_attr, projs);
         self.reserve(base, set_attr, &needed);
         let s = self.ensure_set(base, set_attr, excluded);
 
-        // First map: any needed map (prefer a selection map).
-        let first_attr = needed.first().copied().unwrap_or(set_attr);
-        let (_, mut bv) = s.disj_create_bv(base, first_attr, &head_pred);
+        // Every needed map (or the head attribute's own when none is).
+        let first = if needed.is_empty() {
+            vec![set_attr]
+        } else {
+            needed
+        };
+        let (_, mut bv) = s.disj_create_bv(base, &first, &head_pred);
         for (attr, pred) in &tails {
             s.disj_refine_bv(base, *attr, &head_pred, pred, &mut bv);
         }
@@ -420,6 +355,28 @@ impl SidewaysStore {
             consume(s.disj_reconstruct_block(base, p, &head_pred, &bv));
         }
     }
+}
+
+/// The maps a plan on set `set_attr` uses: its residual predicates (those
+/// on other attributes), and their attributes followed by the `extra`
+/// ones (fetched or aggregated), without repeats.
+pub fn plan_maps(
+    preds: &[(usize, RangePred)],
+    set_attr: usize,
+    extra: &[usize],
+) -> (Vec<(usize, RangePred)>, Vec<usize>) {
+    let tails: Vec<(usize, RangePred)> = preds
+        .iter()
+        .filter(|(a, _)| *a != set_attr)
+        .cloned()
+        .collect();
+    let mut needed: Vec<usize> = tails.iter().map(|(a, _)| *a).collect();
+    for &a in extra {
+        if !needed.contains(&a) {
+            needed.push(a);
+        }
+    }
+    (tails, needed)
 }
 
 /// Registry of [`PartialSet`]s sharing one global storage budget.
@@ -661,8 +618,8 @@ mod tests {
             (0usize, RangePred::open(0, 50)),  // ~50%
             (1usize, RangePred::open(10, 15)), // ~5%
         ];
-        assert_eq!(store.choose_set_conj(&base, &preds), 1);
-        assert_eq!(store.choose_set_disj(&base, &preds), 0);
+        assert_eq!(store.choose_idx(&base, &preds, false), Some(1));
+        assert_eq!(store.choose_idx(&base, &preds, true), Some(0));
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //!
 //! The map-set table is big enough that maps are seeded through a
 //! `SeedPlan`.
+//!
+//! The partial chunk map is seeded too, but never merges an update
+//! (its resolvers do): it reserves no headroom at either end.
 
 use crackdb_columnstore::column::{insert_headroom, Column, Table};
 use crackdb_columnstore::shard::{partition_table, ShardCuts};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_core::{MapSet, TapeEntry};
+use crackdb_core::{MapSet, PartialSet, TapeEntry};
 use crackdb_cracking::crack::BoundKind;
 use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
 use crackdb_cracking::{CrackedArray, SeedPlan};
@@ -57,7 +60,7 @@ fn seeded_arrays_take_their_headroom_in_place() {
     let plan = SeedPlan::with_target(&head, &excluded, (5_000, BoundKind::Lt), 1_000);
     assert!(plan.is_some(), "a 10k-value domain cuts into buckets");
     for (ctx, plan) in [("plain copy", None), ("seed plan", plan.as_ref())] {
-        let mut arr = CrackedArray::seeded(&head, &tail, &excluded, plan);
+        let mut arr = CrackedArray::seeded(&head, &[&tail], &excluded, plan, insert_headroom(live));
         arr.crack_range(&RangePred::open(2_000, 2_500));
         arr.crack_range(&RangePred::closed(7_000, 9_000));
         let (at, mut want) = (arr.allocation(), exact_copy(&arr));
@@ -165,5 +168,34 @@ fn maps_merge_their_headroom_in_place() {
             }
         }
         assert_same_state(arr, &want, &format!("map {attr}"));
+    }
+}
+
+#[test]
+fn chunk_maps_reserve_no_headroom() {
+    for rows in [20_000, PREPARTITION_MIN_PIECE + 1_000] {
+        let mut base = Table::new();
+        for (name, seed) in [("A", 8), ("B", 9)] {
+            base.add_column(name, Column::new(values(rows, 1_000_000, seed)));
+        }
+        let mut set = PartialSet::new(0);
+        set.stage_delete(base.column(0).get(3), 3);
+        let hot = RangePred::open(440_000, 460_000);
+        set.conjunctive_project_blocks(&base, &hot, &[], &[1], |_| {})
+            .expect("in-memory columns");
+        let cm = set.chunk_map().expect("the query created it");
+        let ctx = format!("{rows} rows");
+        assert_eq!(cm.len(), rows - 1, "{ctx}: the deleted row is excluded");
+        assert_eq!(cm.index().origin(), 0, "{ctx}: front slack");
+        for (buffer, (_, capacity)) in cm.allocation().into_iter().enumerate() {
+            assert_eq!(
+                capacity,
+                cm.len(),
+                "{ctx}: spare capacity of buffer {buffer}"
+            );
+        }
+        assert_eq!(cm.check_invariants(), Ok(()), "{ctx}");
+        let planned = rows > PREPARTITION_MIN_PIECE;
+        assert_eq!(cm.index().advisory_count() > 0, planned, "{ctx}: seed plan");
     }
 }

@@ -22,7 +22,10 @@
 //!
 //! The kernels are generic over the tail type: cracker columns carry
 //! `RowId` tails, cracker maps carry `Val` tails, and head-only arrays use
-//! a `()` tail which compiles to nothing.
+//! a `()` tail which compiles to nothing. Underneath they are generic over
+//! a [`TailSet`]: one tail column, or the column-major tails of a map
+//! group, whose row `i` every swap moves across all of its columns. The
+//! one-column instantiation is the slice code of the public functions.
 
 use crackdb_columnstore::types::Val;
 
@@ -46,6 +49,41 @@ impl BoundKind {
     }
 }
 
+/// The tail columns the kernels move alongside the head column, row by
+/// row: one column (`[T]`) or a map group's column-major columns (any
+/// number of them, or `[&mut [T]; K]`, whose per-row loop unrolls), each
+/// as long as the head.
+pub trait TailSet {
+    /// Swap rows `i` and `j`.
+    fn swap_rows(&mut self, i: usize, j: usize);
+    /// Copy row `from` over row `to`.
+    fn copy_row(&mut self, from: usize, to: usize);
+}
+
+impl<T: Copy> TailSet for [T] {
+    #[inline(always)]
+    fn swap_rows(&mut self, i: usize, j: usize) {
+        self.swap(i, j);
+    }
+
+    #[inline(always)]
+    fn copy_row(&mut self, from: usize, to: usize) {
+        self[to] = self[from];
+    }
+}
+
+impl<T: Copy, const K: usize> TailSet for [&mut [T]; K] {
+    #[inline(always)]
+    fn swap_rows(&mut self, i: usize, j: usize) {
+        self.iter_mut().for_each(|col| col.swap(i, j));
+    }
+
+    #[inline(always)]
+    fn copy_row(&mut self, from: usize, to: usize) {
+        self.iter_mut().for_each(|col| col[to] = col[from]);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scalar kernels (the paper's loops, bit-for-bit)
 // ---------------------------------------------------------------------
@@ -60,8 +98,19 @@ pub fn crack_in_two_scalar<T: Copy>(
     pivot: Val,
     kind: BoundKind,
 ) -> usize {
-    debug_assert!(start <= end && end <= head.len());
     debug_assert_eq!(head.len(), tail.len());
+    two_scalar(head, tail, start, end, pivot, kind)
+}
+
+fn two_scalar<R: TailSet + ?Sized>(
+    head: &mut [Val],
+    tail: &mut R,
+    start: usize,
+    end: usize,
+    pivot: Val,
+    kind: BoundKind,
+) -> usize {
+    debug_assert!(start <= end && end <= head.len());
     let mut lo = start;
     let mut hi = end;
     while lo < hi {
@@ -70,7 +119,7 @@ pub fn crack_in_two_scalar<T: Copy>(
         } else {
             hi -= 1;
             head.swap(lo, hi);
-            tail.swap(lo, hi);
+            tail.swap_rows(lo, hi);
         }
     }
     lo
@@ -149,9 +198,9 @@ fn offender_mask<F: Fn(Val) -> bool>(blk: &[Val], offender: F) -> u64 {
 /// its pointer advances. The sub-two-block remainder falls back to the
 /// scalar pass, which also computes the final split.
 #[inline(always)]
-fn block_partition<T: Copy, F: Fn(Val) -> bool + Copy>(
+fn block_partition<R: TailSet + ?Sized, F: Fn(Val) -> bool + Copy>(
     head: &mut [Val],
-    tail: &mut [T],
+    tail: &mut R,
     start: usize,
     end: usize,
     belongs_left: F,
@@ -159,7 +208,6 @@ fn block_partition<T: Copy, F: Fn(Val) -> bool + Copy>(
     kind: BoundKind,
 ) -> usize {
     debug_assert!(start <= end && end <= head.len());
-    debug_assert_eq!(head.len(), tail.len());
     let mut l = start;
     let mut r = end;
     // Offenders still to fix inside the current left/right block.
@@ -186,7 +234,7 @@ fn block_partition<T: Copy, F: Fn(Val) -> bool + Copy>(
             let i = l + ml.trailing_zeros() as usize;
             let j = r - BLOCK + mr.trailing_zeros() as usize;
             head.swap(i, j);
-            tail.swap(i, j);
+            tail.swap_rows(i, j);
             ml &= ml - 1;
             mr &= mr - 1;
         }
@@ -202,7 +250,7 @@ fn block_partition<T: Copy, F: Fn(Val) -> bool + Copy>(
     // finishes the range and yields the split. `[start, l)` and
     // `[r, end)` are already resolved, so the overall split equals the
     // remainder's.
-    crack_in_two_scalar(head, tail, l, r, pivot, kind)
+    two_scalar(head, tail, l, r, pivot, kind)
 }
 
 /// Partition `head[range]` (and `tail[range]` alongside) around
@@ -213,6 +261,19 @@ fn block_partition<T: Copy, F: Fn(Val) -> bool + Copy>(
 pub fn crack_in_two<T: Copy>(
     head: &mut [Val],
     tail: &mut [T],
+    start: usize,
+    end: usize,
+    pivot: Val,
+    kind: BoundKind,
+) -> usize {
+    debug_assert_eq!(head.len(), tail.len());
+    crack_rows_in_two(head, tail, start, end, pivot, kind)
+}
+
+/// [`crack_in_two`] over any [`TailSet`].
+pub(crate) fn crack_rows_in_two<R: TailSet + ?Sized>(
+    head: &mut [Val],
+    tail: &mut R,
     start: usize,
     end: usize,
     pivot: Val,
@@ -257,8 +318,21 @@ pub fn crack_in_three<T: Copy>(
     lo_bound: (Val, BoundKind),
     hi_bound: (Val, BoundKind),
 ) -> (usize, usize) {
+    debug_assert_eq!(head.len(), tail.len());
+    crack_rows_in_three(head, tail, start, end, lo_bound, hi_bound)
+}
+
+/// [`crack_in_three`] over any [`TailSet`].
+pub(crate) fn crack_rows_in_three<R: TailSet + ?Sized>(
+    head: &mut [Val],
+    tail: &mut R,
+    start: usize,
+    end: usize,
+    lo_bound: (Val, BoundKind),
+    hi_bound: (Val, BoundKind),
+) -> (usize, usize) {
     let (v2, k2) = hi_bound;
-    let split2 = crack_in_two(head, tail, start, end, v2, k2);
+    let split2 = crack_rows_in_two(head, tail, start, end, v2, k2);
     if lo_bound >= hi_bound {
         // Contradictory bounds cannot be expressed as a three-way
         // partition (the per-element left/right tests overlap): left of
@@ -266,7 +340,7 @@ pub fn crack_in_three<T: Copy>(
         return (split2, split2);
     }
     let (v1, k1) = lo_bound;
-    let split1 = crack_in_two(head, tail, start, split2, v1, k1);
+    let split1 = crack_rows_in_two(head, tail, start, split2, v1, k1);
     (split1, split2)
 }
 

@@ -1,6 +1,13 @@
-//! A generic two-column cracked array: the shared physical structure
-//! behind cracker columns (tail = tuple key) and cracker maps (tail =
-//! projected attribute value).
+//! A generic cracked array: the shared physical structure behind cracker
+//! columns (tail = tuple key) and cracker maps (tail = projected
+//! attribute value). One head column carries `k >= 1` tail columns: one
+//! for a column or a map, several for a *map group*, the maps a query
+//! uses together, which share one head, one index and every crack and
+//! ripple. The tails are column-major (each a contiguous column). Every
+//! crack and ripple has one body generic over the tail set
+//! ([`TailSet`]), whose one-tail instantiation is the slice code of the
+//! plain kernels, and the seeding and prepartition scatter one body
+//! that moves the first tail with the head and the others beside it.
 //!
 //! The buffers may start with free *front slack* (the index's
 //! [`CrackerIndex::origin`]): a ripple update grows or shrinks the array
@@ -11,10 +18,11 @@
 //! so siblings replaying a tape choose alike. Every accessor is
 //! origin-relative: tuple `0` is the first tuple, wherever it sits.
 
-use crate::crack::{crack_in_three, crack_in_two, BoundKind};
+use crate::crack::{crack_rows_in_three, crack_rows_in_two, BoundKind, TailSet};
 use crate::index::{pred_keys, BoundaryKey, CrackerIndex};
+#[cfg(doc)]
 use crackdb_columnstore::column::insert_headroom;
-use crackdb_columnstore::radix::{bucket_offsets, cluster_by_value, cluster_into, ValueBuckets};
+use crackdb_columnstore::radix::{bucket_offsets, cluster_into, ValueBuckets};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::ops::Range;
 
@@ -139,13 +147,88 @@ impl SeedPlan {
     }
 }
 
-/// Parallel head/tail arrays physically reorganized by cracking, plus the
-/// cracker index describing the current partitioning.
-#[derive(Debug, Clone, Default)]
+/// Run `$body` with `$t` bound to the tail columns (the first, `$tail`,
+/// then `$more`) as the kernels take them: a single tail as its slice,
+/// so a one-tail array runs the slice kernels' code, or a group's
+/// columns — as slices in a fixed-size array for the common two and
+/// three tails, so the per-row loop unrolls.
+macro_rules! with_tails {
+    ($tail:expr, $more:expr, |$t:ident| $body:expr) => {
+        match &mut $more[..] {
+            [] => {
+                let $t = $tail.as_mut_slice();
+                $body
+            }
+            [b] => {
+                let $t = &mut [$tail.as_mut_slice(), b.as_mut_slice()];
+                $body
+            }
+            [b, c] => {
+                let $t = &mut [$tail.as_mut_slice(), b.as_mut_slice(), c.as_mut_slice()];
+                $body
+            }
+            more => {
+                let $t = &mut Columns(&mut $tail, more);
+                $body
+            }
+        }
+    };
+}
+
+/// The tail columns of a group of any width: the first, then the rest.
+struct Columns<'a, T>(&'a mut Vec<T>, &'a mut [Vec<T>]);
+
+impl<T: Copy> TailSet for Columns<'_, T> {
+    fn swap_rows(&mut self, i: usize, j: usize) {
+        self.0.swap(i, j);
+        self.1.iter_mut().for_each(|col| col.swap(i, j));
+    }
+
+    fn copy_row(&mut self, from: usize, to: usize) {
+        self.0[to] = self.0[from];
+        self.1.iter_mut().for_each(|col| col[to] = col[from]);
+    }
+}
+
+/// Scatter the source rows (`src_head`, and row `from + i` of the first
+/// tail's source and of one source slice per further tail) into bucket
+/// order at `cursors` (see [`cluster_into`]), every tail column with its
+/// head value, into the buffers from `at` on. A one-tail array scatters
+/// exactly as the plain two-column pass does and allocates nothing here.
+fn scatter<T: Copy>(
+    arr: &mut CrackedArray<T>,
+    at: usize,
+    (src_head, first, more, from): (&[Val], &[T], &[&[T]], usize),
+    by: &ValueBuckets,
+    cursors: &mut [usize],
+) {
+    let dst = (&mut arr.head[at..], &mut arr.tail[at..]);
+    let src = (src_head, &first[from..from + src_head.len()]);
+    if arr.more.is_empty() {
+        return cluster_into(src, dst, by, cursors, |_, _| {});
+    }
+    let mut rest: Vec<&mut [T]> = arr.more.iter_mut().map(|t| &mut t[at..]).collect();
+    cluster_into(src, dst, by, cursors, move |i, c| {
+        for (d, s) in rest.iter_mut().zip(more) {
+            d[c] = s[from + i];
+        }
+    })
+}
+
+/// A head array and `k >= 1` tail columns, row-aligned and physically
+/// reorganized together by cracking, plus the cracker index describing
+/// the current partitioning. One tail is a cracker column or cracker
+/// map; several are a *map group*: maps that queries use together share
+/// one head, one index and every crack and ripple, each tail a
+/// contiguous column of its own.
+#[derive(Debug, Clone)]
 pub struct CrackedArray<T: Copy> {
     /// Head and tail buffers: free front slack, then the tuples.
     head: Vec<Val>,
+    /// The first tail column, then a group's further ones (none for a
+    /// one-tail array, which so allocates nothing besides its buffers).
     tail: Vec<T>,
+    more: Vec<Vec<T>>,
     /// The partitioning, and the length of the front slack.
     index: CrackerIndex,
     /// Cumulative tuples touched (scanned/swapped) by crack kernels —
@@ -162,43 +245,65 @@ impl<T: Copy> CrackedArray<T> {
         Self::from_parts(head, tail, CrackerIndex::new())
     }
 
-    /// Seed from a base-column snapshot: the `head`/`tail` source
-    /// slices minus the `excluded` positions (ascending, duplicate-free).
+    /// Seed from a base-column snapshot: the `head` source slice and one
+    /// source slice per tail column, minus the `excluded` positions
+    /// (ascending, duplicate-free).
     ///
     /// Without a plan this is a bulk copy of the live runs. With the
     /// [`SeedPlan`] of the same `head` and `excluded`, the result is
     /// bit-for-bit the state copy-then-`prepartition` produces — same
     /// head and tail order, same advisory cuts, same `touched` — from
-    /// one scatter of the source into bucket order.
+    /// one scatter of the source into bucket order, every tail column
+    /// in the same pass.
     ///
-    /// Either way the arrays reserve [`insert_headroom`] free slots at
-    /// each end for the inserts a seeded structure merges later: spare
-    /// capacity at the back, front slack at the front.
+    /// Either way the arrays reserve `headroom` free slots at each end
+    /// for the inserts the structure merges later: spare capacity at the
+    /// back, front slack at the front ([`insert_headroom`] for a
+    /// structure that merges updates, 0 for one that never does).
     ///
     /// # Panics
-    /// If the slices differ in length or the plan was made for a
-    /// different number of live tuples.
-    pub fn seeded(head: &[Val], tail: &[T], excluded: &[RowId], plan: Option<&SeedPlan>) -> Self
+    /// If there is no tail, the slices differ in length or the plan was
+    /// made for a different number of live tuples.
+    pub fn seeded(
+        head: &[Val],
+        tails: &[&[T]],
+        excluded: &[RowId],
+        plan: Option<&SeedPlan>,
+        headroom: usize,
+    ) -> Self
     where
         T: Default,
     {
-        assert_eq!(head.len(), tail.len(), "head/tail length mismatch");
-        let n = head.len() - excluded.len();
-        let spare = insert_headroom(n);
+        assert!(!tails.is_empty(), "no tail");
+        assert!(
+            tails.iter().all(|t| t.len() == head.len()),
+            "head/tail length mismatch"
+        );
+        let (n, o) = (head.len() - excluded.len(), headroom);
         // Copy and scatter write every tuple slot once, so the fill is
         // never read. A zero fill is a zeroed allocation: no write pass,
         // and the slack pages stay untouched until ripples use them.
-        let (mut h, mut t) = (vec![0; n + 2 * spare], vec![T::default(); n + 2 * spare]);
-        h.truncate(spare + n);
-        t.truncate(spare + n);
-        let mut arr = Self::from_parts(h, t, CrackerIndex::with_origin(spare));
-        let (dst_head, dst_tail) = arr.slices();
+        fn buffer<X: Copy>(fill: X, len: usize, spare: usize) -> Vec<X> {
+            let mut b = vec![fill; len + spare];
+            b.truncate(len);
+            b
+        }
+        let column = || buffer(T::default(), o + n, o);
+        let mut arr = CrackedArray {
+            head: buffer(0, o + n, o),
+            tail: column(),
+            more: tails[1..].iter().map(|_| column()).collect(),
+            index: CrackerIndex::with_origin(o),
+            touched: 0,
+        };
         let Some(plan) = plan else {
-            let mut at = 0;
+            let mut at = o;
             for run in live_runs(head.len(), excluded) {
                 let to = at + run.len();
-                dst_head[at..to].copy_from_slice(&head[run.clone()]);
-                dst_tail[at..to].copy_from_slice(&tail[run]);
+                arr.head[at..to].copy_from_slice(&head[run.clone()]);
+                for (dst, src) in arr.columns_mut().zip(tails) {
+                    dst[at..to].copy_from_slice(&src[run.clone()]);
+                }
                 at = to;
             }
             return arr;
@@ -208,20 +313,21 @@ impl<T: Copy> CrackedArray<T> {
             Some(&n),
             "plan is for another snapshot"
         );
-        let (by, mut cursors) = (&plan.by, plan.offsets[..plan.by.buckets()].to_vec());
+        let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
         for run in live_runs(head.len(), excluded) {
-            let (src_head, src_tail) = (&head[run.clone()], &tail[run]);
-            cluster_into(src_head, src_tail, dst_head, dst_tail, by, &mut cursors);
+            let src = (&head[run.clone()], tails[0], &tails[1..], run.start);
+            scatter(&mut arr, o, src, &plan.by, &mut cursors);
         }
         arr.record_cuts(plan.key, 0, &plan.by, &plan.offsets);
         arr
     }
 
-    /// Reassemble from parts produced by [`Self::into_parts`] (used by
-    /// partial sideways cracking's chunks, whose head column is
-    /// droppable and therefore stored outside the array). The buffers
-    /// start with the index's [`CrackerIndex::origin`] free slots. The
-    /// touched-tuple counter restarts at zero.
+    /// Reassemble a one-tail array from parts produced by
+    /// [`Self::into_parts`] (used by partial sideways cracking's chunks,
+    /// whose head column is droppable and therefore stored outside the
+    /// array). The buffers start with the index's
+    /// [`CrackerIndex::origin`] free slots. The touched-tuple counter
+    /// restarts at zero.
     ///
     /// # Panics
     /// If the buffers differ in length or are shorter than the origin.
@@ -231,6 +337,7 @@ impl<T: Copy> CrackedArray<T> {
         CrackedArray {
             head,
             tail,
+            more: Vec::new(),
             index,
             touched: 0,
         }
@@ -244,8 +351,9 @@ impl<T: Copy> CrackedArray<T> {
         self.touched
     }
 
-    /// Disassemble into `(head, tail, index)` without copying: the
-    /// buffers, front slack included (see [`Self::from_parts`]).
+    /// Disassemble a one-tail array into `(head, tail, index)` without
+    /// copying: the buffers, front slack included (see
+    /// [`Self::from_parts`]). A group keeps only its first tail.
     pub fn into_parts(self) -> (Vec<Val>, Vec<T>, CrackerIndex) {
         (self.head, self.tail, self.index)
     }
@@ -265,28 +373,68 @@ impl<T: Copy> CrackedArray<T> {
         &self.head[self.index.origin()..]
     }
 
-    /// Tail values.
+    /// Values of the first (for a one-tail array: the) tail column.
     pub fn tail(&self) -> &[T] {
-        &self.tail[self.index.origin()..]
+        self.tail_at(0)
     }
 
-    /// The head and tail buffers' base pointers and capacities, which
-    /// tests hold to show that an update did not reallocate.
+    /// Values of tail column `c`.
+    pub fn tail_at(&self, c: usize) -> &[T] {
+        let col = if c == 0 {
+            &self.tail
+        } else {
+            &self.more[c - 1]
+        };
+        &col[self.index.origin()..]
+    }
+
+    /// Number of tail columns.
+    pub fn width(&self) -> usize {
+        1 + self.more.len()
+    }
+
+    /// Every tail column's buffer, first to last.
+    fn columns_mut(&mut self) -> impl Iterator<Item = &mut Vec<T>> {
+        std::iter::once(&mut self.tail).chain(&mut self.more)
+    }
+
+    /// Take the other array's tail columns on as this array's last ones
+    /// (a group merge). Only physically identical arrays merge: same
+    /// head order and index, so every row stays one tuple.
+    pub fn append_tails(&mut self, other: Self) {
+        debug_assert!(self.head() == other.head(), "merged heads differ");
+        debug_assert_eq!(
+            self.index.origin, other.index.origin,
+            "merged origins differ"
+        );
+        debug_assert_eq!(
+            self.index.boundaries_with_status(),
+            other.index.boundaries_with_status(),
+            "merged indexes differ"
+        );
+        self.more.push(other.tail);
+        self.more.extend(other.more);
+    }
+
+    /// Drop tail column `c` of a group (storage management). The last
+    /// tail stays: an array without one is no structure.
+    pub fn remove_tail(&mut self, c: usize) {
+        if c > 0 {
+            self.more.remove(c - 1);
+        } else if !self.more.is_empty() {
+            self.tail = self.more.remove(0);
+        }
+    }
+
+    /// Each buffer's (head first, then every tail) base pointer and
+    /// capacity, which tests hold to show that an update did not
+    /// reallocate.
     #[doc(hidden)]
-    pub fn allocation(&self) -> (usize, usize, usize, usize) {
-        let (h, t) = (&self.head, &self.tail);
-        (
-            h.as_ptr() as usize,
-            h.capacity(),
-            t.as_ptr() as usize,
-            t.capacity(),
-        )
-    }
-
-    /// The tuples' head and tail values, mutable.
-    fn slices(&mut self) -> (&mut [Val], &mut [T]) {
-        let o = self.index.origin();
-        (&mut self.head[o..], &mut self.tail[o..])
+    pub fn allocation(&self) -> Vec<(usize, usize)> {
+        let head = (self.head.as_ptr() as usize, self.head.capacity());
+        let tails = std::iter::once(&self.tail).chain(&self.more);
+        let tails = tails.map(|t| (t.as_ptr() as usize, t.capacity()));
+        [head].into_iter().chain(tails).collect()
     }
 
     /// The cracker index.
@@ -311,9 +459,14 @@ impl<T: Copy> CrackedArray<T> {
             // (already promoted to query-mandated by `prepartition`).
             return p;
         }
-        let (s, e) = self.index.enclosing_piece(key, self.len());
-        let (head, tail) = self.slices();
-        let split = crack_in_two(head, tail, s, e, key.0, key.1);
+        let ((s, e), o) = (
+            self.index.enclosing_piece(key, self.len()),
+            self.index.origin,
+        );
+        let head = &mut self.head;
+        let split = with_tails!(self.tail, self.more, |t| {
+            crack_rows_in_two(head, t, o + s, o + e, key.0, key.1)
+        }) - o;
         self.touched += (e - s) as u64;
         self.index.record(key, split);
         split
@@ -353,13 +506,43 @@ impl<T: Copy> CrackedArray<T> {
             return;
         }
         let (s, e) = self.index.enclosing_piece(key, self.len());
-        let (head, tail) = self.slices();
-        let (min, max) = widen((Val::MAX, Val::MIN), &head[s..e]);
-        let Some(by) = prepartition_buckets(e - s, target_piece, min, max) else {
+        let (o, n) = (self.index.origin, e - s);
+        let piece = o + s..o + e;
+        let (min, max) = widen((Val::MAX, Val::MIN), &self.head[piece.clone()]);
+        let Some(by) = prepartition_buckets(n, target_piece, min, max) else {
             return; // empty, single-value or sub-target piece: nothing to cut
         };
-        let offsets = cluster_by_value(&mut head[s..e], &mut tail[s..e], &by);
+        let offsets = self.cluster_piece(piece, &by);
         self.record_cuts(key, s, &by, &offsets);
+    }
+
+    /// Counting-partition the tuples in buffer range `piece` into the
+    /// value ranges of `by`: one counting pass, then one scatter from a
+    /// copy of the piece back into it. Returns the bucket offsets. The
+    /// copies are freed on return, before the caller's index grows: the
+    /// big arrays of the next structure reuse their heap space (see the
+    /// allocation notes in the README).
+    fn cluster_piece(&mut self, piece: Range<usize>, by: &ValueBuckets) -> Vec<usize> {
+        let mut counts = vec![0usize; by.buckets()];
+        by.count_into(&self.head[piece.clone()], &mut counts);
+        let offsets = bucket_offsets(&counts);
+        let src_head = self.head[piece.clone()].to_vec();
+        let first = self.tail[piece.clone()].to_vec();
+        let copies: Vec<Vec<T>> = self
+            .more
+            .iter()
+            .map(|t| t[piece.clone()].to_vec())
+            .collect();
+        let more: Vec<&[T]> = copies.iter().map(Vec::as_slice).collect();
+        let mut cursors = offsets[..by.buckets()].to_vec();
+        scatter(
+            self,
+            piece.start,
+            (&src_head, &first, &more, 0),
+            by,
+            &mut cursors,
+        );
+        offsets
     }
 
     /// Book a prepartition of the piece starting at `start`: one logical
@@ -435,8 +618,11 @@ impl<T: Copy> CrackedArray<T> {
                         let (s1, e1) = self.index.enclosing_piece(lk, n);
                         let (s2, e2) = self.index.enclosing_piece(hk, n);
                         if (s1, e1) == (s2, e2) {
-                            let (head, tail) = self.slices();
-                            let (a, b) = crack_in_three(head, tail, s1, e1, lk, hk);
+                            let (head, o) = (&mut self.head, self.index.origin);
+                            let (a, b) = with_tails!(self.tail, self.more, |t| {
+                                crack_rows_in_three(head, t, o + s1, o + e1, lk, hk)
+                            });
+                            let (a, b) = (a - o, b - o);
                             self.touched += (e1 - s1) as u64;
                             self.index.record(lk, a);
                             self.index.record(hk, b);
@@ -452,7 +638,7 @@ impl<T: Copy> CrackedArray<T> {
         }
     }
 
-    /// Read-only view of a contiguous area.
+    /// Read-only view of a contiguous area (first tail column).
     pub fn view(&self, range: (usize, usize)) -> (&[Val], &[T]) {
         let r = range.0..range.1;
         (&self.head()[r.clone()], &self.tail()[r])
@@ -487,30 +673,42 @@ impl<T: Copy> CrackedArray<T> {
     /// ([`CrackerIndex`]'s ripple walks): one moved tuple and one
     /// in-place position update per boundary passed.
     pub fn ripple_insert(&mut self, v: Val, t: T) {
+        self.ripple_insert_row(v, std::slice::from_ref(&t));
+    }
+
+    /// [`Self::ripple_insert`] of a tuple with one value per tail column.
+    pub fn ripple_insert_row(&mut self, v: Val, row: &[T]) {
+        debug_assert_eq!(row.len(), self.width());
         let (split, o) = ((v, BoundKind::Le), self.index.origin);
         let up = o == 0 || !self.front_is_nearer(v);
-        let (head, tail) = (&mut self.head, &mut self.tail);
         // The slot the growth frees: one past the last tuple, or the last
         // free slot before the first one, which joins the lowest piece.
         if up {
-            head.push(v);
-            tail.push(t);
+            self.head.push(v);
+            self.columns_mut()
+                .zip(row)
+                .for_each(|(col, &x)| col.push(x));
         }
+        let (head, index) = (&mut self.head, &mut self.index);
         let mut free = if up { head.len() - 1 } else { o - 1 };
-        self.index.ripple(split, up, |pos| {
-            // The piece beside this boundary, on the side of the free
-            // slot, gives the tuple at its far end to the free slot and
-            // frees that end for the piece across the boundary.
-            let from = if up { pos } else { pos - 1 };
-            let to = if up { pos + 1 } else { from };
-            head[free] = head[from];
-            tail[free] = tail[from];
-            free = from;
-            to
+        with_tails!(self.tail, self.more, |t| {
+            index.ripple(split, up, |pos| {
+                // The piece beside this boundary, on the side of the free
+                // slot, gives the tuple at its far end to the free slot and
+                // frees that end for the piece across the boundary.
+                let from = if up { pos } else { pos - 1 };
+                let to = if up { pos + 1 } else { from };
+                head[free] = head[from];
+                t.copy_row(from, free);
+                free = from;
+                to
+            })
         });
         self.index.origin = if up { o } else { o - 1 };
         self.head[free] = v;
-        self.tail[free] = t;
+        for (col, &x) in self.columns_mut().zip(row) {
+            col[free] = x;
+        }
     }
 
     /// Ripple-delete the first tuple with head value `v` whose tail
@@ -548,32 +746,34 @@ impl<T: Copy> CrackedArray<T> {
         // The tuple sits in the piece of its head value.
         let (split, o) = ((removed.0, BoundKind::Le), self.index.origin);
         let front = self.front_is_nearer(removed.0);
-        let (head, tail) = (&mut self.head, &mut self.tail);
-        // `carry` is the tuple moving toward the hole and `filled` the
-        // slot it came from: at first the end slot the shrink frees.
-        let mut filled = if front { o } else { head.len() - 1 };
-        let mut carry = (head[filled], tail[filled]);
-        self.index.ripple(split, !front, |pos| {
-            // The piece beside this boundary, on the side of the hole,
-            // gives up its slot next to the boundary. INVARIANT: toward
-            // the back, a boundary above the hole sits at `pos > 0`.
-            let slot = if front { pos } else { pos - 1 };
-            let to = if front { slot + 1 } else { slot };
-            if slot != filled {
-                std::mem::swap(&mut head[slot], &mut carry.0);
-                std::mem::swap(&mut tail[slot], &mut carry.1);
-                filled = slot;
+        let (head, index) = (&mut self.head, &mut self.index);
+        // The tuple moving toward the hole is carried in the end slot the
+        // shrink frees, `carry`; `filled` is the slot it came from.
+        let carry = if front { o } else { head.len() - 1 };
+        let mut filled = carry;
+        with_tails!(self.tail, self.more, |t| {
+            index.ripple(split, !front, |pos| {
+                // The piece beside this boundary, on the side of the hole,
+                // gives up its slot next to the boundary. INVARIANT: toward
+                // the back, a boundary above the hole sits at `pos > 0`.
+                let slot = if front { pos } else { pos - 1 };
+                let to = if front { slot + 1 } else { slot };
+                if slot != filled {
+                    head.swap(slot, carry);
+                    t.swap_rows(slot, carry);
+                    filled = slot;
+                }
+                to
+            });
+            if o + p != filled {
+                head[o + p] = head[carry];
+                t.copy_row(carry, o + p);
             }
-            to
         });
-        if o + p != filled {
-            self.head[o + p] = carry.0;
-            self.tail[o + p] = carry.1;
-        }
         self.index.origin = if front { o + 1 } else { o };
         if !front {
             self.head.pop();
-            self.tail.pop();
+            self.columns_mut().for_each(|col| col.truncate(carry));
         }
         removed
     }
@@ -589,8 +789,11 @@ impl<T: Copy> CrackedArray<T> {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.index.check_invariants()?;
         let n = self.len();
-        if self.tail().len() != n {
-            return Err(format!("head holds {n} tuples, tail {}", self.tail().len()));
+        if let Some(c) = (0..self.width()).find(|&c| self.tail_at(c).len() != n) {
+            return Err(format!(
+                "head holds {n} tuples, tail {c} {}",
+                self.tail_at(c).len()
+            ));
         }
         let mut below: Option<(BoundaryKey, usize)> = None;
         let bounds = self.index.boundaries().into_iter().map(Some);

@@ -17,6 +17,7 @@
 //!
 //! All trials are driven by a fixed-seed LCG so failures replay.
 
+use crackdb_columnstore::column::insert_headroom;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
 use crackdb_cracking::index::pred_keys;
@@ -95,6 +96,11 @@ fn column(rng: &mut Lcg, n: usize, kind: usize) -> Vec<Val> {
         .collect()
 }
 
+/// The headroom a map set's structures seed with.
+fn headroom(head: &[Val], excluded: &[RowId]) -> usize {
+    insert_headroom(head.len() - excluded.len())
+}
+
 /// `with_target` + `seeded` against `new` + `prepartition`, one tail type.
 fn check_clustering<T: Copy + Default + PartialEq + std::fmt::Debug>(
     head: &[Val],
@@ -107,7 +113,13 @@ fn check_clustering<T: Copy + Default + PartialEq + std::fmt::Debug>(
     let mut reference = copy_live(head, tail, excluded);
     reference.prepartition(key, target);
     let plan = SeedPlan::with_target(head, excluded, key, target);
-    let fused = CrackedArray::seeded(head, tail, excluded, plan.as_ref());
+    let fused = CrackedArray::seeded(
+        head,
+        &[tail],
+        excluded,
+        plan.as_ref(),
+        headroom(head, excluded),
+    );
     assert_eq!(state(&fused), state(&reference), "{ctx}");
     // No plan means the prepartition had nothing to cut.
     assert_eq!(plan.is_none(), reference.index().is_empty(), "{ctx}");
@@ -152,7 +164,13 @@ fn clustered_seed_is_bit_identical_to_copy_then_prepartition() {
 fn check_first_crack(head: &[Val], excluded: &[RowId], pred: &RangePred, ctx: &str) -> bool {
     let keys: Vec<RowId> = (0..head.len() as RowId).collect();
     let plan = SeedPlan::new(head, excluded, pred);
-    let mut fused = CrackedArray::seeded(head, &keys, excluded, plan.as_ref());
+    let mut fused = CrackedArray::seeded(
+        head,
+        &[&keys],
+        excluded,
+        plan.as_ref(),
+        headroom(head, excluded),
+    );
     let mut reference = copy_live(head, &keys, excluded);
     let range = fused.crack_range(pred);
     assert_eq!(range, reference.crack_range(pred), "{ctx}: range");
@@ -218,7 +236,14 @@ fn bounds_coinciding_with_cuts_promote_like_the_reference() {
     let keys: Vec<RowId> = (0..head.len() as RowId).collect();
     let any = (0, BoundKind::Lt);
     let plan = SeedPlan::with_target(&head, &[], any, 1 << 16);
-    let cuts = state(&CrackedArray::seeded(&head, &keys, &[], plan.as_ref())).2;
+    let cuts = state(&CrackedArray::seeded(
+        &head,
+        &[&keys],
+        &[],
+        plan.as_ref(),
+        headroom(&head, &[]),
+    ))
+    .2;
     let (a, b) = (cuts[3].0 .0, cuts[9].0 .0);
     for pred in [
         RangePred::half_open(a, b),     // both bounds on cuts
@@ -243,7 +268,7 @@ fn fused_seed_is_identical_under_key_by_key_cracking() {
     let pred = RangePred::closed(-250, 125);
     let plan = SeedPlan::new(&head, &[], &pred);
     assert!(plan.is_some());
-    let mut fused = CrackedArray::seeded(&head, &keys, &[], plan.as_ref());
+    let mut fused = CrackedArray::seeded(&head, &[&keys], &[], plan.as_ref(), headroom(&head, &[]));
     let mut reference = CrackedArray::new(head.clone(), keys.clone());
     let (lo, hi) = pred_keys(&pred);
     for key in [lo, hi].into_iter().flatten() {

@@ -8,6 +8,7 @@ use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{Block, PartialAgg};
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
+use crackdb_core::store::plan_maps;
 use crackdb_core::SidewaysStore;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -57,23 +58,6 @@ impl SidewaysEngine {
     pub fn store(&self) -> &SidewaysStore {
         &self.store
     }
-
-    /// Every map the query will touch under set `head_attr`: residual
-    /// selection attributes plus the attributes to fetch.
-    fn needed_attrs(head_attr: usize, ctx: &RestrictCtx) -> Vec<usize> {
-        let mut needed: Vec<usize> = ctx
-            .preds
-            .iter()
-            .map(|&(a, _)| a)
-            .filter(|&a| a != head_attr)
-            .collect();
-        for &a in ctx.fetch_attrs {
-            if !needed.contains(&a) {
-                needed.push(a);
-            }
-        }
-        needed
-    }
 }
 
 impl AccessPath for SidewaysEngine {
@@ -88,18 +72,22 @@ impl AccessPath for SidewaysEngine {
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
-        let needed = Self::needed_attrs(attr, ctx);
-        self.store.reserve_for(&self.base, attr, &needed);
-        let s = self
-            .store
-            .set_mut_ensured(&self.base, attr, &self.tombstones);
+        // Every map the query will touch: residual selection attributes
+        // plus the attributes to fetch.
+        let (_, needed) = plan_maps(ctx.preds, attr, ctx.fetch_attrs);
+        self.store.reserve(&self.base, attr, &needed);
+        let s = self.store.ensure_set(&self.base, attr, &self.tombstones);
 
         if ctx.disjunctive {
             // Disjunctive plans keep a bit vector over the *whole* map:
             // the head predicate's cracked area is marked wholesale, and
             // each further predicate scans the areas outside it (§3.3).
-            let first = needed.first().copied().unwrap_or(attr);
-            let (_, bv) = s.disj_create_bv(&self.base, first, pred);
+            let first = if needed.is_empty() {
+                vec![attr]
+            } else {
+                needed
+            };
+            let (_, bv) = s.disj_create_bv(&self.base, &first, pred);
             let n = bv.len();
             return RowSet::Area {
                 head: (attr, *pred),
@@ -108,30 +96,12 @@ impl AccessPath for SidewaysEngine {
             };
         }
 
-        if needed.is_empty() {
-            // Pure single-selection with nothing to reconstruct: the key
-            // map's area is the answer's cardinality, no key is copied.
-            let range = s.select_key_area(&self.base, pred);
-            return RowSet::Area {
-                head: (attr, *pred),
-                range,
-                bv: None,
-            };
-        }
-
-        // One sideways.select per map the plan will touch (§3.2): crack
-        // the fetch maps now so reconstructions find them aligned; the
-        // residual selection maps crack during their own refine step.
-        // All maps of the set share the area; the last one returns it.
-        for &fa in ctx.fetch_attrs.iter().rev().skip(1) {
-            s.sideways_select(&self.base, fa, pred);
-        }
-        let range = match ctx.fetch_attrs.last() {
-            Some(&fa) => s.sideways_select(&self.base, fa, pred),
-            // No fetch attributes: derive the area from the first
-            // residual map (its refine re-uses the aligned map).
-            None => s.sideways_select(&self.base, needed[0], pred),
-        };
+        // The sideways.select of every map the plan will touch (§3.2),
+        // residual selection and fetch maps as one group, so refinements
+        // and reconstructions find them aligned. With nothing to
+        // reconstruct, the key map's area is the answer's cardinality
+        // and no key is copied.
+        let range = s.select_maps(&self.base, &needed, pred);
         RowSet::Area {
             head: (attr, *pred),
             range,
@@ -143,9 +113,7 @@ impl AccessPath for SidewaysEngine {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("multi-predicate sideways plans operate on areas")
         };
-        let s = self
-            .store
-            .set_mut_ensured(&self.base, head.0, &self.tombstones);
+        let s = self.store.ensure_set(&self.base, head.0, &self.tombstones);
         match bv {
             None => {
                 let (r, b) = s.select_create_bv(&self.base, attr, &head.1, pred);
@@ -163,36 +131,22 @@ impl AccessPath for SidewaysEngine {
         else {
             unreachable!("disjunctive sideways plans carry a whole-map bit vector")
         };
-        let s = self
-            .store
-            .set_mut_ensured(&self.base, head.0, &self.tombstones);
+        let s = self.store.ensure_set(&self.base, head.0, &self.tombstones);
         s.disj_refine_bv(&self.base, attr, &head.1, pred, bv);
     }
 
     fn unrestricted(&mut self, ctx: &RestrictCtx) -> RowSet {
         // No predicates: treat as an all-values restriction on the first
-        // fetched attribute's set (or the key map when nothing is
-        // fetched).
+        // fetched attribute's set (or on attribute 0's key map when
+        // nothing is fetched).
         let all = RangePred::all();
-        match ctx.fetch_attrs.first() {
-            Some(&fa) => {
-                let s = self.store.set_mut_ensured(&self.base, fa, &self.tombstones);
-                let range = s.sideways_select(&self.base, fa, &all);
-                RowSet::Area {
-                    head: (fa, all),
-                    range,
-                    bv: None,
-                }
-            }
-            None => {
-                let s = self.store.set_mut_ensured(&self.base, 0, &self.tombstones);
-                let range = s.select_key_area(&self.base, &all);
-                RowSet::Area {
-                    head: (0, all),
-                    range,
-                    bv: None,
-                }
-            }
+        let head = ctx.fetch_attrs.first().copied().unwrap_or(0);
+        let s = self.store.ensure_set(&self.base, head, &self.tombstones);
+        let range = s.select_maps(&self.base, ctx.fetch_attrs, &all);
+        RowSet::Area {
+            head: (head, all),
+            range,
+            bv: None,
         }
     }
 
@@ -205,9 +159,7 @@ impl AccessPath for SidewaysEngine {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("sideways reconstruction operates on areas")
         };
-        let s = self
-            .store
-            .set_mut_ensured(&self.base, head.0, &self.tombstones);
+        let s = self.store.ensure_set(&self.base, head.0, &self.tombstones);
         for &attr in attrs {
             // Align (and crack, first time) this attribute's map, then
             // hand on the area — conjunctions use the head predicate's

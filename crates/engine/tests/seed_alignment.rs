@@ -11,9 +11,11 @@
 //! copy-then-first-crack shows here even where every sibling took the
 //! same wrong turn. One scenario starts the tape with an `Inserts`
 //! batch: the first replayed entry is then not a crack and the seed
-//! must stay a plain copy.
+//! must stay a plain copy. Another seeds the second map for a query that
+//! uses both maps, which merges them into one map group: each of its
+//! tails must be the map the slow way builds without any merging.
 
-use crackdb_columnstore::column::Table;
+use crackdb_columnstore::column::{insert_headroom, Table};
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::{MapSet, TapeEntry};
 use crackdb_cracking::cracked::PREPARTITION_MIN_PIECE;
@@ -47,7 +49,13 @@ fn plain_answer(plain: &mut PlainEngine, attr: usize, pred: &RangePred) -> Vec<V
 /// and replay the tape.
 fn rebuilt(set: &MapSet, base: &Table, attr: usize) -> CrackedArray<Val> {
     let column = |a: usize| base.column(a).values()[..ROWS].to_vec();
-    let mut arr = CrackedArray::seeded(&column(0), &column(attr), &EXCLUDED, None);
+    let mut arr = CrackedArray::seeded(
+        &column(0),
+        &[&column(attr)],
+        &EXCLUDED,
+        None,
+        insert_headroom(ROWS - EXCLUDED.len()),
+    );
     for i in 0..set.tape.len() {
         match *set.tape.entry(i) {
             TapeEntry::Crack(pred) => {
@@ -69,16 +77,18 @@ fn rebuilt(set: &MapSet, base: &Table, attr: usize) -> CrackedArray<Val> {
     arr
 }
 
-fn assert_same_state(got: &CrackedArray<Val>, want: &CrackedArray<Val>, ctx: &str) {
+/// `got`'s tail column `col` against the one-tail `want`.
+fn assert_same_state(got: &CrackedArray<Val>, col: usize, want: &CrackedArray<Val>, ctx: &str) {
     assert!(got.head() == want.head(), "{ctx}: head order");
-    assert!(got.tail() == want.tail(), "{ctx}: tail order");
+    assert!(got.tail_at(col) == want.tail(), "{ctx}: tail order");
     let status = |a: &CrackedArray<Val>| a.index().boundaries_with_status();
     assert_eq!(status(got), status(want), "{ctx}: index");
     assert_eq!(got.touched(), want.touched(), "{ctx}: touched");
 }
 
-fn late_map_scenario(inserts_first: bool) {
-    let ctx = format!("inserts_first={inserts_first}");
+/// `merged`: the late map is seeded for a query over both maps.
+fn late_map_scenario(inserts_first: bool, merged: bool) {
+    let ctx = format!("inserts_first={inserts_first} merged={merged}");
     let mut base = random_table(3, ROWS, DOMAIN, 0xA11E);
     let mut plain = PlainEngine::new(base.clone());
     for key in EXCLUDED {
@@ -121,6 +131,10 @@ fn late_map_scenario(inserts_first: bool) {
     assert!(!set.has_map(2));
 
     let pred = RangePred::open(300_000, 700_000);
+    if merged {
+        set.select_maps(&base, &[2, 1], &pred);
+        assert_eq!(set.groups().len(), 1, "{ctx}: one group");
+    }
     assert_eq!(
         set_answer(&mut set, &base, 2, &pred),
         plain_answer(&mut plain, 2, &pred),
@@ -138,6 +152,7 @@ fn late_map_scenario(inserts_first: bool) {
         assert_eq!(map.cursor, set.tape.len(), "{ctx}: map {attr} aligned");
         assert_same_state(
             &map.arr,
+            map.column(attr).expect("the group holds its map"),
             &rebuilt(&set, &base, attr),
             &format!("{ctx} map {attr}"),
         );
@@ -149,8 +164,14 @@ fn late_map_scenario(inserts_first: bool) {
 
 #[test]
 fn late_map_aligns_and_answers_under_standard() {
-    late_map_scenario(false);
-    late_map_scenario(true);
+    late_map_scenario(false, false);
+    late_map_scenario(true, false);
+}
+
+#[test]
+fn merged_group_is_the_maps_built_without_merging() {
+    late_map_scenario(false, true);
+    late_map_scenario(true, true);
 }
 
 /// A first crack whose bound lands exactly on a prepartition cut adds
@@ -195,6 +216,6 @@ fn first_crack_landing_on_a_cut_is_still_logged() {
             base.column(attr).values().to_vec(),
         );
         want.crack_range(&on_cut);
-        assert_same_state(&map.arr, &want, &format!("map {attr}"));
+        assert_same_state(&map.arr, 0, &want, &format!("map {attr}"));
     }
 }
