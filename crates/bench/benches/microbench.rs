@@ -525,32 +525,13 @@ fn bench_map_groups(c: &mut Criterion) {
     g.finish();
 }
 
-/// Runs every group, or with arguments only the groups whose name one
-/// of them is: `cargo bench --bench microbench -- map_groups`.
 fn main() {
-    let only: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with('-'))
-        .collect();
-    let run = |name: &str| only.is_empty() || only.iter().any(|o| o == name);
     let mut c = Criterion::default();
-    if run("crack_kernels") {
-        bench_crack_kernels(&mut c);
-    }
-    if run("map_groups") {
-        bench_map_groups(&mut c);
-    }
+    bench_crack_kernels(&mut c);
+    bench_map_groups(&mut c);
     let skewed = skewed_map();
-    if run("cracker_index") {
-        bench_index(&mut c, &skewed);
-    }
-    if run("bitvec") {
-        bench_bitvec(&mut c);
-    }
-    if run("reconstruction") {
-        bench_reconstruction_patterns(&mut c);
-    }
-    if run("ripple_updates") {
-        bench_ripple(&mut c, &skewed);
-    }
+    bench_index(&mut c, &skewed);
+    bench_bitvec(&mut c);
+    bench_reconstruction_patterns(&mut c);
+    bench_ripple(&mut c, &skewed);
 }

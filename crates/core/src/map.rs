@@ -61,6 +61,12 @@ impl CrackerMap {
         self.column(tail_attr).map_or(&[], |c| self.arr.tail_at(c))
     }
 
+    /// Are all of this group's tails among `attrs`? Only such groups of
+    /// a query merge, so every group holds maps one query used together.
+    pub fn within(&self, attrs: &[usize]) -> bool {
+        self.tail_attrs.iter().all(|a| attrs.contains(a))
+    }
+
     /// Take over `other`'s tails (a group merge). Both must be aligned
     /// to the same cursor, where they are physically identical.
     pub fn merge(&mut self, other: CrackerMap) {

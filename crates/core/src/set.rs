@@ -4,9 +4,10 @@
 //!
 //! The maps are stored as map groups ([`CrackerMap`]): the maps one query
 //! uses together are seeded as one group (one seed plan, one scatter, one
-//! tape replay), and groups a query uses together merge once both are
-//! aligned, so a query's maps share one head and one index from then on.
-//! Groups never split; the storage manager drops single tails.
+//! tape replay), and the groups all of whose maps a query uses merge once
+//! aligned, so a query's maps share one head and one index from then on
+//! and no group holds more maps than one query used together. Groups
+//! never split; the storage manager drops single tails.
 
 use crate::bitvec::BitVec;
 use crate::map::{CrackerMap, KeyMap};
@@ -452,8 +453,9 @@ impl MapSet {
     /// [`Self::sideways_select`] for every map a query uses at once (its
     /// residual selection and fetch attributes): the missing ones are
     /// seeded as one group, every group holding one of `tail_attrs` is
-    /// aligned and then merged into one, and the crack runs once for all
-    /// of them. Without tails, the key map's area.
+    /// aligned, those holding only maps of `tail_attrs` merge into one,
+    /// and the crack runs once per group. Without tails, the key map's
+    /// area.
     pub fn select_maps(
         &mut self,
         base: &Table,
@@ -461,36 +463,38 @@ impl MapSet {
         pred: &RangePred,
     ) -> (usize, usize) {
         self.flush_staged(pred, base);
+        let missing = missing_maps(&self.groups, tail_attrs);
         let uses = |g: &CrackerMap| tail_attrs.iter().any(|&a| g.column(a).is_some());
         let (used, kept) = std::mem::take(&mut self.groups).into_iter().partition(uses);
         self.groups = kept;
-        let held = |a: &usize| used.iter().any(|g: &CrackerMap| g.column(*a).is_some());
-        let mut missing: Vec<usize> = tail_attrs.iter().copied().filter(|a| !held(a)).collect();
-        missing.sort_unstable();
-        missing.dedup();
-
         let late = !missing.is_empty();
         let seeded = late.then(|| self.seed_map(base, missing, pred));
         let target = self.tape.len();
-        let mut merged: Option<CrackerMap> = None;
+        let mut groups: Vec<CrackerMap> = Vec::new();
         for mut g in used.into_iter().chain(seeded) {
             self.align_map(&mut g, target, base);
-            match &mut merged {
-                Some(m) => m.merge(g),
-                None => merged = Some(g),
+            match groups.iter_mut().find(|m| m.within(tail_attrs)) {
+                Some(m) if g.within(tail_attrs) => m.merge(g),
+                _ => groups.push(g),
             }
         }
-        let Some(mut m) = merged else {
+        let Some((first, rest)) = groups.split_first_mut() else {
             return self.select_key_area(base, pred);
         };
         let range;
-        (range, m.cursor) = self.crack_logged(&mut m.arr, pred);
-        for &a in tail_attrs {
-            if let Some(c) = m.column(a) {
-                m.accesses[c] += 1;
-            }
+        (range, first.cursor) = self.crack_logged(&mut first.arr, pred);
+        for g in rest {
+            // Aligned with `first`: the same crack, logged once.
+            g.arr.crack_range(pred);
+            g.cursor = first.cursor;
         }
-        self.groups.push(m);
+        let tails = groups
+            .iter_mut()
+            .flat_map(|g| g.tail_attrs.iter().zip(&mut g.accesses));
+        tails
+            .filter(|(a, _)| tail_attrs.contains(a))
+            .for_each(|(_, n)| *n += 1);
+        self.groups.extend(groups);
         if late {
             debug_assert_eq!(self.check_aligned(), Ok(()));
         }
@@ -733,6 +737,28 @@ fn slots_of<'a>(
     let (s, e) = arr.piece_of(v);
     let tails = move |i| row.iter().enumerate().all(|(c, &x)| arr.tail_at(c)[i] == x);
     (s..e).filter(move |&i| arr.head()[i] == v && tails(i))
+}
+
+/// The maps of `tail_attrs` no group holds, ascending.
+fn missing_maps(groups: &[CrackerMap], tail_attrs: &[usize]) -> Vec<usize> {
+    let held = |a: &usize| groups.iter().any(|g| g.column(*a).is_some());
+    let mut missing: Vec<usize> = tail_attrs.iter().copied().filter(|a| !held(a)).collect();
+    missing.sort_unstable();
+    missing.dedup();
+    missing
+}
+
+/// The map tuples [`MapSet::select_maps`] adds to a set of `n` tuples
+/// with groups `groups` for a query over the maps of `tail_attrs`: the
+/// missing maps and the groups holding only maps of `tail_attrs` become
+/// one group, counted as [`CrackerMap::tuples`] counts it.
+pub fn growth(groups: &[CrackerMap], tail_attrs: &[usize], n: usize) -> usize {
+    let cost = |k: usize| if k == 0 { 0 } else { n * (k + 1) / 2 };
+    let whole = groups.iter().filter(|g| g.within(tail_attrs));
+    let (tails, tuples) = whole.fold((0, 0), |(k, t), g| {
+        (k + g.tail_attrs.len(), t + cost(g.tail_attrs.len()))
+    });
+    cost(missing_maps(groups, tail_attrs).len() + tails).saturating_sub(tuples)
 }
 
 /// Uniform-distribution estimate of qualifying tuples with no index
@@ -1120,6 +1146,29 @@ mod tests {
         // The table is far below the prepartition threshold, so no
         // advisory pivots appear.
         assert_eq!(s.map(1).unwrap().arr.index().advisory_count(), 0);
+    }
+
+    #[test]
+    fn groups_merge_only_maps_one_query_uses() {
+        let mut base = fig2_table();
+        base.add_column("d", Column::new(vec![73, 43, 13, 23, 83, 33, 63]));
+        let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
+        let groups = |s: &MapSet| {
+            let mut g: Vec<Vec<usize>> = s.groups().iter().map(|g| g.tail_attrs.clone()).collect();
+            g.iter_mut().for_each(|attrs| attrs.sort_unstable());
+            g.sort();
+            g
+        };
+        s.select_maps(&base, &[1, 2], &RangePred::open(1, 5));
+        // Map 1 is not used: its group is cracked apart, map 3 is seeded
+        // alone, and both stay aligned row by row.
+        let r = s.select_maps(&base, &[2, 3], &RangePred::open(2, 7));
+        assert_eq!(groups(&s), vec![vec![1, 2], vec![3]]);
+        let (c, d) = (s.view_tail(2, r), s.view_tail(3, r));
+        assert!(c.len() == 3 && c.iter().zip(d).all(|(c, d)| d - c == 1));
+        s.select_maps(&base, &[1, 2, 3], &RangePred::open(0, 6));
+        assert_eq!(groups(&s), vec![vec![1, 2, 3]]);
+        assert_eq!(s.check_aligned(), Ok(()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::bitvec::BitVec;
 use crate::partial::PartialSet;
-use crate::set::{uniform_estimate, MapSet};
+use crate::set::{growth, uniform_estimate, MapSet};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::storage::StorageError;
@@ -149,60 +149,38 @@ impl SidewaysStore {
             .map(|(i, _)| i)
     }
 
-    /// Enforce the full-map budget before `needed` new tuples are
-    /// materialized, never dropping maps in `pinned` (`(set, tail)`
-    /// pairs). Drops whole least-frequently-accessed maps (§4.2's
-    /// full-map policy).
-    fn make_room(&mut self, needed: usize, pinned: &HashSet<(usize, usize)>) {
+    /// Budget hook, also for executors driving map sets directly: make
+    /// room for a query that will touch the `tail_attrs` maps of set
+    /// `set_attr` before the missing ones are materialized (no-op
+    /// without a budget), never dropping those maps. Drops the least
+    /// frequently accessed maps, one group tail at a time (§4.2's
+    /// full-map policy), until what the query adds ([`growth`]) fits.
+    pub fn reserve(&mut self, base: &Table, set_attr: usize, tail_attrs: &[usize]) {
         let Some(budget) = self.budget else { return };
+        let pinned: HashSet<(usize, usize)> = tail_attrs.iter().map(|&t| (set_attr, t)).collect();
         loop {
-            let usage = self.tuples();
-            if usage + needed <= budget {
+            let groups = self.sets.get(&set_attr).map_or(&[][..], |s| s.groups());
+            let needed = growth(groups, tail_attrs, base.num_rows());
+            if needed == 0 || self.tuples() + needed <= budget {
                 return;
             }
             // Tie-break on the (set, tail) identity: eviction must not
             // depend on hash-map iteration order.
-            let victim = self
-                .sets
-                .iter()
-                .flat_map(|(&sa, s)| {
-                    let tails = s
-                        .groups()
-                        .iter()
-                        .flat_map(|m| m.tail_attrs.iter().zip(&m.accesses));
-                    tails.map(move |(&ta, &n)| ((sa, ta), n))
-                })
-                .filter(|(key, _)| !pinned.contains(key))
-                .min_by_key(|&((sa, ta), acc)| (acc, sa, ta))
-                .map(|(key, _)| key);
-            let Some((sa, ta)) = victim else { return };
+            let tails = self.sets.iter().flat_map(|(&sa, s)| {
+                let tails = s
+                    .groups()
+                    .iter()
+                    .flat_map(|m| m.tail_attrs.iter().zip(&m.accesses));
+                tails.map(move |(&ta, &n)| (n, sa, ta))
+            });
+            let unpinned = tails.filter(|&(_, sa, ta)| !pinned.contains(&(sa, ta)));
+            let Some((_, sa, ta)) = unpinned.min() else {
+                return;
+            };
             if let Some(s) = self.sets.get_mut(&sa) {
                 s.drop_map(ta);
-                self.maps_dropped += 1;
-            } else {
-                return;
             }
-        }
-    }
-
-    /// Budget hook, also for executors driving map sets directly: make
-    /// room for a query that will touch the `tail_attrs` maps of set
-    /// `set_attr` before the missing ones are materialized (no-op
-    /// without a budget).
-    pub fn reserve(&mut self, base: &Table, set_attr: usize, tail_attrs: &[usize]) {
-        if self.budget.is_none() {
-            return;
-        }
-        let pinned: HashSet<(usize, usize)> = tail_attrs.iter().map(|&t| (set_attr, t)).collect();
-        let missing: usize = {
-            let s = self.sets.get(&set_attr);
-            tail_attrs
-                .iter()
-                .filter(|&&t| s.is_none_or(|s| !s.has_map(t)))
-                .count()
-        };
-        if missing > 0 {
-            self.make_room(missing * base.num_rows(), &pinned);
+            self.maps_dropped += 1;
         }
     }
 
@@ -673,6 +651,28 @@ mod tests {
         store.select_project_blocks(&base, 1, &pred, &[2], &none, |_| {});
         assert!(store.tuples() <= 250 + 100);
         assert!(store.maps_dropped >= 1);
+    }
+
+    #[test]
+    fn full_map_budget_reserves_what_a_group_adds() {
+        let mut base = table();
+        base.add_column("d", Column::new((0..100).map(|v| v * 3).collect()));
+        let mut store = SidewaysStore::new((0, 300));
+        let (none, pred) = (HashSet::new(), RangePred::open(10, 30));
+        // A new two-tail group over 100 tuples counts 150: it fits a
+        // budget of exactly 150.
+        store.budget = Some(150);
+        store.select_project_blocks(&base, 0, &pred, &[1, 2], &none, |_| {});
+        assert_eq!((store.tuples(), store.maps_dropped), (150, 0));
+        // A third map joining that group adds 50.
+        store.budget = Some(200);
+        store.select_project_blocks(&base, 0, &pred, &[1, 2, 3], &none, |_| {});
+        assert_eq!((store.tuples(), store.maps_dropped), (200, 0));
+        // A one-tail map of another set needs 100: two tails of 50 go,
+        // the least used first.
+        store.select_project_blocks(&base, 1, &pred, &[2], &none, |_| {});
+        assert_eq!((store.tuples(), store.maps_dropped), (200, 2));
+        assert_eq!(store.set(0).map(|s| s.map_attrs()), Some(vec![2]));
     }
 
     #[test]

@@ -54,13 +54,21 @@ impl BoundKind {
 /// number of them, or `[&mut [T]; K]`, whose per-row loop unrolls), each
 /// as long as the head.
 pub trait TailSet {
+    /// A row held apart from the columns: one value per column.
+    type Row;
     /// Swap rows `i` and `j`.
     fn swap_rows(&mut self, i: usize, j: usize);
     /// Copy row `from` over row `to`.
     fn copy_row(&mut self, from: usize, to: usize);
+    /// A copy of row `i`.
+    fn row(&self, i: usize) -> Self::Row;
+    /// Swap row `i` with `row`.
+    fn swap_row(&mut self, i: usize, row: &mut Self::Row);
 }
 
 impl<T: Copy> TailSet for [T] {
+    type Row = T;
+
     #[inline(always)]
     fn swap_rows(&mut self, i: usize, j: usize) {
         self.swap(i, j);
@@ -70,9 +78,19 @@ impl<T: Copy> TailSet for [T] {
     fn copy_row(&mut self, from: usize, to: usize) {
         self[to] = self[from];
     }
+
+    fn row(&self, i: usize) -> T {
+        self[i]
+    }
+
+    fn swap_row(&mut self, i: usize, row: &mut T) {
+        std::mem::swap(&mut self[i], row);
+    }
 }
 
 impl<T: Copy, const K: usize> TailSet for [&mut [T]; K] {
+    type Row = [T; K];
+
     #[inline(always)]
     fn swap_rows(&mut self, i: usize, j: usize) {
         self.iter_mut().for_each(|col| col.swap(i, j));
@@ -81,6 +99,15 @@ impl<T: Copy, const K: usize> TailSet for [&mut [T]; K] {
     #[inline(always)]
     fn copy_row(&mut self, from: usize, to: usize) {
         self.iter_mut().for_each(|col| col[to] = col[from]);
+    }
+
+    fn row(&self, i: usize) -> [T; K] {
+        std::array::from_fn(|c| self[c][i])
+    }
+
+    fn swap_row(&mut self, i: usize, row: &mut [T; K]) {
+        let cols = self.iter_mut().zip(row);
+        cols.for_each(|(col, x)| std::mem::swap(&mut col[i], x));
     }
 }
 

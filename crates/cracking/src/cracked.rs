@@ -179,6 +179,8 @@ macro_rules! with_tails {
 struct Columns<'a, T>(&'a mut Vec<T>, &'a mut [Vec<T>]);
 
 impl<T: Copy> TailSet for Columns<'_, T> {
+    type Row = Vec<T>;
+
     fn swap_rows(&mut self, i: usize, j: usize) {
         self.0.swap(i, j);
         self.1.iter_mut().for_each(|col| col.swap(i, j));
@@ -187,6 +189,17 @@ impl<T: Copy> TailSet for Columns<'_, T> {
     fn copy_row(&mut self, from: usize, to: usize) {
         self.0[to] = self.0[from];
         self.1.iter_mut().for_each(|col| col[to] = col[from]);
+    }
+
+    fn row(&self, i: usize) -> Vec<T> {
+        let rest = self.1.iter().map(|col| col[i]);
+        std::iter::once(self.0[i]).chain(rest).collect()
+    }
+
+    fn swap_row(&mut self, i: usize, row: &mut Vec<T>) {
+        let cols = std::iter::once(&mut *self.0).chain(self.1.iter_mut());
+        cols.zip(row)
+            .for_each(|(col, x)| std::mem::swap(&mut col[i], x));
     }
 }
 
@@ -402,16 +415,9 @@ impl<T: Copy> CrackedArray<T> {
     /// (a group merge). Only physically identical arrays merge: same
     /// head order and index, so every row stays one tuple.
     pub fn append_tails(&mut self, other: Self) {
+        let state = |a: &Self| (a.index.origin, a.index.boundaries_with_status());
         debug_assert!(self.head() == other.head(), "merged heads differ");
-        debug_assert_eq!(
-            self.index.origin, other.index.origin,
-            "merged origins differ"
-        );
-        debug_assert_eq!(
-            self.index.boundaries_with_status(),
-            other.index.boundaries_with_status(),
-            "merged indexes differ"
-        );
+        debug_assert_eq!(state(self), state(&other), "merged indexes differ");
         self.more.push(other.tail);
         self.more.extend(other.more);
     }
@@ -685,9 +691,9 @@ impl<T: Copy> CrackedArray<T> {
         // free slot before the first one, which joins the lowest piece.
         if up {
             self.head.push(v);
-            self.columns_mut()
-                .zip(row)
-                .for_each(|(col, &x)| col.push(x));
+            for (col, &x) in self.columns_mut().zip(row) {
+                col.push(x);
+            }
         }
         let (head, index) = (&mut self.head, &mut self.index);
         let mut free = if up { head.len() - 1 } else { o - 1 };
@@ -747,11 +753,11 @@ impl<T: Copy> CrackedArray<T> {
         let (split, o) = ((removed.0, BoundKind::Le), self.index.origin);
         let front = self.front_is_nearer(removed.0);
         let (head, index) = (&mut self.head, &mut self.index);
-        // The tuple moving toward the hole is carried in the end slot the
-        // shrink frees, `carry`; `filled` is the slot it came from.
-        let carry = if front { o } else { head.len() - 1 };
-        let mut filled = carry;
+        // `carry` is the tuple moving toward the hole and `filled` the
+        // slot it came from: at first the end slot the shrink frees.
+        let mut filled = if front { o } else { head.len() - 1 };
         with_tails!(self.tail, self.more, |t| {
+            let mut carry = (head[filled], t.row(filled));
             index.ripple(split, !front, |pos| {
                 // The piece beside this boundary, on the side of the hole,
                 // gives up its slot next to the boundary. INVARIANT: toward
@@ -759,21 +765,22 @@ impl<T: Copy> CrackedArray<T> {
                 let slot = if front { pos } else { pos - 1 };
                 let to = if front { slot + 1 } else { slot };
                 if slot != filled {
-                    head.swap(slot, carry);
-                    t.swap_rows(slot, carry);
+                    std::mem::swap(&mut head[slot], &mut carry.0);
+                    t.swap_row(slot, &mut carry.1);
                     filled = slot;
                 }
                 to
             });
             if o + p != filled {
-                head[o + p] = head[carry];
-                t.copy_row(carry, o + p);
+                head[o + p] = carry.0;
+                t.swap_row(o + p, &mut carry.1);
             }
         });
         self.index.origin = if front { o + 1 } else { o };
         if !front {
             self.head.pop();
-            self.columns_mut().for_each(|col| col.truncate(carry));
+            self.columns_mut()
+                .for_each(|col| col.truncate(col.len() - 1));
         }
         removed
     }
