@@ -3,27 +3,10 @@
 //! MonetDB stores a relation of `k` attributes as `k` Binary Association
 //! Tables of `(key, attr)` pairs, where the key is a dense ascending
 //! sequence kept *virtual* (non-materialized). We mirror that: a
-//! [`Column`] is just the attr vector; the key of position `i` is `i`.
-//!
-//! A column's tail lives in one of two storage tiers:
-//!
-//! * **Resident** — a plain `Vec<Val>` in RAM (the default; every
-//!   operator works on it, and [`Column::values`] exposes the raw slice);
-//! * **Segmented** — a fixed-size-segment file read on demand through a
-//!   bounded segment cache ([`crate::storage::SegmentedColumn`]), plus a
-//!   small resident *overlay* holding rows appended after load (the
-//!   update path stays infallible for freshly inserted keys).
-//!
-//! Random access on a segmented column can fail (disk I/O, checksum
-//! mismatch); query paths use the fallible [`Column::try_get`] /
-//! [`Column::try_gather`] / [`Column::try_for_each_segment`] and surface
-//! a [`StorageError`]. The infallible [`Column::get`] stays the hot-path
-//! API for resident columns and panics only on an actual storage failure.
+//! [`Column`] is just the attr vector, resident in RAM; the key of
+//! position `i` is `i`.
 
-use crate::storage::{SegmentedColumn, StorageError};
 use crate::types::{RowId, Val};
-use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Spare capacity, in tuples, that a copy of `n` tuples reserves when it
 /// will take inserts later: `n / 64`. Reserved at the copies crackdb
@@ -36,216 +19,44 @@ pub const fn insert_headroom(n: usize) -> usize {
     n / 64
 }
 
-/// Storage tier behind a [`Column`].
-#[derive(Debug, Clone)]
-enum ColumnData {
-    /// Fully in RAM.
-    Resident(Vec<Val>),
-    /// File-backed base values plus a resident overlay of appended rows:
-    /// key `k` maps to the file when `k < seg.len()` and to
-    /// `overlay[k - seg.len()]` otherwise.
-    Segmented {
-        seg: SegmentedColumn,
-        overlay: Vec<Val>,
-    },
-}
-
 /// A single base column. Position `i` holds the attribute value of the
 /// relational tuple with (virtual) key `i`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Column {
-    data: ColumnData,
-}
-
-impl Default for Column {
-    fn default() -> Self {
-        Column {
-            data: ColumnData::Resident(Vec::new()),
-        }
-    }
+    values: Vec<Val>,
 }
 
 impl Column {
-    /// Build a resident column from raw values.
+    /// Build a column from raw values.
     pub fn new(values: Vec<Val>) -> Self {
-        Column {
-            data: ColumnData::Resident(values),
-        }
-    }
-
-    /// Build a file-backed column over a segmented file.
-    pub fn segmented(seg: SegmentedColumn) -> Self {
-        Column {
-            data: ColumnData::Segmented {
-                seg,
-                overlay: Vec::new(),
-            },
-        }
-    }
-
-    /// `true` when the tail is fully in RAM.
-    pub fn is_resident(&self) -> bool {
-        matches!(self.data, ColumnData::Resident(_))
+        Column { values }
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        match &self.data {
-            ColumnData::Resident(v) => v.len(),
-            ColumnData::Segmented { seg, overlay } => seg.len() + overlay.len(),
-        }
+        self.values.len()
     }
 
     /// `true` when the column holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.values.is_empty()
     }
 
     /// Value at position `key`.
-    ///
-    /// # Panics
-    /// On a segmented column, if the segment read fails (I/O error or
-    /// checksum mismatch). Query execution paths use [`Column::try_get`]
-    /// and surface a typed error instead; this infallible accessor is for
-    /// resident columns and singleton lookups.
     #[inline(always)]
     pub fn get(&self, key: RowId) -> Val {
-        match &self.data {
-            ColumnData::Resident(v) => v[key as usize],
-            ColumnData::Segmented { .. } => self
-                .try_get(key)
-                // INVARIANT: the documented contract of this infallible
-                // accessor — query paths use `try_get`; a failed segment
-                // read here is unrecoverable corruption, not control flow.
-                .unwrap_or_else(|e| panic!("segmented column read failed: {e}")),
-        }
-    }
-
-    /// Value at position `key`, surfacing storage failures.
-    #[inline]
-    pub fn try_get(&self, key: RowId) -> Result<Val, StorageError> {
-        match &self.data {
-            ColumnData::Resident(v) => Ok(v[key as usize]),
-            ColumnData::Segmented { seg, overlay } => {
-                let k = key as usize;
-                if k < seg.len() {
-                    seg.get(key)
-                } else {
-                    Ok(overlay[k - seg.len()])
-                }
-            }
-        }
-    }
-
-    /// Gather the values of `keys` in order, feeding each to `consume`.
-    /// On a segmented column the last touched segment is memoized, so
-    /// gathers with locality pay one cache probe per segment switch
-    /// instead of one per key.
-    pub fn try_gather(
-        &self,
-        keys: impl IntoIterator<Item = RowId>,
-        mut consume: impl FnMut(Val),
-    ) -> Result<(), StorageError> {
-        match &self.data {
-            ColumnData::Resident(v) => {
-                for k in keys {
-                    consume(v[k as usize]);
-                }
-                Ok(())
-            }
-            ColumnData::Segmented { seg, overlay } => {
-                let base = seg.len();
-                let mut memo: Option<(u32, Arc<Vec<Val>>)> = None;
-                for k in keys {
-                    let ku = k as usize;
-                    let v = if ku < base {
-                        seg.get_with_memo(k, &mut memo)?
-                    } else {
-                        overlay[ku - base]
-                    };
-                    consume(v);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Stream the whole tail in key order as `(first_key, values)` runs.
-    /// Resident columns yield one run; segmented columns yield one run
-    /// per segment (reads bypass the segment cache) plus the overlay.
-    pub fn try_for_each_segment(
-        &self,
-        mut f: impl FnMut(usize, &[Val]),
-    ) -> Result<(), StorageError> {
-        match &self.data {
-            ColumnData::Resident(v) => {
-                f(0, v);
-                Ok(())
-            }
-            ColumnData::Segmented { seg, overlay } => {
-                seg.for_each_segment(&mut f)?;
-                if !overlay.is_empty() {
-                    f(seg.len(), overlay);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// The whole tail as one slice on either tier: borrowed from a
-    /// resident column, streamed segment-wise (bypassing the segment
-    /// cache) into an owned copy from a segmented one. For bulk
-    /// consumers that read every value once, such as map seeding.
-    pub fn try_contiguous(&self) -> Result<Cow<'_, [Val]>, StorageError> {
-        match &self.data {
-            ColumnData::Resident(v) => Ok(Cow::Borrowed(v)),
-            ColumnData::Segmented { .. } => {
-                let mut out = Vec::with_capacity(self.len());
-                self.try_for_each_segment(|_, vals| out.extend_from_slice(vals))?;
-                Ok(Cow::Owned(out))
-            }
-        }
+        self.values[key as usize]
     }
 
     /// Raw value slice (the BAT tail).
-    ///
-    /// # Panics
-    /// On a segmented column — a file-backed tail has no contiguous
-    /// resident slice. Operators that need raw slices (radix clustering,
-    /// shard partitioning) require resident columns.
     pub fn values(&self) -> &[Val] {
-        match &self.data {
-            ColumnData::Resident(v) => v,
-            ColumnData::Segmented { .. } => {
-                // INVARIANT: documented panic — slice-requiring operators
-                // are only dispatched on resident columns (see `# Panics`).
-                panic!("values(): segmented column has no resident slice; this operator requires resident storage")
-            }
-        }
-    }
-
-    /// Bytes currently resident in RAM for this column (full tail for
-    /// resident columns; cached segments + overlay for segmented ones).
-    pub fn resident_bytes(&self) -> usize {
-        match &self.data {
-            ColumnData::Resident(v) => v.len() * 8,
-            ColumnData::Segmented { seg, overlay } => seg.resident_bytes() + overlay.len() * 8,
-        }
+        &self.values
     }
 
     /// Append a value (used by the update path); returns its key.
-    /// Appends to a segmented column land in the resident overlay.
     pub fn push(&mut self, v: Val) -> RowId {
-        match &mut self.data {
-            ColumnData::Resident(vals) => {
-                vals.push(v);
-                (vals.len() - 1) as RowId
-            }
-            ColumnData::Segmented { seg, overlay } => {
-                overlay.push(v);
-                (seg.len() + overlay.len() - 1) as RowId
-            }
-        }
+        self.values.push(v);
+        (self.values.len() - 1) as RowId
     }
 }
 
@@ -305,16 +116,6 @@ impl Table {
         &self.names
     }
 
-    /// `true` when every column tail is fully in RAM.
-    pub fn is_resident(&self) -> bool {
-        self.columns.iter().all(Column::is_resident)
-    }
-
-    /// Bytes currently resident in RAM across all columns.
-    pub fn resident_bytes(&self) -> usize {
-        self.columns.iter().map(Column::resident_bytes).sum()
-    }
-
     /// Append one tuple given values in column order (update path).
     ///
     /// # Panics
@@ -337,8 +138,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::SegmentedColumn;
-    use std::path::PathBuf;
 
     fn sample() -> Table {
         let mut t = Table::new();
@@ -379,54 +178,5 @@ mod tests {
     fn duplicate_name_panics() {
         let mut t = sample();
         t.add_column("a", Column::new(vec![0, 0, 0]));
-    }
-
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("crackdb-column-test-{}-{name}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn segmented_column_reads_and_overlay() {
-        let path = tmp("segcol");
-        let seg = SegmentedColumn::create_with(&path, 100, 16, 2, |i| i as Val * 2).unwrap();
-        let mut c = Column::segmented(seg);
-        assert!(!c.is_resident());
-        assert_eq!(c.len(), 100);
-        assert_eq!(c.get(0), 0);
-        assert_eq!(c.try_get(99).unwrap(), 198);
-        // Appends land in the overlay and read back infallibly.
-        assert_eq!(c.push(777), 100);
-        assert_eq!(c.len(), 101);
-        assert_eq!(c.try_get(100).unwrap(), 777);
-        // Gather mixes file-backed and overlay keys.
-        let mut got = Vec::new();
-        c.try_gather([5u32, 50, 100, 0], |v| got.push(v)).unwrap();
-        assert_eq!(got, vec![10, 100, 777, 0]);
-        // Full scan sees file segments then the overlay.
-        let mut all = Vec::new();
-        c.try_for_each_segment(|start, vals| {
-            assert_eq!(start, all.len());
-            all.extend_from_slice(vals);
-        })
-        .unwrap();
-        assert_eq!(all.len(), 101);
-        assert_eq!(all[100], 777);
-        // One slice on either tier: copied here, borrowed when resident.
-        assert_eq!(c.try_contiguous().unwrap(), all);
-        let r = Column::new(vec![4, 2]);
-        assert!(matches!(r.try_contiguous().unwrap(), Cow::Borrowed([4, 2])));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "resident")]
-    fn segmented_values_panics() {
-        let path = tmp("segvals");
-        let seg = SegmentedColumn::create_with(&path, 10, 4, 2, |i| i as Val).unwrap();
-        let c = Column::segmented(seg);
-        let _ = std::fs::remove_file(&path);
-        let _ = c.values();
     }
 }

@@ -21,9 +21,6 @@
 //!   TPC-H experiments;
 //! * cache-conscious [`radix`] clustering of unordered intermediates
 //!   (Exp3's reordering strategies);
-//! * the segmented disk tier ([`storage::SegmentedColumn`]): base columns
-//!   as fixed-size-segment files with checksums and a bounded resident
-//!   cache, so tables larger than RAM load on demand;
 //! * row-wise [`shard`] partitioning helpers ([`shard::ShardCuts`],
 //!   [`shard::partition_table`]) — the arithmetic behind the horizontal
 //!   sharding layer (`crackdb-engine`'s `ShardedEngine`).
@@ -38,7 +35,6 @@ pub mod presorted;
 pub mod radix;
 pub mod rowstore;
 pub mod shard;
-pub mod storage;
 pub mod sync;
 pub mod types;
 
@@ -46,6 +42,5 @@ pub use column::{Column, Table};
 pub use presorted::PresortedTable;
 pub use rowstore::{PresortedRowTable, RowTable};
 pub use shard::{partition_table, ShardCuts};
-pub use storage::{SegmentWriter, SegmentedColumn, StorageError};
 pub use sync::lock_unpoisoned;
 pub use types::{AggFunc, Bound, RangePred, RowId, Val};

@@ -27,7 +27,7 @@ pub use bitvec::BitVec;
 pub use crackdb_columnstore::lock_unpoisoned;
 pub use cracker_join::{cracker_join, flat_hash_join};
 pub use map::{CrackerMap, KeyMap};
-pub use partial::{AreaEntry, PartialMap, PartialSet, PartialStats, SpillTier};
+pub use partial::{AreaEntry, PartialMap, PartialSet, PartialStats};
 pub use set::MapSet;
 pub use store::{ConjHandle, PartialStore, SidewaysStore};
 pub use tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};

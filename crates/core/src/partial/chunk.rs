@@ -50,34 +50,6 @@ impl Chunk {
         }
     }
 
-    /// Reassemble a chunk from deserialized spill-record parts: buffers
-    /// with the index's origin of front slack. The cursor is the chunk's
-    /// staged-update watermark: alignment resumes
-    /// from it exactly as if the chunk had stayed resident, and the
-    /// access bookkeeping (`accesses`, `last_access`) survives the
-    /// round-trip so eviction scoring doesn't restart from cold.
-    pub fn from_spill_parts(
-        head: Option<Vec<Val>>,
-        tail: Vec<Val>,
-        index: CrackerIndex,
-        cursor: usize,
-        accesses: u64,
-        last_access: u64,
-    ) -> Self {
-        if let Some(h) = &head {
-            assert_eq!(h.len(), tail.len());
-        }
-        assert!(index.origin() <= tail.len(), "origin past the buffers");
-        Chunk {
-            head,
-            tail,
-            index,
-            cursor,
-            accesses,
-            last_access,
-        }
-    }
-
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.tail.len() - self.index.origin()

@@ -12,8 +12,8 @@
 //! * the partial maps themselves: one [`Chunk`] per (attribute, area)
 //!   pair, created on demand, evicted under storage pressure (lowest
 //!   [`retention_score`] first: last
-//!   access plus a log-frequency grace) and recreated or reloaded when
-//!   needed again. They live in one owner, `resident::Resident`, which
+//!   access plus a log-frequency grace) and recreated when needed
+//!   again. They live in one owner, `resident::Resident`, which
 //!   keeps their total length and their eviction order current as
 //!   chunks go in and out, so a query pays O(log chunks) per eviction
 //!   and O(1) for `usage()` rather than a scan of every chunk.
@@ -38,37 +38,23 @@
 //! is discarded and its merged updates return to the staged lists — a
 //! chunk recreated from the base later picks them up for free.
 //!
-//! **Storage tiers:** the paper's storage manager only discards chunks,
-//! and so does this one whenever rebuilding a chunk reads only
-//! in-memory base columns: a regather from RAM costs no more per tuple
-//! than writing the chunk out and reading it back. Only a chunk whose
-//! tail column, or the set's head column, is segmented (file-backed) —
-//! where a rebuild is a random gather through a bounded segment cache —
-//! goes to an attached [`SpillTier`] instead: RAM budget → spill file →
-//! (on spill failure) drop. A spilled chunk serializes with its tape
-//! cursor (the staged-update watermark) and *reloads* on re-access
-//! instead of being recracked; an area with spilled chunks stays
-//! fetched, so merged updates are never lost while a sibling is cold.
-//! Disk failures surface as [`StorageError`]s through every public
-//! query entry point — never as panics.
+//! **Storage manager:** as in the paper (§4.1), eviction only discards:
+//! a dropped chunk is recreated from the in-memory base columns when a
+//! query needs it again.
 
 pub mod chunk;
 mod resident;
-pub mod spill;
 
 pub use chunk::Chunk;
 pub use resident::{retention_score, PartialMap};
-pub use spill::SpillTier;
 
 use crate::bitvec::BitVec;
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
 use crackdb_cracking::{BoundaryKey, CrackedArray, CrackerIndex, SeedPlan};
 use resident::Resident;
-use spill::SpillSlot;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -139,19 +125,6 @@ struct AreaInfo {
     /// Delete-position resolver, created at the area's first update
     /// merge.
     resolver: Option<Resolver>,
-    /// Chunks of this area currently on disk, by tail attribute. A
-    /// spilled chunk keeps the area fetched (its record carries a cursor
-    /// into the tape), so the tape must survive until it reloads.
-    spilled: HashMap<usize, SpilledChunk>,
-}
-
-/// Where a spilled chunk's record is, and the tape cursor it was
-/// written with — kept in memory so [`PartialSet::check_invariants`]
-/// can hold it against the tape without reading the record back.
-#[derive(Debug, Clone, Copy)]
-struct SpilledChunk {
-    slot: SpillSlot,
-    cursor: usize,
 }
 
 /// Instrumentation counters.
@@ -175,18 +148,18 @@ pub struct PartialStats {
     pub heads_recovered: u64,
     /// Staged updates merged into area tapes (§3.5).
     pub updates_merged: u64,
-    /// Chunks evicted to the spill tier (instead of dropped).
+    /// Always 0: the storage manager drops, never spills. Kept only
+    /// because `benchmark/src/sut.rs` reads it; ROADMAP item 1 deletes it.
     pub chunks_spilled: u64,
-    /// Spilled chunks reloaded from disk on re-access.
+    /// Always 0, as `chunks_spilled`.
     pub chunks_reloaded: u64,
-    /// Tuples carried by reloaded chunks (per-tuple reload-cost metric).
+    /// Always 0, as `chunks_spilled`.
     pub tuples_reloaded: u64,
-    /// Nanoseconds spent serializing + writing spill records.
+    /// Always 0, as `chunks_spilled`.
     pub spill_write_ns: u64,
-    /// Nanoseconds spent reading + deserializing spill records.
+    /// Always 0, as `chunks_spilled`.
     pub spill_read_ns: u64,
-    /// Nanoseconds spent materializing chunks from the base columns
-    /// (the recrack-from-scratch cost spilling avoids).
+    /// Nanoseconds spent materializing chunks from the base columns.
     pub fetch_ns: u64,
 }
 
@@ -202,11 +175,6 @@ impl PartialStats {
         self.heads_dropped += other.heads_dropped;
         self.heads_recovered += other.heads_recovered;
         self.updates_merged += other.updates_merged;
-        self.chunks_spilled += other.chunks_spilled;
-        self.chunks_reloaded += other.chunks_reloaded;
-        self.tuples_reloaded += other.tuples_reloaded;
-        self.spill_write_ns += other.spill_write_ns;
-        self.spill_read_ns += other.spill_read_ns;
         self.fetch_ns += other.fetch_ns;
     }
 }
@@ -242,16 +210,9 @@ pub struct PartialSet {
     pub head_drop_threshold: Option<usize>,
     /// Counters.
     pub stats: PartialStats,
-    /// Optional disk tier: evicted chunks spill here and reload on
-    /// re-access instead of being recracked.
-    spill: Option<SpillTier>,
     /// Recycled buffer for per-query area-tape snapshots (avoids a fresh
     /// allocation per processed area).
     tape_scratch: Vec<AreaEntry>,
-    /// Recycled buffer for spill records: encode and read reuse it so
-    /// multi-MB evictions/reloads don't pay a fresh allocation (and its
-    /// page faults) per chunk.
-    spill_scratch: Vec<u8>,
 }
 
 impl PartialSet {
@@ -268,22 +229,8 @@ impl PartialSet {
             clock: 0,
             head_drop_threshold: None,
             stats: PartialStats::default(),
-            spill: None,
             tape_scratch: Vec::new(),
-            spill_scratch: Vec::new(),
         }
-    }
-
-    /// Attach (or detach) the disk spill tier. With a tier attached,
-    /// eviction spills the chunks whose rebuild would read a segmented
-    /// base column and still drops the rest (see [`Self::evict_chunk`]).
-    pub fn set_spill(&mut self, tier: Option<SpillTier>) {
-        self.spill = tier;
-    }
-
-    /// `true` when a spill tier is attached.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.is_some()
     }
 
     /// Rows of a `rows`-tuple base the chunk map's seed leaves out:
@@ -304,16 +251,6 @@ impl PartialSet {
         self.resident.tuples()
     }
 
-    /// Tuples currently held by the spill tier (on disk, *not* counted
-    /// by [`Self::usage`] — the budget governs resident storage only).
-    pub fn spilled_tuples(&self) -> usize {
-        self.areas
-            .values()
-            .flat_map(|a| a.spilled.values())
-            .map(|s| s.slot.tuples as usize)
-            .sum()
-    }
-
     /// Check what must hold of the storage manager's bookkeeping
     /// between queries (the partial-map sibling of
     /// `MapSet::check_aligned`):
@@ -322,12 +259,11 @@ impl PartialSet {
     ///   eviction order holds exactly the resident chunks, each under
     ///   its current score;
     /// * an area's `refs` are exactly the attributes with a resident
-    ///   chunk of it, and no chunk is both resident and spilled;
+    ///   chunk of it;
     /// * chunks belong to fetched areas, and a fetched area has
-    ///   something that needs it frozen: a resident chunk, a spilled
-    ///   chunk, or merged updates on its tape;
-    /// * no chunk cursor, resident or spilled, points past its area's
-    ///   tape;
+    ///   something that needs it frozen: a resident chunk or merged
+    ///   updates on its tape;
+    /// * no chunk cursor points past its area's tape;
     /// * a resident chunk at its area resolver's cursor holds the
     ///   resolver's head order (unless its head was dropped), so the
     ///   positions the resolver hands out are the chunk's positions;
@@ -355,9 +291,6 @@ impl PartialSet {
                         "area {id:?} refs attr {attr} without a resident chunk"
                     ));
                 };
-                if info.spilled.contains_key(&attr) {
-                    return Err(format!("chunk ({attr}, {id:?}) is resident and spilled"));
-                }
                 if chunk.cursor > tape_len {
                     return Err(format!(
                         "chunk ({attr}, {id:?}) at cursor {} of a {tape_len}-entry tape",
@@ -384,13 +317,7 @@ impl PartialSet {
                     "area {id:?} has merged {entry:?}, which is also staged"
                 ));
             }
-            if let Some((attr, s)) = info.spilled.iter().find(|(_, s)| s.cursor > tape_len) {
-                return Err(format!(
-                    "spilled chunk ({attr}, {id:?}) at cursor {} of a {tape_len}-entry tape",
-                    s.cursor
-                ));
-            }
-            let referenced = !info.refs.is_empty() || !info.spilled.is_empty();
+            let referenced = !info.refs.is_empty();
             if referenced && !info.fetched {
                 return Err(format!("area {id:?} has chunks but is not fetched"));
             }
@@ -450,24 +377,18 @@ impl PartialSet {
     /// cut points the caller is about to crack it at, if any: the chunk
     /// map is then seeded already in the bucket order that crack's
     /// opening prepartition would give it (see [`SeedPlan`]).
-    fn ensure_chunk_map(
-        &mut self,
-        base: &Table,
-        first: Option<&RangePred>,
-    ) -> Result<(), StorageError> {
+    fn ensure_chunk_map(&mut self, base: &Table, first: Option<&RangePred>) {
         if self.chunk_map.is_none() {
             // The seed is the *current* live snapshot: inserted rows are
             // already part of the base; rows with a staged deletion are
             // excluded. Everything staged so far is therefore subsumed by
-            // the seed and cleared. A file-backed base column streams
-            // through segment-wise, without evicting its random-access
-            // cache.
-            let head = base.column(self.head_attr).try_contiguous()?;
+            // the seed and cleared.
+            let head = base.column(self.head_attr).values();
             let keys: Vec<RowId> = (0..head.len() as RowId).collect();
             let dead = self.seed_exclusions(head.len());
-            let plan = first.and_then(|pred| SeedPlan::new(&head, &dead, pred));
+            let plan = first.and_then(|pred| SeedPlan::new(head, &dead, pred));
             // No headroom: resolvers merge the updates, never the chunk map.
-            let cm = CrackedArray::seeded(&head, &[&keys], &dead, plan.as_ref(), 0);
+            let cm = CrackedArray::seeded(head, &[&keys], &dead, plan.as_ref(), 0);
             // The cuts of a fused first touch belong to the crack that
             // would have made them.
             debug_assert!(self.areas.is_empty());
@@ -476,7 +397,6 @@ impl PartialSet {
             self.staged_inserts.clear();
             self.staged_deletes.clear();
         }
-        Ok(())
     }
 
     fn area_info(&mut self, id: AreaId) -> &mut AreaInfo {
@@ -681,22 +601,19 @@ impl PartialSet {
 
     /// Fetch (materialize) the chunk of `tail_attr` for an area, reviving
     /// a lazily deleted index shell when available.
-    fn fetch_chunk(
-        &mut self,
-        base: &Table,
-        tail_attr: usize,
-        area: &AreaRef,
-    ) -> Result<Chunk, StorageError> {
+    fn fetch_chunk(&mut self, base: &Table, tail_attr: usize, area: &AreaRef) -> Chunk {
         let t0 = Instant::now();
         // INVARIANT: ensure_chunk_map runs at every public entry point
         // before the internal helpers; field access keeps the borrow
         // disjoint from the sibling fields mutated below.
         let cm = self.chunk_map.as_ref().expect("chunk map ensured");
         let (heads, keys) = cm.view((area.start, area.end));
-        let tail_col = base.column(tail_attr);
+        let tail_col = base.column(tail_attr).values();
         let head: Vec<Val> = heads.to_vec();
         let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
-        tail_col.try_gather(keys.iter().copied(), |v| tail.push(v))?;
+        for &k in keys {
+            tail.push(tail_col[k as usize]);
+        }
         let info = self.areas.entry(area.id).or_default();
         info.fetched = true;
         info.refs.insert(tail_attr);
@@ -706,7 +623,7 @@ impl PartialSet {
         self.stats.fetch_ns += t0.elapsed().as_nanos() as u64;
         let mut chunk = Chunk::seed(head, tail, shell);
         chunk.last_access = self.clock;
-        Ok(chunk)
+        chunk
     }
 
     /// Evict cold chunks until `extra` more tuples fit in the budget.
@@ -726,27 +643,16 @@ impl PartialSet {
     /// ties, so eviction (and therefore every downstream answer) is
     /// deterministic. [`Resident`] keeps that order and the usage
     /// current, so each eviction costs a tree lookup, not a scan.
-    fn make_room(
-        &mut self,
-        base: &Table,
-        extra: usize,
-        pinned_area: AreaId,
-        pinned_attrs: &[usize],
-    ) -> Result<(), StorageError> {
+    fn make_room(&mut self, extra: usize, pinned_area: AreaId, pinned_attrs: &[usize]) {
         let Some(budget) = self.budget else {
-            return Ok(());
+            return;
         };
-        // A failed spill still frees its chunk (by dropping it), so the
-        // loop carries on to the budget and reports the first failure.
-        let mut outcome = Ok(());
         while self.resident.tuples() + extra > budget {
             let Some((attr, area)) = self.next_victim(pinned_area, pinned_attrs) else {
                 break;
             };
-            let evicted = self.evict_chunk(base, attr, area);
-            outcome = outcome.and(evicted);
+            self.drop_chunk(attr, area);
         }
-        outcome
     }
 
     /// The chunk the storage manager evicts next, as `(attr, area)`:
@@ -759,77 +665,6 @@ impl PartialSet {
         pinned_attrs: &[usize],
     ) -> Option<(usize, AreaId)> {
         self.resident.next_victim(pinned_area, pinned_attrs)
-    }
-
-    /// Tiered eviction of one chunk: spill when a tier is attached *and*
-    /// rebuilding the chunk would read a segmented base column (its tail
-    /// column or the set's head column), otherwise drop. A rebuild from
-    /// in-memory columns regathers at memory speed, no slower per tuple
-    /// than a spill write plus its reload, and most evicted chunks are
-    /// never read again — so for them the write is pure cost. A failed
-    /// spill write falls back to dropping the chunk (so the budget
-    /// invariant still holds) and then surfaces the error — loud, but
-    /// never wedged.
-    fn evict_chunk(
-        &mut self,
-        base: &Table,
-        tail_attr: usize,
-        area_id: AreaId,
-    ) -> Result<(), StorageError> {
-        let reads_disk = |attr: usize| !base.column(attr).is_resident();
-        let spill_pays = reads_disk(tail_attr) || reads_disk(self.head_attr);
-        let Some(tier) = self.spill.as_ref().filter(|_| spill_pays) else {
-            self.drop_chunk(tail_attr, area_id);
-            return Ok(());
-        };
-        let Some(chunk) = self.resident.take(tail_attr, area_id) else {
-            return Ok(());
-        };
-        let t0 = Instant::now();
-        spill::encode_chunk_into(&chunk, &mut self.spill_scratch);
-        let written = tier.write(tail_attr, &self.spill_scratch, chunk.len() as u32);
-        self.stats.spill_write_ns += t0.elapsed().as_nanos() as u64;
-        match written {
-            Ok(slot) => {
-                let info = self.areas.entry(area_id).or_default();
-                info.refs.remove(&tail_attr);
-                let spilled = SpilledChunk {
-                    slot,
-                    cursor: chunk.cursor,
-                };
-                info.spilled.insert(tail_attr, spilled);
-                self.stats.chunks_spilled += 1;
-                Ok(())
-            }
-            Err(e) => {
-                // Put the chunk back and drop it through the ordinary
-                // path so shells/un-merge bookkeeping stays consistent.
-                self.resident.put(tail_attr, area_id, chunk);
-                self.drop_chunk(tail_attr, area_id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Reload the spilled chunk of `tail_attr` in `slot` from `tier`,
-    /// through the recycled record buffer `scratch`.
-    fn reload_chunk(
-        tier: &SpillTier,
-        scratch: &mut Vec<u8>,
-        stats: &mut PartialStats,
-        tail_attr: usize,
-        slot: SpillSlot,
-    ) -> Result<Chunk, StorageError> {
-        let t0 = Instant::now();
-        tier.read_into(tail_attr, slot, scratch)?;
-        let chunk = spill::decode_chunk(
-            scratch,
-            &format!("decode spilled chunk of column {tail_attr}"),
-        )?;
-        stats.spill_read_ns += t0.elapsed().as_nanos() as u64;
-        stats.chunks_reloaded += 1;
-        stats.tuples_reloaded += chunk.len() as u64;
-        Ok(chunk)
     }
 
     /// Drop one chunk, keeping its index as a lazily deleted shell
@@ -850,15 +685,13 @@ impl PartialSet {
         freed
     }
 
-    /// An area that has lost its last chunk — resident *or* spilled —
-    /// reverts to unfetched and its tape is removed (§4.1): merged
-    /// updates return to the staged lists, so chunks recreated from the
-    /// base later pick them up for free. While any sibling chunk sits in
-    /// the spill tier the tape must survive: the spilled record's cursor
-    /// points into it. Returns whether the area reverted.
+    /// An area that has lost its last chunk reverts to unfetched and its
+    /// tape is removed (§4.1): merged updates return to the staged
+    /// lists, so chunks recreated from the base later pick them up for
+    /// free. Returns whether the area reverted.
     fn unfetch_if_unreferenced(&mut self, area_id: AreaId) -> bool {
         let info = self.areas.entry(area_id).or_default();
-        if !info.refs.is_empty() || !info.spilled.is_empty() {
+        if !info.refs.is_empty() {
             return false;
         }
         info.fetched = false;
@@ -884,7 +717,7 @@ impl PartialSet {
         area: &AreaRef,
         cursor: usize,
         tape: &[AreaEntry],
-    ) -> Result<Vec<Val>, StorageError> {
+    ) -> Vec<Val> {
         // INVARIANT: ensure_chunk_map runs at every public entry point
         // before the internal helpers; field access keeps the borrow
         // disjoint from the sibling fields mutated below.
@@ -894,13 +727,16 @@ impl PartialSet {
         let tail_col = base.column(tail_attr);
         let head: Vec<Val> = heads.to_vec();
         let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
-        tail_col.try_gather(keys.iter().copied(), |v| tail.push(v))?;
+        let tail_vals = tail_col.values();
+        for &k in keys {
+            tail.push(tail_vals[k as usize]);
+        }
         let mut tmp = Chunk::seed(head, tail, None);
         tmp.align_to(tape, cursor, head_col, tail_col);
         self.stats.heads_recovered += 1;
         // INVARIANT: Chunk::seed is constructed with a head column and
         // align_to never drops it.
-        Ok(tmp.into_head().expect("fresh chunk has a head"))
+        tmp.into_head().expect("fresh chunk has a head")
     }
 
     /// Single-selection, multi-projection query (`select P1.. from R where
@@ -911,7 +747,7 @@ impl PartialSet {
         head_pred: &RangePred,
         projs: &[usize],
         consume: impl FnMut(Block<'_>),
-    ) -> Result<(), StorageError> {
+    ) {
         self.conjunctive_project_blocks(base, head_pred, &[], projs, consume)
     }
 
@@ -929,11 +765,11 @@ impl PartialSet {
         tail_sels: &[(usize, RangePred)],
         projs: &[usize],
         mut consume: impl FnMut(Block<'_>),
-    ) -> Result<(), StorageError> {
+    ) {
         if head_pred.is_empty_range() || (tail_sels.is_empty() && projs.is_empty()) {
-            return Ok(());
+            return;
         }
-        self.ensure_chunk_map(base, Some(head_pred))?;
+        self.ensure_chunk_map(base, Some(head_pred));
         self.crack_chunk_map_for(head_pred);
         self.clock += 1;
 
@@ -943,8 +779,7 @@ impl PartialSet {
                 attrs.push(p);
             }
         }
-        let areas = self.overlapping_areas(base, head_pred);
-        let answered = areas.iter().try_for_each(|area| {
+        for area in &self.overlapping_areas(base, head_pred) {
             self.process_area(
                 base,
                 area,
@@ -953,9 +788,9 @@ impl PartialSet {
                 projs,
                 &attrs,
                 &mut consume,
-            )
-        });
-        self.finish_query(base, answered)
+            );
+        }
+        self.finish_query();
     }
 
     /// Disjunctive multi-selection (§3.3 executed chunk-wise): predicates
@@ -969,15 +804,15 @@ impl PartialSet {
         preds: &[(usize, RangePred)],
         projs: &[usize],
         mut consume: impl FnMut(Block<'_>),
-    ) -> Result<(), StorageError> {
+    ) {
         if preds.is_empty() || projs.is_empty() {
-            return Ok(());
+            return;
         }
         // Adaptation still happens on the set's own predicate: its cut
         // points refine the chunk map for later conjunctive queries.
         let own = preds.iter().find(|(a, _)| *a == self.head_attr);
         let own = own.map(|(_, pred)| *pred);
-        self.ensure_chunk_map(base, own.as_ref())?;
+        self.ensure_chunk_map(base, own.as_ref());
         if let Some(own) = &own {
             self.crack_chunk_map_for(own);
         }
@@ -988,26 +823,19 @@ impl PartialSet {
                 attrs.push(a);
             }
         }
-        let areas = self.overlapping_areas(base, &RangePred::all());
-        let answered = areas.iter().try_for_each(|area| {
-            self.process_area_disj(base, area, preds, projs, &attrs, &mut consume)
-        });
-        self.finish_query(base, answered)
+        for area in &self.overlapping_areas(base, &RangePred::all()) {
+            self.process_area_disj(base, area, preds, projs, &attrs, &mut consume);
+        }
+        self.finish_query();
     }
 
-    /// Every query ends here, answered or not: nothing is pinned any
-    /// more, so the budget is enforced exactly — a single query may
-    /// transiently exceed it while its own chunks are pinned, but no
-    /// query, not even one that failed half-way, may leave it exceeded —
-    /// and the first error is the one reported.
-    fn finish_query(
-        &mut self,
-        base: &Table,
-        answered: Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        let enforced = self.make_room(base, 0, None, &[]);
+    /// Every query ends here: nothing is pinned any more, so the budget
+    /// is enforced exactly — a single query may transiently exceed it
+    /// while its own chunks are pinned, but no query may leave it
+    /// exceeded.
+    fn finish_query(&mut self) {
+        self.make_room(0, None, &[]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
-        answered.and(enforced)
     }
 
     /// Check the chunks of `attrs` out of one area for processing — the
@@ -1033,63 +861,21 @@ impl PartialSet {
         base: &Table,
         area: &AreaRef,
         attrs: &[usize],
-    ) -> Result<CheckedOutArea, StorageError> {
+    ) -> CheckedOutArea {
         for &attr in attrs {
             if self.resident.contains(attr, area.id) {
                 continue;
             }
-            // Missing chunk: reload it from the spill tier when a spilled
-            // sibling record exists (cheaper than recracking), otherwise
-            // recreate it from the base columns. Either way the chunk's
-            // tuples must first fit in the resident budget, with this
-            // area's chunks of `attrs` pinned.
-            let spilled = self
-                .areas
-                .get(&area.id)
-                .and_then(|info| info.spilled.get(&attr))
-                .map(|s| s.slot);
-            let slot = spilled.filter(|_| self.spill.is_some());
-            let incoming = slot.map_or(area.end - area.start, |s| s.tuples as usize);
-            self.make_room(base, incoming, area.id, attrs)?;
-            // Only now does the record stop counting as a chunk of the
-            // area: had `make_room` failed, the area would otherwise be
-            // left fetched with nothing to show for it.
-            if spilled.is_some() {
-                self.area_info(area.id).spilled.remove(&attr);
-            }
-            let chunk = match (slot, &self.spill) {
-                (Some(slot), Some(tier)) => {
-                    let loaded = Self::reload_chunk(
-                        tier,
-                        &mut self.spill_scratch,
-                        &mut self.stats,
-                        attr,
-                        slot,
-                    );
-                    // The slot is consumed on success *and* on failure: a
-                    // bad record is released and the next access simply
-                    // recreates the chunk from the base, so one loud
-                    // error never wedges the set.
-                    tier.release(attr, slot);
-                    let mut chunk = match loaded {
-                        Ok(chunk) => chunk,
-                        Err(e) => {
-                            // The lost chunk may have been the area's last.
-                            self.unfetch_if_unreferenced(area.id);
-                            return Err(e);
-                        }
-                    };
-                    chunk.last_access = self.clock;
-                    self.area_info(area.id).refs.insert(attr);
-                    chunk
-                }
-                _ => self.fetch_chunk(base, attr, area)?,
-            };
+            // Missing chunk: recreate it from the base columns once its
+            // tuples fit in the budget, with this area's chunks of
+            // `attrs` pinned.
+            self.make_room(area.end - area.start, area.id, attrs);
+            let chunk = self.fetch_chunk(base, attr, area);
             self.resident.put(attr, area.id, chunk);
         }
         self.flush_staged_for_area(base, area);
-        // The loop above materialized (or reloaded) every chunk, so each
-        // take-out succeeds; tolerating an absent entry keeps this path
+        // The loop above materialized every chunk, so each take-out
+        // succeeds; tolerating an absent entry keeps this path
         // panic-free without changing behaviour.
         let mut chunks: Vec<(usize, Chunk)> = Vec::with_capacity(attrs.len());
         for &attr in attrs {
@@ -1104,14 +890,8 @@ impl PartialSet {
         if let Some(a) = self.areas.get(&area.id) {
             tape.extend_from_slice(&a.tape);
         }
-        // From here on the chunks are out of the set: a failure hands
-        // them back (aligned as far as they got) before it surfaces.
-        if let Err(e) = self.align_checked_out(base, area, &mut chunks, &tape) {
-            self.reinstall_chunks(area.id, chunks);
-            self.recycle_tape(tape);
-            return Err(e);
-        }
-        Ok((chunks, tape))
+        self.align_checked_out(base, area, &mut chunks, &tape);
+        (chunks, tape)
     }
 
     /// Step 4 of [`Self::checkout_area_chunks`]: partial alignment of
@@ -1122,7 +902,7 @@ impl PartialSet {
         area: &AreaRef,
         chunks: &mut [(usize, Chunk)],
         tape: &[AreaEntry],
-    ) -> Result<(), StorageError> {
+    ) {
         let head_col = base.column(self.head_attr);
         let target = chunks
             .iter()
@@ -1132,13 +912,12 @@ impl PartialSet {
             .max(update_floor(tape));
         for (attr, c) in chunks.iter_mut() {
             if c.cursor < target && c.head_dropped() {
-                let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
+                let head = self.rebuild_head(base, *attr, area, c.cursor, tape);
                 c.restore_head(head);
             }
             self.stats.entries_replayed +=
                 c.align_to(tape, target, head_col, base.column(*attr)) as u64;
         }
-        Ok(())
     }
 
     /// Return the per-query tape snapshot buffer for reuse.
@@ -1175,8 +954,8 @@ impl PartialSet {
         projs: &[usize],
         attrs: &[usize],
         consume: &mut F,
-    ) -> Result<(), StorageError> {
-        let (chunks, tape) = self.checkout_area_chunks(base, area, attrs)?;
+    ) {
+        let (chunks, tape) = self.checkout_area_chunks(base, area, attrs);
 
         // OR bit vector over the whole (aligned) area.
         let len = chunks.first().map_or(0, |(_, c)| c.len());
@@ -1208,11 +987,9 @@ impl PartialSet {
 
         self.reinstall_chunks(area.id, chunks);
         self.recycle_tape(tape);
-        Ok(())
     }
 
-    /// One area of a conjunctive pass: check out, answer, hand back —
-    /// also when answering failed.
+    /// One area of a conjunctive pass: check out, answer, hand back.
     #[allow(clippy::too_many_arguments)]
     fn process_area<F: FnMut(Block<'_>)>(
         &mut self,
@@ -1223,11 +1000,11 @@ impl PartialSet {
         projs: &[usize],
         attrs: &[usize],
         consume: &mut F,
-    ) -> Result<(), StorageError> {
+    ) {
         // Materialize, merge staged updates, take out and align (§3.5 /
         // §4.1 shared machinery).
-        let (mut chunks, tape) = self.checkout_area_chunks(base, area, attrs)?;
-        let answered = self.answer_area(
+        let (mut chunks, tape) = self.checkout_area_chunks(base, area, attrs);
+        self.answer_area(
             base,
             area,
             head_pred,
@@ -1239,7 +1016,6 @@ impl PartialSet {
         );
         self.reinstall_chunks(area.id, chunks);
         self.recycle_tape(tape);
-        answered
     }
 
     /// Crack the aligned chunks of one area where the predicate needs
@@ -1255,7 +1031,7 @@ impl PartialSet {
         chunks: &mut [(usize, Chunk)],
         tape: &[AreaEntry],
         consume: &mut F,
-    ) -> Result<(), StorageError> {
+    ) {
         let needed = Self::keys_inside(head_pred, area);
         let head_col = base.column(self.head_attr);
 
@@ -1267,7 +1043,7 @@ impl PartialSet {
             let mut missing = false;
             for (attr, c) in chunks.iter_mut() {
                 if !c.has_boundaries(&needed) && c.head_dropped() {
-                    let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
+                    let head = self.rebuild_head(base, *attr, area, c.cursor, tape);
                     c.restore_head(head);
                 }
                 let (replayed, m) =
@@ -1281,7 +1057,7 @@ impl PartialSet {
                 // crack, which records the missing boundaries.
                 for (attr, c) in chunks.iter_mut() {
                     if c.head_dropped() {
-                        let head = self.rebuild_head(base, *attr, area, c.cursor, tape)?;
+                        let head = self.rebuild_head(base, *attr, area, c.cursor, tape);
                         c.restore_head(head);
                     }
                     c.crack_range(head_pred);
@@ -1326,7 +1102,6 @@ impl PartialSet {
                 sel: bv.as_ref().map(BitVec::words),
             });
         }
-        Ok(())
     }
 }
 

@@ -12,11 +12,10 @@
 use crate::bitvec::BitVec;
 use crate::map::{CrackerMap, KeyMap};
 use crate::tape::{DeleteBatch, InsertBatch, Tape, TapeEntry};
-use crackdb_columnstore::column::{insert_headroom, Column, Table};
+use crackdb_columnstore::column::{insert_headroom, Table};
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::{CrackedArray, SeedPlan};
-use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Instrumentation counters for a map set.
@@ -259,16 +258,6 @@ impl MapSet {
 
     // ----- seeding & alignment ---------------------------------------
 
-    /// One base column as a slice (the seed snapshot is its first
-    /// `initial_len` rows).
-    fn contiguous(col: &Column) -> Cow<'_, [Val]> {
-        col.try_contiguous()
-            // INVARIANT: the contract of the infallible `Column::get`
-            // this replaces — a failed segment read while seeding is
-            // unrecoverable corruption, not control flow.
-            .unwrap_or_else(|e| panic!("segmented column read failed: {e}"))
-    }
-
     /// Seed one structure of the set from the snapshot (`head` and each
     /// of `tails` are its rows of a base column), already in bucket order
     /// when the first entry it replays — tape entry 0, or the `query` it
@@ -300,19 +289,18 @@ impl MapSet {
     /// Seed the maps of `tail_attrs` as one group.
     fn seed_map(&mut self, base: &Table, tail_attrs: Vec<usize>, query: &RangePred) -> CrackerMap {
         let n = self.initial_len;
-        let head = Self::contiguous(base.column(self.head_attr));
-        let cols: Vec<_> = tail_attrs
+        let head = base.column(self.head_attr).values();
+        let tails: Vec<&[Val]> = tail_attrs
             .iter()
-            .map(|&a| Self::contiguous(base.column(a)))
+            .map(|&a| &base.column(a).values()[..n])
             .collect();
-        let tails: Vec<&[Val]> = cols.iter().map(|c| &c[..n]).collect();
         self.stats.maps_created += tail_attrs.len() as u64;
         let arr = self.seed(&head[..n], &tails, Some(query));
         CrackerMap::seed(tail_attrs, arr)
     }
 
     fn seed_key_map(&mut self, base: &Table, query: Option<&RangePred>) -> KeyMap {
-        let head = Self::contiguous(base.column(self.head_attr));
+        let head = base.column(self.head_attr).values();
         let keys: Vec<RowId> = (0..self.initial_len as RowId).collect();
         KeyMap::seed(self.seed(&head[..keys.len()], &[&keys], query))
     }

@@ -7,9 +7,9 @@ use crate::partial::PartialSet;
 use crate::set::{growth, uniform_estimate, MapSet};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 
 /// Result handle of a conjunctive multi-selection: the chosen map set,
 /// the cracked area, and the qualifying-bit vector over that area.
@@ -371,10 +371,6 @@ pub struct PartialStore {
     /// from their chunk-map seed (existing sets merge them lazily per
     /// area, §3.5).
     deleted: HashSet<RowId>,
-    /// When set, newly created sets get a disk spill tier writing under
-    /// this directory (tiered eviction for chunks of segmented columns:
-    /// RAM budget → spill → drop).
-    spill_dir: Option<std::path::PathBuf>,
 }
 
 impl PartialStore {
@@ -391,37 +387,10 @@ impl PartialStore {
         self.domains.insert(attr, domain);
     }
 
-    /// Enable the disk spill tier: every *future* set evicts into spill
-    /// files under a unique subdirectory of `base_dir` (removed
-    /// best-effort when the sets drop) the chunks whose rebuild would
-    /// read a segmented base column; chunks of in-memory columns are
-    /// still dropped, as without a tier. Existing sets are unaffected.
-    pub fn enable_spill(&mut self, base_dir: std::path::PathBuf) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let unique = format!(
-            "crackdb-spill-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        );
-        self.spill_dir = Some(base_dir.join(unique));
-    }
-
-    /// `true` when new sets will be created with a spill tier.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill_dir.is_some()
-    }
-
-    /// The unique spill directory (when enabled) — instrumentation and
-    /// fault-injection tests locate the spill files through this.
-    pub fn spill_dir(&self) -> Option<&std::path::Path> {
-        self.spill_dir.as_deref()
-    }
-
-    /// Tuples currently held on disk across all sets' spill tiers.
-    pub fn spilled_tuples(&self) -> usize {
-        self.sets.values().map(|s| s.spilled_tuples()).sum()
-    }
+    /// Does nothing: the storage manager drops evicted chunks (§4.1).
+    /// Kept only because `benchmark/src/sut.rs` calls it; ROADMAP item 1
+    /// deletes it.
+    pub fn enable_spill(&mut self, _base_dir: std::path::PathBuf) {}
 
     /// Aggregate instrumentation counters across all sets.
     pub fn stats_sum(&self) -> crate::partial::PartialStats {
@@ -492,14 +461,8 @@ impl PartialStore {
         let budget = self.budget.map(|b| b.saturating_sub(other));
         let hd = self.head_drop_threshold;
         let deleted = &self.deleted;
-        let spill_dir = &self.spill_dir;
         let s = self.sets.entry(head_attr).or_insert_with(|| {
             let mut s = PartialSet::new(head_attr);
-            s.set_spill(
-                spill_dir
-                    .as_ref()
-                    .map(|d| crate::partial::SpillTier::new(d.clone(), format!("set{head_attr}"))),
-            );
             // Pre-stage past deletions: the set's chunk-map seed (taken
             // at its first query) subsumes staged deletes by exclusion.
             for &k in deleted {
@@ -521,14 +484,14 @@ impl PartialStore {
         preds: &[(usize, RangePred)],
         projs: &[usize],
         consume: impl FnMut(Block<'_>),
-    ) -> Result<(), StorageError> {
+    ) {
         let n = base.num_rows();
         let Some(&(chosen, head_pred)) = preds.iter().min_by(|a, b| {
             let sa = uniform_estimate(&a.1, n, self.domain(a.0));
             let sb = uniform_estimate(&b.1, n, self.domain(b.0));
             sa.total_cmp(&sb)
         }) else {
-            return Ok(()); // empty predicate list: nothing qualifies
+            return; // empty predicate list: nothing qualifies
         };
         let tails: Vec<(usize, RangePred)> = preds
             .iter()
@@ -540,15 +503,18 @@ impl PartialStore {
     }
 
     /// [`Self::conjunctive_project_blocks`] one value at a time, as
-    /// `consume(attr, value)`.
+    /// `consume(attr, value)`. It cannot fail; the `Result` is kept only
+    /// because `benchmark/src/sut.rs` calls `map_err` on it, and ROADMAP
+    /// item 1 deletes it.
     pub fn conjunctive_project_with<F: FnMut(usize, Val)>(
         &mut self,
         base: &Table,
         preds: &[(usize, RangePred)],
         projs: &[usize],
         mut consume: F,
-    ) -> Result<(), StorageError> {
-        self.conjunctive_project_blocks(base, preds, projs, |b| b.for_each(|v| consume(b.attr, v)))
+    ) -> Result<(), Infallible> {
+        self.conjunctive_project_blocks(base, preds, projs, |b| b.for_each(|v| consume(b.attr, v)));
+        Ok(())
     }
 
     /// Disjunctive query executed chunk-wise on the *least* selective
@@ -560,14 +526,14 @@ impl PartialStore {
         preds: &[(usize, RangePred)],
         projs: &[usize],
         consume: impl FnMut(Block<'_>),
-    ) -> Result<(), StorageError> {
+    ) {
         let n = base.num_rows();
         let Some(&(chosen, _)) = preds.iter().max_by(|a, b| {
             let sa = uniform_estimate(&a.1, n, self.domain(a.0));
             let sb = uniform_estimate(&b.1, n, self.domain(b.0));
             sa.total_cmp(&sb)
         }) else {
-            return Ok(()); // empty predicate list: nothing qualifies
+            return; // empty predicate list: nothing qualifies
         };
         self.set_mut(base, chosen)
             .disjunctive_project_blocks(base, preds, projs, consume)
@@ -681,27 +647,21 @@ mod tests {
         let mut base = table();
         // Query set 0 first so it exists before the updates.
         let preds0 = vec![(0usize, RangePred::open(10, 30))];
-        store
-            .conjunctive_project_with(&base, &preds0, &[2], |_, _| {})
-            .unwrap();
+        let Ok(()) = store.conjunctive_project_with(&base, &preds0, &[2], |_, _| {});
         // Insert one row, delete one original row (key 20: a=20, b=79).
         let key = base.append_row(&[25, 60, 999]);
         store.stage_insert(key);
         store.stage_delete(&base, 20);
         // Set 0 (existing) merges lazily.
         let mut out = Vec::new();
-        store
-            .conjunctive_project_with(&base, &preds0, &[2], |_, v| out.push(v))
-            .unwrap();
+        let Ok(()) = store.conjunctive_project_with(&base, &preds0, &[2], |_, v| out.push(v));
         assert!(out.contains(&999), "staged insert merged on access");
         assert!(!out.contains(&40), "staged delete merged on access");
         // Set 1 is created only now: its seed must exclude the deleted
         // key and include the inserted row.
         let preds1 = vec![(1usize, RangePred::open(55, 80))];
         let mut out = Vec::new();
-        store
-            .conjunctive_project_with(&base, &preds1, &[2], |_, v| out.push(v))
-            .unwrap();
+        let Ok(()) = store.conjunctive_project_with(&base, &preds1, &[2], |_, v| out.push(v));
         assert!(out.contains(&999), "late set sees the inserted row");
         assert!(!out.contains(&40), "late set excludes the deleted row");
     }
@@ -715,9 +675,7 @@ mod tests {
             (1usize, RangePred::open(94, 100)), // b = 99-row in (94,100) → rows 0..=4
         ];
         let mut out = Vec::new();
-        store
-            .disjunctive_project_blocks(&base, &preds, &[2], |b| b.append_to(&mut out))
-            .unwrap();
+        store.disjunctive_project_blocks(&base, &preds, &[2], |b| b.append_to(&mut out));
         out.sort_unstable();
         assert_eq!(out, vec![0, 2, 4, 6, 8]);
     }
@@ -731,9 +689,7 @@ mod tests {
             (1usize, RangePred::open(50, 75)),
         ];
         let mut out = Vec::new();
-        store
-            .conjunctive_project_with(&base, &preds, &[2], |_, v| out.push(v))
-            .unwrap();
+        let Ok(()) = store.conjunctive_project_with(&base, &preds, &[2], |_, v| out.push(v));
         out.sort_unstable();
         let expected: Vec<Val> = (25..40).map(|r| r * 2).collect();
         assert_eq!(out, expected);

@@ -10,26 +10,12 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::partial::{retention_score, AreaId};
-use crackdb_core::{PartialSet, SpillTier};
+use crackdb_core::PartialSet;
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-#[path = "support/segmented.rs"]
-mod support;
 
 const CASES: u64 = 60;
 const TAILS: usize = 4;
 const DOMAIN: Val = 50;
-
-fn spill_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "crackdb-evict-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 /// The base table plus the keys deleted so far: the naive side of every
 /// comparison.
@@ -185,8 +171,7 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let mut got = Vec::new();
             set.disjunctive_project_blocks(&model.table, &preds, &projs, |b| {
                 b.for_each(|v| got.push((b.attr, v)))
-            })
-            .unwrap();
+            });
             let want = model.scan(&projs, |k| {
                 preds.iter().any(|(a, p)| p.matches(model.get(*a, k)))
             });
@@ -202,8 +187,7 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let mut got = Vec::new();
             set.conjunctive_project_blocks(&model.table, &head, &sels, projs, |b| {
                 b.for_each(|v| got.push((b.attr, v)))
-            })
-            .unwrap();
+            });
             let want = model.scan(projs, |k| {
                 head.matches(model.get(0, k)) && sels[0].1.matches(model.get(sels[0].0, k))
             });
@@ -216,8 +200,7 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let mut got = Vec::new();
             set.select_project_blocks(&model.table, &head, &projs, |b| {
                 b.for_each(|v| got.push((b.attr, v)))
-            })
-            .unwrap();
+            });
             let want = model.scan(&projs, |k| head.matches(model.get(0, k)));
             assert_eq!(sorted_by_attr(&projs, got), want, "select {head:?}");
             "select"
@@ -228,11 +211,10 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
 /// Random select / project / disjunction streams with staged inserts and
 /// deletes in between (chunk lengths change while checked out), under
 /// budgets from about one chunk to almost the whole working set, with
-/// and without a spill tier (over file-backed columns, so that chunks do
-/// spill), with and without head dropping.
+/// and without head dropping.
 #[test]
 fn eviction_index_names_the_scans_victim_after_every_op() {
-    let (mut evictions, mut spills, mut merges) = (0, 0, 0);
+    let (mut evictions, mut merges) = (0, 0);
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE71C7 ^ case.wrapping_mul(0x9E3779B97F4A7C15));
         let rows = rng.gen_range(60..300usize);
@@ -247,11 +229,6 @@ fn eviction_index_names_the_scans_victim_after_every_op() {
             _ => TAILS * rows - 1,
         };
         set.budget = Some(budget);
-        if case % 2 == 0 {
-            // Only chunks of file-backed columns spill.
-            model.table = support::segmented(&model.table);
-            set.set_spill(Some(SpillTier::new(spill_dir("prop"), "prop")));
-        }
         if case % 5 < 2 {
             set.head_drop_threshold = Some(rng.gen_range(4..40));
         }
@@ -259,76 +236,9 @@ fn eviction_index_names_the_scans_victim_after_every_op() {
             let op = random_op(&mut set, &mut model, &mut rng);
             check(&set, &mut rng, &format!("case {case}, step {step}: {op}"));
         }
-        evictions += set.stats.chunks_spilled + set.stats.chunks_dropped;
-        spills += set.stats.chunks_spilled;
+        evictions += set.stats.chunks_dropped;
         merges += set.stats.updates_merged;
     }
     assert!(evictions > 1000, "the budgets must bite: {evictions}");
-    assert!(spills > 100, "file-backed chunks must spill: {spills}");
     assert!(merges > 100, "updates must reach resident chunks: {merges}");
-}
-
-/// The spill directory is taken away mid-stream (replaced by a plain
-/// file, which also stops a privileged user), so the first eviction of
-/// a column that has no spill file yet cannot create one: the chunk is
-/// put back and dropped instead. One typed error, the bookkeeping stays
-/// consistent, and once the directory can be created again the set
-/// answers like a scan.
-#[test]
-fn failed_spill_drops_the_chunk_and_keeps_the_books() {
-    let mut rng = StdRng::seed_from_u64(0xFA17);
-    let rows = 400;
-    let mut model = Model::new(&mut rng, rows);
-    model.table = support::segmented(&model.table);
-    let dir = spill_dir("fault");
-    let mut set = PartialSet::new(0);
-    set.budget = Some(rows / 2);
-    set.set_spill(Some(SpillTier::new(dir.clone(), "fault")));
-
-    let select = |set: &mut PartialSet, model: &Model, head: &RangePred, attr: usize| {
-        let mut got = Vec::new();
-        set.select_project_blocks(&model.table, head, &[attr], |b| {
-            b.for_each(|v| got.push((b.attr, v)))
-        })
-        .map(|()| sorted_by_attr(&[attr], got))
-    };
-    let window = |i: Val| RangePred::open((i * 7) % DOMAIN, (i * 7) % DOMAIN + 9);
-
-    // Columns 1 and 2 get their spill files.
-    for i in 0..12 {
-        let attr = 1 + (i % 2) as usize;
-        select(&mut set, &model, &window(i), attr).unwrap();
-        check(&set, &mut rng, "healthy tier");
-    }
-    assert!(set.stats.chunks_spilled > 0 && set.stats.chunks_dropped == 0);
-
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::write(&dir, b"not a directory").unwrap();
-
-    // Column 3 has no file: evicting one of its chunks fails.
-    let dropped_before = set.stats.chunks_dropped;
-    let mut errors = Vec::new();
-    for i in 0..40 {
-        let head = window(i);
-        match select(&mut set, &model, &head, 3) {
-            Ok(got) => assert_eq!(got, model.scan(&[3], |k| head.matches(model.get(0, k)))),
-            Err(e) => {
-                errors.push(e.to_string());
-                check(&set, &mut rng, "right after the failed spill");
-                std::fs::remove_file(&dir).unwrap();
-            }
-        }
-        check(&set, &mut rng, "column 3 stream");
-    }
-    assert_eq!(errors.len(), 1, "{errors:?}");
-    assert!(errors[0].contains("create spill dir"), "{errors:?}");
-    assert!(set.stats.chunks_dropped > dropped_before);
-
-    // Serviceable, and spilling column 3 now works.
-    let spilled_before = set.stats.chunks_spilled;
-    for _ in 0..40 {
-        random_op(&mut set, &mut model, &mut rng);
-        check(&set, &mut rng, "after the fault");
-    }
-    assert!(set.stats.chunks_spilled > spilled_before);
 }

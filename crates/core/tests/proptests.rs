@@ -12,9 +12,6 @@ use crackdb_core::{MapSet, PartialSet};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 
-#[path = "support/segmented.rs"]
-mod support;
-
 const CASES: u64 = 64;
 
 /// Run `f` once per case with a per-case deterministic generator.
@@ -134,8 +131,7 @@ fn partial_maps_budget_correct() {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got = Vec::new();
-            set.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got))
-                .unwrap();
+            set.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got));
             got.sort_unstable();
             let mut expected: Vec<Val> = (0..n)
                 .filter(|&i| p.matches(a[i]))
@@ -153,18 +149,14 @@ fn partial_maps_budget_correct() {
     });
 }
 
-/// Spill round-trip property: a partial set over file-backed columns
-/// with a spill tier and a tiny budget — so chunks constantly serialize
-/// to disk, reload and un-merge — answers bit-for-bit like a
-/// never-evicted set and a naive scan, and `usage() <= budget` holds
-/// *exactly* after every query (spilled tuples are disk-resident and
-/// must not count).
+/// Eviction round-trip property: a partial set with a tiny budget — so
+/// chunks are constantly dropped, recreated from the base and their
+/// areas un-merged — answers bit-for-bit like a never-evicted set and a
+/// naive scan, and `usage() <= budget` holds *exactly* after every
+/// query.
 #[test]
-fn spilled_partial_sets_match_never_evicted() {
-    use crackdb_core::SpillTier;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-    let (mut spilled, mut reloaded) = (0, 0);
+fn evicted_partial_sets_match_never_evicted() {
+    let (mut dropped, mut recreated) = (0, 0);
     cases(0x5B111ED, |rng| {
         let a = vec_of(rng, 0, 50, 8, 120);
         let n = a.len();
@@ -178,50 +170,44 @@ fn spilled_partial_sets_match_never_evicted() {
             })
             .collect();
         let t = table(cols);
-        let on_disk = support::segmented(&t);
         let budget = (n / rng.gen_range(3usize..8)).max(8);
-        let dir = std::env::temp_dir().join(format!(
-            "crackdb-prop-spill-{}-{}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let mut cold = PartialSet::new(0);
         cold.budget = Some(budget);
-        cold.set_spill(Some(SpillTier::new(dir, "prop")));
         let mut hot = PartialSet::new(0);
         let nq = rng.gen_range(4usize..20);
         for _ in 0..nq {
             let p = pred(rng.gen_range(0i64..50), rng.gen_range(0i64..25));
             let attr = 1 + rng.gen_range(0usize..3);
             let mut got_cold = Vec::new();
-            cold.select_project_blocks(&on_disk, &p, &[attr], |b| b.append_to(&mut got_cold))
-                .unwrap();
+            cold.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_cold));
             let mut got_hot = Vec::new();
-            hot.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_hot))
-                .unwrap();
+            hot.select_project_blocks(&t, &p, &[attr], |b| b.append_to(&mut got_hot));
             got_cold.sort_unstable();
             got_hot.sort_unstable();
-            assert_eq!(got_cold, got_hot, "spilled answers drift from in-RAM");
+            assert_eq!(
+                got_cold, got_hot,
+                "evicted answers drift from never-evicted"
+            );
             let mut expected: Vec<Val> = (0..n)
                 .filter(|&i| p.matches(a[i]))
                 .map(|i| t.column(attr).get(i as u32))
                 .collect();
             expected.sort_unstable();
-            assert_eq!(got_cold, expected, "spilled answers drift from scan");
+            assert_eq!(got_cold, expected, "evicted answers drift from scan");
             assert!(
                 cold.usage() <= budget,
-                "resident usage {} exceeds budget {} exactly after a query",
+                "usage {} exceeds budget {} exactly after a query",
                 cold.usage(),
                 budget
             );
             assert_eq!(cold.check_invariants(), Ok(()));
             assert_eq!(hot.check_invariants(), Ok(()));
         }
-        spilled += cold.stats.chunks_spilled;
-        reloaded += cold.stats.chunks_reloaded;
+        dropped += cold.stats.chunks_dropped;
+        recreated += cold.stats.chunks_created;
     });
-    assert!(spilled > 0, "the tiny budgets must spill");
-    assert!(reloaded > 0, "re-accessed chunks must reload");
+    assert!(dropped > 0, "the tiny budgets must drop chunks");
+    assert!(recreated > dropped, "dropped chunks must be recreated");
 }
 
 /// The §3.3 histogram estimate always brackets the true result size
@@ -250,52 +236,5 @@ fn histogram_bounds_hold() {
         assert!(est.upper >= truth, "upper {} < truth {}", est.upper, truth);
         assert!(est.estimate >= est.lower as f64 - 1e-9);
         assert!(est.estimate <= est.upper as f64 + 1e-9);
-    });
-}
-
-/// A spilled chunk round-trips into a replica that replays the rest of
-/// its area tape bit-identically: the spill format preserves everything
-/// replay depends on (cursor, index shell, access bookkeeping).
-#[test]
-fn spill_reload_replays_tapes_bit_identically() {
-    use crackdb_core::partial::spill::{decode_chunk, encode_chunk};
-    use crackdb_core::partial::Chunk;
-    use crackdb_core::AreaEntry;
-
-    cases(0x5B111, |rng| {
-        let head = vec_of(rng, 0, 200, 8, 120);
-        let n = head.len();
-        let tail: Vec<Val> = (0..n as Val).map(|i| i + 5000).collect();
-        let t = table(vec![head.clone(), tail.clone()]);
-        let (head_col, tail_col) = (t.column(0), t.column(1));
-
-        let tape: Vec<AreaEntry> = (0..rng.gen_range(2usize..12))
-            .map(|_| AreaEntry::Crack(pred(rng.gen_range(0i64..200), rng.gen_range(0i64..80))))
-            .collect();
-
-        // Replay a prefix, then spill.
-        let mut live = Chunk::seed(head.clone(), tail.clone(), None);
-        let split = rng.gen_range(0usize..=tape.len());
-        live.align_to(&tape, split, head_col, tail_col);
-        live.accesses = rng.gen_range(0u64..50);
-        live.last_access = rng.gen_range(0u64..1000);
-
-        let mut reloaded =
-            decode_chunk(&encode_chunk(&live), "proptest").expect("spill round-trip decodes");
-        assert_eq!(reloaded.cursor, live.cursor, "cursor survives the spill");
-        assert_eq!(reloaded.accesses, live.accesses);
-        assert_eq!(reloaded.last_access, live.last_access);
-        assert_eq!(reloaded.tail(), live.tail());
-
-        // Both finish the tape; a reloaded chunk must be
-        // indistinguishable from one that never left memory.
-        live.align_to(&tape, tape.len(), head_col, tail_col);
-        if reloaded.head_dropped() {
-            reloaded.restore_head(head.clone());
-        }
-        reloaded.align_to(&tape, tape.len(), head_col, tail_col);
-        assert_eq!(reloaded.head(), live.head(), "replayed heads diverged");
-        assert_eq!(reloaded.tail(), live.tail(), "replayed tails diverged");
-        assert_eq!(reloaded.index().len(), live.index().len());
     });
 }

@@ -29,7 +29,7 @@ pub use path::{AccessPath, RestrictCtx, RowSet};
 pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
 
-use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryError, QueryOutput, SelectQuery};
+use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryOutput, SelectQuery};
 use crackdb_columnstore::ops::block::{Block, PartialAgg};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::time::Instant;
@@ -79,21 +79,9 @@ fn order_preds<P: AccessPath + ?Sized>(
     out
 }
 
-/// Execute a single-table query over any access path, panicking on a
-/// storage-tier failure. In-RAM paths are infallible, so this is the
-/// `select` implementation they share; spill-enabled engines call
-/// [`try_run_select`] and surface the error instead.
-pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> QueryOutput {
-    try_run_select(path, q).unwrap_or_else(|e| panic!("storage failure in infallible select: {e}"))
-}
-
 /// Execute a single-table query over any access path. This is the one
-/// `select` implementation all five engines share; engines with a
-/// storage tier get disk failures back as [`QueryError::Storage`].
-pub fn try_run_select<P: AccessPath + ?Sized>(
-    path: &mut P,
-    q: &SelectQuery,
-) -> Result<QueryOutput, QueryError> {
+/// `select` implementation all five engines share.
+pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> QueryOutput {
     let mut out = QueryOutput::default();
 
     // Attributes the reconstruction phase needs, deduplicated, aggregates
@@ -161,13 +149,13 @@ pub fn try_run_select<P: AccessPath + ?Sized>(
                 [] => std::slice::from_ref(&head),
                 attrs => attrs,
             };
-            path.fetch(&rows, attrs, &mut |b| answer.absorb(b))?;
+            path.fetch(&rows, attrs, &mut |b| answer.absorb(b));
         }
         // A materialized row set is reconstructed attribute by
         // attribute.
         None => {
             for attr in &fetch_attrs {
-                path.fetch(&rows, std::slice::from_ref(attr), &mut |b| answer.absorb(b))?;
+                path.fetch(&rows, std::slice::from_ref(attr), &mut |b| answer.absorb(b));
             }
         }
     }
@@ -184,7 +172,7 @@ pub fn try_run_select<P: AccessPath + ?Sized>(
     } else {
         out.timings.reconstruct = t1.elapsed();
     }
-    Ok(out)
+    out
 }
 
 /// What the reconstruction phase accumulates a block at a time: one
@@ -285,12 +273,7 @@ mod tests {
             RowSet::keys((0..self.table.num_rows() as RowId).collect(), true)
         }
 
-        fn fetch(
-            &mut self,
-            rows: &RowSet,
-            attrs: &[usize],
-            consume: &mut dyn FnMut(Block<'_>),
-        ) -> Result<(), QueryError> {
+        fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
             self.fetch_calls += 1;
             let RowSet::Keys { keys, .. } = rows else {
                 unreachable!()
@@ -298,7 +281,6 @@ mod tests {
             for &attr in attrs {
                 gather_blocks(attr, self.table.column(attr), keys, &mut *consume);
             }
-            Ok(())
         }
     }
 
@@ -375,12 +357,7 @@ mod tests {
         fn unrestricted(&mut self, ctx: &RestrictCtx) -> RowSet {
             self.inner.unrestricted(ctx)
         }
-        fn fetch(
-            &mut self,
-            rows: &RowSet,
-            attrs: &[usize],
-            consume: &mut dyn FnMut(Block<'_>),
-        ) -> Result<(), QueryError> {
+        fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
             self.inner.fetch(rows, attrs, consume)
         }
     }

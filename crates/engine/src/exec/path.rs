@@ -6,7 +6,6 @@
 //! disjunctive combining, aggregation, projection materialization, phase
 //! timing) lives once in [`super::run_select`].
 
-use crate::query::QueryError;
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::RangePred;
 use crackdb_core::BitVec;
@@ -135,13 +134,6 @@ pub trait AccessPath {
     /// cracker map), one per chunk area for chunk-wise plans, gathered
     /// runs for key lists. The qualifying values of one attribute arrive
     /// in row-set order over its blocks; chunk-wise engines interleave
-    /// the attributes area by area. Engines with a storage tier surface
-    /// disk failures as [`QueryError::Storage`]; in-RAM engines are
-    /// infallible.
-    fn fetch(
-        &mut self,
-        rows: &RowSet,
-        attrs: &[usize],
-        consume: &mut dyn FnMut(Block<'_>),
-    ) -> Result<(), QueryError>;
+    /// the attributes area by area.
+    fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>));
 }

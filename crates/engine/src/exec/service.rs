@@ -120,11 +120,6 @@ pub enum ServiceError {
     WorkerLost,
     /// A delete named a key that no row ever had.
     UnknownKey(RowId),
-    /// A shard's storage tier failed the query (I/O error, checksum
-    /// mismatch, truncated file): the first failing shard's
-    /// [`QueryError`](crate::query::QueryError), formatted. The worker
-    /// keeps serving, so a retry may succeed.
-    Storage(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -136,7 +131,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::WorkerLost => write!(f, "a shard worker is gone or never started"),
             ServiceError::UnknownKey(k) => write!(f, "key {k} does not name a row"),
-            ServiceError::Storage(msg) => write!(f, "shard query failed: {msg}"),
         }
     }
 }
@@ -164,9 +158,8 @@ pub struct WriteReply {
     pub key: Option<RowId>,
 }
 
-/// A shard's answer to a read: its partial result, or its storage
-/// error formatted for [`ServiceError::Storage`].
-type ShardReply = (usize, Result<QueryOutput, String>);
+/// A shard's answer to a read: its index and its partial result.
+type ShardReply = (usize, QueryOutput);
 
 /// One unit of work on a shard worker's queue.
 enum Work {
@@ -232,19 +225,16 @@ impl Drop for Slot<'_> {
 /// The shard-worker loop: exclusively owns one shard's inner engine,
 /// drains its queue in FIFO order, posts partial results, and returns
 /// the engine when stopped (for [`Service::shutdown`] to reassemble).
-/// Reads run through the fallible `try_*` paths, so a storage failure
-/// is a reply, not a dead worker. Reply sends ignore errors — a client
-/// that gave up on a reply is not the worker's problem.
+/// Reply sends ignore errors — a client that gave up on a reply is not
+/// the worker's problem.
 fn worker<E: Engine>(shard: usize, mut engine: E, queue: Receiver<Work>) -> E {
     while let Ok(work) = queue.recv() {
         match work {
             Work::Select { q, reply } => {
-                let out = engine.try_select(&q).map_err(|e| e.to_string());
-                let _ = reply.send((shard, out));
+                let _ = reply.send((shard, engine.select(&q)));
             }
             Work::Join { q, reply } => {
-                let out = engine.try_join(&q).map_err(|e| e.to_string());
-                let _ = reply.send((shard, out));
+                let _ = reply.send((shard, engine.join(&q)));
             }
             Work::Insert { row, reply } => {
                 engine.insert(&row);
@@ -405,7 +395,7 @@ impl Client {
     ///
     /// # Errors
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
-    /// [`ServiceError::WorkerLost`] or [`ServiceError::Storage`].
+    /// or [`ServiceError::WorkerLost`].
     pub fn select(&self, q: &SelectQuery) -> Result<Reply, ServiceError> {
         let _slot = self.admit()?;
         // The shards run the query as asked; the one copy made of it is
@@ -427,7 +417,7 @@ impl Client {
     ///
     /// # Errors
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
-    /// [`ServiceError::WorkerLost`] or [`ServiceError::Storage`].
+    /// or [`ServiceError::WorkerLost`].
     pub fn join(&self, q: &JoinQuery) -> Result<Reply, ServiceError> {
         let _slot = self.admit()?;
         let shard_q = Arc::new(q.clone());
@@ -546,21 +536,14 @@ impl Client {
     }
 
     /// Collect one partial result per shard, in shard order. A
-    /// disconnect before all replies arrive means a worker died; with
-    /// every reply in, the first shard's storage error (in shard order)
-    /// fails the call.
+    /// disconnect before all replies arrive means a worker died.
     fn collect(&self, rx: Receiver<ShardReply>) -> Result<Vec<QueryOutput>, ServiceError> {
-        let mut outs: Vec<Option<_>> = (0..self.nshards).map(|_| None).collect();
+        let mut outs = Vec::with_capacity(self.nshards);
         for _ in 0..self.nshards {
-            let (shard, out) = rx.recv().map_err(|_| self.fail())?;
-            outs[shard] = Some(out);
+            outs.push(rx.recv().map_err(|_| self.fail())?);
         }
-        outs.into_iter()
-            .map(|o| {
-                o.expect("each shard replies exactly once")
-                    .map_err(ServiceError::Storage)
-            })
-            .collect()
+        outs.sort_unstable_by_key(|&(shard, _)| shard);
+        Ok(outs.into_iter().map(|(_, out)| out).collect())
     }
 }
 

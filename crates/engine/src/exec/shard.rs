@@ -48,13 +48,12 @@
 //! Shards never share cracker state, so an engine's options compose per
 //! shard with no cross-shard coordination: pass them through the `make`
 //! closure (`ShardedEngine::build(base, n, |_, t|
-//! PartialEngine::with_spill_dir(t, domain, budget, dir.clone()))`) and
+//! PartialEngine::new(t, domain, budget))`) and
 //! every shard cracks its fraction of the data with them. Each shard's
 //! cracks depend only on its own array state.
 
 use crate::query::{
-    agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput,
-    SelectQuery, Timings,
+    agg_attrs, finish_aggs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::PartialAgg;
@@ -332,19 +331,6 @@ impl<E: Engine + Send> Engine for ShardedEngine<E> {
     fn join(&mut self, q: &JoinQuery) -> QueryOutput {
         let outs = self.fan_out(|e| e.join(q));
         merge_join_outputs(q, &outs)
-    }
-
-    /// Every shard runs its own `try_select`; the first storage error in
-    /// shard order fails the query.
-    fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, QueryError> {
-        let outs = self.fan_out(|e| e.try_select(q)).into_iter();
-        Ok(merge_select_outputs(q, outs.collect::<Result<_, _>>()?))
-    }
-
-    /// Fallible join; see [`Self::try_select`].
-    fn try_join(&mut self, q: &JoinQuery) -> Result<QueryOutput, QueryError> {
-        let outs = self.fan_out(|e| e.try_join(q)).into_iter();
-        Ok(merge_join_outputs(q, &outs.collect::<Result<Vec<_>, _>>()?))
     }
 
     fn insert(&mut self, row: &[Val]) {

@@ -77,6 +77,6 @@ pub use exec::{AccessPath, RestrictCtx, RowSet, ShardedEngine};
 pub use partial_engine::PartialEngine;
 pub use plain::PlainEngine;
 pub use presorted::PresortedEngine;
-pub use query::{Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings};
+pub use query::{Engine, JoinQuery, JoinSide, QueryOutput, SelectQuery, Timings};
 pub use selcrack::SelCrackEngine;
 pub use sideways::SidewaysEngine;

@@ -7,7 +7,7 @@
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
 use crate::query::{
-    finish_join_aggs, Engine, JoinQuery, JoinSide, QueryError, QueryOutput, SelectQuery, Timings,
+    finish_join_aggs, Engine, JoinQuery, JoinSide, QueryOutput, SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
@@ -52,26 +52,15 @@ impl PartialEngine {
         }
     }
 
-    /// Single-table engine with the disk spill tier enabled: chunks
-    /// evicted by the budget whose rebuild would read a segmented
-    /// (file-backed) base column serialize to per-column spill files
-    /// under `dir` and reload on re-access instead of recracking. A
-    /// unique per-store subdirectory is created beneath `dir` on the
-    /// first spilled eviction and removed when the engine drops. Chunks
-    /// of in-memory columns are dropped and regathered, exactly as in
-    /// [`Self::new`], so on a resident table the tier never writes. Use
-    /// [`Engine::try_select`] / [`Engine::try_join`] with a spilled
-    /// engine — spill I/O failures surface as
-    /// [`QueryError::Storage`](crate::query::QueryError::Storage).
+    /// [`Self::new`]; `dir` is ignored. Kept only because
+    /// `benchmark/src/sut.rs` calls it; ROADMAP item 1 deletes it.
     pub fn with_spill_dir(
         base: Table,
         domain: (Val, Val),
         budget: Option<usize>,
-        dir: impl Into<std::path::PathBuf>,
+        _dir: impl Into<std::path::PathBuf>,
     ) -> Self {
-        let mut e = PartialEngine::new(base, domain, budget);
-        e.store.enable_spill(dir.into());
-        e
+        PartialEngine::new(base, domain, budget)
     }
 
     /// Register the value domain of one primary-table attribute; its
@@ -95,11 +84,7 @@ type SideRows = (Vec<Val>, Vec<(usize, Vec<Val>)>);
 /// a positionally consistent order (same tuples, same order per
 /// attribute), so zipping the columns recovers the side's tuples.
 /// Returns `(join values, (attr, column) pairs)`.
-fn side_rows(
-    store: &mut PartialStore,
-    base: &Table,
-    side: &JoinSide,
-) -> Result<SideRows, QueryError> {
+fn side_rows(store: &mut PartialStore, base: &Table, side: &JoinSide) -> SideRows {
     let mut attrs = vec![side.join_attr];
     for &(a, _) in &side.aggs {
         if !attrs.contains(&a) {
@@ -118,14 +103,14 @@ fn side_rows(
                 b.append_to(col);
             }
         }
-    })?;
+    });
     let join_vals = cols
         .iter()
         .find(|(a, _)| *a == side.join_attr)
         .expect("join attribute collected")
         .1
         .clone();
-    Ok((join_vals, cols))
+    (join_vals, cols)
 }
 
 /// Pre-partition a join input at shared equal-width cut points so
@@ -188,12 +173,7 @@ impl AccessPath for PartialEngine {
         }
     }
 
-    fn fetch(
-        &mut self,
-        rows: &RowSet,
-        attrs: &[usize],
-        consume: &mut dyn FnMut(Block<'_>),
-    ) -> Result<(), QueryError> {
+    fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
         match rows {
             // The fused chunk-wise pass: one traversal merges pending
             // updates, materializes, aligns and cracks the touched chunks
@@ -202,8 +182,7 @@ impl AccessPath for PartialEngine {
             RowSet::Deferred { head, residual } => self
                 .store
                 .set_mut(&self.base, head.0)
-                .conjunctive_project_blocks(&self.base, &head.1, residual, attrs, consume)
-                .map_err(QueryError::from),
+                .conjunctive_project_blocks(&self.base, &head.1, residual, attrs, consume),
             // Union form: all areas of the least selective predicate's
             // set, one OR bit vector per area.
             RowSet::DeferredUnion { preds } => {
@@ -211,7 +190,6 @@ impl AccessPath for PartialEngine {
                 self.store
                     .set_mut(&self.base, head)
                     .disjunctive_project_blocks(&self.base, preds, attrs, consume)
-                    .map_err(QueryError::from)
             }
             _ => unreachable!("partial plans are deferred"),
         }
@@ -227,24 +205,15 @@ impl Engine for PartialEngine {
         exec::run_select(self, q)
     }
 
-    fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, QueryError> {
-        exec::try_run_select(self, q)
-    }
-
     fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        self.try_join(q)
-            .unwrap_or_else(|e| panic!("storage failure in infallible join: {e}"))
-    }
-
-    fn try_join(&mut self, q: &JoinQuery) -> Result<QueryOutput, QueryError> {
         let second = self.second.as_ref().expect("join needs a second table");
         let mut out = QueryOutput::default();
         let mut timings = Timings::default();
 
         // Selection + pre-join reconstruction, fused chunk-wise per side.
         let t0 = Instant::now();
-        let (lvals, lcols) = side_rows(&mut self.store, &self.base, &q.left)?;
-        let (rvals, rcols) = side_rows(&mut self.second_store, second, &q.right)?;
+        let (lvals, lcols) = side_rows(&mut self.store, &self.base, &q.left);
+        let (rvals, rcols) = side_rows(&mut self.second_store, second, &q.right);
         timings.select = t0.elapsed();
 
         // §3.4 partitioned cracker join: both inputs become cracked
@@ -284,7 +253,7 @@ impl Engine for PartialEngine {
         out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t2.elapsed();
         out.timings = timings;
-        Ok(out)
+        out
     }
 
     fn insert(&mut self, row: &[Val]) {

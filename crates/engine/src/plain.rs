@@ -2,9 +2,7 @@
 //! order-preserving results, positional in-order tuple reconstruction.
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{
-    finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
-};
+use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{gather_blocks, Block};
 use crackdb_columnstore::ops::join::hash_join;
@@ -114,12 +112,7 @@ impl AccessPath for PlainEngine {
         )
     }
 
-    fn fetch(
-        &mut self,
-        rows: &RowSet,
-        attrs: &[usize],
-        consume: &mut dyn FnMut(Block<'_>),
-    ) -> Result<(), QueryError> {
+    fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
         let RowSet::Keys { keys, .. } = rows else {
             unreachable!("plain scans produce key lists")
         };
@@ -128,7 +121,6 @@ impl AccessPath for PlainEngine {
         for &attr in attrs {
             gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
         }
-        Ok(())
     }
 }
 

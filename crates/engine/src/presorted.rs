@@ -3,9 +3,7 @@
 //! slice-read reconstructions — and a heavy, measured preparation step.
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{
-    finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
-};
+use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::ops::join::hash_join;
@@ -174,12 +172,7 @@ impl AccessPath for PresortedEngine {
         }
     }
 
-    fn fetch(
-        &mut self,
-        rows: &RowSet,
-        attrs: &[usize],
-        consume: &mut dyn FnMut(Block<'_>),
-    ) -> Result<(), QueryError> {
+    fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("presorted selections produce areas")
         };
@@ -194,7 +187,6 @@ impl AccessPath for PresortedEngine {
                 sel: bv.as_ref().map(BitVec::words),
             });
         }
-        Ok(())
     }
 }
 

@@ -2,42 +2,9 @@
 //! interface every physical design implements.
 
 use crackdb_columnstore::ops::block::PartialAgg;
-use crackdb_columnstore::storage::StorageError;
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
-use std::fmt;
+use std::convert::Infallible;
 use std::time::Duration;
-
-/// A typed query failure. In-RAM engines are infallible; engines with a
-/// storage tier (segmented base columns, chunk spill files) surface disk
-/// trouble here instead of panicking.
-#[derive(Debug)]
-pub enum QueryError {
-    /// A storage-tier read or write failed (I/O error, checksum
-    /// mismatch, truncated file).
-    Storage(StorageError),
-}
-
-impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::Storage(e) => write!(f, "storage error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for QueryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            QueryError::Storage(e) => Some(e),
-        }
-    }
-}
-
-impl From<StorageError> for QueryError {
-    fn from(e: StorageError) -> Self {
-        QueryError::Storage(e)
-    }
-}
 
 /// A single-table query: conjunctive or disjunctive range predicates plus
 /// aggregate and/or raw projections. Covers q1/q3 (§3.6), the `Qi`
@@ -156,16 +123,10 @@ pub trait Engine {
     /// Execute a two-table join query.
     fn join(&mut self, q: &JoinQuery) -> QueryOutput;
 
-    /// Fallible select: engines with a storage tier override this to
-    /// surface disk failures as typed errors. The default wraps the
-    /// infallible [`Engine::select`].
-    fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, QueryError> {
+    /// [`Engine::select`], which cannot fail. Kept only because
+    /// `benchmark/src/sut.rs` calls it; ROADMAP item 1 deletes it.
+    fn try_select(&mut self, q: &SelectQuery) -> Result<QueryOutput, Infallible> {
         Ok(self.select(q))
-    }
-
-    /// Fallible join; see [`Engine::try_select`].
-    fn try_join(&mut self, q: &JoinQuery) -> Result<QueryOutput, QueryError> {
-        Ok(self.join(q))
     }
 
     /// Append a new tuple (values in column order) to the primary table.
@@ -180,8 +141,8 @@ pub trait Engine {
     }
 
     /// Always 0: every cracker structure keeps the one policy it was
-    /// built with. Kept only because crackbench's
-    /// `cracking.policy.switches` metric reads it.
+    /// built with. Kept only because `benchmark/src/sut.rs` calls it;
+    /// ROADMAP item 1 deletes it.
     fn policy_switches(&self) -> u64 {
         0
     }

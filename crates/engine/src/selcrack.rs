@@ -10,9 +10,7 @@
 //! Disjunctions and joins copy the keys out ([`RowSet::Keys`]).
 
 use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{
-    finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
-};
+use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{gather_blocks, Block};
 use crackdb_columnstore::ops::join::hash_join;
@@ -198,12 +196,7 @@ impl AccessPath for SelCrackEngine {
         self.restrict(0, &RangePred::all(), ctx)
     }
 
-    fn fetch(
-        &mut self,
-        rows: &RowSet,
-        attrs: &[usize],
-        consume: &mut dyn FnMut(Block<'_>),
-    ) -> Result<(), QueryError> {
+    fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
         match rows {
             // Tuple reconstruction: random-order positional lookups into
             // the full base columns — the cost the paper attacks.
@@ -238,7 +231,6 @@ impl AccessPath for SelCrackEngine {
             // Chunk-wise plans: never produced here.
             RowSet::Deferred { .. } | RowSet::DeferredUnion { .. } => {}
         }
-        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
 use crate::query::{
-    agg_attrs, finish_join_aggs, Engine, JoinQuery, QueryError, QueryOutput, SelectQuery, Timings,
+    agg_attrs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{Block, PartialAgg};
@@ -150,12 +150,7 @@ impl AccessPath for SidewaysEngine {
         }
     }
 
-    fn fetch(
-        &mut self,
-        rows: &RowSet,
-        attrs: &[usize],
-        consume: &mut dyn FnMut(Block<'_>),
-    ) -> Result<(), QueryError> {
+    fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>)) {
         let RowSet::Area { head, range, bv } = rows else {
             unreachable!("sideways reconstruction operates on areas")
         };
@@ -167,7 +162,6 @@ impl AccessPath for SidewaysEngine {
             s.sideways_select(&self.base, attr, &head.1);
             consume(s.view_block(attr, *range, bv.as_ref()));
         }
-        Ok(())
     }
 }
 

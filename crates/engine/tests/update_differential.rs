@@ -146,18 +146,43 @@ fn unsharded_engines_agree_under_interleaved_updates() {
     );
 }
 
+/// [`workload`]'s stream with every select turned into a two-predicate
+/// conjunction that projects a third attribute: every area a read
+/// touches checks out three chunks, so a tight budget drops some of
+/// them while their siblings stay.
+fn conjunctive(ops: &[Op]) -> Vec<Op> {
+    ops.iter()
+        .map(|op| match op {
+            Op::Insert(row) => Op::Insert(row.clone()),
+            Op::Delete(key) => Op::Delete(*key),
+            Op::Select(q) => {
+                let mut q = q.clone();
+                let attr = q.preds[0].0;
+                q.preds
+                    .push(((attr + 1) % 3, RangePred::open(DOMAIN.1 / 8, DOMAIN.1)));
+                q.projs = vec![(attr + 2) % 3];
+                Op::Select(q)
+            }
+        })
+        .collect()
+}
+
 /// §3.5 under §4 storage pressure: the partial engine must stay
-/// bit-identical to the baseline while evicting chunks, and its usage
-/// must respect the budget exactly after every query.
+/// bit-identical to the baseline while evicting chunks, its usage must
+/// respect the budget exactly after every query, and every partial
+/// set's bookkeeping must hold after every op, updates included. The
+/// conjunctive stream runs under a budget below one area's three
+/// chunks, so areas revert and their merged updates are staged again.
 #[test]
 fn partial_with_budget_agrees_and_respects_budget_under_updates() {
     let t = random_table(3, 311, DOMAIN.1, 61);
     let ops = workload(3, 311, 120, 62);
-    let expected = expected_for(&t, &ops);
-    for budget in [150, 400] {
+    let conj = conjunctive(&ops);
+    for (name, ops, budget) in [("", &ops, 150), ("", &ops, 400), (" conj", &conj, 120)] {
+        let expected = expected_for(&t, ops);
         let mut e = PartialEngine::new(t.clone(), DOMAIN, Some(budget));
         let mut outs = Vec::new();
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
             match op {
                 Op::Insert(row) => e.insert(row),
                 Op::Delete(key) => e.delete(*key),
@@ -170,8 +195,13 @@ fn partial_with_budget_agrees_and_respects_budget_under_updates() {
                     );
                 }
             }
+            for attr in 0..3 {
+                if let Some(set) = e.store().set(attr) {
+                    assert_eq!(set.check_invariants(), Ok(()), "op {i}: set {attr}");
+                }
+            }
         }
-        assert_same(&outs, &expected, &format!("partial budget={budget}"));
+        assert_same(&outs, &expected, &format!("partial{name} budget={budget}"));
     }
 }
 

@@ -189,7 +189,7 @@ fn l003_counts_panic_macros_but_not_macro_named_idents() {
 /// on `std::env::var`); L004 reads documents only.
 #[test]
 fn l004_scans_docs_not_source() {
-    let src = "pub fn f() -> Option<String> { std::env::var(\"CRACKDB_SPILL_DIR\").ok() }\n";
+    let src = "pub fn f() -> Option<String> { std::env::var(\"CRACKDB_DATA_DIR\").ok() }\n";
     assert!(codes(&ws_with(lib_file(src), 0)).is_empty());
     let mut ws = ws_with(lib_file("pub fn f() {}\n"), 0);
     ws.docs.push((
@@ -217,13 +217,13 @@ fn l004_doc_drift_flags_unregistered_names() {
     let mut ws = ws_with(lib_file("pub fn f() {}\n"), 0);
     ws.docs.push((
         "README.md".into(),
-        "No knobs here.\nSet CRACKDB_SPILL_DIR=/tmp/spill.\nSet CRACKDB_IMAGINARY=1 for magic.\n"
+        "No knobs here.\nSet CRACKDB_DATA_DIR=/tmp/data.\nSet CRACKDB_IMAGINARY=1 for magic.\n"
             .into(),
     ));
     let rep = run(&ws);
     let found: Vec<_> = rep.findings.iter().map(|f| (f.code, f.line)).collect();
     assert_eq!(found, vec![("L004", 2), ("L004", 3)], "{:?}", rep.findings);
-    assert!(rep.findings[0].message.contains("CRACKDB_SPILL_DIR"));
+    assert!(rep.findings[0].message.contains("CRACKDB_DATA_DIR"));
     assert!(rep.findings[1].message.contains("CRACKDB_IMAGINARY"));
 }
 
