@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the kernels behind every figure: crack-in-two /
-//! crack-in-three, map groups against separate maps, cracker-index
-//! operations, bit-vector filtering, the three positional-reconstruction
-//! access patterns, and ripple updates.
+//! crack-in-three, map groups against separate maps, chunk groups
+//! against separate chunks, cracker-index operations, bit-vector
+//! filtering, the three positional-reconstruction access patterns, and
+//! ripple updates.
 
 use crackdb_bench::harness::{BatchSize, Criterion};
-use crackdb_columnstore::column::insert_headroom;
+use crackdb_columnstore::column::{insert_headroom, Column, Table};
 use crackdb_columnstore::ops::block::PartialAgg;
 use crackdb_columnstore::radix::radix_cluster;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
-use crackdb_core::BitVec;
+use crackdb_core::{BitVec, Chunk};
 use crackdb_cracking::crack::{crack_in_three, crack_in_two, BoundKind};
 use crackdb_cracking::{CrackedArray, CrackerIndex, SeedPlan};
 use crackdb_rng::rngs::StdRng;
@@ -525,10 +526,85 @@ fn bench_map_groups(c: &mut Criterion) {
     g.finish();
 }
 
+/// Areas per sample of the `chunk_groups` benches, and their rows: a
+/// `qi_spill` query's areas over its 3M-row table.
+const CHUNK_AREAS: usize = 100;
+const AREA_ROWS: usize = 3_600;
+
+/// A `qi_spill`-shaped table (head `a0`, tails `a1`, `a2`, values
+/// uniform over the row count) and [`CHUNK_AREAS`] random areas of its chunk
+/// map: each the `(head, key)` pairs of [`AREA_ROWS`] rows adjacent in
+/// value, in scattered order, with a predicate cutting inside it.
+#[allow(clippy::type_complexity)]
+fn chunk_areas() -> (Table, Vec<(Vec<Val>, Vec<RowId>, RangePred)>) {
+    let mut rng = StdRng::seed_from_u64(31);
+    let domain = GROUP_ROWS as Val;
+    let mut table = Table::new();
+    for c in 0..3 {
+        let col = (0..GROUP_ROWS).map(|_| rng.gen_range(0..domain)).collect();
+        table.add_column(format!("a{c}"), Column::new(col));
+    }
+    let head = table.column(0).values();
+    let mut by_value: Vec<RowId> = (0..GROUP_ROWS as RowId).collect();
+    by_value.sort_unstable_by_key(|&k| head[k as usize]);
+    let areas = (0..CHUNK_AREAS)
+        .map(|_| {
+            let at = rng.gen_range(0..GROUP_ROWS - AREA_ROWS);
+            let mut keys = by_value[at..at + AREA_ROWS].to_vec();
+            keys.shuffle(&mut rng);
+            let heads: Vec<Val> = keys.iter().map(|&k| head[k as usize]).collect();
+            let (lo, hi) = (heads.iter().min().unwrap(), heads.iter().max().unwrap());
+            let a = rng.gen_range(*lo..*hi);
+            let pred = RangePred::open(a, rng.gen_range(a..=*hi));
+            (heads, keys, pred)
+        })
+        .collect();
+    (table, areas)
+}
+
+/// Chunk groups against the separate chunks they replace, at
+/// `qi_spill`'s chunk shape ([`CHUNK_AREAS`] areas of [`AREA_ROWS`] rows
+/// of a 3M-row table, two tails), area by area as a query that lacks an
+/// area's maps handles them: fetching the two maps as one group (one
+/// head copy, two gathers) or as two chunks (two of each); cracking the
+/// fetched group once or each chunk; and both.
+fn bench_chunk_groups(c: &mut Criterion) {
+    let mut g = c.benchmark_group("chunk_groups");
+    g.sample_size(20);
+    let (table, areas) = chunk_areas();
+    let fetch = |groups: &[&[usize]]| -> Vec<Vec<Chunk>> {
+        let area = |(h, k, _): &(Vec<Val>, Vec<RowId>, RangePred)| -> Vec<Chunk> {
+            let gather = |attrs: &&[usize]| Chunk::gather(attrs.to_vec(), (h, k), &table, None);
+            groups.iter().map(gather).collect()
+        };
+        areas.iter().map(area).collect()
+    };
+    let crack = |chunks: Vec<Vec<Chunk>>| {
+        for (cs, (_, _, pred)) in chunks.into_iter().zip(&areas) {
+            for mut c in cs {
+                black_box(c.crack_range(pred));
+            }
+        }
+    };
+    for (name, groups) in [("group", &[&[1, 2][..]][..]), ("separate", &[&[1], &[2]])] {
+        g.bench_function(format!("fetch_{CHUNK_AREAS}_areas_k2_{name}"), |b| {
+            b.iter(|| fetch(groups))
+        });
+        g.bench_function(format!("crack_{CHUNK_AREAS}_areas_k2_{name}"), |b| {
+            b.iter_batched(|| fetch(groups), crack, BatchSize::LargeInput)
+        });
+        g.bench_function(format!("fetch_crack_{CHUNK_AREAS}_areas_k2_{name}"), |b| {
+            b.iter(|| crack(fetch(groups)))
+        });
+    }
+    g.finish();
+}
+
 fn main() {
     let mut c = Criterion::default();
     bench_crack_kernels(&mut c);
     bench_map_groups(&mut c);
+    bench_chunk_groups(&mut c);
     let skewed = skewed_map();
     bench_index(&mut c, &skewed);
     bench_bitvec(&mut c);

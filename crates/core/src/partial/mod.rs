@@ -7,49 +7,59 @@
 //!   unfetched areas may be cracked further; fetched areas are frozen so
 //!   that all chunks created from them stay alignment-compatible;
 //! * per-area metadata: fetched state, the *area tape* of chunk-level
-//!   cracks, the set of maps referencing the area, and lazily deleted
-//!   index shells of dropped chunks;
-//! * the partial maps themselves: one [`Chunk`] per (attribute, area)
-//!   pair, created on demand, evicted under storage pressure (lowest
-//!   [`retention_score`] first: last
-//!   access plus a log-frequency grace) and recreated when needed
-//!   again. They live in one owner, `resident::Resident`, which
-//!   keeps their total length and their eviction order current as
-//!   chunks go in and out, so a query pays O(log chunks) per eviction
-//!   and O(1) for `usage()` rather than a scan of every chunk.
+//!   cracks, and lazily deleted index shells of dropped chunks;
+//! * the partial maps themselves, as *chunk groups* ([`Chunk`]): the
+//!   chunks of one area that queries use together share one head, one
+//!   cracker index and one tape cursor, one tail column per map — the
+//!   map groups of the full-map path, area by area. A query over the
+//!   maps `attrs` fetches the ones an area lacks as one group (one copy
+//!   of the head, one gather per tail), and the area's groups holding
+//!   only maps of `attrs` merge into one once aligned, so every crack,
+//!   merged update and replay runs once per group, not once per map.
+//!   Groups are created on demand, evicted whole under storage pressure
+//!   (lowest [`retention_score`] first: last access plus a
+//!   log-frequency grace) and recreated when needed again. A group of
+//!   `k` tails over `n` tuples counts `n (k + 1) / 2` map tuples
+//!   against the budget, as a full-map group does. They live in one
+//!   owner, `resident::Resident`, which keeps their total size and
+//!   their eviction order current as groups go in and out, so a query
+//!   pays O(log groups) per eviction and O(1) for `usage()` rather than
+//!   a scan of every group.
 //!
 //! Queries proceed **chunk-wise** (§4.1): each operator loads, creates,
-//! aligns, cracks and scans one chunk at a time, and alignment is
-//! *partial* — a chunk not being cracked only needs to reach the maximum
-//! cursor of the chunks used together with it, and even a to-be-cracked
-//! chunk stops early when a tape entry already provides its boundary.
+//! aligns, cracks and scans one area's groups at a time, and alignment
+//! is *partial* — a group not being cracked only needs to reach the
+//! maximum cursor of the groups used together with it, and even a
+//! to-be-cracked group stops early when a tape entry already provides
+//! its boundary.
 //!
 //! **Updates (§3.5, chunk-wise):** insertions and deletions are staged
 //! globally on the set and merged on access — when a query next touches
 //! the area a pending tuple belongs to, the update becomes an area-tape
-//! entry ([`AreaEntry::Insert`] / [`AreaEntry::Delete`]) that every chunk
+//! entry ([`AreaEntry::Insert`] / [`AreaEntry::Delete`]) that every group
 //! of the area replays during alignment, exactly like a crack. Deletion
 //! positions are resolved once per area by a *resolver* (the area's
 //! `(head, key)` pairs aligned through the same tape — the chunk-wise
-//! analogue of the key map `M_A,key`), so sibling chunks stay physically
+//! analogue of the key map `M_A,key`), so sibling groups stay physically
 //! identical. Partial alignment may skip trailing cracks (they only
 //! reorganize) but never a merged update (it changes content). When an
-//! area's last chunk is dropped the area reverts to unfetched, its tape
+//! area's last group is dropped the area reverts to unfetched, its tape
 //! is discarded and its merged updates return to the staged lists — a
-//! chunk recreated from the base later picks them up for free.
+//! group recreated from the base later picks them up for free.
 //!
 //! **Storage manager:** as in the paper (§4.1), eviction only discards:
-//! a dropped chunk is recreated from the in-memory base columns when a
+//! a dropped group is recreated from the in-memory base columns when a
 //! query needs it again.
 
 pub mod chunk;
 mod resident;
 
 pub use chunk::Chunk;
-pub use resident::{retention_score, PartialMap};
+pub use resident::retention_score;
 
 use crate::bitvec::BitVec;
-use crackdb_columnstore::column::Table;
+use crate::set::growth;
+use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_cracking::index::pred_keys;
@@ -62,23 +72,23 @@ use std::time::Instant;
 /// the leftmost area). Stable while the area is fetched.
 pub type AreaId = Option<BoundaryKey>;
 
-/// Chunks checked out of the maps for one area — `(attr, chunk)` pairs —
-/// plus a clone of the area's tape for replay.
-type CheckedOutArea = (Vec<(usize, Chunk)>, Vec<AreaEntry>);
+/// The groups checked out of one area, plus a clone of the area's tape
+/// for replay.
+type CheckedOutArea = (Vec<Chunk>, Vec<AreaEntry>);
 
 /// One entry of an area tape: the reorganization-and-update log every
-/// chunk of the area replays during alignment (§3.5 applied per chunk).
+/// group of the area replays during alignment (§3.5 applied per chunk).
 #[derive(Debug, Clone, Copy)]
 pub enum AreaEntry {
     /// A chunk-level crack at the predicate's bounds. Replay runs it
-    /// again, so sibling chunks and recreations stay bit-aligned.
+    /// again, so sibling groups and recreations stay bit-aligned.
     Crack(RangePred),
     /// Tuple `key` (appended to the base table) ripple-inserted into the
     /// area; replaying chunks read its values from the base columns.
     Insert(RowId),
     /// Tuple `key` with head value `val` ripple-deleted at physical
     /// position `pos` (resolved by the area resolver at merge time, so
-    /// every sibling chunk deletes the same slot).
+    /// every sibling group deletes the same slot).
     Delete {
         /// Head-attribute value of the deleted tuple.
         val: Val,
@@ -89,7 +99,7 @@ pub enum AreaEntry {
     },
 }
 
-/// Position just past the last update entry of a tape: chunks may stop
+/// Position just past the last update entry of a tape: groups may stop
 /// partial alignment short of trailing cracks, never short of a merged
 /// update.
 fn update_floor(tape: &[AreaEntry]) -> usize {
@@ -98,9 +108,25 @@ fn update_floor(tape: &[AreaEntry]) -> usize {
         .map_or(0, |i| i + 1)
 }
 
+/// Apply one area-tape entry to a `(head, key)` array seeded from the
+/// chunk map: a resolver, or the array a dropped head is rebuilt on.
+/// Cracks and ripples move rows by their head values alone, so it
+/// holds the head order of every group at the same cursor.
+fn replay_keyed(arr: &mut CrackedArray<RowId>, entry: &AreaEntry, head_col: &Column) {
+    match *entry {
+        AreaEntry::Crack(pred) => {
+            arr.crack_range(&pred);
+        }
+        AreaEntry::Insert(key) => arr.ripple_insert(head_col.get(key), key),
+        AreaEntry::Delete { pos, .. } => {
+            arr.ripple_delete_at(pos);
+        }
+    }
+}
+
 /// The §3.5 position resolver of one area: the area's `(head, key)`
 /// pairs, kept aligned to the tape end. It resolves a staged deletion
-/// (head value + key) to the physical position all sibling chunks must
+/// (head value + key) to the physical position all sibling groups must
 /// replay. Infrastructure like the chunk map — not counted against the
 /// storage budget.
 #[derive(Debug, Clone)]
@@ -114,14 +140,12 @@ struct Resolver {
 struct AreaInfo {
     fetched: bool,
     /// Chunk-level cracks and merged updates logged for this area,
-    /// replayed by sibling chunks during (partial) alignment.
+    /// replayed by sibling groups during (partial) alignment.
     tape: Vec<AreaEntry>,
-    /// Tail attributes whose partial map currently holds a chunk of this
-    /// area.
-    refs: HashSet<usize>,
-    /// Lazily deleted cracker-index shells of dropped chunks, reusable at
-    /// recreation (§4.1 "lazy deletion").
-    shells: HashMap<usize, CrackerIndex>,
+    /// Lazily deleted cracker-index shells of dropped groups, reusable at
+    /// recreation (§4.1 "lazy deletion"): every group of the area
+    /// replays the same tape, so any shell fits any new group.
+    shells: Vec<CrackerIndex>,
     /// Delete-position resolver, created at the area's first update
     /// merge.
     resolver: Option<Resolver>,
@@ -130,15 +154,17 @@ struct AreaInfo {
 /// Instrumentation counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartialStats {
-    /// Chunks fetched (including recreations).
+    /// Chunk groups fetched (including recreations): one per area a
+    /// query lacks maps of, whatever the number of maps.
     pub chunks_created: u64,
-    /// Chunks evicted by the storage manager.
+    /// Chunk groups evicted by the storage manager.
     pub chunks_dropped: u64,
-    /// Tuples materialized by fetches.
+    /// Map tuples materialized by fetches, counted as the budget counts
+    /// them: `n (k + 1) / 2` for a `k`-tail group over `n` tuples.
     pub tuples_fetched: u64,
     /// Area-tape entries replayed during alignment.
     pub entries_replayed: u64,
-    /// Cracks performed directly by queries on chunks.
+    /// Cracks performed directly by queries on chunk groups.
     pub query_cracks: u64,
     /// Cracks performed on the chunk map.
     pub chunk_map_cracks: u64,
@@ -195,17 +221,18 @@ pub struct PartialSet {
     pub head_attr: usize,
     chunk_map: Option<CrackedArray<RowId>>,
     areas: HashMap<AreaId, AreaInfo>,
-    /// The partial maps: every resident chunk, with the running tuple
-    /// count and the eviction order kept beside them.
+    /// The partial maps: every resident chunk group, with the running
+    /// tuple count and the eviction order kept beside them.
     resident: Resident,
     /// Inserted base keys not yet merged into any area.
     staged_inserts: Vec<RowId>,
     /// Deleted `(head value, key)` pairs not yet merged into any area.
     staged_deletes: Vec<(Val, RowId)>,
-    /// Storage budget in tuples across all chunks (`None` = unlimited).
+    /// Storage budget in map tuples across all groups (`None` =
+    /// unlimited).
     pub budget: Option<usize>,
     clock: u64,
-    /// When set, chunks whose largest piece is at most this many tuples
+    /// When set, groups whose largest piece is at most this many tuples
     /// drop their head column after use (§4.1 head dropping).
     pub head_drop_threshold: Option<usize>,
     /// Counters.
@@ -243,10 +270,11 @@ impl PartialSet {
         dead
     }
 
-    /// Current chunk storage in tuples (the chunk map and the per-area
+    /// Current chunk storage in map tuples, `n (k + 1) / 2` per group of
+    /// `k` tails over `n` tuples (the chunk map and the per-area
     /// resolvers are infrastructure, like a cracker column, and not
-    /// counted against the budget). A running count of live chunk
-    /// lengths, so merged inserts and deletes are reflected exactly.
+    /// counted against the budget). A running count of live group
+    /// sizes, so merged inserts and deletes are reflected exactly.
     pub fn usage(&self) -> usize {
         self.resident.tuples()
     }
@@ -255,18 +283,16 @@ impl PartialSet {
     /// between queries (the partial-map sibling of
     /// `MapSet::check_aligned`):
     ///
-    /// * the running usage equals the summed chunk lengths, and the
-    ///   eviction order holds exactly the resident chunks, each under
-    ///   its current score;
-    /// * an area's `refs` are exactly the attributes with a resident
-    ///   chunk of it;
-    /// * chunks belong to fetched areas, and a fetched area has
-    ///   something that needs it frozen: a resident chunk or merged
+    /// * the running usage equals the summed group sizes, the eviction
+    ///   order holds exactly the resident groups, each under its
+    ///   current score, and no attribute is in two groups of an area;
+    /// * groups belong to fetched areas, and a fetched area has
+    ///   something that needs it frozen: a resident group or merged
     ///   updates on its tape;
-    /// * no chunk cursor points past its area's tape;
-    /// * a resident chunk at its area resolver's cursor holds the
+    /// * no group cursor points past its area's tape;
+    /// * a resident group at its area resolver's cursor holds the
     ///   resolver's head order (unless its head was dropped), so the
-    ///   positions the resolver hands out are the chunk's positions;
+    ///   positions the resolver hands out are the group's positions;
     /// * no update is both staged and merged: no staged insert key, and
     ///   no staged `(val, key)` delete, appears on any area tape;
     /// * `usage() <= budget` (nothing is pinned between queries).
@@ -274,39 +300,29 @@ impl PartialSet {
         self.resident.check()?;
         let staged_inserts: HashSet<RowId> = self.staged_inserts.iter().copied().collect();
         let staged_deletes: HashSet<(Val, RowId)> = self.staged_deletes.iter().copied().collect();
-        for (attr, map) in self.resident.maps() {
-            for &id in map.chunks.keys() {
-                if !self.areas.get(&id).is_some_and(|a| a.refs.contains(&attr)) {
+        for (id, group) in self.resident.groups() {
+            let attrs = group.tail_attrs();
+            let Some(info) = self.areas.get(&id).filter(|a| a.fetched) else {
+                return Err(format!("group {attrs:?} of unfetched area {id:?}"));
+            };
+            let tape_len = info.tape.len();
+            if group.cursor > tape_len {
+                return Err(format!(
+                    "group {attrs:?} of {id:?} at cursor {} of a {tape_len}-entry tape",
+                    group.cursor
+                ));
+            }
+            if let (Some(r), Some(head)) = (&info.resolver, group.head()) {
+                if group.cursor == r.cursor && head != r.arr.head() {
                     return Err(format!(
-                        "resident chunk ({attr}, {id:?}) is not in its area's refs"
+                        "group {attrs:?} of {id:?} at the resolver's cursor {} \
+                         differs from its head order",
+                        r.cursor
                     ));
                 }
             }
         }
         for (id, info) in &self.areas {
-            let tape_len = info.tape.len();
-            for &attr in &info.refs {
-                let Some(chunk) = self.map(attr).and_then(|m| m.chunks.get(id)) else {
-                    return Err(format!(
-                        "area {id:?} refs attr {attr} without a resident chunk"
-                    ));
-                };
-                if chunk.cursor > tape_len {
-                    return Err(format!(
-                        "chunk ({attr}, {id:?}) at cursor {} of a {tape_len}-entry tape",
-                        chunk.cursor
-                    ));
-                }
-                if let (Some(r), Some(head)) = (&info.resolver, chunk.head()) {
-                    if chunk.cursor == r.cursor && head != r.arr.head() {
-                        return Err(format!(
-                            "chunk ({attr}, {id:?}) at the resolver's cursor {} \
-                             differs from its head order",
-                            r.cursor
-                        ));
-                    }
-                }
-            }
             let staged = info.tape.iter().find(|e| match **e {
                 AreaEntry::Insert(key) => staged_inserts.contains(&key),
                 AreaEntry::Delete { val, key, .. } => staged_deletes.contains(&(val, key)),
@@ -317,13 +333,10 @@ impl PartialSet {
                     "area {id:?} has merged {entry:?}, which is also staged"
                 ));
             }
-            let referenced = !info.refs.is_empty();
-            if referenced && !info.fetched {
-                return Err(format!("area {id:?} has chunks but is not fetched"));
-            }
+            let referenced = !self.resident.groups_of(*id).is_empty();
             if info.fetched && !referenced && update_floor(&info.tape) == 0 {
                 return Err(format!(
-                    "area {id:?} is fetched without a chunk or a merged update"
+                    "area {id:?} is fetched without a group or a merged update"
                 ));
             }
         }
@@ -357,14 +370,14 @@ impl PartialSet {
         self.staged_inserts.len() + self.staged_deletes.len()
     }
 
-    /// Number of materialized chunks across all maps.
+    /// Number of materialized chunk groups.
     pub fn chunk_count(&self) -> usize {
         self.resident.chunk_count()
     }
 
-    /// Read access to a partial map.
-    pub fn map(&self, tail_attr: usize) -> Option<&PartialMap> {
-        self.resident.map(tail_attr)
+    /// Every resident chunk group with its area.
+    pub fn chunks(&self) -> impl Iterator<Item = (AreaId, &Chunk)> {
+        self.resident.groups()
     }
 
     /// The chunk map, once a query has created it.
@@ -507,32 +520,20 @@ impl PartialSet {
 
     /// Merge staged updates whose head value falls inside `area` (§3.5
     /// merge-on-access at chunk granularity): inserts first, then
-    /// deletes, each logged as an area-tape entry so every chunk of the
+    /// deletes, each logged as an area-tape entry so every group of the
     /// area — including future recreations — replays the change during
     /// alignment. Deletion positions are resolved by the area resolver,
     /// seeded from the frozen chunk-map segment (the same seed every
-    /// chunk starts from) and kept aligned to the tape end.
+    /// group starts from) and kept aligned to the tape end.
     fn flush_staged_for_area(&mut self, base: &Table, area: &AreaRef) {
         let head_col = base.column(self.head_attr);
-        let mut ins = Vec::new();
-        let mut i = 0;
-        while i < self.staged_inserts.len() {
-            let key = self.staged_inserts[i];
-            if Self::area_contains(area, head_col.get(key)) {
-                ins.push(self.staged_inserts.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        let mut dels = Vec::new();
-        let mut i = 0;
-        while i < self.staged_deletes.len() {
-            if Self::area_contains(area, self.staged_deletes[i].0) {
-                dels.push(self.staged_deletes.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        let inside = |v: Val| Self::area_contains(area, v);
+        let ins = self
+            .staged_inserts
+            .extract_if(.., |k| inside(head_col.get(*k)));
+        let ins: Vec<RowId> = ins.collect();
+        let dels = self.staged_deletes.extract_if(.., |(v, _)| inside(*v));
+        let dels: Vec<(Val, RowId)> = dels.collect();
         if ins.is_empty() && dels.is_empty() {
             return;
         }
@@ -550,21 +551,11 @@ impl PartialSet {
             cursor: 0,
         });
         // Catch the resolver up with cracks logged since the last merge
-        // (replayed like every sibling chunk).
-        while resolver.cursor < info.tape.len() {
-            match info.tape[resolver.cursor] {
-                AreaEntry::Crack(pred) => {
-                    resolver.arr.crack_range(&pred);
-                }
-                AreaEntry::Insert(key) => {
-                    resolver.arr.ripple_insert(head_col.get(key), key);
-                }
-                AreaEntry::Delete { pos, .. } => {
-                    resolver.arr.ripple_delete_at(pos);
-                }
-            }
-            resolver.cursor += 1;
+        // (replayed like every sibling group).
+        for entry in &info.tape[resolver.cursor..] {
+            replay_keyed(&mut resolver.arr, entry, head_col);
         }
+        resolver.cursor = info.tape.len();
         for key in ins {
             resolver.arr.ripple_insert(head_col.get(key), key);
             resolver.cursor += 1;
@@ -599,66 +590,61 @@ impl PartialSet {
             .collect()
     }
 
-    /// Fetch (materialize) the chunk of `tail_attr` for an area, reviving
-    /// a lazily deleted index shell when available.
-    fn fetch_chunk(&mut self, base: &Table, tail_attr: usize, area: &AreaRef) -> Chunk {
+    /// Fetch (materialize) the group of `tail_attrs` for an area,
+    /// reviving a lazily deleted index shell when available.
+    fn fetch_group(&mut self, base: &Table, tail_attrs: Vec<usize>, area: &AreaRef) -> Chunk {
         let t0 = Instant::now();
         // INVARIANT: ensure_chunk_map runs at every public entry point
         // before the internal helpers; field access keeps the borrow
         // disjoint from the sibling fields mutated below.
         let cm = self.chunk_map.as_ref().expect("chunk map ensured");
-        let (heads, keys) = cm.view((area.start, area.end));
-        let tail_col = base.column(tail_attr).values();
-        let head: Vec<Val> = heads.to_vec();
-        let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
-        for &k in keys {
-            tail.push(tail_col[k as usize]);
-        }
         let info = self.areas.entry(area.id).or_default();
         info.fetched = true;
-        info.refs.insert(tail_attr);
-        let shell = info.shells.remove(&tail_attr);
+        let shell = info.shells.pop();
+        let mut group = Chunk::gather(tail_attrs, cm.view((area.start, area.end)), base, shell);
+        group.last_access = self.clock;
         self.stats.chunks_created += 1;
-        self.stats.tuples_fetched += head.len() as u64;
+        self.stats.tuples_fetched += group.tuples() as u64;
         self.stats.fetch_ns += t0.elapsed().as_nanos() as u64;
-        let mut chunk = Chunk::seed(head, tail, shell);
-        chunk.last_access = self.clock;
-        chunk
+        group
     }
 
-    /// Evict cold chunks until `extra` more tuples fit in the budget.
-    /// The chunks of `pinned_area` belonging to `pinned_attrs` — the
-    /// ones the running query is working on — are untouchable.
+    /// Evict cold groups until `extra` more map tuples fit in the
+    /// budget. The groups of `pinned_area` holding one of `pinned_attrs`
+    /// — the ones the running query is working on — are untouchable.
     ///
-    /// The victim is the unpinned chunk with the lowest
+    /// The victim is the unpinned group with the lowest
     /// [`retention_score`]: recency
-    /// plus a log-frequency grace, so a chunk the workload hammered
+    /// plus a log-frequency grace, so a group the workload hammered
     /// keeps a bounded head start over a once-touched one. Pure
-    /// frequency (no aging) would always evict the chunks a workload
-    /// shift just created — the previous batch's chunks carry large
+    /// frequency (no aging) would always evict the groups a workload
+    /// shift just created — the previous batch's groups carry large
     /// counts — and thrash; the recency-dominated score keeps the
     /// adaptation property §4.1 asks of the storage manager ("the system
     /// always keeps the chunks that are really necessary for the
-    /// workload hot-set"). The `(attr, area)` identity breaks score
-    /// ties, so eviction (and therefore every downstream answer) is
-    /// deterministic. [`Resident`] keeps that order and the usage
-    /// current, so each eviction costs a tree lookup, not a scan.
+    /// workload hot-set"). A group's tails are always accessed together,
+    /// so one score per group is what per-chunk scores would be. The
+    /// `(group, area)` identity breaks score ties, so eviction (and
+    /// therefore every downstream answer) is deterministic. [`Resident`]
+    /// keeps that order and the usage current, so each eviction costs a
+    /// tree lookup, not a scan.
     fn make_room(&mut self, extra: usize, pinned_area: AreaId, pinned_attrs: &[usize]) {
         let Some(budget) = self.budget else {
             return;
         };
         while self.resident.tuples() + extra > budget {
-            let Some((attr, area)) = self.next_victim(pinned_area, pinned_attrs) else {
+            let Some((group, area)) = self.next_victim(pinned_area, pinned_attrs) else {
                 break;
             };
-            self.drop_chunk(attr, area);
+            self.drop_chunk(group, area);
         }
     }
 
-    /// The chunk the storage manager evicts next, as `(attr, area)`:
-    /// the resident chunk with the lowest retention score (ties broken
-    /// by attribute, then area) that is not pinned — pinned being the
-    /// chunks of `pinned_area` that belong to `pinned_attrs`.
+    /// The group the storage manager evicts next, as `(group, area)`
+    /// with the group named by [`Chunk::id`]: the resident group with
+    /// the lowest retention score (ties broken by group, then area) that
+    /// is not pinned — pinned being the groups of `pinned_area` that
+    /// hold one of `pinned_attrs`.
     pub fn next_victim(
         &self,
         pinned_area: AreaId,
@@ -667,33 +653,32 @@ impl PartialSet {
         self.resident.next_victim(pinned_area, pinned_attrs)
     }
 
-    /// Drop one chunk, keeping its index as a lazily deleted shell
-    /// unless the area reverts to unfetched (see
-    /// [`Self::unfetch_if_unreferenced`]). Returns the tuples freed.
+    /// Drop the group of `area_id` holding the chunk of `tail_attr`,
+    /// keeping its index as a lazily deleted shell unless the area
+    /// reverts to unfetched (see [`Self::unfetch_if_unreferenced`]).
+    /// Returns the map tuples freed.
     pub fn drop_chunk(&mut self, tail_attr: usize, area_id: AreaId) -> usize {
-        let Some(chunk) = self.resident.take(tail_attr, area_id) else {
+        let Some(group) = self.resident.take(tail_attr, area_id) else {
             return 0;
         };
-        let freed = chunk.len();
+        let freed = group.tuples();
         self.stats.chunks_dropped += 1;
-        self.area_info(area_id).refs.remove(&tail_attr);
         if !self.unfetch_if_unreferenced(area_id) {
-            self.area_info(area_id)
-                .shells
-                .insert(tail_attr, chunk.into_shell());
+            self.area_info(area_id).shells.push(group.into_shell());
         }
         freed
     }
 
-    /// An area that has lost its last chunk reverts to unfetched and its
+    /// An area that has lost its last group reverts to unfetched and its
     /// tape is removed (§4.1): merged updates return to the staged
-    /// lists, so chunks recreated from the base later pick them up for
-    /// free. Returns whether the area reverted.
+    /// lists, so groups recreated from the base later pick them up for
+    /// free. Returns whether the area reverted. Called only while the
+    /// area's groups are resident, never while a query has them out.
     fn unfetch_if_unreferenced(&mut self, area_id: AreaId) -> bool {
-        let info = self.areas.entry(area_id).or_default();
-        if !info.refs.is_empty() {
+        if !self.resident.groups_of(area_id).is_empty() {
             return false;
         }
+        let info = self.areas.entry(area_id).or_default();
         info.fetched = false;
         info.shells.clear();
         info.resolver = None;
@@ -707,36 +692,30 @@ impl PartialSet {
         true
     }
 
-    /// Deterministically rebuild the head column of a head-dropped chunk:
-    /// re-seed from the (frozen) chunk-map area and replay the area tape
-    /// up to the chunk's cursor.
-    fn rebuild_head(
+    /// Give a head-dropped group its head back, deterministically: re-seed
+    /// the area's `(head, key)` pairs from the (frozen) chunk map and
+    /// replay the area tape up to the group's cursor (see
+    /// [`replay_keyed`]).
+    fn recover_head(
         &mut self,
         base: &Table,
-        tail_attr: usize,
         area: &AreaRef,
-        cursor: usize,
+        group: &mut Chunk,
         tape: &[AreaEntry],
-    ) -> Vec<Val> {
+    ) {
+        if !group.head_dropped() {
+            return;
+        }
         // INVARIANT: ensure_chunk_map runs at every public entry point
-        // before the internal helpers; field access keeps the borrow
-        // disjoint from the sibling fields mutated below.
+        // before the internal helpers.
         let cm = self.chunk_map.as_ref().expect("chunk map ensured");
         let (heads, keys) = cm.view((area.start, area.end));
-        let head_col = base.column(self.head_attr);
-        let tail_col = base.column(tail_attr);
-        let head: Vec<Val> = heads.to_vec();
-        let mut tail: Vec<Val> = Vec::with_capacity(keys.len());
-        let tail_vals = tail_col.values();
-        for &k in keys {
-            tail.push(tail_vals[k as usize]);
+        let mut arr = CrackedArray::new(heads.to_vec(), keys.to_vec());
+        for entry in &tape[..group.cursor] {
+            replay_keyed(&mut arr, entry, base.column(self.head_attr));
         }
-        let mut tmp = Chunk::seed(head, tail, None);
-        tmp.align_to(tape, cursor, head_col, tail_col);
+        group.restore_head(arr.replace_head(Vec::new()));
         self.stats.heads_recovered += 1;
-        // INVARIANT: Chunk::seed is constructed with a head column and
-        // align_to never drops it.
-        tmp.into_head().expect("fresh chunk has a head")
     }
 
     /// Single-selection, multi-projection query (`select P1.. from R where
@@ -831,58 +810,54 @@ impl PartialSet {
 
     /// Every query ends here: nothing is pinned any more, so the budget
     /// is enforced exactly — a single query may transiently exceed it
-    /// while its own chunks are pinned, but no query may leave it
+    /// while its own groups are pinned, but no query may leave it
     /// exceeded.
     fn finish_query(&mut self) {
         self.make_room(0, None, &[]);
         debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
-    /// Check the chunks of `attrs` out of one area for processing — the
-    /// steps the conjunctive and disjunctive passes share:
+    /// Check the groups holding `attrs` out of one area for processing —
+    /// the steps the conjunctive and disjunctive passes share:
     ///
-    /// 1. materialize missing chunks (budget-checked, pinning the chunks
-    ///    this query needs);
+    /// 1. fetch the maps of `attrs` the area lacks as one group, once
+    ///    what it adds fits the budget ([`growth`], pinning the groups
+    ///    this query uses);
     /// 2. merge staged updates belonging to the area (§3.5) — this must
-    ///    follow materialization: with the query's chunks holding
-    ///    references the area can no longer revert to unfetched
-    ///    mid-query (an eviction of the last sibling chunk would
-    ///    un-merge the tape back to the staged lists);
-    /// 3. take the chunks out of the maps;
-    /// 4. partial alignment — bring every chunk to the maximum cursor
+    ///    follow materialization: with the query's groups resident the
+    ///    area can no longer revert to unfetched mid-query (an eviction
+    ///    of its last group would un-merge the tape back to the staged
+    ///    lists);
+    /// 3. take the groups out;
+    /// 4. partial alignment — bring every group to the maximum cursor
     ///    among them, and always past the last merged update (cracks
     ///    only reorganize; updates change content), recovering dropped
-    ///    heads as needed.
+    ///    heads as needed;
+    /// 5. merge the groups holding only maps of `attrs` into one: they
+    ///    are now physically identical.
     ///
-    /// Returns the checked-out `(attr, chunk)` pairs plus the area-tape
-    /// clone; hand the chunks back with [`Self::reinstall_chunks`].
+    /// Returns the checked-out groups plus the area-tape clone; hand the
+    /// groups back with [`Self::reinstall_chunks`].
     fn checkout_area_chunks(
         &mut self,
         base: &Table,
         area: &AreaRef,
         attrs: &[usize],
     ) -> CheckedOutArea {
-        for &attr in attrs {
-            if self.resident.contains(attr, area.id) {
-                continue;
-            }
-            // Missing chunk: recreate it from the base columns once its
-            // tuples fit in the budget, with this area's chunks of
-            // `attrs` pinned.
-            self.make_room(area.end - area.start, area.id, attrs);
-            let chunk = self.fetch_chunk(base, attr, area);
-            self.resident.put(attr, area.id, chunk);
+        let missing: Vec<usize> = attrs
+            .iter()
+            .copied()
+            .filter(|&a| !self.resident.holds(a, area.id))
+            .collect();
+        if !missing.is_empty() {
+            let groups = self.resident.groups_of(area.id).iter();
+            let extra = growth(groups.map(Chunk::tail_attrs), attrs, area.end - area.start);
+            self.make_room(extra, area.id, attrs);
+            let group = self.fetch_group(base, missing, area);
+            self.resident.put(area.id, group);
         }
         self.flush_staged_for_area(base, area);
-        // The loop above materialized every chunk, so each take-out
-        // succeeds; tolerating an absent entry keeps this path
-        // panic-free without changing behaviour.
-        let mut chunks: Vec<(usize, Chunk)> = Vec::with_capacity(attrs.len());
-        for &attr in attrs {
-            if let Some(c) = self.resident.take(attr, area.id) {
-                chunks.push((attr, c));
-            }
-        }
+        let groups = self.resident.take_using(area.id, attrs);
         // Snapshot the tape into the recycled scratch buffer (returned to
         // the set by `recycle_tape` once the area is processed).
         let mut tape = std::mem::take(&mut self.tape_scratch);
@@ -890,34 +865,21 @@ impl PartialSet {
         if let Some(a) = self.areas.get(&area.id) {
             tape.extend_from_slice(&a.tape);
         }
-        self.align_checked_out(base, area, &mut chunks, &tape);
-        (chunks, tape)
-    }
-
-    /// Step 4 of [`Self::checkout_area_chunks`]: partial alignment of
-    /// the checked-out chunks to their common target cursor.
-    fn align_checked_out(
-        &mut self,
-        base: &Table,
-        area: &AreaRef,
-        chunks: &mut [(usize, Chunk)],
-        tape: &[AreaEntry],
-    ) {
-        let head_col = base.column(self.head_attr);
-        let target = chunks
-            .iter()
-            .map(|(_, c)| c.cursor)
-            .max()
-            .unwrap_or(0)
-            .max(update_floor(tape));
-        for (attr, c) in chunks.iter_mut() {
-            if c.cursor < target && c.head_dropped() {
-                let head = self.rebuild_head(base, *attr, area, c.cursor, tape);
-                c.restore_head(head);
+        let target = groups.iter().map(|g| g.cursor).max().unwrap_or(0);
+        let target = target.max(update_floor(&tape));
+        let mut merged: Vec<Chunk> = Vec::with_capacity(groups.len());
+        for mut g in groups {
+            if g.cursor < target {
+                self.recover_head(base, area, &mut g, &tape);
             }
-            self.stats.entries_replayed +=
-                c.align_to(tape, target, head_col, base.column(*attr)) as u64;
+            let replayed = g.align_to(&tape, target, base, self.head_attr);
+            self.stats.entries_replayed += replayed as u64;
+            match merged.iter_mut().find(|m| m.within(attrs)) {
+                Some(m) if g.within(attrs) => m.merge(g),
+                _ => merged.push(g),
+            }
         }
+        (merged, tape)
     }
 
     /// Return the per-query tape snapshot buffer for reuse.
@@ -927,21 +889,19 @@ impl PartialSet {
         }
     }
 
-    /// Hand processed chunks back: access bookkeeping, the optional
-    /// head-drop policy, and reinsertion into the maps.
-    fn reinstall_chunks(&mut self, area_id: AreaId, chunks: Vec<(usize, Chunk)>) {
-        let clock = self.clock;
-        let threshold = self.head_drop_threshold;
-        for (attr, mut c) in chunks {
-            c.accesses += 1;
-            c.last_access = clock;
-            if let Some(t) = threshold {
-                if !c.head_dropped() && c.max_piece() <= t {
-                    c.drop_head();
+    /// Hand processed groups back: access bookkeeping, the optional
+    /// head-drop policy, and reinsertion into the resident set.
+    fn reinstall_chunks(&mut self, area_id: AreaId, groups: Vec<Chunk>) {
+        for mut g in groups {
+            g.accesses += 1;
+            g.last_access = self.clock;
+            if let Some(t) = self.head_drop_threshold {
+                if !g.head_dropped() && g.max_piece() <= t {
+                    g.drop_head();
                     self.stats.heads_dropped += 1;
                 }
             }
-            self.resident.put(attr, area_id, c);
+            self.resident.put(area_id, g);
         }
     }
 
@@ -955,19 +915,16 @@ impl PartialSet {
         attrs: &[usize],
         consume: &mut F,
     ) {
-        let (chunks, tape) = self.checkout_area_chunks(base, area, attrs);
+        let (groups, tape) = self.checkout_area_chunks(base, area, attrs);
+        // checkout_area_chunks returns a group holding every attribute
+        // in `attrs`, which includes every predicate and projection.
+        let tail = |attr: usize| groups.iter().find_map(|g| g.tail(attr));
 
         // OR bit vector over the whole (aligned) area.
-        let len = chunks.first().map_or(0, |(_, c)| c.len());
+        let len = groups.first().map_or(0, Chunk::len);
         let mut bv = BitVec::zeros(len);
         for (attr, pred) in preds {
-            // checkout_area_chunks returns a chunk for every attr in
-            // `attrs`, which includes every predicate attribute.
-            let Some((_, c)) = chunks.iter().find(|(a, _)| a == attr) else {
-                continue;
-            };
-            let tails = c.tail();
-            for (i, &v) in tails.iter().enumerate() {
+            for (i, &v) in tail(*attr).unwrap_or_default().iter().enumerate() {
                 if pred.matches(v) {
                     bv.set(i);
                 }
@@ -975,17 +932,16 @@ impl PartialSet {
         }
 
         for &p in projs {
-            let Some((_, c)) = chunks.iter().find(|(a, _)| *a == p) else {
-                continue;
-            };
-            consume(Block {
-                attr: p,
-                vals: c.tail(),
-                sel: Some(bv.words()),
-            });
+            if let Some(vals) = tail(p) {
+                consume(Block {
+                    attr: p,
+                    vals,
+                    sel: Some(bv.words()),
+                });
+            }
         }
 
-        self.reinstall_chunks(area.id, chunks);
+        self.reinstall_chunks(area.id, groups);
         self.recycle_tape(tape);
     }
 
@@ -1001,24 +957,24 @@ impl PartialSet {
         attrs: &[usize],
         consume: &mut F,
     ) {
-        // Materialize, merge staged updates, take out and align (§3.5 /
-        // §4.1 shared machinery).
-        let (mut chunks, tape) = self.checkout_area_chunks(base, area, attrs);
+        // Materialize, merge staged updates, take out, align and merge
+        // (§3.5 / §4.1 shared machinery).
+        let (mut groups, tape) = self.checkout_area_chunks(base, area, attrs);
         self.answer_area(
             base,
             area,
             head_pred,
             tail_sels,
             projs,
-            &mut chunks,
+            &mut groups,
             &tape,
             consume,
         );
-        self.reinstall_chunks(area.id, chunks);
+        self.reinstall_chunks(area.id, groups);
         self.recycle_tape(tape);
     }
 
-    /// Crack the aligned chunks of one area where the predicate needs
+    /// Crack the aligned groups of one area where the predicate needs
     /// it, filter by the tail predicates, and hand on the projections.
     #[allow(clippy::too_many_arguments)]
     fn answer_area<F: FnMut(Block<'_>)>(
@@ -1028,63 +984,59 @@ impl PartialSet {
         head_pred: &RangePred,
         tail_sels: &[(usize, RangePred)],
         projs: &[usize],
-        chunks: &mut [(usize, Chunk)],
+        groups: &mut [Chunk],
         tape: &[AreaEntry],
         consume: &mut F,
     ) {
         let needed = Self::keys_inside(head_pred, area);
-        let head_col = base.column(self.head_attr);
 
         // Boundary handling with monitored alignment: replay further
         //    entries until the needed boundaries appear; crack (logged on
-        //    the tape) only if the tape never provides them.
-        let mut range = (0, chunks.first().map_or(0, |(_, c)| c.len()));
+        //    the tape) only if the tape never provides them. The groups
+        //    are aligned, so each replays the same entries.
+        let mut range = (0, groups.first().map_or(0, Chunk::len));
         if !needed.is_empty() {
             let mut missing = false;
-            for (attr, c) in chunks.iter_mut() {
-                if !c.has_boundaries(&needed) && c.head_dropped() {
-                    let head = self.rebuild_head(base, *attr, area, c.cursor, tape);
-                    c.restore_head(head);
+            for g in groups.iter_mut() {
+                if !g.has_boundaries(&needed) {
+                    self.recover_head(base, area, g, tape);
                 }
-                let (replayed, m) =
-                    c.align_until_boundaries(tape, &needed, head_col, base.column(*attr));
+                let (replayed, m) = g.align_until_boundaries(tape, &needed, base, self.head_attr);
                 self.stats.entries_replayed += replayed as u64;
                 missing = m;
             }
             if missing {
-                // Every chunk is now at the tape end; crack them all
+                // Every group is now at the tape end; crack them all
                 // (deterministically identical outcomes) and log the
                 // crack, which records the missing boundaries.
-                for (attr, c) in chunks.iter_mut() {
-                    if c.head_dropped() {
-                        let head = self.rebuild_head(base, *attr, area, c.cursor, tape);
-                        c.restore_head(head);
-                    }
-                    c.crack_range(head_pred);
+                for g in groups.iter_mut() {
+                    self.recover_head(base, area, g, tape);
+                    g.crack_range(head_pred);
                     self.stats.query_cracks += 1;
                 }
                 let info = self.area_info(area.id);
                 info.tape.push(AreaEntry::Crack(*head_pred));
                 let new_len = info.tape.len();
-                for (_, c) in chunks.iter_mut() {
-                    c.cursor = new_len;
-                }
+                groups.iter_mut().for_each(|g| g.cursor = new_len);
             }
-            range = chunks[0].1.range_of(head_pred);
-            for (_, c) in chunks.iter() {
-                debug_assert_eq!(c.range_of(head_pred), range, "aligned chunks agree");
+            range = groups[0].range_of(head_pred);
+            for g in groups.iter() {
+                debug_assert_eq!(g.range_of(head_pred), range, "aligned groups agree");
             }
         }
+        // `attrs` contains every selection and projection attribute, so
+        // the checkout returned a group holding each.
+        let tail = |attr: usize| {
+            let vals = groups.iter().find_map(|g| g.tail(attr));
+            vals.map(|v| &v[range.0..range.1])
+        };
 
         // Bit-vector filtering over the qualifying local range.
         let mut bv: Option<BitVec> = None;
         for (attr, pred) in tail_sels {
-            // `attrs` contains every selection attribute, so the
-            // checkout returned a chunk for each.
-            let Some((_, c)) = chunks.iter().find(|(a, _)| a == attr) else {
+            let Some(tails) = tail(*attr) else {
                 continue;
             };
-            let tails = &c.tail()[range.0..range.1];
             match &mut bv {
                 None => bv = Some(BitVec::from_range(tails, pred)),
                 Some(bv) => bv.refine_range(tails, pred),
@@ -1093,14 +1045,13 @@ impl PartialSet {
 
         // One block per projection: the qualifying local range.
         for &p in projs {
-            let Some((_, c)) = chunks.iter().find(|(a, _)| *a == p) else {
-                continue;
-            };
-            consume(Block {
-                attr: p,
-                vals: &c.tail()[range.0..range.1],
-                sel: bv.as_ref().map(BitVec::words),
-            });
+            if let Some(vals) = tail(p) {
+                consume(Block {
+                    attr: p,
+                    vals,
+                    sel: bv.as_ref().map(BitVec::words),
+                });
+            }
         }
     }
 }

@@ -1,12 +1,12 @@
-//! The resident chunks of one [`PartialSet`](super::PartialSet) and the
-//! two figures the storage manager reads off them on every query: how
-//! many tuples they hold and which of them goes next.
+//! The resident chunk groups of one [`PartialSet`](super::PartialSet)
+//! and the two figures the storage manager reads off them on every
+//! query: how many map tuples they hold and which of them goes next.
 //!
-//! Both are kept current at the only two mutations there are —
-//! [`Resident::put`] and [`Resident::take`] — so neither is ever
-//! recomputed by scanning. That is sound because a chunk can only change
-//! while it is *out*: queries take the chunks of an area out, align,
-//! crack and ripple-update them (which is where lengths and access
+//! Both are kept current at the only mutations there are —
+//! [`Resident::put`] and the takes — so neither is ever recomputed by
+//! scanning. That is sound because a group can only change while it is
+//! *out*: queries take the groups of an area out, align, merge, crack
+//! and ripple-update them (which is where lengths, widths and access
 //! counters move), and put them back.
 
 use super::chunk::Chunk;
@@ -14,162 +14,183 @@ use super::AreaId;
 use std::collections::{BTreeSet, HashMap};
 
 /// Frequency-based grace for chunk retention scoring: each doubling of a
-/// chunk's access count keeps it alive this many clock ticks longer than
+/// group's access count keeps it alive this many clock ticks longer than
 /// pure recency would.
 pub const RETENTION_GRACE: u64 = 8;
 
-/// Retention score for cache-style eviction of partial chunks: recency
-/// boosted by log-frequency, so a chunk that has earned many accesses
-/// survives [`RETENTION_GRACE`] clock ticks per doubling beyond what pure
-/// recency would grant. Higher scores are worth keeping; evict the
-/// minimum. Deterministic and integral, so eviction order is stable
+/// Retention score for cache-style eviction of partial chunk groups:
+/// recency boosted by log-frequency, so a group that has earned many
+/// accesses survives [`RETENTION_GRACE`] clock ticks per doubling beyond
+/// what pure recency would grant. Higher scores are worth keeping; evict
+/// the minimum. Deterministic and integral, so eviction order is stable
 /// across runs.
 pub fn retention_score(accesses: u64, last_access: u64) -> u64 {
     let freq = 63 - (accesses + 1).leading_zeros() as u64;
     last_access.saturating_add(freq * RETENTION_GRACE)
 }
 
-/// A partial map: the workload-selected subset of `M_AB`, one chunk per
-/// fetched area.
-#[derive(Debug, Clone, Default)]
-pub struct PartialMap {
-    /// Chunks keyed by area.
-    pub chunks: HashMap<AreaId, Chunk>,
-}
-
-/// Eviction-order key of a resident chunk: lowest
-/// [`retention_score`] first, the `(attr, area)` identity breaking ties
-/// so the order never depends on hash-map iteration.
+/// Eviction-order key of a resident group: lowest [`retention_score`]
+/// first, the `(group, area)` identity ([`Chunk::id`]) breaking ties so
+/// the order never depends on hash-map iteration.
 type EvictionKey = (u64, usize, AreaId);
 
-fn eviction_key(attr: usize, area: AreaId, chunk: &Chunk) -> EvictionKey {
+fn eviction_key(area: AreaId, group: &Chunk) -> EvictionKey {
     (
-        retention_score(chunk.accesses, chunk.last_access),
-        attr,
+        retention_score(group.accesses, group.last_access),
+        group.id(),
         area,
     )
 }
 
-/// Resident chunks by `(attr, area)`, their total length, and their
+/// Resident groups by area, their total size in map tuples, and their
 /// eviction order.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Resident {
-    maps: HashMap<usize, PartialMap>,
-    /// Σ `Chunk::len` over `maps`.
+    /// Each area's groups; an attribute is in at most one group of an
+    /// area. An area keeps its (then empty) list when its last group
+    /// goes out, so a query taking an area's groups out and back
+    /// allocates nothing here.
+    areas: HashMap<AreaId, Vec<Chunk>>,
+    /// Σ `Chunk::tuples` over `areas`.
     tuples: usize,
-    /// One key per chunk in `maps`, carrying the score the chunk had
+    /// One key per group in `areas`, carrying the score the group had
     /// when it was put in — which is its score now.
     order: BTreeSet<EvictionKey>,
 }
 
 impl Resident {
-    /// Make `chunk` the resident chunk of `(attr, area)`.
-    pub fn put(&mut self, attr: usize, area: AreaId, chunk: Chunk) {
-        // A chunk being replaced leaves the count and the order first.
-        self.take(attr, area);
-        self.tuples += chunk.len();
-        self.order.insert(eviction_key(attr, area, &chunk));
-        self.maps
-            .entry(attr)
-            .or_default()
-            .chunks
-            .insert(area, chunk);
+    /// Make `group` a resident group of `area`. It must share no
+    /// attribute with the area's other groups.
+    pub fn put(&mut self, area: AreaId, group: Chunk) {
+        debug_assert!(
+            !group.tail_attrs().iter().any(|&a| self.holds(a, area)),
+            "an attribute in two groups of area {area:?}"
+        );
+        self.tuples += group.tuples();
+        self.order.insert(eviction_key(area, &group));
+        self.areas.entry(area).or_default().push(group);
     }
 
-    /// Take the chunk of `(attr, area)` out, if resident.
+    /// Book a group out of the count and the order.
+    fn forget(&mut self, area: AreaId, group: &Chunk) {
+        self.tuples -= group.tuples();
+        self.order.remove(&eviction_key(area, group));
+    }
+
+    /// Take out the group of `area` holding `attr`, if resident.
     pub fn take(&mut self, attr: usize, area: AreaId) -> Option<Chunk> {
-        let chunk = self.maps.get_mut(&attr)?.chunks.remove(&area)?;
-        self.tuples -= chunk.len();
-        self.order.remove(&eviction_key(attr, area, &chunk));
-        Some(chunk)
+        let groups = self.areas.get_mut(&area)?;
+        let i = groups.iter().position(|g| g.holds(attr))?;
+        let group = groups.remove(i);
+        self.forget(area, &group);
+        Some(group)
     }
 
-    /// Is a chunk of `(attr, area)` resident?
-    pub fn contains(&self, attr: usize, area: AreaId) -> bool {
-        self.map(attr).is_some_and(|m| m.chunks.contains_key(&area))
+    /// Take out every group of `area` holding one of `attrs`, in the
+    /// order they were put in.
+    pub fn take_using(&mut self, area: AreaId, attrs: &[usize]) -> Vec<Chunk> {
+        let Some(groups) = self.areas.get_mut(&area) else {
+            return Vec::new();
+        };
+        let uses = |g: &mut Chunk| attrs.iter().any(|&a| g.holds(a));
+        let used: Vec<Chunk> = groups.extract_if(.., uses).collect();
+        for group in &used {
+            self.forget(area, group);
+        }
+        used
     }
 
-    /// The partial map of `attr`, once it has held a chunk.
-    pub fn map(&self, attr: usize) -> Option<&PartialMap> {
-        self.maps.get(&attr)
+    /// Does a resident group of `area` hold `attr`?
+    pub fn holds(&self, attr: usize, area: AreaId) -> bool {
+        self.groups_of(area).iter().any(|g| g.holds(attr))
     }
 
-    /// Every partial map with its tail attribute.
-    pub fn maps(&self) -> impl Iterator<Item = (usize, &PartialMap)> {
-        self.maps.iter().map(|(&attr, m)| (attr, m))
+    /// The resident groups of `area`.
+    pub fn groups_of(&self, area: AreaId) -> &[Chunk] {
+        self.areas.get(&area).map_or(&[], Vec::as_slice)
     }
 
-    /// Tuples held by resident chunks.
+    /// Every resident group with its area.
+    pub fn groups(&self) -> impl Iterator<Item = (AreaId, &Chunk)> {
+        let areas = self.areas.iter();
+        areas.flat_map(|(&area, groups)| groups.iter().map(move |g| (area, g)))
+    }
+
+    /// Map tuples held by resident groups.
     pub fn tuples(&self) -> usize {
         self.tuples
     }
 
-    /// Number of resident chunks.
+    /// Number of resident groups.
     pub fn chunk_count(&self) -> usize {
         self.order.len()
     }
 
-    /// The chunk to evict next: lowest eviction key among the chunks not
-    /// pinned, where the pinned chunks are those of `pinned_area`
-    /// belonging to `pinned_attrs` (the chunks the running query is
-    /// working on — at most `pinned_attrs.len()` keys are skipped).
+    /// The group to evict next, as `(group, area)`: lowest eviction key
+    /// among the groups not pinned, where the pinned groups are those of
+    /// `pinned_area` holding one of `pinned_attrs` (the groups the
+    /// running query is working on — at most `pinned_attrs.len()` keys
+    /// are skipped).
     pub fn next_victim(
         &self,
         pinned_area: AreaId,
         pinned_attrs: &[usize],
     ) -> Option<(usize, AreaId)> {
-        self.order
-            .iter()
-            .find(|(_, attr, area)| !(*area == pinned_area && pinned_attrs.contains(attr)))
-            .map(|&(_, attr, area)| (attr, area))
+        let pins = |g: &Chunk| pinned_attrs.iter().any(|&a| g.holds(a));
+        let pinned = |id| {
+            self.groups_of(pinned_area)
+                .iter()
+                .any(|g| g.id() == id && pins(g))
+        };
+        let mut keys = self.order.iter().map(|&(_, id, area)| (id, area));
+        keys.find(|&(id, area)| area != pinned_area || !pinned(id))
     }
 
     /// The reference for [`Self::next_victim`]: the full scan over every
-    /// resident chunk it replaced.
+    /// resident group it replaced.
     #[cfg(test)]
     pub fn next_victim_by_scan(
         &self,
         pinned_area: AreaId,
         pinned_attrs: &[usize],
     ) -> Option<(usize, AreaId)> {
-        self.maps
-            .iter()
-            .flat_map(|(&attr, m)| {
-                m.chunks
-                    .iter()
-                    .map(move |(&area, c)| eviction_key(attr, area, c))
-            })
-            .filter(|(_, attr, area)| !(*area == pinned_area && pinned_attrs.contains(attr)))
+        self.groups()
+            .filter(|(area, g)| !(*area == pinned_area && pinned_attrs.iter().any(|&a| g.holds(a))))
+            .map(|(area, g)| eviction_key(area, g))
             .min()
-            .map(|(_, attr, area)| (attr, area))
+            .map(|(_, id, area)| (id, area))
     }
 
     /// Recompute the running count and the eviction order from the
-    /// chunks and compare.
+    /// groups and compare; check that no attribute is in two groups of
+    /// one area.
     pub fn check(&self) -> Result<(), String> {
         let mut tuples = 0;
-        let mut chunks = 0;
-        for (attr, map) in self.maps() {
-            for (&area, chunk) in &map.chunks {
-                tuples += chunk.len();
-                chunks += 1;
-                let key = eviction_key(attr, area, chunk);
-                if !self.order.contains(&key) {
-                    return Err(format!(
-                        "chunk ({attr}, {area:?}) is not in the eviction order under its current key {key:?}"
-                    ));
-                }
+        let mut groups = 0;
+        for (area, group) in self.groups() {
+            tuples += group.tuples();
+            groups += 1;
+            let key = eviction_key(area, group);
+            if !self.order.contains(&key) {
+                return Err(format!(
+                    "group {:?} of {area:?} is not in the eviction order under its current key {key:?}",
+                    group.tail_attrs()
+                ));
+            }
+            let holders = |a: &usize| self.groups_of(area).iter().filter(|g| g.holds(*a)).count();
+            if let Some(a) = group.tail_attrs().iter().find(|a| holders(a) > 1) {
+                return Err(format!("attribute {a} is in two groups of {area:?}"));
             }
         }
-        if chunks != self.order.len() {
+        if groups != self.order.len() {
             return Err(format!(
-                "eviction order holds {} keys for {chunks} resident chunks",
+                "eviction order holds {} keys for {groups} resident groups",
                 self.order.len()
             ));
         }
         if tuples != self.tuples {
             return Err(format!(
-                "running count {} but resident chunks hold {tuples} tuples",
+                "running count {} but resident groups hold {tuples} map tuples",
                 self.tuples
             ));
         }
@@ -180,10 +201,17 @@ impl Resident {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crackdb_columnstore::column::{Column, Table};
+    use crackdb_columnstore::types::RowId;
     use crackdb_cracking::crack::BoundKind;
 
-    fn chunk(len: usize, accesses: u64, last_access: u64) -> Chunk {
-        let mut c = Chunk::seed(vec![0; len], vec![0; len], None);
+    fn group(attrs: &[usize], len: usize, accesses: u64, last_access: u64) -> Chunk {
+        let mut base = Table::new();
+        for a in 0..4 {
+            base.add_column(format!("a{a}"), Column::new(vec![0; 64]));
+        }
+        let keys: Vec<RowId> = (0..len as RowId).collect();
+        let mut c = Chunk::gather(attrs.to_vec(), (&vec![0; len], &keys), &base, None);
         c.accesses = accesses;
         c.last_access = last_access;
         c
@@ -193,9 +221,10 @@ mod tests {
         (v >= 0).then_some((v, BoundKind::Lt))
     }
 
-    /// Random puts, takes, replacements and put-backs of grown, shrunk
-    /// and re-scored chunks: the running count, the order and the next
-    /// victim under any pin set stay equal to what a scan finds.
+    /// Random puts, takes, replacements and put-backs of grown, shrunk,
+    /// re-scored, merged and split groups: the running count, the order
+    /// and the next victim under any pin set stay equal to what a scan
+    /// finds.
     #[test]
     fn count_and_order_follow_every_put_and_take() {
         let mut state = 0x5EED_u64;
@@ -207,17 +236,32 @@ mod tests {
         };
         let mut r = Resident::default();
         for step in 0..4000 {
-            let (attr, aid) = (next(4) as usize, area(next(7) as i64 - 1));
+            let aid = area(next(7) as i64 - 1);
+            let attrs: Vec<usize> = (0..4).filter(|_| next(2) == 0).collect();
             match next(3) {
-                0 => r.put(attr, aid, chunk(next(50) as usize, next(40), next(8))),
+                0 => {
+                    // A fresh group of the attributes no group holds.
+                    let free: Vec<usize> = attrs
+                        .iter()
+                        .copied()
+                        .filter(|&a| !r.holds(a, aid))
+                        .collect();
+                    if !free.is_empty() {
+                        r.put(aid, group(&free, next(50) as usize, next(40), next(8)));
+                    }
+                }
                 1 => {
-                    r.take(attr, aid);
+                    r.take(next(4) as usize, aid);
                 }
                 _ => {
-                    // What a query does: out, changed, back in.
-                    if let Some(c) = r.take(attr, aid) {
-                        let len = (c.len() + next(3) as usize).saturating_sub(1);
-                        r.put(attr, aid, chunk(len, c.accesses + 1, step / 16));
+                    // What a query does: out, merged, changed, back in.
+                    let used = r.take_using(aid, &attrs);
+                    if let Some(first) = used.first() {
+                        let len = (first.len() + next(3) as usize).saturating_sub(1);
+                        let all: Vec<usize> =
+                            used.iter().flat_map(|g| g.tail_attrs().to_vec()).collect();
+                        let hot = used.iter().map(|g| g.accesses).max().unwrap_or(0);
+                        r.put(aid, group(&all, len, hot + 1, step / 16));
                     }
                 }
             }
@@ -232,6 +276,7 @@ mod tests {
             }
         }
         assert!(r.chunk_count() > 0);
+        assert!(r.groups().any(|(_, g)| g.tail_attrs().len() > 1));
     }
 
     #[test]
@@ -247,15 +292,10 @@ mod tests {
     #[test]
     fn stale_key_is_reported() {
         let mut r = Resident::default();
-        r.put(1, None, chunk(5, 0, 3));
+        r.put(None, group(&[1, 2], 5, 0, 3));
         r.check().unwrap();
-        r.maps
-            .get_mut(&1)
-            .unwrap()
-            .chunks
-            .get_mut(&None)
-            .unwrap()
-            .last_access = 9;
+        assert_eq!(r.tuples(), 7);
+        r.areas.get_mut(&None).unwrap()[0].last_access = 9;
         assert!(r.check().unwrap_err().contains("eviction order"));
     }
 }

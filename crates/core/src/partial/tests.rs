@@ -69,14 +69,14 @@ fn collect(
 
 /// What must hold after every operation: the bookkeeping invariants,
 /// and the eviction index naming the victim a scan of every resident
-/// chunk finds — with nothing pinned and with each resident chunk's
-/// area pinned for that chunk's attribute.
+/// group finds — with nothing pinned and with each resident group's
+/// area pinned for each of its attributes.
 fn check(s: &PartialSet) {
     s.check_invariants().unwrap();
     let r = &s.resident;
     assert_eq!(r.next_victim(None, &[]), r.next_victim_by_scan(None, &[]));
-    for (attr, map) in r.maps() {
-        for &area in map.chunks.keys() {
+    for (area, group) in r.groups() {
+        for &attr in group.tail_attrs() {
             assert_eq!(
                 r.next_victim(area, &[attr]),
                 r.next_victim_by_scan(area, &[attr]),
@@ -84,6 +84,14 @@ fn check(s: &PartialSet) {
             );
         }
     }
+}
+
+/// The `(attribute, area)` of every resident chunk.
+fn resident_chunks(s: &PartialSet) -> Vec<(usize, AreaId)> {
+    let chunks = s
+        .chunks()
+        .flat_map(|(area, g)| g.tail_attrs().iter().map(move |&a| (a, area)));
+    chunks.collect()
 }
 
 fn assert_same(mut a: Vec<(usize, Vec<Val>)>, mut b: Vec<(usize, Vec<Val>)>) {
@@ -261,14 +269,24 @@ fn shell_reuse_on_recreation() {
     // Drop a chunk explicitly while its area stays fetched via... a second
     // map referencing the same area.
     collect(&mut s, &t, &RangePred::open(50, 250), &[], &[1]);
-    let area_ids: Vec<AreaId> = s.map(1).unwrap().chunks.keys().copied().collect();
-    // Reference the areas from another attribute so shells are kept.
+    let area_ids: Vec<AreaId> = s.chunks().map(|(area, _)| area).collect();
+    // Reference the areas from another attribute, in groups of their
+    // own, so shells are kept.
     collect(&mut s, &t, &RangePred::open(50, 250), &[], &[0]);
     for id in &area_ids {
+        let holds_1 = |&(a, g): &(AreaId, &Chunk)| a == *id && g.holds(1);
+        assert_eq!(
+            s.chunks().find(holds_1).map(|(_, g)| g.tail_attrs()),
+            Some(&[1][..])
+        );
         s.drop_chunk(1, *id);
         check(&s);
+        assert!(
+            !s.areas[id].shells.is_empty(),
+            "area {id:?} keeps the shell"
+        );
     }
-    assert!(s.map(1).unwrap().chunks.is_empty());
+    assert!(resident_chunks(&s).iter().all(|&(a, _)| a != 1));
     // Recreate; results stay correct.
     let got = collect(&mut s, &t, &RangePred::open(100, 200), &[], &[1]);
     assert_same(got, naive(&t, 0, &RangePred::open(100, 200), &[], &[1]));
@@ -365,16 +383,8 @@ fn recreated_chunk_picks_updates_up_for_free() {
     collect(&mut s, &t, &pred, &[], &[1]); // merge
     assert_eq!(s.staged(), 0);
 
-    // Drop every chunk (all maps, all areas).
-    let drops: Vec<(usize, AreaId)> = [0usize, 1]
-        .iter()
-        .flat_map(|&attr| {
-            s.map(attr)
-                .map(|m| m.chunks.keys().map(move |&a| (attr, a)).collect::<Vec<_>>())
-                .unwrap_or_default()
-        })
-        .collect();
-    for (attr, area) in drops {
+    // Drop every group (all maps, all areas).
+    for (attr, area) in resident_chunks(&s) {
         s.drop_chunk(attr, area);
         check(&s);
     }
@@ -625,4 +635,66 @@ fn area_lookup_by_predecessor_walk_matches_full_walk() {
     assert_eq!(area.len(), 1);
     assert_eq!(area[0].start, area[0].end);
     assert_area_lookup_matches_full_walk(&s, &t);
+}
+
+/// A two-tail group's dropped head, rebuilt by re-seeding the area from
+/// the chunk map and replaying the tape (cracks and merged updates) to
+/// the group's cursor, is the head of a never-dropped sibling at the
+/// same cursor; and a set that drops every head after use answers like
+/// one that never does.
+#[test]
+fn two_tail_group_head_rebuilds_to_its_siblings() {
+    let mut t = table(4, 600, 600, 67);
+    let mut kept = PartialSet::new(0);
+    let mut dropping = PartialSet::new(0);
+    dropping.head_drop_threshold = Some(1 << 30);
+    let mut state = 3u64;
+    let mut next = move |m: i64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as i64).rem_euclid(m)
+    };
+    let mut dead = Vec::new();
+    for q in 0..30 {
+        if q % 4 == 1 {
+            let v = next(600);
+            let k = t.append_row(&[v, v + 1, v + 2, v + 3]);
+            let victim = next(600) as u32;
+            for s in [&mut kept, &mut dropping] {
+                s.stage_insert(k);
+                if !dead.contains(&victim) {
+                    s.stage_delete(t.column(0).get(victim), victim);
+                }
+            }
+            dead.push(victim);
+            dead.dedup();
+        }
+        let lo = next(500);
+        let head = RangePred::open(lo, lo + 1 + next(150));
+        let sels = [(1, RangePred::open(next(300), 600))];
+        let a = collect(&mut kept, &t, &head, &sels, &[2]);
+        let b = collect(&mut dropping, &t, &head, &sels, &[2]);
+        assert_same(a, b);
+    }
+    assert!(dropping.stats.heads_dropped > 0 && dropping.stats.heads_recovered > 0);
+    assert!(kept.stats.updates_merged > 0);
+
+    let areas = kept.overlapping_areas(&t, &RangePred::all());
+    let mut rebuilt = 0;
+    for area in &areas {
+        let Some(mut group) = kept.resident.take(1, area.id) else {
+            continue;
+        };
+        assert_eq!(group.tail_attrs(), &[1, 2], "one group per area");
+        let sibling = group.head().expect("never dropped").to_vec();
+        group.drop_head();
+        let tape = kept.areas[&area.id].tape.clone();
+        kept.recover_head(&t, area, &mut group, &tape);
+        assert_eq!(group.head(), Some(&sibling[..]), "area {:?}", area.id);
+        kept.resident.put(area.id, group);
+        rebuilt += usize::from(kept.areas[&area.id].tape.len() > 1);
+    }
+    check(&kept);
+    assert!(rebuilt > 0, "some rebuild replays a tape");
 }

@@ -451,7 +451,7 @@ impl MapSet {
         pred: &RangePred,
     ) -> (usize, usize) {
         self.flush_staged(pred, base);
-        let missing = missing_maps(&self.groups, tail_attrs);
+        let missing = missing_maps(tails_of(&self.groups), tail_attrs);
         let uses = |g: &CrackerMap| tail_attrs.iter().any(|&a| g.column(a).is_some());
         let (used, kept) = std::mem::take(&mut self.groups).into_iter().partition(uses);
         self.groups = kept;
@@ -728,25 +728,39 @@ fn slots_of<'a>(
 }
 
 /// The maps of `tail_attrs` no group holds, ascending.
-fn missing_maps(groups: &[CrackerMap], tail_attrs: &[usize]) -> Vec<usize> {
-    let held = |a: &usize| groups.iter().any(|g| g.column(*a).is_some());
+fn missing_maps<'a>(
+    groups: impl Iterator<Item = &'a [usize]> + Clone,
+    tail_attrs: &[usize],
+) -> Vec<usize> {
+    let held = |a: &usize| groups.clone().any(|g| g.contains(a));
     let mut missing: Vec<usize> = tail_attrs.iter().copied().filter(|a| !held(a)).collect();
     missing.sort_unstable();
     missing.dedup();
     missing
 }
 
-/// The map tuples [`MapSet::select_maps`] adds to a set of `n` tuples
-/// with groups `groups` for a query over the maps of `tail_attrs`: the
-/// missing maps and the groups holding only maps of `tail_attrs` become
-/// one group, counted as [`CrackerMap::tuples`] counts it.
-pub fn growth(groups: &[CrackerMap], tail_attrs: &[usize], n: usize) -> usize {
+/// The map tuples a query over the maps of `tail_attrs` adds to `n`
+/// tuples held as groups of the tail attributes `groups`: the missing
+/// maps and the groups holding only maps of `tail_attrs` become one
+/// group, counted as [`CrackerMap::tuples`] counts it. That is what
+/// [`MapSet::select_maps`] does to a set's groups, and what a partial
+/// set does to the chunk groups of one area.
+pub fn growth<'a>(
+    groups: impl Iterator<Item = &'a [usize]> + Clone,
+    tail_attrs: &[usize],
+    n: usize,
+) -> usize {
     let cost = |k: usize| if k == 0 { 0 } else { n * (k + 1) / 2 };
-    let whole = groups.iter().filter(|g| g.within(tail_attrs));
-    let (tails, tuples) = whole.fold((0, 0), |(k, t), g| {
-        (k + g.tail_attrs.len(), t + cost(g.tail_attrs.len()))
-    });
+    let whole = groups
+        .clone()
+        .filter(|g| g.iter().all(|a| tail_attrs.contains(a)));
+    let (tails, tuples) = whole.fold((0, 0), |(k, t), g| (k + g.len(), t + cost(g.len())));
     cost(missing_maps(groups, tail_attrs).len() + tails).saturating_sub(tuples)
+}
+
+/// The tail attributes of each of `groups`.
+pub(crate) fn tails_of(groups: &[CrackerMap]) -> impl Iterator<Item = &[usize]> + Clone {
+    groups.iter().map(|g| g.tail_attrs.as_slice())
 }
 
 /// Uniform-distribution estimate of qualifying tuples with no index

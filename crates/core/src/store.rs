@@ -4,7 +4,7 @@
 
 use crate::bitvec::BitVec;
 use crate::partial::PartialSet;
-use crate::set::{growth, uniform_estimate, MapSet};
+use crate::set::{growth, tails_of, uniform_estimate, MapSet};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
@@ -160,7 +160,7 @@ impl SidewaysStore {
         let pinned: HashSet<(usize, usize)> = tail_attrs.iter().map(|&t| (set_attr, t)).collect();
         loop {
             let groups = self.sets.get(&set_attr).map_or(&[][..], |s| s.groups());
-            let needed = growth(groups, tail_attrs, base.num_rows());
+            let needed = growth(tails_of(groups), tail_attrs, base.num_rows());
             if needed == 0 || self.tuples() + needed <= budget {
                 return;
             }

@@ -1,16 +1,20 @@
 //! Eviction-order properties of the partial-map storage manager.
 //!
 //! The set keeps its usage as a running count and its eviction order as
-//! an index, both maintained as chunks go in and out. These tests drive
-//! seeded random query and update streams at it and, after every
-//! operation, hold both against what a scan over every resident chunk
+//! an index, both maintained as chunk groups go in and out. These tests
+//! drive seeded random query and update streams at it and, after every
+//! operation, hold both against what a scan over every resident group
 //! finds — the victim search the index replaced, written out here over
-//! the set's public read API.
+//! the set's public read API: a group of `k` tails over `n` tuples
+//! counts `n (k + 1) / 2` map tuples, each group has one retention
+//! score, and `(group, area)` breaks ties. Across each query, the
+//! groups it does not use must go in exactly that order: the ones
+//! evicted are the lowest-keyed of them.
 
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::partial::{retention_score, AreaId};
-use crackdb_core::PartialSet;
+use crackdb_core::{Chunk, PartialSet};
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 
 const CASES: u64 = 60;
@@ -69,35 +73,73 @@ fn sorted_by_attr(projs: &[usize], got: Vec<(usize, Val)>) -> Vec<(usize, Vec<Va
     projs.iter().map(of).collect()
 }
 
-/// The full-scan victim search: minimum `(score, attr, area)` over every
-/// resident chunk that is not one of `pinned_area`'s chunks of
-/// `pinned_attrs`.
+/// The eviction key of a resident group: its one retention score, then
+/// its identity — its least tail attribute, then its area.
+type Key = (u64, usize, AreaId);
+
+fn key(area: AreaId, g: &Chunk) -> Key {
+    let id = g.tail_attrs().iter().copied().min().unwrap();
+    (retention_score(g.accesses, g.last_access), id, area)
+}
+
+/// The full-scan victim search: minimum key over every resident group
+/// that is not one of `pinned_area`'s groups holding one of
+/// `pinned_attrs`, as `(group, area)`.
 fn victim_by_scan(
     set: &PartialSet,
     pinned_area: AreaId,
     pinned_attrs: &[usize],
 ) -> Option<(usize, AreaId)> {
-    (0..=TAILS)
-        .filter_map(|attr| set.map(attr).map(|m| (attr, m)))
-        .flat_map(|(attr, m)| {
-            m.chunks
-                .iter()
-                .map(move |(&area, c)| (retention_score(c.accesses, c.last_access), attr, area))
-        })
-        .filter(|(_, attr, area)| !(*area == pinned_area && pinned_attrs.contains(attr)))
+    let pinned = |area: AreaId, g: &Chunk| {
+        area == pinned_area && g.tail_attrs().iter().any(|a| pinned_attrs.contains(a))
+    };
+    set.chunks()
+        .filter(|&(area, g)| !pinned(area, g))
+        .map(|(area, g)| key(area, g))
         .min()
-        .map(|(_, attr, area)| (attr, area))
+        .map(|(_, id, area)| (id, area))
+}
+
+/// The resident groups holding none of `attrs`, by eviction key. A
+/// query over `attrs` never pins them and never changes their keys.
+fn bystanders(set: &PartialSet, attrs: &[usize]) -> Vec<(Key, Vec<usize>)> {
+    let uses = |g: &Chunk| g.tail_attrs().iter().any(|a| attrs.contains(a));
+    let mut out: Vec<(Key, Vec<usize>)> = set
+        .chunks()
+        .filter(|(_, g)| !uses(g))
+        .map(|(area, g)| (key(area, g), g.tail_attrs().to_vec()))
+        .collect();
+    out.sort();
+    out
+}
+
+/// Run a query over `attrs` and check that the groups it did not use
+/// went in eviction-key order: every bystander it evicted is keyed below
+/// every bystander that survived.
+fn query_evicting_in_order(
+    set: &mut PartialSet,
+    attrs: &[usize],
+    query: impl FnOnce(&mut PartialSet),
+) {
+    let before = bystanders(set, attrs);
+    query(set);
+    let after = bystanders(set, attrs);
+    let survived = |b: &(Key, Vec<usize>)| after.contains(b);
+    if let Some(first) = before.iter().position(survived) {
+        let late = before[first..].iter().find(|b| !survived(b));
+        assert_eq!(late, None, "evicted above the survivor {:?}", before[first]);
+    }
 }
 
 /// After every operation: invariants hold, `usage()` equals the
-/// re-summed chunk lengths, and the index names the scan's victim with
-/// nothing pinned and with a random attribute subset of a resident
-/// chunk's area pinned.
+/// re-summed group sizes in map tuples, and the index names the scan's
+/// victim with nothing pinned and with a random attribute subset of a
+/// resident group's area pinned.
 fn check(set: &PartialSet, rng: &mut StdRng, what: &str) {
     assert_eq!(set.check_invariants(), Ok(()), "{what}");
-    let chunks: Vec<(AreaId, usize)> = (0..=TAILS)
-        .filter_map(|attr| set.map(attr))
-        .flat_map(|m| m.chunks.iter().map(|(&area, c)| (area, c.len())))
+    let chunks: Vec<(AreaId, usize)> = set
+        .chunks()
+        .map(|(area, g)| (area, g.len() * (g.tail_attrs().len() + 1) / 2))
         .collect();
     assert_eq!(set.chunk_count(), chunks.len(), "{what}");
     let resummed: usize = chunks.iter().map(|c| c.1).sum();
@@ -169,8 +211,10 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             ];
             let projs = [attrs[1]];
             let mut got = Vec::new();
-            set.disjunctive_project_blocks(&model.table, &preds, &projs, |b| {
-                b.for_each(|v| got.push((b.attr, v)))
+            query_evicting_in_order(set, &[0, attrs[0], attrs[1]], |set| {
+                set.disjunctive_project_blocks(&model.table, &preds, &projs, |b| {
+                    b.for_each(|v| got.push((b.attr, v)))
+                })
             });
             let want = model.scan(&projs, |k| {
                 preds.iter().any(|(a, p)| p.matches(model.get(*a, k)))
@@ -185,8 +229,10 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let sels = [(attrs[0], range(rng, attrs[0], rows))];
             let projs = &attrs[1..];
             let mut got = Vec::new();
-            set.conjunctive_project_blocks(&model.table, &head, &sels, projs, |b| {
-                b.for_each(|v| got.push((b.attr, v)))
+            query_evicting_in_order(set, &attrs, |set| {
+                set.conjunctive_project_blocks(&model.table, &head, &sels, projs, |b| {
+                    b.for_each(|v| got.push((b.attr, v)))
+                })
             });
             let want = model.scan(projs, |k| {
                 head.matches(model.get(0, k)) && sels[0].1.matches(model.get(sels[0].0, k))
@@ -198,8 +244,10 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
             let projs = distinct_tails(rng, 1);
             let head = range(rng, 0, rows);
             let mut got = Vec::new();
-            set.select_project_blocks(&model.table, &head, &projs, |b| {
-                b.for_each(|v| got.push((b.attr, v)))
+            query_evicting_in_order(set, &projs, |set| {
+                set.select_project_blocks(&model.table, &head, &projs, |b| {
+                    b.for_each(|v| got.push((b.attr, v)))
+                })
             });
             let want = model.scan(&projs, |k| head.matches(model.get(0, k)));
             assert_eq!(sorted_by_attr(&projs, got), want, "select {head:?}");
@@ -214,7 +262,7 @@ fn random_op(set: &mut PartialSet, model: &mut Model, rng: &mut StdRng) -> &'sta
 /// and without head dropping.
 #[test]
 fn eviction_index_names_the_scans_victim_after_every_op() {
-    let (mut evictions, mut merges) = (0, 0);
+    let (mut evictions, mut merges, mut wide) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE71C7 ^ case.wrapping_mul(0x9E3779B97F4A7C15));
         let rows = rng.gen_range(60..300usize);
@@ -235,10 +283,15 @@ fn eviction_index_names_the_scans_victim_after_every_op() {
         for step in 0..rng.gen_range(20..50) {
             let op = random_op(&mut set, &mut model, &mut rng);
             check(&set, &mut rng, &format!("case {case}, step {step}: {op}"));
+            wide += set
+                .chunks()
+                .filter(|(_, g)| g.tail_attrs().len() > 1)
+                .count();
         }
         evictions += set.stats.chunks_dropped;
         merges += set.stats.updates_merged;
     }
     assert!(evictions > 1000, "the budgets must bite: {evictions}");
+    assert!(wide > 100, "queries must merge groups: {wide}");
     assert!(merges > 100, "updates must reach resident chunks: {merges}");
 }

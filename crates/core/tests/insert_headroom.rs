@@ -32,10 +32,10 @@ fn values(n: usize, domain: Val, seed: u64) -> Vec<Val> {
 
 /// `a`'s buffers, front slack included, and index, at exact capacity.
 fn exact_copy<T: Copy>(a: &CrackedArray<T>) -> CrackedArray<T> {
-    let (head, tail, index) = a.clone().into_parts();
-    let exact = |cap: usize| cap == head.len();
-    assert!(exact(head.capacity()) && exact(tail.capacity()));
-    CrackedArray::from_parts(head, tail, index)
+    let copy = a.clone();
+    let buffer = copy.index().origin() + copy.len();
+    assert!(copy.allocation().iter().all(|&(_, cap)| cap == buffer));
+    copy
 }
 
 fn assert_same_state<T: Copy + PartialEq>(

@@ -335,12 +335,11 @@ impl<T: Copy> CrackedArray<T> {
         arr
     }
 
-    /// Reassemble a one-tail array from parts produced by
-    /// [`Self::into_parts`] (used by partial sideways cracking's chunks,
-    /// whose head column is droppable and therefore stored outside the
-    /// array). The buffers start with the index's
+    /// Assemble a one-tail array from its buffers and index (partial
+    /// sideways cracking's chunks: gathered buffers and a revived index
+    /// shell). The buffers start with the index's
     /// [`CrackerIndex::origin`] free slots. The touched-tuple counter
-    /// restarts at zero.
+    /// starts at zero.
     ///
     /// # Panics
     /// If the buffers differ in length or are shorter than the origin.
@@ -362,13 +361,6 @@ impl<T: Copy> CrackedArray<T> {
     /// query must fall as the array converges).
     pub fn touched(&self) -> u64 {
         self.touched
-    }
-
-    /// Disassemble a one-tail array into `(head, tail, index)` without
-    /// copying: the buffers, front slack included (see
-    /// [`Self::from_parts`]). A group keeps only its first tail.
-    pub fn into_parts(self) -> (Vec<Val>, Vec<T>, CrackerIndex) {
-        (self.head, self.tail, self.index)
     }
 
     /// Number of tuples.
@@ -413,13 +405,41 @@ impl<T: Copy> CrackedArray<T> {
 
     /// Take the other array's tail columns on as this array's last ones
     /// (a group merge). Only physically identical arrays merge: same
-    /// head order and index, so every row stays one tuple.
+    /// head order (if neither head is out) and index, so every row stays
+    /// one tuple.
     pub fn append_tails(&mut self, other: Self) {
         let state = |a: &Self| (a.index.origin, a.index.boundaries_with_status());
-        debug_assert!(self.head() == other.head(), "merged heads differ");
+        let taken = self.head.is_empty() || other.head.is_empty();
+        debug_assert!(taken || self.head() == other.head(), "merged heads differ");
         debug_assert_eq!(state(self), state(&other), "merged indexes differ");
         self.more.push(other.tail);
         self.more.extend(other.more);
+    }
+
+    /// Add a tail column as this array's last one: `tail` is the
+    /// buffer, front slack included, of values in this array's row
+    /// order.
+    ///
+    /// # Panics
+    /// If `tail` is not as long as the other columns.
+    pub fn push_tail(&mut self, tail: Vec<T>) {
+        assert_eq!(tail.len(), self.tail.len(), "tail length mismatch");
+        self.more.push(tail);
+    }
+
+    /// Swap the head buffer, front slack included, for `head`, and
+    /// return the old one. An empty `head` takes the head out (§4.1's
+    /// head drop): until a buffer of the head values in this array's row
+    /// order is put back — the one taken, or a rebuild of it — the tails
+    /// and the index stay readable, but reading the head, cracking or
+    /// rippling panics.
+    ///
+    /// # Panics
+    /// If `head` is neither empty nor as long as the tail columns.
+    pub fn replace_head(&mut self, head: Vec<Val>) -> Vec<Val> {
+        let fits = head.is_empty() || head.len() == self.tail.len();
+        assert!(fits, "head/tail length mismatch");
+        std::mem::replace(&mut self.head, head)
     }
 
     /// Drop tail column `c` of a group (storage management). The last

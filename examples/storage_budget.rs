@@ -57,7 +57,7 @@ fn main() {
         assert_eq!(a.rows, b.rows, "engines disagree");
         if (i + 1) % 100 == 0 {
             println!(
-                "after {:>3} queries: partial {:>8} tuples ({} chunks, {} dropped) | full maps {:>8} tuples",
+                "after {:>3} queries: partial {:>8} tuples ({} chunk groups, {} dropped) | full maps {:>8} tuples",
                 i + 1,
                 partial.aux_tuples(),
                 partial.store().set(0).map_or(0, |s| s.chunk_count()),
