@@ -1,12 +1,13 @@
 //! Micro-benchmarks of the kernels behind every figure: crack-in-two /
 //! crack-in-three, map groups against separate maps, chunk groups
 //! against separate chunks, cracker-index operations, bit-vector
-//! filtering, the three positional-reconstruction access patterns, and
-//! ripple updates.
+//! filtering, aggregate folds, the three positional-reconstruction
+//! access patterns, and ripple updates. Name groups on the command line
+//! to run only those: `cargo bench --bench microbench -- fold ripple`.
 
 use crackdb_bench::harness::{BatchSize, Criterion};
 use crackdb_columnstore::column::{insert_headroom, Column, Table};
-use crackdb_columnstore::ops::block::PartialAgg;
+use crackdb_columnstore::ops::block::{PartialAgg, Stats};
 use crackdb_columnstore::radix::radix_cluster;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::{BitVec, Chunk};
@@ -234,7 +235,7 @@ fn bench_bitvec(c: &mut Criterion) {
         b.iter(|| {
             let mut agg = PartialAgg::default();
             for (bv, vals) in bvs.iter().zip(&areas) {
-                agg.fold_masked(vals, bv.words());
+                agg.fold(vals, Some(bv.words()), Stats::ALL);
             }
             black_box(agg)
         })
@@ -244,6 +245,51 @@ fn bench_bitvec(c: &mut Criterion) {
     g.bench_function("iter_ones_1M", |b| {
         b.iter(|| black_box(bv.iter_ones().count()))
     });
+    g.finish();
+}
+
+/// Values of the area the `fold` benches aggregate: about one
+/// `svc_mixed` shard's cracked area. Each sample folds [`FOLD_AREAS`]
+/// such areas, so divide its time by `FOLD_AREAS * FOLD_AREA` for
+/// ns/value.
+const FOLD_AREA: usize = 6_000;
+const FOLD_AREAS: usize = 16;
+
+/// The aggregate fold over a masked area (a 50% selection, bits at
+/// random), asked for every statistic, the sum alone, the maximum alone
+/// and the count alone: what `exec` folds for `sum`, `max` and `count`
+/// against what it folded for each before it asked for only those.
+fn bench_fold(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fold");
+    g.sample_size(50);
+    let mut rng = StdRng::seed_from_u64(8);
+    let half = RangePred::half_open(0, 500);
+    let areas: Vec<(Vec<Val>, BitVec)> = (0..FOLD_AREAS)
+        .map(|_| {
+            let vals: Vec<Val> = (0..FOLD_AREA).map(|_| rng.gen_range(0..1000)).collect();
+            let sel = BitVec::from_range(&vals, &half);
+            (vals, sel)
+        })
+        .collect();
+    let count = Stats::default();
+    let sum = Stats { sum: true, ..count };
+    let max = Stats { max: true, ..count };
+    for (name, stats) in [
+        ("all", Stats::ALL),
+        ("sum", sum),
+        ("max", max),
+        ("count", count),
+    ] {
+        g.bench_function(format!("{name}_{FOLD_AREA}_50pct_x{FOLD_AREAS}"), |b| {
+            b.iter(|| {
+                let mut agg = PartialAgg::new(stats);
+                for (vals, sel) in &areas {
+                    agg.fold(vals, Some(sel.words()), stats);
+                }
+                agg
+            })
+        });
+    }
     g.finish();
 }
 
@@ -602,12 +648,27 @@ fn bench_chunk_groups(c: &mut Criterion) {
 
 fn main() {
     let mut c = Criterion::default();
-    bench_crack_kernels(&mut c);
-    bench_map_groups(&mut c);
-    bench_chunk_groups(&mut c);
-    let skewed = skewed_map();
-    bench_index(&mut c, &skewed);
-    bench_bitvec(&mut c);
-    bench_reconstruction_patterns(&mut c);
-    bench_ripple(&mut c, &skewed);
+    type Bench = fn(&mut Criterion);
+    let groups: [(&str, Bench); 6] = [
+        ("crack_kernels", bench_crack_kernels),
+        ("map_groups", bench_map_groups),
+        ("chunk_groups", bench_chunk_groups),
+        ("bitvec", bench_bitvec),
+        ("fold", bench_fold),
+        ("reconstruction", bench_reconstruction_patterns),
+    ];
+    for (name, bench) in groups {
+        if c.wants(name) {
+            bench(&mut c);
+        }
+    }
+    if c.wants("cracker_index") || c.wants("ripple_updates") {
+        let skewed = skewed_map();
+        if c.wants("cracker_index") {
+            bench_index(&mut c, &skewed);
+        }
+        if c.wants("ripple_updates") {
+            bench_ripple(&mut c, &skewed);
+        }
+    }
 }

@@ -26,6 +26,9 @@ pub enum BatchSize {
 #[derive(Debug)]
 pub struct Criterion {
     default_samples: usize,
+    /// The command line's words (flags such as cargo's `--bench` aside):
+    /// the groups to run.
+    filter: Vec<String>,
 }
 
 impl Default for Criterion {
@@ -35,11 +38,22 @@ impl Default for Criterion {
         // figures.
         Criterion {
             default_samples: 15,
+            filter: std::env::args()
+                .skip(1)
+                .filter(|a| !a.starts_with('-'))
+                .collect(),
         }
     }
 }
 
 impl Criterion {
+    /// Does the command line ask for the group `name`? Every group when
+    /// it names none, else those whose name contains one of its words:
+    /// `cargo bench --bench microbench -- fold`.
+    pub fn wants(&self, name: &str) -> bool {
+        self.filter.is_empty() || self.filter.iter().any(|f| name.contains(f.as_str()))
+    }
+
     /// Start a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> Group {
         let name = name.into();

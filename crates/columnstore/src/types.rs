@@ -193,7 +193,8 @@ pub enum AggFunc {
     Sum,
     /// Number of values.
     Count,
-    /// Arithmetic mean, reported as `(sum, count)` scaled by caller.
+    /// Arithmetic mean, `sum / count` truncated toward zero (`None` over
+    /// no values).
     Avg,
 }
 

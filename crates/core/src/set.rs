@@ -216,43 +216,27 @@ impl MapSet {
     }
 
     /// Move staged updates whose head value is relevant to `pred` into
-    /// tape batches (Ripple merging at set granularity): every map will
-    /// apply exactly these subsets, in tape order, during alignment.
+    /// tape batches (Ripple merging at set granularity), in staging
+    /// order: every map will apply exactly these subsets, in tape order,
+    /// during alignment.
     fn flush_staged(&mut self, pred: &RangePred, base: &Table) {
-        if !self.staged_inserts.is_empty() {
-            let head_col = base.column(self.head_attr);
-            let mut merged = Vec::new();
-            let mut i = 0;
-            while i < self.staged_inserts.len() {
-                let key = self.staged_inserts[i];
-                if pred.matches(head_col.get(key)) {
-                    merged.push(key);
-                    self.staged_inserts.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if !merged.is_empty() {
-                self.tape.log_inserts(InsertBatch { keys: merged });
-            }
+        let head_col = base.column(self.head_attr);
+        let ins = self
+            .staged_inserts
+            .extract_if(.., |k| pred.matches(head_col.get(*k)));
+        let keys: Vec<RowId> = ins.collect();
+        if !keys.is_empty() {
+            self.tape.log_inserts(InsertBatch { keys });
         }
-        if !self.staged_deletes.is_empty() {
-            let mut merged = Vec::new();
-            let mut i = 0;
-            while i < self.staged_deletes.len() {
-                let (v, _) = self.staged_deletes[i];
-                if pred.matches(v) {
-                    merged.push(self.staged_deletes.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            if !merged.is_empty() {
-                self.tape.log_deletes(DeleteBatch {
-                    items: merged,
-                    resolved: None,
-                });
-            }
+        let dels = self
+            .staged_deletes
+            .extract_if(.., |(v, _)| pred.matches(*v));
+        let items: Vec<(Val, RowId)> = dels.collect();
+        if !items.is_empty() {
+            self.tape.log_deletes(DeleteBatch {
+                items,
+                resolved: None,
+            });
         }
     }
 
@@ -489,12 +473,27 @@ impl MapSet {
         range
     }
 
-    /// Tail values of a previously selected area.
+    /// The whole tail of `tail_attr`'s map, which a select of this query
+    /// left at the tape head: areas and bit vectors of the query are
+    /// valid in it only there. Empty when the map does not exist.
+    fn selected_tail(&self, tail_attr: usize) -> &[Val] {
+        self.map(tail_attr).map_or(&[], |m| {
+            debug_assert_eq!(
+                m.cursor,
+                self.tape.len(),
+                "map {tail_attr} is behind the tape: select it first"
+            );
+            m.tail(tail_attr)
+        })
+    }
+
+    /// Tail values of an area a select of this query returned
+    /// ([`Self::select_maps`] over a set of maps holding `tail_attr`).
     pub fn view_tail(&self, tail_attr: usize, range: (usize, usize)) -> &[Val] {
-        let tail = self.map(tail_attr).map_or(&[][..], |m| m.tail(tail_attr));
-        // INVARIANT: ranges only come from a select over this map, which
-        // materializes it before returning.
-        &tail[range.0..range.1]
+        if range.0 == range.1 {
+            return &[]; // valid in any map, selected or not
+        }
+        &self.selected_tail(tail_attr)[range.0..range.1]
     }
 
     /// [`Self::sideways_select`] over the key map, for plans with nothing
@@ -517,34 +516,27 @@ impl MapSet {
         range
     }
 
-    /// `sideways.select_create_bv` (§3.3): select on the head predicate,
-    /// then build a bit vector over the qualifying area from a predicate
-    /// on the tail attribute.
-    pub fn select_create_bv(
-        &mut self,
-        base: &Table,
+    /// `sideways.select_create_bv` (§3.3) over an area the query
+    /// selected ([`Self::select_maps`] over maps holding `tail_attr`): a
+    /// bit vector over it from a predicate on the tail attribute.
+    pub fn create_bv(
+        &self,
         tail_attr: usize,
-        head_pred: &RangePred,
+        range: (usize, usize),
         tail_pred: &RangePred,
-    ) -> ((usize, usize), BitVec) {
-        let range = self.sideways_select(base, tail_attr, head_pred);
-        let tails = self.view_tail(tail_attr, range);
-        let bv = BitVec::from_range(tails, tail_pred);
-        (range, bv)
+    ) -> BitVec {
+        BitVec::from_range(self.view_tail(tail_attr, range), tail_pred)
     }
 
-    /// `sideways.select_refine_bv` (§3.3): clear bits of tuples whose tail
-    /// value fails `tail_pred`. The map is aligned first, so the area is
-    /// positionally identical to the one `bv` was created over.
-    pub fn select_refine_bv(
-        &mut self,
-        base: &Table,
+    /// `sideways.select_refine_bv` (§3.3) over the area `bv` was created
+    /// over: clear the bits of tuples whose tail value fails `tail_pred`.
+    pub fn refine_bv(
+        &self,
         tail_attr: usize,
-        head_pred: &RangePred,
+        range: (usize, usize),
         tail_pred: &RangePred,
         bv: &mut BitVec,
     ) {
-        let range = self.sideways_select(base, tail_attr, head_pred);
         let tails = self.view_tail(tail_attr, range);
         assert_eq!(
             tails.len(),
@@ -554,8 +546,10 @@ impl MapSet {
         bv.refine_range(tails, tail_pred);
     }
 
-    /// [`Self::view_tail`] as a reconstruction block: the area's tail
-    /// values with `bv` (one bit per tuple of the area) as the selection.
+    /// `sideways.reconstruct` (§3.3) as a view: [`Self::view_tail`] as a
+    /// reconstruction block, with `bv` (one bit per tuple of the area) as
+    /// the selection. A disjunction's area is the whole map,
+    /// `(0, bv.len())`.
     pub fn view_block<'a>(
         &'a self,
         tail_attr: usize,
@@ -575,20 +569,6 @@ impl MapSet {
             vals,
             sel: bv.map(BitVec::words),
         }
-    }
-
-    /// `sideways.reconstruct` (§3.3): align the map of `tail_attr` and
-    /// return the qualifying area's tail values with `bv` selecting among
-    /// them — a bulk operator, area and bit vector in, column out.
-    pub fn reconstruct_block<'a>(
-        &'a mut self,
-        base: &Table,
-        tail_attr: usize,
-        head_pred: &RangePred,
-        bv: &'a BitVec,
-    ) -> Block<'a> {
-        let range = self.sideways_select(base, tail_attr, head_pred);
-        self.view_block(tail_attr, range, Some(bv))
     }
 
     // ----- disjunctive variants (§3.3) ---------------------------------
@@ -619,19 +599,13 @@ impl MapSet {
         (range, bv)
     }
 
-    /// Disjunctive refinement: scan the still-unset positions and set
-    /// bits of tuples whose tail value satisfies `tail_pred`: exactly the
-    /// areas outside the cracked area `w`, as in §3.3.
-    pub fn disj_refine_bv(
-        &mut self,
-        base: &Table,
-        tail_attr: usize,
-        head_pred: &RangePred,
-        tail_pred: &RangePred,
-        bv: &mut BitVec,
-    ) {
-        self.sideways_select(base, tail_attr, head_pred);
-        let tails = self.map(tail_attr).map_or(&[][..], |m| m.tail(tail_attr));
+    /// Disjunctive refinement over the whole map of `tail_attr`, which
+    /// [`Self::disj_create_bv`] selected: scan the still-unset positions
+    /// and set bits of tuples whose tail value satisfies `tail_pred`:
+    /// exactly the areas outside the cracked area `w`, as in §3.3.
+    /// Reconstruct with [`Self::view_block`] over `(0, bv.len())`.
+    pub fn disj_refine_bv(&self, tail_attr: usize, tail_pred: &RangePred, bv: &mut BitVec) {
+        let tails = self.selected_tail(tail_attr);
         assert_eq!(
             tails.len(),
             bv.len(),
@@ -640,21 +614,6 @@ impl MapSet {
         // Word-at-a-time: after the first OR-branch set a dense area, its
         // words are skipped wholesale.
         bv.set_where_unset_range(tails, tail_pred);
-    }
-
-    /// Disjunctive reconstruction: align the map of `tail_attr` and
-    /// return the whole map's tail values with `bv` (whole-map indexing)
-    /// selecting among them.
-    pub fn disj_reconstruct_block<'a>(
-        &'a mut self,
-        base: &Table,
-        tail_attr: usize,
-        head_pred: &RangePred,
-        bv: &'a BitVec,
-    ) -> Block<'a> {
-        self.sideways_select(base, tail_attr, head_pred);
-        let n = self.map(tail_attr).map_or(0, |m| m.arr.len());
-        self.view_block(tail_attr, (0, n), Some(bv))
     }
 
     // ----- self-organizing histogram (§3.3) ----------------------------
@@ -852,19 +811,18 @@ mod tests {
         let base = fig2_table();
         let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
         let head_pred = RangePred::open(1, 8);
-        let (_, mut bv) = s.select_create_bv(&base, 1, &head_pred, &RangePred::open(20, 70));
+        let range = s.select_maps(&base, &[1, 2], &head_pred);
+        let mut bv = s.create_bv(1, range, &RangePred::open(20, 70));
         let mut out = Vec::new();
-        s.reconstruct_block(&base, 2, &head_pred, &bv)
-            .append_to(&mut out);
+        s.view_block(2, range, Some(&bv)).append_to(&mut out);
         // Qualifying tuples: A in {2..7}\{1,8} with B in (20,70):
         // A=7(B=71 no), A=4(41 yes), A=2(21 yes), A=3(31 yes), A=6(61 yes).
         assert_eq!(sorted(out), vec![22, 32, 42, 62]);
 
         // Refine further with a predicate on C.
-        s.select_refine_bv(&base, 2, &head_pred, &RangePred::open(30, 50), &mut bv);
+        s.refine_bv(2, range, &RangePred::open(30, 50), &mut bv);
         let mut out2 = Vec::new();
-        s.reconstruct_block(&base, 2, &head_pred, &bv)
-            .append_to(&mut out2);
+        s.view_block(2, range, Some(&bv)).append_to(&mut out2);
         assert_eq!(sorted(out2), vec![32, 42]);
     }
 
@@ -874,16 +832,14 @@ mod tests {
         let base = fig2_table();
         let mut s = MapSet::new(0, base.num_rows(), HashSet::new());
         let head_pred = RangePred::less(crackdb_columnstore::types::Bound::exclusive(2));
-        let (_, mut bv) = s.disj_create_bv(&base, &[1], &head_pred);
+        let (_, mut bv) = s.disj_create_bv(&base, &[1, 2], &head_pred);
         s.disj_refine_bv(
-            &base,
             1,
-            &head_pred,
             &RangePred::greater(crackdb_columnstore::types::Bound::exclusive(70)),
             &mut bv,
         );
         let mut out = Vec::new();
-        s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
+        s.view_block(2, (0, bv.len()), Some(&bv))
             .append_to(&mut out);
         // A=1 qualifies (A<2); B=71 (A=7), B=81 (A=8) qualify via B>70.
         assert_eq!(sorted(out), vec![12, 72, 82]);
@@ -904,10 +860,10 @@ mod tests {
         // Insert (a=100, b=1000, c=42): matches only the B predicate.
         let key = base.append_row(&[100, 1000, 42]);
         s.stage_insert(key);
-        let (_, mut bv) = s.disj_create_bv(&base, &[1], &head_pred);
-        s.disj_refine_bv(&base, 1, &head_pred, &b_pred, &mut bv);
+        let (_, mut bv) = s.disj_create_bv(&base, &[1, 2], &head_pred);
+        s.disj_refine_bv(1, &b_pred, &mut bv);
         let mut out = Vec::new();
-        s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
+        s.view_block(2, (0, bv.len()), Some(&bv))
             .append_to(&mut out);
         assert!(out.contains(&42), "insert matching only the B pred seen");
         assert_eq!(s.staged(), 0, "disjunctions merge every staged update");
@@ -915,10 +871,10 @@ mod tests {
         // And the deletion direction: delete that row; it must stop
         // contributing although its head value matches no A range.
         s.stage_delete(100, key);
-        let (_, mut bv) = s.disj_create_bv(&base, &[1], &head_pred);
-        s.disj_refine_bv(&base, 1, &head_pred, &b_pred, &mut bv);
+        let (_, mut bv) = s.disj_create_bv(&base, &[1, 2], &head_pred);
+        s.disj_refine_bv(1, &b_pred, &mut bv);
         let mut out = Vec::new();
-        s.disj_reconstruct_block(&base, 2, &head_pred, &bv)
+        s.view_block(2, (0, bv.len()), Some(&bv))
             .append_to(&mut out);
         assert!(!out.contains(&42), "deleted tuple no longer contributes");
     }

@@ -205,7 +205,7 @@ impl SidewaysStore {
 
     /// Conjunctive multi-selection (§3.3): returns the handle describing
     /// the qualifying tuples; follow with [`Self::reconstruct_block`] per
-    /// projection attribute.
+    /// attribute of `preds` or `extra_attrs`.
     pub fn conjunctive_bv(
         &mut self,
         base: &Table,
@@ -213,67 +213,58 @@ impl SidewaysStore {
         extra_attrs: &[usize],
         excluded: &HashSet<RowId>,
     ) -> ConjHandle {
-        let chosen = self.choose_idx(base, preds, false).unwrap_or(0);
-        let (set_attr, head_pred) = match preds.get(chosen) {
-            Some(&(a, p)) => (a, p),
+        // Without predicates every tuple qualifies: an all-values
+        // restriction on the first extra attribute's set.
+        let all;
+        let (preds, chosen) = match self.choose_idx(base, preds, false) {
+            Some(chosen) => (preds, chosen),
             None => {
-                // Empty predicate list: nothing qualifies.
-                return ConjHandle {
-                    set_attr: 0,
-                    head_pred: RangePred::all(),
-                    range: (0, 0),
-                    bv: None,
-                };
+                all = [(extra_attrs.first().copied().unwrap_or(0), RangePred::all())];
+                (&all[..], 0)
             }
         };
-        let (tails, needed) = plan_maps(preds, set_attr, extra_attrs);
+        let (set_attr, head_pred) = preds[chosen];
+        let (tails, needed) = plan_maps(preds, chosen, extra_attrs);
         self.reserve(base, set_attr, &needed);
         let s = self.ensure_set(base, set_attr, excluded);
         // The selection phase aligns and cracks every map the plan uses,
-        // as one group (§3.2: one sideways operator per map), so later
-        // refinements and reconstructions find them aligned. With no map
-        // needed, the key map's area.
+        // as one group (§3.2: one sideways operator per map); the bit
+        // vector and every reconstruction read that one area. With no
+        // map needed, the key map's area.
         let range = s.select_maps(base, &needed, &head_pred);
-        if tails.is_empty() {
-            return ConjHandle {
-                set_attr,
-                head_pred,
-                range,
-                bv: None,
-            };
-        }
-
-        let (range, mut bv) = s.select_create_bv(base, tails[0].0, &head_pred, &tails[0].1);
-        for (attr, pred) in &tails[1..] {
-            s.select_refine_bv(base, *attr, &head_pred, pred, &mut bv);
-        }
+        let bv = tails.split_first().map(|((attr, pred), rest)| {
+            let mut bv = s.create_bv(*attr, range, pred);
+            for (attr, pred) in rest {
+                s.refine_bv(*attr, range, pred, &mut bv);
+            }
+            bv
+        });
         ConjHandle {
             set_attr,
             head_pred,
             range,
-            bv: Some(bv),
+            bv,
         }
     }
 
-    /// `sideways.reconstruct` for a conjunctive handle: align the map of
-    /// `tail_attr` and return the handle's area of it, the handle's bit
-    /// vector selecting the qualifying tuples. Empty for a stale handle
-    /// (the set was dropped since).
+    /// `sideways.reconstruct` for a conjunctive handle: the handle's area
+    /// of `tail_attr`'s map, which [`Self::conjunctive_bv`] selected, the
+    /// handle's bit vector selecting the qualifying tuples. Empty for a
+    /// stale handle (the set was dropped since).
     pub fn reconstruct_block<'a>(
         &'a mut self,
-        base: &Table,
+        _base: &Table,
         handle: &'a ConjHandle,
         tail_attr: usize,
     ) -> Block<'a> {
-        let Some(s) = self.sets.get_mut(&handle.set_attr) else {
-            return Block {
+        match self.sets.get(&handle.set_attr) {
+            Some(s) => s.view_block(tail_attr, handle.range, handle.bv.as_ref()),
+            None => Block {
                 attr: tail_attr,
                 vals: &[],
                 sel: None,
-            };
-        };
-        let range = s.sideways_select(base, tail_attr, &handle.head_pred);
-        s.view_block(tail_attr, range, handle.bv.as_ref())
+            },
+        }
     }
 
     /// [`Self::reconstruct_block`] one value at a time.
@@ -288,21 +279,17 @@ impl SidewaysStore {
             .for_each(consume);
     }
 
-    /// Aligned tail slice of one map under the handle's head predicate —
-    /// gives positional access for join plans (positions are relative to
-    /// `range.0`).
-    pub fn tail_slice(&mut self, base: &Table, handle: &ConjHandle, tail_attr: usize) -> &[Val] {
-        let Some(s) = self.sets.get_mut(&handle.set_attr) else {
-            return &[]; // stale handle: the set was dropped since
-        };
-        let range = s.sideways_select(base, tail_attr, &handle.head_pred);
-        debug_assert_eq!(range, handle.range, "aligned maps agree on the area");
-        s.view_tail(tail_attr, range)
+    /// The handle's area of `tail_attr`'s map, which
+    /// [`Self::conjunctive_bv`] selected — gives positional access for
+    /// join plans (positions are relative to `range.0`).
+    pub fn tail_slice(&mut self, _base: &Table, handle: &ConjHandle, tail_attr: usize) -> &[Val] {
+        // A stale handle (the set was dropped since) reads nothing.
+        let s = self.sets.get(&handle.set_attr);
+        s.map_or(&[], |s| s.view_tail(tail_attr, handle.range))
     }
 
-    /// Disjunctive multi-selection (§3.3): all predicates on distinct
-    /// attributes combined with OR; hands `consume` one whole-map block
-    /// per projection attribute.
+    /// Disjunctive multi-selection (§3.3): all predicates combined with
+    /// OR; hands `consume` one whole-map block per projection attribute.
     pub fn disjunctive_project_blocks(
         &mut self,
         base: &Table,
@@ -315,7 +302,7 @@ impl SidewaysStore {
         let Some(&(set_attr, head_pred)) = preds.get(chosen) else {
             return; // empty predicate list: nothing qualifies
         };
-        let (tails, needed) = plan_maps(preds, set_attr, projs);
+        let (tails, needed) = plan_maps(preds, chosen, projs);
         self.reserve(base, set_attr, &needed);
         let s = self.ensure_set(base, set_attr, excluded);
 
@@ -327,29 +314,27 @@ impl SidewaysStore {
         };
         let (_, mut bv) = s.disj_create_bv(base, &first, &head_pred);
         for (attr, pred) in &tails {
-            s.disj_refine_bv(base, *attr, &head_pred, pred, &mut bv);
+            s.disj_refine_bv(*attr, pred, &mut bv);
         }
         for &p in projs {
-            consume(s.disj_reconstruct_block(base, p, &head_pred, &bv));
+            consume(s.view_block(p, (0, bv.len()), Some(&bv)));
         }
     }
 }
 
-/// The maps a plan on set `set_attr` uses: its residual predicates (those
-/// on other attributes), and their attributes followed by the `extra`
-/// ones (fetched or aggregated), without repeats.
+/// The maps a plan on the set `preds[chosen]` picks uses: its residual
+/// predicates (every other one, those on the set's own attribute
+/// included), and their attributes followed by the `extra` ones (fetched
+/// or aggregated), without repeats.
 pub fn plan_maps(
     preds: &[(usize, RangePred)],
-    set_attr: usize,
+    chosen: usize,
     extra: &[usize],
 ) -> (Vec<(usize, RangePred)>, Vec<usize>) {
-    let tails: Vec<(usize, RangePred)> = preds
-        .iter()
-        .filter(|(a, _)| *a != set_attr)
-        .cloned()
-        .collect();
-    let mut needed: Vec<usize> = tails.iter().map(|(a, _)| *a).collect();
-    for &a in extra {
+    let mut tails = preds.to_vec();
+    tails.remove(chosen);
+    let mut needed: Vec<usize> = Vec::new();
+    for a in tails.iter().map(|&(a, _)| a).chain(extra.iter().copied()) {
         if !needed.contains(&a) {
             needed.push(a);
         }
@@ -584,6 +569,39 @@ mod tests {
         out.sort_unstable();
         let expected: Vec<Val> = (25..40).map(|r| r * 2).collect();
         assert_eq!(out, expected);
+    }
+
+    /// Without predicates every live tuple qualifies, as in a scan.
+    #[test]
+    fn conjunction_of_no_predicates_is_every_tuple() {
+        let mut store = SidewaysStore::new((0, 100));
+        let base = table();
+        let gone = HashSet::from([7]);
+        store.conjunctive_bv(&base, &[(0, RangePred::open(20, 40))], &[2], &gone);
+        let h = store.conjunctive_bv(&base, &[], &[2], &gone);
+        assert_eq!(h.result_size(), 99);
+        assert_eq!(store.tail_slice(&base, &h, 2).len(), 99);
+    }
+
+    /// A second predicate on the chosen set's own attribute is a residual
+    /// like any other: the plan reads it from that attribute's map.
+    #[test]
+    fn residual_predicates_on_the_head_attribute_apply() {
+        let mut store = SidewaysStore::new((0, 100));
+        let base = table();
+        let none = HashSet::new();
+        let preds = vec![(0, RangePred::open(20, 40)), (0, RangePred::open(30, 60))];
+        let h = store.conjunctive_bv(&base, &preds, &[2], &none);
+        assert_eq!(h.result_size(), 9, "rows 31..=39");
+        let mut out = Vec::new();
+        store.reconstruct_with(&base, &h, 2, |v| out.push(v));
+        out.sort_unstable();
+        assert_eq!(out, (31..40).map(|r| r * 2).collect::<Vec<Val>>());
+        let preds = vec![(0, RangePred::open(-1, 3)), (0, RangePred::open(96, 100))];
+        let mut out = Vec::new();
+        store.disjunctive_project_blocks(&base, &preds, &[2], &none, |b| b.append_to(&mut out));
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 2, 4, 194, 196, 198]);
     }
 
     #[test]

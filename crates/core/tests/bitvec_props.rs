@@ -16,7 +16,7 @@
 //! too, against the value-at-a-time `PartialAgg::push` and `iter_ones`
 //! loops they replace.
 
-use crackdb_columnstore::ops::block::{compress_masked, PartialAgg};
+use crackdb_columnstore::ops::block::{compress_masked, PartialAgg, Stats};
 use crackdb_columnstore::types::{Bound, RangePred, Val};
 use crackdb_core::bitvec::BitVec;
 
@@ -250,7 +250,7 @@ fn kernel_values(len: usize, rng: &mut Lcg) -> Vec<Val> {
 }
 
 fn pushed(vals: impl Iterator<Item = Val>) -> PartialAgg {
-    let mut agg = PartialAgg::default();
+    let mut agg = PartialAgg::new(Stats::ALL);
     vals.for_each(|v| agg.push(v));
     agg
 }
@@ -260,33 +260,34 @@ fn block_folds_match_value_at_a_time_push() {
     let mut rng = Lcg(7);
     for len in [0usize, 1, 63, 64, 65, 200, 10_007] {
         let vals = kernel_values(len, &mut rng);
-        let mut dense = PartialAgg::default();
-        dense.fold_slice(&vals);
-        assert_eq!(dense, pushed(vals.iter().copied()), "fold_slice, len {len}");
+        let mut dense = PartialAgg::new(Stats::ALL);
+        dense.fold(&vals, None, Stats::ALL);
+        assert_eq!(dense, pushed(vals.iter().copied()), "dense fold, len {len}");
         for bv in kernel_masks(len, &mut rng) {
             let want = pushed(bv.iter_ones().map(|i| vals[i]));
-            let mut masked = PartialAgg::default();
-            masked.fold_masked(&vals, bv.words());
-            assert_eq!(masked, want, "fold_masked, len {len}");
+            let mut masked = PartialAgg::new(Stats::ALL);
+            masked.fold(&vals, Some(bv.words()), Stats::ALL);
+            assert_eq!(masked, want, "masked fold, len {len}");
             assert_eq!(masked.count as usize, bv.count_ones());
             // Folding continues a partial exactly as pushing would.
             let mut both = dense;
-            both.fold_masked(&vals, bv.words());
+            both.fold(&vals, Some(bv.words()), Stats::ALL);
             let mut reference = dense;
             reference.merge(&want);
             assert_eq!(both, reference, "fold onto a non-empty partial, len {len}");
         }
     }
     // Nothing folded: no minimum, no maximum, nothing counted.
-    let mut empty = PartialAgg::default();
-    empty.fold_slice(&[]);
-    empty.fold_masked(&[5, 6, 7], BitVec::zeros(3).words());
-    assert_eq!(empty, PartialAgg::default());
+    let mut empty = PartialAgg::new(Stats::ALL);
+    empty.fold(&[], None, Stats::ALL);
+    empty.fold(&[5, 6, 7], Some(BitVec::zeros(3).words()), Stats::ALL);
+    assert_eq!(empty, PartialAgg::new(Stats::ALL));
     assert_eq!((empty.count, empty.min, empty.max), (0, None, None));
     // The sum wraps instead of overflowing.
-    let mut wrapped = PartialAgg::default();
-    wrapped.fold_slice(&[Val::MAX, Val::MAX, 2]);
-    assert_eq!(wrapped.sum, Val::MAX.wrapping_add(Val::MAX).wrapping_add(2));
+    let mut wrapped = PartialAgg::new(Stats::ALL);
+    wrapped.fold(&[Val::MAX, Val::MAX, 2], None, Stats::ALL);
+    let sum = Val::MAX.wrapping_add(Val::MAX).wrapping_add(2);
+    assert_eq!(wrapped.sum, Some(sum));
 }
 
 #[test]

@@ -90,9 +90,10 @@ fn conjunctive_plans_correct() {
         for _ in 0..nq {
             let ap = pred(rng.gen_range(0i64..40), rng.gen_range(0i64..20));
             let bp = pred(rng.gen_range(0i64..40), rng.gen_range(0i64..20));
-            let (_, bv) = set.select_create_bv(&t, 1, &ap, &bp);
+            let area = set.select_maps(&t, &[1, 2], &ap);
+            let bv = set.create_bv(1, area, &bp);
             let mut got = Vec::new();
-            set.reconstruct_block(&t, 2, &ap, &bv).append_to(&mut got);
+            set.view_block(2, area, Some(&bv)).append_to(&mut got);
             got.sort_unstable();
             let mut expected: Vec<Val> = (0..n)
                 .filter(|&i| ap.matches(a[i]) && bp.matches(b[i]))

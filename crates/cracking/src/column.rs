@@ -129,33 +129,21 @@ impl CrackerColumn {
         self.pending_inserts.len() + self.pending_deletes.len()
     }
 
-    /// Ripple-merge pending updates that are relevant to `pred`, i.e.,
+    /// Ripple-merge, in queue order, the pending updates relevant to `pred`, i.e.,
     /// whose values the current query would observe. Other updates stay
     /// pending — the self-organizing behaviour of SIGMOD'07.
     fn merge_pending(&mut self, pred: &RangePred) {
-        if !self.pending_inserts.is_empty() {
-            let mut i = 0;
-            while i < self.pending_inserts.len() {
-                let (v, k) = self.pending_inserts[i];
-                if pred.matches(v) {
-                    self.arr.ripple_insert(v, k);
-                    self.pending_inserts.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
+        for (v, k) in self
+            .pending_inserts
+            .extract_if(.., |(v, _)| pred.matches(*v))
+        {
+            self.arr.ripple_insert(v, k);
         }
-        if !self.pending_deletes.is_empty() {
-            let mut i = 0;
-            while i < self.pending_deletes.len() {
-                let (v, k) = self.pending_deletes[i];
-                if pred.matches(v) {
-                    self.arr.ripple_delete(v, |&t| t == k);
-                    self.pending_deletes.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
+        for (v, k) in self
+            .pending_deletes
+            .extract_if(.., |(v, _)| pred.matches(*v))
+        {
+            self.arr.ripple_delete(v, |&t| t == k);
         }
     }
 

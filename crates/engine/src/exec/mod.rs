@@ -11,8 +11,9 @@
 //! * conjunctive / disjunctive combining, delegated per step to the
 //!   path but built from the shared [`combine`] strategies;
 //! * block-at-a-time reconstruction: one [`PartialAgg`] per distinct
-//!   aggregated attribute, folded a [`Block`] at a time, and projection
-//!   columns appended a block at a time;
+//!   aggregated attribute, folded a [`Block`] at a time over only the
+//!   statistics its functions return, and projection columns appended a
+//!   block at a time;
 //! * [`Timings`] phase instrumentation.
 //!
 //! Queries run one at a time, as in the paper. The one parallelism is
@@ -30,7 +31,7 @@ pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
 
 use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryOutput, SelectQuery};
-use crackdb_columnstore::ops::block::{Block, PartialAgg};
+use crackdb_columnstore::ops::block::{Block, PartialAgg, Stats};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::time::Instant;
 
@@ -128,10 +129,16 @@ pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> Quer
         RowSet::DeferredUnion { preds } => Some(preds.first().map_or(0, |p| p.0)),
         RowSet::Keys { .. } | RowSet::Area { .. } => None,
     };
+    // What each aggregated attribute's functions need folded.
+    let stats: Vec<Stats> = fetch_attrs[..nagg]
+        .iter()
+        .map(|&a| Stats::of(q.aggs.iter().filter(|g| g.0 == a).map(|g| g.1)))
+        .collect();
     let mut answer = Answer {
         agg_attrs: &fetch_attrs[..nagg],
         projs: &q.projs,
-        partials: vec![PartialAgg::default(); nagg],
+        partials: stats.iter().map(|&s| PartialAgg::new(s)).collect(),
+        stats: &stats,
         proj_values: q.projs.iter().map(|_| Vec::new()).collect(),
         // Chunk-wise plans learn the result size while reconstructing:
         // every attribute yields one value per qualifying tuple, so the
@@ -177,11 +184,13 @@ pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> Quer
 
 /// What the reconstruction phase accumulates a block at a time: one
 /// partial per distinct aggregated attribute (however many functions the
-/// query asks of it) and one value column per projection.
+/// query asks of it), folding the statistics `stats` names for it, and
+/// one value column per projection.
 struct Answer<'q> {
     agg_attrs: &'q [usize],
     projs: &'q [usize],
     partials: Vec<PartialAgg>,
+    stats: &'q [Stats],
     proj_values: Vec<Vec<Val>>,
     /// The attribute whose qualifying values are counted, if any.
     counted: Option<usize>,
@@ -194,7 +203,7 @@ impl Answer<'_> {
             self.counted_rows += b.count();
         }
         if let Some(slot) = self.agg_attrs.iter().position(|&a| a == b.attr) {
-            b.fold_into(&mut self.partials[slot]);
+            self.partials[slot].fold(b.vals, b.sel, self.stats[slot]);
         }
         for (vals, &p) in self.proj_values.iter_mut().zip(self.projs) {
             if p == b.attr {
@@ -218,7 +227,7 @@ pub fn fold_matched(
     agg_attrs(&side.aggs)
         .into_iter()
         .map(|attr| {
-            let mut agg = PartialAgg::default();
+            let mut agg = PartialAgg::new(Stats::ALL);
             for &(lk, rk) in matched {
                 agg.push(value_of(attr, if left { lk } else { rk }));
             }

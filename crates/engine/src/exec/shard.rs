@@ -15,8 +15,10 @@
 //! ## Merge semantics
 //!
 //! * **Aggregates** — each shard runs the query as asked and answers
-//!   with the [`PartialAgg`] (count / wrapping sum / min / max) it folded
-//!   per aggregated attribute ([`QueryOutput::partials`]); the router
+//!   with the [`PartialAgg`] (the count, and whichever of wrapping sum /
+//!   min / max the attribute's functions need) it folded per aggregated
+//!   attribute ([`QueryOutput::partials`]); every shard folds the same
+//!   statistics, so none is half-merged; the router
 //!   folds the shards' partials with [`PartialAgg::merge`] and finishes
 //!   each requested function through [`finish_aggs`], which is also how
 //!   an unsharded engine finishes its own — so sharded answers are

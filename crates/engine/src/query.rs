@@ -1,7 +1,7 @@
 //! The query shapes of the paper's experiments, and the common executor
 //! interface every physical design implements.
 
-use crackdb_columnstore::ops::block::PartialAgg;
+use crackdb_columnstore::ops::block::{PartialAgg, Stats};
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use std::convert::Infallible;
 use std::time::Duration;
@@ -173,7 +173,7 @@ pub fn finish_aggs(
     aggs.iter()
         .map(|&(a, func)| {
             let slot = attrs.iter().position(|&x| x == a);
-            slot.map_or(PartialAgg::default(), |s| partials[s])
+            slot.map_or(PartialAgg::new(Stats::ALL), |s| partials[s])
                 .finish(func)
         })
         .collect()
@@ -206,7 +206,7 @@ mod tests {
         let attrs = agg_attrs(&aggs);
         assert_eq!(attrs, vec![4, 2]);
         let mut four = PartialAgg::default();
-        four.fold_slice(&[3, 9, 1]);
+        four.fold(&[3, 9, 1], None, Stats::ALL);
         let none = PartialAgg::default();
         assert_eq!(
             finish_aggs(&aggs, &attrs, &[four, none]),

@@ -5,7 +5,7 @@ use crate::query::{
     agg_attrs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,
 };
 use crackdb_columnstore::column::Table;
-use crackdb_columnstore::ops::block::{Block, PartialAgg};
+use crackdb_columnstore::ops::block::{Block, PartialAgg, Stats};
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::store::plan_maps;
@@ -73,8 +73,10 @@ impl AccessPath for SidewaysEngine {
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
         // Every map the query will touch: residual selection attributes
-        // plus the attributes to fetch.
-        let (_, needed) = plan_maps(ctx.preds, attr, ctx.fetch_attrs);
+        // (the head attribute's own included) plus the attributes to
+        // fetch. The executor restricts by its first predicate.
+        debug_assert_eq!(ctx.preds.first(), Some(&(attr, *pred)));
+        let (_, needed) = plan_maps(ctx.preds, 0, ctx.fetch_attrs);
         self.store.reserve(&self.base, attr, &needed);
         let s = self.store.ensure_set(&self.base, attr, &self.tombstones);
 
@@ -97,8 +99,9 @@ impl AccessPath for SidewaysEngine {
         }
 
         // The sideways.select of every map the plan will touch (§3.2),
-        // residual selection and fetch maps as one group, so refinements
-        // and reconstructions find them aligned. With nothing to
+        // residual selection and fetch maps as one group: the query's only
+        // selection. Refinements and reconstructions read this area of
+        // the maps it leaves at the tape head. With nothing to
         // reconstruct, the key map's area is the answer's cardinality
         // and no key is copied.
         let range = s.select_maps(&self.base, &needed, pred);
@@ -115,12 +118,8 @@ impl AccessPath for SidewaysEngine {
         };
         let s = self.store.ensure_set(&self.base, head.0, &self.tombstones);
         match bv {
-            None => {
-                let (r, b) = s.select_create_bv(&self.base, attr, &head.1, pred);
-                *range = r;
-                *bv = Some(b);
-            }
-            Some(bv) => s.select_refine_bv(&self.base, attr, &head.1, pred, bv),
+            None => *bv = Some(s.create_bv(attr, *range, pred)),
+            Some(bv) => s.refine_bv(attr, *range, pred, bv),
         }
     }
 
@@ -132,7 +131,7 @@ impl AccessPath for SidewaysEngine {
             unreachable!("disjunctive sideways plans carry a whole-map bit vector")
         };
         let s = self.store.ensure_set(&self.base, head.0, &self.tombstones);
-        s.disj_refine_bv(&self.base, attr, &head.1, pred, bv);
+        s.disj_refine_bv(attr, pred, bv);
     }
 
     fn unrestricted(&mut self, ctx: &RestrictCtx) -> RowSet {
@@ -156,10 +155,9 @@ impl AccessPath for SidewaysEngine {
         };
         let s = self.store.ensure_set(&self.base, head.0, &self.tombstones);
         for &attr in attrs {
-            // Align (and crack, first time) this attribute's map, then
-            // hand on the area — conjunctions use the head predicate's
-            // cracked area, disjunctions the whole map.
-            s.sideways_select(&self.base, attr, &head.1);
+            // The area the selection phase left in this attribute's map:
+            // the head predicate's cracked area for conjunctions, the
+            // whole map for disjunctions.
             consume(s.view_block(attr, *range, bv.as_ref()));
         }
     }
@@ -241,7 +239,7 @@ impl Engine for SidewaysEngine {
         let t3 = Instant::now();
         for attr in agg_attrs(&q.left.aggs) {
             let tails = self.store.tail_slice(&self.base, &lh, attr);
-            let mut agg = PartialAgg::default();
+            let mut agg = PartialAgg::new(Stats::ALL);
             for &(lp, _) in &matched {
                 agg.push(tails[lp as usize]);
             }
@@ -249,7 +247,7 @@ impl Engine for SidewaysEngine {
         }
         for attr in agg_attrs(&q.right.aggs) {
             let tails = self.second_store.tail_slice(second, &rh, attr);
-            let mut agg = PartialAgg::default();
+            let mut agg = PartialAgg::new(Stats::ALL);
             for &(_, rp) in &matched {
                 agg.push(tails[rp as usize]);
             }
@@ -340,6 +338,7 @@ mod tests {
         s.add_column("s1", Column::new(vec![11, 22, 33]));
         s.add_column("ssel", Column::new(vec![5, 6, 7]));
         s.add_column("sj", Column::new(vec![7, 9, 7]));
+        let mut plain = crate::PlainEngine::with_second(r.clone(), s.clone());
         let mut e = SidewaysEngine::with_second(r, s, (0, 100));
         let q = JoinQuery {
             left: JoinSide {
@@ -359,5 +358,11 @@ mod tests {
         // Pairs: (200/8: none), (300/9: 22), (400/7: 11,33) → 3 rows.
         assert_eq!(out.rows, 3);
         assert_eq!(out.aggs, vec![Some(400), Some(66)]);
+        // A side without predicates joins every live tuple.
+        let mut all = q.clone();
+        all.left.preds.clear();
+        let want = plain.join(&all);
+        assert_eq!((e.join(&all).rows, want.rows), (5, 5));
+        assert_eq!(e.join(&all).aggs, want.aggs);
     }
 }

@@ -48,15 +48,21 @@ fn random_select(rng: &mut Lcg, cols: usize) -> SelectQuery {
         preds.push((attr, RangePred::open(lo, hi)));
     }
     let agg_attr = rng.next(cols as i64) as usize;
-    SelectQuery::aggregate(
-        preds,
-        vec![
-            (agg_attr, AggFunc::Count),
-            (agg_attr, AggFunc::Max),
-            (agg_attr, AggFunc::Min),
-            (agg_attr, AggFunc::Sum),
-        ],
-    )
+    // A random non-empty subset of the five functions: every fold shape,
+    // the count alone included.
+    let funcs = 1 + rng.next(31);
+    let aggs = [
+        AggFunc::Count,
+        AggFunc::Max,
+        AggFunc::Min,
+        AggFunc::Sum,
+        AggFunc::Avg,
+    ];
+    let aggs = aggs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| funcs >> i & 1 == 1);
+    SelectQuery::aggregate(preds, aggs.map(|(_, &f)| (agg_attr, f)).collect())
 }
 
 #[test]
@@ -378,7 +384,10 @@ fn partial_with_budget_agrees() {
 /// five functions of one attribute (one fold), an attribute aggregated
 /// twice and both aggregated and projected (twice), aggregates on the
 /// head attribute, empty results (no area at all, and an area whose bit
-/// vector is all zero), a disjunction, and no predicates.
+/// vector is all zero), a disjunction, no predicates, each fold shape
+/// alone (count on a non-head attribute, max, sum, avg, min with max),
+/// and two predicates on the head attribute, conjunctive and
+/// disjunctive.
 fn contract_queries(rng: &mut Lcg) -> Vec<SelectQuery> {
     use AggFunc::{Avg, Count, Max, Min, Sum};
     let all = |a: usize| vec![(a, Count), (a, Sum), (a, Min), (a, Max), (a, Avg)];
@@ -425,6 +434,38 @@ fn contract_queries(rng: &mut Lcg) -> Vec<SelectQuery> {
         ),
         select(vec![(0, head), (1, residual)], true, union_aggs, vec![2]),
         select(vec![], false, all(1), vec![]),
+        select(
+            vec![(0, head), (1, residual)],
+            false,
+            vec![(3, Count)],
+            vec![],
+        ),
+        select(
+            vec![(0, head), (1, residual)],
+            false,
+            vec![(2, Max)],
+            vec![],
+        ),
+        select(vec![(0, head)], false, vec![(3, Sum)], vec![]),
+        select(vec![(1, residual)], false, vec![(2, Avg)], vec![]),
+        select(
+            vec![(0, head), (2, residual)],
+            false,
+            vec![(1, Min), (1, Max)],
+            vec![],
+        ),
+        select(
+            vec![(0, head), (0, residual)],
+            false,
+            vec![(2, Sum), (0, Count)],
+            vec![],
+        ),
+        select(
+            vec![(0, head), (0, residual)],
+            true,
+            vec![(1, Max)],
+            vec![3],
+        ),
     ]
 }
 

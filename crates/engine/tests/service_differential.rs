@@ -43,22 +43,30 @@ enum LoggedOp {
     Select { q: SelectQuery, out: QueryOutput },
 }
 
-/// A random select: conjunctive aggregates, disjunctions and
-/// projections in a deterministic mix.
+/// A random select: conjunctive aggregates (a random subset of the five
+/// functions), disjunctions and projections in a deterministic mix.
 fn random_select(rng: &mut StdRng, cols: usize, i: usize) -> SelectQuery {
     let attr = rng.gen_range(0..cols);
     let lo = rng.gen_range(0..DOMAIN.1 - 2);
     let hi = lo + 1 + rng.gen_range(1..=DOMAIN.1 - lo);
     let agg = rng.gen_range(0..cols);
+    // A random non-empty subset of the five functions: every fold shape,
+    // the count alone included.
+    let funcs: u32 = rng.gen_range(1..32);
+    let aggs = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    let aggs = aggs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| funcs >> i & 1 == 1);
     let mut q = SelectQuery::aggregate(
         vec![(attr, RangePred::open(lo, hi))],
-        vec![
-            (agg, AggFunc::Count),
-            (agg, AggFunc::Sum),
-            (agg, AggFunc::Min),
-            (agg, AggFunc::Max),
-            (agg, AggFunc::Avg),
-        ],
+        aggs.map(|(_, &f)| (agg, f)).collect(),
     );
     if i.is_multiple_of(3) {
         // Disjunction over a second attribute.

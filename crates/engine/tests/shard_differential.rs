@@ -36,16 +36,21 @@ fn random_select(rng: &mut StdRng, cols: usize) -> SelectQuery {
         preds.push((attr, RangePred::open(lo, hi)));
     }
     let agg_attr = rng.gen_range(0..cols);
-    SelectQuery::aggregate(
-        preds,
-        vec![
-            (agg_attr, AggFunc::Count),
-            (agg_attr, AggFunc::Max),
-            (agg_attr, AggFunc::Min),
-            (agg_attr, AggFunc::Sum),
-            (agg_attr, AggFunc::Avg),
-        ],
-    )
+    // A random non-empty subset of the five functions: every fold shape,
+    // the count alone included.
+    let funcs: u32 = rng.gen_range(1..32);
+    let aggs = [
+        AggFunc::Count,
+        AggFunc::Max,
+        AggFunc::Min,
+        AggFunc::Sum,
+        AggFunc::Avg,
+    ];
+    let aggs = aggs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| funcs >> i & 1 == 1);
+    SelectQuery::aggregate(preds, aggs.map(|(_, &f)| (agg_attr, f)).collect())
 }
 
 /// Assert `out` equals `expected` up to projection row order.
@@ -435,7 +440,9 @@ fn more_shards_than_rows() {
 /// partials a shard answers with must get right: all five functions of
 /// one attribute, an attribute aggregated twice and both aggregated and
 /// projected, an aggregate on the head attribute, empty results, a
-/// disjunction, no predicates.
+/// disjunction, no predicates, each fold shape alone (count on a
+/// non-head attribute, max, sum, avg, min with max), and two predicates
+/// on the head attribute, conjunctive and disjunctive.
 fn contract_queries(rng: &mut StdRng) -> Vec<SelectQuery> {
     use AggFunc::{Avg, Count, Max, Min, Sum};
     let all = |a: usize| vec![(a, Count), (a, Sum), (a, Min), (a, Max), (a, Avg)];
@@ -473,6 +480,38 @@ fn contract_queries(rng: &mut StdRng) -> Vec<SelectQuery> {
         ),
         select(vec![(0, head), (1, residual)], true, all(2), vec![2]),
         select(vec![], false, all(1), vec![]),
+        select(
+            vec![(0, head), (1, residual)],
+            false,
+            vec![(3, Count)],
+            vec![],
+        ),
+        select(
+            vec![(0, head), (1, residual)],
+            false,
+            vec![(2, Max)],
+            vec![],
+        ),
+        select(vec![(0, head)], false, vec![(3, Sum)], vec![]),
+        select(vec![(1, residual)], false, vec![(2, Avg)], vec![]),
+        select(
+            vec![(0, head), (2, residual)],
+            false,
+            vec![(1, Min), (1, Max)],
+            vec![],
+        ),
+        select(
+            vec![(0, head), (0, residual)],
+            false,
+            vec![(2, Sum), (0, Count)],
+            vec![],
+        ),
+        select(
+            vec![(0, head), (0, residual)],
+            true,
+            vec![(1, Max)],
+            vec![3],
+        ),
     ]
 }
 

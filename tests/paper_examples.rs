@@ -91,12 +91,13 @@ fn figure3_trace() {
     let b_pred = RangePred::open(4, 8);
     let c_pred = RangePred::open(1, 7);
 
-    // select_create_bv over M_AB, refine over M_AC, reconstruct M_AD.
-    let (_, mut bv) = s.select_create_bv(&t, 1, &a_pred, &b_pred);
-    s.select_refine_bv(&t, 2, &a_pred, &c_pred, &mut bv);
+    // sideways.select of M_AB, M_AC and M_AD, then select_create_bv over
+    // M_AB, refine over M_AC and reconstruct M_AD, all in that one area.
+    let area = s.select_maps(&t, &[1, 2, 3], &a_pred);
+    let mut bv = s.create_bv(1, area, &b_pred);
+    s.refine_bv(2, area, &c_pred, &mut bv);
     let mut result = Vec::new();
-    s.reconstruct_block(&t, 3, &a_pred, &bv)
-        .append_to(&mut result);
+    s.view_block(3, area, Some(&bv)).append_to(&mut result);
 
     // Naive check: rows with 3<A<10, 4<B<8, 1<C<7.
     let expected: Vec<Val> = (0..t.num_rows() as u32)
