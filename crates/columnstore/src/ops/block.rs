@@ -9,7 +9,6 @@
 //! [`PartialAgg`] or append it to a projection column in one tight loop
 //! each, instead of paying a call per value.
 
-use crate::column::Column;
 use crate::types::{AggFunc, RowId, Val};
 use std::borrow::Borrow;
 
@@ -64,10 +63,11 @@ const _: () = assert!(GATHER_RUN.is_multiple_of(64));
 /// Positional gather for key lists: read `col[k]` for `keys`, in key
 /// order, and hand the values on as dense blocks of at most
 /// [`GATHER_RUN`]. The one gather loop: key lists and cracked-area tails
-/// both read base columns through it.
+/// read base columns through it, and join plans their matched pairs'
+/// values.
 pub fn gather_blocks(
     attr: usize,
-    col: &Column,
+    col: &[Val],
     keys: impl IntoIterator<Item = impl Borrow<RowId>>,
     mut consume: impl FnMut(Block<'_>),
 ) {
@@ -76,7 +76,7 @@ pub fn gather_blocks(
     loop {
         let mut n = 0;
         for (v, k) in buf.iter_mut().zip(&mut keys) {
-            *v = col.get(*k.borrow());
+            *v = col[*k.borrow() as usize];
             n += 1;
         }
         if n == 0 {
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn gathered_runs_cover_the_key_list_in_order() {
-        let col = Column::new((0..5000).map(|v| v * 3).collect());
+        let col: Vec<Val> = (0..5000).map(|v| v * 3).collect();
         let keys: Vec<RowId> = (0..2500).rev().collect();
         let (mut got, mut blocks) = (Vec::new(), 0);
         gather_blocks(7, &col, &keys, |b| {

@@ -282,7 +282,7 @@ impl SidewaysStore {
     /// The handle's area of `tail_attr`'s map, which
     /// [`Self::conjunctive_bv`] selected — gives positional access for
     /// join plans (positions are relative to `range.0`).
-    pub fn tail_slice(&mut self, _base: &Table, handle: &ConjHandle, tail_attr: usize) -> &[Val] {
+    pub fn tail_slice(&self, _base: &Table, handle: &ConjHandle, tail_attr: usize) -> &[Val] {
         // A stale handle (the set was dropped since) reads nothing.
         let s = self.sets.get(&handle.set_attr);
         s.map_or(&[], |s| s.view_tail(tail_attr, handle.range))

@@ -30,8 +30,8 @@ pub use path::{AccessPath, RestrictCtx, RowSet};
 pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
 
-use crate::query::{agg_attrs, finish_aggs, JoinSide, QueryOutput, SelectQuery};
-use crackdb_columnstore::ops::block::{Block, PartialAgg, Stats};
+use crate::query::{agg_attrs, agg_stats, finish_aggs, JoinSide, QueryOutput, SelectQuery};
+use crackdb_columnstore::ops::block::{gather_blocks, Block, PartialAgg, Stats};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::time::Instant;
 
@@ -132,7 +132,7 @@ pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> Quer
     // What each aggregated attribute's functions need folded.
     let stats: Vec<Stats> = fetch_attrs[..nagg]
         .iter()
-        .map(|&a| Stats::of(q.aggs.iter().filter(|g| g.0 == a).map(|g| g.1)))
+        .map(|&a| agg_stats(&q.aggs, a))
         .collect();
     let mut answer = Answer {
         agg_attrs: &fetch_attrs[..nagg],
@@ -159,10 +159,17 @@ pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> Quer
             path.fetch(&rows, attrs, &mut |b| answer.absorb(b));
         }
         // A materialized row set is reconstructed attribute by
-        // attribute.
+        // attribute. It knows its size, so an attribute whose functions
+        // need only the count, and which nothing projects, reads no
+        // value.
         None => {
-            for attr in &fetch_attrs {
-                path.fetch(&rows, std::slice::from_ref(attr), &mut |b| answer.absorb(b));
+            for (slot, attr) in fetch_attrs.iter().enumerate() {
+                let count_only =
+                    slot < nagg && stats[slot] == Stats::default() && !q.projs.contains(attr);
+                match rows.len() {
+                    Some(n) if count_only => answer.partials[slot].count = n as i64,
+                    _ => path.fetch(&rows, std::slice::from_ref(attr), &mut |b| answer.absorb(b)),
+                }
             }
         }
     }
@@ -216,20 +223,28 @@ impl Answer<'_> {
 /// Post-join reconstruction of one join side over the matched
 /// `(left_key, right_key)` pairs, shared by the engines' join plans: one
 /// [`PartialAgg`] per distinct aggregated attribute of the side, in
-/// [`agg_attrs`] order. `value_of(attr, key)` resolves a side-local tuple
-/// identity to its attribute value.
-pub fn fold_matched(
+/// [`agg_attrs`] order, folding only the statistics the side's functions
+/// of it return. `column(attr)` is the side's values of `attr`, indexed
+/// by the side-local tuple identity the pairs hold.
+pub fn fold_matched<'a>(
     matched: &[(RowId, RowId)],
     side: &JoinSide,
     left: bool,
-    value_of: impl Fn(usize, RowId) -> Val,
+    column: impl Fn(usize) -> &'a [Val],
 ) -> Vec<PartialAgg> {
+    let keys = || matched.iter().map(|&(l, r)| if left { l } else { r });
     agg_attrs(&side.aggs)
         .into_iter()
         .map(|attr| {
-            let mut agg = PartialAgg::new(Stats::ALL);
-            for &(lk, rk) in matched {
-                agg.push(value_of(attr, if left { lk } else { rk }));
+            let stats = agg_stats(&side.aggs, attr);
+            let mut agg = PartialAgg::new(stats);
+            if stats == Stats::default() {
+                // The count alone reads no value.
+                agg.count = matched.len() as i64;
+            } else {
+                gather_blocks(attr, column(attr), keys(), |b| {
+                    agg.fold(b.vals, None, stats)
+                });
             }
             agg
         })
@@ -240,7 +255,6 @@ pub fn fold_matched(
 mod tests {
     use super::*;
     use crackdb_columnstore::column::{Column, Table};
-    use crackdb_columnstore::ops::block::gather_blocks;
     use crackdb_columnstore::types::AggFunc;
 
     /// A minimal scan-based access path over one table, used to test the
@@ -288,7 +302,7 @@ mod tests {
                 unreachable!()
             };
             for &attr in attrs {
-                gather_blocks(attr, self.table.column(attr), keys, &mut *consume);
+                gather_blocks(attr, self.table.column(attr).values(), keys, &mut *consume);
             }
         }
     }
@@ -313,7 +327,12 @@ mod tests {
         let out = run_select(&mut p, &q);
         assert_eq!(out.rows, 3);
         assert_eq!(out.aggs, vec![Some(70), Some(30), Some(3)]);
-        assert_eq!(p.fetch_calls, 2, "one fetch per distinct attribute");
+        // One fetch for attribute 1; attribute 0's count alone is the
+        // key list's length, so its values are never read.
+        assert_eq!(
+            p.fetch_calls, 1,
+            "one fetch per attribute that folds a value"
+        );
     }
 
     #[test]
@@ -483,7 +502,7 @@ mod tests {
         let mut p = path();
         let q = SelectQuery::aggregate(vec![], vec![(0, AggFunc::Count)]);
         assert_eq!(run_select(&mut p, &q).aggs, vec![Some(5)]);
-        assert_eq!(p.fetch_calls, 1);
+        assert_eq!(p.fetch_calls, 0, "a count alone reads no value");
     }
 
     #[test]
@@ -498,6 +517,6 @@ mod tests {
         // a in {1,3} plus b in {70,90} → 4 rows.
         let out = run_select(&mut p, &q);
         assert_eq!((out.rows, out.aggs), (4, vec![Some(4)]));
-        assert_eq!(p.fetch_calls, 1);
+        assert_eq!(p.fetch_calls, 0, "a count alone reads no value");
     }
 }

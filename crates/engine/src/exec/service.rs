@@ -1,43 +1,43 @@
-//! The concurrent query service: share-nothing serving over the
-//! sharded engines.
+//! The concurrent query service: many clients over the sharded engines.
 //!
 //! Every engine exposes `&mut self` select paths — adaptive indexing
 //! *reorganizes* the physical layout during query processing, so a
 //! query is inherently a write. One engine value can therefore serve
-//! only one query at a time, and nothing in the library so far lets
-//! many clients query concurrently. [`Service`] closes that gap without
-//! adding a single lock to the cracking hot paths, by making the
-//! sharing disappear instead (the same move [`ShardedEngine`] made for
-//! intra-query parallelism):
+//! only one query at a time. [`Service`] lets many clients query
+//! concurrently without adding a single lock to the cracking hot paths:
+//! each shard of a [`ShardedEngine`] sits behind its own lock, and the
+//! callers take turns on it.
 //!
-//! * **Share-nothing workers.** [`Service::start`] takes ownership of a
-//!   [`ShardedEngine`], decomposes it, and moves each shard's complete
-//!   inner engine — columns, cracker indexes, maps, chunk sets — onto
-//!   its own long-lived worker thread (actor style). A worker is the
-//!   *only* thread that ever touches its shard, so cracking remains
-//!   plain single-threaded code; concurrency lives entirely in the
-//!   channels between clients and workers.
-//! * **Cheap, cloneable clients.** [`Service::client`] hands out
-//!   [`Client`] handles (an `Arc` plus a shard count). A client call
-//!   sequences the request in the router, enqueues it on the relevant
-//!   worker queues over mpsc channels, then blocks on a private reply
-//!   channel and merges the per-shard partial results — with exactly
-//!   the [`ShardedEngine`] merge semantics (per-attribute partial
-//!   aggregates, shard-order projection concatenation, summed rows,
-//!   max-across-shards timings), so a served answer is bit-identical
-//!   to the in-process router's.
+//! * **Per-shard turns.** [`Service::start`] takes ownership of a
+//!   [`ShardedEngine`] and puts each shard's complete inner engine —
+//!   columns, cracker indexes, maps, chunk sets — behind a
+//!   `Mutex` + `Condvar`. A shard serves one request at a time, in the
+//!   order the router issued its tickets, so cracking remains plain
+//!   single-threaded code.
+//! * **Callers do their own work.** [`Service::client`] hands out
+//!   cheap, cloneable [`Client`] handles. A client call takes its
+//!   tickets from the router, then runs each shard's part of the request
+//!   on its own thread, in shard order, and merges the partial results
+//!   with exactly the [`ShardedEngine`] merge semantics (per-attribute
+//!   partial aggregates, shard-order projection concatenation, summed
+//!   rows, max-across-shards timings), so a served answer is
+//!   bit-identical to the in-process router's. There are no worker
+//!   threads and no channels: a caller waits only while an earlier
+//!   request still holds the shard it needs next.
 //!
 //! ## Sequencing: a total order, observed by everyone
 //!
-//! The router assigns every request a global sequence number and
-//! enqueues it — *inside the same critical section* — on the queue of
-//! every worker that participates (all workers for reads, exactly one
-//! for writes). Each worker drains its queue in FIFO order, so each
-//! worker executes its subsequence of requests in global sequence
-//! order, and the service as a whole is linearizable: answers are
-//! identical to replaying the committed sequence serially on one
-//! unsharded engine (the concurrent differential suite asserts exactly
-//! that, bit for bit). Two useful corollaries:
+//! Inside one critical section the router gives every request its
+//! global sequence number and one ticket on every shard it touches (all
+//! shards for reads and joins, exactly one for writes). Each shard
+//! serves its tickets in the order issued, so each shard executes its
+//! subsequence of requests in global sequence order, and the service as
+//! a whole is linearizable: answers are identical to replaying the
+//! committed sequence serially on one unsharded engine (the concurrent
+//! differential suite asserts exactly that, bit for bit). A request's
+//! tickets are all issued at once, so a caller only ever waits for
+//! strictly earlier requests: no cycle of waits, hence no deadlock. Two
+//! useful corollaries:
 //!
 //! * **Read-your-writes.** A client's next call is sequenced after its
 //!   previous one returned, hence after its own writes everywhere.
@@ -45,28 +45,27 @@
 //!   number, so a concurrent run can be audited offline against a
 //!   serial engine.
 //!
-//! There is one read path. A select cracks — it reorganizes the
-//! columns it reads — so every select takes the sequenced hop to the
-//! shard workers that own those columns, like every write does.
+//! A lone caller runs its shards one after the other. Concurrent
+//! callers run in parallel on different shards.
 //!
 //! ## Admission control, shutdown, hygiene
 //!
-//! The service bounds its total queue depth: at most
-//! [`ServiceConfig::queue_depth`] requests may be in flight (queued or
+//! The service bounds the work in flight: at most
+//! [`ServiceConfig::queue_depth`] requests may hold tickets (waiting or
 //! executing) at once, and calls beyond the bound fail fast with
-//! [`ServiceError::Overloaded`] instead of growing queues without
-//! bound under open-loop overload. [`Service::shutdown`] is graceful:
-//! it closes admission, enqueues a stop marker *behind* all accepted
-//! work (FIFO queues drain in-flight queries first), joins the
-//! workers, and reassembles — and returns — the [`ShardedEngine`], so
-//! serving is a phase in an engine's life, not a one-way door.
+//! [`ServiceError::Overloaded`] instead of queueing without bound under
+//! open-loop overload. [`Service::shutdown`] is graceful: it closes
+//! admission, waits until every ticket issued before has been served,
+//! and reassembles — and returns — the [`ShardedEngine`], so serving is
+//! a phase in an engine's life, not a one-way door.
 //!
-//! A panicking worker must not take the service down with it: clients
-//! with requests on a dead shard get [`ServiceError::WorkerLost`] (the
-//! reply channel disconnects), later calls fail the same way at
-//! enqueue time, and every internal mutex is recovered from poisoning
-//! — one crashed query never cascades into unrelated failures. The
-//! worker's original panic payload is preserved and re-raised on the
+//! A panicking shard must not take the service down with it. The shard
+//! call runs under `catch_unwind`; a shard that panicked is dead and
+//! passes its later tickets without running them, so their callers get
+//! [`ServiceError::WorkerLost`], later calls fail the same way at
+//! admission, and every internal mutex is recovered from poisoning —
+//! one crashed query never cascades into unrelated failures or a hang.
+//! The shard's original panic payload is preserved and re-raised on the
 //! thread that calls [`Service::shutdown`].
 
 use super::shard::{locate_key, merge_join_outputs, merge_select_outputs, ShardedEngine};
@@ -74,21 +73,31 @@ use crate::query::{Engine, JoinQuery, QueryOutput, SelectQuery};
 use crackdb_columnstore::shard::ShardCuts;
 use crackdb_columnstore::types::{RowId, Val};
 use crackdb_core::lock_unpoisoned;
+use std::any::Any;
+use std::convert::Infallible;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Global sequence number of a request: the position of the request in
 /// the service's total execution order.
 pub type Seq = u64;
 
+/// A request's place in one shard's line: the shard, and the position
+/// in its line. A shard serves its tickets in the order the router
+/// issued them.
+type Ticket = (usize, u64);
+
+/// What a caller runs on a shard's engine in its turn.
+type Work<'a> = &'a mut dyn FnMut(&mut dyn Engine);
+
 /// Tuning knobs for [`Service::with_config`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Admission bound: the maximum number of requests in flight
-    /// (queued on worker channels or executing) across the whole
-    /// service. Calls beyond the bound fail fast with
+    /// (waiting for a shard or executing) across the whole service.
+    /// Calls beyond the bound fail fast with
     /// [`ServiceError::Overloaded`]. Closed-loop clients occupy at most
     /// one slot each, so the default comfortably serves hundreds of
     /// concurrent sessions while still bounding queue growth under
@@ -113,10 +122,8 @@ pub enum ServiceError {
     },
     /// [`Service::shutdown`] has begun; no new work is admitted.
     ShuttingDown,
-    /// A shard worker is gone (it panicked), so the request cannot be
-    /// answered completely. The panic payload is re-raised by
-    /// [`Service::shutdown`]. Also returned by [`Service::start`] when
-    /// a worker thread cannot be spawned.
+    /// A shard panicked, so the request cannot be answered completely.
+    /// The panic payload is re-raised by [`Service::shutdown`].
     WorkerLost,
     /// A delete named a key that no row ever had.
     UnknownKey(RowId),
@@ -129,7 +136,7 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "service overloaded: {in_flight} requests in flight")
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
-            ServiceError::WorkerLost => write!(f, "a shard worker is gone or never started"),
+            ServiceError::WorkerLost => write!(f, "a shard panicked and is gone"),
             ServiceError::UnknownKey(k) => write!(f, "key {k} does not name a row"),
         }
     }
@@ -158,38 +165,105 @@ pub struct WriteReply {
     pub key: Option<RowId>,
 }
 
-/// A shard's answer to a read: its index and its partial result.
-type ShardReply = (usize, QueryOutput);
+/// One shard: its engine and its line of tickets.
+struct Shard<E> {
+    turn: Mutex<Turn<E>>,
+    /// Signalled whenever a turn ends.
+    ended: Condvar,
+}
 
-/// One unit of work on a shard worker's queue.
-enum Work {
-    Select {
-        q: Arc<SelectQuery>,
-        reply: Sender<ShardReply>,
-    },
-    Join {
-        q: Arc<JoinQuery>,
-        reply: Sender<ShardReply>,
-    },
-    Insert {
-        row: Vec<Val>,
-        reply: Sender<()>,
-    },
-    Delete {
-        key: RowId,
-        reply: Sender<()>,
-    },
-    /// Graceful-shutdown marker: FIFO ordering guarantees everything
-    /// enqueued before it has been executed when it is reached.
-    Stop,
+/// What a shard's lock guards.
+struct Turn<E> {
+    /// `None` once the shard panicked (or after shutdown took it).
+    engine: Option<E>,
+    /// The position being served, or next to be served.
+    serving: u64,
+    /// The payload of the panic that killed the shard.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<E> Shard<E> {
+    /// Lock the shard once every position before `pos` has been served.
+    fn wait_for(&self, pos: u64) -> MutexGuard<'_, Turn<E>> {
+        let turn = lock_unpoisoned(&self.turn);
+        self.ended
+            .wait_while(turn, |t| t.serving < pos)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The shards as a [`Client`] reaches them, whatever engine they run.
+trait Turns: Send + Sync {
+    /// Wait for `ticket`'s turn, run `work` on the shard's engine (none
+    /// passes the ticket), and end the turn. `false` when the shard is
+    /// dead or `work` panicked, which kills it.
+    fn take_turn(&self, ticket: Ticket, work: Option<Work<'_>>) -> bool;
+}
+
+impl<E: Engine + Send> Turns for Vec<Shard<E>> {
+    fn take_turn(&self, (shard, pos): Ticket, work: Option<Work<'_>>) -> bool {
+        let shard = &self[shard];
+        let mut turn = shard.wait_for(pos);
+        let ran = match (work, turn.engine.as_mut()) {
+            (Some(work), Some(engine)) => {
+                catch_unwind(AssertUnwindSafe(|| work(engine))).map_err(Some)
+            }
+            _ => Err(None),
+        };
+        let ok = ran.is_ok();
+        if let Err(Some(payload)) = ran {
+            turn.engine = None;
+            turn.panic = Some(payload);
+        }
+        turn.serving += 1;
+        drop(turn);
+        shard.ended.notify_all();
+        ok
+    }
+}
+
+/// The tickets one request holds, in shard order, and its admission
+/// slot. Dropping it passes every ticket not yet served, so a caller
+/// that stops early — after a dead shard, or unwinding — never stalls
+/// the requests behind it.
+struct Tickets<'a> {
+    client: &'a Client,
+    held: Vec<Ticket>,
+    served: usize,
+    _slot: Slot<'a>,
+}
+
+impl Tickets<'_> {
+    /// Serve the held tickets in shard order, running `work` on each
+    /// shard's engine. A dead shard marks the service failed: later
+    /// calls reject in O(1) at admission instead of taking tickets on
+    /// the surviving shards.
+    fn serve(mut self, mut work: impl FnMut(&mut dyn Engine)) -> Result<(), ServiceError> {
+        while let Some(&ticket) = self.held.get(self.served) {
+            self.served += 1;
+            if !self.client.turns.take_turn(ticket, Some(&mut work)) {
+                self.client.shared.failed.store(true, Ordering::Release);
+                return Err(ServiceError::WorkerLost);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Tickets<'_> {
+    fn drop(&mut self) {
+        for &ticket in &self.held[self.served..] {
+            self.client.turns.take_turn(ticket, None);
+        }
+    }
 }
 
 /// The sequencing state every request passes through. Held only while
-/// assigning a sequence number and enqueueing — never during query
-/// execution — so the critical section is a few channel sends.
+/// issuing a sequence number and tickets — never during query
+/// execution.
 struct Router {
-    /// One queue sender per shard worker, in shard order.
-    queues: Vec<Sender<Work>>,
+    /// The next position in each shard's line, in shard order.
+    lines: Vec<u64>,
     /// Partition cuts for delete-key routing.
     cuts: ShardCuts,
     /// Round-robin insert cursor (count of inserts so far).
@@ -206,9 +280,8 @@ struct Shared {
     /// Requests currently in flight (admission control).
     in_flight: AtomicUsize,
     queue_depth: usize,
-    /// Set once a worker is known dead: later calls fail fast in
-    /// [`Client::admit`] instead of enqueueing doomed work on the
-    /// surviving shards.
+    /// Set once a shard is known dead: later calls fail fast at
+    /// admission instead of taking tickets on the surviving shards.
     failed: AtomicBool,
 }
 
@@ -222,50 +295,21 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// The shard-worker loop: exclusively owns one shard's inner engine,
-/// drains its queue in FIFO order, posts partial results, and returns
-/// the engine when stopped (for [`Service::shutdown`] to reassemble).
-/// Reply sends ignore errors — a client that gave up on a reply is not
-/// the worker's problem.
-fn worker<E: Engine>(shard: usize, mut engine: E, queue: Receiver<Work>) -> E {
-    while let Ok(work) = queue.recv() {
-        match work {
-            Work::Select { q, reply } => {
-                let _ = reply.send((shard, engine.select(&q)));
-            }
-            Work::Join { q, reply } => {
-                let _ = reply.send((shard, engine.join(&q)));
-            }
-            Work::Insert { row, reply } => {
-                engine.insert(&row);
-                let _ = reply.send(());
-            }
-            Work::Delete { key, reply } => {
-                engine.delete(key);
-                let _ = reply.send(());
-            }
-            Work::Stop => break,
-        }
-    }
-    engine
-}
-
-/// A share-nothing query service over a [`ShardedEngine`]: long-lived
-/// per-shard worker threads serving many concurrent [`Client`] handles.
-/// See the module docs for the full design.
+/// A query service over a [`ShardedEngine`]: many concurrent [`Client`]
+/// handles taking per-shard turns. See the module docs for the full
+/// design.
 pub struct Service<E> {
     shared: Arc<Shared>,
-    handles: Vec<JoinHandle<E>>,
+    shards: Arc<Vec<Shard<E>>>,
 }
 
 impl<E: Engine + Send + 'static> Service<E> {
     /// Start serving `engine` with the default [`ServiceConfig`].
     ///
     /// # Errors
-    /// [`ServiceError::WorkerLost`] if the operating system refuses a
-    /// shard worker thread; the workers already started are stopped
-    /// and joined first.
-    pub fn start(engine: ShardedEngine<E>) -> Result<Self, ServiceError> {
+    /// None: starting cannot fail. The `Result` is kept only because
+    /// `benchmark/src/sut.rs` maps it; ROADMAP item 1 deletes it.
+    pub fn start(engine: ShardedEngine<E>) -> Result<Self, Infallible> {
         Self::with_config(engine, ServiceConfig::default())
     }
 
@@ -276,31 +320,23 @@ impl<E: Engine + Send + 'static> Service<E> {
     pub fn with_config(
         engine: ShardedEngine<E>,
         config: ServiceConfig,
-    ) -> Result<Self, ServiceError> {
-        let (cuts, shards, inserted) = engine.into_parts();
-        let nshards = shards.len();
-        let mut queues = Vec::with_capacity(nshards);
-        let mut handles: Vec<JoinHandle<E>> = Vec::with_capacity(nshards);
-        for (i, shard) in shards.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            let spawned = std::thread::Builder::new()
-                .name(format!("crackdb-shard-{i}"))
-                .spawn(move || worker(i, shard, rx));
-            let Ok(handle) = spawned else {
-                // A closed queue ends a worker's loop.
-                drop(queues);
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                return Err(ServiceError::WorkerLost);
-            };
-            queues.push(tx);
-            handles.push(handle);
-        }
+    ) -> Result<Self, Infallible> {
+        let (cuts, engines, inserted) = engine.into_parts();
+        let shards: Vec<Shard<E>> = engines
+            .into_iter()
+            .map(|engine| Shard {
+                turn: Mutex::new(Turn {
+                    engine: Some(engine),
+                    serving: 0,
+                    panic: None,
+                }),
+                ended: Condvar::new(),
+            })
+            .collect();
         Ok(Service {
             shared: Arc::new(Shared {
                 router: Mutex::new(Router {
-                    queues,
+                    lines: vec![0; shards.len()],
                     cuts,
                     inserted,
                     next_seq: 0,
@@ -310,72 +346,66 @@ impl<E: Engine + Send + 'static> Service<E> {
                 queue_depth: config.queue_depth.max(1),
                 failed: AtomicBool::new(false),
             }),
-            handles,
+            shards: Arc::new(shards),
         })
     }
 
-    /// A new client handle. Handles are cheap (an `Arc` clone),
+    /// A new client handle. Handles are cheap (two `Arc` clones),
     /// cloneable, and independently usable from any thread.
     pub fn client(&self) -> Client {
         Client {
             shared: self.shared.clone(),
-            nshards: self.handles.len(),
+            turns: self.shards.clone(),
+            nshards: self.shards.len(),
         }
     }
 
-    /// Number of shard workers.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.handles.len()
+        self.shards.len()
     }
 
-    /// Requests currently in flight (queued or executing).
+    /// Requests currently in flight (waiting or executing).
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::Acquire)
     }
 
-    /// Graceful shutdown: stop admitting work, let every accepted
-    /// request drain (the stop marker is FIFO-ordered behind them),
-    /// join the workers and hand back the reassembled
+    /// Graceful shutdown: stop admitting work, wait until every ticket
+    /// issued before has been served, and hand back the reassembled
     /// [`ShardedEngine`] — including all reorganization the served
     /// queries performed.
     ///
     /// # Panics
-    /// Re-raises the original panic payload of a worker that died
-    /// mid-query, after all surviving workers have been joined. When
-    /// several workers died, the *first* shard's payload (most likely
-    /// the root cause) is re-raised and the others are reported on
-    /// stderr rather than silently dropped.
+    /// Re-raises the original panic payload of a shard that died
+    /// mid-query, after every ticket has been served. When several
+    /// shards died, the *first* shard's payload (most likely the root
+    /// cause) is re-raised and the others are reported on stderr rather
+    /// than silently dropped.
     pub fn shutdown(self) -> ShardedEngine<E> {
-        let (cuts, inserted) = {
+        let (cuts, inserted, issued) = {
             let mut router = lock_unpoisoned(&self.shared.router);
             router.closed = true;
-            for q in &router.queues {
-                // A dead worker's queue is disconnected; its join below
-                // reports the real failure.
-                let _ = q.send(Work::Stop);
-            }
-            (router.cuts.clone(), router.inserted)
+            (router.cuts.clone(), router.inserted, router.lines.clone())
         };
-        let mut shards = Vec::with_capacity(self.handles.len());
-        let mut panic_payload = None;
-        let mut later_panics = 0usize;
-        for handle in self.handles {
-            match handle.join() {
-                Ok(engine) => shards.push(engine),
-                Err(payload) if panic_payload.is_none() => panic_payload = Some(payload),
-                Err(_) => later_panics += 1,
-            }
+        let mut engines = Vec::with_capacity(issued.len());
+        let mut panics = Vec::new();
+        for (shard, end) in self.shards.iter().zip(issued) {
+            let mut turn = shard.wait_for(end);
+            engines.extend(turn.engine.take());
+            panics.extend(turn.panic.take());
         }
-        if let Some(payload) = panic_payload {
-            if later_panics > 0 {
+        let mut panics = panics.into_iter();
+        if let Some(payload) = panics.next() {
+            if panics.len() > 0 {
                 eprintln!(
-                    "warning: {later_panics} further shard worker(s) also panicked; \
-                     re-raising the first shard's payload"
+                    "warning: {} further shard(s) also panicked; \
+                     re-raising the first shard's payload",
+                    panics.len()
                 );
             }
             std::panic::resume_unwind(payload);
         }
-        ShardedEngine::reassemble(cuts, shards, inserted)
+        ShardedEngine::reassemble(cuts, engines, inserted)
     }
 }
 
@@ -386,28 +416,21 @@ impl<E: Engine + Send + 'static> Service<E> {
 #[derive(Clone)]
 pub struct Client {
     shared: Arc<Shared>,
+    turns: Arc<dyn Turns>,
     nshards: usize,
 }
 
 impl Client {
-    /// Execute a single-table query. Broadcast to every shard worker;
-    /// partial results merge exactly as in [`ShardedEngine::select`].
+    /// Execute a single-table query on every shard; partial results
+    /// merge exactly as in [`ShardedEngine::select`].
     ///
     /// # Errors
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
     /// or [`ServiceError::WorkerLost`].
     pub fn select(&self, q: &SelectQuery) -> Result<Reply, ServiceError> {
-        let _slot = self.admit()?;
-        // The shards run the query as asked; the one copy made of it is
-        // the one the workers share.
-        let shard_q = Arc::new(q.clone());
-        let (reply_tx, reply_rx) = channel();
-        let seq = self.broadcast(|| Work::Select {
-            q: shard_q.clone(),
-            reply: reply_tx.clone(),
-        })?;
-        drop(reply_tx);
-        let outs = self.collect(reply_rx)?;
+        let (seq, tickets) = self.issue(|_| Ok(0..self.nshards))?;
+        let mut outs = Vec::with_capacity(self.nshards);
+        tickets.serve(|e| outs.push(e.select(q)))?;
         let output = merge_select_outputs(q, outs);
         Ok(Reply { seq, output })
     }
@@ -419,15 +442,9 @@ impl Client {
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
     /// or [`ServiceError::WorkerLost`].
     pub fn join(&self, q: &JoinQuery) -> Result<Reply, ServiceError> {
-        let _slot = self.admit()?;
-        let shard_q = Arc::new(q.clone());
-        let (reply_tx, reply_rx) = channel();
-        let seq = self.broadcast(|| Work::Join {
-            q: shard_q.clone(),
-            reply: reply_tx.clone(),
-        })?;
-        drop(reply_tx);
-        let outs = self.collect(reply_rx)?;
+        let (seq, tickets) = self.issue(|_| Ok(0..self.nshards))?;
+        let mut outs = Vec::with_capacity(self.nshards);
+        tickets.serve(|e| outs.push(e.join(q)))?;
         let output = merge_join_outputs(q, &outs);
         Ok(Reply { seq, output })
     }
@@ -440,21 +457,14 @@ impl Client {
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`] or
     /// [`ServiceError::WorkerLost`].
     pub fn insert(&self, row: &[Val]) -> Result<WriteReply, ServiceError> {
-        let _slot = self.admit()?;
-        let (reply_tx, reply_rx) = channel();
-        let (seq, key) = {
-            let mut router = self.lock_router()?;
-            let shard = router.inserted % router.queues.len();
-            let key = (router.cuts.total_rows() + router.inserted) as RowId;
-            let work = Work::Insert {
-                row: row.to_vec(),
-                reply: reply_tx,
-            };
-            router.queues[shard].send(work).map_err(|_| self.fail())?;
+        let mut key = 0;
+        let (seq, tickets) = self.issue(|router| {
+            let shard = router.inserted % self.nshards;
+            key = (router.cuts.total_rows() + router.inserted) as RowId;
             router.inserted += 1;
-            (router.commit(), key)
-        };
-        reply_rx.recv().map_err(|_| self.fail())?;
+            Ok(shard..shard + 1)
+        })?;
+        tickets.serve(|e| e.insert(row))?;
         Ok(WriteReply {
             seq,
             key: Some(key),
@@ -466,94 +476,63 @@ impl Client {
     ///
     /// # Errors
     /// [`ServiceError::UnknownKey`] for a key no row ever had — a bad
-    /// client key must not panic a shard worker — plus the usual
+    /// client key must not panic a shard — plus the usual
     /// [`ServiceError::Overloaded`] / [`ServiceError::ShuttingDown`] /
     /// [`ServiceError::WorkerLost`].
     pub fn delete(&self, key: RowId) -> Result<WriteReply, ServiceError> {
-        let _slot = self.admit()?;
-        let (reply_tx, reply_rx) = channel();
-        let seq = {
-            let mut router = self.lock_router()?;
-            let (shard, local) =
-                locate_key(&router.cuts, router.queues.len(), router.inserted, key)
-                    .ok_or(ServiceError::UnknownKey(key))?;
-            let work = Work::Delete {
-                key: local,
-                reply: reply_tx,
-            };
-            router.queues[shard].send(work).map_err(|_| self.fail())?;
-            router.commit()
-        };
-        reply_rx.recv().map_err(|_| self.fail())?;
+        let mut local = 0;
+        let (seq, tickets) = self.issue(|router| {
+            let (shard, l) = locate_key(&router.cuts, self.nshards, router.inserted, key)
+                .ok_or(ServiceError::UnknownKey(key))?;
+            local = l;
+            Ok(shard..shard + 1)
+        })?;
+        tickets.serve(|e| e.delete(local))?;
         Ok(WriteReply { seq, key: None })
     }
 
-    /// Number of shard workers behind this client.
+    /// Number of shards behind this client.
     pub fn shard_count(&self) -> usize {
         self.nshards
     }
 
-    /// Mark the service failed (a worker is gone) and return the error:
-    /// later calls reject in O(1) at admission instead of enqueueing
-    /// doomed work on the surviving shards.
-    fn fail(&self) -> ServiceError {
-        self.shared.failed.store(true, Ordering::Release);
-        ServiceError::WorkerLost
-    }
-
-    /// Take an admission slot or fail fast.
-    fn admit(&self) -> Result<Slot<'_>, ServiceError> {
+    /// Admit and sequence one request. Admission fails fast once a
+    /// shard is known dead or the in-flight bound is reached. Then,
+    /// inside the router's critical section, `route` picks the shards the
+    /// request touches (and may update the router), and the request gets
+    /// the next sequence number and one ticket on each of those shards.
+    /// Issuing every ticket of every request under one lock is what makes
+    /// all shards see the same relative order.
+    fn issue(
+        &self,
+        route: impl FnOnce(&mut Router) -> Result<Range<usize>, ServiceError>,
+    ) -> Result<(Seq, Tickets<'_>), ServiceError> {
         if self.shared.failed.load(Ordering::Acquire) {
             return Err(ServiceError::WorkerLost);
         }
         let in_flight = self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(&self.shared.in_flight);
         if in_flight >= self.shared.queue_depth {
-            self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
             return Err(ServiceError::Overloaded { in_flight });
         }
-        Ok(Slot(&self.shared.in_flight))
-    }
-
-    /// Lock the router for sequencing, rejecting new work after
-    /// shutdown began.
-    fn lock_router(&self) -> Result<MutexGuard<'_, Router>, ServiceError> {
-        let router = lock_unpoisoned(&self.shared.router);
+        let mut router = lock_unpoisoned(&self.shared.router);
         if router.closed {
             return Err(ServiceError::ShuttingDown);
         }
-        Ok(router)
-    }
-
-    /// Sequence one read on every worker queue: the per-queue sends all
-    /// happen inside the router critical section, which is what makes
-    /// every worker see the same relative order of requests.
-    fn broadcast(&self, mut work: impl FnMut() -> Work) -> Result<Seq, ServiceError> {
-        let mut router = self.lock_router()?;
-        for q in &router.queues {
-            q.send(work()).map_err(|_| self.fail())?;
-        }
-        Ok(router.commit())
-    }
-
-    /// Collect one partial result per shard, in shard order. A
-    /// disconnect before all replies arrive means a worker died.
-    fn collect(&self, rx: Receiver<ShardReply>) -> Result<Vec<QueryOutput>, ServiceError> {
-        let mut outs = Vec::with_capacity(self.nshards);
-        for _ in 0..self.nshards {
-            outs.push(rx.recv().map_err(|_| self.fail())?);
-        }
-        outs.sort_unstable_by_key(|&(shard, _)| shard);
-        Ok(outs.into_iter().map(|(_, out)| out).collect())
-    }
-}
-
-impl Router {
-    /// Assign the next global sequence number (call after all of the
-    /// request's queue sends succeeded).
-    fn commit(&mut self) -> Seq {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+        let held = route(&mut router)?
+            .map(|s| {
+                router.lines[s] += 1;
+                (s, router.lines[s] - 1)
+            })
+            .collect();
+        router.next_seq += 1;
+        let tickets = Tickets {
+            client: self,
+            held,
+            served: 0,
+            _slot: slot,
+        };
+        Ok((router.next_seq - 1, tickets))
     }
 }
 
@@ -563,6 +542,8 @@ mod tests {
     use crate::plain::PlainEngine;
     use crackdb_columnstore::column::{Column, Table};
     use crackdb_columnstore::types::{AggFunc, RangePred};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
 
     fn table(n: usize) -> Table {
         let mut t = Table::new();
@@ -879,5 +860,197 @@ mod tests {
         assert_eq!(total.output.aggs, vec![Some(40 + 8 * 10)]);
         let restored = svc.shutdown();
         assert_eq!(restored.shard_count(), 4);
+    }
+
+    /// Wait until the router has issued `n` sequence numbers.
+    fn await_issued(shared: &Shared, n: Seq) {
+        while lock_unpoisoned(&shared.router).next_seq < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A one-shard service over a [`Parked`] engine, with the test's
+    /// ends of its channels: "a select entered" and "release it".
+    fn parked_service() -> (Service<Parked>, Receiver<()>, Sender<()>) {
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let engine = ShardedEngine::reassemble(
+            ShardCuts::even(0, 1),
+            vec![Parked {
+                entered: entered_tx,
+                release: release_rx,
+            }],
+            0,
+        );
+        (Service::start(engine).unwrap(), entered_rx, release_tx)
+    }
+
+    fn spawn_select(client: &Client) -> std::thread::JoinHandle<Result<Reply, ServiceError>> {
+        let client = client.clone();
+        std::thread::spawn(move || client.select(&SelectQuery::aggregate(vec![], vec![])))
+    }
+
+    /// The write's shard is the read's second. While the read is parked
+    /// on its first shard, the write's shard is free, but the read holds
+    /// the earlier ticket there: the write must wait for it.
+    #[test]
+    fn a_write_behind_a_parked_read_runs_after_it_with_a_larger_seq() {
+        let (entered_tx, entered) = channel();
+        let (release, shard_releases): (Vec<_>, Vec<_>) = (0..2).map(|_| channel()).unzip();
+        let shards = shard_releases
+            .into_iter()
+            .map(|release| Parked {
+                entered: entered_tx.clone(),
+                release,
+            })
+            .collect();
+        let engine = ShardedEngine::reassemble(ShardCuts::even(0, 2), shards, 0);
+        let svc = Service::start(engine).unwrap();
+        let client = svc.client();
+        // Round-robin: this insert goes to shard 0, the next to shard 1.
+        client.insert(&[1]).expect("insert");
+        let read = spawn_select(&client);
+        entered.recv().expect("the read is parked on shard 0");
+        let (done_tx, done_rx) = channel();
+        let write = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let w = client.insert(&[2]);
+                done_tx.send(()).expect("test observer alive");
+                w
+            })
+        };
+        await_issued(&svc.shared, 3);
+        let wait = Duration::from_millis(50);
+        assert!(
+            done_rx.recv_timeout(wait).is_err(),
+            "the write waits on shard 1 for the read's earlier ticket"
+        );
+        release[0].send(()).unwrap();
+        entered.recv().expect("the read is parked on shard 1");
+        assert!(
+            done_rx.recv_timeout(wait).is_err(),
+            "the write waits while the read runs on shard 1"
+        );
+        release[1].send(()).unwrap();
+        let read = read.join().unwrap().expect("read completes");
+        let write = write.join().unwrap().expect("write completes");
+        assert!(write.seq > read.seq, "the write was sequenced second");
+        assert_eq!(svc.shutdown().shard_count(), 2);
+    }
+
+    /// An engine whose select parks until released, then panics.
+    struct ParkedBomb {
+        entered: Sender<()>,
+        release: Receiver<()>,
+    }
+
+    impl Engine for ParkedBomb {
+        fn name(&self) -> &'static str {
+            "parked bomb"
+        }
+        fn select(&mut self, _q: &SelectQuery) -> QueryOutput {
+            self.entered.send(()).expect("test observer alive");
+            self.release.recv().expect("test releases the query");
+            panic!("shard exploded while parked")
+        }
+        fn join(&mut self, _q: &JoinQuery) -> QueryOutput {
+            unreachable!()
+        }
+        fn insert(&mut self, _row: &[Val]) {}
+        fn delete(&mut self, _key: RowId) {}
+    }
+
+    /// Both callers also hold a ticket on shard 1, behind the dead shard
+    /// 0: they must pass it without running it, or shutdown would wait
+    /// for it forever.
+    #[test]
+    fn a_caller_queued_behind_a_panicking_shard_gets_worker_lost() {
+        let (entered_tx, entered) = channel();
+        let (release, shard_releases): (Vec<_>, Vec<_>) = (0..2).map(|_| channel()).unzip();
+        let shards = shard_releases
+            .into_iter()
+            .map(|release| ParkedBomb {
+                entered: entered_tx.clone(),
+                release,
+            })
+            .collect();
+        let engine = ShardedEngine::reassemble(ShardCuts::even(0, 2), shards, 0);
+        let svc = Service::start(engine).unwrap();
+        let client = svc.client();
+        // Each call reports through a channel, so a hang fails the test
+        // instead of stalling it.
+        let wait = Duration::from_secs(10);
+        let select = || {
+            let (tx, rx) = channel();
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(client.select(&SelectQuery::aggregate(vec![], vec![])));
+            });
+            rx
+        };
+        let first = select();
+        entered
+            .recv()
+            .expect("the first select is parked on shard 0");
+        let queued = select();
+        await_issued(&svc.shared, 2);
+        release[0].send(()).unwrap();
+        for (name, rx) in [("first", first), ("queued", queued)] {
+            let got = rx
+                .recv_timeout(wait)
+                .unwrap_or_else(|_| panic!("{name} hangs"));
+            assert_eq!(got.unwrap_err(), ServiceError::WorkerLost, "{name}");
+        }
+        assert!(entered.try_recv().is_err(), "no shard ran anything more");
+        let (down_tx, down) = channel();
+        std::thread::spawn(move || {
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(svc.shutdown())));
+            let _ = down_tx.send(caught.is_err());
+        });
+        let reraised = down
+            .recv_timeout(wait)
+            .expect("shutdown finds every ticket passed");
+        assert!(reraised, "shutdown re-raises the shard's panic");
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_ticket_issued_but_not_yet_served() {
+        let (svc, entered, release) = parked_service();
+        let client = svc.client();
+        let first = spawn_select(&client);
+        entered.recv().expect("the first select holds the shard");
+        let queued = spawn_select(&client);
+        await_issued(&svc.shared, 2);
+        let shared = svc.shared.clone();
+        let (down_tx, down_rx) = channel();
+        let shutdown = std::thread::spawn(move || {
+            let engine = svc.shutdown();
+            down_tx.send(()).expect("test observer alive");
+            engine
+        });
+        while !lock_unpoisoned(&shared.router).closed {
+            std::thread::yield_now();
+        }
+        // Shutdown has begun; the queued ticket is issued, not served.
+        release.send(()).unwrap();
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the queued select is served after shutdown began");
+        assert!(
+            down_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "shutdown waits for the queued ticket"
+        );
+        release.send(()).unwrap();
+        first.join().unwrap().expect("first select completes");
+        queued
+            .join()
+            .unwrap()
+            .expect("the queued select is served, not dropped");
+        assert_eq!(
+            shutdown.join().expect("shutdown completes").shard_count(),
+            1
+        );
     }
 }

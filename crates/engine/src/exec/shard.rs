@@ -138,8 +138,8 @@ impl<E: Engine> ShardedEngine<E> {
 
     /// Decompose the router into its cuts, inner engines (in shard
     /// order) and insert count, so another owner — the
-    /// [`service::Service`](super::service::Service) worker threads —
-    /// can take exclusive ownership of each shard. Inverse of
+    /// [`service::Service`](super::service::Service), which puts each
+    /// shard behind its own lock — can hold the shards apart. Inverse of
     /// [`Self::reassemble`].
     pub fn into_parts(self) -> (ShardCuts, Vec<E>, usize) {
         (self.cuts, self.shards, self.inserted)
@@ -232,8 +232,8 @@ impl<E: Engine> ShardedEngine<E> {
 /// `j`-th insert, which went to shard `j mod N` at local position
 /// `partition_size + j / N`. Returns `None` for keys never inserted —
 /// callers decide between panicking ([`ShardedEngine::delete`]) and a
-/// recoverable error (the query service, which must not bring down a
-/// worker over one bad client key).
+/// recoverable error (the query service, which must not panic a shard
+/// over one bad client key).
 pub(crate) fn locate_key(
     cuts: &ShardCuts,
     nshards: usize,

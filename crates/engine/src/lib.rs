@@ -50,18 +50,19 @@
 //! coordination.
 //!
 //! Finally, [`exec::Service`] makes the whole stack *servable*: it
-//! moves every shard of a `ShardedEngine` onto its own long-lived
-//! worker thread (share-nothing — cracking still needs no locks) and
-//! hands out cheap, cloneable [`exec::Client`] handles whose
-//! `select`/`insert`/`delete`/`join` calls enqueue requests over mpsc
-//! channels and await merged results. Requests get a global sequence
-//! number under one short router critical section, so execution is
-//! linearizable (every client observes its own writes, and a
-//! concurrent run replays bit-identically on a serial engine — the
+//! puts every shard of a `ShardedEngine` behind its own lock and hands
+//! out cheap, cloneable [`exec::Client`] handles. A
+//! `select`/`insert`/`delete`/`join` call takes a global sequence number
+//! and one ticket per shard it touches under one short router critical
+//! section, then runs each shard's part on the calling thread, in shard
+//! order and in ticket order per shard, and merges the partial results.
+//! So execution is linearizable (every client observes its own writes,
+//! and a concurrent run replays bit-identically on a serial engine — the
 //! concurrent differential suite asserts this); admission control
-//! bounds the total queue depth, and shutdown drains in-flight queries
-//! and returns the `ShardedEngine`. Every read takes that sequenced
-//! hop: a select cracks its shard, so only the shard's worker runs it.
+//! bounds the requests in flight, and shutdown waits for every issued
+//! ticket and returns the `ShardedEngine`. There are no worker threads:
+//! a caller waits only while an earlier request holds the shard it
+//! needs next.
 
 pub mod exec;
 pub mod partial_engine;

@@ -238,17 +238,17 @@ impl Engine for PartialEngine {
         // Post-join reconstruction: positions index the collected side
         // columns (small, already filtered — the sideways advantage).
         let t2 = Instant::now();
-        let col_of = |cols: &[(usize, Vec<Val>)], attr: usize, i: RowId| -> Val {
-            cols.iter()
+        fn col_of(cols: &[(usize, Vec<Val>)], attr: usize) -> &[Val] {
+            &cols
+                .iter()
                 .find(|(a, _)| *a == attr)
                 .expect("agg attribute collected")
-                .1[i as usize]
-        };
-        out.partials =
-            exec::fold_matched(&matched, &q.left, true, |attr, i| col_of(&lcols, attr, i));
+                .1
+        }
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| col_of(&lcols, attr));
         out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr, i| {
-                col_of(&rcols, attr, i)
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
+                col_of(&rcols, attr)
             }));
         out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t2.elapsed();

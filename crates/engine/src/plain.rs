@@ -119,7 +119,7 @@ impl AccessPath for PlainEngine {
         // In-order positional lookups per projected attribute (cache
         // friendly — the ordered-reconstruction pattern of the baseline).
         for &attr in attrs {
-            gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
+            gather_blocks(attr, self.base.column(attr).values(), keys, &mut *consume);
         }
     }
 }
@@ -161,12 +161,12 @@ impl Engine for PlainEngine {
         // Post-join reconstruction: inner-side keys are in hash order →
         // random access into full base columns.
         let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr, k| {
-            self.base.column(attr).get(k)
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| {
+            self.base.column(attr).values()
         });
         out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr, k| {
-                second.column(attr).get(k)
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
+                second.column(attr).values()
             }));
         out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();

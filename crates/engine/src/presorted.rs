@@ -241,12 +241,10 @@ impl Engine for PresortedEngine {
 
         // Post-join: positions point into the clustered sorted-copy area.
         let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr, p| {
-            lcopy.column(attr)[p as usize]
-        });
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| lcopy.column(attr));
         out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr, p| {
-                rcopy.column(attr)[p as usize]
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
+                rcopy.column(attr)
             }));
         out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();

@@ -161,6 +161,11 @@ pub fn agg_attrs(aggs: &[(usize, AggFunc)]) -> Vec<usize> {
     attrs
 }
 
+/// The statistics the functions of `aggs` that name `attr` need folded.
+pub fn agg_stats(aggs: &[(usize, AggFunc)], attr: usize) -> Stats {
+    Stats::of(aggs.iter().filter(|g| g.0 == attr).map(|g| g.1))
+}
+
 /// Finish the requested aggregates from the per-attribute partials
 /// (`partials[i]` folds attribute `attrs[i]`). Unsharded, sharded and
 /// served answers all end here, so they cannot diverge —

@@ -168,7 +168,7 @@ impl AccessPath for SelCrackEngine {
         let (_, tail) = self.area(head.0, *range);
         let mut words = Vec::with_capacity(tail.len().div_ceil(64));
         if let Some(iv) = pred.interval() {
-            gather_blocks(attr, self.base.column(attr), tail, |b| {
+            gather_blocks(attr, self.base.column(attr).values(), tail, |b| {
                 words.extend(b.vals.chunks(64).map(|chunk| iv.word(chunk)))
             });
         }
@@ -202,7 +202,7 @@ impl AccessPath for SelCrackEngine {
             // the full base columns — the cost the paper attacks.
             RowSet::Keys { keys, .. } => {
                 for &attr in attrs {
-                    gather_blocks(attr, self.base.column(attr), keys, &mut *consume);
+                    gather_blocks(attr, self.base.column(attr).values(), keys, &mut *consume);
                 }
             }
             RowSet::Area { head, range, bv } => {
@@ -218,7 +218,7 @@ impl AccessPath for SelCrackEngine {
                         });
                         continue;
                     }
-                    let col = self.base.column(attr);
+                    let col = self.base.column(attr).values();
                     match bv {
                         None => gather_blocks(attr, col, tail, &mut *consume),
                         Some(bv) => {
@@ -270,12 +270,12 @@ impl Engine for SelCrackEngine {
         out.rows = matched.len();
 
         let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr, k| {
-            self.base.column(attr).get(k)
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| {
+            self.base.column(attr).values()
         });
         out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr, k| {
-                second.column(attr).get(k)
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
+                second.column(attr).values()
             }));
         out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();

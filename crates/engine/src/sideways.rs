@@ -1,11 +1,9 @@
 //! The paper's system: sideways cracking with full maps.
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{
-    agg_attrs, finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings,
-};
+use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
 use crackdb_columnstore::column::Table;
-use crackdb_columnstore::ops::block::{Block, PartialAgg, Stats};
+use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::store::plan_maps;
@@ -237,22 +235,13 @@ impl Engine for SidewaysEngine {
         // Post-join reconstruction: random access *within the small
         // cracked areas* of the aligned maps — the sideways advantage.
         let t3 = Instant::now();
-        for attr in agg_attrs(&q.left.aggs) {
-            let tails = self.store.tail_slice(&self.base, &lh, attr);
-            let mut agg = PartialAgg::new(Stats::ALL);
-            for &(lp, _) in &matched {
-                agg.push(tails[lp as usize]);
-            }
-            out.partials.push(agg);
-        }
-        for attr in agg_attrs(&q.right.aggs) {
-            let tails = self.second_store.tail_slice(second, &rh, attr);
-            let mut agg = PartialAgg::new(Stats::ALL);
-            for &(_, rp) in &matched {
-                agg.push(tails[rp as usize]);
-            }
-            out.partials.push(agg);
-        }
+        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| {
+            self.store.tail_slice(&self.base, &lh, attr)
+        });
+        out.partials
+            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
+                self.second_store.tail_slice(second, &rh, attr)
+            }));
         out.aggs = finish_join_aggs(q, &out.partials);
         timings.post_join = t3.elapsed();
         out.timings = timings;

@@ -48,8 +48,12 @@ fn random_select(rng: &mut Lcg, cols: usize) -> SelectQuery {
         preds.push((attr, RangePred::open(lo, hi)));
     }
     let agg_attr = rng.next(cols as i64) as usize;
-    // A random non-empty subset of the five functions: every fold shape,
-    // the count alone included.
+    SelectQuery::aggregate(preds, random_funcs(rng, agg_attr))
+}
+
+/// A random non-empty subset of the five functions on `attr`: every fold
+/// shape, the count alone included.
+fn random_funcs(rng: &mut Lcg, attr: usize) -> Vec<(usize, AggFunc)> {
     let funcs = 1 + rng.next(31);
     let aggs = [
         AggFunc::Count,
@@ -58,11 +62,11 @@ fn random_select(rng: &mut Lcg, cols: usize) -> SelectQuery {
         AggFunc::Sum,
         AggFunc::Avg,
     ];
-    let aggs = aggs
-        .iter()
+    aggs.iter()
         .enumerate()
-        .filter(|&(i, _)| funcs >> i & 1 == 1);
-    SelectQuery::aggregate(preds, aggs.map(|(_, &f)| (agg_attr, f)).collect())
+        .filter(|&(i, _)| funcs >> i & 1 == 1)
+        .map(|(_, &f)| (attr, f))
+        .collect()
 }
 
 #[test]
@@ -168,12 +172,12 @@ fn engines_agree_on_joins() {
             left: JoinSide {
                 preds: vec![(1, RangePred::open(llo, llo + 300))],
                 join_attr: 3,
-                aggs: vec![(0, AggFunc::Max), (0, AggFunc::Count)],
+                aggs: random_funcs(&mut rng, 0),
             },
             right: JoinSide {
                 preds: vec![(1, RangePred::open(rlo, rlo + 300))],
                 join_attr: 3,
-                aggs: vec![(0, AggFunc::Sum)],
+                aggs: random_funcs(&mut rng, 2),
             },
         };
         let expected = plain.join(&q);

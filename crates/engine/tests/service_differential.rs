@@ -43,15 +43,9 @@ enum LoggedOp {
     Select { q: SelectQuery, out: QueryOutput },
 }
 
-/// A random select: conjunctive aggregates (a random subset of the five
-/// functions), disjunctions and projections in a deterministic mix.
-fn random_select(rng: &mut StdRng, cols: usize, i: usize) -> SelectQuery {
-    let attr = rng.gen_range(0..cols);
-    let lo = rng.gen_range(0..DOMAIN.1 - 2);
-    let hi = lo + 1 + rng.gen_range(1..=DOMAIN.1 - lo);
-    let agg = rng.gen_range(0..cols);
-    // A random non-empty subset of the five functions: every fold shape,
-    // the count alone included.
+/// A random non-empty subset of the five functions on `attr`: every fold
+/// shape, the count alone included.
+fn random_funcs(rng: &mut StdRng, attr: usize) -> Vec<(usize, AggFunc)> {
     let funcs: u32 = rng.gen_range(1..32);
     let aggs = [
         AggFunc::Count,
@@ -60,13 +54,23 @@ fn random_select(rng: &mut StdRng, cols: usize, i: usize) -> SelectQuery {
         AggFunc::Max,
         AggFunc::Avg,
     ];
-    let aggs = aggs
-        .iter()
+    aggs.iter()
         .enumerate()
-        .filter(|&(i, _)| funcs >> i & 1 == 1);
+        .filter(|&(i, _)| funcs >> i & 1 == 1)
+        .map(|(_, &f)| (attr, f))
+        .collect()
+}
+
+/// A random select: conjunctive aggregates (a random subset of the five
+/// functions), disjunctions and projections in a deterministic mix.
+fn random_select(rng: &mut StdRng, cols: usize, i: usize) -> SelectQuery {
+    let attr = rng.gen_range(0..cols);
+    let lo = rng.gen_range(0..DOMAIN.1 - 2);
+    let hi = lo + 1 + rng.gen_range(1..=DOMAIN.1 - lo);
+    let agg = rng.gen_range(0..cols);
     let mut q = SelectQuery::aggregate(
         vec![(attr, RangePred::open(lo, hi))],
-        aggs.map(|(_, &f)| (agg, f)).collect(),
+        random_funcs(rng, agg),
     );
     if i.is_multiple_of(3) {
         // Disjunction over a second attribute.
@@ -387,8 +391,8 @@ fn read_heavy_selcrack_matches_serial_replay() {
 }
 
 /// §4 storage pressure through the service: budgeted partial maps must
-/// serve concurrent clients like everything else (each shard worker
-/// owns its own budgeted chunk store).
+/// serve concurrent clients like everything else (each shard owns its
+/// own budgeted chunk store).
 #[test]
 fn concurrent_partial_with_budget_matches_serial_replay() {
     let t = random_table(3, 289, DOMAIN.1, 206);
@@ -423,12 +427,12 @@ fn concurrent_joins_match_unsharded() {
                     left: JoinSide {
                         preds: vec![(1, RangePred::open(llo, llo + 300))],
                         join_attr: 3,
-                        aggs: vec![(0, AggFunc::Max), (0, AggFunc::Count), (0, AggFunc::Avg)],
+                        aggs: random_funcs(&mut rng, 0),
                     },
                     right: JoinSide {
                         preds: vec![(1, RangePred::open(rlo, rlo + 300))],
                         join_attr: 3,
-                        aggs: vec![(0, AggFunc::Sum), (0, AggFunc::Min)],
+                        aggs: random_funcs(&mut rng, 2),
                     },
                 }
             })

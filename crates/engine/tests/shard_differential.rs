@@ -20,6 +20,24 @@ fn table(cols: usize, n: usize, seed: u64) -> Table {
     random_table(cols, n, DOMAIN.1, seed)
 }
 
+/// A random non-empty subset of the five functions on `attr`: every fold
+/// shape, the count alone included.
+fn random_funcs(rng: &mut StdRng, attr: usize) -> Vec<(usize, AggFunc)> {
+    let funcs: u32 = rng.gen_range(1..32);
+    let aggs = [
+        AggFunc::Count,
+        AggFunc::Max,
+        AggFunc::Min,
+        AggFunc::Sum,
+        AggFunc::Avg,
+    ];
+    aggs.iter()
+        .enumerate()
+        .filter(|&(i, _)| funcs >> i & 1 == 1)
+        .map(|(_, &f)| (attr, f))
+        .collect()
+}
+
 /// A random aggregate query: 1–2 conjunctive open-range predicates over
 /// distinct attributes, the full function set (count/max/min/sum/avg)
 /// over a random attribute.
@@ -36,21 +54,7 @@ fn random_select(rng: &mut StdRng, cols: usize) -> SelectQuery {
         preds.push((attr, RangePred::open(lo, hi)));
     }
     let agg_attr = rng.gen_range(0..cols);
-    // A random non-empty subset of the five functions: every fold shape,
-    // the count alone included.
-    let funcs: u32 = rng.gen_range(1..32);
-    let aggs = [
-        AggFunc::Count,
-        AggFunc::Max,
-        AggFunc::Min,
-        AggFunc::Sum,
-        AggFunc::Avg,
-    ];
-    let aggs = aggs
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| funcs >> i & 1 == 1);
-    SelectQuery::aggregate(preds, aggs.map(|(_, &f)| (agg_attr, f)).collect())
+    SelectQuery::aggregate(preds, random_funcs(rng, agg_attr))
 }
 
 /// Assert `out` equals `expected` up to projection row order.
@@ -300,12 +304,12 @@ fn joins_sharded_agree() {
                 left: JoinSide {
                     preds: vec![(1, RangePred::open(llo, llo + 300))],
                     join_attr: 3,
-                    aggs: vec![(0, AggFunc::Max), (0, AggFunc::Count), (0, AggFunc::Avg)],
+                    aggs: random_funcs(&mut rng, 0),
                 },
                 right: JoinSide {
                     preds: vec![(1, RangePred::open(rlo, rlo + 300))],
                     join_attr: 3,
-                    aggs: vec![(0, AggFunc::Sum), (0, AggFunc::Min)],
+                    aggs: random_funcs(&mut rng, 2),
                 },
             }
         })

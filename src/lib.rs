@@ -53,14 +53,16 @@
 //!
 //! Adaptive indexing makes every query a write (selection *reorganizes*
 //! the columns), so an engine value serves one query at a time. The
-//! [`engine::Service`] layer removes that limit share-nothing-style: it
-//! moves every shard of a [`engine::ShardedEngine`] onto its own
-//! long-lived worker thread and hands out cheap, cloneable
-//! [`engine::Client`] handles. Calls are globally sequenced (each reply
+//! [`engine::Service`] layer lets many sessions share one
+//! [`engine::ShardedEngine`]: each shard sits behind its own lock, and
+//! cheap, cloneable [`engine::Client`] handles run their own shard work
+//! on the calling thread, taking per-shard turns in the order the router
+//! issued their tickets. Calls are globally sequenced (each reply
 //! carries its sequence number), so every session observes its own
 //! writes and a concurrent run replays bit-identically on a serial
-//! engine; admission control bounds the queue depth, and a graceful
-//! shutdown drains in-flight queries and returns the engine.
+//! engine; admission control bounds the requests in flight, and a
+//! graceful shutdown waits for every issued ticket and returns the
+//! engine.
 //!
 //! ```
 //! use crackdb::engine::{Engine, Service, SelectQuery, ShardedEngine, SidewaysEngine};
@@ -90,7 +92,7 @@
 //! assert_eq!(reply.output.aggs, vec![Some(9)]);
 //! assert!(reply.seq > w.seq);
 //!
-//! // Graceful shutdown drains in-flight queries and hands the
+//! // Graceful shutdown waits for every issued ticket and hands the
 //! // (reorganized) sharded engine back.
 //! let mut engine = service.shutdown();
 //! assert_eq!(engine.select(&q).aggs, vec![Some(9)]);
