@@ -152,6 +152,43 @@ impl ValueBuckets {
             None => count(head, counts, |v| self.wide(v)),
         }
     }
+
+    /// The slot pass of a value-domain counting partition (the
+    /// value-domain twin of [`radix_cluster`], which buckets by key
+    /// bits): append to `slots` each `head` value's destination slot,
+    /// `cursors[bucket]`, advancing that cursor, so each bucket fills in
+    /// source order. With `cursors` started at the bucket offsets of the
+    /// whole source (see [`Self::count_into`]) the slots are a
+    /// permutation of the destination, and [`move_to_slots`] then moves
+    /// the head and each tail column through them one column at a time.
+    /// A source in several runs takes one call per run through the same
+    /// cursors.
+    ///
+    /// # Panics
+    /// If a slot does not fit a `u32` (a [`RowId`]): no destination is
+    /// longer than a table.
+    pub fn slots_into(&self, head: &[Val], cursors: &mut [usize], slots: &mut Vec<u32>) {
+        fn slot_pass(
+            head: &[Val],
+            cursors: &mut [usize],
+            slots: &mut Vec<u32>,
+            bucket_of: impl Fn(Val) -> usize,
+        ) {
+            slots.extend(head.iter().map(|&v| {
+                let c = &mut cursors[bucket_of(v)];
+                let slot = *c as u32;
+                *c += 1;
+                slot
+            }));
+        }
+        // No cursor passes its start plus the run's length.
+        let bound = cursors.iter().max().map_or(0, |&c| c + head.len());
+        assert!(u32::try_from(bound).is_ok(), "slot past u32");
+        match self.span {
+            Some(span) => slot_pass(head, cursors, slots, |v| self.narrow(v, span)),
+            None => slot_pass(head, cursors, slots, |v| self.wide(v)),
+        }
+    }
 }
 
 /// Exclusive prefix sums of per-bucket counts: the `buckets + 1` bucket
@@ -164,46 +201,13 @@ pub fn bucket_offsets(counts: &[usize]) -> Vec<usize> {
     offsets
 }
 
-/// The scatter pass of a value-domain counting partition (the
-/// value-domain twin of [`radix_cluster`], which buckets by key bits),
-/// behind the crack prepartition and the fused first touch of a seeded
-/// cracked array: append each `(src_head[i], src_tail[i])` to its
-/// bucket's span of `dst_head`/`dst_tail` at `cursors[bucket]`, in
-/// source order, advancing the cursor, and call `more(i, slot)` so the
-/// caller moves row `i` of any further tail columns to the same slot.
-/// With `cursors` started at the bucket offsets of the whole source
-/// (see [`ValueBuckets::count_into`]) every destination slot is written
-/// exactly once, so the destination's prior contents never survive. A
-/// source in several runs is scattered run by run through the same
-/// cursors.
-pub fn cluster_into<T: Copy>(
-    (src_head, src_tail): (&[Val], &[T]),
-    (dst_head, dst_tail): (&mut [Val], &mut [T]),
-    by: &ValueBuckets,
-    cursors: &mut [usize],
-    more: impl FnMut(usize, usize),
-) {
-    fn scatter<T: Copy>(
-        src: (&[Val], &[T]),
-        dst: (&mut [Val], &mut [T]),
-        cursors: &mut [usize],
-        mut more: impl FnMut(usize, usize),
-        bucket_of: impl Fn(Val) -> usize,
-    ) {
-        for (i, (&v, &t)) in src.0.iter().zip(src.1).enumerate() {
-            let c = &mut cursors[bucket_of(v)];
-            dst.0[*c] = v;
-            dst.1[*c] = t;
-            more(i, *c);
-            *c += 1;
-        }
-    }
-    debug_assert_eq!(src_head.len(), src_tail.len());
-    debug_assert_eq!(dst_head.len(), dst_tail.len());
-    let (src, dst) = ((src_head, src_tail), (dst_head, dst_tail));
-    match by.span {
-        Some(span) => scatter(src, dst, cursors, more, |v| by.narrow(v, span)),
-        None => scatter(src, dst, cursors, more, |v| by.wide(v)),
+/// The move pass of a counting partition: `dst[slots[i]] = src[i]` for
+/// every row, the slots from [`ValueBuckets::slots_into`]. One column
+/// at a time, so at most one write stream per bucket is open.
+pub fn move_to_slots<T: Copy>(src: &[T], slots: &[u32], dst: &mut [T]) {
+    debug_assert_eq!(src.len(), slots.len());
+    for (&x, &s) in src.iter().zip(slots) {
+        dst[s as usize] = x;
     }
 }
 
@@ -222,8 +226,9 @@ mod tests {
 
     /// Counting-partition `head` (and `tail` alongside) in place into
     /// the value ranges of `by`, as a cracked array's prepartition does:
-    /// one counting pass, then one [`cluster_into`] scatter from a copy
-    /// of the input back into it. Returns the bucket offsets.
+    /// one counting pass, one slot pass, then each column moved from a
+    /// copy back into itself through the slots. Returns the bucket
+    /// offsets.
     fn cluster_by_value<T: Copy>(
         head: &mut [Val],
         tail: &mut [T],
@@ -232,11 +237,34 @@ mod tests {
         let mut counts = vec![0usize; by.buckets()];
         by.count_into(head, &mut counts);
         let offsets = bucket_offsets(&counts);
+        let mut slots = Vec::new();
+        by.slots_into(head, &mut offsets[..by.buckets()].to_vec(), &mut slots);
         let (src_head, src_tail) = (head.to_vec(), tail.to_vec());
-        let mut cursors = offsets[..by.buckets()].to_vec();
-        let (src, dst) = ((&src_head[..], &src_tail[..]), (head, tail));
-        cluster_into(src, dst, by, &mut cursors, |_, _| {});
+        move_to_slots(&src_head, &slots, head);
+        move_to_slots(&src_tail, &slots, tail);
         offsets
+    }
+
+    /// The row-wise scatter the slot and move passes replace, kept as
+    /// their oracle: append each `(src_head[i], src_tail[i])` to its
+    /// bucket's span of `dst_head`/`dst_tail` at `cursors[bucket]`, in
+    /// source order, advancing the cursor, and call `more(i, slot)` so
+    /// the caller moves row `i` of any further tail columns to the same
+    /// slot.
+    fn cluster_into<T: Copy>(
+        (src_head, src_tail): (&[Val], &[T]),
+        (dst_head, dst_tail): (&mut [Val], &mut [T]),
+        by: &ValueBuckets,
+        cursors: &mut [usize],
+        mut more: impl FnMut(usize, usize),
+    ) {
+        for (i, (&v, &t)) in src_head.iter().zip(src_tail).enumerate() {
+            let c = &mut cursors[by.bucket_of(v)];
+            dst_head[*c] = v;
+            dst_tail[*c] = t;
+            more(i, *c);
+            *c += 1;
+        }
     }
 
     #[test]
@@ -454,6 +482,112 @@ mod tests {
             let want = cluster_oracle(&mut h2, &mut t2, &by);
             assert_eq!((got, &h1, &t1), (want, &h2, &t2), "case {case} (vals)");
         }
+    }
+
+    /// The slot pass plus one move pass per column, run by run, against
+    /// the row-wise [`cluster_into`] through the same cursors, on a
+    /// `head` with `tails` whose live rows are `runs`.
+    fn assert_moves_match_the_row_wise_scatter<T: Copy + Default + PartialEq + std::fmt::Debug>(
+        head: &[Val],
+        tails: &[Vec<T>],
+        runs: &[std::ops::Range<usize>],
+        by: &ValueBuckets,
+        case: &str,
+    ) {
+        let live: usize = runs.iter().map(|r| r.len()).sum();
+        let mut counts = vec![0usize; by.buckets()];
+        for run in runs {
+            by.count_into(&head[run.clone()], &mut counts);
+        }
+        let cursors = bucket_offsets(&counts)[..by.buckets()].to_vec();
+
+        let mut slots = Vec::with_capacity(live);
+        let mut at = cursors.clone();
+        for run in runs {
+            by.slots_into(&head[run.clone()], &mut at, &mut slots);
+        }
+        fn moved<X: Copy + Default>(
+            src: &[X],
+            runs: &[std::ops::Range<usize>],
+            slots: &[u32],
+        ) -> Vec<X> {
+            let mut dst = vec![X::default(); slots.len()];
+            let mut at = 0;
+            for run in runs {
+                move_to_slots(&src[run.clone()], &slots[at..at + run.len()], &mut dst);
+                at += run.len();
+            }
+            dst
+        }
+        let got_head = moved(head, runs, &slots);
+        let got_tails: Vec<Vec<T>> = tails.iter().map(|t| moved(t, runs, &slots)).collect();
+
+        let mut want_head = vec![0; live];
+        let mut want_tails = vec![vec![T::default(); live]; tails.len()];
+        let (first, rest) = want_tails.split_at_mut(1);
+        let mut at = cursors;
+        for run in runs {
+            let src = (&head[run.clone()], &tails[0][run.clone()]);
+            let dst = (&mut want_head[..], &mut first[0][..]);
+            cluster_into(src, dst, by, &mut at, |i, c| {
+                for (d, s) in rest.iter_mut().zip(&tails[1..]) {
+                    d[c] = s[run.start + i];
+                }
+            });
+        }
+        assert_eq!(got_head, want_head, "{case}: head");
+        assert_eq!(got_tails, want_tails, "{case}: tails");
+    }
+
+    /// Seeded property: slot pass + per-column moves equal the row-wise
+    /// scatter for 1–4 tail columns of `Val` and of `RowId`, 2–256
+    /// buckets, narrow and wide (`i128`) bucket functions, and sources
+    /// split into runs by an exclusion list.
+    #[test]
+    fn slot_and_move_passes_match_the_row_wise_scatter() {
+        let (mut state, mut wide) = (0x51075_u64, 0);
+        for case in 0..120 {
+            let n = [0usize, 1, 2, 63, 1000, 4097, 20_000][case % 7];
+            let (min, max): (Val, Val) = match case % 4 {
+                0 => (-500, 499),
+                1 => (Val::MIN, Val::MAX),
+                2 => (0, 1 << 57),
+                _ => (1, 3_000_000),
+            };
+            let range = max as i128 - min as i128 + 1;
+            let buckets = 2 + lcg(&mut state) as usize % 255;
+            let by = ValueBuckets::new(buckets, min, max);
+            wide += by.span.is_none() as usize;
+            let head: Vec<Val> = (0..n)
+                .map(|_| (min as i128 + (lcg(&mut state) as i128 * 4099) % range) as Val)
+                .collect();
+            // Exclude about one position in `gap`: the live rows fall
+            // into runs, empty ones included where two exclusions meet.
+            let gap = 1 + lcg(&mut state) % 64;
+            let mut runs = Vec::new();
+            let mut start = 0;
+            for i in 0..n {
+                if lcg(&mut state).is_multiple_of(gap) {
+                    runs.push(start..i);
+                    start = i + 1;
+                }
+            }
+            runs.push(start.min(n)..n);
+            let k = 1 + case % 4;
+            let vals: Vec<Vec<Val>> = (0..k)
+                .map(|_| (0..n).map(|_| lcg(&mut state) as Val).collect())
+                .collect();
+            let keys: Vec<Vec<RowId>> = (0..k)
+                .map(|_| (0..n).map(|_| lcg(&mut state) as RowId).collect())
+                .collect();
+            let case = format!("case {case}: n {n}, {buckets} buckets over [{min}, {max}], k {k}");
+            assert_moves_match_the_row_wise_scatter(&head, &vals, &runs, &by, &case);
+            assert_moves_match_the_row_wise_scatter(&head, &keys, &runs, &by, &case);
+        }
+        assert!(
+            (40..120).contains(&wide),
+            "{wide} of 120 cases took the i128 path"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! ripple. The tails are column-major (each a contiguous column). Every
 //! crack and ripple has one body generic over the tail set
 //! ([`TailSet`]), whose one-tail instantiation is the slice code of the
-//! plain kernels, and the seeding and prepartition scatter one body
-//! that moves the first tail with the head and the others beside it.
+//! plain kernels, and the seeding and prepartition compute each row's
+//! destination once, then move the head and each tail column through
+//! it, one column at a time.
 //!
 //! The buffers may start with free *front slack* (the index's
 //! [`CrackerIndex::origin`]): a ripple update grows or shrinks the array
@@ -22,7 +23,7 @@ use crate::crack::{crack_rows_in_three, crack_rows_in_two, BoundKind, TailSet};
 use crate::index::{pred_keys, BoundaryKey, CrackerIndex};
 #[cfg(doc)]
 use crackdb_columnstore::column::insert_headroom;
-use crackdb_columnstore::radix::{bucket_offsets, cluster_into, ValueBuckets};
+use crackdb_columnstore::radix::{bucket_offsets, move_to_slots, ValueBuckets};
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::ops::Range;
 
@@ -203,29 +204,23 @@ impl<T: Copy> TailSet for Columns<'_, T> {
     }
 }
 
-/// Scatter the source rows (`src_head`, and row `from + i` of the first
-/// tail's source and of one source slice per further tail) into bucket
-/// order at `cursors` (see [`cluster_into`]), every tail column with its
-/// head value, into the buffers from `at` on. A one-tail array scatters
-/// exactly as the plain two-column pass does and allocates nothing here.
-fn scatter<T: Copy>(
-    arr: &mut CrackedArray<T>,
-    at: usize,
-    (src_head, first, more, from): (&[Val], &[T], &[&[T]], usize),
-    by: &ValueBuckets,
-    cursors: &mut [usize],
-) {
-    let dst = (&mut arr.head[at..], &mut arr.tail[at..]);
-    let src = (src_head, &first[from..from + src_head.len()]);
-    if arr.more.is_empty() {
-        return cluster_into(src, dst, by, cursors, |_, _| {});
+/// Move the rows of `src` outside the ascending `excluded` positions,
+/// run by run, through `slots` (one per live row, in source order) into
+/// `dst`: one column of a seeding scatter.
+fn move_live<T: Copy>(src: &[T], excluded: &[RowId], slots: &[u32], dst: &mut [T]) {
+    let mut at = 0;
+    for run in live_runs(src.len(), excluded) {
+        let to = at + run.len();
+        move_to_slots(&src[run], &slots[at..to], dst);
+        at = to;
     }
-    let mut rest: Vec<&mut [T]> = arr.more.iter_mut().map(|t| &mut t[at..]).collect();
-    cluster_into(src, dst, by, cursors, move |i, c| {
-        for (d, s) in rest.iter_mut().zip(more) {
-            d[c] = s[from + i];
-        }
-    })
+}
+
+/// Move the values in `col` through `slots` (one per value, relative to
+/// the slice) from a copy, which is freed on return.
+fn reorder<T: Copy>(col: &mut [T], slots: &[u32]) {
+    let src = col.to_vec();
+    move_to_slots(&src, slots, col);
 }
 
 /// A head array and `k >= 1` tail columns, row-aligned and physically
@@ -266,8 +261,9 @@ impl<T: Copy> CrackedArray<T> {
     /// [`SeedPlan`] of the same `head` and `excluded`, the result is
     /// bit-for-bit the state copy-then-`prepartition` produces — same
     /// head and tail order, same advisory cuts, same `touched` — from
-    /// one scatter of the source into bucket order, every tail column
-    /// in the same pass.
+    /// one scatter of the source into bucket order: a slot pass over the
+    /// head, then the head and each tail column moved through the slots
+    /// on its own.
     ///
     /// Either way the arrays reserve `headroom` free slots at each end
     /// for the inserts the structure merges later: spare capacity at the
@@ -294,8 +290,9 @@ impl<T: Copy> CrackedArray<T> {
         );
         let (n, o) = (head.len() - excluded.len(), headroom);
         // Copy and scatter write every tuple slot once, so the fill is
-        // never read. A zero fill is a zeroed allocation: no write pass,
-        // and the slack pages stay untouched until ripples use them.
+        // never read. A zero fill is a zeroed allocation: on fresh pages
+        // no write pass, and the slack pages stay untouched until ripples
+        // use them. A chunk the heap reuses is cleared by `calloc`.
         fn buffer<X: Copy>(fill: X, len: usize, spare: usize) -> Vec<X> {
             let mut b = vec![fill; len + spare];
             b.truncate(len);
@@ -327,10 +324,17 @@ impl<T: Copy> CrackedArray<T> {
             "plan is for another snapshot"
         );
         let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
+        let mut slots = Vec::with_capacity(n);
         for run in live_runs(head.len(), excluded) {
-            let src = (&head[run.clone()], tails[0], &tails[1..], run.start);
-            scatter(&mut arr, o, src, &plan.by, &mut cursors);
+            plan.by.slots_into(&head[run], &mut cursors, &mut slots);
         }
+        move_live(head, excluded, &slots, &mut arr.head[o..]);
+        for (dst, src) in arr.columns_mut().zip(tails) {
+            move_live(src, excluded, &slots, &mut dst[o..]);
+        }
+        // Free the slots before the index grows, so they leave no hole
+        // below its leaves (see the allocation notes in the README).
+        drop(slots);
         arr.record_cuts(plan.key, 0, &plan.by, &plan.offsets);
         arr
     }
@@ -521,8 +525,8 @@ impl<T: Copy> CrackedArray<T> {
     /// Unconditionally counting-partition the piece enclosing `key` into
     /// roughly `target_piece`-sized advisory pieces (capped at 256
     /// buckets and at the piece's distinct-value range): one min/max
-    /// pass, one counting pass, one out-of-place scatter, with bucket
-    /// membership in exact integer arithmetic
+    /// pass, one counting pass, one slot pass, then one out-of-place
+    /// move per column, with bucket membership in exact integer arithmetic
     /// ([`ValueBuckets`]). Public for benches and tests; queries reach it
     /// automatically through the [`PREPARTITION_MIN_PIECE`] size
     /// threshold. No-op when the piece holds fewer than two values or
@@ -543,31 +547,24 @@ impl<T: Copy> CrackedArray<T> {
     }
 
     /// Counting-partition the tuples in buffer range `piece` into the
-    /// value ranges of `by`: one counting pass, then one scatter from a
-    /// copy of the piece back into it. Returns the bucket offsets. The
-    /// copies are freed on return, before the caller's index grows: the
+    /// value ranges of `by`: one counting pass and one slot pass over the
+    /// head in place, then each column in turn copied, moved back
+    /// through the slots and its copy freed, so only the slots and one
+    /// column's copy are live at once. Returns the bucket offsets. All
+    /// of it is freed on return, before the caller's index grows: the
     /// big arrays of the next structure reuse their heap space (see the
     /// allocation notes in the README).
     fn cluster_piece(&mut self, piece: Range<usize>, by: &ValueBuckets) -> Vec<usize> {
         let mut counts = vec![0usize; by.buckets()];
         by.count_into(&self.head[piece.clone()], &mut counts);
         let offsets = bucket_offsets(&counts);
-        let src_head = self.head[piece.clone()].to_vec();
-        let first = self.tail[piece.clone()].to_vec();
-        let copies: Vec<Vec<T>> = self
-            .more
-            .iter()
-            .map(|t| t[piece.clone()].to_vec())
-            .collect();
-        let more: Vec<&[T]> = copies.iter().map(Vec::as_slice).collect();
+        let mut slots = Vec::with_capacity(piece.len());
         let mut cursors = offsets[..by.buckets()].to_vec();
-        scatter(
-            self,
-            piece.start,
-            (&src_head, &first, &more, 0),
-            by,
-            &mut cursors,
-        );
+        by.slots_into(&self.head[piece.clone()], &mut cursors, &mut slots);
+        reorder(&mut self.head[piece.clone()], &slots);
+        for col in self.columns_mut() {
+            reorder(&mut col[piece.clone()], &slots);
+        }
         offsets
     }
 
@@ -1182,6 +1179,113 @@ mod tests {
             delta < (n as u64) / 4,
             "post-seed crack ploughed {delta} of {n} tuples"
         );
+    }
+
+    /// The oracle of a counting partition: the rows' indices stably
+    /// sorted by bucket, so each bucket keeps source order.
+    fn bucket_order(head: &[Val], by: &ValueBuckets) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..head.len()).collect();
+        order.sort_by_key(|&i| by.bucket_of(head[i]));
+        order
+    }
+
+    fn permuted<X: Copy>(col: &[X], order: &[usize]) -> Vec<X> {
+        order.iter().map(|&i| col[i]).collect()
+    }
+
+    /// A prepartition of an interior piece of a three-tail array with
+    /// front slack moves that piece's rows, and only those, into the
+    /// oracle's order, every tail with its head, and cuts at the bucket
+    /// offsets.
+    #[test]
+    fn prepartition_of_an_interior_piece_matches_copy_then_oracle() {
+        let n = 30_000;
+        let head = lcg_vals(n, 10_000, 5);
+        let tails: Vec<Vec<u32>> = (0..3u64)
+            .map(|c| {
+                lcg_vals(n, 1 << 30, 6 + c)
+                    .iter()
+                    .map(|&v| v as u32)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[u32]> = tails.iter().map(Vec::as_slice).collect();
+        let mut a = CrackedArray::seeded(&head, &refs, &[], None, 300);
+        a.crack_range(&RangePred::open(2_000, 8_000));
+        a.ripple_insert_row(100, &[1, 2, 3]);
+        assert!(a.index().origin() > 0 && a.index().origin() < 300);
+        let before = a.clone();
+        let key = (5_000, BoundKind::Lt);
+        let (s, e) = a.index().enclosing_piece(key, a.len());
+        assert!(s > 0 && e < a.len(), "interior piece [{s}, {e})");
+        let (min, max) = widen((Val::MAX, Val::MIN), &a.head()[s..e]);
+        let by = prepartition_buckets(e - s, 1_000, min, max).expect("buckets");
+
+        a.prepartition(key, 1_000);
+        let order = bucket_order(&before.head()[s..e], &by);
+        fn moved<X: Copy + PartialEq + std::fmt::Debug>(
+            old: &[X],
+            new: &[X],
+            piece: Range<usize>,
+            order: &[usize],
+        ) {
+            assert_eq!(old[..piece.start], new[..piece.start]);
+            assert_eq!(permuted(&old[piece.clone()], order), new[piece.clone()]);
+            assert_eq!(old[piece.end..], new[piece.end..]);
+        }
+        moved(before.head(), a.head(), s..e, &order);
+        for c in 0..3 {
+            moved(before.tail_at(c), a.tail_at(c), s..e, &order);
+        }
+        assert_eq!(a.touched(), before.touched() + (e - s) as u64);
+        assert_eq!(a.index().origin(), before.index().origin());
+        let cuts = a.index().advisory_count() - before.index().advisory_count();
+        assert_eq!(cuts, by.buckets() - 1, "one advisory cut per inner offset");
+        a.check_partitioning();
+    }
+
+    /// [`CrackedArray::seeded`] through a [`SeedPlan`] at benchmark
+    /// scale: 3M rows minus an exclusion list, a head and three tails.
+    /// Release builds only: `cargo test --release -- --ignored`.
+    #[test]
+    #[ignore]
+    fn seeding_3m_rows_and_three_tails_matches_the_oracle() {
+        let n = 3_000_000;
+        let head = lcg_vals(n, n as Val, 42);
+        let tails: Vec<Vec<Val>> = (0..3).map(|c| lcg_vals(n, Val::MAX, 43 + c)).collect();
+        let refs: Vec<&[Val]> = tails.iter().map(Vec::as_slice).collect();
+        let excluded: Vec<RowId> = (0..n as RowId).step_by(997).collect();
+        let pred = RangePred::open(1_000_000, 1_006_000);
+        let plan = SeedPlan::new(&head, &excluded, &pred).expect("3M rows prepartition");
+        let arr = CrackedArray::seeded(&head, &refs, &excluded, Some(&plan), n / 64);
+
+        let live = |col: &[Val]| -> Vec<Val> {
+            let runs = live_runs(n, &excluded);
+            runs.flat_map(|run| col[run].to_vec()).collect()
+        };
+        let live_head = live(&head);
+        let order = bucket_order(&live_head, &plan.by);
+        assert_eq!(permuted(&live_head, &order), arr.head());
+        for (c, tail) in tails.iter().enumerate() {
+            assert_eq!(permuted(&live(tail), &order), arr.tail_at(c), "tail {c}");
+        }
+    }
+
+    /// The first crack's prepartition of a 6M-row cracker column (an
+    /// `ide_sessions` session's): a `RowId` tail. Release builds only.
+    #[test]
+    #[ignore]
+    fn prepartition_of_6m_rowid_rows_matches_the_oracle() {
+        let n = 6_000_000;
+        let head = lcg_vals(n, 1 << 40, 44);
+        let keys: Vec<RowId> = (0..n as RowId).collect();
+        let mut a = CrackedArray::new(head.clone(), keys.clone());
+        let (min, max) = widen((Val::MAX, Val::MIN), &head);
+        let by = prepartition_buckets(n, PREPARTITION_TARGET_PIECE, min, max).expect("buckets");
+        a.prepartition((1 << 39, BoundKind::Lt), PREPARTITION_TARGET_PIECE);
+        let order = bucket_order(&head, &by);
+        assert_eq!(permuted(&head, &order), a.head());
+        assert_eq!(permuted(&keys, &order), a.tail());
     }
 
     #[test]

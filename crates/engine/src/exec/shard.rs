@@ -27,9 +27,10 @@
 //! * **Projections** — per-shard value lists concatenated in shard
 //!   order (projection values are unordered by contract).
 //! * **Row counts** — summed.
-//! * **Timings** — per-phase maximum across shards: shards run
-//!   concurrently, so the slowest shard approximates the phase's wall
-//!   time.
+//! * **Timings** — per-phase sum across shards: the shards' total work
+//!   in each phase. A served read runs its shards one after another, and
+//!   so does `set_threads(1)`, where the sum is the phase's wall time;
+//!   shards that run at once overlap, and the sum exceeds it.
 //!
 //! ## Update routing (§5 sharded)
 //!
@@ -268,15 +269,15 @@ fn merge_partials(outs: &[QueryOutput], slots: usize) -> Vec<PartialAgg> {
     merged
 }
 
-/// Per-phase maximum across shards: shards run concurrently, so the
-/// slowest shard approximates each phase's wall time.
+/// Per-phase sum across shards: the shards' total work in each phase
+/// (see the module notes for how it relates to wall time).
 fn merge_timings(outs: &[QueryOutput]) -> Timings {
     let mut t = Timings::default();
     for o in outs {
-        t.select = t.select.max(o.timings.select);
-        t.reconstruct = t.reconstruct.max(o.timings.reconstruct);
-        t.join = t.join.max(o.timings.join);
-        t.post_join = t.post_join.max(o.timings.post_join);
+        t.select += o.timings.select;
+        t.reconstruct += o.timings.reconstruct;
+        t.join += o.timings.join;
+        t.post_join += o.timings.post_join;
     }
     t
 }
@@ -284,7 +285,7 @@ fn merge_timings(outs: &[QueryOutput]) -> Timings {
 /// Merge per-shard answers (in shard order) into the final
 /// [`QueryOutput`]: partials fold through [`PartialAgg::merge`] and
 /// finish the requested aggregates, projections concatenate in shard
-/// order, rows sum, timings take the per-phase maximum. The one merge
+/// order, rows sum, timings sum per phase. The one merge
 /// implementation behind both the in-process [`ShardedEngine`] and the
 /// query service's `Client` — they must stay bit-identical.
 pub(crate) fn merge_select_outputs(q: &SelectQuery, outs: Vec<QueryOutput>) -> QueryOutput {
