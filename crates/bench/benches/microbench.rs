@@ -12,8 +12,7 @@ use crackdb_columnstore::radix::radix_cluster;
 use crackdb_columnstore::types::{Bound, RangePred, RowId, Val};
 use crackdb_core::{BitVec, Chunk};
 use crackdb_cracking::crack::{crack_in_three, crack_in_two, BoundKind};
-use crackdb_cracking::cracked::PREPARTITION_TARGET_PIECE;
-use crackdb_cracking::{CrackedArray, CrackerIndex, SeedPlan};
+use crackdb_cracking::{CrackedArray, CrackerColumn, CrackerIndex, SeedPlan};
 use crackdb_rng::rngs::StdRng;
 use crackdb_rng::seq::SliceRandom;
 use crackdb_rng::{Rng, SeedableRng};
@@ -440,9 +439,11 @@ fn skewed_group(k: usize) -> (CrackedArray<Val>, Vec<CrackedArray<Val>>) {
 /// map's, are each cracked several times);
 /// seeding 3M rows through a `SeedPlan`; and hot ripple inserts and
 /// deletes at the `svc_mixed` shape. Two more first touches run on one
-/// array: `seed_3M_k1_rowid`, a chunk map's seed, and
-/// `prepartition_6M_rowid`, the first crack of an `ide_sessions`
-/// session's cracker column.
+/// `(value, key)` array: `seed_3M_k1_rowid`, a chunk map's seed with its
+/// keys written through the slots, and `cracker_column_first_query_6M`,
+/// an `ide_sessions` session's cracker column at its first query —
+/// copied, then prepartitioned by the crack (`_copy`), against seeded
+/// straight into bucket order (`_fused`).
 ///
 /// The seed and prepartition cases measure the heap state as much as
 /// the scatter: run them under `benchmark/run.sh`'s `MALLOC_*` exports,
@@ -510,24 +511,29 @@ fn bench_map_groups(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(25);
     let domain = GROUP_ROWS as Val;
     let head: Vec<Val> = (0..GROUP_ROWS).map(|_| rng.gen_range(0..domain)).collect();
-    let keys: Vec<RowId> = (0..GROUP_ROWS as RowId).collect();
     let first = RangePred::open(domain / 3, domain / 3 + 6_000);
     let plan = SeedPlan::new(&head, &[], &first).expect("3M rows prepartition");
     g.bench_function("seed_3M_k1_rowid", |b| {
-        b.iter(|| CrackedArray::seeded(&head, &[&keys], &[], Some(&plan), 0))
+        b.iter(|| CrackedArray::seeded_keys(&head, &[], Some(&plan), 0))
     });
     let rows = 2 * GROUP_ROWS;
-    let head: Vec<Val> = (0..rows).map(|_| rng.gen_range(0..rows as Val)).collect();
-    let column = CrackedArray::new(head, (0..rows as RowId).collect());
-    let key = ((rows / 3) as Val, BoundKind::Lt);
-    g.bench_function("prepartition_6M_rowid", |b| {
-        b.iter_batched(
-            || column.clone(),
-            |mut arr| arr.prepartition(key, PREPARTITION_TARGET_PIECE),
-            BatchSize::LargeInput,
-        )
+    let col = Column::new((0..rows).map(|_| rng.gen_range(0..rows as Val)).collect());
+    let first = RangePred::open(rows as Val / 3, rows as Val / 3 + 12_000);
+    g.bench_function("cracker_column_first_query_6M_copy", |b| {
+        b.iter(|| {
+            let mut column = CrackerColumn::from_column(&col);
+            column.crack_select_span(&first);
+            column
+        })
     });
-    drop(column);
+    g.bench_function("cracker_column_first_query_6M_fused", |b| {
+        b.iter(|| {
+            let mut column = CrackerColumn::for_query(&col, &[], &first);
+            column.crack_select_span(&first);
+            column
+        })
+    });
+    drop(col);
     let (group, singles) = skewed_group(3);
     let bounds = group.index().len();
     const UPDATES: usize = 100;

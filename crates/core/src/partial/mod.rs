@@ -397,11 +397,10 @@ impl PartialSet {
             // excluded. Everything staged so far is therefore subsumed by
             // the seed and cleared.
             let head = base.column(self.head_attr).values();
-            let keys: Vec<RowId> = (0..head.len() as RowId).collect();
             let dead = self.seed_exclusions(head.len());
             let plan = first.and_then(|pred| SeedPlan::new(head, &dead, pred));
             // No headroom: resolvers merge the updates, never the chunk map.
-            let cm = CrackedArray::seeded(head, &[&keys], &dead, plan.as_ref(), 0);
+            let cm = CrackedArray::seeded_keys(head, &dead, plan.as_ref(), 0);
             // The cuts of a fused first touch belong to the crack that
             // would have made them.
             debug_assert!(self.areas.is_empty());

@@ -254,6 +254,18 @@ impl MapSet {
         tails: &[&[T]],
         query: Option<&RangePred>,
     ) -> CrackedArray<T> {
+        let (excluded, plan, headroom) = self.seed_source(head, query);
+        CrackedArray::seeded(head, tails, excluded, plan, headroom)
+    }
+
+    /// What every seeding of the set shares: the exclusion list, the
+    /// plan (made by the first seeding, see [`Self::seed`]) and the
+    /// headroom.
+    fn seed_source(
+        &mut self,
+        head: &[Val],
+        query: Option<&RangePred>,
+    ) -> (&[RowId], Option<&SeedPlan>, usize) {
         if self.seed_plan.is_none() {
             let first = if self.tape.is_empty() {
                 query.copied()
@@ -265,9 +277,9 @@ impl MapSet {
             self.seed_plan =
                 first.and_then(|pred| SeedPlan::new(head, &self.initial_excluded, &pred));
         }
-        let (excluded, plan) = (&self.initial_excluded, self.seed_plan.as_ref());
+        let excluded = &self.initial_excluded;
         let headroom = insert_headroom(head.len() - excluded.len());
-        CrackedArray::seeded(head, tails, excluded, plan, headroom)
+        (excluded, self.seed_plan.as_ref(), headroom)
     }
 
     /// Seed the maps of `tail_attrs` as one group.
@@ -283,10 +295,12 @@ impl MapSet {
         CrackerMap::seed(tail_attrs, arr)
     }
 
+    /// Seed the key map: its keys are written as it is seeded
+    /// ([`CrackedArray::seeded_keys`]).
     fn seed_key_map(&mut self, base: &Table, query: Option<&RangePred>) -> KeyMap {
-        let head = base.column(self.head_attr).values();
-        let keys: Vec<RowId> = (0..self.initial_len as RowId).collect();
-        KeyMap::seed(self.seed(&head[..keys.len()], &[&keys], query))
+        let head = &base.column(self.head_attr).values()[..self.initial_len];
+        let (excluded, plan, headroom) = self.seed_source(head, query);
+        KeyMap::seed(CrackedArray::seeded_keys(head, excluded, plan, headroom))
     }
 
     /// Align the key map up to (excluding) tape position `target`,

@@ -8,7 +8,7 @@
 //! The cracked attribute itself needs no reconstruction: `crackers.select`
 //! returns a view ([`CrackedArea`]) whose head slice holds its values.
 
-use crate::cracked::CrackedArray;
+use crate::cracked::{CrackedArray, SeedPlan};
 use crackdb_columnstore::column::Column;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::ops::Range;
@@ -46,19 +46,41 @@ impl CrackedArea<'_> {
 }
 
 impl CrackerColumn {
-    /// Create the cracker column by copying a base column (the paper's
-    /// "first time an attribute is required" step). The column is copied
-    /// before its first query is known, so this is a plain copy; the
-    /// first crack prepartitions it. Unlike a seeded map it reserves no
-    /// insert headroom: here spare capacity measured slower first
-    /// queries, from where the allocator placed the copy.
+    /// Create the cracker column of base column `col` at its first
+    /// query, `first` (the paper's "first time an attribute is required"
+    /// step), from the base rows minus the `excluded` keys (ascending,
+    /// duplicate-free: rows deleted before the column existed).
+    ///
+    /// When `first` would open by prepartitioning the whole fresh copy,
+    /// the column is seeded straight into that bucket order
+    /// ([`SeedPlan`]) instead of being copied and then clustered; either
+    /// way the keys are written without an identity array. Once
+    /// [`Self::crack_select`] has run `first`, the state — head and key
+    /// order, boundaries, `touched`, `cracks` — is bit-for-bit that of a
+    /// plain copy of the live rows after the same crack. Unlike a seeded
+    /// map it reserves no insert headroom: here spare capacity measured
+    /// slower first queries, from where the allocator placed the column.
+    pub fn for_query(col: &Column, excluded: &[RowId], first: &RangePred) -> Self {
+        let plan = SeedPlan::new(col.values(), excluded, first);
+        Self::seeded(col.values(), excluded, plan.as_ref())
+    }
+
+    /// Create the cracker column as a plain copy of a base column,
+    /// before any query is known: the first crack prepartitions the copy
+    /// itself. [`Self::for_query`] without a plan and without exclusions.
     pub fn from_column(col: &Column) -> Self {
-        let keys: Vec<RowId> = (0..col.len() as RowId).collect();
+        Self::seeded(col.values(), &[], None)
+    }
+
+    /// Seed the column; the cuts a plan records count as cracks, as the
+    /// first crack's prepartition would have counted them.
+    fn seeded(head: &[Val], excluded: &[RowId], plan: Option<&SeedPlan>) -> Self {
+        let arr = CrackedArray::seeded_keys(head, excluded, plan, 0);
         CrackerColumn {
-            arr: CrackedArray::new(col.values().to_vec(), keys.to_vec()),
+            cracks: arr.index().len() as u64,
+            arr,
             pending_inserts: Vec::new(),
             pending_deletes: Vec::new(),
-            cracks: 0,
         }
     }
 
@@ -157,6 +179,7 @@ impl CrackerColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::BoundaryKey;
     use crackdb_columnstore::column::Column;
 
     fn base() -> Column {
@@ -296,6 +319,20 @@ mod tests {
         assert_eq!(c.pending(), 0);
     }
 
+    /// A column created for its first query skips the excluded keys
+    /// and answers like a column over the live rows.
+    #[test]
+    fn for_query_skips_excluded_keys() {
+        let col = base();
+        let pred = RangePred::open(2, 16);
+        let mut c = CrackerColumn::for_query(&col, &[0, 4, 12], &pred);
+        assert_eq!(c.len(), col.len() - 3);
+        let mut keys = c.select_keys(&pred);
+        keys.sort_unstable();
+        assert_eq!(keys, vec![1, 2, 3, 6, 8, 11]);
+        c.array().check_partitioning();
+    }
+
     #[test]
     fn merge_all_pending() {
         let mut c = CrackerColumn::from_column(&base());
@@ -304,5 +341,86 @@ mod tests {
         c.merge_all_pending();
         assert_eq!(c.pending(), 0);
         assert_eq!(c.len(), base().len()); // one in, one out
+    }
+
+    /// Everything observable about a cracker column.
+    type State = (
+        Vec<Val>,
+        Vec<RowId>,
+        Vec<(BoundaryKey, usize, bool)>,
+        u64,
+        u64,
+    );
+
+    fn state(c: &CrackerColumn) -> State {
+        let arr = c.array();
+        let index = arr.index().boundaries_with_status();
+        (
+            arr.head().to_vec(),
+            arr.tail().to_vec(),
+            index,
+            arr.touched(),
+            c.cracks,
+        )
+    }
+
+    /// A base column of `n` pseudo-random values below 2^40, as large as
+    /// an `ide_sessions` session's.
+    fn big_column(n: usize, seed: u64) -> Column {
+        let mut state = seed;
+        let vals = (0..n).map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 24) as Val
+        });
+        Column::new(vals.collect())
+    }
+
+    /// The first query of the benchmark-scale columns.
+    fn first() -> RangePred {
+        RangePred::open(1 << 39, (1 << 39) + (1 << 30))
+    }
+
+    /// A 6M-row column built for its first predicate is, after that
+    /// predicate's crack, bit for bit the plain copy after the same
+    /// crack: the plan fires, so the seed replaces the copy's
+    /// prepartition. Release builds only: `cargo test --release --
+    /// --ignored`.
+    #[test]
+    #[ignore]
+    fn first_query_column_of_6m_rows_equals_copy_then_crack() {
+        let col = big_column(6_000_000, 46);
+        assert!(SeedPlan::new(col.values(), &[], &first()).is_some());
+        let mut fused = CrackerColumn::for_query(&col, &[], &first());
+        let mut copied = CrackerColumn::from_column(&col);
+        let range = fused.crack_select_span(&first());
+        assert_eq!(range, copied.crack_select_span(&first()));
+        assert!(copied.array().index().advisory_count() > 50);
+        assert_eq!(state(&fused), state(&copied));
+    }
+
+    /// The same with about 1% of the keys excluded, against a column
+    /// built from a copy of the live rows: its key `j` is the `j`-th
+    /// live key.
+    #[test]
+    #[ignore]
+    fn first_query_column_without_excluded_keys_equals_live_copy() {
+        let col = big_column(6_000_000, 47);
+        let excluded: Vec<RowId> = (0..col.len() as RowId)
+            .filter(|k| k.wrapping_mul(2654435761) % 100 == 0)
+            .collect();
+        let live: Vec<RowId> = (0..col.len() as RowId)
+            .filter(|k| excluded.binary_search(k).is_err())
+            .collect();
+        let live_col = Column::new(live.iter().map(|&k| col.get(k)).collect());
+        assert!(SeedPlan::new(col.values(), &excluded, &first()).is_some());
+        let mut fused = CrackerColumn::for_query(&col, &excluded, &first());
+        let mut copied = CrackerColumn::from_column(&live_col);
+        let range = fused.crack_select_span(&first());
+        assert_eq!(range, copied.crack_select_span(&first()));
+        let (head, keys, index, touched, cracks) = state(&copied);
+        let keys: Vec<RowId> = keys.iter().map(|&j| live[j as usize]).collect();
+        assert_eq!(state(&fused), (head, keys, index, touched, cracks));
     }
 }

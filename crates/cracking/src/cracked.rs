@@ -204,15 +204,53 @@ impl<T: Copy> TailSet for Columns<'_, T> {
     }
 }
 
-/// Move the rows of `src` outside the ascending `excluded` positions,
-/// run by run, through `slots` (one per live row, in source order) into
-/// `dst`: one column of a seeding scatter.
-fn move_live<T: Copy>(src: &[T], excluded: &[RowId], slots: &[u32], dst: &mut [T]) {
-    let mut at = 0;
-    for run in live_runs(src.len(), excluded) {
-        let to = at + run.len();
-        move_to_slots(&src[run], &slots[at..to], dst);
-        at = to;
+/// Where a seeding puts each live source row, one outside the ascending
+/// exclusion list: right after the live rows before it (a bulk copy), or
+/// at its slot (a planned scatter: one slot per live row, in source
+/// order). Each column is placed on its own.
+struct Placement<'a> {
+    /// Length of the source columns.
+    len: usize,
+    excluded: &'a [RowId],
+    slots: Option<Vec<u32>>,
+}
+
+impl Placement<'_> {
+    /// Each live run of the source, with the live positions it covers:
+    /// its copy's destination, or its range of the slot array.
+    fn runs(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        let mut at = 0;
+        live_runs(self.len, self.excluded).map(move |run| {
+            let from = at;
+            at += run.len();
+            (run, from..at)
+        })
+    }
+
+    /// Place the live rows of source column `src` in `dst`.
+    fn place<T: Copy>(&self, src: &[T], dst: &mut [T]) {
+        for (run, at) in self.runs() {
+            match &self.slots {
+                None => dst[at].copy_from_slice(&src[run]),
+                Some(slots) => move_to_slots(&src[run], &slots[at], dst),
+            }
+        }
+    }
+
+    /// Place each live row's key, its source position, in `dst`: what
+    /// [`Self::place`] does to an identity column, without one.
+    fn place_keys(&self, dst: &mut [RowId]) {
+        for (run, at) in self.runs() {
+            let keys = run.start as RowId..run.end as RowId;
+            match &self.slots {
+                None => dst[at].iter_mut().zip(keys).for_each(|(d, k)| *d = k),
+                Some(slots) => {
+                    for (k, &s) in keys.zip(&slots[at]) {
+                        dst[s as usize] = k;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -288,6 +326,23 @@ impl<T: Copy> CrackedArray<T> {
             tails.iter().all(|t| t.len() == head.len()),
             "head/tail length mismatch"
         );
+        let fill = |place: &Placement<'_>, c: usize, dst: &mut [T]| place.place(tails[c], dst);
+        Self::seed_with(head, tails.len(), excluded, plan, headroom, fill)
+    }
+
+    /// The body of [`Self::seeded`] for `width` tail columns, each filled
+    /// by `fill(placement, column, destination)`.
+    fn seed_with(
+        head: &[Val],
+        width: usize,
+        excluded: &[RowId],
+        plan: Option<&SeedPlan>,
+        headroom: usize,
+        fill: impl Fn(&Placement<'_>, usize, &mut [T]),
+    ) -> Self
+    where
+        T: Default,
+    {
         let (n, o) = (head.len() - excluded.len(), headroom);
         // Copy and scatter write every tuple slot once, so the fill is
         // never read. A zero fill is a zeroed allocation: on fresh pages
@@ -302,40 +357,38 @@ impl<T: Copy> CrackedArray<T> {
         let mut arr = CrackedArray {
             head: buffer(0, o + n, o),
             tail: column(),
-            more: tails[1..].iter().map(|_| column()).collect(),
+            more: (1..width).map(|_| column()).collect(),
             index: CrackerIndex::with_origin(o),
             touched: 0,
         };
-        let Some(plan) = plan else {
-            let mut at = o;
+        let slots = plan.map(|plan| {
+            assert_eq!(
+                plan.offsets.last(),
+                Some(&n),
+                "plan is for another snapshot"
+            );
+            let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
+            let mut slots = Vec::with_capacity(n);
             for run in live_runs(head.len(), excluded) {
-                let to = at + run.len();
-                arr.head[at..to].copy_from_slice(&head[run.clone()]);
-                for (dst, src) in arr.columns_mut().zip(tails) {
-                    dst[at..to].copy_from_slice(&src[run.clone()]);
-                }
-                at = to;
+                plan.by.slots_into(&head[run], &mut cursors, &mut slots);
             }
-            return arr;
+            slots
+        });
+        let place = Placement {
+            len: head.len(),
+            excluded,
+            slots,
         };
-        assert_eq!(
-            plan.offsets.last(),
-            Some(&n),
-            "plan is for another snapshot"
-        );
-        let mut cursors = plan.offsets[..plan.by.buckets()].to_vec();
-        let mut slots = Vec::with_capacity(n);
-        for run in live_runs(head.len(), excluded) {
-            plan.by.slots_into(&head[run], &mut cursors, &mut slots);
-        }
-        move_live(head, excluded, &slots, &mut arr.head[o..]);
-        for (dst, src) in arr.columns_mut().zip(tails) {
-            move_live(src, excluded, &slots, &mut dst[o..]);
+        place.place(head, &mut arr.head[o..]);
+        for (c, dst) in arr.columns_mut().enumerate() {
+            fill(&place, c, &mut dst[o..]);
         }
         // Free the slots before the index grows, so they leave no hole
         // below its leaves (see the allocation notes in the README).
-        drop(slots);
-        arr.record_cuts(plan.key, 0, &plan.by, &plan.offsets);
+        drop(place);
+        if let Some(plan) = plan {
+            arr.record_cuts(plan.key, 0, &plan.by, &plan.offsets);
+        }
         arr
     }
 
@@ -853,6 +906,28 @@ impl<T: Copy> CrackedArray<T> {
             // INVARIANT: a test helper whose job is to fail loudly.
             panic!("{e}");
         }
+    }
+}
+
+impl CrackedArray<RowId> {
+    /// [`Self::seeded`] for a `(value, key)` structure — a cracker
+    /// column, key map or chunk map — whose one tail holds each live
+    /// row's key, its position in the source: the keys are written
+    /// straight through the slot array (or, without a plan, run by
+    /// run), so no identity array is built or moved. The result equals
+    /// [`Self::seeded`] with the identity column `0..head.len()` as its
+    /// tail.
+    ///
+    /// # Panics
+    /// If the plan was made for a different number of live tuples.
+    pub fn seeded_keys(
+        head: &[Val],
+        excluded: &[RowId],
+        plan: Option<&SeedPlan>,
+        headroom: usize,
+    ) -> Self {
+        let fill = |place: &Placement<'_>, _: usize, dst: &mut [RowId]| place.place_keys(dst);
+        Self::seed_with(head, 1, excluded, plan, headroom, fill)
     }
 }
 

@@ -302,3 +302,36 @@ fn skewed_column_is_not_fused() {
     assert!(SeedPlan::with_target(&head, &[], lo.unwrap(), 1 << 16).is_some());
     assert!(!check_first_crack(&head, &[], &pred, "skewed"));
 }
+
+/// The key-tail seed (`seeded_keys`) writes what `seeded` does with the
+/// identity column as its tail: plans from `with_target` at small sizes
+/// and no plan, with and without exclusion lists, with and without
+/// headroom.
+#[test]
+fn key_tail_seed_equals_the_identity_tail() {
+    let mut rng = Lcg(0x4B45_5953);
+    let mut scattered = 0;
+    for case in 0..360 {
+        let n = [0usize, 1, 2, 97, 1_000, 4_099][case % 6];
+        let kind = (case / 6) % 5;
+        let shape = (case / 30) % 3;
+        let planned = (case / 90) % 2 == 0;
+        let spare = [0, 1 + rng.below(100)][(case / 180) % 2];
+        let head = column(&mut rng, n, kind);
+        let keys: Vec<RowId> = (0..n as RowId).collect();
+        let excluded = exclusions(&mut rng, n, shape);
+        let target = (n / (1 + rng.below(16))).max(1);
+        let key = (head.get(rng.below(n)).copied().unwrap_or(0), BoundKind::Le);
+        let plan = SeedPlan::with_target(&head, &excluded, key, target).filter(|_| planned);
+        let ctx =
+            format!("case {case}: n={n} kind={kind} shape={shape} plan={planned} spare={spare}");
+        let direct = CrackedArray::seeded_keys(&head, &excluded, plan.as_ref(), spare);
+        let identity = CrackedArray::seeded(&head, &[&keys], &excluded, plan.as_ref(), spare);
+        assert_eq!(state(&direct), state(&identity), "{ctx}");
+        assert_eq!(direct.index().origin(), identity.index().origin(), "{ctx}");
+        assert_eq!(direct.index().origin(), spare, "{ctx}");
+        direct.check_partitioning();
+        scattered += usize::from(plan.is_some());
+    }
+    assert!(scattered > 60, "only {scattered} cases ran a plan");
+}

@@ -168,7 +168,7 @@ pub struct WriteReply {
 /// One shard: its engine and its line of tickets.
 struct Shard<E> {
     turn: Mutex<Turn<E>>,
-    /// Signalled whenever a turn ends.
+    /// Signalled when a turn ends and a caller waits.
     ended: Condvar,
 }
 
@@ -178,6 +178,9 @@ struct Turn<E> {
     engine: Option<E>,
     /// The position being served, or next to be served.
     serving: u64,
+    /// Callers blocked in [`Shard::wait_for`]: a turn that ends with
+    /// none skips the wake-up, a system call.
+    waiting: usize,
     /// The payload of the panic that killed the shard.
     panic: Option<Box<dyn Any + Send>>,
 }
@@ -185,10 +188,18 @@ struct Turn<E> {
 impl<E> Shard<E> {
     /// Lock the shard once every position before `pos` has been served.
     fn wait_for(&self, pos: u64) -> MutexGuard<'_, Turn<E>> {
-        let turn = lock_unpoisoned(&self.turn);
-        self.ended
-            .wait_while(turn, |t| t.serving < pos)
-            .unwrap_or_else(PoisonError::into_inner)
+        let mut turn = lock_unpoisoned(&self.turn);
+        if turn.serving < pos {
+            // Counted under the lock the wait releases, so a turn ending
+            // after this line sees the waiter.
+            turn.waiting += 1;
+            turn = self
+                .ended
+                .wait_while(turn, |t| t.serving < pos)
+                .unwrap_or_else(PoisonError::into_inner);
+            turn.waiting -= 1;
+        }
+        turn
     }
 }
 
@@ -216,8 +227,11 @@ impl<E: Engine + Send> Turns for Vec<Shard<E>> {
             turn.panic = Some(payload);
         }
         turn.serving += 1;
+        let wake = turn.waiting > 0;
         drop(turn);
-        shard.ended.notify_all();
+        if wake {
+            shard.ended.notify_all();
+        }
         ok
     }
 }
@@ -328,6 +342,7 @@ impl<E: Engine + Send + 'static> Service<E> {
                 turn: Mutex::new(Turn {
                     engine: Some(engine),
                     serving: 0,
+                    waiting: 0,
                     panic: None,
                 }),
                 ended: Condvar::new(),

@@ -17,7 +17,7 @@ use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
 use crackdb_cracking::CrackerColumn;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 /// Selection-cracking executor.
@@ -26,6 +26,9 @@ pub struct SelCrackEngine {
     second: Option<Table>,
     /// Cracker columns per (table, attribute), created on first use.
     crackers: HashMap<(bool, usize), CrackerColumn>,
+    /// Keys deleted from the primary table. A cracker column created
+    /// later is seeded from the base rows minus these.
+    tombstones: BTreeSet<RowId>,
     /// Value domain for ordering predicates by estimated selectivity
     /// ("all systems evaluate queries starting from the most selective
     /// predicate", §3.6 Exp4).
@@ -41,6 +44,7 @@ impl SelCrackEngine {
             base,
             second: None,
             crackers: HashMap::new(),
+            tombstones: BTreeSet::new(),
             domain,
             domains: HashMap::new(),
         }
@@ -86,16 +90,20 @@ impl SelCrackEngine {
         ordered
     }
 
-    /// One attribute's cracker column, created on first use.
+    /// One attribute's cracker column, created for its first query,
+    /// `pred`, from the table's rows minus the `tombstones`.
     fn cracker<'a>(
         crackers: &'a mut HashMap<(bool, usize), CrackerColumn>,
-        table: &Table,
+        (table, tombstones): (&Table, &BTreeSet<RowId>),
         second: bool,
         attr: usize,
+        pred: &RangePred,
     ) -> &'a mut CrackerColumn {
-        crackers
-            .entry((second, attr))
-            .or_insert_with(|| CrackerColumn::from_column(table.column(attr)))
+        crackers.entry((second, attr)).or_insert_with(|| {
+            let col = table.column(attr);
+            let excluded: Vec<RowId> = tombstones.range(..col.len() as RowId).copied().collect();
+            CrackerColumn::for_query(col, &excluded, pred)
+        })
     }
 
     /// The head and tail slices of an area `restrict` produced. Positions,
@@ -110,17 +118,16 @@ impl SelCrackEngine {
     /// base columns) for the rest.
     fn select_keys(
         crackers: &mut HashMap<(bool, usize), CrackerColumn>,
-        table: &Table,
+        (table, tombstones): (&Table, &BTreeSet<RowId>),
         second: bool,
         preds: &[(usize, RangePred)],
     ) -> Vec<RowId> {
-        if preds.is_empty() {
-            // No predicate: still answer through a cracker column so that
-            // queued (ripple) insertions and deletions are respected.
-            return Self::cracker(crackers, table, second, 0).select_keys(&RangePred::all());
-        }
-        let mut keys = Self::cracker(crackers, table, second, preds[0].0).select_keys(&preds[0].1);
-        for (attr, pred) in &preds[1..] {
+        // No predicate: still answer through a cracker column so that
+        // queued (ripple) insertions and deletions are respected.
+        let (attr, first) = preds.first().copied().unwrap_or((0, RangePred::all()));
+        let mut keys =
+            Self::cracker(crackers, (table, tombstones), second, attr, &first).select_keys(&first);
+        for (attr, pred) in preds.iter().skip(1) {
             let col = table.column(*attr);
             combine::refine_keys(&mut keys, pred, |k| col.get(k));
         }
@@ -142,7 +149,8 @@ impl AccessPath for SelCrackEngine {
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
-        let cracker = Self::cracker(&mut self.crackers, &self.base, false, attr);
+        let source = (&self.base, &self.tombstones);
+        let cracker = Self::cracker(&mut self.crackers, source, false, attr, pred);
         // A disjunction's later selects may crack or ripple this very
         // column (`a < x or a > y`), moving the tuples under an area.
         if ctx.disjunctive {
@@ -186,7 +194,8 @@ impl AccessPath for SelCrackEngine {
         let RowSet::Keys { keys, .. } = rows else {
             return; // disjunctive plans start from `restrict`'s key list
         };
-        let more = Self::cracker(&mut self.crackers, &self.base, false, attr).select_keys(pred);
+        let source = (&self.base, &self.tombstones);
+        let more = Self::cracker(&mut self.crackers, source, false, attr, pred).select_keys(pred);
         combine::union_keys_unordered(keys, more);
     }
 
@@ -253,8 +262,10 @@ impl Engine for SelCrackEngine {
         let t0 = Instant::now();
         let lpreds = self.order_preds(&q.left.preds, n, false);
         let rpreds = self.order_preds(&q.right.preds, n2, true);
-        let lkeys = Self::select_keys(&mut self.crackers, &self.base, false, &lpreds);
-        let rkeys = Self::select_keys(&mut self.crackers, second, true, &rpreds);
+        let lsource = (&self.base, &self.tombstones);
+        let lkeys = Self::select_keys(&mut self.crackers, lsource, false, &lpreds);
+        let rsource = (second, &BTreeSet::new());
+        let rkeys = Self::select_keys(&mut self.crackers, rsource, true, &rpreds);
         timings.select = t0.elapsed();
 
         let t1 = Instant::now();
@@ -293,13 +304,14 @@ impl Engine for SelCrackEngine {
     }
 
     fn delete(&mut self, key: RowId) {
-        // Cracking keeps base columns untouched; a deletion must reach the
-        // cracker column of every attribute, so crackers are created on
-        // demand here (from the current base, which still holds the row)
-        // and the deletion queued for the Ripple algorithm.
-        for attr in 0..self.base.num_columns() {
-            Self::cracker(&mut self.crackers, &self.base, false, attr)
-                .queue_delete(self.base.column(attr).get(key), key);
+        // Cracking keeps base columns untouched. The deletion is queued
+        // for the Ripple algorithm in every cracker column that exists;
+        // a column created later is seeded without the key.
+        self.tombstones.insert(key);
+        for ((second, attr), cracker) in self.crackers.iter_mut() {
+            if !*second {
+                cracker.queue_delete(self.base.column(*attr).get(key), key);
+            }
         }
     }
 

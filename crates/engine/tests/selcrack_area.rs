@@ -348,3 +348,95 @@ fn long_areas_fold_through_the_block_path() {
         .collect();
     check_against_plain(&t, &queries);
 }
+
+/// A stream of deletes (of live rows and of rows already deleted),
+/// inserts and queries on every attribute of a `cols`-attribute table
+/// of `rows` rows, the queries in the shapes of [`conjunction`].
+fn mixed_stream(cols: usize, rows: usize, steps: usize, seed: u64) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = rows as RowId;
+    (0..steps)
+        .map(|i| match rng.gen_range(0..6) {
+            0 | 1 => Op::Delete(rng.gen_range(0..keys)),
+            2 => {
+                keys += 1;
+                Op::Insert((0..cols).map(|_| rng.gen_range(1..=DOMAIN.1)).collect())
+            }
+            _ => {
+                let (a, b) = (i % cols, (i + 1 + i / cols) % cols);
+                let mut q = SelectQuery::aggregate(vec![(a, range(&mut rng))], aggs_on(b));
+                if i.is_multiple_of(3) {
+                    q.preds.push((b, range(&mut rng)));
+                }
+                if i.is_multiple_of(5) {
+                    q.projs = vec![b, a];
+                }
+                Op::Select(q)
+            }
+        })
+        .collect()
+}
+
+/// A delete reaches only the cracker columns that exist. A column
+/// created later is seeded from the base rows minus the deleted keys,
+/// so deletes before any query create no column at all.
+#[test]
+fn deletes_create_no_cracker_column() {
+    const ATTRS: usize = 4;
+    let t = random_table(ATTRS, ROWS, DOMAIN.1, 33);
+    let mut e = SelCrackEngine::new(t.clone(), DOMAIN);
+    let mut plain = PlainEngine::new(t.clone());
+    let deleted = [0, 17, 17, 999, ROWS as RowId - 1];
+    for key in deleted {
+        e.delete(key);
+        plain.delete(key);
+    }
+    assert_eq!(e.aux_tuples(), 0, "deletes created a column");
+
+    let q = SelectQuery::aggregate(vec![(2, RangePred::open(100, 700))], aggs_on(1));
+    assert_agrees(&e.select(&q), &plain.select(&q), "first query");
+    assert_eq!(
+        e.aux_tuples(),
+        ROWS - 4,
+        "only attribute 2's column, without the deleted rows"
+    );
+
+    let ops = mixed_stream(ATTRS, ROWS, 400, 34);
+    let want = replay(&mut plain, &ops);
+    assert_all_agree(&replay(&mut e, &ops), &want, "mixed stream");
+}
+
+/// The same at a size where a column's first query seeds it in bucket
+/// order (at least 2^20 live rows), with deletes before the first query
+/// on every attribute. Release builds only: `cargo test --release -p
+/// crackdb-engine -- --ignored`.
+#[test]
+#[ignore]
+fn deletes_before_first_queries_at_seeding_scale() {
+    const ATTRS: usize = 3;
+    let rows = (1 << 20) + 20_000;
+    let domain = 1_000_000;
+    let t = random_table(ATTRS, rows, domain, 35);
+    let mut e = SelCrackEngine::new(t.clone(), (0, domain));
+    let mut plain = PlainEngine::new(t);
+    let mut rng = StdRng::seed_from_u64(36);
+    for _ in 0..5_000 {
+        let key = rng.gen_range(0..rows as RowId);
+        e.delete(key);
+        plain.delete(key);
+    }
+    for i in 0..30 {
+        let (a, b) = (i % ATTRS, (i + 1) % ATTRS);
+        let lo = rng.gen_range(0..domain);
+        let pred = RangePred::open(lo, lo + rng.gen_range(2..domain / 50));
+        let mut q = SelectQuery::aggregate(vec![(a, pred)], aggs_on(a));
+        q.aggs.extend(aggs_on(b));
+        if i % 4 == 3 {
+            q.projs = vec![a, b];
+        }
+        assert_agrees(&e.select(&q), &plain.select(&q), &format!("query {i}"));
+        let key = rng.gen_range(0..rows as RowId);
+        e.delete(key);
+        plain.delete(key);
+    }
+}
