@@ -1,11 +1,12 @@
 //! §3.6: the sideways-cracking experiments, exp1–exp6 (Figures 4–7).
 
 use crackdb_bench::{header, log_sample, time_ms, Args};
+use crackdb_columnstore::column::Table;
 use crackdb_columnstore::radix::{bits_for_cache, clustered_reconstruct, radix_cluster};
 use crackdb_columnstore::types::{AggFunc, RowId, Val};
 use crackdb_engine::{
-    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
-    SelectQuery, SidewaysEngine,
+    AccessPath, Engine, JoinQuery, JoinSide, Joined, PartialEngine, PlainEngine, PresortedEngine,
+    SelCrackEngine, SelectQuery, SidewaysEngine,
 };
 use crackdb_rng::rngs::StdRng;
 use crackdb_rng::seq::SliceRandom;
@@ -238,47 +239,34 @@ pub fn exp4_join(args: &Args) {
         "after_join_ms",
     ]);
 
+    // Each system joins two engines of its design, one per table.
     type Build = Box<dyn Fn() -> Box<dyn Engine>>;
-    let builders: Vec<(&str, Build)> = vec![
-        ("Presorted MonetDB", {
-            let (r, s) = (r.clone(), s.clone());
-            Box::new(move || {
-                let e = PresortedEngine::with_second(r.clone(), &[4], s.clone(), &[4]);
-                eprintln!(
-                    "# presorting cost: {:.1} ms",
-                    e.presort_cost.as_secs_f64() * 1e3
-                );
-                Box::new(e) as Box<dyn Engine>
-            })
+    fn joined<E: Engine + AccessPath + 'static>(
+        (r, s): (&Table, &Table),
+        make: impl Fn(Table) -> E + 'static,
+    ) -> Build {
+        let (r, s) = (r.clone(), s.clone());
+        Box::new(move || Box::new(Joined::new(make(r.clone()), make(s.clone()))))
+    }
+    let tables = (&r, &s);
+    let builders = [
+        joined(tables, |t| {
+            let e = PresortedEngine::new(t, &[4]);
+            let ms = e.presort_cost.as_secs_f64() * 1e3;
+            eprintln!("# presorting cost: {ms:.1} ms per table");
+            e
         }),
-        ("Sideways Cracking", {
-            let (r, s) = (r.clone(), s.clone());
-            Box::new(move || {
-                Box::new(SidewaysEngine::with_second(
-                    r.clone(),
-                    s.clone(),
-                    (0, domain),
-                ))
-            })
-        }),
-        ("Selection Cracking", {
-            let (r, s) = (r.clone(), s.clone());
-            Box::new(move || {
-                Box::new(SelCrackEngine::with_second(
-                    r.clone(),
-                    s.clone(),
-                    (0, domain),
-                ))
-            })
-        }),
-        ("MonetDB", {
-            let (r, s) = (r.clone(), s.clone());
-            Box::new(move || Box::new(PlainEngine::with_second(r.clone(), s.clone())))
-        }),
+        joined(tables, move |t| SidewaysEngine::new(t, (0, domain))),
+        joined(tables, move |t| SelCrackEngine::new(t, (0, domain))),
+        joined(tables, PlainEngine::new),
     ];
 
-    for (name, build) in builders {
+    // The first system's `(rows, aggregates)` per query: every other
+    // system must answer the same.
+    let mut reference: Vec<(usize, Vec<Option<Val>>)> = Vec::new();
+    for build in builders {
         let mut sys = build();
+        let name = sys.name();
         // Selectivity factors 50%, 30%, 20% per conjunct (the paper's);
         // all systems evaluate starting from the most selective predicate.
         let mut g50 = RangeGen::with_selectivity(domain, 0.5, args.seed + 2);
@@ -298,6 +286,11 @@ pub fn exp4_join(args: &Args) {
                 },
             };
             let (ms, out) = time_ms(|| sys.join(&q));
+            let answer = (out.rows, out.aggs.clone());
+            match reference.get(i) {
+                Some(want) => assert_eq!(&answer, want, "query {}: {name} disagrees", i + 1),
+                None => reference.push(answer),
+            }
             if log_sample(i, args.queries) {
                 let t = out.timings;
                 println!(

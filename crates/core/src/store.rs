@@ -279,15 +279,6 @@ impl SidewaysStore {
             .for_each(consume);
     }
 
-    /// The handle's area of `tail_attr`'s map, which
-    /// [`Self::conjunctive_bv`] selected — gives positional access for
-    /// join plans (positions are relative to `range.0`).
-    pub fn tail_slice(&self, _base: &Table, handle: &ConjHandle, tail_attr: usize) -> &[Val] {
-        // A stale handle (the set was dropped since) reads nothing.
-        let s = self.sets.get(&handle.set_attr);
-        s.map_or(&[], |s| s.view_tail(tail_attr, handle.range))
-    }
-
     /// Disjunctive multi-selection (§3.3): all predicates combined with
     /// OR; hands `consume` one whole-map block per projection attribute.
     pub fn disjunctive_project_blocks(
@@ -580,7 +571,7 @@ mod tests {
         store.conjunctive_bv(&base, &[(0, RangePred::open(20, 40))], &[2], &gone);
         let h = store.conjunctive_bv(&base, &[], &[2], &gone);
         assert_eq!(h.result_size(), 99);
-        assert_eq!(store.tail_slice(&base, &h, 2).len(), 99);
+        assert_eq!(store.reconstruct_block(&base, &h, 2).count(), 99);
     }
 
     /// A second predicate on the chosen set's own attribute is a residual

@@ -14,7 +14,9 @@
 //!   aggregated attribute, folded a [`Block`] at a time over only the
 //!   statistics its functions return, and projection columns appended a
 //!   block at a time;
-//! * [`Timings`] phase instrumentation.
+//! * [`Timings`] phase instrumentation;
+//! * the one join plan, [`run_join`], over one access path per table
+//!   ([`Joined`] pairs two engines into one that answers joins).
 //!
 //! Queries run one at a time, as in the paper. The one parallelism is
 //! on top: the [`shard::ShardedEngine`] router splits the table row-wise
@@ -22,17 +24,19 @@
 //! at once — the scans, the gathers and the cracking alike.
 
 pub mod combine;
+pub mod join;
 pub mod path;
 pub mod service;
 pub mod shard;
 
-pub use path::{AccessPath, RestrictCtx, RowSet};
+pub use join::{run_join, Joined};
+pub use path::{AccessPath, JoinInput, RestrictCtx, RowSet};
 pub use service::{Client, Service, ServiceConfig, ServiceError};
 pub use shard::ShardedEngine;
 
-use crate::query::{agg_attrs, agg_stats, finish_aggs, JoinSide, QueryOutput, SelectQuery};
-use crackdb_columnstore::ops::block::{gather_blocks, Block, PartialAgg, Stats};
-use crackdb_columnstore::types::{RangePred, RowId, Val};
+use crate::query::{agg_attrs, agg_stats, finish_aggs, QueryOutput, SelectQuery};
+use crackdb_columnstore::ops::block::{Block, PartialAgg, Stats};
+use crackdb_columnstore::types::{RangePred, Val};
 use std::time::Instant;
 
 /// Order predicates by the path's selectivity estimates: ascending
@@ -80,6 +84,25 @@ fn order_preds<P: AccessPath + ?Sized>(
     out
 }
 
+/// The selection phase of every plan: restrict by the first of
+/// `ctx.preds` (already ordered) and refine — or, for a disjunction,
+/// extend — by the rest; no predicate at all selects through
+/// [`AccessPath::unrestricted`].
+fn select_rows<P: AccessPath + ?Sized>(path: &mut P, ctx: &RestrictCtx) -> RowSet {
+    let Some(((attr, pred), rest)) = ctx.preds.split_first() else {
+        return path.unrestricted(ctx);
+    };
+    let mut rows = path.restrict(*attr, pred, ctx);
+    for (attr, pred) in rest {
+        if ctx.disjunctive {
+            path.extend(&mut rows, *attr, pred, ctx);
+        } else {
+            path.refine(&mut rows, *attr, pred, ctx);
+        }
+    }
+    rows
+}
+
 /// Execute a single-table query over any access path. This is the one
 /// `select` implementation all five engines share.
 pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> QueryOutput {
@@ -106,20 +129,7 @@ pub fn run_select<P: AccessPath + ?Sized>(path: &mut P, q: &SelectQuery) -> Quer
 
     // --- Selection phase -------------------------------------------------
     let t0 = Instant::now();
-    let rows = match preds.split_first() {
-        None => path.unrestricted(&ctx),
-        Some(((attr, pred), rest)) => {
-            let mut rows = path.restrict(*attr, pred, &ctx);
-            for (attr, pred) in rest {
-                if q.disjunctive {
-                    path.extend(&mut rows, *attr, pred, &ctx);
-                } else {
-                    path.refine(&mut rows, *attr, pred, &ctx);
-                }
-            }
-            rows
-        }
-    };
+    let rows = select_rows(path, &ctx);
     out.timings.select = t0.elapsed();
 
     // --- Reconstruction phase --------------------------------------------
@@ -220,42 +230,12 @@ impl Answer<'_> {
     }
 }
 
-/// Post-join reconstruction of one join side over the matched
-/// `(left_key, right_key)` pairs, shared by the engines' join plans: one
-/// [`PartialAgg`] per distinct aggregated attribute of the side, in
-/// [`agg_attrs`] order, folding only the statistics the side's functions
-/// of it return. `column(attr)` is the side's values of `attr`, indexed
-/// by the side-local tuple identity the pairs hold.
-pub fn fold_matched<'a>(
-    matched: &[(RowId, RowId)],
-    side: &JoinSide,
-    left: bool,
-    column: impl Fn(usize) -> &'a [Val],
-) -> Vec<PartialAgg> {
-    let keys = || matched.iter().map(|&(l, r)| if left { l } else { r });
-    agg_attrs(&side.aggs)
-        .into_iter()
-        .map(|attr| {
-            let stats = agg_stats(&side.aggs, attr);
-            let mut agg = PartialAgg::new(stats);
-            if stats == Stats::default() {
-                // The count alone reads no value.
-                agg.count = matched.len() as i64;
-            } else {
-                gather_blocks(attr, column(attr), keys(), |b| {
-                    agg.fold(b.vals, None, stats)
-                });
-            }
-            agg
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crackdb_columnstore::column::{Column, Table};
-    use crackdb_columnstore::types::AggFunc;
+    use crackdb_columnstore::ops::block::gather_blocks;
+    use crackdb_columnstore::types::{AggFunc, RowId};
 
     /// A minimal scan-based access path over one table, used to test the
     /// executor in isolation from the real engines.

@@ -6,8 +6,9 @@
 //! disjunctive combining, aggregation, projection materialization, phase
 //! timing) lives once in [`super::run_select`].
 
+use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::types::RangePred;
+use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
 
 /// The qualifying-set representation an access path produces.
@@ -86,6 +87,52 @@ impl RowSet {
     }
 }
 
+/// One join side's qualifying tuples as [`AccessPath::join_input`] hands
+/// them to [`super::run_join`]. Both forms hold one column per requested
+/// attribute, the join attribute first, which post-join reconstruction
+/// reads by tuple id.
+#[derive(Debug)]
+pub enum JoinInput<'a> {
+    /// `(id, join value)` per qualifying tuple, over columns indexed by
+    /// id: full base columns for key lists (ids are base keys), area
+    /// slices for sorted copies and aligned maps (ids are positions in
+    /// the area).
+    Pairs(Vec<(RowId, Val)>, Vec<&'a [Val]>),
+    /// Columns collected in qualifying order, positionally consistent
+    /// across attributes: a tuple's id is its position.
+    Collected(Vec<Vec<Val>>),
+}
+
+impl<'a> JoinInput<'a> {
+    /// The input of a key list: join values gathered from the base
+    /// columns, which post-join reconstruction reads too.
+    pub fn keyed(keys: impl Iterator<Item = RowId>, table: &'a Table, attrs: &[usize]) -> Self {
+        let columns: Vec<&[Val]> = attrs.iter().map(|&a| table.column(a).values()).collect();
+        let join = columns[0];
+        JoinInput::Pairs(keys.map(|k| (k, join[k as usize])).collect(), columns)
+    }
+
+    /// The input of an area: `columns` are the area's slices of the
+    /// requested attributes, `bv` (when present) marks its qualifying
+    /// tuples.
+    pub fn area(columns: Vec<&'a [Val]>, bv: Option<&BitVec>) -> Self {
+        let join = columns[0];
+        let pairs = match bv {
+            Some(bv) => bv.iter_ones().map(|i| (i as RowId, join[i])).collect(),
+            None => (0..).zip(join.iter().copied()).collect(),
+        };
+        JoinInput::Pairs(pairs, columns)
+    }
+
+    /// The `slot`-th requested attribute's column.
+    pub fn column(&self, slot: usize) -> &[Val] {
+        match self {
+            JoinInput::Pairs(_, columns) => columns[slot],
+            JoinInput::Collected(columns) => &columns[slot],
+        }
+    }
+}
+
 /// Query-wide context handed to [`AccessPath`] calls, letting adaptive
 /// engines prepare internal structures (choose map sets, pre-align maps)
 /// for everything the query will touch.
@@ -136,4 +183,21 @@ pub trait AccessPath {
     /// in row-set order over its blocks; chunk-wise engines interleave
     /// the attributes area by area.
     fn fetch(&mut self, rows: &RowSet, attrs: &[usize], consume: &mut dyn FnMut(Block<'_>));
+
+    /// A join side's qualifying tuples for the conjunctive row set
+    /// `rows`, with a column per attribute of `attrs` (the join
+    /// attribute first) for post-join reconstruction to read. By
+    /// default the columns are collected through [`Self::fetch`], as
+    /// chunk-wise plans need.
+    fn join_input(&mut self, rows: &RowSet, attrs: &[usize]) -> JoinInput<'_> {
+        let mut columns = vec![Vec::new(); attrs.len()];
+        self.fetch(rows, attrs, &mut |b| {
+            for (col, &a) in columns.iter_mut().zip(attrs) {
+                if a == b.attr {
+                    b.append_to(col);
+                }
+            }
+        });
+        JoinInput::Collected(columns)
+    }
 }

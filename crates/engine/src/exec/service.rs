@@ -450,8 +450,9 @@ impl Client {
         Ok(Reply { seq, output })
     }
 
-    /// Execute a two-table join query (the engines must have been built
-    /// with a second table, e.g. [`ShardedEngine::build_with_second`]).
+    /// Execute a two-table join query: every shard must answer joins,
+    /// e.g. a [`Joined`](super::Joined) pair of the shard's part of the
+    /// left table and the whole right table.
     ///
     /// # Errors
     /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`],
@@ -658,9 +659,6 @@ mod tests {
             self.release.recv().expect("test releases the query");
             QueryOutput::default()
         }
-        fn join(&mut self, _q: &JoinQuery) -> QueryOutput {
-            unreachable!()
-        }
         fn insert(&mut self, _row: &[Val]) {}
         fn delete(&mut self, _key: RowId) {}
     }
@@ -759,9 +757,6 @@ mod tests {
             }
             QueryOutput::default()
         }
-        fn join(&mut self, _q: &JoinQuery) -> QueryOutput {
-            unreachable!()
-        }
         fn insert(&mut self, _row: &[Val]) {}
         fn delete(&mut self, _key: RowId) {}
     }
@@ -808,9 +803,6 @@ mod tests {
                 }
                 Duo::Bomb => panic!("bomb shard"),
             }
-        }
-        fn join(&mut self, _q: &JoinQuery) -> QueryOutput {
-            unreachable!()
         }
         fn insert(&mut self, _row: &[Val]) {}
         fn delete(&mut self, _key: RowId) {}
@@ -968,9 +960,6 @@ mod tests {
             self.entered.send(()).expect("test observer alive");
             self.release.recv().expect("test releases the query");
             panic!("shard exploded while parked")
-        }
-        fn join(&mut self, _q: &JoinQuery) -> QueryOutput {
-            unreachable!()
         }
         fn insert(&mut self, _row: &[Val]) {}
         fn delete(&mut self, _key: RowId) {}

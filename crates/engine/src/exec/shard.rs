@@ -43,8 +43,10 @@
 //! with identical update sequences.
 //!
 //! Joins shard the primary (left) table and replicate the second table
-//! into every shard: each left row meets every right row exactly once,
-//! so concatenating per-shard match sets yields the full join.
+//! into every shard, each shard a [`Joined`](super::Joined) pair:
+//! `ShardedEngine::build(left, n, |_, part| Joined::new(make(part),
+//! make(right.clone())))`. Each left row meets every right row exactly
+//! once, so concatenating per-shard match sets yields the full join.
 //!
 //! ## Per-shard engines
 //!
@@ -88,27 +90,6 @@ impl<E: Engine> ShardedEngine<E> {
         let cuts = ShardCuts::even(base.num_rows(), shards);
         let parts = partition_table(&base, &cuts);
         Self::from_parts(cuts, parts.into_iter().enumerate().map(|(i, t)| make(i, t)))
-    }
-
-    /// Two-table variant for join workloads: the primary table is
-    /// sharded, the second table is replicated into every shard (each
-    /// left row meets every right row exactly once, so per-shard joins
-    /// union to the full join).
-    pub fn build_with_second(
-        base: Table,
-        second: Table,
-        shards: usize,
-        mut make: impl FnMut(usize, Table, Table) -> E,
-    ) -> Self {
-        let cuts = ShardCuts::even(base.num_rows(), shards);
-        let parts = partition_table(&base, &cuts);
-        Self::from_parts(
-            cuts,
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| make(i, t, second.clone())),
-        )
     }
 
     /// Build from already-partitioned shard tables (data that arrives
@@ -509,9 +490,6 @@ mod tests {
             }
             fn select(&mut self, _q: &SelectQuery) -> QueryOutput {
                 panic!("shard 1 exploded");
-            }
-            fn join(&mut self, _q: &JoinQuery) -> QueryOutput {
-                unreachable!()
             }
             fn insert(&mut self, _row: &[Val]) {}
             fn delete(&mut self, _key: RowId) {}

@@ -24,6 +24,15 @@
 //! live once in the shared executor [`exec::run_select`], which runs one
 //! query at a time, as the paper does.
 //!
+//! Joins have one plan too, [`exec::run_join`], over one access path per
+//! table: each side selects as `run_select` does, then hands over its
+//! `(id, join value)` pairs and the columns post-join reconstruction
+//! reads — full base columns (plain, selection cracking), the clustered
+//! area (presorted) or the aligned maps' area (sideways), or columns
+//! collected chunk-wise (partial). Every engine holds one table;
+//! [`exec::Joined`] pairs two of them into an engine that answers
+//! [`query::Engine::join`].
+//!
 //! The only parallelism sits on top: the horizontal sharding layer
 //! [`exec::ShardedEngine`]. The base table is partitioned row-wise into
 //! `N` contiguous shards, each owning a complete, independent inner
@@ -35,7 +44,8 @@
 //! finishes the merged partials (averages from merged sums and counts,
 //! never from per-shard averages), projections
 //! concatenate in shard order, row counts sum, and per-phase
-//! [`query::Timings`] take the max across shards. Round-robin insert and
+//! [`query::Timings`] sum across shards (the shards' total work per
+//! phase). Round-robin insert and
 //! cut-based delete routing keep the sharded engine answer-identical to
 //! an unsharded one under the §5 update workloads; the differential
 //! suite (`tests/shard_differential.rs`) enforces exactly that for all
@@ -74,7 +84,7 @@ pub mod sideways;
 pub mod tpch;
 
 pub use exec::service::{Client, Reply, Service, ServiceConfig, ServiceError, WriteReply};
-pub use exec::{AccessPath, RestrictCtx, RowSet, ShardedEngine};
+pub use exec::{AccessPath, Joined, RestrictCtx, RowSet, ShardedEngine};
 pub use partial_engine::PartialEngine;
 pub use plain::PlainEngine;
 pub use presorted::PresortedEngine;

@@ -1,55 +1,30 @@
 //! Partial sideways cracking as an executor: the §4 system under a
 //! storage budget — now a first-class engine. Conjunctions run the fused
 //! chunk-wise pass of §4.1; disjunctions run the all-areas union pass;
-//! updates are staged globally and merged chunk-wise on access (§3.5);
-//! equi-joins reuse the partitioned [`cracker_join`] of §3.4 over the
-//! chunk-wise selection results.
+//! updates are staged globally and merged chunk-wise on access (§3.5).
+//! A join side collects its columns through the fused pass, and two
+//! collected sides meet in the partitioned cracker join of §3.4
+//! ([`exec::run_join`]).
 
 use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{
-    finish_join_aggs, Engine, JoinQuery, JoinSide, QueryOutput, SelectQuery, Timings,
-};
+use crate::query::{Engine, QueryOutput, SelectQuery};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
-use crackdb_core::{cracker_join, PartialStore};
-use crackdb_cracking::crack::BoundKind;
-use crackdb_cracking::CrackedArray;
-use std::time::Instant;
+use crackdb_core::PartialStore;
 
 /// Partial-sideways-cracking executor.
 pub struct PartialEngine {
     base: Table,
-    second: Option<Table>,
     store: PartialStore,
-    second_store: PartialStore,
 }
 
 impl PartialEngine {
-    /// Single-table engine with optional storage budget (tuples).
+    /// Engine over `base` with optional storage budget (tuples).
     pub fn new(base: Table, domain: (Val, Val), budget: Option<usize>) -> Self {
         let mut store = PartialStore::new(domain);
         store.budget = budget;
-        PartialEngine {
-            base,
-            second: None,
-            store,
-            second_store: PartialStore::new(domain),
-        }
-    }
-
-    /// Two-table engine (join experiments). The second table gets its own
-    /// (unbudgeted) partial store.
-    pub fn with_second(
-        base: Table,
-        second: Table,
-        domain: (Val, Val),
-        budget: Option<usize>,
-    ) -> Self {
-        PartialEngine {
-            second: Some(second),
-            ..PartialEngine::new(base, domain, budget)
-        }
+        PartialEngine { base, store }
     }
 
     /// [`Self::new`]; `dir` is ignored. Kept only because
@@ -63,7 +38,7 @@ impl PartialEngine {
         PartialEngine::new(base, domain, budget)
     }
 
-    /// Register the value domain of one primary-table attribute; its
+    /// Register the value domain of one attribute; its
     /// selectivity estimates use it instead of the constructor's domain.
     pub(crate) fn set_domain(&mut self, attr: usize, domain: (Val, Val)) {
         self.store.set_domain(attr, domain);
@@ -72,59 +47,6 @@ impl PartialEngine {
     /// Access to the store (instrumentation: usage, chunk stats).
     pub fn store(&self) -> &PartialStore {
         &self.store
-    }
-}
-
-/// One reconstructed join side: the join-attribute values plus the
-/// `(attr, column)` pairs needed by the side's aggregates.
-type SideRows = (Vec<Val>, Vec<(usize, Vec<Val>)>);
-
-/// Chunk-wise selection + reconstruction of one join side: the fused
-/// conjunctive pass hands on each needed attribute's qualifying values in
-/// a positionally consistent order (same tuples, same order per
-/// attribute), so zipping the columns recovers the side's tuples.
-/// Returns `(join values, (attr, column) pairs)`.
-fn side_rows(store: &mut PartialStore, base: &Table, side: &JoinSide) -> SideRows {
-    let mut attrs = vec![side.join_attr];
-    for &(a, _) in &side.aggs {
-        if !attrs.contains(&a) {
-            attrs.push(a);
-        }
-    }
-    let preds: Vec<(usize, RangePred)> = if side.preds.is_empty() {
-        vec![(side.join_attr, RangePred::all())]
-    } else {
-        side.preds.clone()
-    };
-    let mut cols: Vec<(usize, Vec<Val>)> = attrs.iter().map(|&a| (a, Vec::new())).collect();
-    store.conjunctive_project_blocks(base, &preds, &attrs, |b| {
-        for (a, col) in cols.iter_mut() {
-            if *a == b.attr {
-                b.append_to(col);
-            }
-        }
-    });
-    let join_vals = cols
-        .iter()
-        .find(|(a, _)| *a == side.join_attr)
-        .expect("join attribute collected")
-        .1
-        .clone();
-    (join_vals, cols)
-}
-
-/// Pre-partition a join input at shared equal-width cut points so
-/// [`cracker_join`]'s partition pass pairs small, value-disjoint segments
-/// (cache-resident hash tables) instead of one global table.
-fn precrack(arr: &mut CrackedArray<RowId>, lo: Val, hi: Val, parts: Val) {
-    if arr.is_empty() || hi <= lo {
-        return;
-    }
-    let width = ((hi - lo) / parts).max(1);
-    let mut v = lo + width;
-    while v < hi {
-        arr.ensure_boundary((v, BoundKind::Lt));
-        v += width;
     }
 }
 
@@ -205,57 +127,6 @@ impl Engine for PartialEngine {
         exec::run_select(self, q)
     }
 
-    fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let second = self.second.as_ref().expect("join needs a second table");
-        let mut out = QueryOutput::default();
-        let mut timings = Timings::default();
-
-        // Selection + pre-join reconstruction, fused chunk-wise per side.
-        let t0 = Instant::now();
-        let (lvals, lcols) = side_rows(&mut self.store, &self.base, &q.left);
-        let (rvals, rcols) = side_rows(&mut self.second_store, second, &q.right);
-        timings.select = t0.elapsed();
-
-        // §3.4 partitioned cracker join: both inputs become cracked
-        // arrays over the join attribute, pre-partitioned at shared
-        // equal-width cuts so each value-disjoint segment pair joins
-        // through a small hash table.
-        let t1 = Instant::now();
-        let lo = lvals.iter().chain(&rvals).copied().min();
-        let hi = lvals.iter().chain(&rvals).copied().max();
-        let ln = lvals.len() as RowId;
-        let rn = rvals.len() as RowId;
-        let mut larr = CrackedArray::new(lvals, (0..ln).collect());
-        let mut rarr = CrackedArray::new(rvals, (0..rn).collect());
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            precrack(&mut larr, lo, hi, 16);
-            precrack(&mut rarr, lo, hi, 16);
-        }
-        let matched = cracker_join(&larr, &rarr);
-        timings.join = t1.elapsed();
-        out.rows = matched.len();
-
-        // Post-join reconstruction: positions index the collected side
-        // columns (small, already filtered — the sideways advantage).
-        let t2 = Instant::now();
-        fn col_of(cols: &[(usize, Vec<Val>)], attr: usize) -> &[Val] {
-            &cols
-                .iter()
-                .find(|(a, _)| *a == attr)
-                .expect("agg attribute collected")
-                .1
-        }
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| col_of(&lcols, attr));
-        out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
-                col_of(&rcols, attr)
-            }));
-        out.aggs = finish_join_aggs(q, &out.partials);
-        timings.post_join = t2.elapsed();
-        out.timings = timings;
-        out
-    }
-
     fn insert(&mut self, row: &[Val]) {
         // §3.5: append to the base, stage everywhere; each partial set
         // merges the tuple into a chunk when a query next touches the
@@ -269,13 +140,15 @@ impl Engine for PartialEngine {
     }
 
     fn aux_tuples(&self) -> usize {
-        self.store.usage() + self.second_store.usage()
+        self.store.usage()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Joined;
+    use crate::query::{JoinQuery, JoinSide};
     use crackdb_columnstore::column::Column;
     use crackdb_columnstore::types::AggFunc;
 
@@ -395,7 +268,10 @@ mod tests {
         s.add_column("s1", Column::new(vec![11, 22, 33]));
         s.add_column("ssel", Column::new(vec![5, 6, 7]));
         s.add_column("sj", Column::new(vec![7, 9, 7]));
-        let mut e = PartialEngine::with_second(r, s, (0, 100), None);
+        let mut e = Joined::new(
+            PartialEngine::new(r, (0, 100), None),
+            PartialEngine::new(s, (0, 100), None),
+        );
         let q = JoinQuery {
             left: JoinSide {
                 preds: vec![(1, RangePred::closed(2, 4))],

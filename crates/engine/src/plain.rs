@@ -1,74 +1,38 @@
 //! The plain-MonetDB baseline: full-column scans for selections,
 //! order-preserving results, positional in-order tuple reconstruction.
 
-use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
+use crate::exec::{self, combine, AccessPath, JoinInput, RestrictCtx, RowSet};
+use crate::query::{Engine, QueryOutput, SelectQuery};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{gather_blocks, Block};
-use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use std::collections::HashSet;
-use std::time::Instant;
 
-/// Plain column-store executor over one or two base tables.
+/// Plain column-store executor over one base table.
 pub struct PlainEngine {
     base: Table,
-    second: Option<Table>,
     tombstones: HashSet<RowId>,
-    second_tombstones: HashSet<RowId>,
 }
 
 impl PlainEngine {
-    /// Single-table engine.
+    /// Engine over `base`.
     pub fn new(base: Table) -> Self {
         PlainEngine {
             base,
-            second: None,
             tombstones: HashSet::new(),
-            second_tombstones: HashSet::new(),
         }
     }
 
-    /// Two-table engine (join experiments). The left/outer table is
-    /// `base`.
-    pub fn with_second(base: Table, second: Table) -> Self {
-        PlainEngine {
-            second: Some(second),
-            ..PlainEngine::new(base)
-        }
-    }
-
-    /// Read access to the primary table.
+    /// Read access to the table.
     pub fn base(&self) -> &Table {
         &self.base
     }
 
     /// Tombstone-aware full scan; keys come out in ascending order.
-    fn scan(table: &Table, tomb: &HashSet<RowId>, attr: usize, pred: &RangePred) -> Vec<RowId> {
-        let mut keys = crackdb_columnstore::ops::select::select(table.column(attr), pred);
-        if !tomb.is_empty() {
-            keys.retain(|k| !tomb.contains(k));
-        }
-        keys
-    }
-
-    /// Conjunctive selection used by the join path: scan the first
-    /// predicate, positionally refine with the rest (order-preserving
-    /// throughout).
-    fn select_keys(
-        table: &Table,
-        tomb: &HashSet<RowId>,
-        preds: &[(usize, RangePred)],
-    ) -> Vec<RowId> {
-        if preds.is_empty() {
-            return (0..table.num_rows() as RowId)
-                .filter(|k| tomb.is_empty() || !tomb.contains(k))
-                .collect();
-        }
-        let mut keys = Self::scan(table, tomb, preds[0].0, &preds[0].1);
-        for (attr, pred) in &preds[1..] {
-            let col = table.column(*attr);
-            combine::refine_keys(&mut keys, pred, |k| col.get(k));
+    fn scan(&self, attr: usize, pred: &RangePred) -> Vec<RowId> {
+        let mut keys = crackdb_columnstore::ops::select::select(self.base.column(attr), pred);
+        if !self.tombstones.is_empty() {
+            keys.retain(|k| !self.tombstones.contains(k));
         }
         keys
     }
@@ -80,7 +44,7 @@ impl AccessPath for PlainEngine {
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, _ctx: &RestrictCtx) -> RowSet {
-        RowSet::keys(Self::scan(&self.base, &self.tombstones, attr, pred), true)
+        RowSet::keys(self.scan(attr, pred), true)
     }
 
     fn refine(&mut self, rows: &mut RowSet, attr: usize, pred: &RangePred, _ctx: &RestrictCtx) {
@@ -122,6 +86,16 @@ impl AccessPath for PlainEngine {
             gather_blocks(attr, self.base.column(attr).values(), keys, &mut *consume);
         }
     }
+
+    fn join_input(&mut self, rows: &RowSet, attrs: &[usize]) -> JoinInput<'_> {
+        let RowSet::Keys { keys, .. } = rows else {
+            unreachable!("plain scans produce key lists")
+        };
+        // Ordered keys: a sequential pattern before the join; the inner
+        // side's keys come back in hash order, so post-join
+        // reconstruction random-accesses the full base columns.
+        JoinInput::keyed(keys.iter().copied(), &self.base, attrs)
+    }
 }
 
 impl Engine for PlainEngine {
@@ -131,47 +105,6 @@ impl Engine for PlainEngine {
 
     fn select(&mut self, q: &SelectQuery) -> QueryOutput {
         exec::run_select(self, q)
-    }
-
-    fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let second = self.second.as_ref().expect("join needs a second table");
-        let mut out = QueryOutput::default();
-        let mut timings = Timings::default();
-
-        // Selections on both tables.
-        let t0 = Instant::now();
-        let lkeys = Self::select_keys(&self.base, &self.tombstones, &q.left.preds);
-        let rkeys = Self::select_keys(second, &self.second_tombstones, &q.right.preds);
-        timings.select = t0.elapsed();
-
-        // Pre-join tuple reconstruction: fetch join attributes (ordered
-        // keys → sequential pattern).
-        let t1 = Instant::now();
-        let lcol = self.base.column(q.left.join_attr);
-        let rcol = second.column(q.right.join_attr);
-        let lpairs: Vec<(RowId, Val)> = lkeys.iter().map(|&k| (k, lcol.get(k))).collect();
-        let rpairs: Vec<(RowId, Val)> = rkeys.iter().map(|&k| (k, rcol.get(k))).collect();
-        timings.reconstruct = t1.elapsed();
-
-        let t2 = Instant::now();
-        let matched = hash_join(&lpairs, &rpairs);
-        timings.join = t2.elapsed();
-        out.rows = matched.len();
-
-        // Post-join reconstruction: inner-side keys are in hash order →
-        // random access into full base columns.
-        let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| {
-            self.base.column(attr).values()
-        });
-        out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
-                second.column(attr).values()
-            }));
-        out.aggs = finish_join_aggs(q, &out.partials);
-        timings.post_join = t3.elapsed();
-        out.timings = timings;
-        out
     }
 
     fn insert(&mut self, row: &[Val]) {
@@ -229,7 +162,7 @@ mod tests {
         let mut s = Table::new();
         s.add_column("s1", Column::new(vec![11, 22]));
         s.add_column("j", Column::new(vec![2, 3]));
-        let mut e = PlainEngine::with_second(r, s);
+        let mut e = Joined::new(PlainEngine::new(r), PlainEngine::new(s));
         let q = JoinQuery {
             left: JoinSide {
                 preds: vec![(
@@ -264,5 +197,6 @@ mod tests {
         assert_eq!(e.select(&q).rows, 3);
     }
 
-    use crate::query::JoinSide;
+    use crate::exec::Joined;
+    use crate::query::{JoinQuery, JoinSide};
 }

@@ -2,11 +2,10 @@
 //! copy of the table per selection attribute. Binary-search selections,
 //! slice-read reconstructions — and a heavy, measured preparation step.
 
-use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
+use crate::exec::{self, combine, AccessPath, JoinInput, RestrictCtx, RowSet};
+use crate::query::{Engine, QueryOutput, SelectQuery};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::presorted::PresortedTable;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
@@ -21,9 +20,8 @@ pub struct PresortedEngine {
     /// engines), but deletions are *not* reflected in `base` — never
     /// rebuild a copy from it after updates have been applied.
     base: Table,
-    second: Option<Table>,
-    /// One presorted copy per (table, selection attribute).
-    copies: HashMap<(bool, usize), PresortedTable>,
+    /// One presorted copy per selection attribute.
+    copies: HashMap<usize, PresortedTable>,
     /// Wall time spent building copies (the paper reports presorting cost
     /// separately and excludes it from per-query numbers).
     pub presort_cost: Duration,
@@ -34,65 +32,22 @@ impl PresortedEngine {
     pub fn new(base: Table, sort_attrs: &[usize]) -> Self {
         let mut e = PresortedEngine {
             base,
-            second: None,
             copies: HashMap::new(),
             presort_cost: Duration::ZERO,
         };
         let t0 = Instant::now();
         for &a in sort_attrs {
             let copy = PresortedTable::build(&e.base, a);
-            e.copies.insert((false, a), copy);
+            e.copies.insert(a, copy);
         }
         e.presort_cost = t0.elapsed();
         e
     }
 
-    /// Two-table variant: also build copies of `second` on
-    /// `second_sort_attrs`.
-    pub fn with_second(
-        base: Table,
-        sort_attrs: &[usize],
-        second: Table,
-        second_sort_attrs: &[usize],
-    ) -> Self {
-        let mut e = PresortedEngine::new(base, sort_attrs);
-        let t0 = Instant::now();
-        for &a in second_sort_attrs {
-            let copy = PresortedTable::build(&second, a);
-            e.copies.insert((true, a), copy);
-        }
-        e.presort_cost += t0.elapsed();
-        e.second = Some(second);
-        e
-    }
-
-    fn copy_for(&self, second: bool, attr: usize) -> &PresortedTable {
+    fn copy_for(&self, attr: usize) -> &PresortedTable {
         self.copies
-            .get(&(second, attr))
+            .get(&attr)
             .unwrap_or_else(|| panic!("no presorted copy for attribute {attr}"))
-    }
-
-    /// Selection over a presorted copy (join path): binary search on the
-    /// sort attribute, then sequential residual filtering within the
-    /// range. Returns the copy, the range, and an optional residual bit
-    /// vector.
-    fn select_on_copy<'a>(
-        &'a self,
-        second: bool,
-        preds: &[(usize, RangePred)],
-    ) -> (&'a PresortedTable, (usize, usize), Option<BitVec>) {
-        assert!(
-            !preds.is_empty(),
-            "presorted engine needs at least one predicate"
-        );
-        let (first_attr, first_pred) = preds[0];
-        let copy = self.copy_for(second, first_attr);
-        let range = copy.select_range(&first_pred);
-        let mut bv: Option<BitVec> = None;
-        for (attr, pred) in &preds[1..] {
-            combine::fold_bv(&mut bv, copy.project(*attr, range), pred);
-        }
-        (copy, range, bv)
     }
 }
 
@@ -102,7 +57,7 @@ impl AccessPath for PresortedEngine {
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
-        let copy = self.copy_for(false, attr);
+        let copy = self.copy_for(attr);
         let range = copy.select_range(pred);
         if ctx.disjunctive {
             // Disjunctions keep a bit vector over the whole copy: the
@@ -133,7 +88,7 @@ impl AccessPath for PresortedEngine {
         };
         // Residual filtering: sequential reads of the aligned copy slice
         // into the qualifying-bit vector.
-        let copy = self.copy_for(false, head.0);
+        let copy = self.copy_for(head.0);
         combine::fold_bv(bv, copy.project(attr, *range), pred);
     }
 
@@ -144,7 +99,7 @@ impl AccessPath for PresortedEngine {
         else {
             unreachable!("disjunctive presorted plans carry a whole-copy bit vector")
         };
-        let copy = self.copy_for(false, head.0);
+        let copy = self.copy_for(head.0);
         bv.set_where_unset_range(copy.column(attr), pred);
     }
 
@@ -155,16 +110,10 @@ impl AccessPath for PresortedEngine {
             .fetch_attrs
             .iter()
             .copied()
-            .find(|&a| self.copies.contains_key(&(false, a)))
-            .or_else(|| {
-                self.copies
-                    .keys()
-                    .filter(|(second, _)| !second)
-                    .map(|&(_, a)| a)
-                    .min()
-            })
+            .find(|a| self.copies.contains_key(a))
+            .or_else(|| self.copies.keys().copied().min())
             .expect("presorted engine needs at least one sorted copy");
-        let n = self.copy_for(false, attr).num_rows();
+        let n = self.copy_for(attr).num_rows();
         RowSet::Area {
             head: (attr, RangePred::all()),
             range: (0, n),
@@ -179,7 +128,7 @@ impl AccessPath for PresortedEngine {
         // Reconstruction: aligned slice reads, one block per attribute
         // over the whole area, filtered by the residual bit vector if
         // there is one.
-        let copy = self.copy_for(false, head.0);
+        let copy = self.copy_for(head.0);
         for &attr in attrs {
             consume(Block {
                 attr,
@@ -187,6 +136,17 @@ impl AccessPath for PresortedEngine {
                 sel: bv.as_ref().map(BitVec::words),
             });
         }
+    }
+
+    fn join_input(&mut self, rows: &RowSet, attrs: &[usize]) -> JoinInput<'_> {
+        let RowSet::Area { head, range, bv } = rows else {
+            unreachable!("presorted selections produce areas")
+        };
+        // Ids are positions in the clustered area, so post-join
+        // reconstruction stays within it.
+        let copy = self.copy_for(head.0);
+        let columns = attrs.iter().map(|&a| copy.project(a, *range)).collect();
+        JoinInput::area(columns, bv.as_ref())
     }
 }
 
@@ -199,59 +159,6 @@ impl Engine for PresortedEngine {
         exec::run_select(self, q)
     }
 
-    fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let mut out = QueryOutput::default();
-        let mut timings = Timings::default();
-
-        let t0 = Instant::now();
-        let (lcopy, lrange, lbv) = self.select_on_copy(false, &q.left.preds);
-        let (rcopy, rrange, rbv) = self.select_on_copy(true, &q.right.preds);
-        timings.select = t0.elapsed();
-
-        // Pre-join: join-attribute values from the clustered ranges;
-        // carry *positions in the sorted copy* as tuple identities so
-        // post-join reconstruction stays within the clustered area.
-        let t1 = Instant::now();
-        let collect_side =
-            |copy: &PresortedTable, range: (usize, usize), bv: &Option<BitVec>, attr: usize| {
-                let vals = copy.project(attr, range);
-                let mut pairs: Vec<(RowId, Val)> = Vec::new();
-                match bv {
-                    Some(bv) => {
-                        for i in bv.iter_ones() {
-                            pairs.push(((range.0 + i) as RowId, vals[i]));
-                        }
-                    }
-                    None => {
-                        for (i, &v) in vals.iter().enumerate() {
-                            pairs.push(((range.0 + i) as RowId, v));
-                        }
-                    }
-                }
-                pairs
-            };
-        let lpairs = collect_side(lcopy, lrange, &lbv, q.left.join_attr);
-        let rpairs = collect_side(rcopy, rrange, &rbv, q.right.join_attr);
-        timings.reconstruct = t1.elapsed();
-
-        let t2 = Instant::now();
-        let matched = hash_join(&lpairs, &rpairs);
-        timings.join = t2.elapsed();
-        out.rows = matched.len();
-
-        // Post-join: positions point into the clustered sorted-copy area.
-        let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| lcopy.column(attr));
-        out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
-                rcopy.column(attr)
-            }));
-        out.aggs = finish_join_aggs(q, &out.partials);
-        timings.post_join = t3.elapsed();
-        out.timings = timings;
-        out
-    }
-
     fn insert(&mut self, row: &[Val]) {
         // Every sorted copy shifts O(n) values per insert — the §3.6
         // Exp6 maintenance cost that rules presorting out under updates.
@@ -259,20 +166,16 @@ impl Engine for PresortedEngine {
         // update streams in the differential suites and exp6 can measure
         // exactly this trade-off.
         let key = self.base.append_row(row);
-        for (&(second, _), copy) in self.copies.iter_mut() {
-            if !second {
-                copy.insert_row(row, key);
-            }
+        for copy in self.copies.values_mut() {
+            copy.insert_row(row, key);
         }
     }
 
     fn delete(&mut self, key: RowId) {
         // Physically removed from every copy; `base` keeps the row (it
         // is a construction-time snapshot — see the field docs).
-        for (&(second, _), copy) in self.copies.iter_mut() {
-            if !second {
-                copy.delete_key(key);
-            }
+        for copy in self.copies.values_mut() {
+            copy.delete_key(key);
         }
     }
 
@@ -284,7 +187,8 @@ impl Engine for PresortedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::JoinSide;
+    use crate::exec::Joined;
+    use crate::query::{JoinQuery, JoinSide};
     use crackdb_columnstore::column::Column;
     use crackdb_columnstore::types::AggFunc;
 
@@ -370,7 +274,7 @@ mod tests {
         let mut s = Table::new();
         s.add_column("s1", Column::new(vec![11, 22]));
         s.add_column("sj", Column::new(vec![2, 3]));
-        let mut e = PresortedEngine::with_second(r, &[0], s, &[0]);
+        let mut e = Joined::new(PresortedEngine::new(r, &[0]), PresortedEngine::new(s, &[0]));
         let q = JoinQuery {
             left: JoinSide {
                 preds: vec![(0, RangePred::closed(150, 400))],
@@ -386,5 +290,9 @@ mod tests {
         let out = e.join(&q);
         assert_eq!(out.rows, 2);
         assert_eq!(out.aggs, vec![Some(300), Some(33)]);
+        // A side without predicates joins a whole copy.
+        let mut all = q.clone();
+        all.left.preds.clear();
+        assert_eq!(e.join(&all).aggs, out.aggs);
     }
 }

@@ -120,8 +120,18 @@ pub trait Engine {
     /// Execute a single-table query.
     fn select(&mut self, q: &SelectQuery) -> QueryOutput;
 
-    /// Execute a two-table join query.
-    fn join(&mut self, q: &JoinQuery) -> QueryOutput;
+    /// Execute a two-table join query. An engine over one table has no
+    /// second one to join: [`Joined`](crate::exec::Joined) pairs two
+    /// single-table engines into one that answers joins, and a
+    /// [`ShardedEngine`](crate::exec::ShardedEngine) over `Joined`
+    /// shards fans them out.
+    ///
+    /// # Panics
+    /// By default, always: the engine holds one table.
+    fn join(&mut self, q: &JoinQuery) -> QueryOutput {
+        let _ = q;
+        panic!("{} holds one table; join through exec::Joined", self.name())
+    }
 
     /// [`Engine::select`], which cannot fail. Kept only because
     /// `benchmark/src/sut.rs` calls it; ROADMAP item 1 deletes it.

@@ -7,42 +7,39 @@
 //! ([`RowSet::Area`]): the cracked attribute is the area's head slice,
 //! other attributes are gathered through its tail slice, residual
 //! predicates fold into a bit vector over it — no key list is allocated.
-//! Disjunctions and joins copy the keys out ([`RowSet::Keys`]).
+//! Disjunctions copy the keys out ([`RowSet::Keys`]); a join side reads
+//! its keys through the area's tail.
 
-use crate::exec::{self, combine, AccessPath, RestrictCtx, RowSet};
-use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
+use crate::exec::{self, combine, AccessPath, JoinInput, RestrictCtx, RowSet};
+use crate::query::{Engine, QueryOutput, SelectQuery};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::{gather_blocks, Block};
-use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::BitVec;
 use crackdb_cracking::CrackerColumn;
 use std::collections::{BTreeSet, HashMap};
-use std::time::Instant;
 
 /// Selection-cracking executor.
 pub struct SelCrackEngine {
     base: Table,
-    second: Option<Table>,
-    /// Cracker columns per (table, attribute), created on first use.
-    crackers: HashMap<(bool, usize), CrackerColumn>,
-    /// Keys deleted from the primary table. A cracker column created
+    /// Cracker columns per attribute, created on first use.
+    crackers: HashMap<usize, CrackerColumn>,
+    /// Keys deleted from the table. A cracker column created
     /// later is seeded from the base rows minus these.
     tombstones: BTreeSet<RowId>,
     /// Value domain for ordering predicates by estimated selectivity
     /// ("all systems evaluate queries starting from the most selective
     /// predicate", §3.6 Exp4).
     domain: (Val, Val),
-    /// Per-attribute domains of the primary table overriding `domain`.
+    /// Per-attribute domains overriding `domain`.
     domains: HashMap<usize, (Val, Val)>,
 }
 
 impl SelCrackEngine {
-    /// Single-table engine.
+    /// Engine over `base`.
     pub fn new(base: Table, domain: (Val, Val)) -> Self {
         SelCrackEngine {
             base,
-            second: None,
             crackers: HashMap::new(),
             tombstones: BTreeSet::new(),
             domain,
@@ -50,58 +47,28 @@ impl SelCrackEngine {
         }
     }
 
-    /// Two-table engine.
-    pub fn with_second(base: Table, second: Table, domain: (Val, Val)) -> Self {
-        SelCrackEngine {
-            second: Some(second),
-            ..SelCrackEngine::new(base, domain)
-        }
-    }
-
-    /// Register the value domain of one primary-table attribute; its
+    /// Register the value domain of one attribute; its
     /// selectivity estimates use it instead of the constructor's domain.
     pub(crate) fn set_domain(&mut self, attr: usize, domain: (Val, Val)) {
         self.domains.insert(attr, domain);
     }
 
-    /// The value domain of an attribute: its registered one on the
-    /// primary table, the constructor's otherwise.
-    fn domain(&self, second: bool, attr: usize) -> (Val, Val) {
-        match self.domains.get(&attr) {
-            Some(&domain) if !second => domain,
-            _ => self.domain,
-        }
-    }
-
-    fn order_preds(
-        &self,
-        preds: &[(usize, RangePred)],
-        n: usize,
-        second: bool,
-    ) -> Vec<(usize, RangePred)> {
-        let estimate = |&(attr, pred): &(usize, RangePred)| {
-            crackdb_core::set::uniform_estimate(&pred, n, self.domain(second, attr))
-        };
-        let mut ordered = preds.to_vec();
-        // total_cmp, like the shared planner: a NaN estimate from
-        // degenerate domain statistics must never panic predicate
-        // ordering — it just sorts last and the plan stays valid.
-        ordered.sort_by(|a, b| estimate(a).total_cmp(&estimate(b)));
-        ordered
+    /// The value domain of an attribute: its registered one, the
+    /// constructor's otherwise.
+    fn domain(&self, attr: usize) -> (Val, Val) {
+        self.domains.get(&attr).copied().unwrap_or(self.domain)
     }
 
     /// One attribute's cracker column, created for its first query,
-    /// `pred`, from the table's rows minus the `tombstones`.
-    fn cracker<'a>(
-        crackers: &'a mut HashMap<(bool, usize), CrackerColumn>,
-        (table, tombstones): (&Table, &BTreeSet<RowId>),
-        second: bool,
-        attr: usize,
-        pred: &RangePred,
-    ) -> &'a mut CrackerColumn {
-        crackers.entry((second, attr)).or_insert_with(|| {
-            let col = table.column(attr);
-            let excluded: Vec<RowId> = tombstones.range(..col.len() as RowId).copied().collect();
+    /// `pred`, from the table's rows minus the tombstones.
+    fn cracker(&mut self, attr: usize, pred: &RangePred) -> &mut CrackerColumn {
+        self.crackers.entry(attr).or_insert_with(|| {
+            let col = self.base.column(attr);
+            let excluded: Vec<RowId> = self
+                .tombstones
+                .range(..col.len() as RowId)
+                .copied()
+                .collect();
             CrackerColumn::for_query(col, &excluded, pred)
         })
     }
@@ -110,28 +77,7 @@ impl SelCrackEngine {
     /// so valid only until the column cracks or ripples again — which a
     /// conjunctive plan never does between `restrict` and `fetch`.
     fn area(&self, head_attr: usize, range: (usize, usize)) -> (&[Val], &[RowId]) {
-        self.crackers[&(false, head_attr)].array().view(range)
-    }
-
-    /// Conjunctive selection used by the join path: `crackers.select` for
-    /// the first predicate, `rel_select` (positional filtering against
-    /// base columns) for the rest.
-    fn select_keys(
-        crackers: &mut HashMap<(bool, usize), CrackerColumn>,
-        (table, tombstones): (&Table, &BTreeSet<RowId>),
-        second: bool,
-        preds: &[(usize, RangePred)],
-    ) -> Vec<RowId> {
-        // No predicate: still answer through a cracker column so that
-        // queued (ripple) insertions and deletions are respected.
-        let (attr, first) = preds.first().copied().unwrap_or((0, RangePred::all()));
-        let mut keys =
-            Self::cracker(crackers, (table, tombstones), second, attr, &first).select_keys(&first);
-        for (attr, pred) in preds.iter().skip(1) {
-            let col = table.column(*attr);
-            combine::refine_keys(&mut keys, pred, |k| col.get(k));
-        }
-        keys
+        self.crackers[&head_attr].array().view(range)
     }
 }
 
@@ -144,13 +90,12 @@ impl AccessPath for SelCrackEngine {
         Some(crackdb_core::set::uniform_estimate(
             pred,
             self.base.num_rows(),
-            self.domain(false, attr),
+            self.domain(attr),
         ))
     }
 
     fn restrict(&mut self, attr: usize, pred: &RangePred, ctx: &RestrictCtx) -> RowSet {
-        let source = (&self.base, &self.tombstones);
-        let cracker = Self::cracker(&mut self.crackers, source, false, attr, pred);
+        let cracker = self.cracker(attr, pred);
         // A disjunction's later selects may crack or ripple this very
         // column (`a < x or a > y`), moving the tuples under an area.
         if ctx.disjunctive {
@@ -194,8 +139,7 @@ impl AccessPath for SelCrackEngine {
         let RowSet::Keys { keys, .. } = rows else {
             return; // disjunctive plans start from `restrict`'s key list
         };
-        let source = (&self.base, &self.tombstones);
-        let more = Self::cracker(&mut self.crackers, source, false, attr, pred).select_keys(pred);
+        let more = self.cracker(attr, pred).select_keys(pred);
         combine::union_keys_unordered(keys, more);
     }
 
@@ -241,6 +185,19 @@ impl AccessPath for SelCrackEngine {
             RowSet::Deferred { .. } | RowSet::DeferredUnion { .. } => {}
         }
     }
+
+    fn join_input(&mut self, rows: &RowSet, attrs: &[usize]) -> JoinInput<'_> {
+        let RowSet::Area { head, range, bv } = rows else {
+            unreachable!("conjunctive selection-cracking plans are areas")
+        };
+        // The area's keys are unordered: join values and post-join
+        // values alike random-access the full base columns.
+        let (_, tail) = self.area(head.0, *range);
+        match bv {
+            None => JoinInput::keyed(tail.iter().copied(), &self.base, attrs),
+            Some(bv) => JoinInput::keyed(bv.iter_ones().map(|i| tail[i]), &self.base, attrs),
+        }
+    }
 }
 
 impl Engine for SelCrackEngine {
@@ -252,54 +209,10 @@ impl Engine for SelCrackEngine {
         exec::run_select(self, q)
     }
 
-    fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let mut out = QueryOutput::default();
-        let mut timings = Timings::default();
-        let n = self.base.num_rows();
-        let second = self.second.as_ref().expect("join needs a second table");
-        let n2 = second.num_rows();
-
-        let t0 = Instant::now();
-        let lpreds = self.order_preds(&q.left.preds, n, false);
-        let rpreds = self.order_preds(&q.right.preds, n2, true);
-        let lsource = (&self.base, &self.tombstones);
-        let lkeys = Self::select_keys(&mut self.crackers, lsource, false, &lpreds);
-        let rsource = (second, &BTreeSet::new());
-        let rkeys = Self::select_keys(&mut self.crackers, rsource, true, &rpreds);
-        timings.select = t0.elapsed();
-
-        let t1 = Instant::now();
-        let lcol = self.base.column(q.left.join_attr);
-        let rcol = second.column(q.right.join_attr);
-        let lpairs: Vec<(RowId, Val)> = lkeys.iter().map(|&k| (k, lcol.get(k))).collect();
-        let rpairs: Vec<(RowId, Val)> = rkeys.iter().map(|&k| (k, rcol.get(k))).collect();
-        timings.reconstruct = t1.elapsed();
-
-        let t2 = Instant::now();
-        let matched = hash_join(&lpairs, &rpairs);
-        timings.join = t2.elapsed();
-        out.rows = matched.len();
-
-        let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| {
-            self.base.column(attr).values()
-        });
-        out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
-                second.column(attr).values()
-            }));
-        out.aggs = finish_join_aggs(q, &out.partials);
-        timings.post_join = t3.elapsed();
-        out.timings = timings;
-        out
-    }
-
     fn insert(&mut self, row: &[Val]) {
         let key = self.base.append_row(row);
-        for ((second, attr), cracker) in self.crackers.iter_mut() {
-            if !*second {
-                cracker.queue_insert(self.base.column(*attr).get(key), key);
-            }
+        for (&attr, cracker) in self.crackers.iter_mut() {
+            cracker.queue_insert(self.base.column(attr).get(key), key);
         }
     }
 
@@ -308,10 +221,8 @@ impl Engine for SelCrackEngine {
         // for the Ripple algorithm in every cracker column that exists;
         // a column created later is seeded without the key.
         self.tombstones.insert(key);
-        for ((second, attr), cracker) in self.crackers.iter_mut() {
-            if !*second {
-                cracker.queue_delete(self.base.column(*attr).get(key), key);
-            }
+        for (&attr, cracker) in self.crackers.iter_mut() {
+            cracker.queue_delete(self.base.column(attr).get(key), key);
         }
     }
 

@@ -1,43 +1,29 @@
 //! The paper's system: sideways cracking with full maps.
 
-use crate::exec::{self, AccessPath, RestrictCtx, RowSet};
-use crate::query::{finish_join_aggs, Engine, JoinQuery, QueryOutput, SelectQuery, Timings};
+use crate::exec::{self, AccessPath, JoinInput, RestrictCtx, RowSet};
+use crate::query::{Engine, QueryOutput, SelectQuery};
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::ops::block::Block;
-use crackdb_columnstore::ops::join::hash_join;
 use crackdb_columnstore::types::{RangePred, RowId, Val};
 use crackdb_core::store::plan_maps;
 use crackdb_core::SidewaysStore;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Sideways-cracking executor (full maps).
 pub struct SidewaysEngine {
     base: Table,
-    second: Option<Table>,
     store: SidewaysStore,
-    second_store: SidewaysStore,
     tombstones: HashSet<RowId>,
 }
 
 impl SidewaysEngine {
-    /// Single-table engine; `domain` is the attribute value domain used
+    /// Engine over `base`; `domain` is the attribute value domain used
     /// for zero-knowledge selectivity estimates.
     pub fn new(base: Table, domain: (Val, Val)) -> Self {
         SidewaysEngine {
             base,
-            second: None,
             store: SidewaysStore::new(domain),
-            second_store: SidewaysStore::new(domain),
             tombstones: HashSet::new(),
-        }
-    }
-
-    /// Two-table engine.
-    pub fn with_second(base: Table, second: Table, domain: (Val, Val)) -> Self {
-        SidewaysEngine {
-            second: Some(second),
-            ..SidewaysEngine::new(base, domain)
         }
     }
 
@@ -46,7 +32,7 @@ impl SidewaysEngine {
         self.store.budget = budget;
     }
 
-    /// Register the value domain of one primary-table attribute; its
+    /// Register the value domain of one attribute; its
     /// selectivity estimates use it instead of the constructor's domain.
     pub(crate) fn set_domain(&mut self, attr: usize, domain: (Val, Val)) {
         self.store.set_domain(attr, domain);
@@ -159,6 +145,18 @@ impl AccessPath for SidewaysEngine {
             consume(s.view_block(attr, *range, bv.as_ref()));
         }
     }
+
+    fn join_input(&mut self, rows: &RowSet, attrs: &[usize]) -> JoinInput<'_> {
+        let RowSet::Area { head, range, bv } = rows else {
+            unreachable!("sideways selections produce areas")
+        };
+        // Ids are positions in the cracked area of the aligned maps, so
+        // post-join reconstruction random-accesses only that small area:
+        // the sideways advantage.
+        let s = &*self.store.ensure_set(&self.base, head.0, &self.tombstones);
+        let columns = attrs.iter().map(|&a| s.view_tail(a, *range)).collect();
+        JoinInput::area(columns, bv.as_ref())
+    }
 }
 
 impl Engine for SidewaysEngine {
@@ -168,84 +166,6 @@ impl Engine for SidewaysEngine {
 
     fn select(&mut self, q: &SelectQuery) -> QueryOutput {
         exec::run_select(self, q)
-    }
-
-    fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let second = self.second.as_ref().expect("join needs a second table");
-        let mut out = QueryOutput::default();
-        let mut timings = Timings::default();
-        let none = HashSet::new();
-
-        // Selections: conjunctive bit vectors on both sides.
-        let t0 = Instant::now();
-        let lextra: Vec<usize> = q
-            .left
-            .aggs
-            .iter()
-            .map(|&(a, _)| a)
-            .chain([q.left.join_attr])
-            .collect();
-        let rextra: Vec<usize> = q
-            .right
-            .aggs
-            .iter()
-            .map(|&(a, _)| a)
-            .chain([q.right.join_attr])
-            .collect();
-        let lh = self
-            .store
-            .conjunctive_bv(&self.base, &q.left.preds, &lextra, &self.tombstones);
-        let rh = self
-            .second_store
-            .conjunctive_bv(second, &q.right.preds, &rextra, &none);
-        timings.select = t0.elapsed();
-
-        // Pre-join reconstruction: join-attribute values from the aligned
-        // maps; tuple identity = position within the cracked area.
-        let t1 = Instant::now();
-        let lpairs: Vec<(RowId, Val)> = {
-            let tails = self.store.tail_slice(&self.base, &lh, q.left.join_attr);
-            match &lh.bv {
-                Some(bv) => bv.iter_ones().map(|i| (i as RowId, tails[i])).collect(),
-                None => tails
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (i as RowId, v))
-                    .collect(),
-            }
-        };
-        let rpairs: Vec<(RowId, Val)> = {
-            let tails = self.second_store.tail_slice(second, &rh, q.right.join_attr);
-            match &rh.bv {
-                Some(bv) => bv.iter_ones().map(|i| (i as RowId, tails[i])).collect(),
-                None => tails
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (i as RowId, v))
-                    .collect(),
-            }
-        };
-        timings.reconstruct = t1.elapsed();
-
-        let t2 = Instant::now();
-        let matched = hash_join(&lpairs, &rpairs);
-        timings.join = t2.elapsed();
-        out.rows = matched.len();
-
-        // Post-join reconstruction: random access *within the small
-        // cracked areas* of the aligned maps — the sideways advantage.
-        let t3 = Instant::now();
-        out.partials = exec::fold_matched(&matched, &q.left, true, |attr| {
-            self.store.tail_slice(&self.base, &lh, attr)
-        });
-        out.partials
-            .extend(exec::fold_matched(&matched, &q.right, false, |attr| {
-                self.second_store.tail_slice(second, &rh, attr)
-            }));
-        out.aggs = finish_join_aggs(q, &out.partials);
-        timings.post_join = t3.elapsed();
-        out.timings = timings;
-        out
     }
 
     fn insert(&mut self, row: &[Val]) {
@@ -259,14 +179,15 @@ impl Engine for SidewaysEngine {
     }
 
     fn aux_tuples(&self) -> usize {
-        self.store.tuples() + self.second_store.tuples()
+        self.store.tuples()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::JoinSide;
+    use crate::exec::Joined;
+    use crate::query::{JoinQuery, JoinSide};
     use crackdb_columnstore::column::Column;
     use crackdb_columnstore::types::AggFunc;
 
@@ -327,8 +248,12 @@ mod tests {
         s.add_column("s1", Column::new(vec![11, 22, 33]));
         s.add_column("ssel", Column::new(vec![5, 6, 7]));
         s.add_column("sj", Column::new(vec![7, 9, 7]));
-        let mut plain = crate::PlainEngine::with_second(r.clone(), s.clone());
-        let mut e = SidewaysEngine::with_second(r, s, (0, 100));
+        let plain = |t: &Table| crate::PlainEngine::new(t.clone());
+        let mut plain = Joined::new(plain(&r), plain(&s));
+        let mut e = Joined::new(
+            SidewaysEngine::new(r, (0, 100)),
+            SidewaysEngine::new(s, (0, 100)),
+        );
         let q = JoinQuery {
             left: JoinSide {
                 preds: vec![(1, RangePred::closed(2, 4))],

@@ -7,8 +7,8 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
-    SelectQuery, ShardedEngine, SidewaysEngine,
+    Engine, JoinQuery, JoinSide, Joined, PartialEngine, PlainEngine, PresortedEngine,
+    SelCrackEngine, SelectQuery, ShardedEngine, SidewaysEngine,
 };
 
 fn empty_table(cols: usize) -> Table {
@@ -106,12 +106,12 @@ fn single_value_domains_never_panic_the_planner() {
     check_engines(&t, (9, 3), "inverted domain");
 }
 
-/// `SelCrackEngine::order_preds` orders a join side's predicates by
-/// uniform selectivity estimates; it used to `partial_cmp(..).expect`
-/// on them — the exact NaN panic the shared planner fixed with
-/// `total_cmp` but this path missed. Drive multi-predicate conjunctions
-/// through the SelCrack join path on every degenerate domain and
-/// require plain-identical answers.
+/// A join side's predicates are ordered by uniform selectivity
+/// estimates; the selection-cracking join once ordered them itself with
+/// `partial_cmp(..).expect` — the exact NaN panic the shared planner
+/// fixed with `total_cmp`. Drive multi-predicate conjunctions through
+/// the selection-cracking join on every degenerate domain and require
+/// plain-identical answers.
 #[test]
 fn selcrack_join_ordering_survives_degenerate_domains() {
     let tables: Vec<(Table, (Val, Val), &str)> = vec![
@@ -119,7 +119,7 @@ fn selcrack_join_ordering_survives_degenerate_domains() {
         (single_value_table(3, 40, 5), (5, 5), "single-value domain"),
         (single_value_table(3, 40, 5), (9, 3), "inverted domain"),
     ];
-    // Two predicates per side so order_preds actually compares the
+    // Two predicates per side so the planner actually compares the
     // (possibly degenerate) selectivity estimates.
     let q = JoinQuery {
         left: JoinSide {
@@ -134,9 +134,12 @@ fn selcrack_join_ordering_survives_degenerate_domains() {
         },
     };
     for (t, domain, ctx) in &tables {
-        let mut plain = PlainEngine::with_second(t.clone(), t.clone());
+        let mut plain = Joined::new(PlainEngine::new(t.clone()), PlainEngine::new(t.clone()));
         let expected = plain.join(&q);
-        let mut e = SelCrackEngine::with_second(t.clone(), t.clone(), *domain);
+        let mut e = Joined::new(
+            SelCrackEngine::new(t.clone(), *domain),
+            SelCrackEngine::new(t.clone(), *domain),
+        );
         let out = e.join(&q);
         assert_eq!(out.rows, expected.rows, "{ctx}: rows");
         assert_eq!(out.aggs, expected.aggs, "{ctx}: aggs");

@@ -4,8 +4,8 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
-    SelectQuery, SidewaysEngine,
+    Engine, JoinQuery, JoinSide, Joined, PartialEngine, PlainEngine, PresortedEngine,
+    SelCrackEngine, SelectQuery, SidewaysEngine,
 };
 
 const DOMAIN: (Val, Val) = (0, 1000);
@@ -153,29 +153,59 @@ fn engines_agree_under_updates() {
     }
 }
 
+/// A join side's conjunction: none, one or three range predicates.
+/// The first is on attribute 1, the presorted engines' sort attribute
+/// (the presorted baseline restricts by its first predicate).
+fn random_side_preds(rng: &mut Lcg) -> Vec<(usize, RangePred)> {
+    let npreds = [0, 1, 3][rng.next(3) as usize];
+    [1, 0, 2][..npreds]
+        .iter()
+        .map(|&attr| {
+            let lo = rng.next(800);
+            (attr, RangePred::open(lo, lo + 300 + rng.next(400)))
+        })
+        .collect()
+}
+
 #[test]
 fn engines_agree_on_joins() {
     let left = random_table(4, 200, 5);
     let right = random_table(4, 150, 6);
-    let mut plain = PlainEngine::with_second(left.clone(), right.clone());
-    let mut presorted = PresortedEngine::with_second(left.clone(), &[1], right.clone(), &[1]);
-    let mut selcrack = SelCrackEngine::with_second(left.clone(), right.clone(), DOMAIN);
-    let mut sideways = SidewaysEngine::with_second(left.clone(), right.clone(), DOMAIN);
-    let mut partial = PartialEngine::with_second(left.clone(), right.clone(), DOMAIN, None);
-    let mut partial_b = PartialEngine::with_second(left.clone(), right.clone(), DOMAIN, Some(200));
+    let mut plain = Joined::new(
+        PlainEngine::new(left.clone()),
+        PlainEngine::new(right.clone()),
+    );
+    let mut presorted = Joined::new(
+        PresortedEngine::new(left.clone(), &[1]),
+        PresortedEngine::new(right.clone(), &[1]),
+    );
+    let mut selcrack = Joined::new(
+        SelCrackEngine::new(left.clone(), DOMAIN),
+        SelCrackEngine::new(right.clone(), DOMAIN),
+    );
+    let mut sideways = Joined::new(
+        SidewaysEngine::new(left.clone(), DOMAIN),
+        SidewaysEngine::new(right.clone(), DOMAIN),
+    );
+    let mut partial = Joined::new(
+        PartialEngine::new(left.clone(), DOMAIN, None),
+        PartialEngine::new(right.clone(), DOMAIN, None),
+    );
+    let mut partial_b = Joined::new(
+        PartialEngine::new(left.clone(), DOMAIN, Some(200)),
+        PartialEngine::new(right.clone(), DOMAIN, None),
+    );
 
     let mut rng = Lcg(31);
-    for i in 0..15 {
-        let llo = rng.next(800);
-        let rlo = rng.next(800);
+    for i in 0..30 {
         let q = JoinQuery {
             left: JoinSide {
-                preds: vec![(1, RangePred::open(llo, llo + 300))],
+                preds: random_side_preds(&mut rng),
                 join_attr: 3,
                 aggs: random_funcs(&mut rng, 0),
             },
             right: JoinSide {
-                preds: vec![(1, RangePred::open(rlo, rlo + 300))],
+                preds: random_side_preds(&mut rng),
                 join_attr: 3,
                 aggs: random_funcs(&mut rng, 2),
             },

@@ -23,8 +23,8 @@
 
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
-    Client, Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, QueryOutput,
-    SelCrackEngine, SelectQuery, Service, ShardedEngine, SidewaysEngine,
+    Client, Engine, JoinQuery, JoinSide, Joined, PartialEngine, PlainEngine, PresortedEngine,
+    QueryOutput, SelCrackEngine, SelectQuery, Service, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::random_table;
@@ -462,44 +462,73 @@ fn concurrent_joins_match_unsharded() {
         svc.shutdown();
     }
 
+    // The left table is sharded; every shard joins its part with the
+    // whole right table.
     check(
         "plain",
         &queries,
-        PlainEngine::with_second(left.clone(), right.clone()),
-        ShardedEngine::build_with_second(left.clone(), right.clone(), 3, |_, part, second| {
-            PlainEngine::with_second(part, second)
+        Joined::new(
+            PlainEngine::new(left.clone()),
+            PlainEngine::new(right.clone()),
+        ),
+        ShardedEngine::build(left.clone(), 3, |_, part| {
+            Joined::new(PlainEngine::new(part), PlainEngine::new(right.clone()))
         }),
     );
     check(
         "presorted",
         &queries,
-        PresortedEngine::with_second(left.clone(), &[1], right.clone(), &[1]),
-        ShardedEngine::build_with_second(left.clone(), right.clone(), 3, |_, part, second| {
-            PresortedEngine::with_second(part, &[1], second, &[1])
+        Joined::new(
+            PresortedEngine::new(left.clone(), &[1]),
+            PresortedEngine::new(right.clone(), &[1]),
+        ),
+        ShardedEngine::build(left.clone(), 3, |_, part| {
+            Joined::new(
+                PresortedEngine::new(part, &[1]),
+                PresortedEngine::new(right.clone(), &[1]),
+            )
         }),
     );
     check(
         "selcrack",
         &queries,
-        SelCrackEngine::with_second(left.clone(), right.clone(), DOMAIN),
-        ShardedEngine::build_with_second(left.clone(), right.clone(), 3, |_, part, second| {
-            SelCrackEngine::with_second(part, second, DOMAIN)
+        Joined::new(
+            SelCrackEngine::new(left.clone(), DOMAIN),
+            SelCrackEngine::new(right.clone(), DOMAIN),
+        ),
+        ShardedEngine::build(left.clone(), 3, |_, part| {
+            Joined::new(
+                SelCrackEngine::new(part, DOMAIN),
+                SelCrackEngine::new(right.clone(), DOMAIN),
+            )
         }),
     );
     check(
         "sideways",
         &queries,
-        SidewaysEngine::with_second(left.clone(), right.clone(), DOMAIN),
-        ShardedEngine::build_with_second(left.clone(), right.clone(), 3, |_, part, second| {
-            SidewaysEngine::with_second(part, second, DOMAIN)
+        Joined::new(
+            SidewaysEngine::new(left.clone(), DOMAIN),
+            SidewaysEngine::new(right.clone(), DOMAIN),
+        ),
+        ShardedEngine::build(left.clone(), 3, |_, part| {
+            Joined::new(
+                SidewaysEngine::new(part, DOMAIN),
+                SidewaysEngine::new(right.clone(), DOMAIN),
+            )
         }),
     );
     check(
         "partial",
         &queries,
-        PartialEngine::with_second(left.clone(), right.clone(), DOMAIN, None),
-        ShardedEngine::build_with_second(left.clone(), right.clone(), 3, |_, part, second| {
-            PartialEngine::with_second(part, second, DOMAIN, None)
+        Joined::new(
+            PartialEngine::new(left.clone(), DOMAIN, None),
+            PartialEngine::new(right.clone(), DOMAIN, None),
+        ),
+        ShardedEngine::build(left.clone(), 3, |_, part| {
+            Joined::new(
+                PartialEngine::new(part, DOMAIN, None),
+                PartialEngine::new(right.clone(), DOMAIN, None),
+            )
         }),
     );
 }

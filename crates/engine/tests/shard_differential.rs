@@ -7,8 +7,8 @@
 use crackdb_columnstore::column::Table;
 use crackdb_columnstore::types::{AggFunc, RangePred, Val};
 use crackdb_engine::{
-    Engine, JoinQuery, JoinSide, PartialEngine, PlainEngine, PresortedEngine, SelCrackEngine,
-    SelectQuery, ShardedEngine, SidewaysEngine,
+    Engine, JoinQuery, JoinSide, Joined, PartialEngine, PlainEngine, PresortedEngine,
+    SelCrackEngine, SelectQuery, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::{random_table, random_table_shards};
@@ -315,11 +315,26 @@ fn joins_sharded_agree() {
         })
         .collect();
 
-    let mut plain = PlainEngine::with_second(left.clone(), right.clone());
-    let mut selcrack = SelCrackEngine::with_second(left.clone(), right.clone(), DOMAIN);
-    let mut sideways = SidewaysEngine::with_second(left.clone(), right.clone(), DOMAIN);
-    let mut presorted = PresortedEngine::with_second(left.clone(), &[1], right.clone(), &[1]);
-    let mut partial = PartialEngine::with_second(left.clone(), right.clone(), DOMAIN, None);
+    let mut plain = Joined::new(
+        PlainEngine::new(left.clone()),
+        PlainEngine::new(right.clone()),
+    );
+    let mut selcrack = Joined::new(
+        SelCrackEngine::new(left.clone(), DOMAIN),
+        SelCrackEngine::new(right.clone(), DOMAIN),
+    );
+    let mut sideways = Joined::new(
+        SidewaysEngine::new(left.clone(), DOMAIN),
+        SidewaysEngine::new(right.clone(), DOMAIN),
+    );
+    let mut presorted = Joined::new(
+        PresortedEngine::new(left.clone(), &[1]),
+        PresortedEngine::new(right.clone(), &[1]),
+    );
+    let mut partial = Joined::new(
+        PartialEngine::new(left.clone(), DOMAIN, None),
+        PartialEngine::new(right.clone(), DOMAIN, None),
+    );
     let expected: Vec<_> = queries.iter().map(|q| plain.join(q)).collect();
     // Unsharded engines agree with each other first.
     for (i, (q, e)) in queries.iter().zip(&expected).enumerate() {
@@ -334,36 +349,35 @@ fn joins_sharded_agree() {
         }
     }
     for shards in SHARD_COUNTS {
-        let mut sp = ShardedEngine::build_with_second(
-            left.clone(),
-            right.clone(),
-            shards,
-            |_, part, second| PlainEngine::with_second(part, second),
-        );
-        let mut ssc = ShardedEngine::build_with_second(
-            left.clone(),
-            right.clone(),
-            shards,
-            |_, part, second| SelCrackEngine::with_second(part, second, DOMAIN),
-        );
-        let mut ssw = ShardedEngine::build_with_second(
-            left.clone(),
-            right.clone(),
-            shards,
-            |_, part, second| SidewaysEngine::with_second(part, second, DOMAIN),
-        );
-        let mut spt = ShardedEngine::build_with_second(
-            left.clone(),
-            right.clone(),
-            shards,
-            |_, part, second| PartialEngine::with_second(part, second, DOMAIN, None),
-        );
-        let mut sptb = ShardedEngine::build_with_second(
-            left.clone(),
-            right.clone(),
-            shards,
-            |_, part, second| PartialEngine::with_second(part, second, DOMAIN, Some(150)),
-        );
+        // The left table is sharded; every shard joins its part with
+        // the whole right table.
+        let mut sp = ShardedEngine::build(left.clone(), shards, |_, part| {
+            Joined::new(PlainEngine::new(part), PlainEngine::new(right.clone()))
+        });
+        let mut ssc = ShardedEngine::build(left.clone(), shards, |_, part| {
+            Joined::new(
+                SelCrackEngine::new(part, DOMAIN),
+                SelCrackEngine::new(right.clone(), DOMAIN),
+            )
+        });
+        let mut ssw = ShardedEngine::build(left.clone(), shards, |_, part| {
+            Joined::new(
+                SidewaysEngine::new(part, DOMAIN),
+                SidewaysEngine::new(right.clone(), DOMAIN),
+            )
+        });
+        let mut spt = ShardedEngine::build(left.clone(), shards, |_, part| {
+            Joined::new(
+                PartialEngine::new(part, DOMAIN, None),
+                PartialEngine::new(right.clone(), DOMAIN, None),
+            )
+        });
+        let mut sptb = ShardedEngine::build(left.clone(), shards, |_, part| {
+            Joined::new(
+                PartialEngine::new(part, DOMAIN, Some(150)),
+                PartialEngine::new(right.clone(), DOMAIN, None),
+            )
+        });
         for (i, (q, e)) in queries.iter().zip(&expected).enumerate() {
             for (name, out) in [
                 ("plain", sp.join(q)),

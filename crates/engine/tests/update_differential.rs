@@ -16,6 +16,10 @@
 //! by value on the first map that crosses a delete batch, and through
 //! the key map only when twins make that ambiguous.
 //!
+//! Joins ride along the same stream: every design joined with a second
+//! table, unsharded and sharded, must send each update to the left
+//! table only.
+//!
 //! The last group runs a `svc_mixed`-shaped stream whose reads first
 //! crack every map into thousands of pieces, so each merged update
 //! ripples across thousands of boundaries (and empty pieces).
@@ -23,8 +27,8 @@
 use crackdb_columnstore::column::{Column, Table};
 use crackdb_columnstore::types::{AggFunc, RangePred, RowId, Val};
 use crackdb_engine::{
-    Engine, PartialEngine, PlainEngine, PresortedEngine, QueryOutput, SelCrackEngine, SelectQuery,
-    Service, ShardedEngine, SidewaysEngine,
+    AccessPath, Engine, JoinQuery, JoinSide, Joined, PartialEngine, PlainEngine, PresortedEngine,
+    QueryOutput, SelCrackEngine, SelectQuery, Service, ShardedEngine, SidewaysEngine,
 };
 use crackdb_rng::{rngs::StdRng, Rng, SeedableRng};
 use crackdb_workloads::{random_table, RangeGen};
@@ -34,10 +38,14 @@ const DOMAIN: (Val, Val) = (0, 1000);
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// One step of the interleaved workload.
+#[derive(Clone)]
 enum Op {
     Insert(Vec<Val>),
     Delete(RowId),
     Select(SelectQuery),
+    /// A join of the updated table with a second one that stays as
+    /// built.
+    Join(JoinQuery),
 }
 
 /// Build a deterministic interleaved stream: inserts of fresh rows,
@@ -85,7 +93,8 @@ fn workload(cols: usize, initial_rows: usize, steps: usize, seed: u64) -> Vec<Op
     ops
 }
 
-/// Replay `ops` on `engine`, returning the outputs of the select steps.
+/// Replay `ops` on `engine`, returning the outputs of the select and
+/// join steps.
 fn replay<E: Engine>(engine: &mut E, ops: &[Op]) -> Vec<QueryOutput> {
     let mut outs = Vec::new();
     for op in ops {
@@ -93,6 +102,7 @@ fn replay<E: Engine>(engine: &mut E, ops: &[Op]) -> Vec<QueryOutput> {
             Op::Insert(row) => engine.insert(row),
             Op::Delete(key) => engine.delete(*key),
             Op::Select(q) => outs.push(engine.select(q)),
+            Op::Join(q) => outs.push(engine.join(q)),
         }
     }
     outs
@@ -153,8 +163,6 @@ fn unsharded_engines_agree_under_interleaved_updates() {
 fn conjunctive(ops: &[Op]) -> Vec<Op> {
     ops.iter()
         .map(|op| match op {
-            Op::Insert(row) => Op::Insert(row.clone()),
-            Op::Delete(key) => Op::Delete(*key),
             Op::Select(q) => {
                 let mut q = q.clone();
                 let attr = q.preds[0].0;
@@ -163,6 +171,7 @@ fn conjunctive(ops: &[Op]) -> Vec<Op> {
                 q.projs = vec![(attr + 2) % 3];
                 Op::Select(q)
             }
+            op => op.clone(),
         })
         .collect()
 }
@@ -194,6 +203,7 @@ fn partial_with_budget_agrees_and_respects_budget_under_updates() {
                         e.store().usage()
                     );
                 }
+                Op::Join(q) => outs.push(e.join(q)),
             }
             for attr in 0..3 {
                 if let Some(set) = e.store().set(attr) {
@@ -284,6 +294,92 @@ fn sharded_presorted_agrees_under_interleaved_updates() {
             &format!("presorted x{shards}"),
         );
     }
+}
+
+/// [`workload`]'s stream with a join after every select. Each side has
+/// no predicate or one range predicate, and aggregates one attribute;
+/// attribute 2 joins.
+fn with_joins(ops: &[Op], seed: u64) -> Vec<Op> {
+    fn side(rng: &mut StdRng) -> JoinSide {
+        let lo = rng.gen_range(0..DOMAIN.1 - 2);
+        let hi = lo + 1 + rng.gen_range(1..=DOMAIN.1 - lo);
+        let preds = match rng.gen_range(0..3) {
+            0 => Vec::new(),
+            _ => vec![(rng.gen_range(0..3), RangePred::open(lo, hi))],
+        };
+        let agg = rng.gen_range(0..3);
+        JoinSide {
+            preds,
+            join_attr: 2,
+            aggs: vec![
+                (agg, AggFunc::Count),
+                (agg, AggFunc::Sum),
+                (agg, AggFunc::Max),
+            ],
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(2 * ops.len());
+    for op in ops {
+        out.push(op.clone());
+        if let Op::Select(_) = op {
+            let (left, right) = (side(&mut rng), side(&mut rng));
+            out.push(Op::Join(JoinQuery { left, right }));
+        }
+    }
+    out
+}
+
+/// Replay `ops` on `make`'s engine of the design joined with one over
+/// `right`, unsharded and with the left table sharded, against the
+/// plain pair's answers.
+fn check_joins<E: Engine + AccessPath + Send>(
+    t: &Table,
+    right: &Table,
+    ops: &[Op],
+    name: &str,
+    make: impl Fn(Table) -> E,
+) {
+    let mut plain = Joined::new(PlainEngine::new(t.clone()), PlainEngine::new(right.clone()));
+    let expected = replay(&mut plain, ops);
+    let mut e = Joined::new(make(t.clone()), make(right.clone()));
+    assert_same(&replay(&mut e, ops), &expected, name);
+    for shards in SHARD_COUNTS {
+        let mut e = ShardedEngine::build(t.clone(), shards, |_, part| {
+            Joined::new(make(part), make(right.clone()))
+        });
+        assert_same(
+            &replay(&mut e, ops),
+            &expected,
+            &format!("{name} x{shards}"),
+        );
+    }
+}
+
+/// Joins between updates: a two-table engine sends every insert and
+/// delete to its left table, so each join must see the updated left
+/// table beside the untouched right one.
+#[test]
+fn joins_agree_under_interleaved_updates() {
+    let t = random_table(3, 311, DOMAIN.1, 61);
+    let right = random_table(3, 157, DOMAIN.1, 75);
+    let ops = with_joins(&workload(3, 311, 120, 62), 76);
+    check_joins(&t, &right, &ops, "plain", PlainEngine::new);
+    check_joins(&t, &right, &ops, "presorted", |t| {
+        PresortedEngine::new(t, &[0, 1, 2])
+    });
+    check_joins(&t, &right, &ops, "selcrack", |t| {
+        SelCrackEngine::new(t, DOMAIN)
+    });
+    check_joins(&t, &right, &ops, "sideways", |t| {
+        SidewaysEngine::new(t, DOMAIN)
+    });
+    check_joins(&t, &right, &ops, "partial", |t| {
+        PartialEngine::new(t, DOMAIN, None)
+    });
+    check_joins(&t, &right, &ops, "partial+budget", |t| {
+        PartialEngine::new(t, DOMAIN, Some(150))
+    });
 }
 
 /// The exp6 shape: a burst of updates between query batches (the paper
@@ -676,6 +772,7 @@ fn served_ripple_across_thousands_of_pieces() {
                 client.delete(*key).expect("delete admitted");
             }
             Op::Select(q) => outs.push(client.select(q).expect("select admitted").output),
+            Op::Join(q) => outs.push(client.join(q).expect("join admitted").output),
         }
     }
     drop(client);
