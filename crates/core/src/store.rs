@@ -462,18 +462,15 @@ impl PartialStore {
         consume: impl FnMut(Block<'_>),
     ) {
         let n = base.num_rows();
-        let Some(&(chosen, head_pred)) = preds.iter().min_by(|a, b| {
-            let sa = uniform_estimate(&a.1, n, self.domain(a.0));
-            let sb = uniform_estimate(&b.1, n, self.domain(b.0));
+        let Some(idx) = (0..preds.len()).min_by(|&a, &b| {
+            let sa = uniform_estimate(&preds[a].1, n, self.domain(preds[a].0));
+            let sb = uniform_estimate(&preds[b].1, n, self.domain(preds[b].0));
             sa.total_cmp(&sb)
         }) else {
             return; // empty predicate list: nothing qualifies
         };
-        let tails: Vec<(usize, RangePred)> = preds
-            .iter()
-            .filter(|(a, _)| *a != chosen)
-            .cloned()
-            .collect();
+        let (chosen, head_pred) = preds[idx];
+        let (tails, _) = plan_maps(preds, idx, &[]);
         self.set_mut(base, chosen)
             .conjunctive_project_blocks(base, &head_pred, &tails, projs, consume)
     }
@@ -703,5 +700,23 @@ mod tests {
         let expected: Vec<Val> = (25..40).map(|r| r * 2).collect();
         assert_eq!(out, expected);
         assert!(store.usage() > 0);
+    }
+
+    /// The partial twin of `residual_predicates_on_the_head_attribute_apply`:
+    /// the chosen predicate alone leaves the residuals, so a second
+    /// predicate on the head attribute still filters.
+    #[test]
+    fn partial_residual_predicates_on_the_head_attribute_apply() {
+        let mut store = PartialStore::new((0, 100));
+        let base = table();
+        let preds = vec![(0, RangePred::open(20, 40)), (0, RangePred::open(30, 60))];
+        let mut out = Vec::new();
+        let Ok(()) = store.conjunctive_project_with(&base, &preds, &[2], |_, v| out.push(v));
+        out.sort_unstable();
+        assert_eq!(
+            out,
+            (31..40).map(|r| r * 2).collect::<Vec<Val>>(),
+            "rows 31..=39"
+        );
     }
 }

@@ -18,10 +18,11 @@
 //! * the one join plan, [`run_join`], over one access path per table
 //!   ([`Joined`] pairs two engines into one that answers joins).
 //!
-//! Queries run one at a time, as in the paper. The one parallelism is
-//! on top: the [`shard::ShardedEngine`] router splits the table row-wise
-//! into shards, each a complete engine, and runs a query on all of them
-//! at once — the scans, the gathers and the cracking alike.
+//! Queries run one at a time, as in the paper. On top, the
+//! [`shard::ShardedEngine`] router splits the table row-wise into
+//! shards, each a complete engine, and runs a query on them one after
+//! another; the [`service::Service`] lets concurrent callers run on
+//! different shards at once, the one parallelism.
 
 pub mod combine;
 pub mod join;
@@ -31,7 +32,7 @@ pub mod shard;
 
 pub use join::{run_join, Joined};
 pub use path::{AccessPath, JoinInput, RestrictCtx, RowSet};
-pub use service::{Client, Service, ServiceConfig, ServiceError};
+pub use service::{Client, Service, ServiceError};
 pub use shard::ShardedEngine;
 
 use crate::query::{agg_attrs, agg_stats, finish_aggs, QueryOutput, SelectQuery};

@@ -20,8 +20,8 @@
 //!   on its own thread, in shard order, and merges the partial results
 //!   with exactly the [`ShardedEngine`] merge semantics (per-attribute
 //!   partial aggregates, shard-order projection concatenation, summed
-//!   rows, max-across-shards timings), so a served answer is
-//!   bit-identical to the in-process router's. There are no worker
+//!   rows, per-phase timings summed across shards), so a served answer
+//!   is bit-identical to the in-process router's. There are no worker
 //!   threads and no channels: a caller waits only while an earlier
 //!   request still holds the shard it needs next.
 //!
@@ -50,11 +50,10 @@
 //!
 //! ## Admission control, shutdown, hygiene
 //!
-//! The service bounds the work in flight: at most
-//! [`ServiceConfig::queue_depth`] requests may hold tickets (waiting or
-//! executing) at once, and calls beyond the bound fail fast with
-//! [`ServiceError::Overloaded`] instead of queueing without bound under
-//! open-loop overload. [`Service::shutdown`] is graceful: it closes
+//! The service bounds the work in flight: at most [`QUEUE_DEPTH`]
+//! requests may hold tickets (waiting or executing) at once, and calls
+//! beyond the bound fail fast with [`ServiceError::Overloaded`] instead
+//! of queueing without bound under open-loop overload. [`Service::shutdown`] is graceful: it closes
 //! admission, waits until every ticket issued before has been served,
 //! and reassembles — and returns — the [`ShardedEngine`], so serving is
 //! a phase in an engine's life, not a one-way door.
@@ -68,9 +67,8 @@
 //! The shard's original panic payload is preserved and re-raised on the
 //! thread that calls [`Service::shutdown`].
 
-use super::shard::{locate_key, merge_join_outputs, merge_select_outputs, ShardedEngine};
+use super::shard::{merge_join_outputs, merge_select_outputs, Routes, ShardedEngine};
 use crate::query::{Engine, JoinQuery, QueryOutput, SelectQuery};
-use crackdb_columnstore::shard::ShardCuts;
 use crackdb_columnstore::types::{RowId, Val};
 use crackdb_core::lock_unpoisoned;
 use std::any::Any;
@@ -92,30 +90,19 @@ type Ticket = (usize, u64);
 /// What a caller runs on a shard's engine in its turn.
 type Work<'a> = &'a mut dyn FnMut(&mut dyn Engine);
 
-/// Tuning knobs for [`Service::with_config`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Admission bound: the maximum number of requests in flight
-    /// (waiting for a shard or executing) across the whole service.
-    /// Calls beyond the bound fail fast with
-    /// [`ServiceError::Overloaded`]. Closed-loop clients occupy at most
-    /// one slot each, so the default comfortably serves hundreds of
-    /// concurrent sessions while still bounding queue growth under
-    /// open-loop overload.
-    pub queue_depth: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig { queue_depth: 1024 }
-    }
-}
+/// Admission bound: the maximum number of requests in flight (waiting
+/// for a shard or executing) across the whole service. Calls beyond the
+/// bound fail fast with [`ServiceError::Overloaded`]. Closed-loop
+/// clients occupy at most one slot each, so the bound serves hundreds
+/// of concurrent sessions while still bounding queue growth under
+/// open-loop overload.
+pub const QUEUE_DEPTH: usize = 1024;
 
 /// Why a service call did not produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The admission bound ([`ServiceConfig::queue_depth`]) was reached;
-    /// retry later or shed load.
+    /// The admission bound ([`QUEUE_DEPTH`]) was reached; retry later or
+    /// shed load.
     Overloaded {
         /// Requests in flight when the call was rejected.
         in_flight: usize,
@@ -278,10 +265,9 @@ impl Drop for Tickets<'_> {
 struct Router {
     /// The next position in each shard's line, in shard order.
     lines: Vec<u64>,
-    /// Partition cuts for delete-key routing.
-    cuts: ShardCuts,
-    /// Round-robin insert cursor (count of inserts so far).
-    inserted: usize,
+    /// Insert placement and delete-key routing, shared with
+    /// [`ShardedEngine`].
+    routes: Routes,
     /// Next global sequence number.
     next_seq: Seq,
     /// Set by [`Service::shutdown`]: reject new work.
@@ -318,24 +304,19 @@ pub struct Service<E> {
 }
 
 impl<E: Engine + Send + 'static> Service<E> {
-    /// Start serving `engine` with the default [`ServiceConfig`].
+    /// Start serving `engine`, admitting at most [`QUEUE_DEPTH`]
+    /// requests at once.
     ///
     /// # Errors
     /// None: starting cannot fail. The `Result` is kept only because
     /// `benchmark/src/sut.rs` maps it; ROADMAP item 1 deletes it.
     pub fn start(engine: ShardedEngine<E>) -> Result<Self, Infallible> {
-        Self::with_config(engine, ServiceConfig::default())
+        Ok(Self::with_queue_depth(engine, QUEUE_DEPTH))
     }
 
-    /// Start serving `engine` with an explicit [`ServiceConfig`].
-    ///
-    /// # Errors
-    /// See [`Service::start`].
-    pub fn with_config(
-        engine: ShardedEngine<E>,
-        config: ServiceConfig,
-    ) -> Result<Self, Infallible> {
-        let (cuts, engines, inserted) = engine.into_parts();
+    /// Start serving `engine` with admission bound `queue_depth`.
+    fn with_queue_depth(engine: ShardedEngine<E>, queue_depth: usize) -> Self {
+        let (routes, engines) = engine.into_parts();
         let shards: Vec<Shard<E>> = engines
             .into_iter()
             .map(|engine| Shard {
@@ -348,21 +329,20 @@ impl<E: Engine + Send + 'static> Service<E> {
                 ended: Condvar::new(),
             })
             .collect();
-        Ok(Service {
+        Service {
             shared: Arc::new(Shared {
                 router: Mutex::new(Router {
                     lines: vec![0; shards.len()],
-                    cuts,
-                    inserted,
+                    routes,
                     next_seq: 0,
                     closed: false,
                 }),
                 in_flight: AtomicUsize::new(0),
-                queue_depth: config.queue_depth.max(1),
+                queue_depth,
                 failed: AtomicBool::new(false),
             }),
             shards: Arc::new(shards),
-        })
+        }
     }
 
     /// A new client handle. Handles are cheap (two `Arc` clones),
@@ -397,10 +377,10 @@ impl<E: Engine + Send + 'static> Service<E> {
     /// cause) is re-raised and the others are reported on stderr rather
     /// than silently dropped.
     pub fn shutdown(self) -> ShardedEngine<E> {
-        let (cuts, inserted, issued) = {
+        let (routes, issued) = {
             let mut router = lock_unpoisoned(&self.shared.router);
             router.closed = true;
-            (router.cuts.clone(), router.inserted, router.lines.clone())
+            (router.routes.clone(), router.lines.clone())
         };
         let mut engines = Vec::with_capacity(issued.len());
         let mut panics = Vec::new();
@@ -420,7 +400,7 @@ impl<E: Engine + Send + 'static> Service<E> {
             }
             std::panic::resume_unwind(payload);
         }
-        ShardedEngine::reassemble(cuts, engines, inserted)
+        ShardedEngine::reassemble(routes, engines)
     }
 }
 
@@ -475,9 +455,8 @@ impl Client {
     pub fn insert(&self, row: &[Val]) -> Result<WriteReply, ServiceError> {
         let mut key = 0;
         let (seq, tickets) = self.issue(|router| {
-            let shard = router.inserted % self.nshards;
-            key = (router.cuts.total_rows() + router.inserted) as RowId;
-            router.inserted += 1;
+            let (shard, k) = router.routes.insert();
+            key = k;
             Ok(shard..shard + 1)
         })?;
         tickets.serve(|e| e.insert(row))?;
@@ -498,7 +477,9 @@ impl Client {
     pub fn delete(&self, key: RowId) -> Result<WriteReply, ServiceError> {
         let mut local = 0;
         let (seq, tickets) = self.issue(|router| {
-            let (shard, l) = locate_key(&router.cuts, self.nshards, router.inserted, key)
+            let (shard, l) = router
+                .routes
+                .locate(key)
                 .ok_or(ServiceError::UnknownKey(key))?;
             local = l;
             Ok(shard..shard + 1)
@@ -557,6 +538,7 @@ mod tests {
     use super::*;
     use crate::plain::PlainEngine;
     use crackdb_columnstore::column::{Column, Table};
+    use crackdb_columnstore::shard::ShardCuts;
     use crackdb_columnstore::types::{AggFunc, RangePred};
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::time::Duration;
@@ -569,6 +551,12 @@ mod tests {
         );
         t.add_column("b", Column::new((0..n as i64).collect()));
         t
+    }
+
+    /// A router over ready-made shard engines with no rows of their own.
+    fn over<E: Engine>(shards: Vec<E>) -> ShardedEngine<E> {
+        let routes = Routes::new(ShardCuts::even(0, shards.len()));
+        ShardedEngine::reassemble(routes, shards)
     }
 
     fn service(n: usize, shards: usize) -> Service<PlainEngine> {
@@ -667,16 +655,11 @@ mod tests {
     fn admission_control_rejects_beyond_queue_depth() {
         let (entered_tx, entered_rx) = channel();
         let (release_tx, release_rx) = channel();
-        let engine = ShardedEngine::reassemble(
-            ShardCuts::even(0, 1),
-            vec![Parked {
-                entered: entered_tx,
-                release: release_rx,
-            }],
-            0,
-        );
-        let config = ServiceConfig { queue_depth: 1 };
-        let svc = Service::with_config(engine, config).unwrap();
+        let engine = over(vec![Parked {
+            entered: entered_tx,
+            release: release_rx,
+        }]);
+        let svc = Service::with_queue_depth(engine, 1);
         let client = svc.client();
         let parked = {
             let client = client.clone();
@@ -707,14 +690,10 @@ mod tests {
     fn shutdown_drains_in_flight_queries_then_rejects_new_work() {
         let (entered_tx, entered_rx) = channel();
         let (release_tx, release_rx) = channel();
-        let engine = ShardedEngine::reassemble(
-            ShardCuts::even(0, 1),
-            vec![Parked {
-                entered: entered_tx,
-                release: release_rx,
-            }],
-            0,
-        );
+        let engine = over(vec![Parked {
+            entered: entered_tx,
+            release: release_rx,
+        }]);
         let svc = Service::start(engine).unwrap();
         let client = svc.client();
         let in_flight = {
@@ -763,8 +742,7 @@ mod tests {
 
     #[test]
     fn worker_panic_is_an_error_for_clients_and_resurfaces_at_shutdown() {
-        let engine =
-            ShardedEngine::reassemble(ShardCuts::even(0, 1), vec![Fused { calls: 0, boom: 2 }], 0);
+        let engine = over(vec![Fused { calls: 0, boom: 2 }]);
         let svc = Service::start(engine).unwrap();
         let client = svc.client();
         let q = SelectQuery::aggregate(vec![], vec![]);
@@ -811,11 +789,7 @@ mod tests {
     #[test]
     fn after_worker_death_no_work_reaches_surviving_shards() {
         let calls = Arc::new(AtomicUsize::new(0));
-        let engine = ShardedEngine::reassemble(
-            ShardCuts::even(0, 2),
-            vec![Duo::Counting(calls.clone()), Duo::Bomb],
-            0,
-        );
+        let engine = over(vec![Duo::Counting(calls.clone()), Duo::Bomb]);
         let svc = Service::start(engine).unwrap();
         let client = svc.client();
         let q = SelectQuery::aggregate(vec![], vec![]);
@@ -881,14 +855,10 @@ mod tests {
     fn parked_service() -> (Service<Parked>, Receiver<()>, Sender<()>) {
         let (entered_tx, entered_rx) = channel();
         let (release_tx, release_rx) = channel();
-        let engine = ShardedEngine::reassemble(
-            ShardCuts::even(0, 1),
-            vec![Parked {
-                entered: entered_tx,
-                release: release_rx,
-            }],
-            0,
-        );
+        let engine = over(vec![Parked {
+            entered: entered_tx,
+            release: release_rx,
+        }]);
         (Service::start(engine).unwrap(), entered_rx, release_tx)
     }
 
@@ -911,7 +881,7 @@ mod tests {
                 release,
             })
             .collect();
-        let engine = ShardedEngine::reassemble(ShardCuts::even(0, 2), shards, 0);
+        let engine = over(shards);
         let svc = Service::start(engine).unwrap();
         let client = svc.client();
         // Round-robin: this insert goes to shard 0, the next to shard 1.
@@ -979,7 +949,7 @@ mod tests {
                 release,
             })
             .collect();
-        let engine = ShardedEngine::reassemble(ShardCuts::even(0, 2), shards, 0);
+        let engine = over(shards);
         let svc = Service::start(engine).unwrap();
         let client = svc.client();
         // Each call reports through a channel, so a hang fails the test

@@ -1,16 +1,17 @@
-//! The horizontal sharding layer: partition-parallel adaptive indexing,
-//! and crackdb's only parallelism.
+//! The horizontal sharding layer: row-wise shards, each a complete
+//! engine.
 //!
 //! Reorganizing one shared cracker map is order-dependent, so one
 //! engine runs its queries strictly one at a time. [`ShardedEngine`]
-//! parallelizes by removing the sharing: the base table is split
-//! row-wise into `N` contiguous shards and every shard gets its own
-//! complete inner engine — own columns, own cracker columns, own cracker
-//! maps and chunk sets. Queries fan out to all shards on scoped threads,
-//! so scans, gathers and the cracking itself all run in parallel, while
-//! each shard's physical reorganization sequence remains exactly the
-//! serial one for its fraction of the data — per-shard layouts stay
-//! reproducible.
+//! removes the sharing: the base table is split row-wise into `N`
+//! contiguous shards and every shard gets its own complete inner
+//! engine — own columns, own cracker columns, own cracker maps and
+//! chunk sets. A query runs on the shards one after another, in shard
+//! order, on the caller's thread, and each shard's physical
+//! reorganization sequence is exactly the serial one for its fraction
+//! of the data — per-shard layouts stay reproducible. The parallelism
+//! the layout allows is the query service's: concurrent callers run on
+//! different shards at once ([`super::service`]).
 //!
 //! ## Merge semantics
 //!
@@ -28,19 +29,19 @@
 //!   order (projection values are unordered by contract).
 //! * **Row counts** — summed.
 //! * **Timings** — per-phase sum across shards: the shards' total work
-//!   in each phase. A served read runs its shards one after another, and
-//!   so does `set_threads(1)`, where the sum is the phase's wall time;
-//!   shards that run at once overlap, and the sum exceeds it.
+//!   in each phase, which is the phase's wall time, since the shards run
+//!   one after another.
 //!
 //! ## Update routing (§5 sharded)
 //!
-//! Inserts go round-robin (insert `j` to shard `j mod N`); deletes
-//! resolve the *global* key through [`ShardCuts`] for original rows and
-//! through the round-robin arithmetic for inserted ones. The sharded
-//! engine therefore accepts exactly the key stream an unsharded engine
-//! would: global key `k < n₀` is original row `k`, key `n₀ + j` is the
-//! `j`-th insert — which is what lets the differential suite drive both
-//! with identical update sequences.
+//! `Routes` holds the routing both routers share, this one and the
+//! query service's. Inserts go round-robin (insert `j` to shard
+//! `j mod N`); deletes resolve the *global* key through [`ShardCuts`]
+//! for original rows and through the round-robin arithmetic for
+//! inserted ones. The sharded engine therefore accepts exactly the key
+//! stream an unsharded engine would: global key `k < n₀` is original
+//! row `k`, key `n₀ + j` is the `j`-th insert — which is what lets the
+//! differential suite drive both with identical update sequences.
 //!
 //! Joins shard the primary (left) table and replicate the second table
 //! into every shard, each shard a [`Joined`](super::Joined) pair:
@@ -66,16 +67,58 @@ use crackdb_columnstore::shard::{partition_table, ShardCuts};
 use crackdb_columnstore::types::{RowId, Val};
 use std::sync::Mutex;
 
+/// Where a row lives: the partition-time cuts and the round-robin
+/// insert count. The global key of original row `k` is `k`; the `j`-th
+/// insert gets global key `total_rows + j` and goes to shard `j mod N`
+/// at local position `len_of(j mod N) + j / N`.
+#[derive(Debug, Clone)]
+pub(crate) struct Routes {
+    cuts: ShardCuts,
+    /// Inserts routed so far.
+    inserted: usize,
+}
+
+impl Routes {
+    /// The routes of freshly partitioned shards: no inserts yet.
+    pub(crate) fn new(cuts: ShardCuts) -> Self {
+        Routes { cuts, inserted: 0 }
+    }
+
+    /// The partition-time cuts.
+    pub(crate) fn cuts(&self) -> &ShardCuts {
+        &self.cuts
+    }
+
+    /// Route one insert: its shard and the global key it gets.
+    pub(crate) fn insert(&mut self) -> (usize, RowId) {
+        let shard = self.inserted % self.cuts.shard_count();
+        let key = (self.cuts.total_rows() + self.inserted) as RowId;
+        self.inserted += 1;
+        (shard, key)
+    }
+
+    /// Resolve a global key to `(shard, shard-local key)`, or `None` for
+    /// a key no row ever had — callers decide between panicking
+    /// ([`ShardedEngine::delete`]) and a recoverable error (the query
+    /// service, which must not panic a shard over one bad client key).
+    pub(crate) fn locate(&self, key: RowId) -> Option<(usize, RowId)> {
+        let k = key as usize;
+        let Some(j) = k.checked_sub(self.cuts.total_rows()) else {
+            return Some(self.cuts.locate(key));
+        };
+        if j >= self.inserted {
+            return None;
+        }
+        let n = self.cuts.shard_count();
+        let s = j % n;
+        Some((s, (self.cuts.len_of(s) + j / n) as RowId))
+    }
+}
+
 /// Router executing one independent inner engine per row-wise shard.
 pub struct ShardedEngine<E> {
     shards: Vec<E>,
-    /// The partition-time cuts: shard sizes for insert routing and the
-    /// global-key ↔ shard-local-key mapping for deletes (global keys at
-    /// or above `cuts.total_rows()` are inserts).
-    cuts: ShardCuts,
-    /// Round-robin insert cursor (also the count of inserts so far).
-    inserted: usize,
-    threads: usize,
+    routes: Routes,
     name: &'static str,
 }
 
@@ -89,7 +132,8 @@ impl<E: Engine> ShardedEngine<E> {
     pub fn build(base: Table, shards: usize, mut make: impl FnMut(usize, Table) -> E) -> Self {
         let cuts = ShardCuts::even(base.num_rows(), shards);
         let parts = partition_table(&base, &cuts);
-        Self::from_parts(cuts, parts.into_iter().enumerate().map(|(i, t)| make(i, t)))
+        let engines = parts.into_iter().enumerate().map(|(i, t)| make(i, t));
+        Self::reassemble(Routes::new(cuts), engines.collect())
     }
 
     /// Build from already-partitioned shard tables (data that arrives
@@ -102,39 +146,35 @@ impl<E: Engine> ShardedEngine<E> {
     /// If `parts` is empty.
     pub fn from_shards(parts: Vec<Table>, mut make: impl FnMut(usize, Table) -> E) -> Self {
         let cuts = ShardCuts::from_sizes(parts.iter().map(Table::num_rows));
-        Self::from_parts(cuts, parts.into_iter().enumerate().map(|(i, t)| make(i, t)))
+        let engines = parts.into_iter().enumerate().map(|(i, t)| make(i, t));
+        Self::reassemble(Routes::new(cuts), engines.collect())
     }
 
-    fn from_parts(cuts: ShardCuts, engines: impl Iterator<Item = E>) -> Self {
-        let shards: Vec<E> = engines.collect();
-        assert!(!shards.is_empty(), "need at least one shard");
+    /// A router over `shards`, one engine per shard of `routes`: the
+    /// end of both constructors and the inverse of [`Self::into_parts`]
+    /// (with any inserts routed in between counted in `routes`). The
+    /// shards must keep the round-robin insert discipline for key
+    /// routing to stay exact.
+    ///
+    /// # Panics
+    /// If `shards` does not hold one engine per shard of `routes`.
+    pub(crate) fn reassemble(routes: Routes, shards: Vec<E>) -> Self {
+        let n = routes.cuts().shard_count();
+        assert_eq!(shards.len(), n, "one engine per shard");
         let name = interned_name(format!("Sharded {} x{}", shards[0].name(), shards.len()));
         ShardedEngine {
-            cuts,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            name,
-            inserted: 0,
             shards,
+            routes,
+            name,
         }
     }
 
-    /// Decompose the router into its cuts, inner engines (in shard
-    /// order) and insert count, so another owner — the
-    /// [`service::Service`](super::service::Service), which puts each
-    /// shard behind its own lock — can hold the shards apart. Inverse of
-    /// [`Self::reassemble`].
-    pub fn into_parts(self) -> (ShardCuts, Vec<E>, usize) {
-        (self.cuts, self.shards, self.inserted)
-    }
-
-    /// Rebuild a router from parts produced by [`Self::into_parts`]
-    /// (plus any inserts routed in between, reflected in `inserted`).
-    /// The parts must keep the round-robin insert discipline for key
-    /// routing to stay exact.
-    pub fn reassemble(cuts: ShardCuts, shards: Vec<E>, inserted: usize) -> Self {
-        let mut e = Self::from_parts(cuts, shards.into_iter());
-        e.inserted = inserted;
-        e
+    /// Decompose the router into its routes and inner engines (in shard
+    /// order), so the [`service::Service`](super::service::Service),
+    /// which puts each shard behind its own lock, can hold the shards
+    /// apart. Inverse of [`Self::reassemble`].
+    pub(crate) fn into_parts(self) -> (Routes, Vec<E>) {
+        (self.routes, self.shards)
     }
 
     /// Number of shards.
@@ -144,7 +184,7 @@ impl<E: Engine> ShardedEngine<E> {
 
     /// The shard cut positions (global-key ↔ shard-local-key mapping).
     pub fn cuts(&self) -> &ShardCuts {
-        &self.cuts
+        self.routes.cuts()
     }
 
     /// Read access to the inner engines, in shard order.
@@ -152,86 +192,12 @@ impl<E: Engine> ShardedEngine<E> {
         &self.shards
     }
 
-    /// Set the fan-out worker budget (1 = run shards sequentially).
-    /// Defaults to one worker per available hardware thread. The budget
-    /// changes how many shards run at once, never an answer or a
-    /// shard's crack sequence.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Resolve a global key to `(shard, shard-local key)`: original rows
-    /// by cut ranges, inserted rows by the round-robin arithmetic (the
-    /// `j`-th insert went to shard `j mod N` at local position
-    /// `partition_size + j / N`).
-    fn locate(&self, key: RowId) -> (usize, RowId) {
-        locate_key(&self.cuts, self.shards.len(), self.inserted, key)
-            .unwrap_or_else(|| panic!("key {key} was never inserted"))
-    }
-
-    /// Run `work` over every shard and collect results in shard order.
-    /// At most `threads` scoped worker threads run concurrently: shards
-    /// are dealt to workers in contiguous groups, each group processed
-    /// sequentially (with 1 worker everything runs on the caller's
-    /// thread). A panicking shard re-raises its original payload on the
-    /// caller's thread.
-    fn fan_out<R: Send>(&mut self, work: impl Fn(&mut E) -> R + Sync) -> Vec<R>
-    where
-        E: Send,
-    {
-        let nshards = self.shards.len();
-        if self.threads <= 1 || nshards <= 1 {
-            return self.shards.iter_mut().map(&work).collect();
-        }
-        // Deal shards to exactly `workers` near-equal contiguous groups
-        // (sizes differ by at most one), so the whole thread budget is
-        // used even when the shard count is not a multiple of it. The
-        // split arithmetic is ShardCuts::even itself — one tested owner.
-        let workers = self.threads.min(nshards);
-        let groups = ShardCuts::even(nshards, workers);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rest = self.shards.as_mut_slice();
-            for g in 0..workers {
-                let (group, tail) = rest.split_at_mut(groups.len_of(g));
-                rest = tail;
-                handles.push(s.spawn(|| group.iter_mut().map(&work).collect::<Vec<R>>()));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
-}
-
-/// The round-robin key arithmetic shared by the in-process router and
-/// the service-layer router: a global key below the partitioned range is
-/// an original row located by the cuts; key `total_rows + j` is the
-/// `j`-th insert, which went to shard `j mod N` at local position
-/// `partition_size + j / N`. Returns `None` for keys never inserted —
-/// callers decide between panicking ([`ShardedEngine::delete`]) and a
-/// recoverable error (the query service, which must not panic a shard
-/// over one bad client key).
-pub(crate) fn locate_key(
-    cuts: &ShardCuts,
-    nshards: usize,
-    inserted: usize,
-    key: RowId,
-) -> Option<(usize, RowId)> {
-    let k = key as usize;
-    if k < cuts.total_rows() {
-        return Some(cuts.locate(key));
-    }
-    let j = k - cuts.total_rows();
-    if j >= inserted {
-        return None;
-    }
-    let s = j % nshards;
-    Some((s, (cuts.len_of(s) + j / nshards) as RowId))
+    /// Does nothing: a query runs its shards one after another on the
+    /// caller's thread. The per-query thread fan-out this once capped
+    /// lost its verdict and was deleted (ROADMAP item 12). Kept only
+    /// because `benchmark/src/sut.rs` calls `set_threads(1)`; ROADMAP
+    /// item 1 deletes it with crackbench's other adapters.
+    pub fn set_threads(&mut self, _threads: usize) {}
 }
 
 /// Fold the shards' answers into one merged [`PartialAgg`] per slot.
@@ -302,29 +268,31 @@ pub(crate) fn merge_join_outputs(q: &JoinQuery, outs: &[QueryOutput]) -> QueryOu
     }
 }
 
-impl<E: Engine + Send> Engine for ShardedEngine<E> {
+impl<E: Engine> Engine for ShardedEngine<E> {
     fn name(&self) -> &'static str {
         self.name
     }
 
     fn select(&mut self, q: &SelectQuery) -> QueryOutput {
-        let outs = self.fan_out(|e| e.select(q));
+        let outs = self.shards.iter_mut().map(|e| e.select(q)).collect();
         merge_select_outputs(q, outs)
     }
 
     fn join(&mut self, q: &JoinQuery) -> QueryOutput {
-        let outs = self.fan_out(|e| e.join(q));
+        let outs: Vec<QueryOutput> = self.shards.iter_mut().map(|e| e.join(q)).collect();
         merge_join_outputs(q, &outs)
     }
 
     fn insert(&mut self, row: &[Val]) {
-        let s = self.inserted % self.shards.len();
-        self.inserted += 1;
+        let (s, _) = self.routes.insert();
         self.shards[s].insert(row);
     }
 
     fn delete(&mut self, key: RowId) {
-        let (s, local) = self.locate(key);
+        let (s, local) = self
+            .routes
+            .locate(key)
+            .unwrap_or_else(|| panic!("key {key} was never inserted"));
         self.shards[s].delete(local);
     }
 
@@ -468,13 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn capped_fan_out_preserves_shard_order() {
-        // 7 shards over a 2-worker budget → groups of 4 and 3; results
-        // must still come back in shard order. Plain scans return keys
-        // ascending and the shards are contiguous cuts, so the merged
-        // projection is exactly column b in row order.
+    fn projections_concatenate_in_shard_order() {
+        // 7 uneven shards. Plain scans return keys ascending and the
+        // shards are contiguous cuts, so the merged projection is
+        // exactly column b in row order.
         let mut e = sharded(101, 7);
-        e.set_threads(2);
         let q = SelectQuery::project(vec![(0, RangePred::all())], vec![1]);
         let out = e.select(&q);
         assert_eq!(out.proj_values[0], (0..101).collect::<Vec<i64>>());
@@ -482,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_preserves_panic_payload() {
+    fn a_shard_panic_reaches_the_caller_with_its_payload() {
         struct Bomb;
         impl Engine for Bomb {
             fn name(&self) -> &'static str {
@@ -494,8 +460,7 @@ mod tests {
             fn insert(&mut self, _row: &[Val]) {}
             fn delete(&mut self, _key: RowId) {}
         }
-        let mut e = ShardedEngine::from_parts(ShardCuts::even(4, 2), [Bomb, Bomb].into_iter());
-        e.set_threads(2);
+        let mut e = ShardedEngine::reassemble(Routes::new(ShardCuts::even(4, 2)), vec![Bomb, Bomb]);
         let q = SelectQuery::aggregate(vec![], vec![]);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.select(&q)))
             .expect_err("shards panicked");
@@ -504,6 +469,35 @@ mod tests {
             Some(&"shard 1 exploded"),
             "the shard's own payload must reach the caller"
         );
+    }
+
+    #[test]
+    fn every_routed_insert_locates_back_to_its_shard() {
+        for shards in [1, 2, 3, 7] {
+            // Uneven cuts; at 7 shards the last one is empty.
+            let sizes: Vec<usize> = (0..shards).map(|s| (s * 5 + 3) % 11).collect();
+            let cuts = ShardCuts::from_sizes(sizes.iter().copied());
+            let total = cuts.total_rows();
+            let mut routes = Routes::new(cuts);
+            for k in 0..total as RowId {
+                let (s, local) = routes.locate(k).expect("an original row");
+                assert_eq!(routes.cuts().range(s).0 + local as usize, k as usize);
+            }
+            let mut rows_in = sizes.clone();
+            for j in 0..3 * shards + 2 {
+                let (s, key) = routes.insert();
+                assert_eq!(
+                    (s, key as usize),
+                    (j % shards, total + j),
+                    "{shards} shards"
+                );
+                let local = rows_in[s] as RowId;
+                rows_in[s] += 1;
+                assert_eq!(routes.locate(key), Some((s, local)), "{shards} shards");
+            }
+            let past = (total + 3 * shards + 2) as RowId;
+            assert_eq!(routes.locate(past), None, "{shards} shards: never inserted");
+        }
     }
 
     #[test]

@@ -33,12 +33,11 @@
 //! [`exec::Joined`] pairs two of them into an engine that answers
 //! [`query::Engine::join`].
 //!
-//! The only parallelism sits on top: the horizontal sharding layer
-//! [`exec::ShardedEngine`]. The base table is partitioned row-wise into
-//! `N` contiguous shards, each owning a complete, independent inner
-//! engine (its own columns, cracker indexes, cracker maps and chunk
-//! sets). Queries fan out to every shard on scoped threads — scans,
-//! gathers and the cracking itself run in parallel — and results merge
+//! On top sits the horizontal sharding layer [`exec::ShardedEngine`].
+//! The base table is partitioned row-wise into `N` contiguous shards,
+//! each owning a complete, independent inner engine (its own columns,
+//! cracker indexes, cracker maps and chunk sets). A query runs on the
+//! shards one after another, in shard order, and results merge
 //! deterministically: each shard answers one
 //! `PartialAgg` per aggregated attribute and [`query::finish_aggs`]
 //! finishes the merged partials (averages from merged sums and counts,
@@ -72,7 +71,8 @@
 //! bounds the requests in flight, and shutdown waits for every issued
 //! ticket and returns the `ShardedEngine`. There are no worker threads:
 //! a caller waits only while an earlier request holds the shard it
-//! needs next.
+//! needs next, and concurrent callers on different shards — the only
+//! parallelism — run at once.
 
 pub mod exec;
 pub mod partial_engine;
@@ -83,7 +83,7 @@ pub mod selcrack;
 pub mod sideways;
 pub mod tpch;
 
-pub use exec::service::{Client, Reply, Service, ServiceConfig, ServiceError, WriteReply};
+pub use exec::service::{Client, Reply, Service, ServiceError, WriteReply};
 pub use exec::{AccessPath, Joined, RestrictCtx, RowSet, ShardedEngine};
 pub use partial_engine::PartialEngine;
 pub use plain::PlainEngine;

@@ -86,7 +86,7 @@ fn assert_same(
 
 /// Drive `queries` through an unsharded engine and its sharded variants
 /// at every shard count; results must agree query by query.
-fn check_select_differential<E: Engine + Send>(
+fn check_select_differential<E: Engine>(
     name: &str,
     queries: &[SelectQuery],
     mut unsharded: E,
@@ -536,7 +536,7 @@ fn contract_queries(rng: &mut StdRng) -> Vec<SelectQuery> {
 /// One engine kind at every shard count against the unsharded scan
 /// baseline, on fresh, cracked and updated (insert + delete, global
 /// keys) states.
-fn check_contract<E: Engine + Send>(name: &str, t: &Table, make: impl Fn(Table) -> E) {
+fn check_contract<E: Engine>(name: &str, t: &Table, make: impl Fn(Table) -> E) {
     for shards in SHARD_COUNTS {
         let mut plain = PlainEngine::new(t.clone());
         let mut sharded = ShardedEngine::build(t.clone(), shards, |_, part| make(part));
@@ -575,15 +575,12 @@ fn block_contract_holds_on_every_sharded_engine() {
     });
 }
 
-/// One engine kind, sharded four ways, with the fan-out threaded
-/// (four workers) and sequential (one): every answer must match, on
-/// fresh, cracked and updated states alike. The worker budget decides
-/// only how many shards run at once, whatever the host's core count.
-fn check_fan_out<E: Engine + Send>(name: &str, t: &Table, make: impl Fn(Table) -> E) {
-    let mut threaded = ShardedEngine::build(t.clone(), 4, |_, p| make(p));
-    threaded.set_threads(4);
-    let mut sequential = ShardedEngine::build(t.clone(), 4, |_, p| make(p));
-    sequential.set_threads(1);
+/// One engine kind sharded four ways against the same engine unsharded:
+/// every answer must match, on fresh, cracked and updated states alike.
+/// Four shards is a count the update suites do not build.
+fn check_four_shards<E: Engine>(name: &str, t: &Table, make: impl Fn(Table) -> E) {
+    let mut sharded = ShardedEngine::build(t.clone(), 4, |_, p| make(p));
+    let mut whole = make(t.clone());
     let mut rng = StdRng::seed_from_u64(10);
     for i in 0..15u32 {
         if i > 0 && i % 5 == 0 {
@@ -591,26 +588,26 @@ fn check_fan_out<E: Engine + Send>(name: &str, t: &Table, make: impl Fn(Table) -
             // original row first, then the row inserted five queries ago.
             let row = [rng.gen_range(0..1000), rng.gen_range(0..1000), -7];
             let victim = if i == 5 { 205 } else { 400 };
-            for e in [&mut threaded, &mut sequential] {
-                e.insert(&row);
-                e.delete(victim);
-            }
+            sharded.insert(&row);
+            sharded.delete(victim);
+            whole.insert(&row);
+            whole.delete(victim);
         }
         let q = random_select(&mut rng, 3);
         let ctx = format!("{name}, query {i}");
-        assert_same(&threaded.select(&q), &sequential.select(&q), &ctx);
+        assert_same(&sharded.select(&q), &whole.select(&q), &ctx);
     }
 }
 
 #[test]
-fn fan_out_threading_does_not_change_answers() {
+fn four_shards_agree_with_unsharded_under_updates() {
     let t = table(3, 400, 53);
-    check_fan_out("plain", &t, PlainEngine::new);
-    check_fan_out("presorted", &t, |p| PresortedEngine::new(p, &[0, 1, 2]));
-    check_fan_out("selcrack", &t, |p| SelCrackEngine::new(p, DOMAIN));
-    check_fan_out("sideways", &t, |p| SidewaysEngine::new(p, DOMAIN));
-    check_fan_out("partial", &t, |p| PartialEngine::new(p, DOMAIN, None));
-    check_fan_out("partial+budget", &t, |p| {
+    check_four_shards("plain", &t, PlainEngine::new);
+    check_four_shards("presorted", &t, |p| PresortedEngine::new(p, &[0, 1, 2]));
+    check_four_shards("selcrack", &t, |p| SelCrackEngine::new(p, DOMAIN));
+    check_four_shards("sideways", &t, |p| SidewaysEngine::new(p, DOMAIN));
+    check_four_shards("partial", &t, |p| PartialEngine::new(p, DOMAIN, None));
+    check_four_shards("partial+budget", &t, |p| {
         PartialEngine::new(p, DOMAIN, Some(120))
     });
 }

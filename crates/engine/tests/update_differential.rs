@@ -333,7 +333,7 @@ fn with_joins(ops: &[Op], seed: u64) -> Vec<Op> {
 /// Replay `ops` on `make`'s engine of the design joined with one over
 /// `right`, unsharded and with the left table sharded, against the
 /// plain pair's answers.
-fn check_joins<E: Engine + AccessPath + Send>(
+fn check_joins<E: Engine + AccessPath>(
     t: &Table,
     right: &Table,
     ops: &[Op],

@@ -58,8 +58,8 @@ fn main() {
     println!("future queries over A reuse that knowledge (self-organization).");
 
     // The same engine scales out behind the sharding router: the table
-    // is split row-wise, every shard cracks its own fraction in
-    // parallel, and answers merge deterministically (sums of counts,
+    // is split row-wise, every shard cracks its own fraction, one shard
+    // after another, and answers merge deterministically (sums of counts,
     // min/max of min/max, averages from merged sums and counts).
     let mut sharded = ShardedEngine::build(table, 3, |_, part| SidewaysEngine::new(part, (0, 30)));
     let out = sharded.select(&q3);

@@ -21,9 +21,10 @@
 //!   / skewed patterns) and the TPC-H substrate (data + query
 //!   parameters).
 //! * [`engine`] — one query executor per physical design behind a shared
-//!   access-path layer (`engine::exec`), the `ShardedEngine`
-//!   partition-parallel router (the only parallelism) and the `Service`
-//!   concurrent query service on top of it, plus the twelve TPC-H query
+//!   access-path layer (`engine::exec`), the `ShardedEngine` row-wise
+//!   shard router and the `Service` concurrent query service on top of
+//!   it (concurrent callers on different shards are the only
+//!   parallelism), plus the twelve TPC-H query
 //!   plans, whose selections run through those same engines.
 //!
 //! The workspace builds fully offline with zero external dependencies;
